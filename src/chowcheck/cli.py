@@ -13,7 +13,8 @@ Two subcommands:
     [ring] section, without running its check list.
 
 Exit status: 0 all checks pass, 1 at least one check fails, 2 the
-input could not be parsed or a check was misconfigured.
+input could not be parsed, a check was misconfigured or a modulus is
+not a usable prime.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def _timed(name, kind, func):
 
 
 def _cmd_ring(args):
+    modrank.require_prime(args.prime)
     scn = _load(args.file)
     ctx = ScenarioContext(scn)
     prime = None if args.exact else args.prime
@@ -197,7 +199,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownCheck, CheckConfigError, CliError, OSError) as exc:
+    except (ParseError, UnknownCheck, CheckConfigError, CliError,
+            modrank.BadPrime, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

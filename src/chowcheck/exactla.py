@@ -14,13 +14,10 @@ makes equality of lattices a literal equality of matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import modrank
-
-
-class BadPrime(ValueError):
-    """Raised when a modulus is unusable for the given matrix."""
+from .modrank import BadPrime
 
 
 def _as_rows(matrix):
@@ -107,16 +104,18 @@ class RankCertificate:
                 f"upper_bound={self.upper_bound}, certified={self.certified})")
 
 
+def _integer_row(row):
+    """(d, d * row) for d the lcm of the denominators; d is 1 for int rows."""
+    if all(type(x) is int for x in row):
+        return 1, row
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
 def _integer_rows(matrix):
     """Scale each row by its common denominator; rank and kernel are unchanged."""
-    out = []
-    for row in _as_rows(matrix):
-        row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+    return [_integer_row(row)[1] for row in _as_rows(matrix)]
 
 
 def _bareiss_echelon(rows):
@@ -220,22 +219,21 @@ def matvec(matrix, vec):
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     """Rank of the matrix reduced mod ``prime``, with certificate.
 
-    Raises BadPrime if the prime divides the denominator of any entry, or
-    if the prime is out of the range supported by the elimination kernels.
+    Rows of plain integers go to the elimination kernel unchanged; it
+    reduces them mod ``prime`` once.  A row with rational entries is
+    scaled by the lcm of its denominators, a unit mod ``prime``, so the
+    modular rank is the same as for the rational row.
+
+    Raises BadPrime if ``prime`` is not a prime in the range supported by
+    the elimination kernels, or if it divides the denominator of any entry.
     """
-    if prime < 2 or prime > modrank.MAX_PRIME:
-        raise BadPrime(f"prime {prime} out of supported range")
-    rows = _as_rows(matrix)
+    modrank.require_prime(prime)
     red = []
-    for row in rows:
-        out = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator % prime == 0:
-                raise BadPrime(f"prime {prime} divides a denominator")
-            inv = pow(x.denominator % prime, prime - 2, prime)
-            out.append((x.numerator % prime) * inv % prime)
-        red.append(out)
+    for row in _as_rows(matrix):
+        den, row = _integer_row(row)
+        if den % prime == 0:
+            raise BadPrime(f"prime {prime} divides a denominator")
+        red.append(row)
     nrows = len(red)
     ncols = len(red[0]) if red else 0
     r = modrank.rank_mod(red, prime)

@@ -19,11 +19,18 @@ ring:
 * everything else runs fraction-free elimination, with an optional
   modular shortcut for large pieces that still certifies the exact rank
   (see ``_certified_ideal_rank``).
+
+Span rows are built from integer partials: the form is scaled to integer
+coefficients once, on construction, so every slice and every modular
+certificate works on plain ``int`` rows.  A ring memoises per degree its
+graded pieces, its quotient dimensions and, for each normalised
+symmetry, its eliminated character blocks, so the Hilbert table, graded
+pieces, character spectra and the smoothness test share one elimination
+of each degree.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd
 
@@ -103,6 +110,8 @@ class HypersurfaceRing:
         scaled = f.scale(den)
         self.partials = [partial_derivative(scaled, name)
                          for name in self.ring.names]
+        self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
+                              for p in self.partials]
         self.symmetry = None
         self._char_of_partial = None
         if symmetry is not None:
@@ -116,7 +125,7 @@ class HypersurfaceRing:
             self.symmetry = (exponents, int(modulus))
         self._pieces = {}
         self._dims = {}
-        self._lock = threading.Lock()
+        self._blocks = {}
 
     @staticmethod
     def _character(exps, exponents, modulus):
@@ -155,10 +164,10 @@ class HypersurfaceRing:
         tags = []
         if k >= self.degree - 1:
             for m in enumerate_monomials(self.nvars, k - (self.degree - 1)):
-                for i, p in enumerate(self.partials):
+                for i, terms in enumerate(self._int_partials):
                     row = [0] * len(monos)
-                    for e, c in p.terms.items():
-                        row[col[monomial_mul(m, e)]] += int(c)
+                    for e, c in terms:
+                        row[col[monomial_mul(m, e)]] += c
                     rows.append(row)
                     tags.append((m, i))
         return rows, monos, tags
@@ -182,16 +191,17 @@ class HypersurfaceRing:
             for i in range(self.nvars):
                 for j in range(i + 1, self.nvars):
                     row = [0] * (len(src) * self.nvars)
-                    for ex, c in self.partials[j].terms.items():
-                        row[slot[(monomial_mul(mu, ex), i)]] += int(c)
-                    for ex, c in self.partials[i].terms.items():
-                        row[slot[(monomial_mul(mu, ex), j)]] -= int(c)
+                    for ex, c in self._int_partials[j]:
+                        row[slot[(monomial_mul(mu, ex), i)]] += c
+                    for ex, c in self._int_partials[i]:
+                        row[slot[(monomial_mul(mu, ex), j)]] -= c
                     rows.append(row)
         return rows
 
-    def _certified_ideal_rank(self, k, primes=(1000003, 1000033, 1000099)):
+    def _certified_ideal_rank(self, k, rows, primes=(1000003, 1000033, 1000099)):
         """Exact rank of the degree-k slice from modular elimination alone.
 
+        ``rows`` are the generator rows ``span_rows(k)`` of the slice.
         The rank mod p is a lower bound for the exact rank.  Two upper
         bounds are a priori: min(rows, cols), and rows minus the rank of
         the Koszul relation rows, which always lie in the kernel of the
@@ -199,10 +209,9 @@ class HypersurfaceRing:
         bound the exact rank is certified; otherwise returns None and the
         caller falls back to fraction-free elimination.
         """
-        rows, monos, _ = self.span_rows(k)
         if not rows:
             return 0
-        nrows, ncols = len(rows), len(monos)
+        nrows, ncols = len(rows), len(rows[0])
         koszul = None
         for p in primes:
             m1 = modrank.rank_mod(rows, p)
@@ -233,7 +242,7 @@ class HypersurfaceRing:
         # entry growth in fraction-free elimination is driven by the step
         # count, so route long eliminations through the certificate first
         if method == "auto" and min(len(rows), len(monos)) > 48:
-            certified = self._certified_ideal_rank(k)
+            certified = self._certified_ideal_rank(k, rows)
             if certified is not None:
                 return certified
         return exactla.rank(rows)
@@ -241,21 +250,30 @@ class HypersurfaceRing:
     def _symmetric_blocks(self, k, symmetry=None):
         """Character blocks of the degree-k slice, each exactly eliminated.
 
-        Returns a list of (character, column_indices, free_local_indices,
-        rref_rows, pivot_local_indices) sorted by character.  Every
-        generator row must be supported inside a single block; this is
-        rechecked here so an inconsistent symmetry hint cannot produce a
-        wrong rank.
+        Returns a tuple of (character, column_indices, free_local_indices,
+        rref_rows, pivot_local_indices) sorted by character, every part a
+        tuple.  ``symmetry`` defaults to the declared one.  Memoised per
+        degree and normalised symmetry, so callers share one elimination.
         """
         exponents, modulus = symmetry if symmetry is not None else self.symmetry
+        modulus = int(modulus)
+        key = (k, tuple(int(e) % modulus for e in exponents), modulus)
+        if key not in self._blocks:
+            self._blocks[key] = self._eliminate_blocks(*key)
+        return self._blocks[key]
+
+    def _eliminate_blocks(self, k, exponents, modulus):
+        """Uncached worker of ``_symmetric_blocks``.
+
+        Every generator row must be supported inside a single block; this
+        is rechecked here so an inconsistent symmetry hint cannot produce
+        a wrong rank.
+        """
         monos = enumerate_monomials(self.nvars, k)
         by_char = {}
         for j, m in enumerate(monos):
             by_char.setdefault(self._character(m, exponents, modulus), []).append(j)
         rows, _, _ = self.span_rows(k)
-        local = {}
-        for c, js in by_char.items():
-            local[c] = {j: t for t, j in enumerate(js)}
         rows_by_char = {c: [] for c in by_char}
         for row in rows:
             support = [j for j, x in enumerate(row) if x]
@@ -272,30 +290,26 @@ class HypersurfaceRing:
         for c in sorted(by_char):
             js = by_char[c]
             rref, piv = _rref(rows_by_char[c], len(js))
-            free = [t for t in range(len(js)) if t not in piv]
-            blocks.append((c, js, free, rref, piv))
-        return blocks
+            free = tuple(t for t in range(len(js)) if t not in piv)
+            blocks.append((c, tuple(js), free, tuple(map(tuple, rref)),
+                           tuple(piv)))
+        return tuple(blocks)
 
     def piece(self, k):
         """Graded piece with representatives and a reduction map, memoised."""
-        with self._lock:
-            if k not in self._pieces:
-                self._pieces[k] = GradedPiece(self, k)
-            return self._pieces[k]
+        if k not in self._pieces:
+            self._pieces[k] = GradedPiece(self, k)
+        return self._pieces[k]
 
     def quotient_dim(self, k, method="auto"):
         """dim of the degree-k quotient piece; exact for every method."""
         if k < 0:
             return 0
         key = (k, method)
-        with self._lock:
-            if key in self._dims:
-                return self._dims[key]
-        monos = len(enumerate_monomials(self.nvars, k))
-        dim = monos - self.ideal_rank(k, method=method)
-        with self._lock:
-            self._dims[key] = dim
-        return dim
+        if key not in self._dims:
+            monos = len(enumerate_monomials(self.nvars, k))
+            self._dims[key] = monos - self.ideal_rank(k, method=method)
+        return self._dims[key]
 
 
 class GradedPiece:

@@ -14,15 +14,14 @@ compilation time against per-call speed and exists only so the package
 works, and can be benchmarked, without a working numba install.
 
 All arithmetic stays below 2**63: entries are reduced into [0, p) and
-p is capped so that p*p fits in int64.
-
-Run ``python -m chowcheck.modrank`` for a backend comparison benchmark.
+p is capped so that p*p fits in int64.  Pivots are inverted with Fermat's
+little theorem, which is only valid in a field, so every modulus passes
+the primality gate :func:`require_prime` before any elimination.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -45,6 +44,46 @@ DEFAULT_PRIME = 1000003
 
 # largest p with (p-1)**2 < 2**63, so products of reduced entries fit int64
 MAX_PRIME = 3037000499
+
+# Miller-Rabin with these bases is exact below 3,215,031,751 > MAX_PRIME
+# (Pomerance, Selfridge & Wagstaff 1980)
+_WITNESSES = (2, 3, 5, 7)
+
+
+class BadPrime(ValueError):
+    """Raised when a modulus is unusable for the given matrix."""
+
+
+def is_prime(n):
+    """Deterministic primality test for 0 <= n <= MAX_PRIME."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p):
+    """Raise BadPrime unless ``p`` is a prime in [2, MAX_PRIME]."""
+    if not 2 <= p <= MAX_PRIME:
+        raise BadPrime(f"modulus {p} out of supported range [2, {MAX_PRIME}]")
+    if not is_prime(p):
+        raise BadPrime(f"modulus {p} is not prime")
 
 
 def _select_backend():
@@ -156,14 +195,13 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     matrix : sequence of rows, or 2-D ndarray
         Integer entries; they are reduced mod p on entry.
     p : int
-        Prime modulus, at most MAX_PRIME.
+        Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
 
     Returns
     -------
     int
     """
-    if p < 2 or p > MAX_PRIME:
-        raise ValueError(f"modulus {p} out of supported range")
+    require_prime(p)
     a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
     if a.size == 0:
         return 0
@@ -172,54 +210,3 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
         return int(_rank_mod_njit(a, p))
     return int(_rank_mod_numpy(a, p))
 
-
-def run_benchmark(shapes=((120, 180), (300, 450), (500, 800)),
-                  p=DEFAULT_PRIME, seed=0, repeats=3):
-    """Time both backends on random matrices and check they agree.
-
-    Returns
-    -------
-    list of dict
-        One entry per shape with keys ``shape``, ``numpy_s``, ``numba_s``
-        (None when numba is unavailable), and ``rank``.
-    """
-    rng = np.random.default_rng(seed)
-    results = []
-    for shape in shapes:
-        base = rng.integers(0, p, size=shape, dtype=np.int64)
-        if NUMBA_AVAILABLE:
-            _rank_mod_njit(base.copy(), p)  # warm the JIT cache
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            rank_np = _rank_mod_numpy(base.copy(), p)
-        numpy_s = (time.perf_counter() - t0) / repeats
-        numba_s = None
-        rank_nb = rank_np
-        if NUMBA_AVAILABLE:
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                rank_nb = int(_rank_mod_njit(base.copy(), p))
-            numba_s = (time.perf_counter() - t0) / repeats
-        if rank_nb != rank_np:
-            raise AssertionError(f"backend mismatch at {shape}: {rank_nb} != {rank_np}")
-        results.append({"shape": shape, "numpy_s": numpy_s,
-                        "numba_s": numba_s, "rank": rank_np})
-    return results
-
-
-def print_benchmark_results(results):
-    print(f"modular elimination benchmark (backend flag: {_BACKEND})")
-    print(f"{'shape':>12} {'rank':>6} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>9}")
-    for row in results:
-        shape = f"{row['shape'][0]}x{row['shape'][1]}"
-        numpy_ms = row["numpy_s"] * 1e3
-        if row["numba_s"] is None:
-            print(f"{shape:>12} {row['rank']:>6} {numpy_ms:>12.2f} {'n/a':>12} {'n/a':>9}")
-        else:
-            numba_ms = row["numba_s"] * 1e3
-            print(f"{shape:>12} {row['rank']:>6} {numpy_ms:>12.2f} "
-                  f"{numba_ms:>12.2f} {numpy_ms / numba_ms:>8.1f}x")
-
-
-if __name__ == "__main__":
-    print_benchmark_results(run_benchmark())

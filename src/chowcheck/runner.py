@@ -6,9 +6,10 @@ pencil) and an ordered list of checks.  The context builds each object
 lazily and caches it, so a scenario pays only for what its checks use.
 
 Input problems (unknown check kinds, missing or malformed attributes,
-references to undeclared objects) raise :class:`UnknownCheck` or
-:class:`CheckConfigError` and abort the run; mathematical failures
-inside a check become failing step results and the run continues.
+references to undeclared objects, a ``prime`` that is not a usable
+prime) raise :class:`UnknownCheck` or :class:`CheckConfigError` and
+abort the run; mathematical failures inside a check become failing step
+results and the run continues.
 """
 
 from __future__ import annotations
@@ -187,6 +188,14 @@ def _attr_int(spec, name, default=None, required=False):
         raise CheckConfigError(
             f"check {spec.kind!r} (line {spec.line}): "
             f"{name}={raw!r} is not an integer") from None
+
+
+def _attr_prime(spec, default=None):
+    """The ``prime`` attribute, gated even on routes that never use it."""
+    prime = _attr_int(spec, "prime", default=default)
+    if prime is not None:
+        modrank.require_prime(prime)
+    return prime
 
 
 def _attr_fraction(spec, name, default=None, required=False):
@@ -374,7 +383,7 @@ def _check_green_gotzmann(ctx, spec):
 def _check_duality(ctx, spec):
     a = _attr_int(spec, "a", required=True)
     b = _attr_int(spec, "b", required=True)
-    prime = _attr_int(spec, "prime")
+    prime = _attr_prime(spec)
     result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
                                               prime=prime)
     return _duality_step(result, spec, "left kernel via duality")
@@ -409,7 +418,7 @@ def _duality_step(result, spec, name):
 def _check_no_left_kernel(ctx, spec):
     a = _attr_int(spec, "a", required=True)
     b = _attr_int(spec, "b", required=True)
-    prime = _attr_int(spec, "prime")
+    prime = _attr_prime(spec)
     expect_rank = _attr_int(spec, "expect_rank")
     result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
                                               prime=prime)
@@ -467,7 +476,7 @@ def _check_invariance(ctx, spec):
 @_register("smooth")
 def _check_smooth(ctx, spec):
     exact = _attr(spec, "mode", default="modular") == "exact"
-    prime = _attr_int(spec, "prime", default=modrank.DEFAULT_PRIME)
+    prime = _attr_prime(spec, default=modrank.DEFAULT_PRIME)
     hring = ctx.hypersurface(symmetric=False) if not exact else ctx.hypersurface()
     result = jacobian.is_smooth_artinian(hring, prime=prime, exact=exact)
     values = {
@@ -784,6 +793,9 @@ def run_scenario(scn: ScenarioFile) -> Report:
                               "fail", spec.cite,
                               details=[f"{type(exc).__name__}: {exc}"],
                               witness=str(exc) or type(exc).__name__)
+        except modrank.BadPrime as exc:
+            raise CheckConfigError(
+                f"check {spec.kind!r} (line {spec.line}): {exc}") from None
         step.duration = time.perf_counter() - start
         steps.append(step)
     mode = {"arithmetic": "exact rational; modular certificates where a "

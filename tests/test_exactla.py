@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowcheck import exactla
+from chowcheck import exactla, modrank
 
 
 def reference_rank(rows):
@@ -100,6 +100,88 @@ def test_modular_rank_rejects_bad_primes():
         exactla.modular_rank([[1]], prime=1)
     with pytest.raises(exactla.BadPrime):
         exactla.modular_rank([[1]], prime=2**62)
+    # a composite modulus must not certify: [[2, 1], [2, 1]] has rank 1
+    for composite in (4, 561, 1105):
+        with pytest.raises(exactla.BadPrime):
+            exactla.modular_rank([[2, 1], [2, 1]], prime=composite)
+
+
+def fraction_reduction_rank(rows, prime):
+    """Rank mod p by reducing each entry as a Fraction, inverting its
+    denominator with pow; the reduction modular_rank used to perform."""
+    red = []
+    for row in rows:
+        out = []
+        for x in row:
+            x = Fraction(x)
+            if x.denominator % prime == 0:
+                raise exactla.BadPrime(f"prime {prime} divides a denominator")
+            inv = pow(x.denominator % prime, prime - 2, prime)
+            out.append((x.numerator % prime) * inv % prime)
+        red.append(out)
+    return modrank.rank_mod(red, prime)
+
+
+def _random_entry(rng, kind, prime):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        x = rng.randrange(-9, 10)
+    else:
+        x = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6, 9, 10)))
+    if rng.random() < 0.2:
+        x *= prime * rng.randrange(1, 4)
+    return x
+
+
+def test_modular_rank_matches_fraction_reduction():
+    rng = random.Random(11)
+    for prime in (2, 3, 7, 101, 1000003, 2147483647):
+        for kind in ("int", "fraction", "mixed"):
+            for _ in range(15):
+                m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+                rows = [[_random_entry(rng, kind, prime) for _ in range(n)]
+                        for _ in range(m)]
+                if m > 1 and rng.random() < 0.3:
+                    rows[rng.randrange(m)] = [0] * n
+                if m > 2 and rng.random() < 0.3:
+                    rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+                try:
+                    expected = fraction_reduction_rank(rows, prime)
+                except exactla.BadPrime:
+                    with pytest.raises(exactla.BadPrime):
+                        exactla.modular_rank(rows, prime=prime)
+                    continue
+                cert = exactla.modular_rank(rows, prime=prime)
+                assert cert.rank == expected
+                assert cert.certified == (expected == min(m, n))
+
+
+def test_modular_rank_prime_dividing_a_denominator():
+    rows = [[1, Fraction(1, 3)], [Fraction(2, 9), 5]]
+    with pytest.raises(exactla.BadPrime):
+        exactla.modular_rank(rows, prime=3)
+    assert exactla.modular_rank(rows, prime=11).rank == 2
+
+
+def test_modular_rank_bounded_by_rational_rank_sympy():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(5)
+    for prime in (2, 5, 13, 1000003):
+        for _ in range(20):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+            rows = [[_random_entry(rng, "mixed", prime) for _ in range(n)]
+                    for _ in range(m)]
+            exact = DomainMatrix(
+                [[QQ(Fraction(x).numerator, Fraction(x).denominator)
+                  for x in row] for row in rows], (m, n), QQ).rank()
+            assert exactla.rank(rows) == exact
+            try:
+                cert = exactla.modular_rank(rows, prime=prime)
+            except exactla.BadPrime:
+                continue
+            assert cert.rank <= exact
 
 
 def test_modular_rank_never_exceeds_exact_rank():

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from chowcheck import exactla, jacobian
+from chowcheck import characters, exactla, jacobian
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
 
@@ -63,8 +64,8 @@ def test_certified_rank_agrees_with_exact_elimination():
     hring = jacobian.HypersurfaceRing(
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
     for k in (4, 5, 6):
-        certified = hring._certified_ideal_rank(k)
         rows, _, _ = hring.span_rows(k)
+        certified = hring._certified_ideal_rank(k, rows)
         assert certified is not None
         assert certified == exactla.rank(rows)
 
@@ -227,3 +228,72 @@ def _random_dense_form(rng, degree):
         if rng.random() < 0.2:
             f = f + P3.monomial(m, Fraction(rng.randrange(-3, 4)))
     return f
+
+
+SHIODA = "x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5"
+SHIODA_SYMMETRY = ((16, 61, 1, 0), 65)
+
+
+def _shioda_ring():
+    return jacobian.HypersurfaceRing(parse_poly(SHIODA, P3),
+                                     symmetry=SHIODA_SYMMETRY)
+
+
+def _bound_fields(result):
+    return (result.bound, result.strict_bound, result.kept, result.kept_strict,
+            result.middle.histogram, [o.histogram for o in result.outer])
+
+
+def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
+    sigma = characters.DiagonalAutomorphism(*SHIODA_SYMMETRY)
+    k = 6
+    probe = {(1, 2, 3, 0): Fraction(2), (0, 0, 0, 6): Fraction(-1, 3)}
+    fresh_table = jacobian.hilbert_function(_shioda_ring())
+    fresh_piece = _shioda_ring().piece(k)
+    fresh_spectrum = characters.character_spectrum(_shioda_ring(), sigma, k)
+    fresh_bound = characters.picard_upper_bound(_shioda_ring(), sigma)
+    fresh_blocks = _shioda_ring()._symmetric_blocks(k)
+
+    eliminations, span_builds = Counter(), Counter()
+    eliminate = jacobian.HypersurfaceRing._eliminate_blocks
+    span_rows = jacobian.HypersurfaceRing.span_rows
+
+    def counting_eliminate(self, degree, exponents, modulus):
+        eliminations[degree] += 1
+        return eliminate(self, degree, exponents, modulus)
+
+    def counting_span_rows(self, degree):
+        span_builds[degree] += 1
+        return span_rows(self, degree)
+
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_eliminate_blocks",
+                        counting_eliminate)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "span_rows",
+                        counting_span_rows)
+    hring = _shioda_ring()
+    table = jacobian.hilbert_function(hring)
+    piece = hring.piece(k)
+    spectrum = characters.character_spectrum(hring, sigma, k)
+    bound = characters.picard_upper_bound(hring, sigma)
+
+    # hilbert covers 4..12, the Picard scan adds 1 and 13 (smoothness)
+    assert sorted(eliminations) == [1] + list(range(4, 14))
+    assert set(eliminations.values()) == {1}
+    assert span_builds == eliminations
+    assert table == fresh_table
+    assert piece.representatives == fresh_piece.representatives
+    assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
+    assert spectrum.histogram == fresh_spectrum.histogram
+    assert _bound_fields(bound) == _bound_fields(fresh_bound)
+
+    # callers cannot disturb the memo through what they were handed
+    rows, _, _ = hring.span_rows(k)
+    for row in rows:
+        row[:] = [1] * len(row)
+    _, _, _, rref, _ = next(b for b in hring._symmetric_blocks(k) if b[3])
+    with pytest.raises(TypeError):
+        rref[0][0] = 0
+    assert hring._symmetric_blocks(k) == fresh_blocks
+    assert hring.quotient_dim(k) == fresh_table[k]
+    assert hring.piece(k).reduce_vector(probe) == fresh_piece.reduce_vector(probe)
+    assert set(eliminations.values()) == {1}

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from chowcheck import modrank
+from chowcheck import jacobian, modrank
 
 
 def test_rank_mod_small_cases():
@@ -46,21 +47,30 @@ def test_backends_agree():
 
 
 def test_rank_mod_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        modrank.rank_mod([[1]], 1)
-    with pytest.raises(ValueError):
-        modrank.rank_mod([[1]], modrank.MAX_PRIME + 1)
+    for p in (1, 4, 561, 1105, modrank.MAX_PRIME + 1):
+        with pytest.raises(modrank.BadPrime):
+            modrank.rank_mod([[1]], p)
 
 
-def test_benchmark_smoke():
-    results = modrank.run_benchmark(shapes=((30, 45),), repeats=1)
-    assert len(results) == 1
-    entry = results[0]
-    assert entry["rank"] == 30
-    assert entry["numpy_s"] > 0
-    if modrank.NUMBA_AVAILABLE:
-        assert entry["numba_s"] > 0
-    modrank.print_benchmark_results(results)
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if modrank.is_prime(n)] == [
+        n for n in range(3000) if _is_prime_by_trial_division(n)]
+    # Carmichael numbers and strong pseudoprimes to some of the bases
+    for n in (561, 1105, 1729, 2047, 1373653, 25326001):
+        assert modrank.is_prime(n) == _is_prime_by_trial_division(n)
+    for n in range(modrank.MAX_PRIME - 20, modrank.MAX_PRIME + 1):
+        assert modrank.is_prime(n) == _is_prime_by_trial_division(n)
+
+
+def test_certificate_primes_pass_the_gate():
+    certificate = inspect.signature(jacobian.HypersurfaceRing._certified_ideal_rank)
+    for p in (modrank.DEFAULT_PRIME, *certificate.parameters["primes"].default):
+        modrank.require_prime(p)
+        assert modrank.rank_mod([[1, 2], [3, 4]], p) == 2
 
 
 @pytest.mark.parametrize("backend", ["numpy", "numba"])

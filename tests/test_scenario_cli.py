@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chowcheck
 from chowcheck import cli
 from chowcheck.report import Report, StepResult
 from chowcheck.runner import CheckConfigError, UnknownCheck, run_scenario
@@ -345,3 +351,45 @@ def test_cli_ring_smooth_rejects_a_cone(tmp_path, capsys):
 def test_cli_ring_missing_flag(capsys):
     assert cli.main(["ring", "dim", "--file", "shioda"]) == 2
     assert "--degree" in capsys.readouterr().err
+
+
+def _run_cli(*argv):
+    src = str(Path(chowcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "chowcheck", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("check", [
+    "check smooth mode=modular prime=4 cite=c",
+    "check duality a=1 b=3 prime=561 cite=c",
+    "check no_left_kernel a=1 b=3 prime=1 cite=c",
+])
+def test_cli_bad_prime_in_scenario_exits_two(tmp_path, check):
+    path = tmp_path / "p.scn"
+    path.write_text("[scenario]\nname = x\n" + FERMAT_RING + "[checks]\n"
+                    + check + "\n", encoding="utf-8")
+    out = _run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: check ")
+    assert "(line 7)" in out.stderr and "modulus" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("prime", ["1", "4", "1105"])
+def test_cli_ring_bad_prime_exits_two(prime):
+    out = _run_cli("ring", "smooth", "--file", "shioda", "--prime", prime)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith(f"error: modulus {prime} ")
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_prime_dividing_a_pairing_denominator_is_a_config_error():
+    scn = parse_scenario(
+        "[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2\n"
+        "poly = x0^3 + x1^3 + x2^3 + 2*x0*x1*x2\n[checks]\n"
+        "check duality a=1 b=1 prime=2 cite=c\n")
+    with pytest.raises(CheckConfigError, match="line 7.*divides a denominator"):
+        run_scenario(scn)
