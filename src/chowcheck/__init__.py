@@ -5,8 +5,8 @@ The package is organised in layers:
 
 - :mod:`chowcheck.exactla` and :mod:`chowcheck.modrank`: integer and
   rational linear algebra (fraction-free elimination, Hermite form,
-  lattice membership) plus modular rank certificates with a numba or
-  numpy elimination backend.
+  lattice membership) plus modular rank certificates from one numpy
+  elimination kernel over GF(p), behind a primality gate.
 - :mod:`chowcheck.poly`: sparse multivariate polynomials over the
   rationals and small algebraic towers, with an exact parser.
 - :mod:`chowcheck.jacobian`: graded quotients by Jacobian ideals,

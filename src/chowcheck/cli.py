@@ -61,7 +61,6 @@ def _emit(report, args):
         sys.stdout.write(report.render_machine())
     else:
         sys.stdout.write(report.render_human())
-        sys.stdout.write(f"backend: {modrank.active_backend()}\n")
     if getattr(args, "report", None):
         with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(report.render_machine())
@@ -74,7 +73,7 @@ def _cmd_verify(args):
     return _emit(report, args)
 
 
-def _timed(name, kind, func):
+def _timed(func):
     start = time.perf_counter()
     step = func()
     step.duration = time.perf_counter() - start
@@ -156,7 +155,7 @@ def _cmd_ring(args):
                 witness=None if result.smooth else "nonzero piece above the socle",
                 values=values)
 
-    step = _timed(args.query, "ring", run)
+    step = _timed(run)
     report = Report(f"{scn.name}: ring {args.query}", [step])
     return _emit(report, args)
 

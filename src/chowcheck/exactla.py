@@ -21,37 +21,9 @@ from .modrank import BadPrime
 
 
 def _as_rows(matrix):
-    if isinstance(matrix, (ExactMatrix, IntMatrix)):
+    if isinstance(matrix, IntMatrix):
         return matrix.rows()
     return [list(row) for row in matrix]
-
-
-class ExactMatrix:
-    """Dense matrix with rational entries stored row-major."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, rows):
-        rows = [[Fraction(x) for x in row] for row in rows]
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.entries = [x for row in rows for x in row]
-
-    def rows(self):
-        n = self.ncols
-        return [self.entries[i * n:(i + 1) * n] for i in range(self.nrows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == (
-            other.nrows, other.ncols, other.entries)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows()!r})"
 
 
 class IntMatrix:
@@ -208,12 +180,6 @@ def kernel_basis(matrix):
             vec[pc] = -s / ech[i][pc]
         basis.append(vec)
     return basis
-
-
-def matvec(matrix, vec):
-    rows = _as_rows(matrix)
-    return [sum((Fraction(x) * v for x, v in zip(row, vec)), Fraction(0))
-            for row in rows]
 
 
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):

@@ -8,17 +8,22 @@ pieces, multiplication maps between them, and the socle pairing, always
 with exact rational arithmetic for any claim about nonzero kernels or
 dimensions.
 
-Three elimination paths produce identical answers and are chosen per
-ring:
+Dimensions of the ideal slice (``ideal_rank``) come from the first of
+these routes that applies:
 
 * monomial ideals reduce to divisibility bookkeeping;
 * rings with a declared diagonal symmetry split each graded piece into
   character blocks that are eliminated independently (each Jacobian
   generator is supported in a single block, so the span matrix is block
   diagonal and the ranks add);
-* everything else runs fraction-free elimination, with an optional
-  modular shortcut for large pieces that still certifies the exact rank
-  (see ``_certified_ideal_rank``).
+* everything else takes a modular rank certificate when it closes (see
+  ``_certified_ideal_rank``) and fraction-free elimination otherwise.
+
+A graded piece, which also needs representatives and a reduction map,
+is either monomial or a tuple of exactly eliminated character blocks.  A
+ring without a declared symmetry is one block of the trivial character,
+and a degree below d-1, where the slice has no generator rows, gives
+blocks whose columns are all free.
 
 Span rows are built from integer partials: the form is scaled to integer
 coefficients once, on construction, so every slice and every modular
@@ -35,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exactla, modrank
-from .poly import (PolyRing, SparsePoly, enumerate_monomials, grevlex_key,
+from .poly import (PolyRing, SparsePoly, enumerate_monomials,
                    monomial_divides, monomial_mul, partial_derivative)
 
 
@@ -225,23 +230,23 @@ class HypersurfaceRing:
                     return m1
         return None
 
-    def ideal_rank(self, k, method="auto"):
+    def ideal_rank(self, k):
         """Exact dimension of the degree-k piece of the Jacobian ideal."""
         if k < self.degree - 1:
             return 0
-        if method == "auto" and self.is_monomial_ideal:
+        if self.is_monomial_ideal:
             gens = self.monomial_generators()
             monos = enumerate_monomials(self.nvars, k)
             return sum(1 for m in monos
                        if any(monomial_divides(g, m) for g in gens))
-        if method == "auto" and self.symmetry is not None:
+        if self.symmetry is not None:
             blocks = self._symmetric_blocks(k)
             return sum(len(cols) - len(free)
                        for _, cols, free, _, _ in blocks)
         rows, monos, _ = self.span_rows(k)
         # entry growth in fraction-free elimination is driven by the step
         # count, so route long eliminations through the certificate first
-        if method == "auto" and min(len(rows), len(monos)) > 48:
+        if min(len(rows), len(monos)) > 48:
             certified = self._certified_ideal_rank(k, rows)
             if certified is not None:
                 return certified
@@ -301,64 +306,47 @@ class HypersurfaceRing:
             self._pieces[k] = GradedPiece(self, k)
         return self._pieces[k]
 
-    def quotient_dim(self, k, method="auto"):
-        """dim of the degree-k quotient piece; exact for every method."""
+    def quotient_dim(self, k):
+        """Exact dimension of the degree-k quotient piece."""
         if k < 0:
             return 0
-        key = (k, method)
-        if key not in self._dims:
+        if k not in self._dims:
             monos = len(enumerate_monomials(self.nvars, k))
-            self._dims[key] = monos - self.ideal_rank(k, method=method)
-        return self._dims[key]
+            self._dims[k] = monos - self.ideal_rank(k)
+        return self._dims[k]
 
 
 class GradedPiece:
     """One graded piece of the quotient: basis data plus reduction.
 
     Fields: ``degree``, ``monomials`` (canonical ambient basis),
-    ``representatives`` (monomials whose classes form a quotient basis,
-    the free columns of the eliminated ideal slice), ``dim``.
+    ``representatives`` (monomials whose classes form a quotient basis:
+    the standard monomials of a monomial ideal, otherwise the free
+    columns of the eliminated ideal slice, in ambient order), ``dim``.
     """
 
     def __init__(self, hring, k):
         self.hring = hring
         self.degree = k
         self.monomials = enumerate_monomials(hring.nvars, k)
-        self._col = {m: j for j, m in enumerate(self.monomials)}
-        if k < hring.degree - 1:
-            self._mode = "free"
-            self.representatives = list(self.monomials)
-        elif hring.is_monomial_ideal:
-            self._mode = "monomial"
+        if hring.is_monomial_ideal:
+            self._blocks = None
             gens = hring.monomial_generators()
             self.representatives = [m for m in self.monomials
                                     if not any(monomial_divides(g, m) for g in gens)]
-        elif hring.symmetry is not None:
-            self._mode = "blocks"
-            self._blocks = hring._symmetric_blocks(k)
-            reps = []
-            self._block_of = {}
-            for c, js, free, rref, piv in self._blocks:
-                for t in free:
-                    reps.append(self.monomials[js[t]])
-            reps.sort(key=grevlex_key, reverse=True)
-            self.representatives = reps
-            for b, (c, js, free, rref, piv) in enumerate(self._blocks):
-                for j in js:
-                    self._block_of[j] = b
         else:
-            self._mode = "rref"
-            rows, _, _ = hring.span_rows(k)
-            self._rref, self._piv = _rref(rows, len(self.monomials))
-            free = [j for j in range(len(self.monomials)) if j not in self._piv]
-            self.representatives = [self.monomials[j] for j in free]
+            self._blocks = hring._symmetric_blocks(
+                k, hring.symmetry or ((0,) * hring.nvars, 1))
+            # ambient monomial -> (block index, column inside the block)
+            self._slot = {}
+            free_cols = []
+            for b, (_, js, free, _, _) in enumerate(self._blocks):
+                for t, j in enumerate(js):
+                    self._slot[self.monomials[j]] = (b, t)
+                free_cols.extend(js[t] for t in free)
+            self.representatives = [self.monomials[j] for j in sorted(free_cols)]
         self.dim = len(self.representatives)
         self._rep_pos = {m: i for i, m in enumerate(self.representatives)}
-
-    def ideal_matrix(self):
-        """Integer generator rows of the ideal slice in ambient coordinates."""
-        rows, _, _ = self.hring.span_rows(self.degree)
-        return rows
 
     def reduce_vector(self, terms):
         """Quotient coordinates (over ``representatives``) of an ambient vector.
@@ -366,44 +354,27 @@ class GradedPiece:
         ``terms`` maps degree-k exponent tuples to coefficients.
         """
         out = [Fraction(0)] * self.dim
-        if self._mode == "free":
-            for e, c in terms.items():
-                out[self._rep_pos[e]] += c
-            return out
-        if self._mode == "monomial":
+        if self._blocks is None:
             for e, c in terms.items():
                 pos = self._rep_pos.get(e)
                 if pos is not None:
                     out[pos] += c
             return out
-        if self._mode == "blocks":
-            by_block = {}
-            for e, c in terms.items():
-                j = self._col[e]
-                by_block.setdefault(self._block_of[j], {})[j] = c
-            for b, sub in by_block.items():
-                c, js, free, rref, piv = self._blocks[b]
-                local = [Fraction(0)] * len(js)
-                pos_in_block = {j: t for t, j in enumerate(js)}
-                for j, coeff in sub.items():
-                    local[pos_in_block[j]] += coeff
-                for row, pc in zip(rref, piv):
-                    f = local[pc]
-                    if f:
-                        local = [x - f * y for x, y in zip(local, row)]
-                for t in free:
-                    if local[t]:
-                        out[self._rep_pos[self.monomials[js[t]]]] += local[t]
-            return out
-        vec = [Fraction(0)] * len(self.monomials)
+        by_block = {}
         for e, c in terms.items():
-            vec[self._col[e]] += c
-        for row, pc in zip(self._rref, self._piv):
-            f = vec[pc]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-        for m in self.representatives:
-            out[self._rep_pos[m]] = vec[self._col[m]]
+            b, t = self._slot[e]
+            if b not in by_block:
+                by_block[b] = [Fraction(0)] * len(self._blocks[b][1])
+            by_block[b][t] += c
+        for b, local in by_block.items():
+            _, js, free, rref, piv = self._blocks[b]
+            for row, pc in zip(rref, piv):
+                f = local[pc]
+                if f:
+                    local = [x - f * y for x, y in zip(local, row)]
+            for t in free:
+                if local[t]:
+                    out[self._rep_pos[self.monomials[js[t]]]] += local[t]
         return out
 
     def reduce_poly(self, f):
@@ -411,31 +382,22 @@ class GradedPiece:
 
     def character_dimensions(self):
         """Mapping character -> eigenspace dimension (symmetric rings only)."""
-        hring = self.hring
-        if hring.symmetry is None:
+        if self.hring.symmetry is None:
             raise ValueError("ring has no declared symmetry")
-        exponents, modulus = hring.symmetry
         dims = {}
-        if self._mode == "blocks":
-            for c, js, free, rref, piv in self._blocks:
-                if free:
-                    dims[c] = len(free)
-            return dims
         for m in self.representatives:
-            c = hring._character(m, exponents, modulus)
+            c = self.hring.character_of(m)
             dims[c] = dims.get(c, 0) + 1
-        if self._mode not in ("free", "monomial"):
-            raise ValueError("character split needs an equivariant basis")
         return dims
 
 
-def hilbert_function(hring, through=None, method="auto"):
+def hilbert_function(hring, through=None):
     """Exact dimensions of the graded quotient pieces 0..socle degree.
 
     ``through`` extends the table past the socle degree when given.
     """
     top = hring.socle_degree if through is None else through
-    return [hring.quotient_dim(k, method=method) for k in range(top + 1)]
+    return [hring.quotient_dim(k) for k in range(top + 1)]
 
 
 class SmoothnessResult:

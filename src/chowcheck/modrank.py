@@ -1,17 +1,9 @@
 """Dense Gaussian elimination over a prime field GF(p).
 
 This is the one genuinely hot numeric loop in the package: modular rank
-certificates reduce big exact eliminations to int64 arithmetic.  Two
-interchangeable backends are provided:
-
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a vectorised pure-numpy fallback.
-
-The backend is chosen once at import time from the ``CHOWCHECK_BACKEND``
-environment variable (``numba`` or ``numpy``).  Both backends run the
-same elimination and always return identical ranks; the flag trades
-compilation time against per-call speed and exists only so the package
-works, and can be benchmarked, without a working numba install.
+certificates reduce big exact eliminations to int64 arithmetic.  One
+kernel does the work, a column-by-column elimination whose row updates
+are vectorised with numpy.
 
 All arithmetic stays below 2**63: entries are reduced into [0, p) and
 p is capped so that p*p fits in int64.  Pivots are inverted with Fermat's
@@ -21,23 +13,7 @@ the primality gate :func:`require_prime` before any elimination.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 DEFAULT_PRIME = 1000003
@@ -86,72 +62,8 @@ def require_prime(p):
         raise BadPrime(f"modulus {p} is not prime")
 
 
-def _select_backend():
-    choice = os.environ.get("CHOWCHECK_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("CHOWCHECK_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown CHOWCHECK_BACKEND value: {choice!r}")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-_BACKEND = _select_backend()
-
-
-def active_backend():
-    """Name of the elimination backend in use ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-@njit(cache=True)
-def _powmod(base, exp, p):  # pragma: no cover - compiled
-    result = 1
-    base %= p
-    while exp > 0:
-        if exp & 1:
-            result = result * base % p
-        base = base * base % p
-        exp >>= 1
-    return result
-
-
-@njit(cache=True)
-def _rank_mod_njit(a, p):  # pragma: no cover - compiled
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != r:
-            for j in range(cols):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        inv = _powmod(a[r, c], p - 2, p)
-        for j in range(c, cols):
-            a[r, j] = a[r, j] * inv % p
-        for i in range(r + 1, rows):
-            f = a[i, c]
-            if f != 0:
-                for j in range(c, cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def _rank_mod_numpy(a, p):
-    """Reference elimination with vectorised row updates.
+    """Elimination with vectorised row updates.
 
     Parameters
     ----------
@@ -206,7 +118,5 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     if a.size == 0:
         return 0
     a = a.reshape(len(matrix), -1)
-    if _BACKEND == "numba":
-        return int(_rank_mod_njit(a, p))
     return int(_rank_mod_numpy(a, p))
 

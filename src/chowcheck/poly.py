@@ -590,22 +590,26 @@ def _parse_term(tok, ring):
         result = result * _parse_factor(tok, ring)
 
 
-def _parse_expr(tok, ring):
-    ch, pos = tok.peek()
-    sign = 1
-    if ch in ("+", "-"):
-        if ch == "-":
-            sign = -1
+def _parse_signed_term(tok, ring, signs):
+    """A term, optionally preceded by one sign character from ``signs``."""
+    ch, _ = tok.peek()
+    if ch is not None and ch in signs:
         tok.pos += 1
-    result = _parse_term(tok, ring)
-    if sign < 0:
-        result = -result
+        term = _parse_term(tok, ring)
+        return -term if ch == "-" else term
+    return _parse_term(tok, ring)
+
+
+def _parse_expr(tok, ring):
+    # a leading term may carry '+' or '-'; after a binary operator only a
+    # unary '-' is accepted, so "x + -2*y" parses and "x + + y" does not
+    result = _parse_signed_term(tok, ring, "+-")
     while True:
         ch, _ = tok.peek()
         if ch not in ("+", "-"):
             return result
         tok.pos += 1
-        term = _parse_term(tok, ring)
+        term = _parse_signed_term(tok, ring, "-")
         result = result + term if ch == "+" else result - term
 
 
@@ -615,7 +619,8 @@ def parse_poly(text, ring):
     Grammar: sums of '*'-separated products of rational coefficients
     (integer, or integer/integer), variable powers written name or
     name^exp, and parenthesized subexpressions, which may also carry
-    an ^exp.
+    an ^exp.  The first term may carry a sign, and every later term a
+    unary minus after its '+' or '-' (``x - -2*y``).
     """
     tok = _Tokenizer(text)
     result = _parse_expr(tok, ring)

@@ -55,8 +55,8 @@ def test_monomial_ideal_detection(fermat_quartic, quintic_sym):
 
 def test_generic_route_agrees_with_monomial_route(fermat_quartic):
     for k in (3, 4, 5):
-        monomial = fermat_quartic.ideal_rank(k, method="auto")
-        generic = fermat_quartic.ideal_rank(k, method="bareiss")
+        monomial = fermat_quartic.ideal_rank(k)
+        generic = exactla.rank(fermat_quartic.span_rows(k)[0])
         assert monomial == generic
 
 
@@ -297,3 +297,118 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     assert hring.quotient_dim(k) == fresh_table[k]
     assert hring.piece(k).reduce_vector(probe) == fresh_piece.reduce_vector(probe)
     assert set(eliminations.values()) == {1}
+
+
+# ------------------------------------------------ full-slice reduction oracle
+#
+# Before graded pieces of non-symmetric rings became one block of the
+# trivial character, they were reduced against the Gauss-Jordan form of
+# the whole Jacobian slice.  That route is kept here, with its own
+# elimination, as the oracle for the block route.
+
+def _fraction_rref(rows, ncols):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], piv_cols
+
+
+class _FullSlicePiece:
+    def __init__(self, hring, k):
+        self.monomials = enumerate_monomials(hring.nvars, k)
+        rows, _, _ = hring.span_rows(k)
+        self.rref, self.piv = _fraction_rref(rows, len(self.monomials))
+        self.representatives = [m for j, m in enumerate(self.monomials)
+                                if j not in self.piv]
+
+    def reduce_vector(self, terms):
+        col = {m: j for j, m in enumerate(self.monomials)}
+        vec = [Fraction(0)] * len(self.monomials)
+        for e, c in terms.items():
+            vec[col[e]] += c
+        for row, pc in zip(self.rref, self.piv):
+            f = vec[pc]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, row)]
+        return [vec[col[m]] for m in self.representatives]
+
+
+def _oracle_product_matrix(oracle, a, b, c):
+    cols = [oracle[c].reduce_vector({monomial_mul(u, v): Fraction(1)})
+            for u in oracle[a].representatives
+            for v in oracle[b].representatives]
+    return [[col[i] for col in cols] for i in range(len(oracle[c].representatives))]
+
+
+def _dense_ternary_quartic():
+    ring = PolyRing.rationals(("x", "y", "z"))
+    rng = random.Random(4)
+    f = ring.zero()
+    for m in enumerate_monomials(3, 4):
+        f = f + ring.monomial(m, Fraction(rng.randrange(1, 10)))
+    return jacobian.HypersurfaceRing(f)
+
+
+def _cubic_surface():
+    return jacobian.HypersurfaceRing(parse_poly(
+        "x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2 - 2*x1*x2*x3 + x0^2*x3", P3))
+
+
+# the quintic's middle pairings reduce thousands of products against its
+# 455-column socle slice on both routes, so only its outer degrees are paired
+@pytest.mark.parametrize("form, pairing_degrees", [
+    ("quintic_plain", (0, 1, 2, 10, 11, 12)),
+    ("dense_ternary_quartic", range(7)),
+    ("cubic_surface", range(5)),
+])
+def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
+                                                         request):
+    if form == "quintic_plain":
+        hring = request.getfixturevalue("quintic_plain")
+    elif form == "dense_ternary_quartic":
+        hring = _dense_ternary_quartic()
+    else:
+        hring = _cubic_surface()
+    assert hring.symmetry is None and not hring.is_monomial_ideal
+    sigma = hring.socle_degree
+    rng = random.Random(sigma)
+    oracle = {}
+    for k in range(sigma + 2):
+        oracle[k] = _FullSlicePiece(hring, k)
+        piece = hring.piece(k)
+        assert piece.representatives == oracle[k].representatives
+        for _ in range(3):
+            terms = {m: Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                     for m in rng.sample(piece.monomials,
+                                         min(6, len(piece.monomials)))}
+            assert piece.reduce_vector(terms) == oracle[k].reduce_vector(terms)
+    assert oracle[sigma + 1].representatives == []
+    assert len(oracle[sigma].representatives) == 1
+    for c in range(1, sigma + 2):
+        mmap = jacobian.multiplication_map(hring, 1, c - 1)
+        assert mmap.matrix == _oracle_product_matrix(oracle, 1, c - 1, c)
+    for k in pairing_degrees:
+        # the socle piece is one-dimensional: one product per (u, v) pair
+        products = _oracle_product_matrix(oracle, k, sigma - k, sigma)[0]
+        width = len(oracle[sigma - k].representatives)
+        rows = [products[i:i + width] for i in range(0, len(products), width)]
+        rank = len(_fraction_rref(rows, width)[1])
+        result = jacobian.macaulay_pairing_check(hring, k)
+        assert (result.rank, result.nondegenerate) == (
+            rank, rank == len(oracle[k].representatives))

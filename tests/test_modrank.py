@@ -1,7 +1,4 @@
 import inspect
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -40,9 +37,6 @@ def test_backends_agree():
         if k:
             a[-k:] = (a[:k] + a[k:2 * k]) % p
         r_np = modrank._rank_mod_numpy(a.copy(), p)
-        if modrank.NUMBA_AVAILABLE:
-            r_nb = int(modrank._rank_mod_njit(a.copy(), p))
-            assert r_nb == r_np
         assert modrank.rank_mod(a.tolist(), p) == r_np
 
 
@@ -71,29 +65,3 @@ def test_certificate_primes_pass_the_gate():
     for p in (modrank.DEFAULT_PRIME, *certificate.parameters["primes"].default):
         modrank.require_prime(p)
         assert modrank.rank_mod([[1, 2], [3, 4]], p) == 2
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_backend_env_flag(backend):
-    if backend == "numba" and not modrank.NUMBA_AVAILABLE:
-        pytest.skip("numba not importable")
-    code = (
-        "from chowcheck import modrank; "
-        "print(modrank.active_backend()); "
-        "print(modrank.rank_mod([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 1000003))"
-    )
-    env = dict(os.environ, CHOWCHECK_BACKEND=backend)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.split()
-    assert lines[0] == backend
-    assert lines[1] == "2"
-
-
-def test_backend_env_flag_rejects_unknown():
-    env = dict(os.environ, CHOWCHECK_BACKEND="jazz")
-    out = subprocess.run(
-        [sys.executable, "-c", "import chowcheck.modrank"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "CHOWCHECK_BACKEND" in out.stderr

@@ -8,6 +8,8 @@ from chowcheck.poly import (NotDivisible, PolyParseError, PolyRing,
                             enumerate_monomials, exact_divide,
                             multiplicity_at_point, parse_poly,
                             partial_derivative, substitute)
+from chowcheck.runner import run_scenario
+from chowcheck.scenario import parse_scenario
 
 XY = PolyRing.rationals(("x", "y"))
 XYZ = PolyRing.rationals(("x", "y", "z"))
@@ -36,12 +38,32 @@ def test_parse_rational_coefficients():
 
 
 @pytest.mark.parametrize("bad", ["x +", "x + + y", "x^", "(x", "x)", "x^y",
-                                 "q + x", "1/0", "", "x 2"])
+                                 "q + x", "1/0", "", "x 2", "x^-2",
+                                 "x + - - y", "x - +y"])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(PolyParseError) as info:
         parse_poly(bad, XY)
     assert isinstance(info.value.position, int)
     assert 0 <= info.value.position <= len(bad)
+
+
+def test_parse_signed_term_after_binary_operator():
+    assert parse_poly("x + -2*y", XY) == parse_poly("x - 2*y", XY)
+    assert parse_poly("x - -2*y", XY) == parse_poly("x + 2*y", XY)
+    assert parse_poly("x - -y^2 + -1/2", XY) == parse_poly("x + y^2 - 1/2", XY)
+
+
+def test_scenario_poly_line_with_signed_terms():
+    text = (
+        "[scenario]\nname = signed\n"
+        "[ring]\nvariables = x0 x1 x2 x3\n"
+        "poly = x0^4 + x1^4 + x2^4 + x3^4 + -1*x0^2*x1^2 - -1*x2^2*x3^2\n"
+        "[checks]\n"
+        'check hilbert expect="1 4 10 16 19 16 10 4 1" cite="declared table"\n'
+        'check smooth cite="declared smooth"\n')
+    report = run_scenario(parse_scenario(text))
+    assert [s.status for s in report.steps] == ["pass", "pass"]
+    assert report.exit_code == 0
 
 
 def _random_poly(ring, rng, degree, homogeneous=False):

@@ -1,0 +1,140 @@
+"""Hypothesis properties of the exact and modular layers, with sympy oracles.
+
+Every property runs derandomized with few examples, so the suite stays
+deterministic and fast.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from chowcheck import exactla, jacobian, modrank
+from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
+
+XY = PolyRing.rationals(("x", "y"))
+TERNARY = PolyRing.rationals(("x", "y", "z"))
+QUATERNARY = PolyRing.rationals(("x0", "x1", "x2", "x3"))
+
+DETERMINISTIC = settings(derandomize=True, max_examples=25, deadline=None,
+                         database=None)
+
+
+def _matrices(max_side=6, bound=20):
+    return st.integers(1, max_side).flatmap(lambda ncols: st.lists(
+        st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=max_side))
+
+
+@DETERMINISTIC
+@given(_matrices(), st.sampled_from([2, 3, 5, 7, modrank.DEFAULT_PRIME]))
+def test_modular_rank_never_exceeds_rational_rank(matrix, p):
+    assert modrank.rank_mod(matrix, p) <= exactla.rank(matrix)
+
+
+@DETERMINISTIC
+@given(_matrices())
+def test_hermite_normal_form_is_idempotent(matrix):
+    hnf = exactla.hermite_normal_form(matrix)
+    assert exactla.hermite_normal_form(hnf) == hnf
+
+
+_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+def _term_text(exps, coeff):
+    factors = [str(abs(coeff))]
+    for name, e in zip(XY.names, exps):
+        if e:
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return ("-" if coeff < 0 else "") + "*".join(factors)
+
+
+@DETERMINISTIC
+@given(st.dictionaries(_monomials, _coefficients, max_size=5))
+def test_text_form_parses_back(terms):
+    f = XY.zero()
+    for exps, coeff in terms.items():
+        f = f + XY.monomial(exps, coeff)
+    assert parse_poly(f.to_text(), XY) == f
+
+
+@DETERMINISTIC
+@given(st.lists(st.tuples(st.sampled_from("+-"), _monomials, _coefficients),
+                min_size=1, max_size=5))
+def test_signed_terms_parse_to_their_sum(terms):
+    # every term carries its own sign, also after a binary operator:
+    # "x + -2*y", "x - -2*y"
+    text, expected = "", XY.zero()
+    for i, (op, exps, coeff) in enumerate(terms):
+        term = XY.monomial(exps, coeff)
+        if i == 0:
+            text, expected = _term_text(exps, coeff), term
+        else:
+            text += f" {op} {_term_text(exps, coeff)}"
+            expected = expected + term if op == "+" else expected - term
+    f = parse_poly(text, XY)
+    assert f == expected
+    assert parse_poly(f.to_text(), XY) == f
+
+
+def _form(ring, degree, coeffs):
+    f = ring.zero()
+    for exps, c in zip(enumerate_monomials(ring.nvars, degree), coeffs):
+        f = f + ring.monomial(exps, c)
+    return f
+
+
+@pytest.mark.parametrize("ring", [TERNARY, QUATERNARY], ids=["ternary", "quaternary"])
+def test_smooth_cubics_have_palindromic_tables(ring):
+    ncoeffs = len(enumerate_monomials(ring.nvars, 3))
+
+    @DETERMINISTIC
+    @given(st.lists(st.integers(-5, 5), min_size=ncoeffs, max_size=ncoeffs))
+    def check(coeffs):
+        f = _form(ring, 3, coeffs)
+        assume(not f.is_zero() and f.total_degree() == 3)
+        hring = jacobian.HypersurfaceRing(f)
+        assume(jacobian.is_smooth_artinian(hring))
+        table = jacobian.hilbert_function(hring)
+        assert table == table[::-1]
+        assert sum(table) == 2 ** ring.nvars
+
+    check()
+
+
+def _standard_monomial_counts(hring, top):
+    """Hilbert table of the Jacobian quotient from a sympy Groebner basis."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(hring.ring.names)
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+                   for exps, c in p.terms.items())
+
+    basis = sympy.groebner([to_sympy(p) for p in hring.partials], *gens,
+                           order="grevlex")
+    leading = [sympy.Poly(g, *gens).monoms(order="grevlex")[0]
+               for g in basis.exprs]
+    return [sum(1 for m in enumerate_monomials(hring.nvars, k)
+                if not any(all(a <= b for a, b in zip(lm, m)) for lm in leading))
+            for k in range(top + 1)]
+
+
+@pytest.mark.parametrize("nvars, degree, seed", [
+    (3, 3, 1), (3, 4, 2), (3, 5, 3), (4, 3, 4), (4, 3, 5),
+])
+def test_hilbert_table_matches_sympy_groebner(nvars, degree, seed):
+    ring = TERNARY if nvars == 3 else QUATERNARY
+    rng = random.Random(seed)
+    monos = enumerate_monomials(ring.nvars, degree)
+    f = _form(ring, degree, [rng.randrange(-4, 5) for _ in monos])
+    hring = jacobian.HypersurfaceRing(f)
+    top = hring.socle_degree + 1
+    assert jacobian.hilbert_function(hring, through=top) == \
+        _standard_monomial_counts(hring, top)

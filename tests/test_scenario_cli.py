@@ -238,7 +238,6 @@ def test_cli_verify_bundled_shioda(capsys):
     out = capsys.readouterr().out
     assert "scenario: shioda" in out
     assert "verdict: pass" in out
-    assert "backend:" in out
 
 
 def test_cli_verify_bundled_quartic_family_fails_honestly(capsys):
