@@ -37,11 +37,11 @@ from .jacobian import (GradedPiece, HypersurfaceRing, IdealNotMonomial,
                        is_smooth_artinian, is_surjective, left_kernel,
                        left_kernel_via_duality, macaulay_pairing_check,
                        multiplication_map, uniform_mult_rank_bound)
-from .pencil import (PencilScenario, VerificationStep, default_scenario,
-                     membership_identity, report_degenerate_parameters,
-                     scenario_steps, tangent_identity,
-                     verify_blowup_factorization, verify_concurrency,
-                     verify_hyperelliptic_condition, verify_tangent_lines)
+from .pencil import (PencilScenario, default_scenario, membership_identity,
+                     report_degenerate_parameters, scenario_steps,
+                     tangent_identity, verify_blowup_factorization,
+                     verify_concurrency, verify_hyperelliptic_condition,
+                     verify_tangent_lines)
 from .poly import (NotDivisible, PolyParseError, PolyRing, ProjectivePoint,
                    SparsePoly, check_parametrization, exact_divide,
                    multiplicity_at_point, parse_poly, partial_derivative,
@@ -61,7 +61,7 @@ __all__ = [
     "PicardBoundResult", "PolyParseError", "PolyRing", "ProjectivePoint",
     "RelationLattice", "Report", "ScenarioContext", "ScenarioFile",
     "SocleNotOneDimensional", "SparsePoly", "StepResult", "UnknownCheck",
-    "UnknownLabel", "VerificationStep", "binary_form_cycle",
+    "UnknownLabel", "binary_form_cycle",
     "character_spectrum", "check_invariance", "check_parametrization",
     "default_scenario", "exact_divide", "functional_kernel_map",
     "galois_orbit", "hilbert_function", "hyperplane_relations",

@@ -9,8 +9,10 @@ Two subcommands:
     report; ``--machine`` prints that format to stdout instead.
 
 ``ring {dim,map,duality,smooth} --file SCENARIO``
-    Ad-hoc queries against the graded ring declared by a scenario's
-    [ring] section, without running its check list.
+    One ad-hoc query against the graded ring declared by a scenario's
+    [ring] section.  The query runs as one synthesized check of kind
+    ``ring_dim``, ``ring_map``, ``duality`` or ``smooth`` (the scenario's
+    own check list is ignored), so it reports and fails like that check.
 
 Exit status: 0 all checks pass, 1 at least one check fails, 2 the
 input could not be parsed, a check was misconfigured or a modulus is
@@ -21,14 +23,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from importlib import resources
 from pathlib import Path
 
-from . import jacobian, modrank
-from .report import Report, StepResult
-from .runner import CheckConfigError, ScenarioContext, UnknownCheck, run_scenario
-from .scenario import ParseError, load_scenario, parse_scenario
+from . import modrank
+from .report import Report
+from .runner import (CheckConfigError, ScenarioContext, UnknownCheck,
+                     run_check, run_scenario)
+from .scenario import CheckSpec, ParseError, load_scenario, parse_scenario
 
 BUILTIN_SCENARIOS = {
     "quartic-family": "quartic_family.scn",
@@ -73,18 +75,9 @@ def _cmd_verify(args):
     return _emit(report, args)
 
 
-def _timed(func):
-    start = time.perf_counter()
-    step = func()
-    step.duration = time.perf_counter() - start
-    return step
-
-
 def _cmd_ring(args):
     modrank.require_prime(args.prime)
     scn = _load(args.file)
-    ctx = ScenarioContext(scn)
-    prime = None if args.exact else args.prime
 
     def need(attr, flag):
         value = getattr(args, attr)
@@ -92,72 +85,18 @@ def _cmd_ring(args):
             raise CliError(f"ring {args.query} needs {flag}")
         return value
 
+    attrs = {"cite": _QUERY_CITATION}
     if args.query == "dim":
-        degree = need("degree", "--degree")
-
-        def run():
-            dim = ctx.hypersurface().quotient_dim(degree)
-            return StepResult(
-                f"dimension in degree {degree}", "ring_dim", "pass",
-                _QUERY_CITATION,
-                details=[f"dim = {dim} (exact)"], values={"dim": dim})
-    elif args.query == "map":
-        a, b = need("a", "--a"), need("b", "--b")
-
-        def run():
-            mmap = jacobian.multiplication_map(ctx.hypersurface(), a, b)
-            result = jacobian.is_surjective(mmap, prime=prime)
-            values = {"rank": result.rank, "target_dim": result.target_dim,
-                      "mode": result.mode, "surjective": result.surjective}
-            word = "surjective" if result.surjective else "not surjective"
-            return StepResult(
-                f"multiplication {a} x {b} -> {a + b}", "ring_map",
-                "pass" if result.surjective else "fail", _QUERY_CITATION,
-                details=[f"{word}, rank {result.rank} of {result.target_dim} "
-                         f"({result.mode})"],
-                witness=None if result.surjective else "not surjective",
-                values=values)
-    elif args.query == "duality":
-        a, b = need("a", "--a"), need("b", "--b")
-
-        def run():
-            result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
-                                                      prime=prime)
-            values = {"empty": result.empty,
-                      "surjectivity_rank": result.surjectivity.rank,
-                      "surjectivity_mode": result.surjectivity.mode,
-                      "pairing_rank": result.pairing.rank,
-                      "pairing_mode": result.pairing.mode}
-            word = "empty" if result.empty else "not established"
-            return StepResult(
-                f"left kernel at ({a}, {b})", "ring_duality",
-                "pass" if result.empty else "fail", _QUERY_CITATION,
-                details=[f"left kernel {word} via surjectivity "
-                         f"({result.surjectivity.mode}) and socle pairing "
-                         f"({result.pairing.mode})"],
-                witness=None if result.empty else "duality argument incomplete",
-                values=values)
-    else:
-        def run():
-            hring = ctx.hypersurface(symmetric=False) if not args.exact \
-                else ctx.hypersurface()
-            result = jacobian.is_smooth_artinian(hring, prime=args.prime,
-                                                 exact=args.exact)
-            values = {"smooth": result.smooth, "mode": result.mode,
-                      "checked_degree": result.checked_degree,
-                      "dimension": result.dimension}
-            word = "true" if result.smooth else "false"
-            return StepResult(
-                "smoothness", "ring_smooth",
-                "pass" if result.smooth else "fail", _QUERY_CITATION,
-                details=[f"smooth: {word} ({result.mode}, degree "
-                         f"{result.checked_degree})"],
-                witness=None if result.smooth else "nonzero piece above the socle",
-                values=values)
-
-    step = _timed(run)
-    report = Report(f"{scn.name}: ring {args.query}", [step])
-    return _emit(report, args)
+        attrs["degree"] = need("degree", "--degree")
+    elif args.query in ("map", "duality"):
+        attrs["a"], attrs["b"] = need("a", "--a"), need("b", "--b")
+    if args.query == "smooth":
+        attrs.update(prime=args.prime, mode="exact" if args.exact else "modular")
+    elif args.query != "dim" and not args.exact:
+        attrs["prime"] = args.prime
+    kind = {"dim": "ring_dim", "map": "ring_map"}.get(args.query, args.query)
+    step = run_check(ScenarioContext(scn), CheckSpec(kind, attrs, line=None))
+    return _emit(Report(f"{scn.name}: ring {args.query}", [step]), args)
 
 
 def build_parser():

@@ -40,8 +40,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import exactla, modrank
-from .poly import (PolyRing, SparsePoly, enumerate_monomials,
-                   monomial_divides, monomial_mul, partial_derivative)
+from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
+                   partial_derivative)
 
 
 class SocleNotOneDimensional(ArithmeticError):
@@ -376,9 +376,6 @@ class GradedPiece:
                 if local[t]:
                     out[self._rep_pos[self.monomials[js[t]]]] += local[t]
         return out
-
-    def reduce_poly(self, f):
-        return self.reduce_vector(f.terms)
 
     def character_dimensions(self):
         """Mapping character -> eigenspace dimension (symmetric rings only)."""

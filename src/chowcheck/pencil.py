@@ -3,9 +3,12 @@
 The scenario packages a deformed quartic family, a coordinate change
 that blows up a line, a declared cubic strict transform, tangent lines
 at three marked points, their common point, and a closed-form parameter
-condition.  Every step is a polynomial identity in exact arithmetic:
-each either reduces to zero or fails with the nonzero residual as a
-witness.  Nothing here is tolerance-based.
+condition.  Every step is a polynomial identity in exact arithmetic,
+returned as a :class:`~chowcheck.report.StepResult` of kind ``pencil``:
+each either reduces to zero or fails with the nonzero residual as its
+witness.  The concurrency check may also report "degenerate" when the
+identities hold but tangent lines coincide.  Nothing here is
+tolerance-based.
 
 The tangent computations run in a tower that adjoins a primitive cube
 root of unity ``w`` and a cube root ``a`` of ``-lam``; choosing the
@@ -18,38 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import curves
-from .poly import (NotDivisible, PolyRing, SparsePoly, exact_divide,
-                   parse_poly, partial_derivative, substitute)
-
-
-class VerificationStep:
-    """Outcome of one identity check.
-
-    ``status`` is "pass", "fail", or "degenerate"; a fail carries the
-    exact nonzero residual as ``witness``.  The extra "degenerate"
-    status marks configurations where the identities hold but the
-    geometric hypothesis collapses (coincident lines), which is neither
-    a pass nor a residual-witnessed failure.
-    """
-
-    __slots__ = ("name", "status", "witness", "citation", "details")
-
-    def __init__(self, name, status, witness=None, citation="", details=()):
-        if status == "fail" and (witness is None or witness.is_zero()):
-            raise ValueError("a failing step needs a nonzero witness")
-        self.name = name
-        self.status = status
-        self.witness = witness
-        self.citation = citation
-        self.details = list(details)
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def __repr__(self):
-        extra = "" if self.witness is None else f", witness={self.witness.to_text()!r}"
-        return f"VerificationStep({self.name!r}, {self.status!r}{extra})"
+from .poly import (NotDivisible, PolyRing, exact_divide, parse_poly,
+                   partial_derivative, substitute)
+from .report import StepResult
 
 
 class PencilScenario:
@@ -178,13 +152,13 @@ def verify_blowup_factorization(scenario):
     quotient = blowup_quotient(scenario)
     diff = quotient - scenario.strict_transform
     if diff.is_zero():
-        return VerificationStep(
-            "blowup_factorization", "pass", citation=cite,
+        return StepResult(
+            "blowup_factorization", "pencil", "pass", cite,
             details=["substituted family divides exactly by the declared factor",
                      "quotient equals the declared strict transform"])
-    return VerificationStep("blowup_factorization", "fail", witness=diff,
-                            citation=cite,
-                            details=["quotient differs from the declared strict transform"])
+    return StepResult("blowup_factorization", "pencil", "fail", cite,
+                      details=["quotient differs from the declared strict transform"],
+                      witness=diff)
 
 
 def _eval_at(scenario, f, point):
@@ -199,10 +173,11 @@ def membership_identity(scenario, index):
     residual = _eval_at(scenario, scenario.strict_transform, point)
     name = f"membership_{index}"
     if residual.is_zero():
-        return VerificationStep(name, "pass", citation=cite,
-                                details=[f"point {index} lies on the cubic"])
-    return VerificationStep(name, "fail", witness=residual, citation=cite,
-                            details=[f"point {index} does not lie on the cubic"])
+        return StepResult(name, "pencil", "pass", cite,
+                          details=[f"point {index} lies on the cubic"])
+    return StepResult(name, "pencil", "fail", cite,
+                      details=[f"point {index} does not lie on the cubic"],
+                      witness=residual)
 
 
 def tangent_identity(scenario, index):
@@ -215,12 +190,12 @@ def tangent_identity(scenario, index):
         grad = partial_derivative(scenario.strict_transform, var)
         diff = _eval_at(scenario, grad, point) - dec
         if not diff.is_zero():
-            return VerificationStep(
-                name, "fail", witness=diff, citation=cite,
+            return StepResult(
+                name, "pencil", "fail", cite,
                 details=[f"gradient {var}-coefficient at point {index} "
-                         "differs from the table"])
-    return VerificationStep(
-        name, "pass", citation=cite,
+                         "differs from the table"], witness=diff)
+    return StepResult(
+        name, "pencil", "pass", cite,
         details=[f"gradient at point {index} matches the declared tangent"])
 
 
@@ -232,12 +207,11 @@ def verify_tangent_lines(scenario):
         for step in (membership_identity(scenario, i),
                      tangent_identity(scenario, i)):
             if not step.passed:
-                return VerificationStep("tangent_lines", "fail",
-                                        witness=step.witness, citation=cite,
-                                        details=details + step.details)
+                return StepResult("tangent_lines", "pencil", "fail", cite,
+                                  details=details + step.details,
+                                  witness=step.witness)
             details.extend(step.details)
-    return VerificationStep("tangent_lines", "pass", citation=cite,
-                            details=details)
+    return StepResult("tangent_lines", "pencil", "pass", cite, details=details)
 
 
 def _pairwise_distinct(rows):
@@ -263,19 +237,19 @@ def verify_concurrency(scenario, tangent_table=None, point=None):
         value = sum((c * p for c, p in zip(row, point)),
                     row[0].ring.zero())
         if not value.is_zero():
-            return VerificationStep(
-                "concurrency", "fail", witness=value, citation=cite,
-                details=details + [f"tangent {i} does not pass through the point"])
+            return StepResult(
+                "concurrency", "pencil", "fail", cite,
+                details=details + [f"tangent {i} does not pass through the point"],
+                witness=value)
         details.append(f"tangent {i} passes through the declared point")
     coincident = _pairwise_distinct(table)
     if coincident:
         pairs = ", ".join(f"{i} = {j}" for i, j in coincident)
-        return VerificationStep(
-            "concurrency", "degenerate", citation=cite,
+        return StepResult(
+            "concurrency", "pencil", "degenerate", cite,
             details=details + [f"tangent lines coincide: {pairs}"])
     details.append("tangent lines are pairwise distinct")
-    return VerificationStep("concurrency", "pass", citation=cite,
-                            details=details)
+    return StepResult("concurrency", "pencil", "pass", cite, details=details)
 
 
 def tower_at_lambda(value):
@@ -348,15 +322,15 @@ def verify_hyperelliptic_condition(scenario):
     as lam*A + B, the solution lam(t) = num/den must satisfy the
     polynomial identity A*num + B*den == 0.
     """
-    cite = scenario.citation("hyperelliptic_condition")
-    details = []
+    name = "hyperelliptic_condition"
+    cite = scenario.citation(name)
     try:
         _, quotient, declared, diff = hyperelliptic_data(scenario)
     except NotDivisible as exc:
-        return VerificationStep("hyperelliptic_condition", "fail",
-                                witness=exc.remainder, citation=cite,
-                                details=["an exact division failed"])
-    details.append("evaluation divides exactly by t, lam, and lam - 1")
+        return StepResult(name, "pencil", "fail", cite,
+                          details=["an exact division failed"],
+                          witness=exc.remainder)
+    details = ["evaluation divides exactly by t, lam, and lam - 1"]
     ring = scenario.blowup_ring
     lam = parse_poly("lam", ring)
     coeff_a = partial_derivative(declared, "lam")
@@ -365,22 +339,21 @@ def verify_hyperelliptic_condition(scenario):
         raise ValueError("declared quadratic must be linear in lam")
     num, den = scenario.closed_form
     identity = coeff_a * num + coeff_b * den
-    if identity.is_zero():
-        details.append("closed form satisfies A*num + B*den == 0")
-    else:
-        return VerificationStep("hyperelliptic_condition", "fail",
-                                witness=identity, citation=cite,
-                                details=details + ["closed form fails its defining identity"])
+    if not identity.is_zero():
+        return StepResult(name, "pencil", "fail", cite,
+                          details=details + ["closed form fails its defining identity"],
+                          witness=identity)
+    details.append("closed form satisfies A*num + B*den == 0")
     if diff.is_zero():
-        return VerificationStep(
-            "hyperelliptic_condition", "pass", citation=cite,
-            details=details + ["quotient equals the declared quadratic"])
-    return VerificationStep(
-        "hyperelliptic_condition", "fail", witness=diff, citation=cite,
+        return StepResult(name, "pencil", "pass", cite,
+                          details=details + ["quotient equals the declared quadratic"])
+    return StepResult(
+        name, "pencil", "fail", cite,
         details=details + [
             "quotient does not equal the declared quadratic",
             f"computed quotient: {quotient.to_text()}",
-            f"declared quadratic: {declared.to_text()}"])
+            f"declared quadratic: {declared.to_text()}"],
+        witness=diff)
 
 
 def report_degenerate_parameters(scenario):

@@ -13,9 +13,12 @@ class StepResult:
     """One executed check.
 
     ``status`` is "pass", "fail", or "degenerate"; anything but "pass"
-    fails the report.  ``values`` holds machine-reportable outputs
-    (ranks, bounds, orders); ``details`` are human-oriented lines that
-    also land in the machine report for auditability.
+    fails the report.  A "fail" carries an exact ``witness`` (a nonzero
+    residual polynomial or a short text); "degenerate" marks a setup
+    whose identities hold while its geometric hypothesis collapses.
+    ``values`` holds machine-reportable outputs (ranks, bounds, orders);
+    ``details`` are human-oriented lines that also land in the machine
+    report for auditability.
     """
 
     __slots__ = ("name", "kind", "status", "citation", "details", "witness",
@@ -25,6 +28,9 @@ class StepResult:
                  values=None, duration=0.0):
         if not citation:
             raise ValueError("every step needs a nonempty citation")
+        is_zero = getattr(witness, "is_zero", None)
+        if status == "fail" and (witness is None or (is_zero and is_zero())):
+            raise ValueError("a failing step needs a nonzero witness")
         self.name = name
         self.kind = kind
         self.status = status

@@ -9,7 +9,8 @@ Input problems (unknown check kinds, missing or malformed attributes,
 references to undeclared objects, a ``prime`` that is not a usable
 prime) raise :class:`UnknownCheck` or :class:`CheckConfigError` and
 abort the run; mathematical failures inside a check become failing step
-results and the run continues.
+results and the run continues.  :func:`run_check` runs one check; the
+command line's ring queries use it on a synthesized check without a line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import characters, curves, jacobian, modrank, pencil
-from .poly import (NotDivisible, PolyParseError, PolyRing, ProjectivePoint,
+from .poly import (PolyParseError, PolyRing, ProjectivePoint,
                    check_parametrization, multiplicity_at_point, parse_poly,
                    substitute)
 from .report import Report, StepResult
@@ -169,12 +170,20 @@ def _build_pencil(overrides):
         citations=base.citations)
 
 
+def _line(spec):
+    """`` (line N)`` for a check read from a file; synthesized checks have none."""
+    return f" (line {spec.line})" if spec.line else ""
+
+
+def _bad(spec, problem):
+    return CheckConfigError(f"check {spec.kind!r}{_line(spec)}: {problem}")
+
+
 def _attr(spec, name, default=None, required=False):
     if name in spec.attrs:
         return spec.attrs[name]
     if required:
-        raise CheckConfigError(
-            f"check {spec.kind!r} (line {spec.line}) needs attribute {name!r}")
+        raise _bad(spec, f"needs attribute {name!r}")
     return default
 
 
@@ -185,9 +194,15 @@ def _attr_int(spec, name, default=None, required=False):
     try:
         return int(raw)
     except ValueError:
-        raise CheckConfigError(
-            f"check {spec.kind!r} (line {spec.line}): "
-            f"{name}={raw!r} is not an integer") from None
+        raise _bad(spec, f"{name}={raw!r} is not an integer") from None
+
+
+def _attr_degree(spec, name):
+    """A required degree of a graded piece: a nonnegative integer."""
+    degree = _attr_int(spec, name, required=True)
+    if degree < 0:
+        raise _bad(spec, f"{name}={degree} is negative")
+    return degree
 
 
 def _attr_prime(spec, default=None):
@@ -205,9 +220,7 @@ def _attr_fraction(spec, name, default=None, required=False):
     try:
         return Fraction(raw)
     except ValueError:
-        raise CheckConfigError(
-            f"check {spec.kind!r} (line {spec.line}): "
-            f"{name}={raw!r} is not a rational number") from None
+        raise _bad(spec, f"{name}={raw!r} is not a rational number") from None
 
 
 def _attr_ints(spec, name, required=False):
@@ -217,9 +230,7 @@ def _attr_ints(spec, name, required=False):
     try:
         return [int(tok) for tok in raw.split()]
     except ValueError:
-        raise CheckConfigError(
-            f"check {spec.kind!r} (line {spec.line}): "
-            f"{name}={raw!r} is not a list of integers") from None
+        raise _bad(spec, f"{name}={raw!r} is not a list of integers") from None
 
 
 CHECKS = {}
@@ -232,47 +243,56 @@ def _register(kind):
     return wrap
 
 
-def _from_step(step, spec, name=None, values=None):
-    return StepResult(name or step.name, spec.kind, step.status, spec.cite,
-                      details=step.details, witness=step.witness, values=values)
+def _step(spec, name, ok, details, witness, values=None):
+    """The check's verdict: a pass, or a fail that carries ``witness``."""
+    return StepResult(name, spec.kind, "pass" if ok else "fail", spec.cite,
+                      details=details, witness=None if ok else witness,
+                      values=values)
+
+
+def _renamed(step, spec, name):
+    """A pencil step under the check's name, kind and citation."""
+    step.name, step.kind, step.citation = name, spec.kind, spec.cite
+    return step
+
+
+def _point_index(ctx, spec):
+    index = _attr_int(spec, "point", required=True)
+    if not 1 <= index <= len(ctx.pencil().points):
+        raise _bad(spec, f"point index {index} out of range")
+    return index
 
 
 @_register("pencil_factorization")
 def _check_pencil_factorization(ctx, spec):
     step = pencil.verify_blowup_factorization(ctx.pencil())
-    return _from_step(step, spec, name="pencil factorization")
+    return _renamed(step, spec, "pencil factorization")
 
 
 @_register("pencil_membership")
 def _check_pencil_membership(ctx, spec):
-    index = _attr_int(spec, "point", required=True)
-    scenario = ctx.pencil()
-    if not 1 <= index <= len(scenario.points):
-        raise CheckConfigError(f"point index {index} out of range")
-    step = pencil.membership_identity(scenario, index)
-    return _from_step(step, spec, name=f"pencil membership, point {index}")
+    index = _point_index(ctx, spec)
+    step = pencil.membership_identity(ctx.pencil(), index)
+    return _renamed(step, spec, f"pencil membership, point {index}")
 
 
 @_register("pencil_tangent")
 def _check_pencil_tangent(ctx, spec):
-    index = _attr_int(spec, "point", required=True)
-    scenario = ctx.pencil()
-    if not 1 <= index <= len(scenario.points):
-        raise CheckConfigError(f"point index {index} out of range")
-    step = pencil.tangent_identity(scenario, index)
-    return _from_step(step, spec, name=f"pencil tangent, point {index}")
+    index = _point_index(ctx, spec)
+    step = pencil.tangent_identity(ctx.pencil(), index)
+    return _renamed(step, spec, f"pencil tangent, point {index}")
 
 
 @_register("pencil_concurrency")
 def _check_pencil_concurrency(ctx, spec):
     step = pencil.verify_concurrency(ctx.pencil())
-    return _from_step(step, spec, name="pencil concurrency")
+    return _renamed(step, spec, "pencil concurrency")
 
 
 @_register("pencil_hyperelliptic")
 def _check_pencil_hyperelliptic(ctx, spec):
     step = pencil.verify_hyperelliptic_condition(ctx.pencil())
-    return _from_step(step, spec, name="pencil parameter condition")
+    return _renamed(step, spec, "pencil parameter condition")
 
 
 @_register("pencil_degenerations")
@@ -281,23 +301,19 @@ def _check_pencil_degenerations(ctx, spec):
     details = [f"{cond}: {reason}" for cond, reason in conditions]
     values = {"conditions": len(conditions)}
     expect_zero = _attr(spec, "expect_zero")
-    status = "pass"
+    ok = True
     if expect_zero is not None:
         want = sorted(Fraction(tok) for tok in expect_zero.split())
         got = sorted(Fraction(cond.partition("=")[2])
                      for cond, reason in conditions
                      if reason == "lam(t) = 0" and cond.startswith("t ="))
         values["zero_parameters"] = " ".join(str(v) for v in got)
-        if got != want:
-            status = "fail"
+        ok = got == want
+        if not ok:
             details.append(
                 f"expected lam(t) = 0 exactly at t in {{{expect_zero}}}")
-    if status == "fail":
-        return StepResult("pencil degenerations", spec.kind, "fail", spec.cite,
-                          details=details, witness="degeneration list mismatch",
-                          values=values)
-    return StepResult("pencil degenerations", spec.kind, "pass", spec.cite,
-                      details=details, values=values)
+    return _step(spec, "pencil degenerations", ok, details,
+                 "degeneration list mismatch", values)
 
 
 @_register("hilbert")
@@ -311,18 +327,37 @@ def _check_hilbert(ctx, spec):
         "total": sum(table),
     }
     details = [f"dimensions through the socle degree: {values['dimensions']}"]
-    if table == expect:
-        return StepResult("hilbert function", spec.kind, "pass", spec.cite,
-                          details=details, values=values)
-    details.append(f"expected: {' '.join(str(d) for d in expect)}")
-    return StepResult("hilbert function", spec.kind, "fail", spec.cite,
-                      details=details, witness="dimension table mismatch",
-                      values=values)
+    if table != expect:
+        details.append(f"expected: {' '.join(str(d) for d in expect)}")
+    return _step(spec, "hilbert function", table == expect, details,
+                 "dimension table mismatch", values)
+
+
+@_register("ring_dim")
+def _check_ring_dim(ctx, spec):
+    degree = _attr_int(spec, "degree", required=True)
+    dim = ctx.hypersurface().quotient_dim(degree)
+    return _step(spec, f"dimension in degree {degree}", True,
+                 [f"dim = {dim} (exact)"], None, {"dim": dim})
+
+
+@_register("ring_map")
+def _check_ring_map(ctx, spec):
+    a, b = _attr_degree(spec, "a"), _attr_degree(spec, "b")
+    prime = _attr_prime(spec)
+    mmap = jacobian.multiplication_map(ctx.hypersurface(), a, b)
+    result = jacobian.is_surjective(mmap, prime=prime)
+    values = {"rank": result.rank, "target_dim": result.target_dim,
+              "mode": result.mode, "surjective": result.surjective}
+    word = "surjective" if result.surjective else "not surjective"
+    return _step(spec, f"multiplication {a} x {b} -> {a + b}", result.surjective,
+                 [f"{word}, rank {result.rank} of {result.target_dim} "
+                  f"({result.mode})"], "not surjective", values)
 
 
 @_register("uniform_bound")
 def _check_uniform_bound(ctx, spec):
-    b = _attr_int(spec, "b", required=True)
+    b = _attr_degree(spec, "b")
     expect = _attr_int(spec, "expect", required=True)
     threshold = _attr_int(spec, "threshold")
     result = jacobian.uniform_mult_rank_bound(ctx.hypersurface(), b)
@@ -337,24 +372,21 @@ def _check_uniform_bound(ctx, spec):
         details.append(f"threshold {threshold}: "
                        + ("met" if result.bound >= threshold else "NOT met"))
         ok = ok and result.bound >= threshold
-    if ok:
-        return StepResult("uniform multiplication bound", spec.kind, "pass",
-                          spec.cite, details=details, values=values)
-    details.append(f"expected bound {expect}")
-    return StepResult("uniform multiplication bound", spec.kind, "fail",
-                      spec.cite, details=details, witness="bound mismatch",
-                      values=values)
+    if not ok:
+        details.append(f"expected bound {expect}")
+    return _step(spec, "uniform multiplication bound", ok, details,
+                 "bound mismatch", values)
 
 
 @_register("green_gotzmann")
 def _check_green_gotzmann(ctx, spec):
     g_text = _attr(spec, "g", required=True)
-    b = _attr_int(spec, "b", required=True)
+    b = _attr_degree(spec, "b")
     expect_rank = _attr_int(spec, "expect_rank", required=True)
     try:
         g = parse_poly(g_text, ctx.ring())
     except PolyParseError as exc:
-        raise CheckConfigError(f"bad g: {exc}") from None
+        raise _bad(spec, f"bad g: {exc}") from None
     result = jacobian.functional_kernel_map(ctx.hypersurface(), g, b)
     values = {
         "rank": result.rank,
@@ -366,86 +398,76 @@ def _check_green_gotzmann(ctx, spec):
         f"kernel subspace of dimension {result.subspace_dim} multiplies "
         f"onto a target of dimension {result.target_dim} with rank {result.rank}",
     ]
-    if result.surjective and result.rank == expect_rank and result.g_class_nonzero:
+    ok = result.surjective and result.rank == expect_rank and result.g_class_nonzero
+    if ok:
         details.append("restricted multiplication map is surjective")
-        return StepResult("kernel multiplication rank", spec.kind, "pass",
-                          spec.cite, details=details, values=values)
     if not result.g_class_nonzero:
         details.append("the chosen class vanishes in the quotient")
     if result.rank != expect_rank:
         details.append(f"expected rank {expect_rank}")
-    return StepResult("kernel multiplication rank", spec.kind, "fail",
-                      spec.cite, details=details, witness="rank mismatch",
-                      values=values)
+    return _step(spec, "kernel multiplication rank", ok, details,
+                 "rank mismatch", values)
 
 
-@_register("duality")
-def _check_duality(ctx, spec):
-    a = _attr_int(spec, "a", required=True)
-    b = _attr_int(spec, "b", required=True)
+def _left_kernel_step(ctx, spec, name, expect_rank=None):
+    """Left kernel emptiness at degrees (a, b) by the socle duality argument.
+
+    Shared by ``duality`` and ``no_left_kernel``; ``name`` may refer to
+    ``{a}`` and ``{b}``.  A declared ``expect_rank`` must also match the
+    rank of the surjectivity half.
+    """
+    a, b = _attr_degree(spec, "a"), _attr_degree(spec, "b")
     prime = _attr_prime(spec)
-    result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
-                                              prime=prime)
-    return _duality_step(result, spec, "left kernel via duality")
-
-
-def _duality_step(result, spec, name):
+    hring = ctx.hypersurface()
+    if a + b > hring.socle_degree:
+        raise _bad(spec, f"a + b = {a + b} is above the socle degree "
+                         f"{hring.socle_degree}")
+    result = jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+    surj = result.surjectivity
     values = {
         "empty": result.empty,
-        "surjectivity_rank": result.surjectivity.rank,
-        "surjectivity_mode": result.surjectivity.mode,
+        "surjectivity_rank": surj.rank,
+        "surjectivity_mode": surj.mode,
         "pairing_rank": result.pairing.rank,
         "pairing_mode": result.pairing.mode,
     }
     details = [
         f"multiplication onto the complementary piece has rank "
-        f"{result.surjectivity.rank} of {result.surjectivity.target_dim} "
-        f"({result.surjectivity.mode})",
-        f"socle pairing at degree {result.a} has rank {result.pairing.rank} "
+        f"{surj.rank} of {surj.target_dim} ({surj.mode})",
+        f"socle pairing at degree {a} has rank {result.pairing.rank} "
         f"({result.pairing.mode})",
+        f"no class of degree {a} kills all of degree {b}" if result.empty
+        else "duality argument does not close",
     ]
-    if result.empty:
-        details.append(
-            f"no class of degree {result.a} kills all of degree {result.b}")
-        return StepResult(name, spec.kind, "pass", spec.cite,
-                          details=details, values=values)
-    details.append("duality argument does not close")
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness="duality argument incomplete", values=values)
+    ok, witness = result.empty, "duality argument incomplete"
+    if expect_rank is not None and surj.rank != expect_rank:
+        details.append(f"expected surjectivity rank {expect_rank}")
+        ok, witness = False, "rank mismatch"
+    return _step(spec, name.format(a=a, b=b), ok, details, witness, values)
+
+
+@_register("duality")
+def _check_duality(ctx, spec):
+    return _left_kernel_step(ctx, spec, "left kernel via duality")
 
 
 @_register("no_left_kernel")
 def _check_no_left_kernel(ctx, spec):
-    a = _attr_int(spec, "a", required=True)
-    b = _attr_int(spec, "b", required=True)
-    prime = _attr_prime(spec)
-    expect_rank = _attr_int(spec, "expect_rank")
-    result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
-                                              prime=prime)
-    step = _duality_step(result, spec, f"no left kernel at ({a}, {b})")
-    if expect_rank is not None and result.surjectivity.rank != expect_rank:
-        step.details.append(f"expected surjectivity rank {expect_rank}")
-        return StepResult(step.name, spec.kind, "fail", spec.cite,
-                          details=step.details, witness="rank mismatch",
-                          values=step.values)
-    return step
+    return _left_kernel_step(ctx, spec, "no left kernel at ({a}, {b})",
+                             expect_rank=_attr_int(spec, "expect_rank"))
 
 
 @_register("tau_nonzero")
 def _check_tau_nonzero(ctx, spec):
     if ctx.scn.cycle is None or "tau" not in ctx.scn.cycle:
-        raise CheckConfigError("tau_nonzero needs a [cycle] section with tau")
+        raise _bad(spec, "needs a [cycle] section with tau")
     tau = ctx.scn.cycle["tau"]
     values = {"tau": " ".join(str(c) for c in tau)}
-    if any(tau):
-        return StepResult("boundary invariant nonzero", spec.kind, "pass",
-                          spec.cite,
-                          details=[f"declared invariant ({values['tau']}) "
-                                   "has a nonzero entry"],
-                          values=values)
-    return StepResult("boundary invariant nonzero", spec.kind, "fail",
-                      spec.cite, details=["declared invariant is zero"],
-                      witness="zero invariant", values=values)
+    ok = any(tau)
+    detail = (f"declared invariant ({values['tau']}) has a nonzero entry" if ok
+              else "declared invariant is zero")
+    return _step(spec, "boundary invariant nonzero", ok, [detail],
+                 "zero invariant", values)
 
 
 @_register("invariance")
@@ -459,18 +481,14 @@ def _check_invariance(ctx, spec):
         "twist": sigma.twist,
     }
     if invariant:
-        exps = next(iter(f.terms))
-        values["character"] = sigma.character(exps)
-        return StepResult(
-            "automorphism invariance", spec.kind, "pass", spec.cite,
-            details=[f"every monomial has character {values['character']} "
-                     f"mod {sigma.modulus}"],
-            values=values)
-    chars = sorted({sigma.character(e) for e in f.terms})
-    return StepResult(
-        "automorphism invariance", spec.kind, "fail", spec.cite,
-        details=[f"monomials carry distinct characters {chars}"],
-        witness="not an eigenvector", values=values)
+        values["character"] = sigma.character(next(iter(f.terms)))
+        detail = (f"every monomial has character {values['character']} "
+                  f"mod {sigma.modulus}")
+    else:
+        chars = sorted({sigma.character(e) for e in f.terms})
+        detail = f"monomials carry distinct characters {chars}"
+    return _step(spec, "automorphism invariance", invariant, [detail],
+                 "not an eigenvector", values)
 
 
 @_register("smooth")
@@ -485,17 +503,11 @@ def _check_smooth(ctx, spec):
         "checked_degree": result.checked_degree,
         "dimension": result.dimension,
     }
-    if result.smooth:
-        return StepResult(
-            "smoothness", spec.kind, "pass", spec.cite,
-            details=[f"quotient vanishes in degree {result.checked_degree} "
-                     f"({result.mode})"],
-            values=values)
-    return StepResult(
-        "smoothness", spec.kind, "fail", spec.cite,
-        details=[f"quotient has dimension {result.dimension} in degree "
-                 f"{result.checked_degree} ({result.mode})"],
-        witness="nonzero piece above the socle", values=values)
+    where = f"degree {result.checked_degree} ({result.mode})"
+    detail = (f"quotient vanishes in {where}" if result.smooth
+              else f"quotient has dimension {result.dimension} in {where}")
+    return _step(spec, "smoothness", result.smooth, [detail],
+                 "nonzero piece above the socle", values)
 
 
 def _parse_expected_cycle(spec, raw):
@@ -503,15 +515,12 @@ def _parse_expected_cycle(spec, raw):
     for chunk in raw.split():
         name, sep, mult = chunk.partition(":")
         if not sep or not name:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): expected cycle "
-                f"entries look like NAME:MULT, got {chunk!r}")
+            raise _bad(spec, "expected cycle entries look like NAME:MULT, "
+                             f"got {chunk!r}")
         try:
             expected[name] = int(mult)
         except ValueError:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): bad multiplicity "
-                f"in {chunk!r}") from None
+            raise _bad(spec, f"bad multiplicity in {chunk!r}") from None
     return expected
 
 
@@ -567,13 +576,10 @@ def _check_intersection(ctx, spec):
             agree = False
             details.append(f"sample at t = {sample} gives {_cycle_text(sampled)}")
     values = {"cycle": _cycle_text(named), "mode": mode}
-    name = f"intersection {curve_label} . ({line_var} = 0)"
-    if agree:
-        return StepResult(name, spec.kind, "pass", spec.cite,
-                          details=details, values=values)
-    details.append(f"expected {_cycle_text(expected)}")
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness="cycle mismatch", values=values)
+    if not agree:
+        details.append(f"expected {_cycle_text(expected)}")
+    return _step(spec, f"intersection {curve_label} . ({line_var} = 0)", agree,
+                 details, "cycle mismatch", values)
 
 
 def _order_for(ctx, spec, curve_label, lines_raw, pair_raw):
@@ -581,12 +587,11 @@ def _order_for(ctx, spec, curve_label, lines_raw, pair_raw):
     line_vars = lines_raw.split()
     pair = pair_raw.split()
     if len(pair) != 2:
-        raise CheckConfigError(
-            f"check {spec.kind!r} (line {spec.line}): pair needs two labels")
+        raise _bad(spec, "pair needs two labels")
     for v in line_vars:
         if v not in decl.plane:
-            raise CheckConfigError(
-                f"{v!r} is not a plane coordinate of curve {curve_label!r}")
+            raise _bad(spec, f"{v!r} is not a plane coordinate of curve "
+                             f"{curve_label!r}")
     lattice = curves.hyperplane_relations(
         ctx.curve_poly(curve_label), line_vars, decl.plane,
         labels=ctx.curve_labels(curve_label))
@@ -610,25 +615,23 @@ def _check_equivalence_order(ctx, spec):
     name = f"equivalence order on {curve_label}"
     if found is None:
         details.append(f"no multiple of {pair[0]} - {pair[1]} lies in the lattice")
-        return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                          witness="no lattice multiple", values=values)
+        return _step(spec, name, False, details, "no lattice multiple", values)
     values["order"] = found.order
     values["witness"] = " ".join(str(c) for c in found.witness)
     details.append(f"rational equivalence holds at n = {found.order} "
                    f"for {pair[0]} - {pair[1]}")
     details.append("upper-bound certificate: the lattice only contains the "
                    "declared coordinate-line relations")
-    if found.order == expect:
-        return StepResult(name, spec.kind, "pass", spec.cite, details=details,
-                          values=values)
-    details.append(f"expected order {expect}")
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness="order mismatch", values=values)
+    if found.order != expect:
+        details.append(f"expected order {expect}")
+    return _step(spec, name, found.order == expect, details, "order mismatch",
+                 values)
 
 
 @_register("combined_order")
 def _check_combined_order(ctx, spec):
     expect = _attr_int(spec, "expect", required=True)
+    name = "combined equivalence order"
     orders = []
     details = []
     values = {}
@@ -639,9 +642,8 @@ def _check_combined_order(ctx, spec):
             _attr(spec, "pair" + idx, required=True))
         if found is None:
             details.append(f"no lattice multiple on curve {curve_label}")
-            return StepResult("combined equivalence order", spec.kind, "fail",
-                              spec.cite, details=details,
-                              witness="no lattice multiple", values=values)
+            return _step(spec, name, False, details, "no lattice multiple",
+                         values)
         orders.append(found.order)
         values[f"order{idx}"] = found.order
         details.append(f"curve {curve_label}: order {found.order} "
@@ -649,13 +651,10 @@ def _check_combined_order(ctx, spec):
     combined = lcm(*orders)
     values["combined"] = combined
     details.append(f"least common multiple: {combined}")
-    name = "combined equivalence order"
-    if combined == expect:
-        return StepResult(name, spec.kind, "pass", spec.cite, details=details,
-                          values=values)
-    details.append(f"expected {expect}")
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness="order mismatch", values=values)
+    if combined != expect:
+        details.append(f"expected {expect}")
+    return _step(spec, name, combined == expect, details, "order mismatch",
+                 values)
 
 
 def _at_assignment(spec):
@@ -668,15 +667,11 @@ def _at_assignment(spec):
         name, sep, value = chunk.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): at= entries look "
-                f"like name=value, got {chunk!r}")
+            raise _bad(spec, f"at= entries look like name=value, got {chunk!r}")
         try:
             out[name] = Fraction(value.strip())
         except ValueError:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): bad value "
-                f"in {chunk!r}") from None
+            raise _bad(spec, f"bad value in {chunk!r}") from None
     return out
 
 
@@ -692,16 +687,13 @@ def _check_multiplicity(ctx, spec):
         f = substitute(f, at, f.ring)
     coords = ctx.curve_point(curve_label, point_label)
     mult = multiplicity_at_point(f, coords, decl.plane)
-    values = {"multiplicity": mult}
     where = f" at {', '.join(f'{k} = {v}' for k, v in sorted(at.items()))}" if at else ""
     details = [f"vanishing order {mult} at {point_label}{where}"]
-    name = f"multiplicity of {curve_label} at {point_label}"
-    if mult == expect:
-        return StepResult(name, spec.kind, "pass", spec.cite, details=details,
-                          values=values)
-    details.append(f"expected {expect}")
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness="multiplicity mismatch", values=values)
+    if mult != expect:
+        details.append(f"expected {expect}")
+    return _step(spec, f"multiplicity of {curve_label} at {point_label}",
+                 mult == expect, details, "multiplicity mismatch",
+                 {"multiplicity": mult})
 
 
 @_register("parametrization")
@@ -720,31 +712,24 @@ def _check_parametrization(ctx, spec):
         name, sep, expr = piece.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): assign pieces look "
-                f"like var=expr, got {piece!r}")
+            raise _bad(spec, f"assign pieces look like var=expr, got {piece!r}")
         try:
             assignment[name] = parse_poly(expr.strip(), target)
         except PolyParseError as exc:
-            raise CheckConfigError(f"bad assign expr for {name!r}: {exc}") from None
+            raise _bad(spec, f"bad assign expr for {name!r}: {exc}") from None
     for name, value in at.items():
         assignment.setdefault(name, target.constant(value))
     for name in f.ring.names:
         if name not in assignment:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): variable {name!r} "
-                "is neither assigned nor fixed with at=")
+            raise _bad(spec, f"variable {name!r} is neither assigned nor "
+                             "fixed with at=")
     ok, witness = check_parametrization(f, assignment, target)
-    values = {"parameters": " ".join(params)}
     details = [f"{name} -> {assignment[name].to_text()}"
                for name in f.ring.names]
-    name = f"parametrization of {curve_label}"
     if ok:
         details.append("composition vanishes identically")
-        return StepResult(name, spec.kind, "pass", spec.cite, details=details,
-                          values=values)
-    return StepResult(name, spec.kind, "fail", spec.cite, details=details,
-                      witness=witness, values=values)
+    return _step(spec, f"parametrization of {curve_label}", ok, details,
+                 witness, {"parameters": " ".join(params)})
 
 
 @_register("picard_bound")
@@ -773,8 +758,26 @@ def _check_picard_bound(ctx, spec):
     if expect is not None and result.bound != expect:
         details.append(f"declared expectation {expect} differs from the "
                        f"computed bound; recorded for review, not a failure")
-    return StepResult("picard bound scan", spec.kind, "pass", spec.cite,
-                      details=details, values=values)
+    return _step(spec, "picard bound scan", True, details, None, values)
+
+
+def run_check(ctx, spec):
+    """Run one check, timed.
+
+    A mathematical failure becomes a failing step that carries the error
+    as its witness; a ``prime`` that is not usable is a configuration error.
+    """
+    start = time.perf_counter()
+    try:
+        step = CHECKS[spec.kind](ctx, spec)
+    except _FAILURE_ERRORS as exc:
+        step = _step(spec, f"{spec.kind}{_line(spec)}", False,
+                     [f"{type(exc).__name__}: {exc}"],
+                     str(exc) or type(exc).__name__)
+    except modrank.BadPrime as exc:
+        raise _bad(spec, str(exc)) from None
+    step.duration = time.perf_counter() - start
+    return step
 
 
 def run_scenario(scn: ScenarioFile) -> Report:
@@ -783,21 +786,7 @@ def run_scenario(scn: ScenarioFile) -> Report:
             raise UnknownCheck(
                 f"line {spec.line}: unknown check kind {spec.kind!r}")
     ctx = ScenarioContext(scn)
-    steps = []
-    for spec in scn.checks:
-        start = time.perf_counter()
-        try:
-            step = CHECKS[spec.kind](ctx, spec)
-        except _FAILURE_ERRORS as exc:
-            step = StepResult(f"{spec.kind} (line {spec.line})", spec.kind,
-                              "fail", spec.cite,
-                              details=[f"{type(exc).__name__}: {exc}"],
-                              witness=str(exc) or type(exc).__name__)
-        except modrank.BadPrime as exc:
-            raise CheckConfigError(
-                f"check {spec.kind!r} (line {spec.line}): {exc}") from None
-        step.duration = time.perf_counter() - start
-        steps.append(step)
+    steps = [run_check(ctx, spec) for spec in scn.checks]
     mode = {"arithmetic": "exact rational; modular certificates where a "
                           "step's mode says so"}
     return Report(scn.name, steps, mode=mode)

@@ -4,6 +4,7 @@ import pytest
 
 from chowcheck import pencil
 from chowcheck.poly import parse_poly, substitute
+from chowcheck.report import StepResult
 
 COMPUTED_QUOTIENT = "2*lam*t^2 - 18*lam*t + 2*t^2 + 36*lam - 18*t + 36"
 EXPECTED_WITNESS = "lam*t^2 - 2*t^2 + 27*lam - 12*t + 54"
@@ -152,10 +153,12 @@ def test_scenario_steps_order_and_statuses(cubic_pencil):
 
 def test_failing_step_requires_witness(cubic_pencil):
     with pytest.raises(ValueError):
-        pencil.VerificationStep("broken", "fail")
+        StepResult("broken", "pencil", "fail", "cite")
     with pytest.raises(ValueError):
-        pencil.VerificationStep("broken", "fail",
-                                witness=cubic_pencil.blowup_ring.zero())
+        StepResult("broken", "pencil", "fail", "cite",
+                   witness=cubic_pencil.blowup_ring.zero())
+    degenerate = StepResult("coincident", "pencil", "degenerate", "cite")
+    assert degenerate.witness is None and not degenerate.passed
 
 
 def test_scenario_validation(cubic_pencil):

@@ -335,7 +335,7 @@ def test_cli_ring_map_and_duality(tmp_path, capsys):
     assert "surjective, rank 19 of 19" in out
     assert cli.main(["ring", "duality", "--file", str(path),
                      "--a", "1", "--b", "3"]) == 0
-    assert "left kernel empty" in capsys.readouterr().out
+    assert "no class of degree 1 kills all of degree 3" in capsys.readouterr().out
 
 
 def test_cli_ring_smooth_rejects_a_cone(tmp_path, capsys):
@@ -344,7 +344,68 @@ def test_cli_ring_smooth_rejects_a_cone(tmp_path, capsys):
         "[scenario]\nname = cone\n[ring]\nvariables = x0 x1 x2 x3\n"
         "poly = x0^4\n[checks]\ncheck smooth cite=c\n", encoding="utf-8")
     assert cli.main(["ring", "smooth", "--file", str(path)]) == 1
-    assert "smooth: false" in capsys.readouterr().out
+    assert "quotient has dimension 136 in degree 9 (exact)" in capsys.readouterr().out
+
+
+# machine reports of the ring queries, captured before they ran as checks
+RING_DIM_MACHINE = """\
+check.01.citation = command line query
+check.01.detail.01 = dim = 44 (exact)
+check.01.kind = ring_dim
+check.01.name = dimension in degree 6
+check.01.status = pass
+check.01.value.dim = 44
+scenario.name = shioda: ring dim
+summary.failed = 0
+summary.steps = 1
+summary.verdict = pass
+"""
+
+RING_MAP_MACHINE = """\
+check.01.citation = command line query
+check.01.detail.01 = surjective, rank 19 of 19 (modular(p=1000003))
+check.01.kind = ring_map
+check.01.name = multiplication 1 x 3 -> 4
+check.01.status = pass
+check.01.value.mode = modular(p=1000003)
+check.01.value.rank = 19
+check.01.value.surjective = True
+check.01.value.target_dim = 19
+scenario.name = tiny: ring map
+summary.failed = 0
+summary.steps = 1
+summary.verdict = pass
+"""
+
+
+def test_cli_ring_dim_and_map_machine_reports_are_unchanged(tmp_path, capsys):
+    path = tmp_path / "t.scn"
+    path.write_text(TINY, encoding="utf-8")
+    assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "6",
+                     "--machine"]) == 0
+    assert capsys.readouterr().out == RING_DIM_MACHINE
+    assert cli.main(["ring", "map", "--file", str(path), "--a", "1", "--b", "3",
+                     "--machine"]) == 0
+    assert capsys.readouterr().out == RING_MAP_MACHINE
+
+
+def test_cli_ring_dim_below_degree_zero_is_zero(capsys):
+    assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "-1"]) == 0
+    assert "dim = 0 (exact)" in capsys.readouterr().out
+
+
+def test_cli_ring_duality_on_a_cone_fails_with_a_witness(tmp_path):
+    path = tmp_path / "cone.scn"
+    path.write_text(
+        "[scenario]\nname = cone\n[ring]\nvariables = x0 x1 x2 x3\n"
+        "poly = x0^4\n[checks]\ncheck smooth cite=c\n", encoding="utf-8")
+    out = _run_cli("ring", "duality", "--file", str(path), "--a", "1", "--b", "3",
+                   "--machine")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert "check.01.status = fail" in out.stdout.splitlines()
+    assert "check.01.witness = dim R_8 = 109, expected 1" in out.stdout.splitlines()
+    assert "(line" not in out.stdout
 
 
 def test_cli_ring_missing_flag(capsys):
@@ -374,6 +435,32 @@ def test_cli_bad_prime_in_scenario_exits_two(tmp_path, check):
     assert out.stderr.startswith("error: check ")
     assert "(line 7)" in out.stderr and "modulus" in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check, argv, message", [
+    ("check duality a=5 b=5 cite=c", ("verify",),
+     "check 'duality' (line 7): a + b = 10 is above the socle degree 8"),
+    ("check uniform_bound b=-2 expect=1 cite=c", ("verify",),
+     "check 'uniform_bound' (line 7): b=-2 is negative"),
+    ("check no_left_kernel a=-1 b=3 cite=c", ("verify",),
+     "check 'no_left_kernel' (line 7): a=-1 is negative"),
+    ('check green_gotzmann g="x0" b=-1 expect_rank=1 cite=c', ("verify",),
+     "check 'green_gotzmann' (line 7): b=-1 is negative"),
+    (None, ("ring", "map", "--file", "shioda", "--a", "-1", "--b", "3"),
+     "check 'ring_map': a=-1 is negative"),
+], ids=["duality-above-socle", "uniform_bound-negative-b",
+        "no_left_kernel-negative-a", "green_gotzmann-negative-b",
+        "ring-map-negative-a"])
+def test_cli_bad_degree_exits_two(tmp_path, check, argv, message):
+    if check is not None:
+        path = tmp_path / "d.scn"
+        path.write_text("[scenario]\nname = x\n" + FERMAT_RING + "[checks]\n"
+                        + check + "\n", encoding="utf-8")
+        argv = (*argv, str(path))
+    out = _run_cli(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("prime", ["1", "4", "1105"])
