@@ -16,6 +16,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import jacobian
+from .poly import enumerate_monomials
 
 
 class NotInvariant(ValueError):
@@ -108,21 +109,24 @@ class CharacterSpectrum:
 def character_spectrum(hring, sigma, degree, twisted=False):
     """Eigenspace dimensions of the degree-k quotient piece.
 
-    Works character by character: ambient monomials of one character
-    minus the exact rank of the matching block of the Jacobian slice.
-    The split is valid because each generator monomial times a partial
-    is itself an eigenvector, so the slice matrix is block diagonal.
+    On a ring proven smooth (``smoothness_certificate``) the spectrum is
+    read from the equivariant Koszul resolution, see
+    ``_complete_intersection_spectrum``.  Otherwise it works character by
+    character: ambient monomials of one character minus the exact rank of
+    the matching block of the Jacobian slice.  The split is valid because
+    each generator monomial times a partial is itself an eigenvector, so
+    the slice matrix is block diagonal.
     """
     if not check_invariance(hring.poly, sigma):
         raise NotInvariant("form is not an eigenvector of the automorphism")
     if len(sigma.exponents) != hring.nvars:
         raise NotInvariant("automorphism has the wrong number of exponents")
-    symmetry = (sigma.exponents, sigma.modulus)
-    blocks = hring._symmetric_blocks(degree, symmetry=symmetry)
-    histogram = {}
-    for c, cols, free, _, _ in blocks:
-        if free:
-            histogram[c] = len(free)
+    if hring.smoothness_certificate().certified:
+        histogram = _complete_intersection_spectrum(hring, sigma, degree)
+    else:
+        symmetry = (sigma.exponents, sigma.modulus)
+        blocks = hring._symmetric_blocks(degree, symmetry=symmetry)
+        histogram = {c: len(free) for c, _, free, _, _ in blocks if free}
     total = hring.quotient_dim(degree)
     if sum(histogram.values()) != total:
         raise AssertionError("character dimensions do not add up")
@@ -131,6 +135,34 @@ def character_spectrum(hring, sigma, degree, twisted=False):
         histogram = {(c + shift) % sigma.modulus: d
                      for c, d in histogram.items()}
     return CharacterSpectrum(degree, sigma.modulus, histogram, twisted)
+
+
+def _complete_intersection_spectrum(hring, sigma, degree):
+    """Degree-k part of prod_i (1 - [chi_F - e_i] t^(d-1)) / prod_i (1 - [e_i] t).
+
+    Characters live in the group ring of Z/N.  When the n partials form
+    a regular sequence, the Koszul complex on them is an equivariant
+    resolution of the quotient; the partial d_iF is an eigenvector of
+    character chi_F - e_i, so this is the quotient's character series.
+    """
+    n, d, modulus = hring.nvars, hring.degree, sigma.modulus
+    chi = sigma.character(next(iter(hring.poly.terms)))
+    numerator = {(0, 0): 1}  # (degree, character) -> coefficient
+    for e in sigma.exponents:
+        step = dict(numerator)
+        for (j, c), a in numerator.items():
+            key = (j + d - 1, (c + chi - e) % modulus)
+            step[key] = step.get(key, 0) - a
+        numerator = step
+    histogram = {}
+    for (j, c), a in numerator.items():
+        if a and j <= degree:
+            for m in enumerate_monomials(n, degree - j):
+                key = (c + sigma.character(m)) % modulus
+                histogram[key] = histogram.get(key, 0) + a
+    if any(v < 0 for v in histogram.values()):
+        raise ArithmeticError("closed-form spectrum has a negative dimension")
+    return {c: histogram[c] for c in sorted(histogram) if histogram[c]}
 
 
 def galois_orbit(character, modulus):

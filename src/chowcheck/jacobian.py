@@ -8,30 +8,36 @@ pieces, multiplication maps between them, and the socle pairing, always
 with exact rational arithmetic for any claim about nonzero kernels or
 dimensions.
 
-Dimensions of the ideal slice (``ideal_rank``) come from the first of
-these routes that applies:
+Quotient dimensions (``quotient_dim``, and with it ``hilbert_function``)
+come from the first of these routes that applies:
 
-* monomial ideals reduce to divisibility bookkeeping;
-* rings with a declared diagonal symmetry split each graded piece into
-  character blocks that are eliminated independently (each Jacobian
-  generator is supported in a single block, so the span matrix is block
-  diagonal and the ranks add);
-* everything else takes a modular rank certificate when it closes (see
+* a ring proven smooth by its memoised certificate
+  (``smoothness_certificate``: a monomial count for a monomial ideal, a
+  modular rank of the degree-(sigma+1) slice otherwise) is a complete
+  intersection and reads the closed form ((1 - t^(d-1)) / (1 - t))^n;
+  a certificate that does not close proves nothing;
+* otherwise ``ideal_rank`` eliminates the slice: monomial ideals reduce
+  to divisibility bookkeeping; rings with a declared diagonal symmetry
+  split each graded piece into character blocks that are eliminated
+  independently (each Jacobian generator is supported in a single
+  block, so the span matrix is block diagonal and the ranks add);
+  everything else takes a modular rank certificate when it closes (see
   ``_certified_ideal_rank``) and fraction-free elimination otherwise.
 
 A graded piece, which also needs representatives and a reduction map,
 is either monomial or a tuple of exactly eliminated character blocks.  A
 ring without a declared symmetry is one block of the trivial character,
 and a degree below d-1, where the slice has no generator rows, gives
-blocks whose columns are all free.
+blocks whose columns are all free.  On a ring proven smooth, a piece
+whose dimension differs from the closed form raises ``ArithmeticError``.
 
 Span rows are built from integer partials: the form is scaled to integer
 coefficients once, on construction, so every slice and every modular
 certificate works on plain ``int`` rows.  A ring memoises per degree its
-graded pieces, its quotient dimensions and, for each normalised
-symmetry, its eliminated character blocks, so the Hilbert table, graded
-pieces, character spectra and the smoothness test share one elimination
-of each degree.
+graded pieces, its eliminated quotient dimensions and, for each
+normalised symmetry, its eliminated character blocks, so graded pieces,
+character spectra and the smoothness test share one elimination of each
+degree; it memoises one smoothness certificate per prime.
 """
 
 from __future__ import annotations
@@ -83,6 +89,22 @@ def _rref(rows, ncols):
     return rows[:r], piv_cols
 
 
+def complete_intersection_hilbert(nvars, degree):
+    """Coefficients of ((1 - t^(d-1)) / (1 - t))^n, degrees 0..n*(d-2).
+
+    The Hilbert function of the Jacobian quotient of a smooth form of
+    degree d in n variables, whose n partials form a regular sequence.
+    """
+    table = [1]
+    for _ in range(nvars):
+        nxt = [0] * (len(table) + degree - 2)
+        for i, c in enumerate(table):
+            for j in range(degree - 1):
+                nxt[i + j] += c
+        table = nxt
+    return table
+
+
 class HypersurfaceRing:
     """Jacobian quotient ring of a homogeneous form.
 
@@ -131,6 +153,8 @@ class HypersurfaceRing:
         self._pieces = {}
         self._dims = {}
         self._blocks = {}
+        self._certificates = {}
+        self._closed_form = None
 
     @staticmethod
     def _character(exps, exponents, modulus):
@@ -306,8 +330,57 @@ class HypersurfaceRing:
             self._pieces[k] = GradedPiece(self, k)
         return self._pieces[k]
 
+    def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
+        """One-sided proof that the quotient vanishes in degree sigma+1.
+
+        A monomial ideal counts the monomials it contains (one
+        certificate, with prime None); any other ring takes the rank mod
+        ``prime`` of the degree-(sigma+1) slice, which never exceeds the
+        rational rank.  The certificate closes (``certified``) only when
+        that count meets the number of monomials.  Then the quotient is
+        Artinian, the n partials form a regular sequence, and the Koszul
+        complex resolves the quotient, which gives the closed forms of
+        its Hilbert function and character spectra.  Memoised per prime.
+        """
+        key = None if self.is_monomial_ideal else prime
+        if key not in self._certificates:
+            k = self.socle_degree + 1
+            monos = len(enumerate_monomials(self.nvars, k))
+            if key is None:
+                cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
+            else:
+                rows, _, _ = self.span_rows(k)
+                cert = exactla.modular_rank(rows, prime, upper_bound=monos)
+            self._certificates[key] = cert
+            if cert.certified and self._closed_form is None:
+                self._closed_form = complete_intersection_hilbert(
+                    self.nvars, self.degree)
+        return self._certificates[key]
+
+    def dimension_route(self):
+        """How ``quotient_dim`` answers, as one line for the human report."""
+        cert = self.smoothness_certificate()
+        if not cert.certified:
+            return "elimination"
+        how = "monomial count" if cert.prime is None else f"modular p={cert.prime}"
+        return f"closed form, smooth at degree {self.socle_degree + 1} ({how})"
+
     def quotient_dim(self, k):
-        """Exact dimension of the degree-k quotient piece."""
+        """Exact dimension of the degree-k quotient piece.
+
+        A coefficient of the closed form when the certificate at the
+        default prime closes, the eliminated dimension otherwise.
+        """
+        if self.smoothness_certificate().certified:
+            return self._closed_form_dim(k)
+        return self._eliminated_dim(k)
+
+    def _closed_form_dim(self, k):
+        table = self._closed_form
+        return table[k] if 0 <= k < len(table) else 0
+
+    def _eliminated_dim(self, k):
+        """Dimension of the degree-k quotient piece by elimination, memoised."""
         if k < 0:
             return 0
         if k not in self._dims:
@@ -346,6 +419,11 @@ class GradedPiece:
                 free_cols.extend(js[t] for t in free)
             self.representatives = [self.monomials[j] for j in sorted(free_cols)]
         self.dim = len(self.representatives)
+        if hring._closed_form is not None and self.dim != hring._closed_form_dim(k):
+            raise ArithmeticError(
+                f"degree {k} piece has dimension {self.dim}, but the ring is "
+                f"proven smooth and the closed form gives "
+                f"{hring._closed_form_dim(k)}")
         self._rep_pos = {m: i for i, m in enumerate(self.representatives)}
 
     def reduce_vector(self, terms):
@@ -420,19 +498,17 @@ def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME, exact=False):
     The quotient is Artinian with socle degree n*(d-2) exactly when the
     hypersurface is smooth, so it suffices that the piece in degree
     socle+1 vanishes.  That is a full-rank claim about the ideal slice,
-    so a modular rank that meets the monomial count certifies it; when
-    the modular rank falls short the exact elimination decides.
+    so the ring's modular certificate settles it when it closes; when it
+    falls short, or with ``exact``, elimination decides.  A monomial
+    ideal is always counted exactly.
     """
     k = hring.socle_degree + 1
-    monos = len(enumerate_monomials(hring.nvars, k))
     mode = "exact"
-    if not exact and not hring.is_monomial_ideal and hring.symmetry is None:
-        rows, _, _ = hring.span_rows(k)
-        cert = exactla.modular_rank(rows, prime, upper_bound=monos)
-        if cert.certified:
+    if not exact and not hring.is_monomial_ideal:
+        if hring.smoothness_certificate(prime).certified:
             return SmoothnessResult(True, f"modular(p={prime})", k, 0)
         mode = f"exact(after modular p={prime})"
-    dim = hring.quotient_dim(k)
+    dim = hring._eliminated_dim(k)
     return SmoothnessResult(dim == 0, mode, k, dim)
 
 

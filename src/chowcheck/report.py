@@ -18,14 +18,17 @@ class StepResult:
     whose identities hold while its geometric hypothesis collapses.
     ``values`` holds machine-reportable outputs (ranks, bounds, orders);
     ``details`` are human-oriented lines that also land in the machine
-    report for auditability.
+    report for auditability.  ``route`` names the computation that
+    answered (say, a closed form and the certificate behind it); like
+    ``duration`` it is for the human report only, so the machine report
+    does not depend on which route a run took.
     """
 
     __slots__ = ("name", "kind", "status", "citation", "details", "witness",
-                 "values", "duration")
+                 "values", "duration", "route")
 
     def __init__(self, name, kind, status, citation, details=(), witness=None,
-                 values=None, duration=0.0):
+                 values=None, duration=0.0, route=None):
         if not citation:
             raise ValueError("every step needs a nonempty citation")
         is_zero = getattr(witness, "is_zero", None)
@@ -39,6 +42,7 @@ class StepResult:
         self.witness = witness
         self.values = dict(values or {})
         self.duration = duration
+        self.route = route
 
     @property
     def passed(self):
@@ -81,6 +85,8 @@ class Report:
             lines.append(f"{i:3d}. {step.name.ljust(width)}  {mark}{timing}")
             for detail in step.details:
                 lines.append(f"       - {detail}")
+            if step.route is not None:
+                lines.append(f"       route: {step.route}")
             if step.witness is not None:
                 lines.append(f"       witness: {_text(step.witness)}")
             lines.append(f"       cites: {step.citation}")

@@ -70,27 +70,34 @@ class ScenarioContext:
         def build():
             if self.scn.automorphism is None:
                 raise CheckConfigError("this check needs an [automorphism] section")
-            return characters.DiagonalAutomorphism(
-                self.scn.automorphism["exponents"],
-                self.scn.automorphism["modulus"])
+            exponents = self.scn.automorphism["exponents"]
+            if len(exponents) != self.ring().nvars:
+                raise CheckConfigError(
+                    f"[automorphism] has {len(exponents)} exponents, "
+                    f"[ring] has {self.ring().nvars} variables")
+            try:
+                return characters.DiagonalAutomorphism(
+                    exponents, self.scn.automorphism["modulus"])
+            except ValueError as exc:
+                raise CheckConfigError(f"bad [automorphism]: {exc}") from None
         return self._get("automorphism", build)
 
-    def hypersurface(self, symmetric=None):
+    def hypersurface(self):
         """Graded quotient ring; symmetric blocks when an automorphism
         is declared and the form is an eigenvector (faster exact path)."""
-        if symmetric is None:
-            symmetric = (self.scn.automorphism is not None
-                         and characters.check_invariance(self.ring_poly(),
-                                                         self.automorphism()))
-        key = ("hring", symmetric)
-
         def build():
-            if not symmetric:
-                return jacobian.HypersurfaceRing(self.ring_poly())
-            sigma = self.automorphism()
-            return jacobian.HypersurfaceRing(
-                self.ring_poly(), symmetry=(sigma.exponents, sigma.modulus))
-        return self._get(key, build)
+            f = self.ring_poly()
+            symmetry = None
+            if (self.scn.automorphism is not None
+                    and characters.check_invariance(f, self.automorphism())):
+                sigma = self.automorphism()
+                symmetry = (sigma.exponents, sigma.modulus)
+            try:
+                return jacobian.HypersurfaceRing(f, symmetry=symmetry)
+            except ValueError as exc:
+                # the constructor raises only for a form it cannot take
+                raise CheckConfigError(f"bad [ring] poly: {exc}") from None
+        return self._get("hring", build)
 
     def curve_decl(self, label):
         decl = self.scn.curves.get(label)
@@ -103,10 +110,20 @@ class ScenarioContext:
             decl = self.curve_decl(label)
             ring = PolyRing.rationals(tuple(decl.variables))
             try:
-                return parse_poly(decl.poly, ring)
+                f = parse_poly(decl.poly, ring)
             except PolyParseError as exc:
                 raise CheckConfigError(
                     f"bad poly for curve {label!r}: {exc}") from None
+            missing = [v for v in decl.plane if v not in ring.index]
+            if missing:
+                raise CheckConfigError(
+                    f"curve {label!r}: plane coordinates {missing} are not "
+                    "among its variables")
+            if not f.is_homogeneous(decl.plane):
+                raise CheckConfigError(
+                    f"bad poly for curve {label!r}: not homogeneous in the "
+                    f"plane coordinates {' '.join(decl.plane)}")
+            return f
         return self._get(("curve", label), build)
 
     def curve_labels(self, label):
@@ -158,6 +175,9 @@ def _build_pencil(overrides):
               if "strict_transform" in overrides else base.strict_transform)
     declared = (parse_in("declared_quadratic", blow)
                 if "declared_quadratic" in overrides else base.declared_quadratic)
+    if declared.total_degree(("lam",)) > 1:
+        raise CheckConfigError("bad [pencil] declared_quadratic: it must be "
+                               "linear in lam")
     closed = list(base.closed_form)
     if "closed_form_num" in overrides:
         closed[0] = parse_in("closed_form_num", blow)
@@ -243,11 +263,11 @@ def _register(kind):
     return wrap
 
 
-def _step(spec, name, ok, details, witness, values=None):
+def _step(spec, name, ok, details, witness, values=None, route=None):
     """The check's verdict: a pass, or a fail that carries ``witness``."""
     return StepResult(name, spec.kind, "pass" if ok else "fail", spec.cite,
                       details=details, witness=None if ok else witness,
-                      values=values)
+                      values=values, route=route)
 
 
 def _renamed(step, spec, name):
@@ -330,15 +350,17 @@ def _check_hilbert(ctx, spec):
     if table != expect:
         details.append(f"expected: {' '.join(str(d) for d in expect)}")
     return _step(spec, "hilbert function", table == expect, details,
-                 "dimension table mismatch", values)
+                 "dimension table mismatch", values, hring.dimension_route())
 
 
 @_register("ring_dim")
 def _check_ring_dim(ctx, spec):
     degree = _attr_int(spec, "degree", required=True)
-    dim = ctx.hypersurface().quotient_dim(degree)
+    hring = ctx.hypersurface()
+    dim = hring.quotient_dim(degree)
     return _step(spec, f"dimension in degree {degree}", True,
-                 [f"dim = {dim} (exact)"], None, {"dim": dim})
+                 [f"dim = {dim} (exact)"], None, {"dim": dim},
+                 hring.dimension_route())
 
 
 @_register("ring_map")
@@ -495,8 +517,8 @@ def _check_invariance(ctx, spec):
 def _check_smooth(ctx, spec):
     exact = _attr(spec, "mode", default="modular") == "exact"
     prime = _attr_prime(spec, default=modrank.DEFAULT_PRIME)
-    hring = ctx.hypersurface(symmetric=False) if not exact else ctx.hypersurface()
-    result = jacobian.is_smooth_artinian(hring, prime=prime, exact=exact)
+    result = jacobian.is_smooth_artinian(ctx.hypersurface(), prime=prime,
+                                         exact=exact)
     values = {
         "smooth": result.smooth,
         "mode": result.mode,
@@ -735,8 +757,8 @@ def _check_parametrization(ctx, spec):
 @_register("picard_bound")
 def _check_picard_bound(ctx, spec):
     expect = _attr_int(spec, "expect")
-    result = characters.picard_upper_bound(ctx.hypersurface(),
-                                           ctx.automorphism())
+    hring = ctx.hypersurface()
+    result = characters.picard_upper_bound(hring, ctx.automorphism())
     values = {
         "bound": result.bound,
         "strict_bound": result.strict_bound,
@@ -758,7 +780,8 @@ def _check_picard_bound(ctx, spec):
     if expect is not None and result.bound != expect:
         details.append(f"declared expectation {expect} differs from the "
                        f"computed bound; recorded for review, not a failure")
-    return _step(spec, "picard bound scan", True, details, None, values)
+    return _step(spec, "picard bound scan", True, details, None, values,
+                 hring.dimension_route())
 
 
 def run_check(ctx, spec):

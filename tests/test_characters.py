@@ -164,3 +164,13 @@ def test_picard_bound_requires_smoothness(p3_ring):
     identity = characters.DiagonalAutomorphism((0, 0, 0, 0), 1)
     with pytest.raises(characters.NotSmooth):
         characters.picard_upper_bound(cone, identity)
+
+
+def test_closed_form_spectra_match_the_eliminated_blocks(quintic_sym):
+    # the quintic is proven smooth, so spectra come from the Koszul closed
+    # form; the character blocks are eliminated independently of it
+    assert quintic_sym.smoothness_certificate().certified
+    for k in range(15):
+        blocks = quintic_sym._symmetric_blocks(k)
+        expected = {c: len(free) for c, _, free, _, _ in blocks if free}
+        assert characters.character_spectrum(quintic_sym, SIGMA, k).histogram == expected

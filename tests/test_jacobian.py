@@ -276,10 +276,12 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     spectrum = characters.character_spectrum(hring, sigma, k)
     bound = characters.picard_upper_bound(hring, sigma)
 
-    # hilbert covers 4..12, the Picard scan adds 1 and 13 (smoothness)
-    assert sorted(eliminations) == [1] + list(range(4, 14))
+    # the ring is proven smooth by one modular certificate on the degree-13
+    # slice, so the Hilbert table, the spectrum and the Picard scan read
+    # closed forms; only the graded piece eliminates its degree
+    assert sorted(eliminations) == [k]
     assert set(eliminations.values()) == {1}
-    assert span_builds == eliminations
+    assert span_builds == eliminations + Counter({hring.socle_degree + 1: 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -297,6 +299,71 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     assert hring.quotient_dim(k) == fresh_table[k]
     assert hring.piece(k).reduce_vector(probe) == fresh_piece.reduce_vector(probe)
     assert set(eliminations.values()) == {1}
+
+
+# ------------------------------------------------ the closed-form route
+
+TERNARY = PolyRing.rationals(("x0", "x1", "x2"))
+
+
+@pytest.mark.parametrize("text, ring, symmetry", [
+    ("x0^4", P3, None),
+    ("x0^3 + x1^3", TERNARY, None),
+    ("x0^3 + x1^3 + x0*x1*x2", TERNARY, None),
+    ("x0^3 + x1^3 + x0*x1*x2", TERNARY, ((1, 1, 1), 3)),
+], ids=["cone", "binary-cubic", "nodal-cubic", "nodal-cubic-symmetric"])
+def test_singular_forms_never_take_the_closed_form(text, ring, symmetry):
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring), symmetry=symmetry)
+    top = hring.socle_degree + 1
+    table = jacobian.hilbert_function(hring, through=top)
+    assert not hring.smoothness_certificate().certified
+    assert hring._closed_form is None
+    assert hring.dimension_route() == "elimination"
+    assert table[top] > 0
+    assert table == [len(enumerate_monomials(hring.nvars, k)) - hring.ideal_rank(k)
+                     for k in range(top + 1)]
+    assert table != jacobian.complete_intersection_hilbert(
+        hring.nvars, hring.degree) + [0]
+    if symmetry is not None:
+        sigma = characters.DiagonalAutomorphism(*symmetry)
+        for k in range(top + 1):
+            blocks = hring._symmetric_blocks(k)
+            assert characters.character_spectrum(hring, sigma, k).histogram == \
+                {c: len(free) for c, _, free, _, _ in blocks if free}
+
+
+def test_a_piece_that_contradicts_the_closed_form_raises():
+    hring = jacobian.HypersurfaceRing(
+        parse_poly("x0^3 + x1^3 + x2^3 + x0*x1*x2", TERNARY))
+    assert hring.quotient_dim(2) == 3
+    hring._closed_form = [1, 3, 4, 1]  # forged: the true table is 1 3 3 1
+    with pytest.raises(ArithmeticError, match="closed form gives 4"):
+        hring.piece(2)
+    assert hring.piece(1).dim == 3
+
+
+def test_exact_smoothness_never_reads_the_certificate(monkeypatch, quintic_sym):
+    result = jacobian.is_smooth_artinian(quintic_sym)
+    assert result.smooth and result.mode == "modular(p=1000003)"
+
+    def refuse(self, prime=None):
+        raise AssertionError("the exact route read the certificate")
+
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "smoothness_certificate", refuse)
+    result = jacobian.is_smooth_artinian(_shioda_ring(), exact=True)
+    assert result.smooth and result.mode == "exact" and result.dimension == 0
+
+
+def test_certificates_are_memoised_per_prime():
+    hring = _shioda_ring()
+    first = hring.smoothness_certificate()
+    assert first.certified and first.prime == 1000003
+    assert hring.smoothness_certificate() is first
+    other = hring.smoothness_certificate(1000033)
+    assert other.certified and other is not first
+    cone = jacobian.HypersurfaceRing(parse_poly("x0^4", P3))
+    assert cone.smoothness_certificate(2) is cone.smoothness_certificate()
+    assert cone.smoothness_certificate().prime is None
 
 
 # ------------------------------------------------ full-slice reduction oracle

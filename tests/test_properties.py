@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from chowcheck import exactla, jacobian, modrank
+from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
 
 XY = PolyRing.rationals(("x", "y"))
@@ -138,3 +138,107 @@ def test_hilbert_table_matches_sympy_groebner(nvars, degree, seed):
     top = hring.socle_degree + 1
     assert jacobian.hilbert_function(hring, through=top) == \
         _standard_monomial_counts(hring, top)
+
+
+# ------------------------------------------------ closed forms of smooth rings
+#
+# A ring whose degree-(sigma+1) certificate closes reads its Hilbert
+# function and character spectra from closed forms.  Both are compared
+# here against elimination (``ideal_rank`` and the character blocks,
+# which never read the certificate) and against the sympy Groebner
+# oracle, on random forms with and without a declared diagonal symmetry.
+
+def _eliminated_table(hring, top):
+    return [len(enumerate_monomials(hring.nvars, k)) - hring.ideal_rank(k)
+            for k in range(top + 1)]
+
+
+def _block_spectrum(hring, sigma, k):
+    blocks = hring._symmetric_blocks(k, symmetry=(sigma.exponents, sigma.modulus))
+    return {c: len(free) for c, _, free, _, _ in blocks if free}
+
+
+def _assert_routes_agree(hring, sigma):
+    """Closed form (when certified) equals elimination and sympy; returns
+    whether the closed form was used.  Under the trivial automorphism
+    the spectrum is the eliminated dimension in character 0."""
+    top = hring.socle_degree + 1
+    table = jacobian.hilbert_function(hring, through=top)
+    eliminated = _eliminated_table(hring, top)
+    assert table == eliminated
+    assert table == _standard_monomial_counts(hring, top)
+    for k in range(top + 1):
+        spectrum = characters.character_spectrum(hring, sigma, k)
+        if sigma.modulus == 1:
+            assert spectrum.histogram == ({0: eliminated[k]} if eliminated[k] else {})
+        else:
+            assert spectrum.histogram == _block_spectrum(hring, sigma, k)
+    closed = hring.smoothness_certificate().certified
+    assert (hring.dimension_route() != "elimination") == closed
+    if closed:
+        assert table == jacobian.complete_intersection_hilbert(
+            hring.nvars, hring.degree) + [0]
+    return closed
+
+
+_SHAPES = [(3, 3), (3, 4), (4, 3)]
+
+
+@st.composite
+def _symmetric_forms(draw):
+    """A form with its Fermat terms and an eigenvector of a diagonal symmetry.
+
+    With modulus N = d*m and exponents r + m*k_i, every x_i^d has the
+    character d*r, and so does each monomial with sum k_i a_i = 0 mod d.
+    """
+    nvars, degree = draw(st.sampled_from(_SHAPES))
+    m = draw(st.integers(1, 2))
+    modulus = degree * m
+    r = draw(st.integers(0, modulus - 1))
+    ks = draw(st.lists(st.integers(0, degree - 1), min_size=nvars,
+                       max_size=nvars))
+    ring = TERNARY if nvars == 3 else QUATERNARY
+    monos = [e for e in enumerate_monomials(nvars, degree)
+             if sum(k * a for k, a in zip(ks, e)) % degree == 0]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                           max_size=len(monos)))
+    f = ring.zero()
+    for e, c in zip(monos, coeffs):
+        if max(e) == degree:
+            c = c or 1
+        f = f + ring.monomial(e, c)
+    return f, characters.DiagonalAutomorphism([r + m * k for k in ks], modulus)
+
+
+def test_closed_forms_match_elimination_with_a_symmetry():
+    closed = []
+
+    @DETERMINISTIC
+    @given(_symmetric_forms())
+    def check(form):
+        f, sigma = form
+        hring = jacobian.HypersurfaceRing(
+            f, symmetry=(sigma.exponents, sigma.modulus))
+        closed.append(_assert_routes_agree(hring, sigma))
+
+    check()
+    assert sum(closed) >= 20
+
+
+def test_closed_forms_match_elimination_without_a_symmetry():
+    closed = []
+
+    @DETERMINISTIC
+    @given(st.sampled_from(_SHAPES), st.randoms(use_true_random=False))
+    def check(shape, rng):
+        nvars, degree = shape
+        ring = TERNARY if nvars == 3 else QUATERNARY
+        monos = enumerate_monomials(nvars, degree)
+        f = _form(ring, degree, [rng.randrange(-4, 5) for _ in monos])
+        assume(f.total_degree() == degree)
+        hring = jacobian.HypersurfaceRing(f)
+        closed.append(_assert_routes_agree(
+            hring, characters.DiagonalAutomorphism((0,) * nvars, 1)))
+
+    check()
+    assert sum(closed) >= 20

@@ -479,3 +479,71 @@ def test_prime_dividing_a_pairing_denominator_is_a_config_error():
         "check duality a=1 b=1 prime=2 cite=c\n")
     with pytest.raises(CheckConfigError, match="line 7.*divides a denominator"):
         run_scenario(scn)
+
+
+@pytest.mark.parametrize("sections, check, message", [
+    ("[ring]\nvariables = x0 x1\npoly = x0^3 + x1^2\n",
+     'check hilbert expect="1" cite=c',
+     "bad [ring] poly: defining form must be homogeneous and nonzero"),
+    ("[ring]\nvariables = x0 x1\npoly = x0 + x1\n",
+     'check hilbert expect="1" cite=c',
+     "bad [ring] poly: defining form must have degree at least 2"),
+    ("[pencil]\ndeclared_quadratic = lam^2*t\n",
+     "check pencil_hyperelliptic cite=c",
+     "bad [pencil] declared_quadratic: it must be linear in lam"),
+    (FERMAT_RING + "[automorphism]\nmodulus = 0\nexponents = 1 0 0 0\n",
+     'check picard_bound cite=c',
+     "bad [automorphism]: modulus must be a positive integer"),
+    ("[curve Z]\nplane = x0 x1 x2\npoly = x0^2 + x1\n",
+     'check intersection curve=Z line=x2 expect="P:1" cite=c',
+     "bad poly for curve 'Z': not homogeneous in the plane coordinates x0 x1 x2"),
+    ("[curve Z]\nplane = x0 x1 x2\nvariables = x0 x1 t\npoly = x0 + x1\n",
+     'check intersection curve=Z line=x2 expect="P:1" cite=c',
+     "curve 'Z': plane coordinates ['x2'] are not among its variables"),
+    (FERMAT_RING + "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
+     'check picard_bound cite=c',
+     "[automorphism] has 3 exponents, [ring] has 4 variables"),
+], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
+        "automorphism-zero-modulus", "curve-not-homogeneous",
+        "curve-plane-not-in-variables", "automorphism-exponent-count"])
+def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
+                                                message):
+    path = tmp_path / "bad.scn"
+    path.write_text("[scenario]\nname = x\n" + sections + "[checks]\n"
+                    + check + "\n", encoding="utf-8")
+    out = _run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr == f"error: {message}\n"
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+# hilbert and picard_bound on shioda, hilbert on quartic-family
+@pytest.mark.parametrize("name, route, count", [
+    ("shioda", "closed form, smooth at degree 13 (modular p=1000003)", 2),
+    ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1),
+])
+def test_route_lines_are_human_only(name, route, count, capsys):
+    cli.main(["verify", name, "--machine"])
+    machine = capsys.readouterr().out
+    assert machine == (GOLDEN / f"{name}.machine").read_text(encoding="utf-8")
+    assert "route" not in machine
+    cli.main(["verify", name])
+    human = capsys.readouterr().out.splitlines()
+    routes = [line.strip() for line in human if line.strip().startswith("route:")]
+    assert routes == [f"route: {route}"] * count
+
+
+def test_ring_dim_reports_its_route(tmp_path, capsys):
+    assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "6"]) == 0
+    assert ("route: closed form, smooth at degree 13 (modular p=1000003)"
+            in capsys.readouterr().out)
+    path = tmp_path / "cone.scn"
+    path.write_text(
+        "[scenario]\nname = cone\n[ring]\nvariables = x0 x1 x2 x3\n"
+        "poly = x0^4 + x1^4\n[checks]\ncheck smooth cite=c\n", encoding="utf-8")
+    assert cli.main(["ring", "dim", "--file", str(path), "--degree", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "dim = 27 (exact)" in out and "route: elimination" in out
