@@ -109,7 +109,7 @@ class CharacterSpectrum:
 def character_spectrum(hring, sigma, degree, twisted=False):
     """Eigenspace dimensions of the degree-k quotient piece.
 
-    On a ring proven smooth (``smoothness_certificate``) the spectrum is
+    On a ring proven smooth (``smoothness_proof``) the spectrum is
     read from the equivariant Koszul resolution, see
     ``_complete_intersection_spectrum``.  Otherwise it works character by
     character: ambient monomials of one character minus the exact rank of
@@ -121,7 +121,7 @@ def character_spectrum(hring, sigma, degree, twisted=False):
         raise NotInvariant("form is not an eigenvector of the automorphism")
     if len(sigma.exponents) != hring.nvars:
         raise NotInvariant("automorphism has the wrong number of exponents")
-    if hring.smoothness_certificate().certified:
+    if hring.smoothness_proof().certified:
         histogram = _complete_intersection_spectrum(hring, sigma, degree)
     else:
         symmetry = (sigma.exponents, sigma.modulus)

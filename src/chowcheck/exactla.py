@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from . import modrank
 from .modrank import BadPrime
 
@@ -185,23 +187,28 @@ def kernel_basis(matrix):
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     """Rank of the matrix reduced mod ``prime``, with certificate.
 
-    Rows of plain integers go to the elimination kernel unchanged; it
-    reduces them mod ``prime`` once.  A row with rational entries is
-    scaled by the lcm of its denominators, a unit mod ``prime``, so the
-    modular rank is the same as for the rational row.
+    An int64 array has no denominators and goes to the elimination
+    kernel as it is, as do rows of plain integers; the kernel reduces
+    them mod ``prime`` once.  A row with rational entries is scaled by
+    the lcm of its denominators, a unit mod ``prime``, so the modular
+    rank is the same as for the rational row.
 
     Raises BadPrime if ``prime`` is not a prime in the range supported by
     the elimination kernels, or if it divides the denominator of any entry.
     """
     modrank.require_prime(prime)
-    red = []
-    for row in _as_rows(matrix):
-        den, row = _integer_row(row)
-        if den % prime == 0:
-            raise BadPrime(f"prime {prime} divides a denominator")
-        red.append(row)
-    nrows = len(red)
-    ncols = len(red[0]) if red else 0
+    if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
+        red = matrix
+        nrows, ncols = matrix.shape
+    else:
+        red = []
+        for row in _as_rows(matrix):
+            den, row = _integer_row(row)
+            if den % prime == 0:
+                raise BadPrime(f"prime {prime} divides a denominator")
+            red.append(row)
+        nrows = len(red)
+        ncols = len(red[0]) if red else 0
     r = modrank.rank_mod(red, prime)
     if upper_bound is None:
         upper_bound = min(nrows, ncols)

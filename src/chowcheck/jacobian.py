@@ -31,19 +31,26 @@ and a degree below d-1, where the slice has no generator rows, gives
 blocks whose columns are all free.  On a ring proven smooth, a piece
 whose dimension differs from the closed form raises ``ArithmeticError``.
 
-Span rows are built from integer partials: the form is scaled to integer
-coefficients once, on construction, so every slice and every modular
-certificate works on plain ``int`` rows.  A ring memoises per degree its
-graded pieces, its eliminated quotient dimensions and, for each
-normalised symmetry, its eliminated character blocks, so graded pieces,
-character spectra and the smoothness test share one elimination of each
-degree; it memoises one smoothness certificate per prime.
+Slices are built from integer partials: the form is scaled to integer
+coefficients once, on construction.  One memoised layout per degree
+(``_slice_index``) places every coefficient of the slice, and two
+methods read it: ``span_rows`` gives exact Python ``int`` rows, and
+``span_array`` gives the slice reduced mod p as an int64 array, which
+the modular certificates eliminate without a per-entry pass in Python.
+A ring memoises per degree its slice layouts, graded pieces, eliminated
+quotient dimensions and, for each normalised symmetry, its eliminated
+character blocks, so graded pieces, character spectra and the smoothness
+test share one elimination of each degree; it memoises one smoothness
+certificate per prime, and any one that closes serves every later
+question.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
+
+import numpy as np
 
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
@@ -105,6 +112,27 @@ def complete_intersection_hilbert(nvars, degree):
     return table
 
 
+def _monomial_positions(exps, degree):
+    """Positions in ``enumerate_monomials`` order of degree-``degree``
+    exponent vectors, given along the last axis of an int64 array.
+
+    That order is ascending in the last exponent, then in the one before,
+    and so on.  With r the degree left for x_0..x_i, the monomials whose
+    x_i exponent is below e_i number C(r + i, i) - C(r - e_i + i, i)
+    (hockey stick), and the position is their sum over i >= 1.
+    """
+    nvars = exps.shape[-1]
+    binom = np.array([[comb(a, i) for i in range(nvars)]
+                      for a in range(degree + nvars)], dtype=np.int64)
+    pos = np.zeros(exps.shape[:-1], dtype=np.int64)
+    rest = np.full(exps.shape[:-1], degree, dtype=np.int64)
+    for i in range(nvars - 1, 0, -1):
+        e = exps[..., i]
+        pos += binom[rest + i, i] - binom[rest - e + i, i]
+        rest -= e
+    return pos
+
+
 class HypersurfaceRing:
     """Jacobian quotient ring of a homogeneous form.
 
@@ -139,6 +167,13 @@ class HypersurfaceRing:
                          for name in self.ring.names]
         self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
                               for p in self.partials]
+        # the partials' terms in one list, for the slice layout
+        terms = [(i, e, c) for i, part in enumerate(self._int_partials)
+                 for e, c in part]
+        self._term_partial = np.array([i for i, _, _ in terms], dtype=np.int64)
+        self._term_exps = np.array([e for _, e, _ in terms],
+                                   dtype=np.int64).reshape(-1, self.nvars)
+        self._term_coeffs = [c for _, _, c in terms]
         self.symmetry = None
         self._char_of_partial = None
         if symmetry is not None:
@@ -151,9 +186,11 @@ class HypersurfaceRing:
                 raise ValueError("defining form is not a symmetry eigenvector")
             self.symmetry = (exponents, int(modulus))
         self._pieces = {}
+        self._slices = {}
         self._dims = {}
         self._blocks = {}
         self._certificates = {}
+        self._slice_sizes = {}
         self._closed_form = None
 
     @staticmethod
@@ -181,25 +218,56 @@ class HypersurfaceRing:
                 gens.append(e)
         return gens
 
+    def _slice_index(self, k):
+        """Layout of the degree-k slice, memoised: (monomials, sources, cols).
+
+        The slice has one row per (source monomial, partial) pair and one
+        column per degree-k monomial, both in canonical order.
+        ``cols[s, t]`` is the column of sources[s] times the monomial of
+        the t-th partial term; the term's coefficient sits there in row
+        s * nvars + (its partial).  The terms of one partial are distinct
+        monomials, so no two entries of a row share a column.
+        """
+        if k not in self._slices:
+            monos = enumerate_monomials(self.nvars, k)
+            e = self.degree - 1
+            src = enumerate_monomials(self.nvars, k - e) if k >= e else []
+            prods = (np.array(src, dtype=np.int64).reshape(-1, 1, self.nvars)
+                     + self._term_exps)
+            self._slices[k] = (monos, src, _monomial_positions(prods, k))
+        return self._slices[k]
+
+    def _slice_shape(self, k):
+        monos, src, _ = self._slice_index(k)
+        return len(src) * self.nvars, len(monos)
+
+    def _slice_entries(self, k, dtype, coeffs):
+        """The degree-k slice as a dense array holding ``coeffs`` per term."""
+        _, src, cols = self._slice_index(k)
+        rows = np.arange(len(src)).reshape(-1, 1) * self.nvars + self._term_partial
+        a = np.zeros(self._slice_shape(k), dtype=dtype)
+        a[rows, cols] = np.array(coeffs, dtype=dtype)
+        return a
+
     def span_rows(self, k):
         """Integer generator rows of the degree-k Jacobian slice.
 
         Rows are indexed by (source monomial, partial) pairs in canonical
-        order; columns by the canonical degree-k monomial list.
+        order; columns by the canonical degree-k monomial list.  Entries
+        are exact Python integers.
         """
-        monos = enumerate_monomials(self.nvars, k)
-        col = {m: j for j, m in enumerate(monos)}
-        rows = []
-        tags = []
-        if k >= self.degree - 1:
-            for m in enumerate_monomials(self.nvars, k - (self.degree - 1)):
-                for i, terms in enumerate(self._int_partials):
-                    row = [0] * len(monos)
-                    for e, c in terms:
-                        row[col[monomial_mul(m, e)]] += c
-                    rows.append(row)
-                    tags.append((m, i))
-        return rows, monos, tags
+        monos, src, _ = self._slice_index(k)
+        rows = self._slice_entries(k, object, self._term_coeffs).tolist()
+        tags = [(m, i) for m in src for i in range(self.nvars)]
+        return rows, list(monos), tags
+
+    def span_array(self, k, p):
+        """``span_rows(k)`` reduced mod ``p``, as an int64 array.
+
+        Each coefficient is reduced as a Python integer before it enters
+        int64, so coefficients of any size are exact.
+        """
+        return self._slice_entries(k, np.int64, [c % p for c in self._term_coeffs])
 
     def _koszul_rows(self, k):
         """Relations among the generator rows coming from Koszul syzygies.
@@ -227,23 +295,23 @@ class HypersurfaceRing:
                     rows.append(row)
         return rows
 
-    def _certified_ideal_rank(self, k, rows, primes=(1000003, 1000033, 1000099)):
+    def _certified_ideal_rank(self, k, primes=(1000003, 1000033, 1000099)):
         """Exact rank of the degree-k slice from modular elimination alone.
 
-        ``rows`` are the generator rows ``span_rows(k)`` of the slice.
-        The rank mod p is a lower bound for the exact rank.  Two upper
+        The rank mod p of ``span_array(k, p)`` is a lower bound for the
+        exact rank of the slice ``span_rows(k)``.  Two upper
         bounds are a priori: min(rows, cols), and rows minus the rank of
         the Koszul relation rows, which always lie in the kernel of the
         span map.  Whenever the modular lower bound meets either upper
         bound the exact rank is certified; otherwise returns None and the
         caller falls back to fraction-free elimination.
         """
-        if not rows:
+        nrows, ncols = self._slice_shape(k)
+        if not nrows:
             return 0
-        nrows, ncols = len(rows), len(rows[0])
         koszul = None
         for p in primes:
-            m1 = modrank.rank_mod(rows, p)
+            m1 = modrank.rank_mod(self.span_array(k, p), p)
             if m1 == min(nrows, ncols):
                 return m1
             if koszul is None:
@@ -267,14 +335,13 @@ class HypersurfaceRing:
             blocks = self._symmetric_blocks(k)
             return sum(len(cols) - len(free)
                        for _, cols, free, _, _ in blocks)
-        rows, monos, _ = self.span_rows(k)
         # entry growth in fraction-free elimination is driven by the step
         # count, so route long eliminations through the certificate first
-        if min(len(rows), len(monos)) > 48:
-            certified = self._certified_ideal_rank(k, rows)
+        if min(self._slice_shape(k)) > 48:
+            certified = self._certified_ideal_rank(k)
             if certified is not None:
                 return certified
-        return exactla.rank(rows)
+        return exactla.rank(self.span_rows(k)[0])
 
     def _symmetric_blocks(self, k, symmetry=None):
         """Character blocks of the degree-k slice, each exactly eliminated.
@@ -340,7 +407,8 @@ class HypersurfaceRing:
         that count meets the number of monomials.  Then the quotient is
         Artinian, the n partials form a regular sequence, and the Koszul
         complex resolves the quotient, which gives the closed forms of
-        its Hilbert function and character spectra.  Memoised per prime.
+        its Hilbert function and character spectra.  Memoised per prime,
+        with the shape and nonzero count of the slice it eliminated.
         """
         key = None if self.is_monomial_ideal else prime
         if key not in self._certificates:
@@ -349,29 +417,42 @@ class HypersurfaceRing:
             if key is None:
                 cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
             else:
-                rows, _, _ = self.span_rows(k)
-                cert = exactla.modular_rank(rows, prime, upper_bound=monos)
+                a = self.span_array(k, prime)
+                cert = exactla.modular_rank(a, prime, upper_bound=monos)
+                self._slice_sizes[prime] = (*a.shape, int(np.count_nonzero(a)))
             self._certificates[key] = cert
             if cert.certified and self._closed_form is None:
                 self._closed_form = complete_intersection_hilbert(
                     self.nvars, self.degree)
         return self._certificates[key]
 
+    def smoothness_proof(self):
+        """A memoised certificate that closed, at whichever prime; when
+        none has, the certificate at the default prime."""
+        for cert in self._certificates.values():
+            if cert.certified:
+                return cert
+        return self.smoothness_certificate()
+
     def dimension_route(self):
         """How ``quotient_dim`` answers, as one line for the human report."""
-        cert = self.smoothness_certificate()
+        cert = self.smoothness_proof()
         if not cert.certified:
             return "elimination"
-        how = "monomial count" if cert.prime is None else f"modular p={cert.prime}"
+        if cert.prime is None:
+            how = "monomial count"
+        else:
+            rows, cols, nnz = self._slice_sizes[cert.prime]
+            how = f"modular p={cert.prime}, {rows}x{cols}, {nnz} nonzeros"
         return f"closed form, smooth at degree {self.socle_degree + 1} ({how})"
 
     def quotient_dim(self, k):
         """Exact dimension of the degree-k quotient piece.
 
-        A coefficient of the closed form when the certificate at the
-        default prime closes, the eliminated dimension otherwise.
+        A coefficient of the closed form once a smoothness certificate
+        closes (``smoothness_proof``), the eliminated dimension otherwise.
         """
-        if self.smoothness_certificate().certified:
+        if self.smoothness_proof().certified:
             return self._closed_form_dim(k)
         return self._eliminated_dim(k)
 

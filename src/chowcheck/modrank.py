@@ -5,10 +5,18 @@ certificates reduce big exact eliminations to int64 arithmetic.  One
 kernel does the work, a column-by-column elimination whose row updates
 are vectorised with numpy.
 
-All arithmetic stays below 2**63: entries are reduced into [0, p) and
-p is capped so that p*p fits in int64.  Pivots are inverted with Fermat's
-little theorem, which is only valid in a field, so every modulus passes
-the primality gate :func:`require_prime` before any elimination.
+``rank_mod`` takes an int64 array, which it reduces into [0, p) with
+one numpy ``%``, or rows of Python integers, which it reduces entry by
+entry.  The kernel then delays reduction (as in FFLAS-FFPACK; Dumas,
+Giorgi & Pernet 2008): each step reduces only the pivot column and the
+pivot row, and a row update x - f*y stays unreduced until its row has
+taken ``update_budget(p)`` = floor((2**63 - 1 - p) / (p - 1)**2) of
+them.  A row with j unreduced updates has every entry in
+[-j*(p-1)**2, p), so all arithmetic stays inside int64; p is capped at
+MAX_PRIME so that (p-1)**2 < 2**63 and every budget is at least 1.
+Pivots are inverted with Fermat's little theorem, which is only valid
+in a field, so every modulus passes the primality gate
+:func:`require_prime` before any elimination.
 """
 
 from __future__ import annotations
@@ -62,8 +70,17 @@ def require_prime(p):
         raise BadPrime(f"modulus {p} is not prime")
 
 
+def update_budget(p):
+    """Unreduced updates a row may carry before it must be reduced mod p.
+
+    floor((2**63 - 1 - p) / (p - 1)**2), at least 1 for every p up to
+    MAX_PRIME; see ``_rank_mod_numpy`` for why it keeps int64 exact.
+    """
+    return (2**63 - 1 - p) // (p - 1) ** 2
+
+
 def _rank_mod_numpy(a, p):
-    """Elimination with vectorised row updates.
+    """Elimination with vectorised, lazily reduced row updates.
 
     Parameters
     ----------
@@ -76,26 +93,65 @@ def _rank_mod_numpy(a, p):
     -------
     int
         Rank of the matrix over GF(p).
+
+    Each step reduces only the nonzero entries of the pivot column (to
+    find a pivot that is nonzero mod p, and the multipliers f) and the
+    pivot row y, so f and y lie in [0, p) and every product f*y in
+    [0, (p-1)**2].  A row update x - f*y is left unreduced.  By induction
+    a row that carries j unreduced updates since it was last reduced has
+    every entry in [-j*(p-1)**2, p): an update only subtracts a product
+    from that range.  A row that reaches B = ``update_budget(p)`` updates
+    is reduced at once, so no row carries more than B, and
+    B*(p-1)**2 <= 2**63 - 1 - p keeps every entry, and every
+    intermediate x - f*y, inside int64.  Reducing commutes with the
+    update mod p, so the rank is that of the reduced elimination.
+
+    The pivot row is consumed: row r takes its place instead of a swap.
+    When at least 7 in 8 multipliers are nonzero the whole block takes
+    one outer-product update; otherwise only the hit rows are gathered
+    and updated, which is cheaper below that density.
     """
     rows, cols = a.shape
+    budget = update_budget(p)
+    # a row takes at most one update per pivot, so a budget of min(rows,
+    # cols) can never run out and the counts need not be kept
+    counted = budget < min(rows, cols)
+    carried = np.zeros(rows, dtype=np.int64)
     r = 0
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
+        below = a[r:, c]
+        nz = np.flatnonzero(below)
+        vals = below[nz] % p
+        keep = vals != 0
+        nz, vals = nz[keep], vals[keep]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
+        y = a[piv, c + 1:] % p
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        f = a[r + 1:, c]
-        hit = np.nonzero(f)[0]
-        if hit.size:
-            block = a[r + 1:, c:]
-            block[hit] = (block[hit] - f[hit, None] * a[r, c:]) % p
+            a[piv, c + 1:] = a[r, c + 1:]
+            carried[piv] = carried[r]
         r += 1
         if r == rows:
             break
+        if nz.size == 1:
+            continue
+        # rows of the block below the pivot and their multipliers
+        hit = nz[1:] - 1
+        f = vals[1:] * pow(int(vals[0]), p - 2, p) % p
+        block = a[r:, c + 1:]
+        if 8 * hit.size >= 7 * (rows - r):
+            full = np.zeros(rows - r, dtype=np.int64)
+            full[hit] = f
+            block -= np.multiply.outer(full, y)
+        else:
+            block[hit] -= np.multiply.outer(f, y)
+        if counted:
+            count = carried[r:]
+            count[hit] += 1
+            due = hit[count[hit] == budget]
+            block[due] %= p
+            count[due] = 0
     return r
 
 
@@ -104,8 +160,9 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
 
     Parameters
     ----------
-    matrix : sequence of rows, or 2-D ndarray
-        Integer entries; they are reduced mod p on entry.
+    matrix : int64 ndarray, or sequence of rows of integers
+        An int64 array is reduced mod p with one numpy ``%``; rows of
+        Python integers are reduced entry by entry.  Never modified.
     p : int
         Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
 
@@ -114,9 +171,12 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     int
     """
     require_prime(p)
-    a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
+    if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
+        a = matrix % p
+    else:
+        a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
+        if a.size:
+            a = a.reshape(len(matrix), -1)
     if a.size == 0:
         return 0
-    a = a.reshape(len(matrix), -1)
     return int(_rank_mod_numpy(a, p))
-

@@ -103,6 +103,10 @@ class ScenarioContext:
         decl = self.scn.curves.get(label)
         if decl is None:
             raise CheckConfigError(f"curve {label!r} is not declared")
+        if len(decl.plane) != 3:
+            raise CheckConfigError(
+                f"curve {label!r}: a plane needs exactly three coordinates, "
+                f"got {' '.join(decl.plane)}")
         return decl
 
     def curve_poly(self, label):

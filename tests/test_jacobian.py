@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chowcheck import characters, exactla, jacobian
@@ -64,10 +65,9 @@ def test_certified_rank_agrees_with_exact_elimination():
     hring = jacobian.HypersurfaceRing(
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
     for k in (4, 5, 6):
-        rows, _, _ = hring.span_rows(k)
-        certified = hring._certified_ideal_rank(k, rows)
+        certified = hring._certified_ideal_rank(k)
         assert certified is not None
-        assert certified == exactla.rank(rows)
+        assert certified == exactla.rank(hring.span_rows(k)[0])
 
 
 def test_koszul_rows_annihilate_the_span():
@@ -254,9 +254,10 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     fresh_bound = characters.picard_upper_bound(_shioda_ring(), sigma)
     fresh_blocks = _shioda_ring()._symmetric_blocks(k)
 
-    eliminations, span_builds = Counter(), Counter()
+    eliminations, span_builds, array_builds = Counter(), Counter(), Counter()
     eliminate = jacobian.HypersurfaceRing._eliminate_blocks
     span_rows = jacobian.HypersurfaceRing.span_rows
+    span_array = jacobian.HypersurfaceRing.span_array
 
     def counting_eliminate(self, degree, exponents, modulus):
         eliminations[degree] += 1
@@ -266,10 +267,16 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
         span_builds[degree] += 1
         return span_rows(self, degree)
 
+    def counting_span_array(self, degree, p):
+        array_builds[degree] += 1
+        return span_array(self, degree, p)
+
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_eliminate_blocks",
                         counting_eliminate)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "span_rows",
                         counting_span_rows)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "span_array",
+                        counting_span_array)
     hring = _shioda_ring()
     table = jacobian.hilbert_function(hring)
     piece = hring.piece(k)
@@ -277,11 +284,13 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     bound = characters.picard_upper_bound(hring, sigma)
 
     # the ring is proven smooth by one modular certificate on the degree-13
-    # slice, so the Hilbert table, the spectrum and the Picard scan read
-    # closed forms; only the graded piece eliminates its degree
+    # slice, an int64 array built once, so the Hilbert table, the spectrum
+    # and the Picard scan read closed forms; only the graded piece
+    # eliminates its degree, from exact rows
     assert sorted(eliminations) == [k]
     assert set(eliminations.values()) == {1}
-    assert span_builds == eliminations + Counter({hring.socle_degree + 1: 1})
+    assert span_builds == eliminations
+    assert array_builds == Counter({hring.socle_degree + 1: 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -304,6 +313,57 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
 # ------------------------------------------------ the closed-form route
 
 TERNARY = PolyRing.rationals(("x0", "x1", "x2"))
+
+
+# ------------------------------------------------ the slice layout
+
+def _span_rows_oracle(hring, k):
+    """Slice rows built entry by entry from the partials, as span_rows
+    built them before the memoised layout."""
+    monos = enumerate_monomials(hring.nvars, k)
+    col = {m: j for j, m in enumerate(monos)}
+    rows, tags = [], []
+    if k >= hring.degree - 1:
+        for m in enumerate_monomials(hring.nvars, k - (hring.degree - 1)):
+            for i, part in enumerate(hring.partials):
+                row = [0] * len(monos)
+                for e, c in part.terms.items():
+                    row[col[monomial_mul(m, e)]] += int(c)
+                rows.append(row)
+                tags.append((m, i))
+    return rows, monos, tags
+
+
+def _dense_quartic(seed):
+    rng = random.Random(seed)
+    return " + ".join(f"{rng.choice((-1, 1)) * rng.randint(1, 9)}*"
+                      + "*".join(f"x{i}^{e}" for i, e in enumerate(m) if e)
+                      for m in enumerate_monomials(4, 4))
+
+
+@pytest.mark.parametrize("text, ring, symmetry", [
+    (SHIODA, P3, SHIODA_SYMMETRY),
+    (SHIODA, P3, None),
+    (_dense_quartic(11), P3, None),
+    ("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY, None),
+    (f"{10**30}*x0^3 + x1^3 + x2^3", TERNARY, None),
+], ids=["shioda", "shioda-without-symmetry", "dense-quartic", "rational",
+        "coefficient-above-2^63"])
+def test_span_array_is_span_rows_reduced_mod_p(text, ring, symmetry):
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring), symmetry=symmetry)
+    top = hring.socle_degree + 1
+    for k in sorted({0, hring.degree - 2, hring.degree - 1, hring.degree,
+                     top - 1, top}):
+        rows, monos, tags = hring.span_rows(k)
+        assert (rows, monos, tags) == _span_rows_oracle(hring, k)
+        assert all(type(x) is int for row in rows for x in row)
+        for p in (2, 3, 1000003, 3037000493):
+            a = hring.span_array(k, p)
+            assert a.dtype == np.int64 and a.shape == (len(rows), len(monos))
+            assert a.tolist() == [[x % p for x in row] for row in rows]
+    cert = hring.smoothness_certificate()
+    assert cert.certified
+    assert cert.rank == exactla.modular_rank(hring.span_rows(top)[0]).rank
 
 
 @pytest.mark.parametrize("text, ring, symmetry", [

@@ -40,6 +40,105 @@ def test_backends_agree():
         assert modrank.rank_mod(a.tolist(), p) == r_np
 
 
+# The column kernel that reduced every hit row at every update, kept as
+# the oracle for the delayed-reduction kernel.
+def _rank_mod_reduced(a, p):
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r, c:] = a[r, c:] * inv % p
+        f = a[r + 1:, c]
+        hit = np.nonzero(f)[0]
+        if hit.size:
+            block = a[r + 1:, c:]
+            block[hit] = (block[hit] - f[hit, None] * a[r, c:]) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _largest_prime_with_budget(budget):
+    # the budget falls as p grows: bisect for the last p that keeps it
+    lo, hi = 2, modrank.MAX_PRIME
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if modrank.update_budget(mid) >= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    while not modrank.is_prime(lo):
+        lo -= 1
+    return lo
+
+
+# every usable prime has a budget of at least 1, so the largest prime
+# whose budget is 1 is also the largest prime at most MAX_PRIME
+DIFFERENTIAL_PRIMES = [2, 3, 1000003, _largest_prime_with_budget(2),
+                       _largest_prime_with_budget(1)]
+
+
+def _low_rank(rng, shape, rank, p):
+    """Random matrix mod p with rank at most ``rank``, mostly dense."""
+    left = rng.integers(0, p, size=(shape[0], rank), dtype=np.int64)
+    right = rng.integers(0, p, size=(rank, shape[1]), dtype=np.int64)
+    product = left.astype(object) @ right.astype(object) % p
+    return np.array(product, dtype=np.int64).reshape(shape)
+
+
+def _differential_cases(p):
+    rng = np.random.default_rng(p % 1000)
+    yield np.zeros((7, 5), dtype=np.int64)
+    yield np.zeros((0, 4), dtype=np.int64)
+    yield rng.integers(0, p, size=(30, 30), dtype=np.int64)
+    yield np.full((12, 9), p - 1, dtype=np.int64)
+    for shape, rank in (((40, 25), 12), ((25, 40), 20), ((60, 60), 45),
+                        ((33, 18), 1)):
+        yield _low_rank(rng, shape, rank, p)
+    # sparse rows, as in the bundled Jacobian slices
+    sparse = rng.integers(0, p, size=(50, 35), dtype=np.int64)
+    sparse[rng.random(sparse.shape) < 0.9] = 0
+    yield sparse
+    # planted dependencies among dense rows
+    dense = rng.integers(0, p, size=(45, 30), dtype=np.int64)
+    dense[30:] = (dense[:15] + 2 * dense[15:30]) % p
+    yield dense
+
+
+def test_budget_keeps_int64_exact():
+    largest = next(p for p in range(modrank.MAX_PRIME, 0, -1)
+                   if modrank.is_prime(p))
+    assert DIFFERENTIAL_PRIMES[-2:] == [2147483647, largest]
+    assert [modrank.update_budget(p) for p in DIFFERENTIAL_PRIMES[-2:]] == [2, 1]
+    for p in DIFFERENTIAL_PRIMES:
+        budget = modrank.update_budget(p)
+        assert budget >= 1
+        assert budget * (p - 1) ** 2 + p <= 2**63 - 1
+        assert (budget + 1) * (p - 1) ** 2 + p > 2**63 - 1
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_delayed_reduction_matches_the_reduced_kernel(p):
+    for a in _differential_cases(p):
+        want = _rank_mod_reduced(a % p, p)
+        assert modrank.rank_mod(a, p) == want
+        assert modrank.rank_mod(a.tolist(), p) == want
+    # an unreduced int64 input is reduced on entry and left untouched
+    rng = np.random.default_rng(7)
+    a = rng.integers(-2**60, 2**60, size=(20, 15), dtype=np.int64)
+    a[10:] = a[:10] * 3
+    before = a.copy()
+    assert modrank.rank_mod(a, p) == _rank_mod_reduced(a % p, p)
+    assert (a == before).all()
+
+
 def test_rank_mod_rejects_bad_modulus():
     for p in (1, 4, 561, 1105, modrank.MAX_PRIME + 1):
         with pytest.raises(modrank.BadPrime):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import chowcheck
-from chowcheck import cli
+from chowcheck import cli, exactla
 from chowcheck.report import Report, StepResult
 from chowcheck.runner import CheckConfigError, UnknownCheck, run_scenario
 from chowcheck.scenario import ParseError, parse_scenario
@@ -503,9 +503,13 @@ def test_prime_dividing_a_pairing_denominator_is_a_config_error():
     (FERMAT_RING + "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
      'check picard_bound cite=c',
      "[automorphism] has 3 exponents, [ring] has 4 variables"),
+    ("[curve Z]\nplane = x0 x1\npoly = x0^2 + x1^2\n",
+     'check intersection curve=Z line=x1 expect="P:1" cite=c',
+     "curve 'Z': a plane needs exactly three coordinates, got x0 x1"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "curve-not-homogeneous",
-        "curve-plane-not-in-variables", "automorphism-exponent-count"])
+        "curve-plane-not-in-variables", "automorphism-exponent-count",
+        "curve-plane-of-two-coordinates"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -522,7 +526,8 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 # hilbert and picard_bound on shioda, hilbert on quartic-family
 @pytest.mark.parametrize("name, route, count", [
-    ("shioda", "closed form, smooth at degree 13 (modular p=1000003)", 2),
+    ("shioda", "closed form, smooth at degree 13 "
+               "(modular p=1000003, 880x560, 1540 nonzeros)", 2),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1),
 ])
 def test_route_lines_are_human_only(name, route, count, capsys):
@@ -536,9 +541,35 @@ def test_route_lines_are_human_only(name, route, count, capsys):
     assert routes == [f"route: {route}"] * count
 
 
+def test_a_closed_certificate_serves_every_later_check(monkeypatch):
+    calls = []
+    modular_rank = exactla.modular_rank
+
+    def counting(matrix, prime, upper_bound=None):
+        calls.append(prime)
+        return modular_rank(matrix, prime, upper_bound=upper_bound)
+
+    text = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
+            "poly = x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3\n[checks]\n"
+            "check smooth prime={prime}cite=c\n"
+            'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c\n')
+    plain = run_scenario(parse_scenario(text.format(prime="1000003 ")))
+    monkeypatch.setattr(exactla, "modular_rank", counting)
+    report = run_scenario(parse_scenario(text.format(prime="1000033 ")))
+    assert calls == [1000033]
+    assert report.exit_code == 0
+    hilbert = [line for line in report.render_machine().splitlines()
+               if line.startswith("check.02.")]
+    assert hilbert == [line for line in plain.render_machine().splitlines()
+                       if line.startswith("check.02.")]
+    assert report.steps[1].route == ("closed form, smooth at degree 9 "
+                                     "(modular p=1000033, 336x220, 672 nonzeros)")
+
+
 def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "6"]) == 0
-    assert ("route: closed form, smooth at degree 13 (modular p=1000003)"
+    assert ("route: closed form, smooth at degree 13 "
+            "(modular p=1000003, 880x560, 1540 nonzeros)"
             in capsys.readouterr().out)
     path = tmp_path / "cone.scn"
     path.write_text(
