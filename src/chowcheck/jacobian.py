@@ -48,7 +48,7 @@ question.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -112,25 +112,19 @@ def complete_intersection_hilbert(nvars, degree):
     return table
 
 
-def _monomial_positions(exps, degree):
-    """Positions in ``enumerate_monomials`` order of degree-``degree``
-    exponent vectors, given along the last axis of an int64 array.
+def _monomial_columns(monos, exps, degree):
+    """Index in ``monos`` of each exponent vector along the last axis of
+    ``exps``, an int64 array; every vector is one of ``monos``, all of
+    total degree ``degree``.
 
-    That order is ascending in the last exponent, then in the one before,
-    and so on.  With r the degree left for x_0..x_i, the monomials whose
-    x_i exponent is below e_i number C(r + i, i) - C(r - e_i + i, i)
-    (hockey stick), and the position is their sum over i >= 1.
+    Vectors are matched by their mixed-radix codes in base degree + 1,
+    so the columns follow whatever order ``monos`` is given in.
     """
-    nvars = exps.shape[-1]
-    binom = np.array([[comb(a, i) for i in range(nvars)]
-                      for a in range(degree + nvars)], dtype=np.int64)
-    pos = np.zeros(exps.shape[:-1], dtype=np.int64)
-    rest = np.full(exps.shape[:-1], degree, dtype=np.int64)
-    for i in range(nvars - 1, 0, -1):
-        e = exps[..., i]
-        pos += binom[rest + i, i] - binom[rest - e + i, i]
-        rest -= e
-    return pos
+    dims = (degree + 1,) * exps.shape[-1]
+    codes = np.ravel_multi_index(tuple(np.array(monos, dtype=np.int64).T), dims)
+    order = np.argsort(codes)
+    wanted = np.ravel_multi_index(tuple(np.moveaxis(exps, -1, 0)), dims)
+    return order[np.searchsorted(codes, wanted, sorter=order)]
 
 
 class HypersurfaceRing:
@@ -190,7 +184,6 @@ class HypersurfaceRing:
         self._dims = {}
         self._blocks = {}
         self._certificates = {}
-        self._slice_sizes = {}
         self._closed_form = None
 
     @staticmethod
@@ -234,12 +227,19 @@ class HypersurfaceRing:
             src = enumerate_monomials(self.nvars, k - e) if k >= e else []
             prods = (np.array(src, dtype=np.int64).reshape(-1, 1, self.nvars)
                      + self._term_exps)
-            self._slices[k] = (monos, src, _monomial_positions(prods, k))
+            self._slices[k] = (monos, src, _monomial_columns(monos, prods, k))
         return self._slices[k]
 
     def _slice_shape(self, k):
         monos, src, _ = self._slice_index(k)
         return len(src) * self.nvars, len(monos)
+
+    def _slice_nonzeros(self, k, p):
+        """Nonzero entries of ``span_array(k, p)``: a row holds each term
+        of its partial in its own column, so every source monomial
+        contributes the partial terms that are nonzero mod p."""
+        _, src, _ = self._slice_index(k)
+        return len(src) * sum(c % p != 0 for c in self._term_coeffs)
 
     def _slice_entries(self, k, dtype, coeffs):
         """The degree-k slice as a dense array holding ``coeffs`` per term."""
@@ -407,8 +407,7 @@ class HypersurfaceRing:
         that count meets the number of monomials.  Then the quotient is
         Artinian, the n partials form a regular sequence, and the Koszul
         complex resolves the quotient, which gives the closed forms of
-        its Hilbert function and character spectra.  Memoised per prime,
-        with the shape and nonzero count of the slice it eliminated.
+        its Hilbert function and character spectra.  Memoised per prime.
         """
         key = None if self.is_monomial_ideal else prime
         if key not in self._certificates:
@@ -417,9 +416,8 @@ class HypersurfaceRing:
             if key is None:
                 cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
             else:
-                a = self.span_array(k, prime)
-                cert = exactla.modular_rank(a, prime, upper_bound=monos)
-                self._slice_sizes[prime] = (*a.shape, int(np.count_nonzero(a)))
+                cert = exactla.modular_rank(self.span_array(k, prime), prime,
+                                            upper_bound=monos)
             self._certificates[key] = cert
             if cert.certified and self._closed_form is None:
                 self._closed_form = complete_intersection_hilbert(
@@ -439,12 +437,14 @@ class HypersurfaceRing:
         cert = self.smoothness_proof()
         if not cert.certified:
             return "elimination"
+        k = self.socle_degree + 1
         if cert.prime is None:
             how = "monomial count"
         else:
-            rows, cols, nnz = self._slice_sizes[cert.prime]
-            how = f"modular p={cert.prime}, {rows}x{cols}, {nnz} nonzeros"
-        return f"closed form, smooth at degree {self.socle_degree + 1} ({how})"
+            rows, cols = self._slice_shape(k)
+            how = (f"modular p={cert.prime}, {rows}x{cols}, "
+                   f"{self._slice_nonzeros(k, cert.prime)} nonzeros")
+        return f"closed form, smooth at degree {k} ({how})"
 
     def quotient_dim(self, k):
         """Exact dimension of the degree-k quotient piece.

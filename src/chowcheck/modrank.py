@@ -107,15 +107,16 @@ def _rank_mod_numpy(a, p):
     update mod p, so the rank is that of the reduced elimination.
 
     The pivot row is consumed: row r takes its place instead of a swap.
-    When at least 7 in 8 multipliers are nonzero the whole block takes
-    one outer-product update; otherwise only the hit rows are gathered
-    and updated, which is cheaper below that density.
+    Only the hit rows, those with a nonzero multiplier, are updated.
+    With a budget of 1 (p above about 2**31) every updated row is due
+    at once, so the update and its reduction are one expression.
     """
     rows, cols = a.shape
     budget = update_budget(p)
     # a row takes at most one update per pivot, so a budget of min(rows,
-    # cols) can never run out and the counts need not be kept
-    counted = budget < min(rows, cols)
+    # cols) can never run out and the counts need not be kept; nor can a
+    # budget of 1, which reduces every update as it is made
+    counted = 1 < budget < min(rows, cols)
     carried = np.zeros(rows, dtype=np.int64)
     r = 0
     for c in range(cols):
@@ -140,12 +141,10 @@ def _rank_mod_numpy(a, p):
         hit = nz[1:] - 1
         f = vals[1:] * pow(int(vals[0]), p - 2, p) % p
         block = a[r:, c + 1:]
-        if 8 * hit.size >= 7 * (rows - r):
-            full = np.zeros(rows - r, dtype=np.int64)
-            full[hit] = f
-            block -= np.multiply.outer(full, y)
-        else:
-            block[hit] -= np.multiply.outer(f, y)
+        if budget == 1:
+            block[hit] = (block[hit] - np.multiply.outer(f, y)) % p
+            continue
+        block[hit] -= np.multiply.outer(f, y)
         if counted:
             count = carried[r:]
             count[hit] += 1

@@ -361,6 +361,7 @@ def test_span_array_is_span_rows_reduced_mod_p(text, ring, symmetry):
             a = hring.span_array(k, p)
             assert a.dtype == np.int64 and a.shape == (len(rows), len(monos))
             assert a.tolist() == [[x % p for x in row] for row in rows]
+            assert hring._slice_nonzeros(k, p) == np.count_nonzero(a)
     cert = hring.smoothness_certificate()
     assert cert.certified
     assert cert.rank == exactla.modular_rank(hring.span_rows(top)[0]).rank
