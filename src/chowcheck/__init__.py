@@ -6,7 +6,9 @@ The package is organised in layers:
 - :mod:`chowcheck.exactla` and :mod:`chowcheck.modrank`: integer and
   rational linear algebra (fraction-free elimination, Hermite form,
   lattice membership) plus modular rank certificates from one numpy
-  elimination kernel over GF(p), behind a primality gate.
+  elimination kernel over GF(p), behind a primality gate.  numpy is
+  loaded only when a GF(p) elimination runs, so importing the package,
+  or checking a ring with a monomial Jacobian ideal, never loads it.
 - :mod:`chowcheck.poly`: sparse multivariate polynomials over the
   rationals and small algebraic towers, with an exact parser.
 - :mod:`chowcheck.jacobian`: graded quotients by Jacobian ideals,
@@ -34,7 +36,7 @@ from .curves import (DivisorCycle, EquivalenceOrder, LineIsComponent,
 from .jacobian import (GradedPiece, HypersurfaceRing, IdealNotMonomial,
                        MultiplicationMap, SocleNotOneDimensional,
                        functional_kernel_map, hilbert_function,
-                       is_smooth_artinian, is_surjective, left_kernel,
+                       is_smooth_artinian, is_surjective,
                        left_kernel_via_duality, macaulay_pairing_check,
                        multiplication_map, uniform_mult_rank_bound)
 from .pencil import (PencilScenario, default_scenario, membership_identity,
@@ -65,8 +67,8 @@ __all__ = [
     "character_spectrum", "check_invariance", "check_parametrization",
     "default_scenario", "exact_divide", "functional_kernel_map",
     "galois_orbit", "hilbert_function", "hyperplane_relations",
-    "is_smooth_artinian", "is_surjective", "left_kernel",
-    "left_kernel_via_duality", "load_scenario", "macaulay_pairing_check",
+    "is_smooth_artinian", "is_surjective", "left_kernel_via_duality",
+    "load_scenario", "macaulay_pairing_check",
     "membership_identity", "minimal_equivalence_order", "multiplication_map",
     "multiplicity_at_point", "parse_poly", "parse_scenario",
     "partial_derivative", "picard_upper_bound", "rational_roots",

@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import modrank
 from .modrank import BadPrime
 
@@ -197,7 +195,7 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     the elimination kernels, or if it divides the denominator of any entry.
     """
     modrank.require_prime(prime)
-    if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
+    if getattr(matrix, "dtype", None) == "int64":
         red = matrix
         nrows, ncols = matrix.shape
     else:
@@ -364,9 +362,3 @@ def minimal_multiple_in_lattice(matrix, vec):
     if check != target:
         raise ArithmeticError("witness failed re-multiplication")
     return LatticeMultiple(n, witness)
-
-
-def lattice_contains(matrix, vec):
-    """True if ``vec`` lies in the integer row lattice of ``matrix``."""
-    result = minimal_multiple_in_lattice(matrix, vec)
-    return result is not None and result.n == 1

@@ -37,6 +37,10 @@ coefficients once, on construction.  One memoised layout per degree
 methods read it: ``span_rows`` gives exact Python ``int`` rows, and
 ``span_array`` gives the slice reduced mod p as an int64 array, which
 the modular certificates eliminate without a per-entry pass in Python.
+Layouts and arrays are built with numpy, which is imported only then:
+a ring whose slices are never built, as with a monomial ideal, never
+loads it.
+
 A ring memoises per degree its slice layouts, graded pieces, eliminated
 quotient dimensions and, for each normalised symmetry, its eliminated
 character blocks, so graded pieces, character spectra and the smoothness
@@ -49,8 +53,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
@@ -120,6 +122,8 @@ def _monomial_columns(monos, exps, degree):
     Vectors are matched by their mixed-radix codes in base degree + 1,
     so the columns follow whatever order ``monos`` is given in.
     """
+    import numpy as np
+
     dims = (degree + 1,) * exps.shape[-1]
     codes = np.ravel_multi_index(tuple(np.array(monos, dtype=np.int64).T), dims)
     order = np.argsort(codes)
@@ -161,13 +165,8 @@ class HypersurfaceRing:
                          for name in self.ring.names]
         self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
                               for p in self.partials]
-        # the partials' terms in one list, for the slice layout
-        terms = [(i, e, c) for i, part in enumerate(self._int_partials)
-                 for e, c in part]
-        self._term_partial = np.array([i for i, _, _ in terms], dtype=np.int64)
-        self._term_exps = np.array([e for _, e, _ in terms],
-                                   dtype=np.int64).reshape(-1, self.nvars)
-        self._term_coeffs = [c for _, _, c in terms]
+        # the partials' coefficients in one list, in slice layout order
+        self._term_coeffs = [c for part in self._int_partials for _, c in part]
         self.symmetry = None
         self._char_of_partial = None
         if symmetry is not None:
@@ -212,39 +211,50 @@ class HypersurfaceRing:
         return gens
 
     def _slice_index(self, k):
-        """Layout of the degree-k slice, memoised: (monomials, sources, cols).
+        """Layout of the degree-k slice, memoised:
+        (monomials, sources, rows, cols).
 
         The slice has one row per (source monomial, partial) pair and one
-        column per degree-k monomial, both in canonical order.
-        ``cols[s, t]`` is the column of sources[s] times the monomial of
-        the t-th partial term; the term's coefficient sits there in row
-        s * nvars + (its partial).  The terms of one partial are distinct
-        monomials, so no two entries of a row share a column.
+        column per degree-k monomial, both in canonical order.  The t-th
+        partial term (in ``_term_coeffs`` order) times sources[s] sits at
+        ``rows[s, t]``, which is s * nvars + (its partial), and
+        ``cols[s, t]``, the column of their product.  The terms of one
+        partial are distinct monomials, so no two entries of a row share
+        a column.
         """
         if k not in self._slices:
+            import numpy as np
+
             monos = enumerate_monomials(self.nvars, k)
             e = self.degree - 1
             src = enumerate_monomials(self.nvars, k - e) if k >= e else []
-            prods = (np.array(src, dtype=np.int64).reshape(-1, 1, self.nvars)
-                     + self._term_exps)
-            self._slices[k] = (monos, src, _monomial_columns(monos, prods, k))
+            parts = self._int_partials
+            partial = np.array([i for i, part in enumerate(parts) for _ in part],
+                               dtype=np.int64)
+            exps = np.array([x for part in parts for x, _ in part],
+                            dtype=np.int64).reshape(-1, self.nvars)
+            rows = np.arange(len(src)).reshape(-1, 1) * self.nvars + partial
+            prods = np.array(src, dtype=np.int64).reshape(-1, 1, self.nvars) + exps
+            self._slices[k] = (monos, src, rows,
+                               _monomial_columns(monos, prods, k))
         return self._slices[k]
 
     def _slice_shape(self, k):
-        monos, src, _ = self._slice_index(k)
+        monos, src, _, _ = self._slice_index(k)
         return len(src) * self.nvars, len(monos)
 
     def _slice_nonzeros(self, k, p):
         """Nonzero entries of ``span_array(k, p)``: a row holds each term
         of its partial in its own column, so every source monomial
         contributes the partial terms that are nonzero mod p."""
-        _, src, _ = self._slice_index(k)
+        _, src, _, _ = self._slice_index(k)
         return len(src) * sum(c % p != 0 for c in self._term_coeffs)
 
     def _slice_entries(self, k, dtype, coeffs):
         """The degree-k slice as a dense array holding ``coeffs`` per term."""
-        _, src, cols = self._slice_index(k)
-        rows = np.arange(len(src)).reshape(-1, 1) * self.nvars + self._term_partial
+        import numpy as np
+
+        _, _, rows, cols = self._slice_index(k)
         a = np.zeros(self._slice_shape(k), dtype=dtype)
         a[rows, cols] = np.array(coeffs, dtype=dtype)
         return a
@@ -256,7 +266,7 @@ class HypersurfaceRing:
         order; columns by the canonical degree-k monomial list.  Entries
         are exact Python integers.
         """
-        monos, src, _ = self._slice_index(k)
+        monos, src, _, _ = self._slice_index(k)
         rows = self._slice_entries(k, object, self._term_coeffs).tolist()
         tags = [(m, i) for m in src for i in range(self.nvars)]
         return rows, list(monos), tags
@@ -267,7 +277,7 @@ class HypersurfaceRing:
         Each coefficient is reduced as a Python integer before it enters
         int64, so coefficients of any size are exact.
         """
-        return self._slice_entries(k, np.int64, [c % p for c in self._term_coeffs])
+        return self._slice_entries(k, "int64", [c % p for c in self._term_coeffs])
 
     def _koszul_rows(self, k):
         """Relations among the generator rows coming from Koszul syzygies.
@@ -681,22 +691,6 @@ def is_surjective(mmap, prime=None):
                                       f"modular(p={prime})")
     r = exactla.rank(mmap.matrix)
     return SurjectivityResult(r == target, r, target, "exact")
-
-
-def left_kernel(mmap):
-    """Exact basis of {u : u * v == 0 for every v}, brute force.
-
-    Stacks the conditions for all right basis vectors and coordinates of
-    the target, then takes the exact kernel.
-    """
-    rows = []
-    for v in range(mmap.right_dim):
-        for i in range(mmap.target_dim):
-            rows.append([mmap.matrix[i][u * mmap.right_dim + v]
-                         for u in range(mmap.left_dim)])
-    if not rows:
-        return []
-    return exactla.kernel_basis(rows)
 
 
 class PairingResult:

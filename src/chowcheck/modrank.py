@@ -3,7 +3,9 @@
 This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to int64 arithmetic.  One
 kernel does the work, a column-by-column elimination whose row updates
-are vectorised with numpy.
+are vectorised with numpy.  numpy is imported by ``rank_mod`` and the
+kernel themselves, so a process that never runs a GF(p) elimination
+(a ring with a monomial Jacobian ideal, for one) never loads it.
 
 ``rank_mod`` takes an int64 array, which it reduces into [0, p) with
 one numpy ``%``, or rows of Python integers, which it reduces entry by
@@ -20,8 +22,6 @@ in a field, so every modulus passes the primality gate
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 DEFAULT_PRIME = 1000003
@@ -111,6 +111,8 @@ def _rank_mod_numpy(a, p):
     With a budget of 1 (p above about 2**31) every updated row is due
     at once, so the update and its reduction are one expression.
     """
+    import numpy as np
+
     rows, cols = a.shape
     budget = update_budget(p)
     # a row takes at most one update per pivot, so a budget of min(rows,
@@ -169,6 +171,8 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     -------
     int
     """
+    import numpy as np
+
     require_prime(p)
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
         a = matrix % p

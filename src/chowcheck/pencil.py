@@ -76,17 +76,24 @@ def _family_degrees(family, ring):
     return [(tp, xdeg) for tp, degs in sorted(seen.items()) for xdeg in degs]
 
 
+def family_from_lines(lines, ring):
+    """The deformed quartic x0^4 + x1^4 - x2^4 - x3^4 + 2*t*prod(lines).
+
+    ``ring`` holds x0..x3 and the parameter t; ``lines`` are linear forms
+    in it.
+    """
+    prod = parse_poly("2*t", ring)
+    for line in lines:
+        prod = prod * line
+    return parse_poly("x0^4 + x1^4 - x2^4 - x3^4", ring) + prod
+
+
 def default_scenario():
     """The built-in quartic family with all declared comparison data."""
     amb = PolyRing.rationals(("x0", "x1", "x2", "x3", "t"))
     lines = [parse_poly(s, amb) for s in
              ("x1 - x2", "x0 - x3", "x1 + x3", "x0 - x2")]
-    family = parse_poly("x0^4 + x1^4 - x2^4 - x3^4", amb)
-    two_t = parse_poly("2*t", amb)
-    prod = lines[0]
-    for line in lines[1:]:
-        prod = prod * line
-    family = family + two_t * prod
+    family = family_from_lines(lines, amb)
 
     blow = PolyRing.rationals(("x", "y", "z", "lam", "t"))
     substitution = {

@@ -168,13 +168,7 @@ def _build_pencil(overrides):
         if key in overrides:
             lines[i] = parse_in(key, amb)
             rebuilt = True
-    family = base.family
-    if rebuilt:
-        family = parse_poly("x0^4 + x1^4 - x2^4 - x3^4", amb)
-        prod = parse_poly("2*t", amb)
-        for line in lines:
-            prod = prod * line
-        family = family + prod
+    family = pencil.family_from_lines(lines, amb) if rebuilt else base.family
     strict = (parse_in("strict_transform", blow)
               if "strict_transform" in overrides else base.strict_transform)
     declared = (parse_in("declared_quadratic", blow)

@@ -250,9 +250,10 @@ def test_minimal_multiple_edge_cases():
 
 def test_lattice_contains():
     rows = [[3, 1, -4], [1, -4, 3]]
-    assert exactla.lattice_contains(rows, [13, -13, 0])
-    assert not exactla.lattice_contains(rows, [1, -1, 0])
-    assert exactla.lattice_contains(rows, [4, -3, -1])
+    assert exactla.minimal_multiple_in_lattice(rows, [13, -13, 0]).n == 1
+    outside = exactla.minimal_multiple_in_lattice(rows, [1, -1, 0])
+    assert outside is None or outside.n > 1
+    assert exactla.minimal_multiple_in_lattice(rows, [4, -3, -1]).n == 1
 
 
 def test_minimal_multiple_scaling_property():

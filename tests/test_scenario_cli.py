@@ -578,3 +578,25 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert cli.main(["ring", "dim", "--file", str(path), "--degree", "4"]) == 0
     out = capsys.readouterr().out
     assert "dim = 27 (exact)" in out and "route: elimination" in out
+
+
+# numpy is loaded by the GF(p) kernel and the slice arrays alone: importing
+# the package and checking the monomial-ideal quartic family never need it,
+# while shioda's degree-13 certificate does (so the guard is not vacuous)
+@pytest.mark.parametrize("code, loaded", [
+    ("import chowcheck, chowcheck.cli", False),
+    ("cli.main(['verify', 'quartic-family', '--machine'])", False),
+    ("cli.main(['verify', 'shioda', '--machine'])", True),
+], ids=["import", "quartic-family", "shioda"])
+def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded):
+    probe = ("import contextlib, io, sys\n"
+             "from chowcheck import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    {code}\n"
+             "print('numpy' in sys.modules)\n")
+    src = str(Path(chowcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
