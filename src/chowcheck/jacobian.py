@@ -4,9 +4,9 @@ For a homogeneous form F of degree d in n variables, the quotient of the
 polynomial ring by the ideal of first partials is graded Artinian exactly
 when the projective hypersurface F = 0 is smooth, with one-dimensional
 top piece in the socle degree n*(d-2).  This module computes graded
-pieces, multiplication maps between them, and the socle pairing, always
-with exact rational arithmetic for any claim about nonzero kernels or
-dimensions.
+pieces, multiplication maps between them, and the socle pairing.
+Dimensions are exact, and so is every failing verdict: a rank mod p
+only ever proves a full rank.
 
 Quotient dimensions (``quotient_dim``, and with it ``hilbert_function``)
 come from the first of these routes that applies:
@@ -25,11 +25,21 @@ come from the first of these routes that applies:
   ``_certified_ideal_rank``) and fraction-free elimination otherwise.
 
 A graded piece, which also needs representatives and a reduction map,
-is either monomial or a tuple of exactly eliminated character blocks.  A
-ring without a declared symmetry is one block of the trivial character,
-and a degree below d-1, where the slice has no generator rows, gives
-blocks whose columns are all free.  On a ring proven smooth, a piece
-whose dimension differs from the closed form raises ``ArithmeticError``.
+comes in two kinds:
+
+* ``piece(k)`` is exact: monomial for a monomial ideal, otherwise the
+  character blocks of the slice, each eliminated over Q (a ring without
+  a declared symmetry is one block of the trivial character, and a
+  degree below d-1 gives blocks whose columns are all free).  On a ring
+  proven smooth, a piece whose dimension differs from the closed form
+  raises ``ArithmeticError``.
+* ``modular_piece(k, p)`` is over GF(p), from the echelon form mod p of
+  the whole slice, and is accepted only at good reduction: on a ring
+  proven smooth, when its dimension is the closed-form one (see
+  ``ModularPiece`` for why that makes a full rank mod p a proof).
+  ``map_surjectivity`` and ``left_kernel_via_duality`` build their
+  matrices from these pieces when given a prime, and fall back to exact
+  pieces when a piece is refused or a rank mod p is short.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  One memoised layout per degree
@@ -41,12 +51,12 @@ Layouts and arrays are built with numpy, which is imported only then:
 a ring whose slices are never built, as with a monomial ideal, never
 loads it.
 
-A ring memoises per degree its slice layouts, graded pieces, eliminated
-quotient dimensions and, for each normalised symmetry, its eliminated
-character blocks, so graded pieces, character spectra and the smoothness
-test share one elimination of each degree; it memoises one smoothness
-certificate per prime, and any one that closes serves every later
-question.
+A ring memoises per degree its slice layouts, graded pieces (per prime
+for modular ones), eliminated quotient dimensions and, for each
+normalised symmetry, its eliminated character blocks, so graded pieces,
+character spectra and the smoothness test share one elimination of each
+degree; it memoises one smoothness certificate per prime, and any one
+that closes serves every later question.
 """
 
 from __future__ import annotations
@@ -179,6 +189,7 @@ class HypersurfaceRing:
                 raise ValueError("defining form is not a symmetry eigenvector")
             self.symmetry = (exponents, int(modulus))
         self._pieces = {}
+        self._modular_pieces = {}
         self._slices = {}
         self._dims = {}
         self._blocks = {}
@@ -371,27 +382,37 @@ class HypersurfaceRing:
     def _eliminate_blocks(self, k, exponents, modulus):
         """Uncached worker of ``_symmetric_blocks``.
 
-        Every generator row must be supported inside a single block; this
-        is rechecked here so an inconsistent symmetry hint cannot produce
-        a wrong rank.
+        Block rows are read off the slice layout: the row of (source s,
+        partial i) holds the terms of partial i in the columns
+        ``cols[s, t]``.  Every generator row must be supported inside a
+        single block; this is rechecked here so an inconsistent symmetry
+        hint cannot produce a wrong rank.
         """
-        monos = enumerate_monomials(self.nvars, k)
-        by_char = {}
-        for j, m in enumerate(monos):
-            by_char.setdefault(self._character(m, exponents, modulus), []).append(j)
-        rows, _, _ = self.span_rows(k)
+        monos, src, _, cols = self._slice_index(k)
+        char_of = [self._character(m, exponents, modulus) for m in monos]
+        by_char, local = {}, []
+        for c in char_of:
+            js = by_char.setdefault(c, [])
+            local.append(len(js))
+            js.append(len(local) - 1)
         rows_by_char = {c: [] for c in by_char}
-        for row in rows:
-            support = [j for j, x in enumerate(row) if x]
-            if not support:
-                continue
-            chars = {self._character(monos[j], exponents, modulus)
-                     for j in support}
-            if len(chars) != 1:
-                raise ValueError("generator spans several characters; "
-                                 "symmetry declaration is inconsistent")
-            c = chars.pop()
-            rows_by_char[c].append([row[j] for j in by_char[c]])
+        terms, start = [], 0
+        for part in self._int_partials:
+            terms.append((start, start + len(part)))
+            start += len(part)
+        for js in cols.tolist():
+            for lo, hi in terms:
+                if lo == hi:
+                    continue
+                chars = {char_of[j] for j in js[lo:hi]}
+                if len(chars) != 1:
+                    raise ValueError("generator spans several characters; "
+                                     "symmetry declaration is inconsistent")
+                c = chars.pop()
+                row = [0] * len(by_char[c])
+                for j, coeff in zip(js[lo:hi], self._term_coeffs[lo:hi]):
+                    row[local[j]] = coeff
+                rows_by_char[c].append(row)
         blocks = []
         for c in sorted(by_char):
             js = by_char[c]
@@ -406,6 +427,24 @@ class HypersurfaceRing:
         if k not in self._pieces:
             self._pieces[k] = GradedPiece(self, k)
         return self._pieces[k]
+
+    def modular_piece(self, k, p):
+        """The degree-k piece over GF(p) if p is good for it, else None.
+
+        Memoised per degree and prime.  The piece is accepted only on a
+        ring proven smooth, and only when its dimension is the exact
+        ``quotient_dim(k)``, there the closed form: then rank_p = rank_Q
+        of the slice (see ``ModularPiece``).
+        """
+        key = (k, p)
+        if key not in self._modular_pieces:
+            piece = None
+            if self.smoothness_proof().certified:
+                piece = ModularPiece(self, k, p)
+                if piece.dim != self.quotient_dim(k):
+                    piece = None
+            self._modular_pieces[key] = piece
+        return self._modular_pieces[key]
 
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
         """One-sided proof that the quotient vanishes in degree sigma+1.
@@ -557,6 +596,100 @@ class GradedPiece:
         return dims
 
 
+class ModularPiece:
+    """One graded piece over GF(p), from the echelon form of its slice.
+
+    Fields: ``degree``, ``prime``, ``monomials`` (canonical ambient
+    basis), ``representatives`` (the free columns of the slice mod p, in
+    ambient order), ``dim``, and ``normal_forms``, an int64 array with one
+    row per ambient monomial: its coordinates mod p over the
+    representatives.
+
+    Why such a piece proves anything over Q: if the slice A_k has
+    rank_p(A_k) = rank_Q(A_k), its row space over Z_(p) (the integers
+    localised at p) is saturated, so the Z_(p) quotient is free and
+    reduces mod p to this piece; by Nakayama's lemma the representatives
+    lift to a basis of it.  Products of such pieces are defined over
+    Z_(p) and reduce to their mod-p matrices, so a full rank mod p is a
+    full rank over Q.  ``HypersurfaceRing.modular_piece`` checks the
+    equality by comparing ``dim`` with the exact closed-form dimension.
+
+    The whole slice is eliminated, not its character blocks: a block
+    diagonal matrix pivots in the union of its blocks' pivot columns.
+    """
+
+    __slots__ = ("degree", "prime", "monomials", "representatives", "dim",
+                 "normal_forms")
+
+    def __init__(self, hring, k, p):
+        import numpy as np
+
+        self.degree = k
+        self.prime = p
+        monos, _, _, _ = hring._slice_index(k)
+        self.monomials = list(monos)
+        ncols = len(monos)
+        pivots, rref = [], np.zeros((0, ncols), dtype=np.int64)
+        if hring._slice_shape(k)[0]:
+            _, rref, pivots = modrank.echelon_mod(hring.span_array(k, p), p)
+        free = np.setdiff1d(np.arange(ncols), pivots)
+        self.representatives = [self.monomials[j] for j in free.tolist()]
+        self.dim = len(free)
+        # a pivot monomial is minus the rest of its row, a free one itself
+        forms = np.zeros((ncols, self.dim), dtype=np.int64)
+        forms[free, np.arange(self.dim)] = 1
+        forms[pivots] = -rref[:, free] % p
+        self.normal_forms = forms
+
+
+def _exact_route(hring, reason=None):
+    route = "monomial pieces" if hring.is_monomial_ideal else "exact pieces"
+    return route if reason is None else f"{route}, {reason}"
+
+
+class _ExactRoute(Exception):
+    """The GF(p) route cannot answer; the message names the exact route
+    that will, with the reason."""
+
+    def __init__(self, hring, reason):
+        super().__init__(_exact_route(hring, reason))
+
+
+def _modular_products(hring, a, b, p):
+    """Products R_a x R_b -> R_(a+b) over GF(p), from modular pieces.
+
+    An int64 array with one row per pair (u, v) of representatives, left
+    factor major, holding the normal form of u * v.  Raises
+    ``_ExactRoute`` when a piece is refused.
+    """
+    import numpy as np
+
+    pieces = []
+    for k in (a, b, a + b):
+        piece = hring.modular_piece(k, p)
+        if piece is None:
+            if not hring.smoothness_proof().certified:
+                raise _ExactRoute(hring, "ring not proven smooth")
+            raise _ExactRoute(hring, f"mod-p gate refused at degree {k}")
+        pieces.append(piece)
+    pa, pb, pc = pieces
+    left = np.array(pa.representatives, dtype=np.int64).reshape(-1, 1, hring.nvars)
+    right = np.array(pb.representatives, dtype=np.int64).reshape(1, -1, hring.nvars)
+    cols = _monomial_columns(pc.monomials, left + right, a + b)
+    return pc.normal_forms[cols.reshape(-1)]
+
+
+def _full_rank_mod_p(hring, matrix, full, p, shape):
+    if not exactla.modular_rank(matrix, p, upper_bound=full).certified:
+        raise _ExactRoute(hring, f"rank mod p={p} short for {shape}")
+
+
+def _modular_route(p, degrees, **shapes):
+    listed = ", ".join(str(k) for k in sorted(set(degrees)))
+    matrices = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+    return f"pieces mod p={p} at degrees {listed}; {matrices}"
+
+
 def hilbert_function(hring, through=None):
     """Exact dimensions of the graded quotient pieces 0..socle degree.
 
@@ -658,13 +791,14 @@ def multiplication_map(hring, a, b, quotient_by=None):
 
 
 class SurjectivityResult:
-    __slots__ = ("surjective", "rank", "target_dim", "mode")
+    __slots__ = ("surjective", "rank", "target_dim", "mode", "route")
 
-    def __init__(self, surjective, rank, target_dim, mode):
+    def __init__(self, surjective, rank, target_dim, mode, route=None):
         self.surjective = surjective
         self.rank = rank
         self.target_dim = target_dim
         self.mode = mode
+        self.route = route
 
     def __bool__(self):
         return self.surjective
@@ -691,6 +825,55 @@ def is_surjective(mmap, prime=None):
                                       f"modular(p={prime})")
     r = exactla.rank(mmap.matrix)
     return SurjectivityResult(r == target, r, target, "exact")
+
+
+def _surjectivity_mod_p(hring, a, b, p):
+    """``is_surjective`` of R_a (x) R_b -> R_(a+b) over GF(p), answered
+    only when the rank is full: (result, matrix shape)."""
+    matrix = _modular_products(hring, a, b, p)
+    target = matrix.shape[1]
+    shape = f"{target}x{matrix.shape[0]}"
+    if target == 0:
+        return SurjectivityResult(True, 0, 0, "trivial"), shape
+    _full_rank_mod_p(hring, matrix, target, p, shape)
+    return SurjectivityResult(True, target, target, f"modular(p={p})"), shape
+
+
+def _pairing_mod_p(hring, k, p):
+    """``macaulay_pairing_check`` at degree k over GF(p), answered only
+    when the pairing is nondegenerate: (result, matrix shape).  Accepted
+    pieces have the closed-form dimensions, which are palindromic and
+    positive up to the socle degree, where the dimension is 1: so the
+    matrix is square, not empty, and each product is one entry of it."""
+    sigma = hring.socle_degree
+    products = _modular_products(hring, k, sigma - k, p)
+    dim = hring.modular_piece(k, p).dim
+    shape = f"{dim}x{dim}"
+    _full_rank_mod_p(hring, products.reshape(dim, dim), dim, p, shape)
+    return PairingResult(True, k, dim, dim, dim, f"modular(p={p})"), shape
+
+
+def map_surjectivity(hring, a, b, prime=None):
+    """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
+
+    With a prime, on a ring whose ideal is not monomial, the map is built
+    from modular pieces and a full rank mod p proves it surjective.  With
+    no prime, a refused piece or a short rank, it is built from exact
+    pieces and decided by ``is_surjective``, so a failing verdict is
+    exact.  ``route`` on the result names the route for the human report.
+    """
+    route = _exact_route(hring)
+    if prime is not None and not hring.is_monomial_ideal:
+        try:
+            result, shape = _surjectivity_mod_p(hring, a, b, prime)
+            result.route = _modular_route(prime, (a, b, a + b),
+                                          multiplication=shape)
+            return result
+        except _ExactRoute as exc:
+            route = str(exc)
+    result = is_surjective(multiplication_map(hring, a, b), prime=prime)
+    result.route = route
+    return result
 
 
 class PairingResult:
@@ -754,14 +937,15 @@ class DualityKernelResult:
     are kept.
     """
 
-    __slots__ = ("empty", "surjectivity", "pairing", "a", "b")
+    __slots__ = ("empty", "surjectivity", "pairing", "a", "b", "route")
 
-    def __init__(self, a, b, surjectivity, pairing):
+    def __init__(self, a, b, surjectivity, pairing, route=None):
         self.a = a
         self.b = b
         self.surjectivity = surjectivity
         self.pairing = pairing
         self.empty = bool(surjectivity) and bool(pairing)
+        self.route = route
 
     def __bool__(self):
         return self.empty
@@ -773,13 +957,31 @@ class DualityKernelResult:
 
 
 def left_kernel_via_duality(hring, a, b, prime=None):
+    """Both halves of the duality argument at degrees (a, b).
+
+    With a prime, on a ring whose ideal is not monomial, both matrices
+    are built from modular pieces and ranked mod p.  Only when both ranks
+    are full does that answer; otherwise both halves are built from exact
+    pieces, as ``map_surjectivity`` does.  ``route`` on the result names
+    the route for the human report.
+    """
     sigma = hring.socle_degree
     if a + b > sigma:
         raise ValueError("need a + b <= socle degree for the duality route")
+    route = _exact_route(hring)
+    if prime is not None and not hring.is_monomial_ideal:
+        try:
+            surj, surj_shape = _surjectivity_mod_p(hring, sigma - a - b, b, prime)
+            pairing, pairing_shape = _pairing_mod_p(hring, a, prime)
+            route = _modular_route(prime, (sigma - a - b, b, sigma - a, a, sigma),
+                                   surjectivity=surj_shape, pairing=pairing_shape)
+            return DualityKernelResult(a, b, surj, pairing, route)
+        except _ExactRoute as exc:
+            route = str(exc)
     mmap = multiplication_map(hring, sigma - a - b, b)
     surj = is_surjective(mmap, prime=prime)
     pairing = macaulay_pairing_check(hring, a, prime=prime)
-    return DualityKernelResult(a, b, surj, pairing)
+    return DualityKernelResult(a, b, surj, pairing, route)
 
 
 class UniformBoundResult:

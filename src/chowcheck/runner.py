@@ -365,14 +365,13 @@ def _check_ring_dim(ctx, spec):
 def _check_ring_map(ctx, spec):
     a, b = _attr_degree(spec, "a"), _attr_degree(spec, "b")
     prime = _attr_prime(spec)
-    mmap = jacobian.multiplication_map(ctx.hypersurface(), a, b)
-    result = jacobian.is_surjective(mmap, prime=prime)
+    result = jacobian.map_surjectivity(ctx.hypersurface(), a, b, prime=prime)
     values = {"rank": result.rank, "target_dim": result.target_dim,
               "mode": result.mode, "surjective": result.surjective}
     word = "surjective" if result.surjective else "not surjective"
     return _step(spec, f"multiplication {a} x {b} -> {a + b}", result.surjective,
                  [f"{word}, rank {result.rank} of {result.target_dim} "
-                  f"({result.mode})"], "not surjective", values)
+                  f"({result.mode})"], "not surjective", values, result.route)
 
 
 @_register("uniform_bound")
@@ -463,7 +462,8 @@ def _left_kernel_step(ctx, spec, name, expect_rank=None):
     if expect_rank is not None and surj.rank != expect_rank:
         details.append(f"expected surjectivity rank {expect_rank}")
         ok, witness = False, "rank mismatch"
-    return _step(spec, name.format(a=a, b=b), ok, details, witness, values)
+    return _step(spec, name.format(a=a, b=b), ok, details, witness, values,
+                 result.route)
 
 
 @_register("duality")

@@ -303,10 +303,10 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     # the ring is proven smooth by one modular certificate on the degree-13
     # slice, an int64 array built once, so the Hilbert table, the spectrum
     # and the Picard scan read closed forms; only the graded piece
-    # eliminates its degree, from exact rows
+    # eliminates its degree, from exact rows read off the slice layout
     assert sorted(eliminations) == [k]
     assert set(eliminations.values()) == {1}
-    assert span_builds == eliminations
+    assert not span_builds
     assert array_builds == Counter({hring.socle_degree + 1: 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
@@ -557,3 +557,121 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
         result = jacobian.macaulay_pairing_check(hring, k)
         assert (result.rank, result.nondegenerate) == (
             rank, rank == len(oracle[k].representatives))
+
+
+# ------------------------------------------------ graded pieces over GF(p)
+#
+# With a prime, the duality and multiplication checks build their pieces
+# from the echelon form mod p of whole slices.  The exact route, which
+# ``is_surjective`` and ``macaulay_pairing_check`` still take on exact
+# pieces, is the oracle: ranks, verdicts and modes must agree.
+
+GFP = 1000003
+
+
+def _fields(result):
+    return tuple(getattr(result, name) for name in type(result).__slots__
+                 if name != "route")
+
+
+@pytest.mark.parametrize("form, pairs", [
+    ("quintic_sym", [(0, 0), (0, 1), (1, 1), (3, 3), (2, 5), (6, 6), (10, 1),
+                     (12, 0), (4, 8)]),
+    ("quintic_plain", [(0, 1), (1, 1), (3, 3), (10, 1), (12, 0)]),
+    ("dense_ternary_quartic", [(a, b) for a in range(7) for b in range(7 - a)]),
+    ("cubic_surface", [(a, b) for a in range(5) for b in range(5 - a)]),
+])
+def test_gfp_pieces_match_the_exact_route(form, pairs, request):
+    if form in ("quintic_sym", "quintic_plain"):
+        hring = request.getfixturevalue(form)
+    elif form == "dense_ternary_quartic":
+        hring = _dense_ternary_quartic()
+    else:
+        hring = _cubic_surface()
+    sigma = hring.socle_degree
+    for a, b in pairs:
+        result = jacobian.left_kernel_via_duality(hring, a, b, prime=GFP)
+        assert result.route.startswith(f"pieces mod p={GFP} at degrees ")
+        mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
+        surj = jacobian.is_surjective(mmap, prime=GFP)
+        pairing = jacobian.macaulay_pairing_check(hring, a, prime=GFP)
+        assert _fields(result.surjectivity) == _fields(surj)
+        assert _fields(result.pairing) == _fields(pairing)
+        assert result.empty
+        mapped = jacobian.map_surjectivity(hring, sigma - a - b, b, prime=GFP)
+        assert _fields(mapped) == _fields(surj)
+        assert mapped.route.startswith(f"pieces mod p={GFP} at degrees ")
+    # the normal forms mod p are the exact ones reduced mod p, sampled
+    rng = random.Random(sigma)
+    for k in sorted({k for a, b in pairs for k in (a, b, sigma - a - b, sigma - a)}
+                    | {sigma}):
+        modular, exact = hring.modular_piece(k, GFP), hring.piece(k)
+        assert modular.representatives == exact.representatives
+        col = {m: j for j, m in enumerate(modular.monomials)}
+        for m in rng.sample(modular.monomials, min(5, len(modular.monomials))):
+            coords = exact.reduce_vector({m: Fraction(1)})
+            assert modular.normal_forms[col[m]].tolist() == [
+                c.numerator * pow(c.denominator, -1, GFP) % GFP for c in coords]
+
+
+def _cone_mod_p_surface(seed, p):
+    """A seeded dense cubic in x0 x1 x2 plus a multiple of p times x3^3:
+    smooth over Q, a cone mod p, where the partial in x3 vanishes."""
+    rng = random.Random(seed)
+    terms = [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}*"
+             + "*".join(f"x{i}^{e}" for i, e in enumerate(m) if e)
+             for m in enumerate_monomials(3, 3)]
+    terms.append(f"{p * rng.randint(1, 9)}*x3^3")
+    return jacobian.HypersurfaceRing(parse_poly(" + ".join(terms), P3))
+
+
+def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
+    p = 1000033
+    hring = _cone_mod_p_surface(5, p)
+    sigma = hring.socle_degree
+    # proven smooth at the default prime, which does not divide a coefficient
+    assert hring.smoothness_proof().certified
+    assert hring.modular_piece(2, GFP).dim == hring.quotient_dim(2) == 6
+    assert hring.modular_piece(1, p) is not None
+    assert hring.modular_piece(2, p) is None
+    refused = 0
+    for a in range(sigma + 1):
+        for b in range(sigma + 1 - a):
+            result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
+            exact = jacobian.left_kernel_via_duality(hring, a, b)
+            assert result.empty == exact.empty
+            assert result.surjectivity.rank == exact.surjectivity.rank
+            assert result.pairing.rank == exact.pairing.rank
+            mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
+            assert _fields(result.surjectivity) == _fields(
+                jacobian.is_surjective(mmap, prime=p))
+            assert _fields(result.pairing) == _fields(
+                jacobian.macaulay_pairing_check(hring, a, prime=p))
+            if 2 in (sigma - a - b, b, sigma - a):
+                assert result.route == "exact pieces, mod-p gate refused at degree 2"
+                refused += 1
+            mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
+            assert _fields(mapped) == _fields(jacobian.is_surjective(
+                jacobian.multiplication_map(hring, a, b), prime=p))
+    assert refused
+    result = jacobian.map_surjectivity(hring, 1, 1, prime=p)
+    assert result.surjective and result.route == (
+        "exact pieces, mod-p gate refused at degree 2")
+
+
+def test_gfp_routes_fall_back_on_unproven_and_monomial_rings(fermat_quartic):
+    nodal = jacobian.HypersurfaceRing(
+        parse_poly("x0^3 + x1^3 + x0*x1*x2", TERNARY))
+    assert nodal.modular_piece(1, GFP) is None
+    result = jacobian.map_surjectivity(nodal, 1, 1, prime=GFP)
+    assert result.route == "exact pieces, ring not proven smooth"
+    result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3, prime=GFP)
+    assert result.empty and result.route == "monomial pieces"
+    result = jacobian.left_kernel_via_duality(_cubic_surface(), 1, 2)
+    assert result.empty and result.route == "exact pieces"
+
+
+def test_block_rows_refuse_an_inconsistent_symmetry():
+    hring = _cubic_surface()
+    with pytest.raises(ValueError, match="spans several characters"):
+        hring._symmetric_blocks(3, symmetry=((1, 0, 0, 0), 2))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import chowcheck
-from chowcheck import cli, exactla
+from chowcheck import cli, exactla, jacobian
 from chowcheck.report import Report, StepResult
 from chowcheck.runner import CheckConfigError, UnknownCheck, run_scenario
 from chowcheck.scenario import ParseError, parse_scenario
@@ -472,13 +472,26 @@ def test_cli_ring_bad_prime_exits_two(prime):
     assert len(out.stderr.splitlines()) == 1
 
 
-def test_prime_dividing_a_pairing_denominator_is_a_config_error():
-    scn = parse_scenario(
+def _cubic_duality(prime):
+    return parse_scenario(
         "[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2\n"
         "poly = x0^3 + x1^3 + x2^3 + 2*x0*x1*x2\n[checks]\n"
-        "check duality a=1 b=1 prime=2 cite=c\n")
+        f"check duality a=1 b=1 prime={prime} cite=c\n")
+
+
+def test_prime_dividing_a_pairing_denominator_is_a_config_error():
+    # mod 2 the partials are x0^2, x1^2, x2^2: every piece has its rational
+    # dimension, so the pieces mod 2 prove the verdict
+    step = run_scenario(_cubic_duality(2)).steps[0]
+    assert step.passed
+    assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
+        "modular(p=2)", "modular(p=2)")
+    assert step.route == ("pieces mod p=2 at degrees 1, 2, 3; "
+                          "surjectivity 3x9, pairing 3x3")
+    # mod 3 the partials lose their squares: the degree-2 piece is refused,
+    # and the exact pieces carry a denominator divisible by 3
     with pytest.raises(CheckConfigError, match="line 7.*divides a denominator"):
-        run_scenario(scn)
+        run_scenario(_cubic_duality(3))
 
 
 @pytest.mark.parametrize("sections, check, message", [
@@ -524,13 +537,17 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
-# hilbert and picard_bound on shioda, hilbert on quartic-family
-@pytest.mark.parametrize("name, route, count", [
+# hilbert and picard_bound on shioda, hilbert on quartic-family; then the
+# routes of the other steps, in report order
+@pytest.mark.parametrize("name, route, count, others", [
     ("shioda", "closed form, smooth at degree 13 "
-               "(modular p=1000003, 880x560, 1540 nonzeros)", 2),
-    ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1),
+               "(modular p=1000003, 880x560, 1540 nonzeros)", 2,
+     ["pieces mod p=1000003 at degrees 3, 6, 9, 12; "
+      "surjectivity 20x880, pairing 20x20"]),
+    ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
+     ["monomial pieces"]),
 ])
-def test_route_lines_are_human_only(name, route, count, capsys):
+def test_route_lines_are_human_only(name, route, count, others, capsys):
     cli.main(["verify", name, "--machine"])
     machine = capsys.readouterr().out
     assert machine == (GOLDEN / f"{name}.machine").read_text(encoding="utf-8")
@@ -538,7 +555,20 @@ def test_route_lines_are_human_only(name, route, count, capsys):
     cli.main(["verify", name])
     human = capsys.readouterr().out.splitlines()
     routes = [line.strip() for line in human if line.strip().startswith("route:")]
-    assert routes == [f"route: {route}"] * count
+    assert routes.count(f"route: {route}") == count
+    assert [r for r in routes if r != f"route: {route}"] == [
+        f"route: {other}" for other in others]
+
+
+def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "modular_piece",
+                        lambda self, k, p: None)
+    cli.main(["verify", "shioda", "--machine"])
+    machine = capsys.readouterr().out
+    assert machine == (GOLDEN / "shioda.machine").read_text(encoding="utf-8")
+    cli.main(["verify", "shioda"])
+    assert ("route: exact pieces, mod-p gate refused at degree 6"
+            in capsys.readouterr().out)
 
 
 def test_a_closed_certificate_serves_every_later_check(monkeypatch):
