@@ -389,6 +389,107 @@ def test_cli_ring_dim_and_map_machine_reports_are_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == RING_MAP_MACHINE
 
 
+# a seeded dense cubic in x0 x1 x2 plus 3 * 1000033 * x3^3: smooth over Q
+# and proven so at the default prime, but a cone mod 1000033, where the
+# degree-2 piece is refused
+CONE_MOD_P = """\
+[scenario]
+name = cone-mod-p
+[ring]
+variables = x0 x1 x2 x3
+poly = 6*x0^3 - 8*x0^2*x1 - x0*x1^2 - 2*x1^3 + 8*x0^2*x2 - 7*x0*x1*x2 \
+- 4*x1^2*x2 - 4*x0*x2^2 + 5*x1*x2^2 - 7*x2^3 + 3000099*x3^3
+[checks]
+check smooth cite=c
+"""
+
+
+def _map_machine(name, a, b, rank, mode):
+    return f"""\
+check.01.citation = command line query
+check.01.detail.01 = surjective, rank {rank} of {rank} ({mode})
+check.01.kind = ring_map
+check.01.name = multiplication {a} x {b} -> {a + b}
+check.01.status = pass
+check.01.value.mode = {mode}
+check.01.value.rank = {rank}
+check.01.value.surjective = True
+check.01.value.target_dim = {rank}
+scenario.name = {name}: ring map
+summary.failed = 0
+summary.steps = 1
+summary.verdict = pass
+"""
+
+
+def _duality_machine(name, a, b, rank, mode):
+    return f"""\
+check.01.citation = command line query
+check.01.detail.01 = multiplication onto the complementary piece has rank \
+{rank} of {rank} ({mode})
+check.01.detail.02 = socle pairing at degree {a} has rank {rank} ({mode})
+check.01.detail.03 = no class of degree {a} kills all of degree {b}
+check.01.kind = duality
+check.01.name = left kernel via duality
+check.01.status = pass
+check.01.value.empty = True
+check.01.value.pairing_mode = {mode}
+check.01.value.pairing_rank = {rank}
+check.01.value.surjectivity_mode = {mode}
+check.01.value.surjectivity_rank = {rank}
+scenario.name = {name}: ring duality
+summary.failed = 0
+summary.steps = 1
+summary.verdict = pass
+"""
+
+
+# one ring query per route, with the text it printed before exact and GF(p)
+# pieces became one piece type: (query, machine report, route line)
+@pytest.mark.parametrize("source, flags, expected", [
+    ("shioda", ("--a", "3", "--b", "3"), [
+        ("map", _map_machine("shioda", 3, 3, 44, "modular(p=1000003)"),
+         "pieces mod p=1000003 at degrees 3, 6; multiplication 44x400"),
+        ("duality", _duality_machine("shioda", 3, 3, 20, "modular(p=1000003)"),
+         "pieces mod p=1000003 at degrees 3, 6, 9, 12; "
+         "surjectivity 20x880, pairing 20x20"),
+    ]),
+    ("shioda", ("--a", "3", "--b", "3", "--exact"), [
+        ("map", _map_machine("shioda", 3, 3, 44, "exact"), "exact pieces"),
+        ("duality", _duality_machine("shioda", 3, 3, 20, "exact"),
+         "exact pieces"),
+    ]),
+    (CONE_MOD_P, ("--a", "1", "--b", "1", "--prime", "1000033"), [
+        ("map", _map_machine("cone-mod-p", 1, 1, 6, "modular(p=1000033)"),
+         "exact pieces, mod-p gate refused at degree 2"),
+        ("duality", _duality_machine("cone-mod-p", 1, 1, 4,
+                                     "modular(p=1000033)"),
+         "exact pieces, mod-p gate refused at degree 2"),
+    ]),
+    (TINY, ("--a", "1", "--b", "3"), [
+        ("map", _map_machine("tiny", 1, 3, 19, "modular(p=1000003)"),
+         "monomial pieces"),
+        ("duality", _duality_machine("tiny", 1, 3, 4, "modular(p=1000003)"),
+         "monomial pieces"),
+    ]),
+], ids=["shioda-gfp-pieces", "shioda-exact-pieces", "cone-exact-fallback",
+        "tiny-monomial-pieces"])
+def test_ring_query_reports_and_routes_are_pinned(source, flags, expected,
+                                                  tmp_path, capsys):
+    if source != "shioda":
+        path = tmp_path / "ring.scn"
+        path.write_text(source, encoding="utf-8")
+        source = str(path)
+    for query, machine, route in expected:
+        argv = ["ring", query, "--file", source, *flags]
+        assert cli.main([*argv, "--machine"]) == 0
+        assert capsys.readouterr().out == machine
+        assert cli.main(argv) == 0
+        routes = [line.strip() for line in capsys.readouterr().out.splitlines()
+                  if line.strip().startswith("route:")]
+        assert routes == [f"route: {route}"]
+
+
 def test_cli_ring_dim_below_degree_zero_is_zero(capsys):
     assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "-1"]) == 0
     assert "dim = 0 (exact)" in capsys.readouterr().out
