@@ -25,21 +25,21 @@ come from the first of these routes that applies:
   ``_certified_ideal_rank``) and fraction-free elimination otherwise.
 
 A graded piece, which also needs representatives and a reduction map,
-comes in two kinds:
-
-* ``piece(k)`` is exact: monomial for a monomial ideal, otherwise the
-  character blocks of the slice, each eliminated over Q (a ring without
-  a declared symmetry is one block of the trivial character, and a
-  degree below d-1 gives blocks whose columns are all free).  On a ring
-  proven smooth, a piece whose dimension differs from the closed form
-  raises ``ArithmeticError``.
-* ``modular_piece(k, p)`` is over GF(p), from the echelon form mod p of
-  the whole slice, and is accepted only at good reduction: on a ring
-  proven smooth, when its dimension is the closed-form one (see
-  ``ModularPiece`` for why that makes a full rank mod p a proof).
-  ``map_surjectivity`` and ``left_kernel_via_duality`` build their
-  matrices from these pieces when given a prime, and fall back to exact
-  pieces when a piece is refused or a rank mod p is short.
+is one ``GradedPiece``: a degree, a prime (None over Q), the
+representatives, and the normal form of every ambient monomial over
+them.  ``piece(k)`` is exact: the standard monomials of a monomial
+ideal, otherwise the character blocks of the slice, each eliminated over
+Q (a ring without a declared symmetry is one block of the trivial
+character).  On a ring proven smooth, an exact piece whose dimension
+differs from the closed form raises ``ArithmeticError``.
+``piece(k, p)`` is over GF(p), from the echelon form mod p of the whole
+slice, and is accepted only at good reduction: on a ring proven smooth,
+when its dimension is the closed-form one (see ``GradedPiece`` for why
+that makes a full rank mod p a proof).  Every multiplication and pairing
+matrix is built by looking up normal forms (``_products``), whatever the
+field.  ``map_surjectivity`` and ``left_kernel_via_duality`` build their
+matrices from pieces over GF(p) when given a prime, and fall back to
+exact pieces when a piece is refused or a rank mod p is short.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  One memoised layout per degree
@@ -51,8 +51,8 @@ Layouts and arrays are built with numpy, which is imported only then:
 a ring whose slices are never built, as with a monomial ideal, never
 loads it.
 
-A ring memoises per degree its slice layouts, graded pieces (per prime
-for modular ones), eliminated quotient dimensions and, for each
+A ring memoises per degree its slice layouts, graded pieces (per
+prime), eliminated quotient dimensions and, for each
 normalised symmetry, its eliminated character blocks, so graded pieces,
 character spectra and the smoothness test share one elimination of each
 degree; it memoises one smoothness certificate per prime, and any one
@@ -189,7 +189,6 @@ class HypersurfaceRing:
                 raise ValueError("defining form is not a symmetry eigenvector")
             self.symmetry = (exponents, int(modulus))
         self._pieces = {}
-        self._modular_pieces = {}
         self._slices = {}
         self._dims = {}
         self._blocks = {}
@@ -422,29 +421,79 @@ class HypersurfaceRing:
                            tuple(piv)))
         return tuple(blocks)
 
-    def piece(self, k):
-        """Graded piece with representatives and a reduction map, memoised."""
-        if k not in self._pieces:
-            self._pieces[k] = GradedPiece(self, k)
-        return self._pieces[k]
+    def piece(self, k, prime=None):
+        """The degree-k graded piece, memoised per degree and prime.
 
-    def modular_piece(self, k, p):
-        """The degree-k piece over GF(p) if p is good for it, else None.
-
-        Memoised per degree and prime.  The piece is accepted only on a
-        ring proven smooth, and only when its dimension is the exact
-        ``quotient_dim(k)``, there the closed form: then rank_p = rank_Q
-        of the slice (see ``ModularPiece``).
+        With no prime the piece is exact.  With a prime it is over GF(p)
+        if p is good for it, else None: it is accepted only on a ring
+        proven smooth (at ``prime`` itself when no certificate has closed
+        yet), and only when its dimension is the exact ``quotient_dim(k)``,
+        there the closed form: then rank_p = rank_Q of the slice (see
+        ``GradedPiece``).
         """
-        key = (k, p)
-        if key not in self._modular_pieces:
-            piece = None
-            if self.smoothness_proof().certified:
-                piece = ModularPiece(self, k, p)
+        key = (k, prime)
+        if key not in self._pieces:
+            if prime is None:
+                piece = self._exact_piece(k)
+            elif (self.smoothness_proof().certified
+                  or self.smoothness_certificate(prime).certified):
+                piece = self._gfp_piece(k, prime)
                 if piece.dim != self.quotient_dim(k):
                     piece = None
-            self._modular_pieces[key] = piece
-        return self._modular_pieces[key]
+            else:
+                piece = None
+            self._pieces[key] = piece
+        return self._pieces[key]
+
+    def _exact_piece(self, k):
+        """The piece over Q: standard monomials of a monomial ideal, else
+        the free columns of the eliminated character blocks; a pivot
+        column's normal form is minus the free part of its row."""
+        monos = enumerate_monomials(self.nvars, k)
+        if self.is_monomial_ideal:
+            gens = self.monomial_generators()
+            free = [j for j, m in enumerate(monos)
+                    if not any(monomial_divides(g, m) for g in gens)]
+            rows = {}
+        else:
+            blocks = self._symmetric_blocks(
+                k, self.symmetry or ((0,) * self.nvars, 1))
+            free = sorted(js[t] for _, js, local, _, _ in blocks for t in local)
+            rows = {js[pc]: {js[t]: -row[t] for t in local if row[t]}
+                    for _, js, local, rref, piv in blocks
+                    for row, pc in zip(rref, piv)}
+        pos = {j: i for i, j in enumerate(free)}
+        forms = []
+        for j in range(len(monos)):
+            form = [0] * len(free)
+            if j in pos:
+                form[pos[j]] = 1
+            for t, x in rows.get(j, {}).items():
+                form[pos[t]] = x
+            forms.append(tuple(form))
+        if self._closed_form is not None and len(free) != self._closed_form_dim(k):
+            raise ArithmeticError(
+                f"degree {k} piece has dimension {len(free)}, but the ring is "
+                f"proven smooth and the closed form gives "
+                f"{self._closed_form_dim(k)}")
+        return GradedPiece(self, k, None, monos, free, forms)
+
+    def _gfp_piece(self, k, p):
+        """The piece over GF(p), from the echelon form mod p of the whole
+        slice: a block diagonal matrix pivots in the union of its blocks'
+        pivot columns, so the blocks need not be split."""
+        import numpy as np
+
+        monos, _, _, _ = self._slice_index(k)
+        ncols = len(monos)
+        pivots, rref = [], np.zeros((0, ncols), dtype=np.int64)
+        if self._slice_shape(k)[0]:
+            _, rref, pivots = modrank.echelon_mod(self.span_array(k, p), p)
+        free = np.setdiff1d(np.arange(ncols), pivots)
+        forms = np.zeros((ncols, len(free)), dtype=np.int64)
+        forms[free, np.arange(len(free))] = 1
+        forms[pivots] = -rref[:, free] % p
+        return GradedPiece(self, k, p, monos, free.tolist(), forms)
 
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
         """One-sided proof that the quotient vanishes in degree sigma+1.
@@ -520,70 +569,54 @@ class HypersurfaceRing:
 
 
 class GradedPiece:
-    """One graded piece of the quotient: basis data plus reduction.
+    """One graded piece of the quotient, over Q or over GF(p).
 
-    Fields: ``degree``, ``monomials`` (canonical ambient basis),
-    ``representatives`` (monomials whose classes form a quotient basis:
-    the standard monomials of a monomial ideal, otherwise the free
-    columns of the eliminated ideal slice, in ambient order), ``dim``.
+    Fields: ``degree``, ``prime`` (None over Q), ``monomials`` (canonical
+    ambient basis), ``representatives`` (monomials whose classes form a
+    basis of the piece: the standard monomials of a monomial ideal,
+    otherwise the free columns of the eliminated slice, in ambient
+    order), ``dim``, and ``normal_forms``, one row per ambient monomial
+    holding its coordinates over the representatives: tuples of
+    rationals over Q, an int64 array with entries in [0, p) over GF(p).
+
+    Why a piece over GF(p) proves anything over Q: if the slice A_k has
+    rank_p(A_k) = rank_Q(A_k), its row space over Z_(p) (the integers
+    localised at p) is saturated, so the Z_(p) quotient is free and
+    reduces mod p to this piece; by Nakayama's lemma the representatives
+    lift to a basis of it.  Products of such pieces are defined over
+    Z_(p) and reduce to their mod-p matrices, so a full rank mod p is a
+    full rank over Q.  ``HypersurfaceRing.piece`` checks the equality by
+    comparing ``dim`` with the exact closed-form dimension.
     """
 
-    def __init__(self, hring, k):
+    __slots__ = ("hring", "degree", "prime", "monomials", "representatives",
+                 "dim", "normal_forms", "_index")
+
+    def __init__(self, hring, k, prime, monomials, free, normal_forms):
         self.hring = hring
         self.degree = k
-        self.monomials = enumerate_monomials(hring.nvars, k)
-        if hring.is_monomial_ideal:
-            self._blocks = None
-            gens = hring.monomial_generators()
-            self.representatives = [m for m in self.monomials
-                                    if not any(monomial_divides(g, m) for g in gens)]
-        else:
-            self._blocks = hring._symmetric_blocks(
-                k, hring.symmetry or ((0,) * hring.nvars, 1))
-            # ambient monomial -> (block index, column inside the block)
-            self._slot = {}
-            free_cols = []
-            for b, (_, js, free, _, _) in enumerate(self._blocks):
-                for t, j in enumerate(js):
-                    self._slot[self.monomials[j]] = (b, t)
-                free_cols.extend(js[t] for t in free)
-            self.representatives = [self.monomials[j] for j in sorted(free_cols)]
-        self.dim = len(self.representatives)
-        if hring._closed_form is not None and self.dim != hring._closed_form_dim(k):
-            raise ArithmeticError(
-                f"degree {k} piece has dimension {self.dim}, but the ring is "
-                f"proven smooth and the closed form gives "
-                f"{hring._closed_form_dim(k)}")
-        self._rep_pos = {m: i for i, m in enumerate(self.representatives)}
+        self.prime = prime
+        self.monomials = list(monomials)
+        self.representatives = [monomials[j] for j in free]
+        self.dim = len(free)
+        self.normal_forms = normal_forms
+        self._index = {m: j for j, m in enumerate(monomials)}
+
+    def normal_forms_of(self, monomials):
+        """Normal forms of ``monomials``, all of this degree, in order: a
+        list of rows over Q, an int64 array over GF(p)."""
+        cols = [self._index[m] for m in monomials]
+        if self.prime is None:
+            return [self.normal_forms[j] for j in cols]
+        return self.normal_forms[cols]
 
     def reduce_vector(self, terms):
         """Quotient coordinates (over ``representatives``) of an ambient vector.
 
-        ``terms`` maps degree-k exponent tuples to coefficients.
+        ``terms`` maps degree-k exponent tuples to rational coefficients;
+        the piece is over Q.
         """
-        out = [Fraction(0)] * self.dim
-        if self._blocks is None:
-            for e, c in terms.items():
-                pos = self._rep_pos.get(e)
-                if pos is not None:
-                    out[pos] += c
-            return out
-        by_block = {}
-        for e, c in terms.items():
-            b, t = self._slot[e]
-            if b not in by_block:
-                by_block[b] = [Fraction(0)] * len(self._blocks[b][1])
-            by_block[b][t] += c
-        for b, local in by_block.items():
-            _, js, free, rref, piv = self._blocks[b]
-            for row, pc in zip(rref, piv):
-                f = local[pc]
-                if f:
-                    local = [x - f * y for x, y in zip(local, row)]
-            for t in free:
-                if local[t]:
-                    out[self._rep_pos[self.monomials[js[t]]]] += local[t]
-        return out
+        return _combination(terms.values(), self.normal_forms_of(terms), self.dim)
 
     def character_dimensions(self):
         """Mapping character -> eigenspace dimension (symmetric rings only)."""
@@ -596,92 +629,71 @@ class GradedPiece:
         return dims
 
 
-class ModularPiece:
-    """One graded piece over GF(p), from the echelon form of its slice.
+def _combination(coeffs, rows, dim):
+    """The rational vector sum(c * row), of length ``dim``."""
+    out = [Fraction(0)] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return out
 
-    Fields: ``degree``, ``prime``, ``monomials`` (canonical ambient
-    basis), ``representatives`` (the free columns of the slice mod p, in
-    ambient order), ``dim``, and ``normal_forms``, an int64 array with one
-    row per ambient monomial: its coordinates mod p over the
-    representatives.
 
-    Why such a piece proves anything over Q: if the slice A_k has
-    rank_p(A_k) = rank_Q(A_k), its row space over Z_(p) (the integers
-    localised at p) is saturated, so the Z_(p) quotient is free and
-    reduces mod p to this piece; by Nakayama's lemma the representatives
-    lift to a basis of it.  Products of such pieces are defined over
-    Z_(p) and reduce to their mod-p matrices, so a full rank mod p is a
-    full rank over Q.  ``HypersurfaceRing.modular_piece`` checks the
-    equality by comparing ``dim`` with the exact closed-form dimension.
+def _products(pa, pb, pc):
+    """Normal forms in ``pc`` of the products u * v of the representatives
+    u of ``pa`` and v of ``pb``, one row per pair, left factor major.
 
-    The whole slice is eliminated, not its character blocks: a block
-    diagonal matrix pivots in the union of its blocks' pivot columns.
+    Every multiplication and pairing matrix is built here, over the
+    field of ``pc``.
     """
-
-    __slots__ = ("degree", "prime", "monomials", "representatives", "dim",
-                 "normal_forms")
-
-    def __init__(self, hring, k, p):
-        import numpy as np
-
-        self.degree = k
-        self.prime = p
-        monos, _, _, _ = hring._slice_index(k)
-        self.monomials = list(monos)
-        ncols = len(monos)
-        pivots, rref = [], np.zeros((0, ncols), dtype=np.int64)
-        if hring._slice_shape(k)[0]:
-            _, rref, pivots = modrank.echelon_mod(hring.span_array(k, p), p)
-        free = np.setdiff1d(np.arange(ncols), pivots)
-        self.representatives = [self.monomials[j] for j in free.tolist()]
-        self.dim = len(free)
-        # a pivot monomial is minus the rest of its row, a free one itself
-        forms = np.zeros((ncols, self.dim), dtype=np.int64)
-        forms[free, np.arange(self.dim)] = 1
-        forms[pivots] = -rref[:, free] % p
-        self.normal_forms = forms
-
-
-def _exact_route(hring, reason=None):
-    route = "monomial pieces" if hring.is_monomial_ideal else "exact pieces"
-    return route if reason is None else f"{route}, {reason}"
+    return pc.normal_forms_of([monomial_mul(u, v) for u in pa.representatives
+                               for v in pb.representatives])
 
 
 class _ExactRoute(Exception):
-    """The GF(p) route cannot answer; the message names the exact route
-    that will, with the reason."""
-
-    def __init__(self, hring, reason):
-        super().__init__(_exact_route(hring, reason))
+    """The GF(p) route cannot answer; the message says why."""
 
 
-def _modular_products(hring, a, b, p):
-    """Products R_a x R_b -> R_(a+b) over GF(p), from modular pieces.
-
-    An int64 array with one row per pair (u, v) of representatives, left
-    factor major, holding the normal form of u * v.  Raises
-    ``_ExactRoute`` when a piece is refused.
-    """
-    import numpy as np
-
+def _gfp_pieces(hring, degrees, p):
+    """The pieces over GF(p) at ``degrees``; ``_ExactRoute`` at the
+    first one refused."""
     pieces = []
-    for k in (a, b, a + b):
-        piece = hring.modular_piece(k, p)
+    for k in degrees:
+        piece = hring.piece(k, p)
         if piece is None:
             if not hring.smoothness_proof().certified:
-                raise _ExactRoute(hring, "ring not proven smooth")
-            raise _ExactRoute(hring, f"mod-p gate refused at degree {k}")
+                raise _ExactRoute("ring not proven smooth")
+            raise _ExactRoute(f"mod-p gate refused at degree {k}")
         pieces.append(piece)
-    pa, pb, pc = pieces
-    left = np.array(pa.representatives, dtype=np.int64).reshape(-1, 1, hring.nvars)
-    right = np.array(pb.representatives, dtype=np.int64).reshape(1, -1, hring.nvars)
-    cols = _monomial_columns(pc.monomials, left + right, a + b)
-    return pc.normal_forms[cols.reshape(-1)]
+    return pieces
 
 
-def _full_rank_mod_p(hring, matrix, full, p, shape):
-    if not exactla.modular_rank(matrix, p, upper_bound=full).certified:
-        raise _ExactRoute(hring, f"rank mod p={p} short for {shape}")
+def _rank(matrix, full, prime, gfp=False):
+    """(rank, mode) of a matrix whose rank is at most ``full``.
+
+    A rank mod ``prime`` that reaches ``full`` proves that rank over Q
+    (for a matrix built over GF(p), ``gfp``, see ``GradedPiece``); a
+    prime that divides a denominator of a rational matrix proves
+    nothing.  Short of a proof, a rational matrix is ranked exactly, and
+    a GF(p) one cannot answer: ``_ExactRoute``, which names its shape as
+    target x source (the transpose of its rows x columns).
+    """
+    if prime is not None:
+        modrank.require_prime(prime)
+        try:
+            if exactla.modular_rank(matrix, prime, upper_bound=full).certified:
+                return full, f"modular(p={prime})"
+        except modrank.BadPrime:
+            pass
+    if gfp:
+        rows, cols = matrix.shape
+        raise _ExactRoute(f"rank mod p={prime} short for {cols}x{rows}")
+    return exactla.rank(matrix), "exact"
+
+
+def _exact_route(hring):
+    return "monomial pieces" if hring.is_monomial_ideal else "exact pieces"
 
 
 def _modular_route(p, degrees, **shapes):
@@ -755,27 +767,18 @@ class MultiplicationMap:
         self.c = a + b
         pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(self.c)
         self.quotient_by = quotient_by
-        if quotient_by is None:
-            left = [{u: Fraction(1)} for u in pa.representatives]
-        else:
-            left = []
-            for vec in quotient_by:
-                if len(vec) != pa.dim:
-                    raise ValueError("subspace vector length must match dim R_a")
-                left.append({u: Fraction(x)
-                             for u, x in zip(pa.representatives, vec) if x})
-        self.left_dim = len(left)
         self.right_dim = pb.dim
-        cols = []
-        for uvec in left:
-            for v in pb.representatives:
-                prod = {}
-                for u, cu in uvec.items():
-                    e = monomial_mul(u, v)
-                    prod[e] = prod.get(e, Fraction(0)) + cu
-                cols.append(pc.reduce_vector(prod))
-        self.matrix = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(pc.dim)]
+        cols = _products(pa, pb, pc)
+        if quotient_by is None:
+            self.left_dim = pa.dim
+        else:
+            if any(len(vec) != pa.dim for vec in quotient_by):
+                raise ValueError("subspace vector length must match dim R_a")
+            self.left_dim = len(quotient_by)
+            # the column of (vec, v) combines the products u * v
+            cols = [_combination(vec, cols[j::pb.dim], pc.dim)
+                    for vec in quotient_by for j in range(pb.dim)]
+        self.matrix = [[col[i] for col in cols] for i in range(pc.dim)]
 
     @property
     def target_dim(self):
@@ -815,62 +818,35 @@ def is_surjective(mmap, prime=None):
     prime is given and the certificate falls short, exact elimination
     settles the answer.
     """
-    target = mmap.target_dim
+    return _surjectivity(mmap.matrix, mmap.target_dim, prime)
+
+
+def _surjectivity(matrix, target, prime, gfp=False):
     if target == 0:
         return SurjectivityResult(True, 0, 0, "trivial")
-    if prime is not None:
-        cert = exactla.modular_rank(mmap.matrix, prime, upper_bound=target)
-        if cert.certified:
-            return SurjectivityResult(True, cert.rank, target,
-                                      f"modular(p={prime})")
-    r = exactla.rank(mmap.matrix)
-    return SurjectivityResult(r == target, r, target, "exact")
-
-
-def _surjectivity_mod_p(hring, a, b, p):
-    """``is_surjective`` of R_a (x) R_b -> R_(a+b) over GF(p), answered
-    only when the rank is full: (result, matrix shape)."""
-    matrix = _modular_products(hring, a, b, p)
-    target = matrix.shape[1]
-    shape = f"{target}x{matrix.shape[0]}"
-    if target == 0:
-        return SurjectivityResult(True, 0, 0, "trivial"), shape
-    _full_rank_mod_p(hring, matrix, target, p, shape)
-    return SurjectivityResult(True, target, target, f"modular(p={p})"), shape
-
-
-def _pairing_mod_p(hring, k, p):
-    """``macaulay_pairing_check`` at degree k over GF(p), answered only
-    when the pairing is nondegenerate: (result, matrix shape).  Accepted
-    pieces have the closed-form dimensions, which are palindromic and
-    positive up to the socle degree, where the dimension is 1: so the
-    matrix is square, not empty, and each product is one entry of it."""
-    sigma = hring.socle_degree
-    products = _modular_products(hring, k, sigma - k, p)
-    dim = hring.modular_piece(k, p).dim
-    shape = f"{dim}x{dim}"
-    _full_rank_mod_p(hring, products.reshape(dim, dim), dim, p, shape)
-    return PairingResult(True, k, dim, dim, dim, f"modular(p={p})"), shape
+    rank, mode = _rank(matrix, target, prime, gfp)
+    return SurjectivityResult(rank == target, rank, target, mode)
 
 
 def map_surjectivity(hring, a, b, prime=None):
     """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
 
     With a prime, on a ring whose ideal is not monomial, the map is built
-    from modular pieces and a full rank mod p proves it surjective.  With
-    no prime, a refused piece or a short rank, it is built from exact
-    pieces and decided by ``is_surjective``, so a failing verdict is
+    from pieces over GF(p) and a full rank mod p proves it surjective.
+    With no prime, a refused piece or a short rank, it is built from
+    exact pieces and decided by ``is_surjective``, so a failing verdict is
     exact.  ``route`` on the result names the route for the human report.
     """
     route = _exact_route(hring)
     if prime is not None and not hring.is_monomial_ideal:
         try:
-            result, shape = _surjectivity_mod_p(hring, a, b, prime)
-            result.route = _modular_route(prime, (a, b, a + b),
-                                          multiplication=shape)
+            pa, pb, pc = _gfp_pieces(hring, (a, b, a + b), prime)
+            result = _surjectivity(_products(pa, pb, pc), pc.dim, prime, gfp=True)
+            result.route = _modular_route(
+                prime, (a, b, a + b), multiplication=f"{pc.dim}x{pa.dim * pb.dim}")
             return result
         except _ExactRoute as exc:
-            route = str(exc)
+            route = f"exact pieces, {exc}"
     result = is_surjective(multiplication_map(hring, a, b), prime=prime)
     result.route = route
     return result
@@ -907,25 +883,25 @@ def macaulay_pairing_check(hring, k, prime=None):
     if top.dim != 1:
         raise SocleNotOneDimensional(
             f"dim R_{sigma} = {top.dim}, expected 1")
-    pa, pb = hring.piece(k), hring.piece(sigma - k)
-    matrix = []
-    for u in pa.representatives:
-        row = []
-        for v in pb.representatives:
-            coords = top.reduce_vector({monomial_mul(u, v): Fraction(1)})
-            row.append(coords[0])
-        matrix.append(row)
+    return _pairing(hring.piece(k), hring.piece(sigma - k), top, prime)
+
+
+def _pairing(pa, pb, top, prime):
+    """The socle pairing of ``pa`` and ``pb`` into the one-dimensional
+    ``top``; over GF(p) it answers only when nondegenerate."""
     if pa.dim != pb.dim:
-        return PairingResult(False, k, pa.dim, pb.dim, None, "dimension mismatch")
+        return PairingResult(False, pa.degree, pa.dim, pb.dim, None,
+                             "dimension mismatch")
     if pa.dim == 0:
-        return PairingResult(True, k, 0, 0, 0, "trivial")
-    if prime is not None:
-        cert = exactla.modular_rank(matrix, prime, upper_bound=pa.dim)
-        if cert.certified:
-            return PairingResult(True, k, pa.dim, pb.dim, cert.rank,
-                                 f"modular(p={prime})")
-    r = exactla.rank(matrix)
-    return PairingResult(r == pa.dim, k, pa.dim, pb.dim, r, "exact")
+        return PairingResult(True, pa.degree, 0, 0, 0, "trivial")
+    products = _products(pa, pb, top)
+    if top.prime is None:
+        matrix = [[row[0] for row in products[i:i + pb.dim]]
+                  for i in range(0, len(products), pb.dim)]
+    else:
+        matrix = products.reshape(pa.dim, pb.dim)
+    rank, mode = _rank(matrix, pa.dim, prime, gfp=top.prime is not None)
+    return PairingResult(rank == pa.dim, pa.degree, pa.dim, pb.dim, rank, mode)
 
 
 class DualityKernelResult:
@@ -960,10 +936,10 @@ def left_kernel_via_duality(hring, a, b, prime=None):
     """Both halves of the duality argument at degrees (a, b).
 
     With a prime, on a ring whose ideal is not monomial, both matrices
-    are built from modular pieces and ranked mod p.  Only when both ranks
-    are full does that answer; otherwise both halves are built from exact
-    pieces, as ``map_surjectivity`` does.  ``route`` on the result names
-    the route for the human report.
+    are built from pieces over GF(p) and ranked mod p.  Only when both
+    ranks are full does that answer; otherwise both halves are built
+    from exact pieces, as ``map_surjectivity`` does.  ``route`` on the
+    result names the route for the human report.
     """
     sigma = hring.socle_degree
     if a + b > sigma:
@@ -971,13 +947,18 @@ def left_kernel_via_duality(hring, a, b, prime=None):
     route = _exact_route(hring)
     if prime is not None and not hring.is_monomial_ideal:
         try:
-            surj, surj_shape = _surjectivity_mod_p(hring, sigma - a - b, b, prime)
-            pairing, pairing_shape = _pairing_mod_p(hring, a, prime)
-            route = _modular_route(prime, (sigma - a - b, b, sigma - a, a, sigma),
-                                   surjectivity=surj_shape, pairing=pairing_shape)
+            degrees = (sigma - a - b, b, sigma - a)
+            pc, pb, pt = _gfp_pieces(hring, degrees, prime)
+            surj = _surjectivity(_products(pc, pb, pt), pt.dim, prime, gfp=True)
+            pa, _, top = _gfp_pieces(hring, (a, sigma - a, sigma), prime)
+            pairing = _pairing(pa, pt, top, prime)
+            route = _modular_route(
+                prime, degrees + (a, sigma),
+                surjectivity=f"{pt.dim}x{pc.dim * pb.dim}",
+                pairing=f"{pa.dim}x{pt.dim}")
             return DualityKernelResult(a, b, surj, pairing, route)
         except _ExactRoute as exc:
-            route = str(exc)
+            route = f"exact pieces, {exc}"
     mmap = multiplication_map(hring, sigma - a - b, b)
     surj = is_surjective(mmap, prime=prime)
     pairing = macaulay_pairing_check(hring, a, prime=prime)
@@ -1056,13 +1037,10 @@ def functional_kernel_map(hring, g, b=None):
     if top.dim != 1:
         raise SocleNotOneDimensional(f"dim R_{sigma} = {top.dim}, expected 1")
     pa = hring.piece(a)
-    functional = []
-    for u in pa.representatives:
-        prod = {}
-        for e, c in g.terms.items():
-            m = monomial_mul(u, e)
-            prod[m] = prod.get(m, Fraction(0)) + c
-        functional.append(top.reduce_vector(prod)[0])
+    # h * g has a socle coordinate only when it lies in the socle degree
+    functional = [top.reduce_vector({monomial_mul(u, e): c
+                                     for e, c in g.terms.items()})[0]
+                  if 2 * a == sigma else 0 for u in pa.representatives]
     g_nonzero = any(functional)
     kernel = exactla.kernel_basis([functional]) if g_nonzero else [
         [Fraction(1) if i == j else Fraction(0) for j in range(pa.dim)]

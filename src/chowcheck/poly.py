@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
 
 class NotDivisible(ArithmeticError):
@@ -45,7 +46,7 @@ def grevlex_key(exps):
 
 
 def monomial_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def monomial_divides(e1, e2):

@@ -406,6 +406,8 @@ def _check_green_gotzmann(ctx, spec):
         g = parse_poly(g_text, ctx.ring())
     except PolyParseError as exc:
         raise _bad(spec, f"bad g: {exc}") from None
+    if g.is_zero() or not g.is_homogeneous():
+        raise _bad(spec, "bad g: not a nonzero homogeneous form")
     result = jacobian.functional_kernel_map(ctx.hypersurface(), g, b)
     values = {
         "rank": result.rank,

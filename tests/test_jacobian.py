@@ -189,6 +189,18 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic):
         assert result.g_class_nonzero
 
 
+def test_a_form_off_half_the_socle_degree_pairs_to_zero(fermat_quartic):
+    # h * g lies outside the socle degree, so every socle coordinate is 0
+    # and W is all of R_a, on monomial and exact block pieces alike
+    for hring, g, b in ((fermat_quartic, "x0^2*x1", 3),
+                        (_cubic_surface(), "x0", 1)):
+        result = jacobian.functional_kernel_map(hring, parse_poly(g, P3), b)
+        a = parse_poly(g, P3).total_degree()
+        assert not result.g_class_nonzero
+        assert result.subspace_dim == hring.quotient_dim(a)
+        assert result.target_dim == hring.quotient_dim(a + b) == result.rank
+
+
 def test_graded_piece_reduction(fermat_quartic):
     piece = fermat_quartic.piece(4)
     assert piece.dim == 19
@@ -605,7 +617,7 @@ def test_gfp_pieces_match_the_exact_route(form, pairs, request):
     rng = random.Random(sigma)
     for k in sorted({k for a, b in pairs for k in (a, b, sigma - a - b, sigma - a)}
                     | {sigma}):
-        modular, exact = hring.modular_piece(k, GFP), hring.piece(k)
+        modular, exact = hring.piece(k, GFP), hring.piece(k)
         assert modular.representatives == exact.representatives
         col = {m: j for j, m in enumerate(modular.monomials)}
         for m in rng.sample(modular.monomials, min(5, len(modular.monomials))):
@@ -631,9 +643,9 @@ def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
     sigma = hring.socle_degree
     # proven smooth at the default prime, which does not divide a coefficient
     assert hring.smoothness_proof().certified
-    assert hring.modular_piece(2, GFP).dim == hring.quotient_dim(2) == 6
-    assert hring.modular_piece(1, p) is not None
-    assert hring.modular_piece(2, p) is None
+    assert hring.piece(2, GFP).dim == hring.quotient_dim(2) == 6
+    assert hring.piece(1, p) is not None
+    assert hring.piece(2, p) is None
     refused = 0
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
@@ -659,10 +671,31 @@ def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
         "exact pieces, mod-p gate refused at degree 2")
 
 
+def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
+    # a cone mod the default prime, so its certificate there falls short;
+    # the check's own prime closes one, and the pieces mod it are accepted
+    p = 1000033
+    hring = _cone_mod_p_surface(5, GFP)
+    sigma = hring.socle_degree
+    assert not hring.smoothness_proof().certified
+    result = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
+    assert result.route.startswith(f"pieces mod p={p} at degrees ")
+    assert hring.smoothness_proof().prime == p
+    for a in range(sigma + 1):
+        for b in range(sigma + 1 - a):
+            result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
+            assert result.route.startswith(f"pieces mod p={p} at degrees ")
+            exact = jacobian.left_kernel_via_duality(_cone_mod_p_surface(5, GFP),
+                                                     a, b)
+            assert result.empty == exact.empty
+            assert result.surjectivity.rank == exact.surjectivity.rank
+            assert result.pairing.rank == exact.pairing.rank
+
+
 def test_gfp_routes_fall_back_on_unproven_and_monomial_rings(fermat_quartic):
     nodal = jacobian.HypersurfaceRing(
         parse_poly("x0^3 + x1^3 + x0*x1*x2", TERNARY))
-    assert nodal.modular_piece(1, GFP) is None
+    assert nodal.piece(1, GFP) is None
     result = jacobian.map_surjectivity(nodal, 1, 1, prime=GFP)
     assert result.route == "exact pieces, ring not proven smooth"
     result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3, prime=GFP)

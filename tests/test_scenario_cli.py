@@ -580,7 +580,7 @@ def _cubic_duality(prime):
         f"check duality a=1 b=1 prime={prime} cite=c\n")
 
 
-def test_prime_dividing_a_pairing_denominator_is_a_config_error():
+def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
     # mod 2 the partials are x0^2, x1^2, x2^2: every piece has its rational
     # dimension, so the pieces mod 2 prove the verdict
     step = run_scenario(_cubic_duality(2)).steps[0]
@@ -589,10 +589,14 @@ def test_prime_dividing_a_pairing_denominator_is_a_config_error():
         "modular(p=2)", "modular(p=2)")
     assert step.route == ("pieces mod p=2 at degrees 1, 2, 3; "
                           "surjectivity 3x9, pairing 3x3")
-    # mod 3 the partials lose their squares: the degree-2 piece is refused,
-    # and the exact pieces carry a denominator divisible by 3
-    with pytest.raises(CheckConfigError, match="line 7.*divides a denominator"):
-        run_scenario(_cubic_duality(3))
+    # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the socle piece is
+    # refused, and the exact pieces carry a denominator divisible by 3, so
+    # no rank mod 3 certifies anything and the exact ranks decide
+    step = run_scenario(_cubic_duality(3)).steps[0]
+    assert step.passed
+    assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
+        "exact", "exact")
+    assert step.route == "exact pieces, mod-p gate refused at degree 3"
 
 
 @pytest.mark.parametrize("sections, check, message", [
@@ -620,10 +624,13 @@ def test_prime_dividing_a_pairing_denominator_is_a_config_error():
     ("[curve Z]\nplane = x0 x1\npoly = x0^2 + x1^2\n",
      'check intersection curve=Z line=x1 expect="P:1" cite=c',
      "curve 'Z': a plane needs exactly three coordinates, got x0 x1"),
+    (FERMAT_RING, 'check green_gotzmann g="x0^2*x1^2 + x0" b=3 expect_rank=4 '
+                  'cite=c',
+     "check 'green_gotzmann' (line 7): bad g: not a nonzero homogeneous form"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "curve-not-homogeneous",
         "curve-plane-not-in-variables", "automorphism-exponent-count",
-        "curve-plane-of-two-coordinates"])
+        "curve-plane-of-two-coordinates", "green-gotzmann-g-not-homogeneous"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -662,8 +669,10 @@ def test_route_lines_are_human_only(name, route, count, others, capsys):
 
 
 def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "modular_piece",
-                        lambda self, k, p: None)
+    piece = jacobian.HypersurfaceRing.piece
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "piece",
+                        lambda self, k, prime=None:
+                        None if prime else piece(self, k))
     cli.main(["verify", "shioda", "--machine"])
     machine = capsys.readouterr().out
     assert machine == (GOLDEN / "shioda.machine").read_text(encoding="utf-8")
