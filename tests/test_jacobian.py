@@ -194,8 +194,9 @@ def test_a_form_off_half_the_socle_degree_pairs_to_zero(fermat_quartic):
     # and W is all of R_a, on monomial and exact block pieces alike
     for hring, g, b in ((fermat_quartic, "x0^2*x1", 3),
                         (_cubic_surface(), "x0", 1)):
-        result = jacobian.functional_kernel_map(hring, parse_poly(g, P3), b)
-        a = parse_poly(g, P3).total_degree()
+        g = parse_poly(g, P3)
+        result = jacobian.functional_kernel_map(hring, g, b)
+        a = g.total_degree()
         assert not result.g_class_nonzero
         assert result.subspace_dim == hring.quotient_dim(a)
         assert result.target_dim == hring.quotient_dim(a + b) == result.rank
