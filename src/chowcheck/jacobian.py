@@ -25,21 +25,23 @@ come from the first of these routes that applies:
   ``_certified_ideal_rank``) and fraction-free elimination otherwise.
 
 A graded piece, which also needs representatives and a reduction map,
-is one ``GradedPiece``: a degree, a prime (None over Q), the
-representatives, and the normal form of every ambient monomial over
-them.  ``piece(k)`` is exact: the standard monomials of a monomial
-ideal, otherwise the character blocks of the slice, each eliminated over
-Q (a ring without a declared symmetry is one block of the trivial
-character).  On a ring proven smooth, an exact piece whose dimension
-differs from the closed form raises ``ArithmeticError``.
-``piece(k, p)`` is over GF(p), from the echelon form mod p of the whole
-slice, and is accepted only at good reduction: on a ring proven smooth,
-when its dimension is the closed-form one (see ``GradedPiece`` for why
-that makes a full rank mod p a proof).  Every multiplication and pairing
-matrix is built by looking up normal forms (``_products``), whatever the
-field.  ``map_surjectivity`` and ``left_kernel_via_duality`` build their
-matrices from pieces over GF(p) when given a prime, and fall back to
-exact pieces when a piece is refused or a rank mod p is short.
+is one exact ``GradedPiece``: a degree, the representatives, and the
+normal form of every ambient monomial over them.  ``piece(k)`` takes the
+standard monomials of a monomial ideal, otherwise the character blocks
+of the slice, each eliminated over Q (a ring without a declared symmetry
+is one block of the trivial character).  On a ring proven smooth, a
+piece whose dimension differs from the closed form raises
+``ArithmeticError``.  Every multiplication and pairing matrix is built
+by looking up normal forms (``_products``).
+
+``map_surjectivity`` and ``left_kernel_via_duality`` let two theorems
+decide on a ring proven smooth in the step's own mode (``_smooth_for``).
+R is generated in degree 1, so every R_a (x) R_b -> R_(a+b) is onto; a
+smooth R is a complete intersection, hence Gorenstein, so the socle
+pairing R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay; Carlson &
+Griffiths 1980).  Both ranks are then quotient dimensions.  Any other
+ring builds both matrices from exact pieces, so a failing verdict is
+exact.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  One memoised layout per degree
@@ -51,12 +53,12 @@ Layouts and arrays are built with numpy, which is imported only then:
 a ring whose slices are never built, as with a monomial ideal, never
 loads it.
 
-A ring memoises per degree its slice layouts, graded pieces (per
-prime), eliminated quotient dimensions and, for each
-normalised symmetry, its eliminated character blocks, so graded pieces,
-character spectra and the smoothness test share one elimination of each
-degree; it memoises one smoothness certificate per prime, and any one
-that closes serves every later question.
+A ring memoises per degree its slice layouts, graded pieces, eliminated
+quotient dimensions and, for each normalised symmetry, its eliminated
+character blocks, so graded pieces, character spectra and the
+smoothness test share one elimination of each degree; it memoises one
+smoothness certificate per prime, and any one that closes serves every
+later question.
 """
 
 from __future__ import annotations
@@ -421,34 +423,13 @@ class HypersurfaceRing:
                            tuple(piv)))
         return tuple(blocks)
 
-    def piece(self, k, prime=None):
-        """The degree-k graded piece, memoised per degree and prime.
-
-        With no prime the piece is exact.  With a prime it is over GF(p)
-        if p is good for it, else None: it is accepted only on a ring
-        proven smooth (at ``prime`` itself when no certificate has closed
-        yet), and only when its dimension is the exact ``quotient_dim(k)``,
-        there the closed form: then rank_p = rank_Q of the slice (see
-        ``GradedPiece``).
-        """
-        key = (k, prime)
-        if key not in self._pieces:
-            if prime is None:
-                piece = self._exact_piece(k)
-            elif (self.smoothness_proof().certified
-                  or self.smoothness_certificate(prime).certified):
-                piece = self._gfp_piece(k, prime)
-                if piece.dim != self.quotient_dim(k):
-                    piece = None
-            else:
-                piece = None
-            self._pieces[key] = piece
-        return self._pieces[key]
-
-    def _exact_piece(self, k):
-        """The piece over Q: standard monomials of a monomial ideal, else
-        the free columns of the eliminated character blocks; a pivot
-        column's normal form is minus the free part of its row."""
+    def piece(self, k):
+        """The degree-k graded piece over Q, memoised per degree: the
+        standard monomials of a monomial ideal, else the free columns of
+        the eliminated character blocks; a pivot column's normal form is
+        minus the free part of its row."""
+        if k in self._pieces:
+            return self._pieces[k]
         monos = enumerate_monomials(self.nvars, k)
         if self.is_monomial_ideal:
             gens = self.monomial_generators()
@@ -476,24 +457,8 @@ class HypersurfaceRing:
                 f"degree {k} piece has dimension {len(free)}, but the ring is "
                 f"proven smooth and the closed form gives "
                 f"{self._closed_form_dim(k)}")
-        return GradedPiece(self, k, None, monos, free, forms)
-
-    def _gfp_piece(self, k, p):
-        """The piece over GF(p), from the echelon form mod p of the whole
-        slice: a block diagonal matrix pivots in the union of its blocks'
-        pivot columns, so the blocks need not be split."""
-        import numpy as np
-
-        monos, _, _, _ = self._slice_index(k)
-        ncols = len(monos)
-        pivots, rref = [], np.zeros((0, ncols), dtype=np.int64)
-        if self._slice_shape(k)[0]:
-            _, rref, pivots = modrank.echelon_mod(self.span_array(k, p), p)
-        free = np.setdiff1d(np.arange(ncols), pivots)
-        forms = np.zeros((ncols, len(free)), dtype=np.int64)
-        forms[free, np.arange(len(free))] = 1
-        forms[pivots] = -rref[:, free] % p
-        return GradedPiece(self, k, p, monos, free.tolist(), forms)
+        self._pieces[k] = GradedPiece(self, k, monos, free, forms)
+        return self._pieces[k]
 
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
         """One-sided proof that the quotient vanishes in degree sigma+1.
@@ -530,11 +495,8 @@ class HypersurfaceRing:
                 return cert
         return self.smoothness_certificate()
 
-    def dimension_route(self):
-        """How ``quotient_dim`` answers, as one line for the human report."""
-        cert = self.smoothness_proof()
-        if not cert.certified:
-            return "elimination"
+    def _proof_route(self, cert):
+        """A closed smoothness certificate, as a fragment of a route line."""
         k = self.socle_degree + 1
         if cert.prime is None:
             how = "monomial count"
@@ -542,7 +504,14 @@ class HypersurfaceRing:
             rows, cols = self._slice_shape(k)
             how = (f"modular p={cert.prime}, {rows}x{cols}, "
                    f"{self._slice_nonzeros(k, cert.prime)} nonzeros")
-        return f"closed form, smooth at degree {k} ({how})"
+        return f"smooth at degree {k} ({how})"
+
+    def dimension_route(self):
+        """How ``quotient_dim`` answers, as one line for the human report."""
+        cert = self.smoothness_proof()
+        if not cert.certified:
+            return "elimination"
+        return f"closed form, {self._proof_route(cert)}"
 
     def quotient_dim(self, k):
         """Exact dimension of the degree-k quotient piece.
@@ -569,33 +538,22 @@ class HypersurfaceRing:
 
 
 class GradedPiece:
-    """One graded piece of the quotient, over Q or over GF(p).
+    """One graded piece of the quotient, over Q.
 
-    Fields: ``degree``, ``prime`` (None over Q), ``monomials`` (canonical
-    ambient basis), ``representatives`` (monomials whose classes form a
-    basis of the piece: the standard monomials of a monomial ideal,
-    otherwise the free columns of the eliminated slice, in ambient
-    order), ``dim``, and ``normal_forms``, one row per ambient monomial
-    holding its coordinates over the representatives: tuples of
-    rationals over Q, an int64 array with entries in [0, p) over GF(p).
-
-    Why a piece over GF(p) proves anything over Q: if the slice A_k has
-    rank_p(A_k) = rank_Q(A_k), its row space over Z_(p) (the integers
-    localised at p) is saturated, so the Z_(p) quotient is free and
-    reduces mod p to this piece; by Nakayama's lemma the representatives
-    lift to a basis of it.  Products of such pieces are defined over
-    Z_(p) and reduce to their mod-p matrices, so a full rank mod p is a
-    full rank over Q.  ``HypersurfaceRing.piece`` checks the equality by
-    comparing ``dim`` with the exact closed-form dimension.
+    Fields: ``degree``, ``monomials`` (canonical ambient basis),
+    ``representatives`` (monomials whose classes form a basis of the
+    piece: the standard monomials of a monomial ideal, otherwise the free
+    columns of the eliminated slice, in ambient order), ``dim``, and
+    ``normal_forms``, one tuple of rationals per ambient monomial holding
+    its coordinates over the representatives.
     """
 
-    __slots__ = ("hring", "degree", "prime", "monomials", "representatives",
-                 "dim", "normal_forms", "_index")
+    __slots__ = ("hring", "degree", "monomials", "representatives", "dim",
+                 "normal_forms", "_index")
 
-    def __init__(self, hring, k, prime, monomials, free, normal_forms):
+    def __init__(self, hring, k, monomials, free, normal_forms):
         self.hring = hring
         self.degree = k
-        self.prime = prime
         self.monomials = list(monomials)
         self.representatives = [monomials[j] for j in free]
         self.dim = len(free)
@@ -603,18 +561,13 @@ class GradedPiece:
         self._index = {m: j for j, m in enumerate(monomials)}
 
     def normal_forms_of(self, monomials):
-        """Normal forms of ``monomials``, all of this degree, in order: a
-        list of rows over Q, an int64 array over GF(p)."""
-        cols = [self._index[m] for m in monomials]
-        if self.prime is None:
-            return [self.normal_forms[j] for j in cols]
-        return self.normal_forms[cols]
+        """Normal forms of ``monomials``, all of this degree, in order."""
+        return [self.normal_forms[self._index[m]] for m in monomials]
 
     def reduce_vector(self, terms):
         """Quotient coordinates (over ``representatives``) of an ambient vector.
 
-        ``terms`` maps degree-k exponent tuples to rational coefficients;
-        the piece is over Q.
+        ``terms`` maps degree-k exponent tuples to rational coefficients.
         """
         return _combination(terms.values(), self.normal_forms_of(terms), self.dim)
 
@@ -644,62 +597,69 @@ def _products(pa, pb, pc):
     """Normal forms in ``pc`` of the products u * v of the representatives
     u of ``pa`` and v of ``pb``, one row per pair, left factor major.
 
-    Every multiplication and pairing matrix is built here, over the
-    field of ``pc``.
+    Every multiplication and pairing matrix is built here.
     """
     return pc.normal_forms_of([monomial_mul(u, v) for u in pa.representatives
                                for v in pb.representatives])
 
 
-class _ExactRoute(Exception):
-    """The GF(p) route cannot answer; the message says why."""
+def _mode(prime):
+    return "exact" if prime is None else f"modular(p={prime})"
 
 
-def _gfp_pieces(hring, degrees, p):
-    """The pieces over GF(p) at ``degrees``; ``_ExactRoute`` at the
-    first one refused."""
-    pieces = []
-    for k in degrees:
-        piece = hring.piece(k, p)
-        if piece is None:
-            if not hring.smoothness_proof().certified:
-                raise _ExactRoute("ring not proven smooth")
-            raise _ExactRoute(f"mod-p gate refused at degree {k}")
-        pieces.append(piece)
-    return pieces
+def _rank(matrix, full, prime):
+    """(rank, mode) of a rational matrix whose rank is at most ``full``.
 
-
-def _rank(matrix, full, prime, gfp=False):
-    """(rank, mode) of a matrix whose rank is at most ``full``.
-
-    A rank mod ``prime`` that reaches ``full`` proves that rank over Q
-    (for a matrix built over GF(p), ``gfp``, see ``GradedPiece``); a
-    prime that divides a denominator of a rational matrix proves
-    nothing.  Short of a proof, a rational matrix is ranked exactly, and
-    a GF(p) one cannot answer: ``_ExactRoute``, which names its shape as
-    target x source (the transpose of its rows x columns).
+    A rank mod ``prime`` that reaches ``full`` proves that rank over Q; a
+    prime that divides a denominator proves nothing.  Short of a proof
+    the matrix is ranked exactly.
     """
     if prime is not None:
         modrank.require_prime(prime)
         try:
             if exactla.modular_rank(matrix, prime, upper_bound=full).certified:
-                return full, f"modular(p={prime})"
+                return full, _mode(prime)
         except modrank.BadPrime:
             pass
-    if gfp:
-        rows, cols = matrix.shape
-        raise _ExactRoute(f"rank mod p={prime} short for {cols}x{rows}")
     return exactla.rank(matrix), "exact"
 
 
-def _exact_route(hring):
-    return "monomial pieces" if hring.is_monomial_ideal else "exact pieces"
+def _check_step(prime, *degrees):
+    """Gate a step's prime and degrees before any route is taken."""
+    if prime is not None:
+        modrank.require_prime(prime)
+    if min(degrees) < 0:
+        raise ValueError(f"graded degrees must be nonnegative, got {degrees}")
 
 
-def _modular_route(p, degrees, **shapes):
-    listed = ", ".join(str(k) for k in sorted(set(degrees)))
-    matrices = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
-    return f"pieces mod p={p} at degrees {listed}; {matrices}"
+def _smooth_for(hring, prime):
+    """How the ring is proven smooth in the mode of a step with ``prime``
+    (None: an exact step), as a fragment of a route line; None if it is
+    not.
+
+    A step with a prime needs the certificate at that prime (for a
+    monomial ideal, the monomial count), so that its mode
+    ``modular(p=...)`` names a prime of good reduction; a proof at
+    another prime is not enough.  An exact step needs an exact proof: the
+    monomial count, or an exact elimination of degree sigma+1 that an
+    earlier question memoised.
+    """
+    if prime is not None or hring.is_monomial_ideal:
+        cert = hring.smoothness_certificate(prime)
+        return hring._proof_route(cert) if cert.certified else None
+    k = hring.socle_degree + 1
+    if hring._dims.get(k) == 0:
+        return f"smooth at degree {k} (exact elimination)"
+    return None
+
+
+def _pieces_route(hring, prime):
+    """The route of a step that ``_smooth_for`` refused."""
+    if hring.is_monomial_ideal:
+        return "monomial pieces"
+    if prime is None:
+        return "exact pieces"
+    return f"exact pieces, ring not proven smooth at p={prime}"
 
 
 def hilbert_function(hring, through=None):
@@ -818,37 +778,37 @@ def is_surjective(mmap, prime=None):
     prime is given and the certificate falls short, exact elimination
     settles the answer.
     """
-    return _surjectivity(mmap.matrix, mmap.target_dim, prime)
-
-
-def _surjectivity(matrix, target, prime, gfp=False):
+    target = mmap.target_dim
     if target == 0:
-        return SurjectivityResult(True, 0, 0, "trivial")
-    rank, mode = _rank(matrix, target, prime, gfp)
+        return _onto(0, prime)
+    rank, mode = _rank(mmap.matrix, target, prime)
     return SurjectivityResult(rank == target, rank, target, mode)
+
+
+def _onto(target, prime):
+    """A map onto a piece of dimension ``target``, known to be onto."""
+    return SurjectivityResult(True, target, target,
+                              _mode(prime) if target else "trivial")
 
 
 def map_surjectivity(hring, a, b, prime=None):
     """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
 
-    With a prime, on a ring whose ideal is not monomial, the map is built
-    from pieces over GF(p) and a full rank mod p proves it surjective.
-    With no prime, a refused piece or a short rank, it is built from
-    exact pieces and decided by ``is_surjective``, so a failing verdict is
-    exact.  ``route`` on the result names the route for the human report.
+    R is generated in degree 1, so R_a * R_b = R_(a+b) and the map is
+    onto, with rank dim R_(a+b).  That answers on a ring proven smooth in
+    the step's mode (``_smooth_for``), so that ``modular(p=...)`` names a
+    prime of good reduction.  Any other ring builds the map from exact
+    pieces and ``is_surjective`` decides.  ``route`` on the result names
+    the route for the human report.
     """
-    route = _exact_route(hring)
-    if prime is not None and not hring.is_monomial_ideal:
-        try:
-            pa, pb, pc = _gfp_pieces(hring, (a, b, a + b), prime)
-            result = _surjectivity(_products(pa, pb, pc), pc.dim, prime, gfp=True)
-            result.route = _modular_route(
-                prime, (a, b, a + b), multiplication=f"{pc.dim}x{pa.dim * pb.dim}")
-            return result
-        except _ExactRoute as exc:
-            route = f"exact pieces, {exc}"
+    _check_step(prime, a, b)
+    smooth = _smooth_for(hring, prime)
+    if smooth is not None:
+        result = _onto(hring.quotient_dim(a + b), prime)
+        result.route = f"closed form (generated in degree 1), {smooth}"
+        return result
     result = is_surjective(multiplication_map(hring, a, b), prime=prime)
-    result.route = route
+    result.route = _pieces_route(hring, prime)
     return result
 
 
@@ -883,25 +843,17 @@ def macaulay_pairing_check(hring, k, prime=None):
     if top.dim != 1:
         raise SocleNotOneDimensional(
             f"dim R_{sigma} = {top.dim}, expected 1")
-    return _pairing(hring.piece(k), hring.piece(sigma - k), top, prime)
-
-
-def _pairing(pa, pb, top, prime):
-    """The socle pairing of ``pa`` and ``pb`` into the one-dimensional
-    ``top``; over GF(p) it answers only when nondegenerate."""
+    pa, pb = hring.piece(k), hring.piece(sigma - k)
     if pa.dim != pb.dim:
-        return PairingResult(False, pa.degree, pa.dim, pb.dim, None,
+        return PairingResult(False, k, pa.dim, pb.dim, None,
                              "dimension mismatch")
     if pa.dim == 0:
-        return PairingResult(True, pa.degree, 0, 0, 0, "trivial")
+        return PairingResult(True, k, 0, 0, 0, "trivial")
     products = _products(pa, pb, top)
-    if top.prime is None:
-        matrix = [[row[0] for row in products[i:i + pb.dim]]
-                  for i in range(0, len(products), pb.dim)]
-    else:
-        matrix = products.reshape(pa.dim, pb.dim)
-    rank, mode = _rank(matrix, pa.dim, prime, gfp=top.prime is not None)
-    return PairingResult(rank == pa.dim, pa.degree, pa.dim, pb.dim, rank, mode)
+    matrix = [[row[0] for row in products[i:i + pb.dim]]
+              for i in range(0, len(products), pb.dim)]
+    rank, mode = _rank(matrix, pa.dim, prime)
+    return PairingResult(rank == pa.dim, k, pa.dim, pb.dim, rank, mode)
 
 
 class DualityKernelResult:
@@ -935,34 +887,29 @@ class DualityKernelResult:
 def left_kernel_via_duality(hring, a, b, prime=None):
     """Both halves of the duality argument at degrees (a, b).
 
-    With a prime, on a ring whose ideal is not monomial, both matrices
-    are built from pieces over GF(p) and ranked mod p.  Only when both
-    ranks are full does that answer; otherwise both halves are built
-    from exact pieces, as ``map_surjectivity`` does.  ``route`` on the
-    result names the route for the human report.
+    On a ring proven smooth in the step's mode (``_smooth_for``) both
+    halves are theorems: the map onto R_(sigma-a) has rank
+    dim R_(sigma-a), and the socle pairing at degree a is perfect, with
+    rank dim R_a.  Any other ring builds both matrices from exact pieces,
+    as ``map_surjectivity`` does.  ``route`` on the result names the
+    route for the human report.
     """
+    _check_step(prime, a, b)
     sigma = hring.socle_degree
     if a + b > sigma:
         raise ValueError("need a + b <= socle degree for the duality route")
-    route = _exact_route(hring)
-    if prime is not None and not hring.is_monomial_ideal:
-        try:
-            degrees = (sigma - a - b, b, sigma - a)
-            pc, pb, pt = _gfp_pieces(hring, degrees, prime)
-            surj = _surjectivity(_products(pc, pb, pt), pt.dim, prime, gfp=True)
-            pa, _, top = _gfp_pieces(hring, (a, sigma - a, sigma), prime)
-            pairing = _pairing(pa, pt, top, prime)
-            route = _modular_route(
-                prime, degrees + (a, sigma),
-                surjectivity=f"{pt.dim}x{pc.dim * pb.dim}",
-                pairing=f"{pa.dim}x{pt.dim}")
-            return DualityKernelResult(a, b, surj, pairing, route)
-        except _ExactRoute as exc:
-            route = f"exact pieces, {exc}"
+    smooth = _smooth_for(hring, prime)
+    if smooth is not None:
+        surj = _onto(hring.quotient_dim(sigma - a), prime)
+        dim = hring.quotient_dim(a)
+        pairing = PairingResult(True, a, dim, dim, dim,
+                                _mode(prime) if dim else "trivial")
+        route = f"closed form (Macaulay duality), {smooth}"
+        return DualityKernelResult(a, b, surj, pairing, route)
     mmap = multiplication_map(hring, sigma - a - b, b)
     surj = is_surjective(mmap, prime=prime)
     pairing = macaulay_pairing_check(hring, a, prime=prime)
-    return DualityKernelResult(a, b, surj, pairing, route)
+    return DualityKernelResult(a, b, surj, pairing, _pieces_route(hring, prime))
 
 
 class UniformBoundResult:

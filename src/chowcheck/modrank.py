@@ -19,10 +19,6 @@ MAX_PRIME so that (p-1)**2 < 2**63 and every budget is at least 1.
 Pivots are inverted with Fermat's little theorem, which is only valid
 in a field, so every modulus passes the primality gate
 :func:`require_prime` before any elimination.
-
-``echelon_mod`` runs the same kernel, which then keeps each pivot row
-in place, and back-substitutes the free columns into the reduced
-echelon form; for ``rank_mod`` the pivot row is consumed.
 """
 
 from __future__ import annotations
@@ -83,7 +79,7 @@ def update_budget(p):
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
-def _rank_mod_numpy(a, p, pivots=None):
+def _rank_mod_numpy(a, p):
     """Elimination with vectorised, lazily reduced row updates.
 
     Parameters
@@ -92,11 +88,6 @@ def _rank_mod_numpy(a, p, pivots=None):
         Matrix with entries already reduced into [0, p).  Destroyed.
     p : int
         Prime modulus.
-    pivots : list, optional
-        Receives one (column, pivot value) pair per pivot.  The pivot
-        rows are then kept in ``a[:rank]`` in order, each reduced into
-        [0, p) right of its pivot column (left of it, and in it, they
-        hold stale entries).
 
     Returns
     -------
@@ -143,9 +134,6 @@ def _rank_mod_numpy(a, p, pivots=None):
         if piv != r:
             a[piv, c + 1:] = a[r, c + 1:]
             carried[piv] = carried[r]
-        if pivots is not None:
-            pivots.append((c, int(vals[0])))
-            a[r, c + 1:] = y
         r += 1
         if r == rows:
             break
@@ -201,68 +189,3 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     if a.size == 0:
         return 0
     return int(_rank_mod_numpy(a, p))
-
-
-def echelon_mod(matrix, p=DEFAULT_PRIME):
-    """Reduced row echelon form of an integer matrix over GF(p).
-
-    Parameters
-    ----------
-    matrix : int64 ndarray, or sequence of rows of integers
-        Never modified.
-    p : int
-        Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
-
-    Returns
-    -------
-    (rank, rref, pivots)
-        ``rref`` is an int64 array of shape (rank, cols) with entries in
-        [0, p); row i has its leading 1 in column ``pivots[i]``, and
-        every other row is 0 there.  ``pivots`` is an ascending list.
-
-    The forward pass is the kernel of ``rank_mod``, which keeps each
-    pivot row in place.  Back substitution then touches only the free
-    columns: the pivot columns of the result are known to be unit
-    vectors, and an entry of row i in the column of pivot j > i is the
-    multiplier of row j whatever rows below j did, since they are 0 in
-    that column.
-    The free part is updated with the same delayed reduction: every row
-    takes at most one update per pivot, so all rows are reduced together
-    once ``update_budget(p)`` pivots have passed.
-    """
-    import numpy as np
-
-    a = _reduced(matrix, p)
-    cols = a.shape[1]
-    found = []
-    if a.size:
-        _rank_mod_numpy(a, p, found)
-    rank = len(found)
-    rref = a[:rank]
-    for i, (c, value) in enumerate(found):
-        rref[i, c + 1:] = rref[i, c + 1:] * pow(value, p - 2, p) % p
-        rref[i, :c + 1] = 0
-    pivots = [c for c, _ in found]
-    free = np.setdiff1d(np.arange(cols), pivots)
-    x = rref[:, free]
-    budget = update_budget(p)
-    carried = 0
-    for i in range(rank - 1, 0, -1):
-        x[i] %= p
-        f = rref[:i, pivots[i]]
-        hit = np.flatnonzero(f)
-        if hit.size == 0:
-            continue
-        update = np.multiply.outer(f[hit], x[i])
-        if budget == 1:
-            x[hit] = (x[hit] - update) % p
-            continue
-        x[hit] -= update
-        carried += 1
-        if carried == budget:
-            x[:i] %= p
-            carried = 0
-    rref[:, free] = x % p
-    rref[:, pivots] = 0
-    rref[np.arange(rank), pivots] = 1
-    return rank, rref, pivots

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from chowcheck import characters, exactla, jacobian
+from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
 
@@ -572,12 +573,12 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
             rank, rank == len(oracle[k].representatives))
 
 
-# ------------------------------------------------ graded pieces over GF(p)
+# ------------------------------------------------ closed-form verdicts
 #
-# With a prime, the duality and multiplication checks build their pieces
-# from the echelon form mod p of whole slices.  The exact route, which
-# ``is_surjective`` and ``macaulay_pairing_check`` still take on exact
-# pieces, is the oracle: ranks, verdicts and modes must agree.
+# On a ring proven smooth in the step's own mode, the duality and
+# multiplication checks answer in closed form.  The computed route,
+# ``is_surjective`` and ``macaulay_pairing_check`` on exact pieces, is the
+# oracle: ranks, verdicts and modes must agree.
 
 GFP = 1000003
 
@@ -587,6 +588,19 @@ def _fields(result):
                  if name != "route")
 
 
+def _exact_duality(hring, a, b, prime):
+    """The two halves of the duality argument at (a, b), on exact pieces."""
+    sigma = hring.socle_degree
+    mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
+    return (_fields(jacobian.is_surjective(mmap, prime=prime)),
+            _fields(jacobian.macaulay_pairing_check(hring, a, prime=prime)))
+
+
+def _exact_map(hring, a, b, prime):
+    return _fields(jacobian.is_surjective(
+        jacobian.multiplication_map(hring, a, b), prime=prime))
+
+
 @pytest.mark.parametrize("form, pairs", [
     ("quintic_sym", [(0, 0), (0, 1), (1, 1), (3, 3), (2, 5), (6, 6), (10, 1),
                      (12, 0), (4, 8)]),
@@ -594,7 +608,7 @@ def _fields(result):
     ("dense_ternary_quartic", [(a, b) for a in range(7) for b in range(7 - a)]),
     ("cubic_surface", [(a, b) for a in range(5) for b in range(5 - a)]),
 ])
-def test_gfp_pieces_match_the_exact_route(form, pairs, request):
+def test_closed_form_matches_the_exact_route(form, pairs, request):
     if form in ("quintic_sym", "quintic_plain"):
         hring = request.getfixturevalue(form)
     elif form == "dense_ternary_quartic":
@@ -602,29 +616,19 @@ def test_gfp_pieces_match_the_exact_route(form, pairs, request):
     else:
         hring = _cubic_surface()
     sigma = hring.socle_degree
-    for a, b in pairs:
-        result = jacobian.left_kernel_via_duality(hring, a, b, prime=GFP)
-        assert result.route.startswith(f"pieces mod p={GFP} at degrees ")
-        mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
-        surj = jacobian.is_surjective(mmap, prime=GFP)
-        pairing = jacobian.macaulay_pairing_check(hring, a, prime=GFP)
-        assert _fields(result.surjectivity) == _fields(surj)
-        assert _fields(result.pairing) == _fields(pairing)
-        assert result.empty
-        mapped = jacobian.map_surjectivity(hring, sigma - a - b, b, prime=GFP)
-        assert _fields(mapped) == _fields(surj)
-        assert mapped.route.startswith(f"pieces mod p={GFP} at degrees ")
-    # the normal forms mod p are the exact ones reduced mod p, sampled
-    rng = random.Random(sigma)
-    for k in sorted({k for a, b in pairs for k in (a, b, sigma - a - b, sigma - a)}
-                    | {sigma}):
-        modular, exact = hring.piece(k, GFP), hring.piece(k)
-        assert modular.representatives == exact.representatives
-        col = {m: j for j, m in enumerate(modular.monomials)}
-        for m in rng.sample(modular.monomials, min(5, len(modular.monomials))):
-            coords = exact.reduce_vector({m: Fraction(1)})
-            assert modular.normal_forms[col[m]].tolist() == [
-                c.numerator * pow(c.denominator, -1, GFP) % GFP for c in coords]
+    # a step without a prime needs an exact proof of smoothness
+    assert jacobian.is_smooth_artinian(hring, exact=True)
+    for prime in (GFP, None):
+        for a, b in pairs:
+            result = jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+            assert result.route.startswith("closed form (Macaulay duality), ")
+            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
+                _exact_duality(hring, a, b, prime))
+            assert result.empty
+            mapped = jacobian.map_surjectivity(hring, sigma - a - b, b,
+                                               prime=prime)
+            assert mapped.route.startswith("closed form (generated in degree 1), ")
+            assert _fields(mapped) == _exact_map(hring, sigma - a - b, b, prime)
 
 
 def _cone_mod_p_surface(seed, p):
@@ -639,70 +643,152 @@ def _cone_mod_p_surface(seed, p):
 
 
 def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
+    # proven smooth at the default prime, which does not divide a
+    # coefficient; a step at p must not lean on that proof
     p = 1000033
     hring = _cone_mod_p_surface(5, p)
     sigma = hring.socle_degree
-    # proven smooth at the default prime, which does not divide a coefficient
     assert hring.smoothness_proof().certified
-    assert hring.piece(2, GFP).dim == hring.quotient_dim(2) == 6
-    assert hring.piece(1, p) is not None
-    assert hring.piece(2, p) is None
-    refused = 0
+    assert not hring.smoothness_certificate(p).certified
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
             result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
-            exact = jacobian.left_kernel_via_duality(hring, a, b)
-            assert result.empty == exact.empty
-            assert result.surjectivity.rank == exact.surjectivity.rank
-            assert result.pairing.rank == exact.pairing.rank
-            mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
-            assert _fields(result.surjectivity) == _fields(
-                jacobian.is_surjective(mmap, prime=p))
-            assert _fields(result.pairing) == _fields(
-                jacobian.macaulay_pairing_check(hring, a, prime=p))
-            if 2 in (sigma - a - b, b, sigma - a):
-                assert result.route == "exact pieces, mod-p gate refused at degree 2"
-                refused += 1
+            assert result.route == f"exact pieces, ring not proven smooth at p={p}"
+            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
+                _exact_duality(hring, a, b, p))
+            assert result.empty
             mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
-            assert _fields(mapped) == _fields(jacobian.is_surjective(
-                jacobian.multiplication_map(hring, a, b), prime=p))
-    assert refused
-    result = jacobian.map_surjectivity(hring, 1, 1, prime=p)
-    assert result.surjective and result.route == (
-        "exact pieces, mod-p gate refused at degree 2")
+            assert mapped.route == result.route
+            assert _fields(mapped) == _exact_map(hring, a, b, p)
+            at_default = jacobian.left_kernel_via_duality(hring, a, b, prime=GFP)
+            assert at_default.route.startswith("closed form (Macaulay duality), ")
 
 
 def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
     # a cone mod the default prime, so its certificate there falls short;
-    # the check's own prime closes one, and the pieces mod it are accepted
+    # the check's own prime closes one, and the closed form answers
     p = 1000033
     hring = _cone_mod_p_surface(5, GFP)
     sigma = hring.socle_degree
     assert not hring.smoothness_proof().certified
     result = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
-    assert result.route.startswith(f"pieces mod p={p} at degrees ")
+    assert result.route == ("closed form (Macaulay duality), smooth at degree 5 "
+                            f"(modular p={p}, 80x56, 380 nonzeros)")
     assert hring.smoothness_proof().prime == p
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
             result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
-            assert result.route.startswith(f"pieces mod p={p} at degrees ")
-            exact = jacobian.left_kernel_via_duality(_cone_mod_p_surface(5, GFP),
-                                                     a, b)
-            assert result.empty == exact.empty
-            assert result.surjectivity.rank == exact.surjectivity.rank
-            assert result.pairing.rank == exact.pairing.rank
+            assert result.route.startswith("closed form (Macaulay duality), ")
+            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
+                _exact_duality(hring, a, b, p))
+            mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
+            assert mapped.route.startswith("closed form (generated in degree 1), ")
+            assert _fields(mapped) == _exact_map(hring, a, b, p)
 
 
-def test_gfp_routes_fall_back_on_unproven_and_monomial_rings(fermat_quartic):
-    nodal = jacobian.HypersurfaceRing(
-        parse_poly("x0^3 + x1^3 + x0*x1*x2", TERNARY))
-    assert nodal.piece(1, GFP) is None
-    result = jacobian.map_surjectivity(nodal, 1, 1, prime=GFP)
-    assert result.route == "exact pieces, ring not proven smooth"
-    result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3, prime=GFP)
-    assert result.empty and result.route == "monomial pieces"
-    result = jacobian.left_kernel_via_duality(_cubic_surface(), 1, 2)
-    assert result.empty and result.route == "exact pieces"
+NODAL_CUBIC = "x0^3 + x1^3 + x0*x1*x2"
+
+
+def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
+    # the nodal cubic has a one-dimensional socle piece but degenerate
+    # pairings, so the closed form would be wrong on it
+    nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
+    assert nodal.quotient_dim(3) == 1
+    assert not jacobian.is_smooth_artinian(nodal, exact=True)
+    for prime, route in ((GFP, f"exact pieces, ring not proven smooth at p={GFP}"),
+                         (None, "exact pieces")):
+        for a, b in ((1, 1), (2, 0)):
+            result = jacobian.left_kernel_via_duality(nodal, a, b, prime=prime)
+            assert result.route == route
+            assert not result.pairing.nondegenerate and not result.empty
+        assert jacobian.map_surjectivity(nodal, 1, 1, prime=prime).route == route
+    # an exact step needs an exact proof; a monomial count is one
+    cubic = _cubic_surface()
+    assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime=GFP).route == (
+        "closed form (Macaulay duality), smooth at degree 5 "
+        f"(modular p={GFP}, 80x56, 240 nonzeros)")
+    assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == "exact pieces"
+    assert jacobian.is_smooth_artinian(cubic, exact=True)
+    assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == (
+        "closed form (Macaulay duality), smooth at degree 5 (exact elimination)")
+    for prime in (GFP, None):
+        result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3,
+                                                  prime=prime)
+        assert result.empty and result.route == (
+            "closed form (Macaulay duality), smooth at degree 9 (monomial count)")
+
+
+@pytest.mark.parametrize("form", ["fermat_quartic", "cubic_surface", "nodal"])
+def test_a_bad_prime_is_refused_on_every_route(form, request):
+    if form == "fermat_quartic":
+        hring = request.getfixturevalue(form)
+    elif form == "cubic_surface":
+        hring = _cubic_surface()
+    else:
+        hring = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
+    sigma = hring.socle_degree
+    for prime in (1, 4, 561, modrank.MAX_PRIME + 1):
+        # R_(2 sigma) = 0, so the map has a trivial target
+        with pytest.raises(modrank.BadPrime):
+            jacobian.map_surjectivity(hring, sigma, sigma, prime=prime)
+        with pytest.raises(modrank.BadPrime):
+            jacobian.map_surjectivity(hring, 1, 1, prime=prime)
+        with pytest.raises(modrank.BadPrime):
+            jacobian.left_kernel_via_duality(hring, 1, 1, prime=prime)
+
+
+@pytest.mark.parametrize("prime", [None, GFP])
+def test_negative_degrees_are_refused(fermat_quartic, prime):
+    cubic = _cubic_surface()
+    for hring in (fermat_quartic, cubic):
+        for a, b in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                jacobian.map_surjectivity(hring, a, b, prime=prime)
+            with pytest.raises(ValueError, match="nonnegative"):
+                jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+
+
+def _plane_curve(degree, singular, coeffs):
+    """A ternary form with the given coefficients, in canonical monomial
+    order, as text.  ``singular`` drops the terms z^d, x*z^(d-1) and
+    y*z^(d-1), which makes the curve singular at (0:0:1)."""
+    terms = [f"{c}*" + "*".join(f"x{i}^{e}" for i, e in enumerate(m) if e)
+             for m, c in zip(enumerate_monomials(3, degree), coeffs)
+             if c and not (singular and m[2] >= degree - 1)]
+    assume(terms)
+    return " + ".join(terms)
+
+
+@pytest.mark.parametrize("degree, singular", [(3, False), (3, True),
+                                              (4, False), (4, True)])
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=15, max_size=15))
+@example(coeffs=[1, 0, 0, 1, 0, 1] + [0] * 9)  # the nodal cubic
+def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
+        degree, singular, coeffs):
+    text = _plane_curve(degree, singular, coeffs)
+    hring = jacobian.HypersurfaceRing(parse_poly(text, TERNARY))
+    sigma = hring.socle_degree
+    smooth = jacobian.is_smooth_artinian(hring, exact=True).smooth
+    for prime in (GFP, None):
+        for a in range(sigma + 1):
+            for b in range(sigma + 1 - a):
+                try:
+                    want = _exact_duality(hring, a, b, prime)
+                except jacobian.SocleNotOneDimensional:
+                    assert not smooth
+                    with pytest.raises(jacobian.SocleNotOneDimensional):
+                        jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+                    continue
+                result = jacobian.left_kernel_via_duality(hring, a, b,
+                                                          prime=prime)
+                closed = result.route.startswith("closed form")
+                assert closed <= smooth and (prime is not None or closed == smooth)
+                assert (_fields(result.surjectivity),
+                        _fields(result.pairing)) == want
+            for b in range(sigma + 2 - a):
+                mapped = jacobian.map_surjectivity(hring, a, b, prime=prime)
+                assert _fields(mapped) == _exact_map(hring, a, b, prime)
 
 
 def test_block_rows_refuse_an_inconsistent_symmetry():

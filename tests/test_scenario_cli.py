@@ -390,8 +390,8 @@ def test_cli_ring_dim_and_map_machine_reports_are_unchanged(tmp_path, capsys):
 
 
 # a seeded dense cubic in x0 x1 x2 plus 3 * 1000033 * x3^3: smooth over Q
-# and proven so at the default prime, but a cone mod 1000033, where the
-# degree-2 piece is refused
+# and proven so at the default prime, but a cone mod 1000033, so a query
+# at 1000033 takes exact pieces
 CONE_MOD_P = """\
 [scenario]
 name = cone-mod-p
@@ -444,15 +444,19 @@ summary.verdict = pass
 """
 
 
-# one ring query per route, with the text it printed before exact and GF(p)
-# pieces became one piece type: (query, machine report, route line)
+SHIODA_PROOF = ("smooth at degree 13 "
+                "(modular p=1000003, 880x560, 1540 nonzeros)")
+
+
+# one ring query per route: (query, machine report, route line).  The
+# machine reports stay fixed when a route changes; the ids keep the names
+# the queries were first pinned under
 @pytest.mark.parametrize("source, flags, expected", [
     ("shioda", ("--a", "3", "--b", "3"), [
         ("map", _map_machine("shioda", 3, 3, 44, "modular(p=1000003)"),
-         "pieces mod p=1000003 at degrees 3, 6; multiplication 44x400"),
+         f"closed form (generated in degree 1), {SHIODA_PROOF}"),
         ("duality", _duality_machine("shioda", 3, 3, 20, "modular(p=1000003)"),
-         "pieces mod p=1000003 at degrees 3, 6, 9, 12; "
-         "surjectivity 20x880, pairing 20x20"),
+         f"closed form (Macaulay duality), {SHIODA_PROOF}"),
     ]),
     ("shioda", ("--a", "3", "--b", "3", "--exact"), [
         ("map", _map_machine("shioda", 3, 3, 44, "exact"), "exact pieces"),
@@ -461,16 +465,17 @@ summary.verdict = pass
     ]),
     (CONE_MOD_P, ("--a", "1", "--b", "1", "--prime", "1000033"), [
         ("map", _map_machine("cone-mod-p", 1, 1, 6, "modular(p=1000033)"),
-         "exact pieces, mod-p gate refused at degree 2"),
+         "exact pieces, ring not proven smooth at p=1000033"),
         ("duality", _duality_machine("cone-mod-p", 1, 1, 4,
                                      "modular(p=1000033)"),
-         "exact pieces, mod-p gate refused at degree 2"),
+         "exact pieces, ring not proven smooth at p=1000033"),
     ]),
     (TINY, ("--a", "1", "--b", "3"), [
         ("map", _map_machine("tiny", 1, 3, 19, "modular(p=1000003)"),
-         "monomial pieces"),
+         "closed form (generated in degree 1), "
+         "smooth at degree 9 (monomial count)"),
         ("duality", _duality_machine("tiny", 1, 3, 4, "modular(p=1000003)"),
-         "monomial pieces"),
+         "closed form (Macaulay duality), smooth at degree 9 (monomial count)"),
     ]),
 ], ids=["shioda-gfp-pieces", "shioda-exact-pieces", "cone-exact-fallback",
         "tiny-monomial-pieces"])
@@ -581,22 +586,22 @@ def _cubic_duality(prime):
 
 
 def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
-    # mod 2 the partials are x0^2, x1^2, x2^2: every piece has its rational
-    # dimension, so the pieces mod 2 prove the verdict
+    # mod 2 the partials are x0^2, x1^2, x2^2: the ring is smooth mod 2,
+    # so the certificate at 2 closes and the closed form answers
     step = run_scenario(_cubic_duality(2)).steps[0]
     assert step.passed
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
         "modular(p=2)", "modular(p=2)")
-    assert step.route == ("pieces mod p=2 at degrees 1, 2, 3; "
-                          "surjectivity 3x9, pairing 3x3")
-    # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the socle piece is
-    # refused, and the exact pieces carry a denominator divisible by 3, so
-    # no rank mod 3 certifies anything and the exact ranks decide
+    assert step.route == ("closed form (Macaulay duality), smooth at degree 4 "
+                          "(modular p=2, 18x15, 18 nonzeros)")
+    # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the ring is not
+    # proven smooth at 3, and the exact pieces carry a denominator divisible
+    # by 3, so no rank mod 3 certifies anything and the exact ranks decide
     step = run_scenario(_cubic_duality(3)).steps[0]
     assert step.passed
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
         "exact", "exact")
-    assert step.route == "exact pieces, mod-p gate refused at degree 3"
+    assert step.route == "exact pieces, ring not proven smooth at p=3"
 
 
 @pytest.mark.parametrize("sections, check, message", [
@@ -650,10 +655,9 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 @pytest.mark.parametrize("name, route, count, others", [
     ("shioda", "closed form, smooth at degree 13 "
                "(modular p=1000003, 880x560, 1540 nonzeros)", 2,
-     ["pieces mod p=1000003 at degrees 3, 6, 9, 12; "
-      "surjectivity 20x880, pairing 20x20"]),
+     [f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
-     ["monomial pieces"]),
+     ["closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
 ])
 def test_route_lines_are_human_only(name, route, count, others, capsys):
     cli.main(["verify", name, "--machine"])
@@ -669,15 +673,14 @@ def test_route_lines_are_human_only(name, route, count, others, capsys):
 
 
 def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
-    piece = jacobian.HypersurfaceRing.piece
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "piece",
-                        lambda self, k, prime=None:
-                        None if prime else piece(self, k))
+    # with the closed-form gate refusing every ring, the duality step
+    # computes both halves on exact pieces
+    monkeypatch.setattr(jacobian, "_smooth_for", lambda hring, prime: None)
     cli.main(["verify", "shioda", "--machine"])
     machine = capsys.readouterr().out
     assert machine == (GOLDEN / "shioda.machine").read_text(encoding="utf-8")
     cli.main(["verify", "shioda"])
-    assert ("route: exact pieces, mod-p gate refused at degree 6"
+    assert ("route: exact pieces, ring not proven smooth at p=1000003"
             in capsys.readouterr().out)
 
 
