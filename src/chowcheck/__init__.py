@@ -5,10 +5,12 @@ The package is organised in layers:
 
 - :mod:`chowcheck.exactla` and :mod:`chowcheck.modrank`: integer and
   rational linear algebra (fraction-free elimination, Hermite form,
-  lattice membership) plus modular rank certificates from one numpy
-  elimination kernel over GF(p), behind a primality gate.  numpy is
-  loaded only when a GF(p) elimination runs, so importing the package,
-  or checking a ring with a monomial Jacobian ideal, never loads it.
+  lattice membership) plus modular rank certificates from one entry
+  point over GF(p), behind a primality gate: a pure-Python kernel for
+  sparse rows and a numpy kernel for dense ones.  numpy is loaded only
+  when a dense GF(p) elimination runs, so importing the package, or
+  checking a ring with a monomial Jacobian ideal or a sparse certificate
+  slice, never loads it.
 - :mod:`chowcheck.poly`: sparse multivariate polynomials over the
   rationals and small algebraic towers, with an exact parser.
 - :mod:`chowcheck.jacobian`: graded quotients by Jacobian ideals,

@@ -185,11 +185,14 @@ def kernel_basis(matrix):
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     """Rank of the matrix reduced mod ``prime``, with certificate.
 
-    An int64 array has no denominators and goes to the elimination
-    kernel as it is, as do rows of plain integers; the kernel reduces
-    them mod ``prime`` once.  A row with rational entries is scaled by
-    the lcm of its denominators, a unit mod ``prime``, so the modular
-    rank is the same as for the rational row.
+    An int64 array and sparse dict rows ``{column: entry}`` have no
+    denominators and go to the elimination kernels as they are, as do
+    rows of plain integers; the kernels reduce them mod ``prime`` once.
+    Without ``upper_bound``, sparse rows are bounded by their number of
+    rows or of columns that hold an entry, whichever is smaller.  A row with
+    rational entries is scaled by the lcm of its denominators, a unit
+    mod ``prime``, so the modular rank is the same as for the rational
+    row.
 
     Raises BadPrime if ``prime`` is not a prime in the range supported by
     the elimination kernels, or if it divides the denominator of any entry.
@@ -198,6 +201,9 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     if getattr(matrix, "dtype", None) == "int64":
         red = matrix
         nrows, ncols = matrix.shape
+    elif modrank.is_sparse(matrix):
+        red = matrix
+        nrows, ncols = len(matrix), len(set().union(*matrix))
     else:
         red = []
         for row in _as_rows(matrix):

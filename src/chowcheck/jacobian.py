@@ -47,11 +47,15 @@ Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  One memoised layout per degree
 (``_slice_index``) places every coefficient of the slice, and two
 methods read it: ``span_rows`` gives exact Python ``int`` rows, and
-``span_array`` gives the slice reduced mod p as an int64 array, which
-the modular certificates eliminate without a per-entry pass in Python.
-Layouts and arrays are built with numpy, which is imported only then:
-a ring whose slices are never built, as with a monomial ideal, never
-loads it.
+``span_array`` gives the slice reduced mod p as an int64 array.  The
+layout and the arrays are built with numpy.  A modular certificate
+takes its slice from ``_gfp_slice``, which decides from monomial counts
+alone: a slice with fewer than ``SPARSE_DENSITY`` nonzeros per cell
+gets ``span_sparse``, dict rows built from a monomial-to-column dict
+for modrank's sparse kernel, and any other slice gets ``span_array``
+for the dense kernel.  numpy is imported only when a layout or an array
+is built, so a ring whose certificate slice is sparse, or whose ideal
+is monomial, never loads it.
 
 A ring memoises per degree its slice layouts, graded pieces, eliminated
 quotient dimensions and, for each normalised symmetry, its eliminated
@@ -64,11 +68,21 @@ later question.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
                    partial_derivative)
+
+
+# below this share of nonzero cells a GF(p) slice takes modrank's sparse
+# kernel, at or above it the dense one.  Measured on 48 random sparse
+# quartic and quintic certificate slices, in one process with numpy
+# loaded: the sparse route (rows built, then eliminated) beat the dense
+# one on every slice below 0.45% and lost on some from there on (smaller
+# 336x220 slices won up to 1.25%).  The bundled quintic's slice is at
+# 0.31%; the dense generic quartic and quintic slices are at 9.1% and 6.3%.
+SPARSE_DENSITY = 0.004
 
 
 class SocleNotOneDimensional(ArithmeticError):
@@ -252,15 +266,33 @@ class HypersurfaceRing:
         return self._slices[k]
 
     def _slice_shape(self, k):
-        monos, src, _, _ = self._slice_index(k)
-        return len(src) * self.nvars, len(monos)
+        """(rows, columns) of the degree-k slice, from monomial counts."""
+        n, e = self.nvars, self.degree - 1
+        sources = comb(k - e + n - 1, n - 1) if k >= e else 0
+        return sources * n, comb(k + n - 1, n - 1)
 
     def _slice_nonzeros(self, k, p):
-        """Nonzero entries of ``span_array(k, p)``: a row holds each term
-        of its partial in its own column, so every source monomial
+        """Nonzero entries of the degree-k slice mod p: a row holds each
+        term of its partial in its own column, so every source monomial
         contributes the partial terms that are nonzero mod p."""
-        _, src, _, _ = self._slice_index(k)
-        return len(src) * sum(c % p != 0 for c in self._term_coeffs)
+        rows, _ = self._slice_shape(k)
+        return rows // self.nvars * sum(c % p != 0 for c in self._term_coeffs)
+
+    def _slice_kernel(self, k, p):
+        """The GF(p) kernel the degree-k slice mod p goes to: "sparse"
+        below ``SPARSE_DENSITY``, "dense" otherwise."""
+        rows, cols = self._slice_shape(k)
+        if self._slice_nonzeros(k, p) < SPARSE_DENSITY * rows * cols:
+            return "sparse"
+        return "dense"
+
+    def _gfp_slice(self, k, p):
+        """The degree-k slice mod ``p`` in the form its kernel takes:
+        ``span_sparse`` for the sparse kernel, ``span_array`` for the
+        dense one."""
+        if self._slice_kernel(k, p) == "sparse":
+            return self.span_sparse(k, p)
+        return self.span_array(k, p)
 
     def _slice_entries(self, k, dtype, coeffs):
         """The degree-k slice as a dense array holding ``coeffs`` per term."""
@@ -291,6 +323,22 @@ class HypersurfaceRing:
         """
         return self._slice_entries(k, "int64", [c % p for c in self._term_coeffs])
 
+    def span_sparse(self, k, p):
+        """``span_rows(k)`` reduced mod ``p``, as dict rows.
+
+        Row i maps the column of each term of its partial that is nonzero
+        mod p to that coefficient mod p; rows and columns are those of
+        ``span_rows``.  Built from a monomial-to-column dict, without
+        numpy.
+        """
+        col = {m: j for j, m in enumerate(enumerate_monomials(self.nvars, k))}
+        e = self.degree - 1
+        src = enumerate_monomials(self.nvars, k - e) if k >= e else []
+        parts = [[(x, c % p) for x, c in part if c % p]
+                 for part in self._int_partials]
+        return [{col[monomial_mul(m, x)]: c for x, c in part}
+                for m in src for part in parts]
+
     def _koszul_rows(self, k):
         """Relations among the generator rows coming from Koszul syzygies.
 
@@ -320,7 +368,7 @@ class HypersurfaceRing:
     def _certified_ideal_rank(self, k, primes=(1000003, 1000033, 1000099)):
         """Exact rank of the degree-k slice from modular elimination alone.
 
-        The rank mod p of ``span_array(k, p)`` is a lower bound for the
+        The rank mod p of ``_gfp_slice(k, p)`` is a lower bound for the
         exact rank of the slice ``span_rows(k)``.  Two upper
         bounds are a priori: min(rows, cols), and rows minus the rank of
         the Koszul relation rows, which always lie in the kernel of the
@@ -333,7 +381,7 @@ class HypersurfaceRing:
             return 0
         koszul = None
         for p in primes:
-            m1 = modrank.rank_mod(self.span_array(k, p), p)
+            m1 = modrank.rank_mod(self._gfp_slice(k, p), p)
             if m1 == min(nrows, ncols):
                 return m1
             if koszul is None:
@@ -479,7 +527,7 @@ class HypersurfaceRing:
             if key is None:
                 cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
             else:
-                cert = exactla.modular_rank(self.span_array(k, prime), prime,
+                cert = exactla.modular_rank(self._gfp_slice(k, prime), prime,
                                             upper_bound=monos)
             self._certificates[key] = cert
             if cert.certified and self._closed_form is None:
@@ -503,7 +551,8 @@ class HypersurfaceRing:
         else:
             rows, cols = self._slice_shape(k)
             how = (f"modular p={cert.prime}, {rows}x{cols}, "
-                   f"{self._slice_nonzeros(k, cert.prime)} nonzeros")
+                   f"{self._slice_nonzeros(k, cert.prime)} nonzeros, "
+                   f"{self._slice_kernel(k, cert.prime)}")
         return f"smooth at degree {k} ({how})"
 
     def dimension_route(self):
@@ -612,10 +661,9 @@ def _rank(matrix, full, prime):
 
     A rank mod ``prime`` that reaches ``full`` proves that rank over Q; a
     prime that divides a denominator proves nothing.  Short of a proof
-    the matrix is ranked exactly.
+    the matrix is ranked exactly.  The caller has gated ``prime``.
     """
     if prime is not None:
-        modrank.require_prime(prime)
         try:
             if exactla.modular_rank(matrix, prime, upper_bound=full).certified:
                 return full, _mode(prime)
@@ -776,8 +824,11 @@ def is_surjective(mmap, prime=None):
 
     Full row rank is a claim a modular certificate can establish; when a
     prime is given and the certificate falls short, exact elimination
-    settles the answer.
+    settles the answer.  ``prime`` is gated before any route is taken,
+    the trivial target included.
     """
+    if prime is not None:
+        modrank.require_prime(prime)
     target = mmap.target_dim
     if target == 0:
         return _onto(0, prime)
@@ -836,8 +887,11 @@ def macaulay_pairing_check(hring, k, prime=None):
     """Nondegeneracy of the socle pairing R_k x R_(sigma-k) -> R_sigma.
 
     Requires the socle piece to be one-dimensional; raises
-    SocleNotOneDimensional otherwise.
+    SocleNotOneDimensional otherwise.  ``prime`` is gated first, before
+    any piece is built or any shortcut taken.
     """
+    if prime is not None:
+        modrank.require_prime(prime)
     sigma = hring.socle_degree
     top = hring.piece(sigma)
     if top.dim != 1:

@@ -1,24 +1,38 @@
-"""Dense Gaussian elimination over a prime field GF(p).
+"""Gaussian elimination over a prime field GF(p).
 
 This is the one genuinely hot numeric loop in the package: modular rank
-certificates reduce big exact eliminations to int64 arithmetic.  One
-kernel does the work, a column-by-column elimination whose row updates
-are vectorised with numpy.  numpy is imported by ``rank_mod`` and the
-kernel themselves, so a process that never runs a GF(p) elimination
-(a ring with a monomial Jacobian ideal, for one) never loads it.
+certificates reduce big exact eliminations to machine-size arithmetic.
+``rank_mod`` is the one entry point, with two kernels behind it.
 
-``rank_mod`` takes an int64 array, which it reduces into [0, p) with
-one numpy ``%``, or rows of Python integers, which it reduces entry by
-entry.  The kernel then delays reduction (as in FFLAS-FFPACK; Dumas,
-Giorgi & Pernet 2008): each step reduces only the pivot column and the
-pivot row, and a row update x - f*y stays unreduced until its row has
-taken ``update_budget(p)`` = floor((2**63 - 1 - p) / (p - 1)**2) of
-them.  A row with j unreduced updates has every entry in
-[-j*(p-1)**2, p), so all arithmetic stays inside int64; p is capped at
-MAX_PRIME so that (p-1)**2 < 2**63 and every budget is at least 1.
-Pivots are inverted with Fermat's little theorem, which is only valid
-in a field, so every modulus passes the primality gate
-:func:`require_prime` before any elimination.
+Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
+(``_rank_mod_sparse``) that reduces one row at a time against the
+pivot rows found so far, pivoting on the row's leftmost column.  On a
+very sparse matrix, such as the Jacobian slice that proves the bundled
+quintic smooth, it does less work than the input has nonzeros and needs
+no numpy.  Fill-in can make it slow on denser rows, so it stops once it
+has spent ``WORK_FACTOR`` multiply-adds per input nonzero and hands its
+pivot rows and its unreduced rows, the one it was reducing included, to
+the dense kernel.  That hand-off spans the same row space, so no work is
+redone from the start.
+
+An int64 array, or rows of Python integers, goes to the dense kernel
+(``_rank_mod_numpy``): a column-by-column elimination whose row updates
+are vectorised with numpy.  numpy is imported by that kernel and its
+callers alone, so a process that never runs a dense GF(p) elimination
+(a ring with a monomial Jacobian ideal, or a sparse slice) never loads
+it.
+
+The dense kernel reduces an int64 array into [0, p) with one numpy
+``%`` and rows of Python integers entry by entry.  It then delays
+reduction (as in FFLAS-FFPACK; Dumas, Giorgi & Pernet 2008): each step
+reduces only the pivot column and the pivot row, and a row update
+x - f*y stays unreduced until its row has taken ``update_budget(p)`` =
+floor((2**63 - 1 - p) / (p - 1)**2) of them.  A row with j unreduced
+updates has every entry in [-j*(p-1)**2, p), so all arithmetic stays
+inside int64; p is capped at MAX_PRIME so that (p-1)**2 < 2**63 and
+every budget is at least 1.  Pivots are inverted with Fermat's little
+theorem, which is only valid in a field, so every modulus passes the
+primality gate :func:`require_prime` before any elimination.
 """
 
 from __future__ import annotations
@@ -28,6 +42,13 @@ DEFAULT_PRIME = 1000003
 
 # largest p with (p-1)**2 < 2**63, so products of reduced entries fit int64
 MAX_PRIME = 3037000499
+
+# multiply-adds the sparse kernel may spend per input nonzero before it
+# hands over to the dense kernel.  On random sparse Jacobian slices it
+# needed at most 9 per nonzero where it beat the dense kernel and 9 to
+# 1,100 where it lost; the dense generic quartic and quintic slices need
+# 83 and 318, the bundled quintic's 0.9.
+WORK_FACTOR = 16
 
 # Miller-Rabin with these bases is exact below 3,215,031,751 > MAX_PRIME
 # (Pomerance, Selfridge & Wagstaff 1980)
@@ -156,6 +177,80 @@ def _rank_mod_numpy(a, p):
     return r
 
 
+def _rank_mod_sparse(rows, p, budget):
+    """Row-by-row elimination of sparse rows, handing over past ``budget``.
+
+    Parameters
+    ----------
+    rows : sequence of dict
+        Row i maps column indices (nonnegative ints) to integer entries.
+        Never modified.
+    p : int
+        Prime modulus.
+    budget : int
+        Multiply-adds to spend before the dense kernel takes over.
+
+    Returns
+    -------
+    int
+        Rank of the matrix over GF(p).
+
+    Each row is reduced mod p and then, while its leftmost column holds
+    the leading 1 of a pivot row, reduced by that pivot row.  A row that
+    reaches a new leftmost column becomes the pivot row of that column,
+    scaled to a leading 1; a row that reaches zero was dependent.  Pivot
+    rows keep distinct leading columns, so their count is the rank.
+
+    Before each reduction step the multiply-adds spent so far are
+    compared with ``budget``.  Once they reach it the pivot rows, the
+    partially reduced row and the rows not yet read go to the dense
+    kernel.  Each of these is an input row or a combination of input
+    rows, and every input row is one of them or a combination of them,
+    so they span the row space of the input and their rank is its rank.
+    """
+    pivots = {}
+    work = 0
+    for i, row in enumerate(rows):
+        row = {j: x % p for j, x in row.items() if x % p}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {j: x * inv % p for j, x in row.items()}
+                break
+            if work >= budget:
+                return _rank_mod_densified([*pivots.values(), row, *rows[i + 1:]], p)
+            f = row[c]
+            for j, y in pivot.items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            work += len(pivot)
+    return len(pivots)
+
+
+def _rank_mod_densified(rows, p):
+    """Rank over GF(p) of sparse rows, written into an int64 array for the
+    dense kernel."""
+    import numpy as np
+
+    ncols = 1 + max((max(row) for row in rows if row), default=-1)
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    a[[i for i, row in enumerate(rows) for _ in row],
+      [j for row in rows for j in row]] = [x % p for row in rows
+                                           for x in row.values()]
+    return _rank_mod_numpy(a, p)
+
+
+def is_sparse(matrix):
+    """True when ``matrix`` is a list or tuple of dict rows ``{column: entry}``."""
+    return isinstance(matrix, (list, tuple)) and all(isinstance(row, dict)
+                                                     for row in matrix)
+
+
 def _reduced(matrix, p):
     """A fresh int64 copy of ``matrix`` reduced into [0, p).
 
@@ -164,7 +259,6 @@ def _reduced(matrix, p):
     """
     import numpy as np
 
-    require_prime(p)
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
         return matrix % p
     a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
@@ -176,8 +270,10 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
 
     Parameters
     ----------
-    matrix : int64 ndarray, or sequence of rows of integers
-        Never modified.
+    matrix : sequence of dict rows, int64 ndarray, or sequence of rows
+        Dict rows ``{column: entry}`` take the sparse kernel, with a
+        budget of ``WORK_FACTOR`` multiply-adds per nonzero; anything
+        else takes the dense kernel.  Never modified.
     p : int
         Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
 
@@ -185,6 +281,9 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     -------
     int
     """
+    require_prime(p)
+    if is_sparse(matrix):
+        return _rank_mod_sparse(matrix, p, WORK_FACTOR * sum(map(len, matrix)))
     a = _reduced(matrix, p)
     if a.size == 0:
         return 0

@@ -285,10 +285,10 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     fresh_bound = characters.picard_upper_bound(_shioda_ring(), sigma)
     fresh_blocks = _shioda_ring()._symmetric_blocks(k)
 
-    eliminations, span_builds, array_builds = Counter(), Counter(), Counter()
+    eliminations, span_builds, slice_builds = Counter(), Counter(), Counter()
     eliminate = jacobian.HypersurfaceRing._eliminate_blocks
     span_rows = jacobian.HypersurfaceRing.span_rows
-    span_array = jacobian.HypersurfaceRing.span_array
+    gfp_slice = jacobian.HypersurfaceRing._gfp_slice
 
     def counting_eliminate(self, degree, exponents, modulus):
         eliminations[degree] += 1
@@ -298,16 +298,16 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
         span_builds[degree] += 1
         return span_rows(self, degree)
 
-    def counting_span_array(self, degree, p):
-        array_builds[degree] += 1
-        return span_array(self, degree, p)
+    def counting_gfp_slice(self, degree, p):
+        slice_builds[degree, p] += 1
+        return gfp_slice(self, degree, p)
 
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_eliminate_blocks",
                         counting_eliminate)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "span_rows",
                         counting_span_rows)
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "span_array",
-                        counting_span_array)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice",
+                        counting_gfp_slice)
     hring = _shioda_ring()
     table = jacobian.hilbert_function(hring)
     piece = hring.piece(k)
@@ -315,13 +315,15 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     bound = characters.picard_upper_bound(hring, sigma)
 
     # the ring is proven smooth by one modular certificate on the degree-13
-    # slice, an int64 array built once, so the Hilbert table, the spectrum
-    # and the Picard scan read closed forms; only the graded piece
-    # eliminates its degree, from exact rows read off the slice layout
+    # slice, built once for whichever kernel takes it, so the Hilbert
+    # table, the spectrum and the Picard scan read closed forms; only the
+    # graded piece eliminates its degree, from exact rows read off the
+    # slice layout
     assert sorted(eliminations) == [k]
     assert set(eliminations.values()) == {1}
     assert not span_builds
-    assert array_builds == Counter({hring.socle_degree + 1: 1})
+    assert slice_builds == Counter({(hring.socle_degree + 1,
+                                     modrank.DEFAULT_PRIME): 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -393,6 +395,16 @@ def test_span_array_is_span_rows_reduced_mod_p(text, ring, symmetry):
             assert a.dtype == np.int64 and a.shape == (len(rows), len(monos))
             assert a.tolist() == [[x % p for x in row] for row in rows]
             assert hring._slice_nonzeros(k, p) == np.count_nonzero(a)
+            assert hring._slice_shape(k) == a.shape
+            sparse = hring.span_sparse(k, p)
+            assert sparse == [{j: x % p for j, x in enumerate(row) if x % p}
+                              for row in rows]
+            kernel = hring._slice_kernel(k, p)
+            assert kernel == ("sparse" if np.count_nonzero(a)
+                              < jacobian.SPARSE_DENSITY * a.size else "dense")
+            gfp = hring._gfp_slice(k, p)
+            assert (gfp == sparse if kernel == "sparse"
+                    else gfp.tolist() == a.tolist())
     cert = hring.smoothness_certificate()
     assert cert.certified
     assert cert.rank == exactla.modular_rank(hring.span_rows(top)[0]).rank
@@ -673,7 +685,7 @@ def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
     assert not hring.smoothness_proof().certified
     result = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
     assert result.route == ("closed form (Macaulay duality), smooth at degree 5 "
-                            f"(modular p={p}, 80x56, 380 nonzeros)")
+                            f"(modular p={p}, 80x56, 380 nonzeros, dense)")
     assert hring.smoothness_proof().prime == p
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
@@ -706,7 +718,7 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
     cubic = _cubic_surface()
     assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime=GFP).route == (
         "closed form (Macaulay duality), smooth at degree 5 "
-        f"(modular p={GFP}, 80x56, 240 nonzeros)")
+        f"(modular p={GFP}, 80x56, 240 nonzeros, dense)")
     assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == "exact pieces"
     assert jacobian.is_smooth_artinian(cubic, exact=True)
     assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == (
@@ -735,6 +747,21 @@ def test_a_bad_prime_is_refused_on_every_route(form, request):
             jacobian.map_surjectivity(hring, 1, 1, prime=prime)
         with pytest.raises(modrank.BadPrime):
             jacobian.left_kernel_via_duality(hring, 1, 1, prime=prime)
+
+
+def test_a_bad_prime_is_refused_before_a_trivial_shortcut(fermat_quartic):
+    # R_10 = 0, so the map has a trivial target; R_9 = 0, and the pairing
+    # at degree 9 would stop at R_(-1) without a gate
+    sigma = fermat_quartic.socle_degree
+    mmap = jacobian.multiplication_map(fermat_quartic, 5, 5)
+    assert mmap.target_dim == 0
+    assert jacobian.is_surjective(mmap, prime=GFP).mode == "trivial"
+    for prime in (1, 4, 561, modrank.MAX_PRIME + 1):
+        with pytest.raises(modrank.BadPrime):
+            jacobian.is_surjective(mmap, prime=prime)
+        for k in (0, 1, sigma + 1):
+            with pytest.raises(modrank.BadPrime):
+                jacobian.macaulay_pairing_check(fermat_quartic, k, prime=prime)
 
 
 @pytest.mark.parametrize("prime", [None, GFP])

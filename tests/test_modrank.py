@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chowcheck import jacobian, modrank
+from chowcheck.poly import PolyRing, parse_poly
 
 
 def test_rank_mod_small_cases():
@@ -137,6 +138,108 @@ def test_delayed_reduction_matches_the_reduced_kernel(p):
     before = a.copy()
     assert modrank.rank_mod(a, p) == _rank_mod_reduced(a % p, p)
     assert (a == before).all()
+
+
+def _sparse_rows(a, rng, p):
+    """Dict rows of ``a`` with each entry shifted by a random multiple of
+    p (some past 2**63), and explicit entries that are 0 mod p."""
+    rows = []
+    for line in a.tolist():
+        row = {j: x + p * int(rng.integers(-3, 4)) * 2**int(rng.integers(0, 64))
+               for j, x in enumerate(line) if x}
+        for j in rng.choice(len(line), size=min(2, len(line)), replace=False):
+            row.setdefault(int(j), p * int(rng.integers(-2, 3)))
+        rows.append(row)
+    return rows
+
+
+def _random_sparse(rng, shape, density, p):
+    a = rng.integers(1, p, size=shape, dtype=np.int64)
+    a[rng.random(shape) >= density] = 0
+    return a
+
+
+def _sparse_cases(p):
+    rng = np.random.default_rng(p % 997 + 1)
+    yield from _differential_cases(p)
+    for shape, density in (((80, 60), 0.03), ((60, 90), 0.05), ((40, 40), 0.1),
+                           ((25, 30), 0.3)):
+        yield _random_sparse(rng, shape, density, p)
+    # rank-deficient sparse: every third row is the sum of the two above
+    a = _random_sparse(rng, (60, 45), 0.06, p)
+    a[2::3] = (a[0::3] + a[1::3]) % p
+    yield a
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_sparse_kernel_matches_the_dense_kernels(p):
+    rng = np.random.default_rng(p % 1000 + 5)
+    for a in _sparse_cases(p):
+        rows = _sparse_rows(a, rng, p)
+        before = [dict(row) for row in rows]
+        want = _rank_mod_reduced(a % p, p)
+        assert modrank._rank_mod_numpy(a % p, p) == want
+        assert modrank.rank_mod(rows, p) == want
+        assert rows == before
+    assert modrank.rank_mod([], p) == 0
+    assert modrank.rank_mod([{}, {3: p, 7: -2 * p}], p) == 0
+
+
+def _hands_over(monkeypatch):
+    """Record each hand-off from the sparse kernel to the dense one."""
+    calls = []
+    densified = modrank._rank_mod_densified
+
+    def spy(rows, p):
+        calls.append(len(rows))
+        return densified(rows, p)
+
+    monkeypatch.setattr(modrank, "_rank_mod_densified", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_sparse_kernel_hands_over_at_every_trip_point(p, monkeypatch):
+    # rows that reduce against earlier pivots, full row rank and rank
+    # deficient; each budget trips at a later reduction step, so some
+    # hand-off happens with an independent row half reduced
+    calls = _hands_over(monkeypatch)
+    rng = np.random.default_rng(p % 1000 + 9)
+    full = _random_sparse(rng, (14, 18), 0.35, p)
+    deficient = _random_sparse(rng, (15, 12), 0.35, p)
+    deficient[10:] = (deficient[:5] + 3 * deficient[5:10]) % p
+    for a in (full, deficient):
+        rows = _sparse_rows(a, rng, p)
+        want = _rank_mod_reduced(a % p, p)
+        budget = 0
+        while True:
+            del calls[:]
+            assert modrank._rank_mod_sparse(rows, p, budget) == want, budget
+            if not calls:
+                break
+            budget += 1
+        assert budget > 20
+
+
+def test_rank_mod_hands_a_dense_matrix_to_the_dense_kernel(monkeypatch):
+    # n*n dense rows need about n**3/3 multiply-adds, past the budget of
+    # WORK_FACTOR * n**2 once n > 3 * WORK_FACTOR
+    calls = _hands_over(monkeypatch)
+    p = 1000003
+    n = 3 * modrank.WORK_FACTOR + 12
+    rng = np.random.default_rng(3)
+    a = rng.integers(1, p, size=(n, n), dtype=np.int64)
+    a[-1] = (a[0] + a[1]) % p
+    rows = [dict(enumerate(line)) for line in a.tolist()]
+    assert modrank.rank_mod(rows, p) == _rank_mod_reduced(a, p) == n - 1
+    assert len(calls) == 1 and calls[0] == n
+    # the bundled quintic's degree-13 slice never gets there
+    del calls[:]
+    hring = jacobian.HypersurfaceRing(
+        parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5",
+                   PolyRing.rationals(("x0", "x1", "x2", "x3"))))
+    assert modrank.rank_mod(hring.span_sparse(13, p), p) == 560
+    assert not calls
 
 
 def test_rank_mod_rejects_bad_modulus():

@@ -7,6 +7,7 @@ import pytest
 
 import chowcheck
 from chowcheck import cli, exactla, jacobian
+from chowcheck.poly import enumerate_monomials
 from chowcheck.report import Report, StepResult
 from chowcheck.runner import CheckConfigError, UnknownCheck, run_scenario
 from chowcheck.scenario import ParseError, parse_scenario
@@ -445,7 +446,7 @@ summary.verdict = pass
 
 
 SHIODA_PROOF = ("smooth at degree 13 "
-                "(modular p=1000003, 880x560, 1540 nonzeros)")
+                "(modular p=1000003, 880x560, 1540 nonzeros, sparse)")
 
 
 # one ring query per route: (query, machine report, route line).  The
@@ -593,7 +594,7 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
         "modular(p=2)", "modular(p=2)")
     assert step.route == ("closed form (Macaulay duality), smooth at degree 4 "
-                          "(modular p=2, 18x15, 18 nonzeros)")
+                          "(modular p=2, 18x15, 18 nonzeros, dense)")
     # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the ring is not
     # proven smooth at 3, and the exact pieces carry a denominator divisible
     # by 3, so no rank mod 3 certifies anything and the exact ranks decide
@@ -654,7 +655,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 # routes of the other steps, in report order
 @pytest.mark.parametrize("name, route, count, others", [
     ("shioda", "closed form, smooth at degree 13 "
-               "(modular p=1000003, 880x560, 1540 nonzeros)", 2,
+               "(modular p=1000003, 880x560, 1540 nonzeros, sparse)", 2,
      [f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
      ["closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
@@ -685,12 +686,18 @@ def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
 
 
 def test_a_closed_certificate_serves_every_later_check(monkeypatch):
-    calls = []
+    calls, builds = [], []
     modular_rank = exactla.modular_rank
+    gfp_slice = jacobian.HypersurfaceRing._gfp_slice
 
     def counting(matrix, prime, upper_bound=None):
         calls.append(prime)
         return modular_rank(matrix, prime, upper_bound=upper_bound)
+
+    # the slice is counted whichever kernel takes it
+    def counting_gfp_slice(self, k, p):
+        builds.append((k, p))
+        return gfp_slice(self, k, p)
 
     text = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
             "poly = x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3\n[checks]\n"
@@ -698,21 +705,25 @@ def test_a_closed_certificate_serves_every_later_check(monkeypatch):
             'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c\n')
     plain = run_scenario(parse_scenario(text.format(prime="1000003 ")))
     monkeypatch.setattr(exactla, "modular_rank", counting)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice",
+                        counting_gfp_slice)
     report = run_scenario(parse_scenario(text.format(prime="1000033 ")))
     assert calls == [1000033]
+    assert builds == [(9, 1000033)]
     assert report.exit_code == 0
     hilbert = [line for line in report.render_machine().splitlines()
                if line.startswith("check.02.")]
     assert hilbert == [line for line in plain.render_machine().splitlines()
                        if line.startswith("check.02.")]
-    assert report.steps[1].route == ("closed form, smooth at degree 9 "
-                                     "(modular p=1000033, 336x220, 672 nonzeros)")
+    assert report.steps[1].route == (
+        "closed form, smooth at degree 9 "
+        "(modular p=1000033, 336x220, 672 nonzeros, dense)")
 
 
 def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "6"]) == 0
     assert ("route: closed form, smooth at degree 13 "
-            "(modular p=1000003, 880x560, 1540 nonzeros)"
+            "(modular p=1000003, 880x560, 1540 nonzeros, sparse)"
             in capsys.readouterr().out)
     path = tmp_path / "cone.scn"
     path.write_text(
@@ -723,19 +734,31 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert "dim = 27 (exact)" in out and "route: elimination" in out
 
 
-# numpy is loaded by the GF(p) kernel and the slice arrays alone: importing
-# the package and checking the monomial-ideal quartic family never need it,
-# while shioda's degree-13 certificate does (so the guard is not vacuous)
+# numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
+# importing the package, checking the monomial-ideal quartic family and
+# proving shioda smooth on its sparse degree-13 slice never need it, while
+# the certificate of a dense generic quartic does (so the guard is not
+# vacuous)
 @pytest.mark.parametrize("code, loaded", [
     ("import chowcheck, chowcheck.cli", False),
     ("cli.main(['verify', 'quartic-family', '--machine'])", False),
-    ("cli.main(['verify', 'shioda', '--machine'])", True),
-], ids=["import", "quartic-family", "shioda"])
-def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded):
+    ("cli.main(['verify', 'shioda', '--machine'])", False),
+    ("cli.main(['verify', {dense!r}, '--machine'])", True),
+], ids=["import", "quartic-family", "shioda", "dense-generic-quartic"])
+def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, tmp_path):
+    # every quartic monomial, with coefficients 1..9 and alternating signs
+    terms = [f"{(-1) ** i * (i % 9 + 1)}*"
+             + "*".join(f"x{v}^{e}" for v, e in enumerate(m) if e)
+             for i, m in enumerate(enumerate_monomials(4, 4))]
+    dense = tmp_path / "dense.scn"
+    dense.write_text(
+        "[scenario]\nname = dense\n[ring]\nvariables = x0 x1 x2 x3\n"
+        f"poly = {' + '.join(terms)}\n[checks]\n"
+        "check smooth mode=modular cite=c\n", encoding="utf-8")
     probe = ("import contextlib, io, sys\n"
              "from chowcheck import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    {code}\n"
+             f"    {code.format(dense=str(dense))}\n"
              "print('numpy' in sys.modules)\n")
     src = str(Path(chowcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
