@@ -188,22 +188,17 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     An int64 array and sparse dict rows ``{column: entry}`` have no
     denominators and go to the elimination kernels as they are, as do
     rows of plain integers; the kernels reduce them mod ``prime`` once.
-    Without ``upper_bound``, sparse rows are bounded by their number of
-    rows or of columns that hold an entry, whichever is smaller.  A row with
-    rational entries is scaled by the lcm of its denominators, a unit
-    mod ``prime``, so the modular rank is the same as for the rational
-    row.
+    A row with rational entries is scaled by the lcm of its denominators,
+    a unit mod ``prime``, so the modular rank is the same as for the
+    rational row.
 
     Raises BadPrime if ``prime`` is not a prime in the range supported by
     the elimination kernels, or if it divides the denominator of any entry.
     """
     modrank.require_prime(prime)
-    if getattr(matrix, "dtype", None) == "int64":
+    if getattr(matrix, "dtype", None) == "int64" or modrank.is_sparse(matrix):
         red = matrix
-        nrows, ncols = matrix.shape
-    elif modrank.is_sparse(matrix):
-        red = matrix
-        nrows, ncols = len(matrix), len(set().union(*matrix))
+        nrows, ncols = getattr(matrix, "shape", (len(matrix), len(matrix)))
     else:
         red = []
         for row in _as_rows(matrix):

@@ -661,9 +661,10 @@ def _rank(matrix, full, prime):
 
     A rank mod ``prime`` that reaches ``full`` proves that rank over Q; a
     prime that divides a denominator proves nothing.  Short of a proof
-    the matrix is ranked exactly.  The caller has gated ``prime``.
+    the matrix is ranked exactly.  A non-prime ``prime`` raises BadPrime.
     """
     if prime is not None:
+        modrank.require_prime(prime)
         try:
             if exactla.modular_rank(matrix, prime, upper_bound=full).certified:
                 return full, _mode(prime)

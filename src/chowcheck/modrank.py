@@ -9,11 +9,9 @@ Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
 pivot rows found so far, pivoting on the row's leftmost column.  On a
 very sparse matrix, such as the Jacobian slice that proves the bundled
 quintic smooth, it does less work than the input has nonzeros and needs
-no numpy.  Fill-in can make it slow on denser rows, so it stops once it
-has spent ``WORK_FACTOR`` multiply-adds per input nonzero and hands its
-pivot rows and its unreduced rows, the one it was reducing included, to
-the dense kernel.  That hand-off spans the same row space, so no work is
-redone from the start.
+no numpy.  Fill-in makes it slow on denser rows, so callers keep those
+off it: a Jacobian slice is built as dict rows only below a measured
+density (``jacobian.SPARSE_DENSITY``).
 
 An int64 array, or rows of Python integers, goes to the dense kernel
 (``_rank_mod_numpy``): a column-by-column elimination whose row updates
@@ -42,13 +40,6 @@ DEFAULT_PRIME = 1000003
 
 # largest p with (p-1)**2 < 2**63, so products of reduced entries fit int64
 MAX_PRIME = 3037000499
-
-# multiply-adds the sparse kernel may spend per input nonzero before it
-# hands over to the dense kernel.  On random sparse Jacobian slices it
-# needed at most 9 per nonzero where it beat the dense kernel and 9 to
-# 1,100 where it lost; the dense generic quartic and quintic slices need
-# 83 and 318, the bundled quintic's 0.9.
-WORK_FACTOR = 16
 
 # Miller-Rabin with these bases is exact below 3,215,031,751 > MAX_PRIME
 # (Pomerance, Selfridge & Wagstaff 1980)
@@ -177,8 +168,8 @@ def _rank_mod_numpy(a, p):
     return r
 
 
-def _rank_mod_sparse(rows, p, budget):
-    """Row-by-row elimination of sparse rows, handing over past ``budget``.
+def _rank_mod_sparse(rows, p):
+    """Row-by-row elimination of sparse rows.
 
     Parameters
     ----------
@@ -187,8 +178,6 @@ def _rank_mod_sparse(rows, p, budget):
         Never modified.
     p : int
         Prime modulus.
-    budget : int
-        Multiply-adds to spend before the dense kernel takes over.
 
     Returns
     -------
@@ -200,17 +189,9 @@ def _rank_mod_sparse(rows, p, budget):
     reaches a new leftmost column becomes the pivot row of that column,
     scaled to a leading 1; a row that reaches zero was dependent.  Pivot
     rows keep distinct leading columns, so their count is the rank.
-
-    Before each reduction step the multiply-adds spent so far are
-    compared with ``budget``.  Once they reach it the pivot rows, the
-    partially reduced row and the rows not yet read go to the dense
-    kernel.  Each of these is an input row or a combination of input
-    rows, and every input row is one of them or a combination of them,
-    so they span the row space of the input and their rank is its rank.
     """
     pivots = {}
-    work = 0
-    for i, row in enumerate(rows):
+    for row in rows:
         row = {j: x % p for j, x in row.items() if x % p}
         while row:
             c = min(row)
@@ -219,8 +200,6 @@ def _rank_mod_sparse(rows, p, budget):
                 inv = pow(row[c], p - 2, p)
                 pivots[c] = {j: x * inv % p for j, x in row.items()}
                 break
-            if work >= budget:
-                return _rank_mod_densified([*pivots.values(), row, *rows[i + 1:]], p)
             f = row[c]
             for j, y in pivot.items():
                 x = (row.get(j, 0) - f * y) % p
@@ -228,21 +207,7 @@ def _rank_mod_sparse(rows, p, budget):
                     row[j] = x
                 else:
                     del row[j]
-            work += len(pivot)
     return len(pivots)
-
-
-def _rank_mod_densified(rows, p):
-    """Rank over GF(p) of sparse rows, written into an int64 array for the
-    dense kernel."""
-    import numpy as np
-
-    ncols = 1 + max((max(row) for row in rows if row), default=-1)
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    a[[i for i, row in enumerate(rows) for _ in row],
-      [j for row in rows for j in row]] = [x % p for row in rows
-                                           for x in row.values()]
-    return _rank_mod_numpy(a, p)
 
 
 def is_sparse(matrix):
@@ -271,9 +236,8 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     Parameters
     ----------
     matrix : sequence of dict rows, int64 ndarray, or sequence of rows
-        Dict rows ``{column: entry}`` take the sparse kernel, with a
-        budget of ``WORK_FACTOR`` multiply-adds per nonzero; anything
-        else takes the dense kernel.  Never modified.
+        Dict rows ``{column: entry}`` take the sparse kernel, anything
+        else the dense kernel.  Never modified.
     p : int
         Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
 
@@ -283,7 +247,7 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     """
     require_prime(p)
     if is_sparse(matrix):
-        return _rank_mod_sparse(matrix, p, WORK_FACTOR * sum(map(len, matrix)))
+        return _rank_mod_sparse(matrix, p)
     a = _reduced(matrix, p)
     if a.size == 0:
         return 0

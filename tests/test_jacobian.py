@@ -762,6 +762,9 @@ def test_a_bad_prime_is_refused_before_a_trivial_shortcut(fermat_quartic):
         for k in (0, 1, sigma + 1):
             with pytest.raises(modrank.BadPrime):
                 jacobian.macaulay_pairing_check(fermat_quartic, k, prime=prime)
+        # the shared rank helper gates its prime itself, whatever the caller did
+        with pytest.raises(modrank.BadPrime):
+            jacobian._rank([[1, 2], [3, 4]], 2, prime)
 
 
 @pytest.mark.parametrize("prime", [None, GFP])

@@ -185,61 +185,16 @@ def test_sparse_kernel_matches_the_dense_kernels(p):
     assert modrank.rank_mod([{}, {3: p, 7: -2 * p}], p) == 0
 
 
-def _hands_over(monkeypatch):
-    """Record each hand-off from the sparse kernel to the dense one."""
-    calls = []
-    densified = modrank._rank_mod_densified
-
-    def spy(rows, p):
-        calls.append(len(rows))
-        return densified(rows, p)
-
-    monkeypatch.setattr(modrank, "_rank_mod_densified", spy)
-    return calls
-
-
-@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
-def test_sparse_kernel_hands_over_at_every_trip_point(p, monkeypatch):
-    # rows that reduce against earlier pivots, full row rank and rank
-    # deficient; each budget trips at a later reduction step, so some
-    # hand-off happens with an independent row half reduced
-    calls = _hands_over(monkeypatch)
-    rng = np.random.default_rng(p % 1000 + 9)
-    full = _random_sparse(rng, (14, 18), 0.35, p)
-    deficient = _random_sparse(rng, (15, 12), 0.35, p)
-    deficient[10:] = (deficient[:5] + 3 * deficient[5:10]) % p
-    for a in (full, deficient):
-        rows = _sparse_rows(a, rng, p)
-        want = _rank_mod_reduced(a % p, p)
-        budget = 0
-        while True:
-            del calls[:]
-            assert modrank._rank_mod_sparse(rows, p, budget) == want, budget
-            if not calls:
-                break
-            budget += 1
-        assert budget > 20
-
-
-def test_rank_mod_hands_a_dense_matrix_to_the_dense_kernel(monkeypatch):
-    # n*n dense rows need about n**3/3 multiply-adds, past the budget of
-    # WORK_FACTOR * n**2 once n > 3 * WORK_FACTOR
-    calls = _hands_over(monkeypatch)
+def test_bundled_quintic_slice_takes_the_sparse_kernel():
+    # the degree-13 slice that proves the bundled quintic smooth
     p = 1000003
-    n = 3 * modrank.WORK_FACTOR + 12
-    rng = np.random.default_rng(3)
-    a = rng.integers(1, p, size=(n, n), dtype=np.int64)
-    a[-1] = (a[0] + a[1]) % p
-    rows = [dict(enumerate(line)) for line in a.tolist()]
-    assert modrank.rank_mod(rows, p) == _rank_mod_reduced(a, p) == n - 1
-    assert len(calls) == 1 and calls[0] == n
-    # the bundled quintic's degree-13 slice never gets there
-    del calls[:]
     hring = jacobian.HypersurfaceRing(
         parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5",
                    PolyRing.rationals(("x0", "x1", "x2", "x3"))))
-    assert modrank.rank_mod(hring.span_sparse(13, p), p) == 560
-    assert not calls
+    rows = hring.span_sparse(13, p)
+    assert modrank.is_sparse(rows)
+    assert modrank.rank_mod(rows, p) == 560
+    assert modrank.rank_mod(hring.span_array(13, p), p) == 560
 
 
 def test_rank_mod_rejects_bad_modulus():
