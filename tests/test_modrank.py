@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chowcheck import jacobian, modrank
-from chowcheck.poly import PolyRing, parse_poly
 
 
 def test_rank_mod_small_cases():
@@ -183,18 +182,6 @@ def test_sparse_kernel_matches_the_dense_kernels(p):
         assert rows == before
     assert modrank.rank_mod([], p) == 0
     assert modrank.rank_mod([{}, {3: p, 7: -2 * p}], p) == 0
-
-
-def test_bundled_quintic_slice_takes_the_sparse_kernel():
-    # the degree-13 slice that proves the bundled quintic smooth
-    p = 1000003
-    hring = jacobian.HypersurfaceRing(
-        parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5",
-                   PolyRing.rationals(("x0", "x1", "x2", "x3"))))
-    rows = hring.span_sparse(13, p)
-    assert modrank.is_sparse(rows)
-    assert modrank.rank_mod(rows, p) == 560
-    assert modrank.rank_mod(hring.span_array(13, p), p) == 560
 
 
 def test_rank_mod_rejects_bad_modulus():
