@@ -16,7 +16,6 @@ from __future__ import annotations
 from math import gcd
 
 from . import jacobian
-from .poly import enumerate_monomials
 
 
 class NotInvariant(ValueError):
@@ -144,8 +143,10 @@ def _complete_intersection_spectrum(hring, sigma, degree):
     a regular sequence, the Koszul complex on them is an equivariant
     resolution of the quotient; the partial d_iF is an eigenvector of
     character chi_F - e_i, so this is the quotient's character series.
+    The denominator is the character series of the polynomial ring,
+    expanded one variable at a time up to the target degree.
     """
-    n, d, modulus = hring.nvars, hring.degree, sigma.modulus
+    d, modulus = hring.degree, sigma.modulus
     chi = sigma.character(next(iter(hring.poly.terms)))
     numerator = {(0, 0): 1}  # (degree, character) -> coefficient
     for e in sigma.exponents:
@@ -154,12 +155,20 @@ def _complete_intersection_spectrum(hring, sigma, degree):
             key = (j + d - 1, (c + chi - e) % modulus)
             step[key] = step.get(key, 0) - a
         numerator = step
+    # series[j]: character -> number of degree-j monomials
+    series = [{0: 1}] + [{} for _ in range(degree)]
+    for e in sigma.exponents:
+        for j in range(1, degree + 1):
+            row = series[j]
+            for c, a in series[j - 1].items():
+                key = (c + e) % modulus
+                row[key] = row.get(key, 0) + a
     histogram = {}
     for (j, c), a in numerator.items():
         if a and j <= degree:
-            for m in enumerate_monomials(n, degree - j):
-                key = (c + sigma.character(m)) % modulus
-                histogram[key] = histogram.get(key, 0) + a
+            for m, b in series[degree - j].items():
+                key = (c + m) % modulus
+                histogram[key] = histogram.get(key, 0) + a * b
     if any(v < 0 for v in histogram.values()):
         raise ArithmeticError("closed-form spectrum has a negative dimension")
     return {c: histogram[c] for c in sorted(histogram) if histogram[c]}

@@ -523,7 +523,7 @@ class HypersurfaceRing:
         key = None if self.is_monomial_ideal else prime
         if key not in self._certificates:
             k = self.socle_degree + 1
-            monos = len(enumerate_monomials(self.nvars, k))
+            monos = comb(k + self.nvars - 1, self.nvars - 1)
             if key is None:
                 cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
             else:
@@ -581,7 +581,7 @@ class HypersurfaceRing:
         if k < 0:
             return 0
         if k not in self._dims:
-            monos = len(enumerate_monomials(self.nvars, k))
+            monos = comb(k + self.nvars - 1, self.nvars - 1)
             self._dims[k] = monos - self.ideal_rank(k)
         return self._dims[k]
 
@@ -633,7 +633,7 @@ class GradedPiece:
 
 def _combination(coeffs, rows, dim):
     """The rational vector sum(c * row), of length ``dim``."""
-    out = [Fraction(0)] * dim
+    out = [0] * dim
     for c, row in zip(coeffs, rows):
         if c:
             for i, x in enumerate(row):

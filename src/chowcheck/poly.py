@@ -4,6 +4,11 @@ Monomials are plain exponent tuples aligned with the ring's variable
 names; terms live in a dict keyed by those tuples.  The canonical term
 order is graded reverse lexicographic on the declared variable order.
 
+A coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise (``_coefficient``), so integer forms are
+multiplied in native integer arithmetic.  Floats are refused: a
+division of coefficients always has a ``Fraction`` operand.
+
 A ring may carry algebraic generators with rewrite rules, used for the
 two extensions that appear in tangent-line computations:
 
@@ -20,8 +25,8 @@ zero exactly when its term dict is empty.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 
 class NotDivisible(ArithmeticError):
@@ -49,6 +54,25 @@ def monomial_mul(e1, e2):
     return tuple(map(add, e1, e2))
 
 
+def _coefficient(c):
+    """``c`` as a stored coefficient: an integral ``Fraction`` becomes
+    its numerator, anything else is returned unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _exact(value):
+    """An int, a Fraction or anything else ``Fraction`` reads (a numeric
+    string, say) as a stored coefficient; a float raises TypeError
+    instead of being converted inexactly."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact rational")
+    if type(value) not in (int, Fraction):
+        value = Fraction(value)
+    return _coefficient(value)
+
+
 def monomial_divides(e1, e2):
     """True if the monomial with exponents e1 divides the one with e2."""
     return all(a <= b for a, b in zip(e1, e2))
@@ -57,24 +81,24 @@ def monomial_divides(e1, e2):
 def enumerate_monomials(nvars, degree):
     """All exponent tuples of the given total degree, leading term first.
 
-    The count always equals comb(degree + nvars - 1, nvars - 1).
+    On one degree, descending grevlex is ascending lex on the reversed
+    tuple, so the tuples are generated in order, the last exponent
+    slowest: comb(degree + nvars - 1, nvars - 1) of them, nothing sorted.
     """
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
-    out = []
+    # table[j]: the degree-j monomials in the variables added so far;
+    # only the last variable needs degree ``degree`` alone
+    table = [[(j,)] for j in range(degree + 1)]
+    for _ in range(nvars - 2):
+        table = [_one_more_variable(table, j) for j in range(degree + 1)]
+    return table[degree] if nvars == 1 else _one_more_variable(table, degree)
 
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + (e,), remaining - e, slots - 1)
 
-    fill((), degree, nvars)
-    out.sort(key=grevlex_key, reverse=True)
-    if len(out) != comb(degree + nvars - 1, nvars - 1):
-        raise AssertionError("monomial enumeration lost entries")
-    return out
+def _one_more_variable(table, j):
+    """Degree-j monomials with one more variable, in grevlex order: the
+    new exponent rises slowest, over ``table``'s lists in their order."""
+    return [m + (last,) for last in range(j + 1) for m in table[j - last]]
 
 
 class PolyRing:
@@ -97,7 +121,8 @@ class PolyRing:
         self.reductions = {}
         self.domain = domain
         for var, (cap, repl) in (reductions or {}).items():
-            self.reductions[self.index[var]] = (cap, dict(repl))
+            self.reductions[self.index[var]] = (
+                cap, {e: _coefficient(c) for e, c in repl.items()})
 
     @classmethod
     def rationals(cls, names):
@@ -111,7 +136,7 @@ class PolyRing:
         wi = ring.index[w]
         zero = (0,) * len(names)
         w1 = tuple(1 if i == wi else 0 for i in range(len(names)))
-        ring.reductions[wi] = (2, {zero: Fraction(-1), w1: Fraction(-1)})
+        ring.reductions[wi] = (2, {zero: -1, w1: -1})
         return ring
 
     @classmethod
@@ -126,8 +151,8 @@ class PolyRing:
         zero = (0,) * n
         unit = lambda i: tuple(1 if j == i else 0 for j in range(n))
         wi, ai = ring.index[w], ring.index[a]
-        ring.reductions[wi] = (2, {zero: Fraction(-1), unit(wi): Fraction(-1)})
-        ring.reductions[ai] = (3, {unit(ring.index[cube_param]): Fraction(-1)})
+        ring.reductions[wi] = (2, {zero: -1, unit(wi): -1})
+        ring.reductions[ai] = (3, {unit(ring.index[cube_param]): -1})
         return ring
 
     @property
@@ -145,7 +170,7 @@ class PolyRing:
     def reduce_terms(self, raw):
         """Canonicalise a term dict: apply rewrites, drop zero coefficients."""
         if not self.reductions:
-            return {e: c for e, c in raw.items() if c}
+            return {e: _coefficient(c) for e, c in raw.items() if c}
         out = {}
         work = list(raw.items())
         while work:
@@ -158,9 +183,9 @@ class PolyRing:
                     hit = vi
                     break
             if hit is None:
-                c = out.get(exps, Fraction(0)) + coeff
+                c = out.get(exps, 0) + coeff
                 if c:
-                    out[exps] = c
+                    out[exps] = _coefficient(c)
                 elif exps in out:
                     del out[exps]
                 continue
@@ -178,24 +203,25 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, value):
-        value = Fraction(value)
+        value = _exact(value)
         if not value:
             return self.zero()
         return SparsePoly(self, {(0,) * self.nvars: value})
 
     def variable(self, name):
         e = tuple(1 if i == self.index[name] else 0 for i in range(self.nvars))
-        return SparsePoly(self, {e: Fraction(1)})
+        return SparsePoly(self, {e: 1})
 
     def monomial(self, exps, coeff=1):
-        return SparsePoly(self, self.reduce_terms({tuple(exps): Fraction(coeff)}))
+        return SparsePoly(self, self.reduce_terms({tuple(exps): _exact(coeff)}))
 
     def from_text(self, text):
         return parse_poly(text, self)
 
 
 class SparsePoly:
-    """Immutable polynomial; ``terms`` maps exponent tuples to Fractions."""
+    """Immutable polynomial; ``terms`` maps exponent tuples to nonzero
+    coefficients, an ``int`` when integral and a ``Fraction`` otherwise."""
 
     __slots__ = ("ring", "terms")
 
@@ -234,9 +260,9 @@ class SparsePoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = _coefficient(s)
             elif e in out:
                 del out[e]
         return SparsePoly(self.ring, out)
@@ -266,7 +292,7 @@ class SparsePoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                raw[e] = raw.get(e, Fraction(0)) + c1 * c2
+                raw[e] = raw.get(e, 0) + c1 * c2
         return SparsePoly(self.ring, self.ring.reduce_terms(raw))
 
     __rmul__ = __mul__
@@ -279,15 +305,17 @@ class SparsePoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return self.ring.zero()
-        return SparsePoly(self.ring, {e: x * c for e, x in self.terms.items()})
+        return SparsePoly(self.ring, {e: _coefficient(x * c)
+                                      for e, x in self.terms.items()})
 
     def total_degree(self, names=None):
         """Largest total degree of a term, restricted to ``names`` if given.
@@ -319,7 +347,7 @@ class SparsePoly:
         return e, self.terms[e]
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
@@ -363,7 +391,7 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(Fraction(_exact(c)) for c in coords)
         if not any(coords):
             raise ValueError("all coordinates are zero")
         lead = next(c for c in coords if c)
@@ -405,22 +433,20 @@ def substitute(f, assignment, target=None):
             if name not in target.index:
                 raise ValueError(f"unassigned variable {name!r} missing from target ring")
             resolved[name] = target.variable(name)
-    powers = {name: {0: target.one()} for name in ring.names}
+    powers = {}
 
     def power(name, e):
-        cache = powers[name]
-        if e not in cache:
-            cache[e] = resolved[name] ** e
-        return cache[e]
+        if (name, e) not in powers:
+            powers[name, e] = resolved[name] ** e
+        return powers[name, e]
 
-    result = target.zero()
-    for exps, coeff in f.sorted_terms():
-        term = target.constant(coeff)
-        for name, e in zip(ring.names, exps):
-            if e:
-                term = term * power(name, e)
-        result = result + term
-    return result
+    raw = {}
+    for exps, coeff in f.terms.items():
+        factors = [power(name, e) for name, e in zip(ring.names, exps) if e]
+        term = reduce(mul, factors) if factors else target.one()
+        for e, c in term.terms.items():
+            raw[e] = raw.get(e, 0) + coeff * c
+    return SparsePoly(target, target.reduce_terms(raw))
 
 
 def partial_derivative(f, name):
@@ -456,7 +482,7 @@ def exact_divide(f, g):
         if not monomial_divides(ge, re):
             raise NotDivisible("leading term not divisible", rem)
         mono = tuple(a - b for a, b in zip(re, ge))
-        qterm = ring.monomial(mono, rc / gc)
+        qterm = ring.monomial(mono, Fraction(rc) / gc)
         quotient = quotient + qterm
         rem = rem - qterm * g
     return quotient
@@ -558,7 +584,7 @@ def _parse_factor(tok, ring):
             if den == 0:
                 raise PolyParseError("zero denominator", dpos)
             return ring.constant(Fraction(num, den))
-        return ring.constant(Fraction(num))
+        return ring.constant(num)
     if ch.isalpha() or ch == "_":
         name, npos = tok.take_name()
         if name not in ring.index:

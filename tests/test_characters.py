@@ -1,10 +1,11 @@
+import random
 from itertools import product
 from math import gcd
 
 import pytest
 
 from chowcheck import characters, jacobian
-from chowcheck.poly import PolyRing, parse_poly
+from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
 
 SIGMA = characters.DiagonalAutomorphism((16, 61, 1, 0), 65)
 
@@ -174,3 +175,56 @@ def test_closed_form_spectra_match_the_eliminated_blocks(quintic_sym):
         blocks = quintic_sym._symmetric_blocks(k)
         expected = {c: len(free) for c, _, free, _, _ in blocks if free}
         assert characters.character_spectrum(quintic_sym, SIGMA, k).histogram == expected
+
+
+def _enumerated_spectrum(hring, sigma, degree):
+    """The former closed-form spectrum, kept as an oracle: the Koszul
+    numerator times the character of every monomial of the remaining
+    degree, enumerated one by one."""
+    n, d, modulus = hring.nvars, hring.degree, sigma.modulus
+    chi = sigma.character(next(iter(hring.poly.terms)))
+    numerator = {(0, 0): 1}
+    for e in sigma.exponents:
+        step = dict(numerator)
+        for (j, c), a in numerator.items():
+            key = (j + d - 1, (c + chi - e) % modulus)
+            step[key] = step.get(key, 0) - a
+        numerator = step
+    histogram = {}
+    for (j, c), a in numerator.items():
+        if a and j <= degree:
+            for m in enumerate_monomials(n, degree - j):
+                key = (c + sigma.character(m)) % modulus
+                histogram[key] = histogram.get(key, 0) + a
+    return {c: histogram[c] for c in sorted(histogram) if histogram[c]}
+
+
+def _fermat_type(rng):
+    """sum c_i x_i^d with a random diagonal automorphism of order d*m:
+    exponents r + m*k_i give every x_i^d the character d*r."""
+    nvars, degree = rng.choice([(3, 3), (3, 5), (4, 3), (4, 4), (4, 5), (4, 6)])
+    ring = PolyRing.rationals([f"x{i}" for i in range(nvars)])
+    f = ring.zero()
+    for i in range(nvars):
+        exps = tuple(degree if j == i else 0 for j in range(nvars))
+        f = f + ring.monomial(exps, rng.choice([1, -1, 2, -3]))
+    m = rng.randint(1, 3)
+    r = rng.randrange(degree * m)
+    sigma = characters.DiagonalAutomorphism(
+        [r + m * rng.randrange(degree) for _ in range(nvars)], degree * m)
+    return jacobian.HypersurfaceRing(f), sigma
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_series_spectrum_matches_the_enumerated_one(seed, quintic_sym):
+    if seed == 0:
+        hring, sigma = quintic_sym, SIGMA
+    else:
+        hring, sigma = _fermat_type(random.Random(seed))
+    assert characters.check_invariance(hring.poly, sigma)
+    for k in range(hring.socle_degree + 2):
+        expected = _enumerated_spectrum(hring, sigma, k)
+        got = characters._complete_intersection_spectrum(hring, sigma, k)
+        assert got == expected
+        assert list(got) == sorted(got)
+        assert sum(got.values()) == hring.quotient_dim(k)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from importlib import resources
+from math import comb
 
 import pytest
 
+from chowcheck import jacobian
 from chowcheck.poly import (NotDivisible, PolyParseError, PolyRing,
-                            ProjectivePoint, check_parametrization,
-                            enumerate_monomials, exact_divide,
-                            multiplicity_at_point, parse_poly,
-                            partial_derivative, substitute)
+                            ProjectivePoint, SparsePoly,
+                            check_parametrization, enumerate_monomials,
+                            exact_divide, grevlex_key, multiplicity_at_point,
+                            parse_poly, partial_derivative, substitute)
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 
@@ -195,3 +198,112 @@ def test_leading_term_and_text():
     assert e == (2, 0) and c == 1
     assert parse_poly("0", XY).is_zero()
     assert parse_poly("x - x", XY).to_text() == "0"
+
+
+def _sorted_monomials(nvars, degree):
+    """The former enumeration, kept as an oracle: every tuple of the
+    degree, then sorted by ``grevlex_key``, largest first."""
+    out = []
+
+    def fill(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            fill(prefix + (e,), remaining - e, slots - 1)
+
+    fill((), degree, nvars)
+    out.sort(key=grevlex_key, reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_monomials_come_in_grevlex_order_without_a_sort(nvars):
+    for degree in range(11):
+        monos = enumerate_monomials(nvars, degree)
+        assert monos == _sorted_monomials(nvars, degree)
+        assert len(monos) == comb(degree + nvars - 1, nvars - 1)
+    with pytest.raises(ValueError):
+        enumerate_monomials(0, 1)
+    with pytest.raises(ValueError):
+        enumerate_monomials(nvars, -1)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    f = parse_poly("2/4*x^2 + 3*y - 1/3*x*y", XY)
+    assert f.terms == {(2, 0): Fraction(1, 2), (0, 1): 3, (1, 1): Fraction(-1, 3)}
+    assert type(f.terms[(0, 1)]) is int
+    g = f * XY.constant(Fraction(6))
+    assert g.terms == {(2, 0): 3, (0, 1): 18, (1, 1): -2}
+    assert all(type(c) is int for c in g.terms.values())
+    assert all(type(c) is int for c in f.scale(Fraction(6, 1)).terms.values())
+    assert all(type(c) is int for c in (f + f.scale(-1)).terms.values())
+    assert type(partial_derivative(f, "x").terms[(1, 0)]) is int
+    assert type(XY.constant("4/2").terms[(0, 0)]) is int
+    assert type(XY.monomial((1, 0), Fraction(-3, 1)).terms[(1, 0)]) is int
+    assert f.coefficient((5, 5)) == 0 and f.coefficient((0, 1)) == 3
+    tower = PolyRing.tower(("x", "lam"), "lam")
+    assert all(type(c) is int for _, repl in tower.reductions.values()
+               for c in repl.values())
+
+
+def test_a_float_is_refused():
+    f = parse_poly("x + y", XY)
+    for bad in (0.5, 0.1, 2.0, float("nan")):
+        with pytest.raises(TypeError):
+            XY.constant(bad)
+        with pytest.raises(TypeError):
+            XY.monomial((1, 0), bad)
+        with pytest.raises(TypeError):
+            f.scale(bad)
+        with pytest.raises(TypeError):
+            ProjectivePoint((1, bad))
+    # exact inputs of every accepted kind still go through
+    assert XY.constant("1/2") == XY.constant(Fraction(1, 2))
+    assert ProjectivePoint(("1/2", 1)) == ProjectivePoint((1, 2))
+
+
+def _bundled(name):
+    return parse_scenario(resources.files("chowcheck.scenarios")
+                          .joinpath(name).read_text(encoding="utf-8"))
+
+
+def _seeded_dense_quartic(seed):
+    rng = random.Random(seed)
+    return " + ".join(f"{rng.choice((-1, 1)) * rng.randint(1, 9)}*"
+                      + "*".join(f"x{i}^{e}" for i, e in enumerate(m) if e)
+                      for m in enumerate_monomials(4, 4))
+
+
+def test_floating_point_never_enters_a_coefficient(monkeypatch):
+    """Every coefficient ever stored is an int or a non-integral Fraction."""
+    seen = []
+    init = SparsePoly.__init__
+
+    def checked(self, ring, terms):
+        seen.extend(terms.values())
+        bad = [c for c in terms.values()
+               if not (type(c) is int
+                       or type(c) is Fraction and c.denominator != 1)]
+        assert not bad, f"stored coefficients {bad!r}"
+        init(self, ring, terms)
+
+    monkeypatch.setattr(SparsePoly, "__init__", checked)
+    shioda = run_scenario(_bundled("shioda.scn"))
+    assert shioda.exit_code == 0
+    family = run_scenario(_bundled("quartic_family.scn"))
+    assert [s.name for s in family.failed_steps()] == \
+        ["pencil parameter condition"]
+    p3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
+    dense = jacobian.HypersurfaceRing(parse_poly(_seeded_dense_quartic(1), p3))
+    assert jacobian.is_smooth_artinian(dense)
+    assert jacobian.hilbert_function(dense) == [1, 4, 10, 16, 19, 16, 10, 4, 1]
+    plane = PolyRing.rationals(("x0", "x1", "x2"))
+    rational = jacobian.HypersurfaceRing(
+        parse_poly("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", plane))
+    assert jacobian.macaulay_pairing_check(rational, 1)
+    assert jacobian.functional_kernel_map(
+        rational, parse_poly("x0", plane)).surjective
+    # both kinds of coefficient were seen, so the guard is not vacuous
+    assert any(type(c) is int for c in seen)
+    assert any(type(c) is Fraction for c in seen)

@@ -13,7 +13,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from chowcheck import characters, exactla, jacobian, modrank
-from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
+from chowcheck.poly import (NotDivisible, PolyRing, enumerate_monomials,
+                            exact_divide, parse_poly, partial_derivative,
+                            substitute)
 
 XY = PolyRing.rationals(("x", "y"))
 TERNARY = PolyRing.rationals(("x", "y", "z"))
@@ -242,3 +244,114 @@ def test_closed_forms_match_elimination_without_a_symmetry():
 
     check()
     assert sum(closed) >= 20
+
+
+# ------------------------------------------- SparsePoly arithmetic vs sympy
+#
+# Coefficients are ints when integral and Fractions otherwise; these
+# properties check the arithmetic itself against sympy, in a plain
+# rational ring and in the tower Q(w, a) with w^2 + w + 1 = 0 and
+# a^3 = -lam.
+
+TOWER = PolyRing.tower(("x", "lam"), "lam")
+_RINGS = {"rational": TERNARY, "tower": TOWER}
+_exact_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def _polys(draw, ring, max_terms=4, max_exp=3):
+    monos = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    terms = draw(st.lists(st.tuples(monos, _exact_coefficients),
+                          max_size=max_terms))
+    f = ring.zero()
+    for exps, c in terms:
+        f = f + ring.monomial(exps, c)
+    return f
+
+
+def _sympy_setup(ring):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ring.names)
+    named = dict(zip(ring.names, gens))
+    # lex with a and w first: w^2 and a^3 lead, and the two relations
+    # have coprime leading terms, so they are a Groebner basis and the
+    # remainder is the normal form with w-degree <= 1, a-degree <= 2
+    order = sorted(gens, key=lambda g: str(g) not in ("a", "w"))
+    relations = ([named["w"] ** 2 + named["w"] + 1,
+                  named["a"] ** 3 + named["lam"]]
+                 if ring.reductions else [])
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+
+    def normal(expr):
+        expr = sympy.expand(expr)
+        if relations:
+            expr = sympy.reduced(expr, relations, *order, order="lex")[1]
+        return sympy.Poly(expr, *gens)
+
+    def agree(p, expr):
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                   for c in p.terms.values())
+        assert sympy.Poly(to_sympy(p), *gens) == normal(expr)
+
+    return sympy, to_sympy, agree
+
+
+@pytest.mark.parametrize("name", sorted(_RINGS))
+def test_ring_arithmetic_matches_sympy(name):
+    ring = _RINGS[name]
+    sympy, to_sympy, agree = _sympy_setup(ring)
+
+    @DETERMINISTIC
+    @given(_polys(ring), _polys(ring), st.integers(0, 3))
+    def check(f, g, n):
+        sf, sg = to_sympy(f), to_sympy(g)
+        agree(f + g, sf + sg)
+        agree(f - g, sf - sg)
+        agree(f * g, sf * sg)
+        agree(f ** n, sf ** n)
+        for var in ("x", ring.names[1]):
+            agree(partial_derivative(f, var), sympy.diff(sf, sympy.Symbol(var)))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(_RINGS))
+def test_substitute_matches_sympy(name):
+    ring = _RINGS[name]
+    sympy, to_sympy, agree = _sympy_setup(ring)
+
+    @DETERMINISTIC
+    @given(_polys(ring), _polys(ring, max_terms=3, max_exp=2),
+           _exact_coefficients)
+    def check(f, h, c):
+        x, other = sympy.Symbol("x"), sympy.Symbol(ring.names[1])
+        sf, sh = to_sympy(f), to_sympy(h)
+        agree(substitute(f, {"x": h}, ring), sf.subs(x, sh))
+        agree(substitute(f, {"x": h, ring.names[1]: c}, ring),
+              sf.subs({x: sh, other: sympy.Rational(c.numerator, c.denominator)},
+                      simultaneous=True))
+
+    check()
+
+
+@DETERMINISTIC
+@given(_polys(TERNARY), _polys(TERNARY))
+def test_exact_divide_matches_sympy(f, g):
+    assume(not g.is_zero())
+    sympy, to_sympy, agree = _sympy_setup(TERNARY)
+    gens = sympy.symbols(TERNARY.names)
+    agree(exact_divide(f * g, g), to_sympy(f))
+    # by a single divisor the remainder is zero exactly when g divides f
+    quotient, remainder = sympy.div(to_sympy(f), to_sympy(g), *gens)
+    if remainder == 0:
+        agree(exact_divide(f, g), quotient)
+    else:
+        with pytest.raises(NotDivisible) as info:
+            exact_divide(f, g)
+        assert not info.value.remainder.is_zero()
