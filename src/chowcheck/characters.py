@@ -13,6 +13,8 @@ clear of the outer pieces, plus one for the hyperplane class.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 from . import jacobian
@@ -110,11 +112,11 @@ def character_spectrum(hring, sigma, degree, twisted=False):
 
     On a ring proven smooth (``smoothness_proof``) the spectrum is
     read from the equivariant Koszul resolution, see
-    ``_complete_intersection_spectrum``.  Otherwise it works character by
-    character: ambient monomials of one character minus the exact rank of
-    the matching block of the Jacobian slice.  The split is valid because
-    each generator monomial times a partial is itself an eigenvector, so
-    the slice matrix is block diagonal.
+    ``_complete_intersection_spectrum``.  Otherwise it counts the
+    representatives of the exact graded piece by character.  That is
+    valid because each generator monomial times a partial is itself an
+    eigenvector, so the slice matrix is block diagonal: the free columns
+    of its echelon form are the union of those of its character blocks.
     """
     if not check_invariance(hring.poly, sigma):
         raise NotInvariant("form is not an eigenvector of the automorphism")
@@ -123,9 +125,8 @@ def character_spectrum(hring, sigma, degree, twisted=False):
     if hring.smoothness_proof().certified:
         histogram = _complete_intersection_spectrum(hring, sigma, degree)
     else:
-        symmetry = (sigma.exponents, sigma.modulus)
-        blocks = hring._symmetric_blocks(degree, symmetry=symmetry)
-        histogram = {c: len(free) for c, _, free, _, _ in blocks if free}
+        reps = hring.piece(degree).representatives
+        histogram = dict(sorted(Counter(map(sigma.character, reps)).items()))
     total = hring.quotient_dim(degree)
     if sum(histogram.values()) != total:
         raise AssertionError("character dimensions do not add up")
@@ -174,11 +175,16 @@ def _complete_intersection_spectrum(hring, sigma, degree):
     return {c: histogram[c] for c in sorted(histogram) if histogram[c]}
 
 
+@lru_cache(maxsize=None)
+def _units(modulus):
+    """The units of Z/N, computed once per modulus."""
+    return tuple(u for u in range(1, modulus + 1) if gcd(u, modulus) == 1)
+
+
 def galois_orbit(character, modulus):
     """Orbit of a character under multiplication by units mod N."""
     character %= modulus
-    return frozenset(u * character % modulus
-                     for u in range(1, modulus + 1) if gcd(u, modulus) == 1)
+    return frozenset(u * character % modulus for u in _units(modulus))
 
 
 class PicardBoundResult:

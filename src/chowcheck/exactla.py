@@ -6,6 +6,11 @@ ranks over a prime field are available as cheap one-sided certificates:
 the rank mod p never exceeds the rational rank, so a modular rank that
 meets the a-priori maximum pins the exact value.
 
+Exact rationals are lifted from residues by Chinese remaindering
+(``crt``) and Wang's rational reconstruction
+(``rational_reconstruction``); a lifted value proves nothing until the
+caller verifies it exactly.
+
 Integer row lattices are normalised with a row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), which
 makes equality of lattices a literal equality of matrices.
@@ -14,10 +19,11 @@ makes equality of lattices a literal equality of matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from . import modrank
 from .modrank import BadPrime
+from .poly import _coefficient
 
 
 def _as_rows(matrix):
@@ -159,7 +165,8 @@ def kernel_basis(matrix):
     """Basis of the right kernel, one vector per free column.
 
     Each basis vector carries entry 1 at its free column and 0 at every
-    other free column, so the result is canonical.  Satisfies
+    other free column, so the result is canonical.  Integral entries are
+    ``int``, the others ``Fraction``.  Satisfies
     ``len(kernel_basis(M)) == ncols - rank(M)`` by construction.
     """
     rows = _integer_rows(matrix)
@@ -170,14 +177,13 @@ def kernel_basis(matrix):
     free_cols = [c for c in range(n) if c not in piv_cols]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+        vec = [0] * n
+        vec[fc] = 1
         # back-substitute through the echelon rows
         for i in range(len(ech) - 1, -1, -1):
             pc = piv_cols[i]
-            s = sum((Fraction(ech[i][j]) * vec[j] for j in range(pc + 1, n)
-                     if vec[j]), Fraction(0))
-            vec[pc] = -s / ech[i][pc]
+            s = sum(ech[i][j] * vec[j] for j in range(pc + 1, n) if vec[j])
+            vec[pc] = _coefficient(Fraction(-s, ech[i][pc]))
         basis.append(vec)
     return basis
 
@@ -196,9 +202,14 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     the elimination kernels, or if it divides the denominator of any entry.
     """
     modrank.require_prime(prime)
-    if getattr(matrix, "dtype", None) == "int64" or modrank.is_sparse(matrix):
+    if getattr(matrix, "dtype", None) == "int64":
         red = matrix
-        nrows, ncols = getattr(matrix, "shape", (len(matrix), len(matrix)))
+        nrows, ncols = matrix.shape
+    elif modrank.is_sparse(matrix):
+        # 1 + the largest column index bounds the rank from above
+        red = matrix
+        nrows = len(matrix)
+        ncols = 1 + max((max(row) for row in matrix if row), default=-1)
     else:
         red = []
         for row in _as_rows(matrix):
@@ -212,6 +223,44 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     if upper_bound is None:
         upper_bound = min(nrows, ncols)
     return RankCertificate(prime, r, upper_bound)
+
+
+def crt(residues, modulus, images, prime):
+    """Chinese remaindering of a vector, one prime at a time.
+
+    Given ``residues`` in [0, modulus) and ``images`` mod ``prime``, a
+    prime not dividing ``modulus``, returns the vector in
+    [0, modulus * prime) congruent to both.
+    """
+    u = pow(modulus, -1, prime)
+    return [r + modulus * ((x - r) * u % prime)
+            for r, x in zip(residues, images)]
+
+
+def rational_reconstruction(residues, m):
+    """The rationals congruent to ``residues`` mod ``m`` (Wang 1981), or
+    None when one of them has none.
+
+    For each residue a, looks for n/d with |n| <= B, 0 < d <= B and
+    n == d*a (mod m), for B = isqrt(m // 2).  Such a fraction in lowest
+    terms is unique when it exists, and the half-extended Euclidean
+    algorithm on (m, a) finds it as the first remainder at most B.
+    Integral results are ``int``.
+    """
+    bound = isqrt(m // 2)
+    out = []
+    for a in residues:
+        r0, r1, s0, s1 = m, a % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        out.append(r1 if s1 == 1 else Fraction(r1, s1))
+    return out
 
 
 def _xgcd(a, b):

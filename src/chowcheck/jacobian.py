@@ -16,21 +16,26 @@ come from the first of these routes that applies:
   modular rank of the degree-(sigma+1) slice otherwise) is a complete
   intersection and reads the closed form ((1 - t^(d-1)) / (1 - t))^n;
   a certificate that does not close proves nothing;
-* otherwise ``ideal_rank`` eliminates the slice: monomial ideals reduce
-  to divisibility bookkeeping; rings with a declared diagonal symmetry
-  split each graded piece into character blocks that are eliminated
-  independently (each Jacobian generator is supported in a single
-  block, so the span matrix is block diagonal and the ranks add);
-  everything else takes a modular rank certificate when it closes (see
-  ``_certified_ideal_rank``) and fraction-free elimination otherwise.
+* otherwise ``ideal_rank`` eliminates the slice: a monomial ideal
+  reduces to divisibility bookkeeping; any other ring takes the rank mod
+  p of the slice when it meets min(rows, cols), and the dimension of
+  the lifted piece otherwise.
 
 A graded piece, which also needs representatives and a reduction map,
 is one exact ``GradedPiece``: a degree, the representatives, and the
 normal form of every ambient monomial over them.  ``piece(k)`` takes the
-standard monomials of a monomial ideal, otherwise the character blocks
-of the slice, each eliminated over Q (a ring without a declared symmetry
-is one block of the trivial character).  On a ring proven smooth, a
-piece whose dimension differs from the closed form raises
+standard monomials of a monomial ideal.  Any other ring lifts the
+reduced echelon form of its slice from GF(p) (``_lift``): echelon forms
+mod primes just below MAX_PRIME, combined by Chinese remaindering and
+rational reconstruction (Wang 1981; Monagan 2004), then verified by one
+exact product A*N = 0 of the slice A and the normal-form table N.  N is
+the identity on the free columns, whose count is #monomials minus the
+rank mod p, so the product proves N exact at any prime; a bad prime can
+only make a lift fail its check, never pass it wrongly.  The free
+columns are those of the whole slice, so for every diagonal symmetry of
+F (which makes the slice block diagonal) they are the union of the free
+columns of its character blocks.  On a ring proven smooth, a piece
+whose dimension differs from the closed form raises
 ``ArithmeticError``.  Every multiplication and pairing matrix is built
 by looking up normal forms (``_products``).
 
@@ -57,18 +62,16 @@ for the dense kernel.  numpy is imported only when a layout or an array
 is built, so a ring whose certificate slice is sparse, or whose ideal
 is monomial, never loads it.
 
-A ring memoises per degree its slice layouts, graded pieces, eliminated
-quotient dimensions and, for each normalised symmetry, its eliminated
-character blocks, so graded pieces, character spectra and the
-smoothness test share one elimination of each degree; it memoises one
+A ring memoises per degree its slice layouts, graded pieces and
+eliminated quotient dimensions, so graded pieces, character spectra and
+the smoothness test share one lift of each degree; it memoises one
 smoothness certificate per prime, and any one that closes serves every
 later question.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
@@ -85,43 +88,21 @@ from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
 SPARSE_DENSITY = 0.004
 
 
+def _lift_primes():
+    """The primes of the lifted pieces: every prime from MAX_PRIME down."""
+    p = modrank.MAX_PRIME
+    while True:
+        if modrank.is_prime(p):
+            yield p
+        p -= 1
+
+
 class SocleNotOneDimensional(ArithmeticError):
     """The socle degree piece does not have dimension one."""
 
 
 class IdealNotMonomial(ValueError):
     """An operation requiring a monomial Jacobian ideal got a general one."""
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over the rationals.
-
-    Returns (rref_rows, pivot_cols).  Input rows are consumed.
-    """
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
-    out = []
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], piv_cols
 
 
 def complete_intersection_hilbert(nvars, degree):
@@ -167,8 +148,9 @@ class HypersurfaceRing:
         generators); every ring variable is a coordinate.
     symmetry : (exponents, modulus) pair, optional
         Declares that f is an eigenvector of the diagonal automorphism
-        x_i -> zeta**e_i x_i of the given order.  Used to split graded
-        pieces into character blocks; validated on construction.
+        x_i -> zeta**e_i x_i of the given order, which gives the
+        characters of ``character_of`` and
+        ``GradedPiece.character_dimensions``; validated on construction.
     """
 
     def __init__(self, f, symmetry=None):
@@ -194,7 +176,6 @@ class HypersurfaceRing:
         # the partials' coefficients in one list, in slice layout order
         self._term_coeffs = [c for part in self._int_partials for _, c in part]
         self.symmetry = None
-        self._char_of_partial = None
         if symmetry is not None:
             exponents, modulus = symmetry
             exponents = tuple(int(e) % int(modulus) for e in exponents)
@@ -207,7 +188,6 @@ class HypersurfaceRing:
         self._pieces = {}
         self._slices = {}
         self._dims = {}
-        self._blocks = {}
         self._certificates = {}
         self._closed_form = None
 
@@ -339,61 +319,14 @@ class HypersurfaceRing:
         return [{col[monomial_mul(m, x)]: c for x, c in part}
                 for m in src for part in parts]
 
-    def _koszul_rows(self, k):
-        """Relations among the generator rows coming from Koszul syzygies.
-
-        Each row is the free-module vector of d_jF * e_i - d_iF * e_j
-        times a monomial of degree k - 2(d-1), written in the same
-        (source monomial, partial) coordinates as ``span_rows(k)``.
-        These vectors lie in the kernel of the span map for every F.
-        """
-        e = self.degree - 1
-        if k < 2 * e:
-            return []
-        src = enumerate_monomials(self.nvars, k - e)
-        slot = {(m, i): i + self.nvars * j for j, m in enumerate(src)
-                for i in range(self.nvars)}
-        rows = []
-        for mu in enumerate_monomials(self.nvars, k - 2 * e):
-            for i in range(self.nvars):
-                for j in range(i + 1, self.nvars):
-                    row = [0] * (len(src) * self.nvars)
-                    for ex, c in self._int_partials[j]:
-                        row[slot[(monomial_mul(mu, ex), i)]] += c
-                    for ex, c in self._int_partials[i]:
-                        row[slot[(monomial_mul(mu, ex), j)]] -= c
-                    rows.append(row)
-        return rows
-
-    def _certified_ideal_rank(self, k, primes=(1000003, 1000033, 1000099)):
-        """Exact rank of the degree-k slice from modular elimination alone.
-
-        The rank mod p of ``_gfp_slice(k, p)`` is a lower bound for the
-        exact rank of the slice ``span_rows(k)``.  Two upper
-        bounds are a priori: min(rows, cols), and rows minus the rank of
-        the Koszul relation rows, which always lie in the kernel of the
-        span map.  Whenever the modular lower bound meets either upper
-        bound the exact rank is certified; otherwise returns None and the
-        caller falls back to fraction-free elimination.
-        """
-        nrows, ncols = self._slice_shape(k)
-        if not nrows:
-            return 0
-        koszul = None
-        for p in primes:
-            m1 = modrank.rank_mod(self._gfp_slice(k, p), p)
-            if m1 == min(nrows, ncols):
-                return m1
-            if koszul is None:
-                koszul = self._koszul_rows(k)
-            if koszul:
-                m2 = modrank.rank_mod(koszul, p)
-                if m1 == nrows - m2:
-                    return m1
-        return None
-
     def ideal_rank(self, k):
-        """Exact dimension of the degree-k piece of the Jacobian ideal."""
+        """Exact dimension of the degree-k piece of the Jacobian ideal.
+
+        A monomial ideal counts the monomials it contains.  Any other
+        ring first tries the rank mod DEFAULT_PRIME of the slice, which
+        proves the rank when it is min(rows, cols); short of that the
+        rank is #monomials minus the dimension of the lifted piece.
+        """
         if k < self.degree - 1:
             return 0
         if self.is_monomial_ideal:
@@ -401,81 +334,91 @@ class HypersurfaceRing:
             monos = enumerate_monomials(self.nvars, k)
             return sum(1 for m in monos
                        if any(monomial_divides(g, m) for g in gens))
-        if self.symmetry is not None:
-            blocks = self._symmetric_blocks(k)
-            return sum(len(cols) - len(free)
-                       for _, cols, free, _, _ in blocks)
-        # entry growth in fraction-free elimination is driven by the step
-        # count, so route long eliminations through the certificate first
-        if min(self._slice_shape(k)) > 48:
-            certified = self._certified_ideal_rank(k)
-            if certified is not None:
-                return certified
-        return exactla.rank(self.span_rows(k)[0])
+        rows, cols = self._slice_shape(k)
+        p = modrank.DEFAULT_PRIME
+        if modrank.rank_mod(self._gfp_slice(k, p), p) == min(rows, cols):
+            return min(rows, cols)
+        return cols - self.piece(k).dim
 
-    def _symmetric_blocks(self, k, symmetry=None):
-        """Character blocks of the degree-k slice, each exactly eliminated.
+    def _lift(self, k):
+        """(free, rows) of the degree-k piece of a non-monomial ring.
 
-        Returns a tuple of (character, column_indices, free_local_indices,
-        rref_rows, pivot_local_indices) sorted by character, every part a
-        tuple.  ``symmetry`` defaults to the declared one.  Memoised per
-        degree and normalised symmetry, so callers share one elimination.
+        ``free`` are the free columns of the reduced echelon form of the
+        slice over Q, and ``rows`` maps each pivot column to its normal
+        form, {free column: minus the entry of its row}.  The form is
+        lifted from
+        ``echelon_mod`` at primes counting down from MAX_PRIME.  A prime
+        of lower rank, or of equal rank with later pivots, is unlucky
+        for this slice and is skipped; a better one restarts the lift.
+        After each prime the free-column entries are reconstructed from
+        their residues (``exactla.crt``, ``exactla.rational_reconstruction``)
+        and verified by ``_annihilates``, which proves them; a failed
+        reconstruction or check only asks for another prime.  A rank
+        mod p equal to the number of monomials proves the piece zero.
         """
-        exponents, modulus = symmetry if symmetry is not None else self.symmetry
-        modulus = int(modulus)
-        key = (k, tuple(int(e) % modulus for e in exponents), modulus)
-        if key not in self._blocks:
-            self._blocks[key] = self._eliminate_blocks(*key)
-        return self._blocks[key]
+        _, ncols = self._slice_shape(k)
+        best = None
+        for p in _lift_primes():
+            rank, rref, pivots = modrank.echelon_mod(self.span_array(k, p), p)
+            if rank == ncols:
+                return [], {}
+            key = (-rank, pivots)
+            if best is not None and key > best:
+                continue
+            free = sorted(set(range(ncols)) - set(pivots))
+            images = rref[:, free].ravel().tolist()
+            if key != best:
+                best, modulus, residues = key, p, images
+            else:
+                residues = exactla.crt(residues, modulus, images, p)
+                modulus *= p
+            entries = exactla.rational_reconstruction(residues, modulus)
+            if entries is None:
+                continue
+            width = len(free)
+            rows = {pc: {free[t]: -x for t, x in
+                         enumerate(entries[i * width:(i + 1) * width]) if x}
+                    for i, pc in enumerate(pivots)}
+            if self._annihilates(k, free, rows):
+                return free, rows
 
-    def _eliminate_blocks(self, k, exponents, modulus):
-        """Uncached worker of ``_symmetric_blocks``.
+    def _annihilates(self, k, free, rows):
+        """A·N = 0 for the slice A and the normal forms N that ``free``
+        and ``rows`` define: e_j for a free column j, ``rows[j]`` for a
+        pivot column j.
 
-        Block rows are read off the slice layout: the row of (source s,
-        partial i) holds the terms of partial i in the columns
-        ``cols[s, t]``.  Every generator row must be supported inside a
-        single block; this is rechecked here so an inconsistent symmetry
-        hint cannot produce a wrong rank.
+        Checked exactly, row by row of the slice, from the layout
+        (``_slice_index``) and ``_term_coeffs``; N is scaled to integers
+        by the lcm of its denominators first.  With N the identity on the
+        free columns, the check proves rank_Q(A) <= #monomials - #free.
         """
-        monos, src, _, cols = self._slice_index(k)
-        char_of = [self._character(m, exponents, modulus) for m in monos]
-        by_char, local = {}, []
-        for c in char_of:
-            js = by_char.setdefault(c, [])
-            local.append(len(js))
-            js.append(len(local) - 1)
-        rows_by_char = {c: [] for c in by_char}
-        terms, start = [], 0
+        den = lcm(1, *(x.denominator for row in rows.values()
+                       for x in row.values()))
+        forms = {j: {j: den} for j in free}
+        for pc, row in rows.items():
+            forms[pc] = {t: x.numerator * (den // x.denominator)
+                         for t, x in row.items()}
+        _, _, _, cols = self._slice_index(k)
+        coeffs = self._term_coeffs
+        bounds, start = [], 0
         for part in self._int_partials:
-            terms.append((start, start + len(part)))
+            bounds.append((start, start + len(part)))
             start += len(part)
         for js in cols.tolist():
-            for lo, hi in terms:
-                if lo == hi:
-                    continue
-                chars = {char_of[j] for j in js[lo:hi]}
-                if len(chars) != 1:
-                    raise ValueError("generator spans several characters; "
-                                     "symmetry declaration is inconsistent")
-                c = chars.pop()
-                row = [0] * len(by_char[c])
-                for j, coeff in zip(js[lo:hi], self._term_coeffs[lo:hi]):
-                    row[local[j]] = coeff
-                rows_by_char[c].append(row)
-        blocks = []
-        for c in sorted(by_char):
-            js = by_char[c]
-            rref, piv = _rref(rows_by_char[c], len(js))
-            free = tuple(t for t in range(len(js)) if t not in piv)
-            blocks.append((c, tuple(js), free, tuple(map(tuple, rref)),
-                           tuple(piv)))
-        return tuple(blocks)
+            for lo, hi in bounds:
+                total = {}
+                for j, c in zip(js[lo:hi], coeffs[lo:hi]):
+                    for t, x in forms[j].items():
+                        total[t] = total.get(t, 0) + c * x
+                if any(total.values()):
+                    return False
+        return True
 
     def piece(self, k):
         """The degree-k graded piece over Q, memoised per degree: the
         standard monomials of a monomial ideal, else the free columns of
-        the eliminated character blocks; a pivot column's normal form is
-        minus the free part of its row."""
+        the lifted echelon form of the slice (``_lift``); a pivot
+        column's normal form is minus the free part of its row."""
         if k in self._pieces:
             return self._pieces[k]
         monos = enumerate_monomials(self.nvars, k)
@@ -485,12 +428,7 @@ class HypersurfaceRing:
                     if not any(monomial_divides(g, m) for g in gens)]
             rows = {}
         else:
-            blocks = self._symmetric_blocks(
-                k, self.symmetry or ((0,) * self.nvars, 1))
-            free = sorted(js[t] for _, js, local, _, _ in blocks for t in local)
-            rows = {js[pc]: {js[t]: -row[t] for t in local if row[t]}
-                    for _, js, local, rref, piv in blocks
-                    for row, pc in zip(rref, piv)}
+            free, rows = self._lift(k)
         pos = {j: i for i, j in enumerate(free)}
         forms = []
         for j in range(len(monos)):
@@ -1045,8 +983,7 @@ def functional_kernel_map(hring, g, b=None):
                   if 2 * a == sigma else 0 for u in pa.representatives]
     g_nonzero = any(functional)
     kernel = exactla.kernel_basis([functional]) if g_nonzero else [
-        [Fraction(1) if i == j else Fraction(0) for j in range(pa.dim)]
-        for i in range(pa.dim)]
+        [int(i == j) for j in range(pa.dim)] for i in range(pa.dim)]
     mmap = multiplication_map(hring, a, b, quotient_by=kernel)
     r = exactla.rank(mmap.matrix)
     return FunctionalMapResult(r, mmap.target_dim, len(kernel), g_nonzero)

@@ -2,7 +2,8 @@
 
 This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
-``rank_mod`` is the one entry point, with two kernels behind it.
+``rank_mod`` is the one rank entry point, with two kernels behind it;
+``echelon_mod`` gives the reduced echelon form through the dense one.
 
 Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
 (``_rank_mod_sparse``) that reduces one row at a time against the
@@ -31,6 +32,13 @@ inside int64; p is capped at MAX_PRIME so that (p-1)**2 < 2**63 and
 every budget is at least 1.  Pivots are inverted with Fermat's little
 theorem, which is only valid in a field, so every modulus passes the
 primality gate :func:`require_prime` before any elimination.
+
+``echelon_mod`` runs the dense kernel with its ``pivots`` hook, which
+keeps each pivot row in place instead of consuming it, and then
+back-substitutes the free columns into the reduced row echelon form.
+It is the modular half of the lifted graded pieces of
+``jacobian.HypersurfaceRing.piece``, which run it at primes just below
+MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ def update_budget(p):
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
-def _rank_mod_numpy(a, p):
+def _rank_mod_numpy(a, p, pivots=None):
     """Elimination with vectorised, lazily reduced row updates.
 
     Parameters
@@ -100,6 +108,11 @@ def _rank_mod_numpy(a, p):
         Matrix with entries already reduced into [0, p).  Destroyed.
     p : int
         Prime modulus.
+    pivots : list, optional
+        Receives one (column, pivot value) pair per pivot.  The pivot
+        rows are then kept in ``a[:rank]`` in order, each reduced into
+        [0, p) right of its pivot column (left of it, and in it, they
+        hold stale entries).
 
     Returns
     -------
@@ -146,6 +159,9 @@ def _rank_mod_numpy(a, p):
         if piv != r:
             a[piv, c + 1:] = a[r, c + 1:]
             carried[piv] = carried[r]
+        if pivots is not None:
+            pivots.append((c, int(vals[0])))
+            a[r, c + 1:] = y
         r += 1
         if r == rows:
             break
@@ -252,3 +268,72 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     if a.size == 0:
         return 0
     return int(_rank_mod_numpy(a, p))
+
+
+def echelon_mod(matrix, p=DEFAULT_PRIME):
+    """Reduced row echelon form of an integer matrix over GF(p).
+
+    Parameters
+    ----------
+    matrix : int64 ndarray, or sequence of rows of integers
+        Never modified.
+    p : int
+        Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
+
+    Returns
+    -------
+    (rank, rref, pivots)
+        ``rref`` is an int64 array of shape (rank, cols) with entries in
+        [0, p); row i has its leading 1 in column ``pivots[i]``, and
+        every other row is 0 there.  ``pivots`` is an ascending list.
+
+    The forward pass is the dense kernel, which keeps each pivot row in
+    place.  Back substitution then touches only the free columns, and
+    only for pivots with a nonzero multiplier above them: the pivot
+    columns of the result are known to be unit vectors, and an entry of
+    row i in the column of pivot j > i is the multiplier of row j
+    whatever rows below j did, since they are 0 in that column.
+    The free part is updated with the same delayed reduction: every row
+    takes at most one update per pivot, so all rows are reduced together
+    once ``update_budget(p)`` pivots have passed.
+    """
+    import numpy as np
+
+    require_prime(p)
+    a = _reduced(matrix, p)
+    cols = a.shape[1]
+    found = []
+    if a.size:
+        _rank_mod_numpy(a, p, found)
+    rank = len(found)
+    pivots = [c for c, _ in found]
+    rref = a[:rank]
+    # clear each pivot row left of and at its pivot, then scale it by
+    # the pivot's inverse; every entry is then in [0, p)
+    rref[np.arange(cols) <= np.array(pivots).reshape(-1, 1)] = 0
+    inverses = [pow(value, p - 2, p) for _, value in found]
+    rref[:] = rref * np.array(inverses, dtype=np.int64).reshape(-1, 1) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    x = rref[:, free]
+    # column i: the multipliers of pivot row i in the rows above it
+    upper = rref[:, pivots]
+    budget = update_budget(p)
+    carried = 0
+    for i in np.flatnonzero(upper.any(axis=0))[::-1].tolist():
+        x[i] %= p
+        hit = np.flatnonzero(upper[:i, i])
+        update = np.multiply.outer(upper[hit, i], x[i])
+        if budget == 1:
+            x[hit] = (x[hit] - update) % p
+            continue
+        x[hit] -= update
+        carried += 1
+        if carried == budget:
+            x[:i] %= p
+            carried = 0
+    rref[:, free] = x % p
+    rref[:, pivots] = 0
+    rref[np.arange(rank), pivots] = 1
+    return rank, rref, pivots

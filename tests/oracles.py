@@ -1,0 +1,92 @@
+"""Exact oracles kept from routes the package no longer takes.
+
+Graded pieces of non-monomial rings were once eliminated over Q one
+character block of the Jacobian slice at a time, with a Fraction
+Gauss-Jordan elimination.  The package now lifts them from GF(p); the
+block route is kept here, with its own elimination, as the oracle of
+differential tests.
+"""
+
+from fractions import Fraction
+
+from chowcheck.poly import enumerate_monomials
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], piv_cols
+
+
+def character_blocks(hring, k, symmetry=None):
+    """The degree-k slice split by the characters of ``symmetry``, an
+    (exponents, modulus) pair (default: the trivial character), each
+    block eliminated by ``fraction_rref``.
+
+    Returns {character: (columns, rref rows, local pivot indices)}.  A
+    slice row supported in several blocks raises AssertionError: the
+    form is then no eigenvector of the symmetry.
+    """
+    exponents, modulus = symmetry or ((0,) * hring.nvars, 1)
+    monos = enumerate_monomials(hring.nvars, k)
+    char = [sum(a * e for a, e in zip(m, exponents)) % modulus for m in monos]
+    cols = {}
+    for j, c in enumerate(char):
+        cols.setdefault(c, []).append(j)
+    rows = {c: [] for c in cols}
+    for row in hring.span_rows(k)[0]:
+        support = {char[j] for j, x in enumerate(row) if x}
+        assert len(support) <= 1, "a slice row spans several characters"
+        for c in support:
+            rows[c].append([row[j] for j in cols[c]])
+    return {c: (js, *fraction_rref(rows[c], len(js)))
+            for c, js in sorted(cols.items())}
+
+
+def block_pieces(hring, k, symmetry=None):
+    """(representatives, normal forms) of the degree-k piece from the
+    character blocks: the free columns of every block, and for a pivot
+    column minus the free part of its row."""
+    monos = enumerate_monomials(hring.nvars, k)
+    free, rows = [], {}
+    for js, rref, piv in character_blocks(hring, k, symmetry).values():
+        local = [t for t in range(len(js)) if t not in piv]
+        free += [js[t] for t in local]
+        for row, pc in zip(rref, piv):
+            rows[js[pc]] = {js[t]: -row[t] for t in local if row[t]}
+    free.sort()
+    pos = {j: i for i, j in enumerate(free)}
+    forms = []
+    for j in range(len(monos)):
+        form = [0] * len(free)
+        if j in pos:
+            form[pos[j]] = 1
+        for t, x in rows.get(j, {}).items():
+            form[pos[t]] = x
+        forms.append(tuple(form))
+    return [monos[j] for j in free], forms
+
+
+def block_spectrum(hring, sigma, k):
+    """{character: dimension} of the degree-k piece, from the blocks of
+    the diagonal automorphism ``sigma``; empty characters omitted."""
+    blocks = character_blocks(hring, k, (sigma.exponents, sigma.modulus))
+    return {c: len(js) - len(piv) for c, (js, _, piv) in blocks.items()
+            if len(js) > len(piv)}

@@ -6,6 +6,7 @@ import pytest
 
 from chowcheck import characters, jacobian
 from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
+from oracles import block_spectrum
 
 SIGMA = characters.DiagonalAutomorphism((16, 61, 1, 0), 65)
 
@@ -93,6 +94,12 @@ def test_galois_orbits():
     for c in orbit13:
         for u in (2, 3, 7, 64):
             assert (u * c) % 65 in orbit13
+    # the units of Z/65 are found once, whatever the character
+    characters._units.cache_clear()
+    for c in range(-65, 130):
+        assert characters.galois_orbit(c, 65) == {
+            u * c % 65 for u in range(1, 66) if gcd(u, 65) == 1}
+    assert characters._units.cache_info().misses == 1
 
 
 def test_spectrum_agrees_with_brute_force_on_monomial_quotient(p3_ring):
@@ -169,12 +176,11 @@ def test_picard_bound_requires_smoothness(p3_ring):
 
 def test_closed_form_spectra_match_the_eliminated_blocks(quintic_sym):
     # the quintic is proven smooth, so spectra come from the Koszul closed
-    # form; the character blocks are eliminated independently of it
+    # form; the oracle eliminates the character blocks independently of it
     assert quintic_sym.smoothness_certificate().certified
     for k in range(15):
-        blocks = quintic_sym._symmetric_blocks(k)
-        expected = {c: len(free) for c, _, free, _, _ in blocks if free}
-        assert characters.character_spectrum(quintic_sym, SIGMA, k).histogram == expected
+        assert characters.character_spectrum(quintic_sym, SIGMA, k).histogram == \
+            block_spectrum(quintic_sym, SIGMA, k)
 
 
 def _enumerated_spectrum(hring, sigma, degree):

@@ -73,6 +73,12 @@ def test_kernel_basis_is_canonical_and_annihilating():
     for vec in basis:
         units = [j for j, v in enumerate(vec) if v == 1]
         assert units
+    # integral entries are ints, the others Fractions
+    assert exactla.kernel_basis(rows) == [[-1, -1, 1, 0], [-4, 0, 0, 1]]
+    assert all(type(x) is int for vec in basis for x in vec)
+    halves = exactla.kernel_basis([[2, 1, 0], [0, 0, 3]])
+    assert halves == [[Fraction(-1, 2), 1, 0]]
+    assert [type(x) for x in halves[0]] == [Fraction, int, int]
 
 
 def test_rank_nullity_random():
@@ -91,6 +97,16 @@ def test_modular_rank_certificate():
     # caller-supplied upper bound
     cert = exactla.modular_rank([[1, 2], [2, 4]], prime=1000003, upper_bound=1)
     assert cert.certified
+    # dict rows: 1 + the largest column index bounds the rank, as the
+    # width of the same matrix as dense rows does
+    dense = exactla.modular_rank([[1, 0], [0, 1], [1, 1]], prime=1000003)
+    sparse = exactla.modular_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}], prime=1000003)
+    assert (sparse.rank, sparse.upper_bound, sparse.certified) == (
+        dense.rank, dense.upper_bound, dense.certified) == (2, 2, True)
+    cert = exactla.modular_rank([{}, {3: 5}], prime=1000003)
+    assert (cert.rank, cert.upper_bound, cert.certified) == (1, 2, False)
+    cert = exactla.modular_rank([{}, {}], prime=1000003)
+    assert (cert.rank, cert.upper_bound, cert.certified) == (0, 0, True)
 
 
 def test_modular_rank_rejects_bad_primes():
@@ -271,3 +287,30 @@ def test_matrix_wrappers_reject_ragged_rows():
     m = exactla.IntMatrix([[1, 2], [3, 4]])
     assert m.rows() == [[1, 2], [3, 4]]
     assert exactla.rank(m) == 2
+
+
+def test_crt_and_rational_reconstruction_recover_small_fractions():
+    p0 = next(p for p in range(modrank.MAX_PRIME, 0, -1) if modrank.is_prime(p))
+    rng = random.Random(5)
+    # |numerator|, denominator < 10**9, inside the bound sqrt(m / 2) once
+    # m is the product of the three primes, about 3 * 10**21
+    values = [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**4))
+              for _ in range(50)] + [0, 1, -1, Fraction(-1, 2)]
+    residues, modulus = [0] * len(values), 1
+    for p in (p0, 1000003, 1000033):
+        images = [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+        residues = exactla.crt(residues, modulus, images, p)
+        modulus *= p
+        assert all(0 <= r < modulus and (r - x) % p == 0
+                   for r, x in zip(residues, images))
+    lifted = exactla.rational_reconstruction(residues, modulus)
+    assert lifted == values
+    assert all(type(x) is int for x, v in zip(lifted, values)
+               if v.denominator == 1)
+    # mod p = 1000003 the bound is 707: 1/7 and -3 come back, 1/1000 does
+    # not, and a vector holding it has no reconstruction
+    p = 1000003
+    assert exactla.rational_reconstruction([pow(7, -1, p), p - 3], p) == [
+        Fraction(1, 7), -3]
+    assert exactla.rational_reconstruction([1, pow(1000, -1, p)], p) is None
+    assert exactla.rational_reconstruction([], p) == []

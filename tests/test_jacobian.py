@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
+from oracles import block_pieces, block_spectrum, fraction_rref
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -63,27 +64,31 @@ def test_generic_route_agrees_with_monomial_route(fermat_quartic):
 
 
 def test_certified_rank_agrees_with_exact_elimination():
-    hring = jacobian.HypersurfaceRing(
+    # a slice of full rank mod p is proven by it (the bumpy quartic's up
+    # to degree 5), any other takes the rank of the lifted piece
+    bumpy = jacobian.HypersurfaceRing(
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
-    for k in (4, 5, 6):
-        certified = hring._certified_ideal_rank(k)
-        assert certified is not None
-        assert certified == exactla.rank(hring.span_rows(k)[0])
+    nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
+    for hring, degrees in ((bumpy, range(3, 8)), (nodal, range(7))):
+        for k in degrees:
+            assert hring.ideal_rank(k) == exactla.rank(hring.span_rows(k)[0])
+    assert sorted(bumpy._pieces) == [6, 7]
+    assert sorted(nodal._pieces) == [4, 5, 6]
 
 
-def test_koszul_rows_annihilate_the_span():
-    hring = jacobian.HypersurfaceRing(
+def test_every_slice_row_reduces_to_zero():
+    # a lifted piece is verified by A * N = 0: every generator row m * d_iF
+    # of the slice has normal form 0
+    bumpy = jacobian.HypersurfaceRing(
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
-    k = 6
-    rows, monos, tags = hring.span_rows(k)
-    koszul = hring._koszul_rows(k)
-    assert koszul
-    for krow in koszul:
-        combo = [0] * len(monos)
-        for coeff, row in zip(krow, rows):
-            if coeff:
-                combo = [x + coeff * y for x, y in zip(combo, row)]
-        assert not any(combo)
+    nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
+    for hring, k in ((bumpy, 6), (nodal, 4)):
+        rows, monos, _ = hring.span_rows(k)
+        piece = hring.piece(k)
+        assert piece.dim == len(monos) - exactla.rank(rows)
+        for row in rows:
+            terms = {m: x for m, x in zip(monos, row) if x}
+            assert not any(piece.reduce_vector(terms))
 
 
 def test_smoothness(fermat_quartic):
@@ -179,7 +184,15 @@ def test_quintic_duality_at_three_three(quintic_sym):
     assert result.pairing.rank == 20
 
 
-def test_functional_kernel_map(fermat_quartic, mixed_quartic):
+def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
+    subspaces = []
+    multiplication_map = jacobian.multiplication_map
+
+    def recording(hring, a, b, quotient_by=None):
+        subspaces.append(quotient_by)
+        return multiplication_map(hring, a, b, quotient_by=quotient_by)
+
+    monkeypatch.setattr(jacobian, "multiplication_map", recording)
     for hring in (fermat_quartic, mixed_quartic):
         g = parse_poly("x0^2*x1^2", hring.ring)
         result = jacobian.functional_kernel_map(hring, g, 3)
@@ -188,6 +201,13 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic):
         assert result.subspace_dim == 18
         assert result.surjective
         assert result.g_class_nonzero
+        # off half the socle degree W is all of R_3, the identity basis
+        cubic = parse_poly("x0^2*x1", hring.ring)
+        assert not jacobian.functional_kernel_map(hring, cubic, 3).g_class_nonzero
+    # both subspace bases hold ints: the kernel of the functional and the
+    # identity basis
+    assert [len(s) for s in subspaces] == [18, 16, 18, 16]
+    assert all(type(x) is int for s in subspaces for vec in s for x in vec)
 
 
 def test_a_form_off_half_the_socle_degree_pairs_to_zero(fermat_quartic):
@@ -283,16 +303,15 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     fresh_piece = _shioda_ring().piece(k)
     fresh_spectrum = characters.character_spectrum(_shioda_ring(), sigma, k)
     fresh_bound = characters.picard_upper_bound(_shioda_ring(), sigma)
-    fresh_blocks = _shioda_ring()._symmetric_blocks(k)
 
-    eliminations, span_builds, slice_builds = Counter(), Counter(), Counter()
-    eliminate = jacobian.HypersurfaceRing._eliminate_blocks
+    lifts, span_builds, slice_builds = Counter(), Counter(), Counter()
+    lift = jacobian.HypersurfaceRing._lift
     span_rows = jacobian.HypersurfaceRing.span_rows
     gfp_slice = jacobian.HypersurfaceRing._gfp_slice
 
-    def counting_eliminate(self, degree, exponents, modulus):
-        eliminations[degree] += 1
-        return eliminate(self, degree, exponents, modulus)
+    def counting_lift(self, degree):
+        lifts[degree] += 1
+        return lift(self, degree)
 
     def counting_span_rows(self, degree):
         span_builds[degree] += 1
@@ -302,8 +321,7 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
         slice_builds[degree, p] += 1
         return gfp_slice(self, degree, p)
 
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "_eliminate_blocks",
-                        counting_eliminate)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_lift", counting_lift)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "span_rows",
                         counting_span_rows)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice",
@@ -317,10 +335,9 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     # the ring is proven smooth by one modular certificate on the degree-13
     # slice, built once for whichever kernel takes it, so the Hilbert
     # table, the spectrum and the Picard scan read closed forms; only the
-    # graded piece eliminates its degree, from exact rows read off the
-    # slice layout
-    assert sorted(eliminations) == [k]
-    assert set(eliminations.values()) == {1}
+    # graded piece lifts its degree, from slices mod p read off the slice
+    # layout
+    assert lifts == Counter({k: 1})
     assert not span_builds
     assert slice_builds == Counter({(hring.socle_degree + 1,
                                      modrank.DEFAULT_PRIME): 1})
@@ -334,13 +351,11 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     rows, _, _ = hring.span_rows(k)
     for row in rows:
         row[:] = [1] * len(row)
-    _, _, _, rref, _ = next(b for b in hring._symmetric_blocks(k) if b[3])
     with pytest.raises(TypeError):
-        rref[0][0] = 0
-    assert hring._symmetric_blocks(k) == fresh_blocks
+        piece.normal_forms[0][0] = 0
     assert hring.quotient_dim(k) == fresh_table[k]
     assert hring.piece(k).reduce_vector(probe) == fresh_piece.reduce_vector(probe)
-    assert set(eliminations.values()) == {1}
+    assert lifts == Counter({k: 1})
 
 
 # ------------------------------------------------ the closed-form route
@@ -431,9 +446,8 @@ def test_singular_forms_never_take_the_closed_form(text, ring, symmetry):
     if symmetry is not None:
         sigma = characters.DiagonalAutomorphism(*symmetry)
         for k in range(top + 1):
-            blocks = hring._symmetric_blocks(k)
             assert characters.character_spectrum(hring, sigma, k).histogram == \
-                {c: len(free) for c, _, free, _, _ in blocks if free}
+                block_spectrum(hring, sigma, k)
 
 
 def test_a_piece_that_contradicts_the_closed_form_raises():
@@ -472,39 +486,16 @@ def test_certificates_are_memoised_per_prime():
 
 # ------------------------------------------------ full-slice reduction oracle
 #
-# Before graded pieces of non-symmetric rings became one block of the
-# trivial character, they were reduced against the Gauss-Jordan form of
-# the whole Jacobian slice.  That route is kept here, with its own
-# elimination, as the oracle for the block route.
-
-def _fraction_rref(rows, ncols):
-    """Reduced row echelon form over Q: (rows, pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], piv_cols
-
+# Graded pieces of non-symmetric rings were once reduced against the
+# Gauss-Jordan form of the whole Jacobian slice.  That route is kept
+# here, with the elimination of ``oracles``, as an oracle for the lifted
+# pieces.
 
 class _FullSlicePiece:
     def __init__(self, hring, k):
         self.monomials = enumerate_monomials(hring.nvars, k)
         rows, _, _ = hring.span_rows(k)
-        self.rref, self.piv = _fraction_rref(rows, len(self.monomials))
+        self.rref, self.piv = fraction_rref(rows, len(self.monomials))
         self.representatives = [m for j, m in enumerate(self.monomials)
                                 if j not in self.piv]
 
@@ -579,7 +570,7 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
         products = _oracle_product_matrix(oracle, k, sigma - k, sigma)[0]
         width = len(oracle[sigma - k].representatives)
         rows = [products[i:i + width] for i in range(0, len(products), width)]
-        rank = len(_fraction_rref(rows, width)[1])
+        rank = len(fraction_rref(rows, width)[1])
         result = jacobian.macaulay_pairing_check(hring, k)
         assert (result.rank, result.nondegenerate) == (
             rank, rank == len(oracle[k].representatives))
@@ -821,7 +812,79 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
                 assert _fields(mapped) == _exact_map(hring, a, b, prime)
 
 
-def test_block_rows_refuse_an_inconsistent_symmetry():
-    hring = _cubic_surface()
-    with pytest.raises(ValueError, match="spans several characters"):
-        hring._symmetric_blocks(3, symmetry=((1, 0, 0, 0), 2))
+def test_a_form_that_is_no_symmetry_eigenvector_is_refused():
+    # a declared symmetry is checked once, on construction; nothing after
+    # it depends on the declaration
+    f = _cubic_surface().poly
+    with pytest.raises(ValueError, match="not a symmetry eigenvector"):
+        jacobian.HypersurfaceRing(f, symmetry=((1, 0, 0, 0), 2))
+    with pytest.raises(ValueError, match="one symmetry exponent per variable"):
+        jacobian.HypersurfaceRing(f, symmetry=((1, 0, 0), 3))
+    assert jacobian.HypersurfaceRing(f, symmetry=((1, 1, 1, 1), 3)).symmetry == (
+        (1, 1, 1, 1), 3)
+
+
+# ------------------------------------------------ the verified lift
+#
+# Pieces of non-monomial rings are lifted from echelon forms mod p and
+# verified by A * N = 0.  The character blocks eliminated over Q
+# (``oracles.block_pieces``) are the oracle: representatives and every
+# normal form must agree at every degree through sigma + 1.  The cone and
+# the binary cubic have monomial ideals, and check that route against
+# the same oracle.
+
+def _ring(text, ring, symmetry=None):
+    return lambda: jacobian.HypersurfaceRing(parse_poly(text, ring),
+                                             symmetry=symmetry)
+
+
+@pytest.mark.parametrize("make, blocks", [
+    (_ring(SHIODA, P3, SHIODA_SYMMETRY), SHIODA_SYMMETRY),
+    # the plain ring is one block of the trivial character; its slice is
+    # still block diagonal under the symmetry, which keeps the oracle fast
+    (_ring(SHIODA, P3), SHIODA_SYMMETRY),
+    (_dense_ternary_quartic, None),
+    (_cubic_surface, None),
+    (_ring("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY), None),
+    (_ring("x0^4", P3), None),
+    (_ring("x0^3 + x1^3", TERNARY), None),
+    (_ring(NODAL_CUBIC, TERNARY), None),
+    (_ring(NODAL_CUBIC, TERNARY, ((1, 1, 1), 3)), ((1, 1, 1), 3)),
+], ids=["shioda", "shioda-without-symmetry", "dense-ternary-quartic",
+        "cubic-surface", "rational", "cone", "binary-cubic", "nodal-cubic",
+        "nodal-cubic-symmetric"])
+def test_lifted_pieces_match_the_character_blocks(make, blocks):
+    hring = make()
+    for k in range(hring.socle_degree + 2):
+        piece = hring.piece(k)
+        representatives, forms = block_pieces(hring, k, blocks)
+        assert piece.representatives == representatives
+        assert piece.normal_forms == forms
+        assert all(type(x) is int or x.denominator != 1
+                   for form in piece.normal_forms for x in form)
+
+
+def test_a_lift_that_fails_its_check_takes_another_prime(monkeypatch):
+    # mod the first lift prime p the form is the Fermat cubic, whose
+    # slices have other pivots and normal forms: the first lift passes
+    # reconstruction but fails A * N = 0, so the lift goes on to the next
+    # prime, which restarts it
+    p = next(jacobian._lift_primes())
+    hring = jacobian.HypersurfaceRing(
+        parse_poly(f"x0^3 + x1^3 + x2^3 + {p}*x0*x1*x2", TERNARY))
+    primes = []
+    echelon_mod = modrank.echelon_mod
+
+    def counting(matrix, prime):
+        primes.append(prime)
+        return echelon_mod(matrix, prime)
+
+    monkeypatch.setattr(modrank, "echelon_mod", counting)
+    for k in range(hring.socle_degree + 2):
+        primes.clear()
+        piece = hring.piece(k)
+        representatives, forms = block_pieces(hring, k)
+        assert (piece.representatives, piece.normal_forms) == (
+            representatives, forms)
+        if k == 2:
+            assert primes[0] == p and len(primes) > 1

@@ -1,4 +1,5 @@
-import inspect
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,10 +185,88 @@ def test_sparse_kernel_matches_the_dense_kernels(p):
     assert modrank.rank_mod([{}, {3: p, 7: -2 * p}], p) == 0
 
 
+def _rref_mod_oracle(rows, p):
+    """Gauss-Jordan over GF(p) on Python integers: (rank, rows, pivots)."""
+    rows = [[x % p for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return len(pivots), rows[:len(pivots)], pivots
+
+
+def _fraction_rref_mod(rows, p):
+    """Reduced echelon form over Q, its entries mapped into GF(p); None
+    if p divides a denominator."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    rows = rows[:len(pivots)]
+    if any(x.denominator % p == 0 for row in rows for x in row):
+        return None
+    return [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+            for row in rows], pivots
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_echelon_mod_matches_gauss_jordan(p):
+    for a in _differential_cases(p):
+        before = a.copy()
+        rank, rref, pivots = modrank.echelon_mod(a, p)
+        assert (a == before).all()
+        assert rank == modrank.rank_mod(a, p) == len(pivots)
+        assert rref.dtype == np.int64 and rref.shape == (rank, a.shape[1])
+        want = _rref_mod_oracle(a.tolist(), p)
+        assert (rank, rref.tolist(), pivots) == want
+        assert modrank.echelon_mod(a.tolist(), p)[1].tolist() == want[1]
+    # small integer matrices whose rank mod p is their rank over Q, and
+    # whose rational echelon form reduces mod p: A = A[:, pivots] * R, so
+    # that reduction spans the row space mod p and is its echelon form
+    rng = np.random.default_rng(p % 1000 + 1)
+    compared = 0
+    for _ in range(40):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        a = rng.integers(-3, 4, size=(m, n)).tolist()
+        if m > 2:
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
+        rational = _fraction_rref_mod(a, p)
+        if rational is None or len(rational[1]) != modrank.rank_mod(a, p):
+            continue
+        rank, rref, pivots = modrank.echelon_mod(a, p)
+        assert (rref.tolist(), pivots) == rational
+        compared += 1
+    assert compared >= 10
+
+
 def test_rank_mod_rejects_bad_modulus():
     for p in (1, 4, 561, 1105, modrank.MAX_PRIME + 1):
         with pytest.raises(modrank.BadPrime):
             modrank.rank_mod([[1]], p)
+        with pytest.raises(modrank.BadPrime):
+            modrank.echelon_mod([[1]], p)
 
 
 def _is_prime_by_trial_division(n):
@@ -204,8 +283,12 @@ def test_is_prime_matches_trial_division():
         assert modrank.is_prime(n) == _is_prime_by_trial_division(n)
 
 
-def test_certificate_primes_pass_the_gate():
-    certificate = inspect.signature(jacobian.HypersurfaceRing._certified_ideal_rank)
-    for p in (modrank.DEFAULT_PRIME, *certificate.parameters["primes"].default):
+def test_lift_primes_pass_the_gate():
+    # the lifted pieces take every prime from MAX_PRIME down, in order
+    lift = jacobian._lift_primes()
+    primes = [next(lift) for _ in range(5)]
+    assert primes == [n for n in range(modrank.MAX_PRIME, primes[-1] - 1, -1)
+                      if _is_prime_by_trial_division(n)]
+    for p in (modrank.DEFAULT_PRIME, *primes):
         modrank.require_prime(p)
         assert modrank.rank_mod([[1, 2], [3, 4]], p) == 2

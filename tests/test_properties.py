@@ -16,6 +16,7 @@ from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (NotDivisible, PolyRing, enumerate_monomials,
                             exact_divide, parse_poly, partial_derivative,
                             substitute)
+from oracles import block_spectrum
 
 XY = PolyRing.rationals(("x", "y"))
 TERNARY = PolyRing.rationals(("x", "y", "z"))
@@ -155,11 +156,6 @@ def _eliminated_table(hring, top):
             for k in range(top + 1)]
 
 
-def _block_spectrum(hring, sigma, k):
-    blocks = hring._symmetric_blocks(k, symmetry=(sigma.exponents, sigma.modulus))
-    return {c: len(free) for c, _, free, _, _ in blocks if free}
-
-
 def _assert_routes_agree(hring, sigma):
     """Closed form (when certified) equals elimination and sympy; returns
     whether the closed form was used.  Under the trivial automorphism
@@ -174,7 +170,7 @@ def _assert_routes_agree(hring, sigma):
         if sigma.modulus == 1:
             assert spectrum.histogram == ({0: eliminated[k]} if eliminated[k] else {})
         else:
-            assert spectrum.histogram == _block_spectrum(hring, sigma, k)
+            assert spectrum.histogram == block_spectrum(hring, sigma, k)
     closed = hring.smoothness_certificate().certified
     assert (hring.dimension_route() != "elimination") == closed
     if closed:
