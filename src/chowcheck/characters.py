@@ -177,7 +177,6 @@ def _complete_intersection_spectrum(hring, sigma, degree):
 
 @lru_cache(maxsize=None)
 def _units(modulus):
-    """The units of Z/N, computed once per modulus."""
     return tuple(u for u in range(1, modulus + 1) if gcd(u, modulus) == 1)
 
 

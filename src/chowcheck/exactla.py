@@ -6,10 +6,8 @@ ranks over a prime field are available as cheap one-sided certificates:
 the rank mod p never exceeds the rational rank, so a modular rank that
 meets the a-priori maximum pins the exact value.
 
-Exact rationals are lifted from residues by Chinese remaindering
-(``crt``) and Wang's rational reconstruction
-(``rational_reconstruction``); a lifted value proves nothing until the
-caller verifies it exactly.
+Residues lift to rationals by ``crt`` and ``rational_reconstruction``;
+a lifted value proves nothing until the caller verifies it exactly.
 
 Integer row lattices are normalised with a row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), which
@@ -203,12 +201,10 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     """
     modrank.require_prime(prime)
     if getattr(matrix, "dtype", None) == "int64":
-        red = matrix
-        nrows, ncols = matrix.shape
+        red, (nrows, ncols) = matrix, matrix.shape
     elif modrank.is_sparse(matrix):
         # 1 + the largest column index bounds the rank from above
-        red = matrix
-        nrows = len(matrix)
+        red, nrows = matrix, len(matrix)
         ncols = 1 + max((max(row) for row in matrix if row), default=-1)
     else:
         red = []
@@ -226,26 +222,19 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
 
 
 def crt(residues, modulus, images, prime):
-    """Chinese remaindering of a vector, one prime at a time.
-
-    Given ``residues`` in [0, modulus) and ``images`` mod ``prime``, a
-    prime not dividing ``modulus``, returns the vector in
-    [0, modulus * prime) congruent to both.
-    """
+    """The vector in [0, modulus * prime) congruent to ``residues`` mod
+    ``modulus`` and to ``images`` mod ``prime``, coprime to ``modulus``."""
     u = pow(modulus, -1, prime)
     return [r + modulus * ((x - r) * u % prime)
             for r, x in zip(residues, images)]
 
 
 def rational_reconstruction(residues, m):
-    """The rationals congruent to ``residues`` mod ``m`` (Wang 1981), or
-    None when one of them has none.
+    """For each residue a, the n/d with |n|, d <= isqrt(m // 2) and
+    n == d*a (mod m), or None if one has none (Wang 1981).
 
-    For each residue a, looks for n/d with |n| <= B, 0 < d <= B and
-    n == d*a (mod m), for B = isqrt(m // 2).  Such a fraction in lowest
-    terms is unique when it exists, and the half-extended Euclidean
-    algorithm on (m, a) finds it as the first remainder at most B.
-    Integral results are ``int``.
+    Such an n/d in lowest terms is unique; the half-extended Euclidean
+    algorithm on (m, a) finds it.  Integral results are ``int``.
     """
     bound = isqrt(m // 2)
     out = []

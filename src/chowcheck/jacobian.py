@@ -16,26 +16,21 @@ come from the first of these routes that applies:
   modular rank of the degree-(sigma+1) slice otherwise) is a complete
   intersection and reads the closed form ((1 - t^(d-1)) / (1 - t))^n;
   a certificate that does not close proves nothing;
-* otherwise ``ideal_rank`` eliminates the slice: a monomial ideal
-  reduces to divisibility bookkeeping; any other ring takes the rank mod
-  p of the slice when it meets min(rows, cols), and the dimension of
-  the lifted piece otherwise.
+* otherwise ``ideal_rank`` counts the monomials of a monomial ideal,
+  and in any other ring takes the rank mod p of the slice when it is
+  min(rows, cols), the dimension of the lifted piece otherwise.
 
-A graded piece, which also needs representatives and a reduction map,
-is one exact ``GradedPiece``: a degree, the representatives, and the
-normal form of every ambient monomial over them.  ``piece(k)`` takes the
-standard monomials of a monomial ideal.  Any other ring lifts the
-reduced echelon form of its slice from GF(p) (``_lift``): echelon forms
-mod primes just below MAX_PRIME, combined by Chinese remaindering and
-rational reconstruction (Wang 1981; Monagan 2004), then verified by one
-exact product A*N = 0 of the slice A and the normal-form table N.  N is
-the identity on the free columns, whose count is #monomials minus the
-rank mod p, so the product proves N exact at any prime; a bad prime can
-only make a lift fail its check, never pass it wrongly.  The free
-columns are those of the whole slice, so for every diagonal symmetry of
-F (which makes the slice block diagonal) they are the union of the free
-columns of its character blocks.  On a ring proven smooth, a piece
-whose dimension differs from the closed form raises
+A graded piece is one exact ``GradedPiece``: a degree, representatives,
+and the normal form of every ambient monomial over them.  ``piece(k)``
+takes the standard monomials of a monomial ideal; any other ring lifts
+the reduced echelon form of its slice from GF(p) (``_lift``) by Chinese
+remaindering and rational reconstruction (Wang 1981; Monagan 2004).  A
+lift is accepted after one exact product A*N = 0 of the slice A and the
+normal-form table N, which proves it at any prime: N is the identity on
+the free columns, and they number #monomials minus the rank mod p.  For
+every diagonal symmetry of F the slice is block diagonal, so its free
+columns are those of its character blocks.  On a ring proven smooth, a
+piece whose dimension differs from the closed form raises
 ``ArithmeticError``.  Every multiplication and pairing matrix is built
 by looking up normal forms (``_products``).
 
@@ -71,6 +66,7 @@ later question.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, gcd, lcm
 
 from . import exactla, modrank
@@ -90,11 +86,7 @@ SPARSE_DENSITY = 0.004
 
 def _lift_primes():
     """The primes of the lifted pieces: every prime from MAX_PRIME down."""
-    p = modrank.MAX_PRIME
-    while True:
-        if modrank.is_prime(p):
-            yield p
-        p -= 1
+    return filter(modrank.is_prime, range(modrank.MAX_PRIME, 1, -1))
 
 
 class SocleNotOneDimensional(ArithmeticError):
@@ -320,13 +312,9 @@ class HypersurfaceRing:
                 for m in src for part in parts]
 
     def ideal_rank(self, k):
-        """Exact dimension of the degree-k piece of the Jacobian ideal.
-
-        A monomial ideal counts the monomials it contains.  Any other
-        ring first tries the rank mod DEFAULT_PRIME of the slice, which
-        proves the rank when it is min(rows, cols); short of that the
-        rank is #monomials minus the dimension of the lifted piece.
-        """
+        """Exact dimension of the degree-k piece of the Jacobian ideal: a
+        count for a monomial ideal, else the slice's rank mod p when it is
+        min(rows, cols), else #monomials minus the lifted piece's dim."""
         if k < self.degree - 1:
             return 0
         if self.is_monomial_ideal:
@@ -341,20 +329,16 @@ class HypersurfaceRing:
         return cols - self.piece(k).dim
 
     def _lift(self, k):
-        """(free, rows) of the degree-k piece of a non-monomial ring.
+        """(free, forms) of the degree-k piece of a non-monomial ring: the
+        free columns of the reduced echelon form of the slice over Q, and
+        the normal form of each column, {free column: coefficient}.
 
-        ``free`` are the free columns of the reduced echelon form of the
-        slice over Q, and ``rows`` maps each pivot column to its normal
-        form, {free column: minus the entry of its row}.  The form is
-        lifted from
-        ``echelon_mod`` at primes counting down from MAX_PRIME.  A prime
-        of lower rank, or of equal rank with later pivots, is unlucky
-        for this slice and is skipped; a better one restarts the lift.
-        After each prime the free-column entries are reconstructed from
-        their residues (``exactla.crt``, ``exactla.rational_reconstruction``)
-        and verified by ``_annihilates``, which proves them; a failed
-        reconstruction or check only asks for another prime.  A rank
-        mod p equal to the number of monomials proves the piece zero.
+        Lifted from ``echelon_mod`` at the primes of ``_lift_primes``.  A
+        prime of lower rank, or of equal rank with later pivots, is
+        unlucky and skipped; a better one restarts the lift.  After each
+        prime the free-column entries are reconstructed (``exactla.crt``,
+        ``exactla.rational_reconstruction``) and proven by
+        ``_annihilates``; a failure only asks for another prime.
         """
         _, ncols = self._slice_shape(k)
         best = None
@@ -375,40 +359,29 @@ class HypersurfaceRing:
             entries = exactla.rational_reconstruction(residues, modulus)
             if entries is None:
                 continue
-            width = len(free)
-            rows = {pc: {free[t]: -x for t, x in
-                         enumerate(entries[i * width:(i + 1) * width]) if x}
-                    for i, pc in enumerate(pivots)}
-            if self._annihilates(k, free, rows):
-                return free, rows
+            forms = {j: {j: 1} for j in free}
+            for i, pc in enumerate(pivots):
+                row = entries[i * len(free):(i + 1) * len(free)]
+                forms[pc] = {t: -x for t, x in zip(free, row) if x}
+            if self._annihilates(k, forms):
+                return free, forms
 
-    def _annihilates(self, k, free, rows):
-        """A·N = 0 for the slice A and the normal forms N that ``free``
-        and ``rows`` define: e_j for a free column j, ``rows[j]`` for a
-        pivot column j.
-
-        Checked exactly, row by row of the slice, from the layout
-        (``_slice_index``) and ``_term_coeffs``; N is scaled to integers
-        by the lcm of its denominators first.  With N the identity on the
-        free columns, the check proves rank_Q(A) <= #monomials - #free.
-        """
-        den = lcm(1, *(x.denominator for row in rows.values()
-                       for x in row.values()))
-        forms = {j: {j: den} for j in free}
-        for pc, row in rows.items():
-            forms[pc] = {t: x.numerator * (den // x.denominator)
-                         for t, x in row.items()}
+    def _annihilates(self, k, forms):
+        """A·N = 0 for the slice A and the normal forms N in ``forms``,
+        checked exactly row by row of the slice, off its layout
+        (``_slice_index``) and ``_term_coeffs``, with N scaled to
+        integers by the lcm of its denominators."""
+        den = lcm(*(x.denominator for form in forms.values()
+                    for x in form.values()))
+        scaled = {j: {t: x.numerator * (den // x.denominator)
+                      for t, x in form.items()} for j, form in forms.items()}
         _, _, _, cols = self._slice_index(k)
-        coeffs = self._term_coeffs
-        bounds, start = [], 0
-        for part in self._int_partials:
-            bounds.append((start, start + len(part)))
-            start += len(part)
+        ends = list(accumulate(len(part) for part in self._int_partials))
         for js in cols.tolist():
-            for lo, hi in bounds:
+            for lo, hi in zip([0] + ends, ends):
                 total = {}
-                for j, c in zip(js[lo:hi], coeffs[lo:hi]):
-                    for t, x in forms[j].items():
+                for j, c in zip(js[lo:hi], self._term_coeffs[lo:hi]):
+                    for t, x in scaled.get(j, {}).items():
                         total[t] = total.get(t, 0) + c * x
                 if any(total.values()):
                     return False
@@ -416,9 +389,8 @@ class HypersurfaceRing:
 
     def piece(self, k):
         """The degree-k graded piece over Q, memoised per degree: the
-        standard monomials of a monomial ideal, else the free columns of
-        the lifted echelon form of the slice (``_lift``); a pivot
-        column's normal form is minus the free part of its row."""
+        standard monomials of a monomial ideal, else the lifted piece
+        (``_lift``)."""
         if k in self._pieces:
             return self._pieces[k]
         monos = enumerate_monomials(self.nvars, k)
@@ -426,24 +398,17 @@ class HypersurfaceRing:
             gens = self.monomial_generators()
             free = [j for j, m in enumerate(monos)
                     if not any(monomial_divides(g, m) for g in gens)]
-            rows = {}
+            forms = {j: {j: 1} for j in free}
         else:
-            free, rows = self._lift(k)
-        pos = {j: i for i, j in enumerate(free)}
-        forms = []
-        for j in range(len(monos)):
-            form = [0] * len(free)
-            if j in pos:
-                form[pos[j]] = 1
-            for t, x in rows.get(j, {}).items():
-                form[pos[t]] = x
-            forms.append(tuple(form))
+            free, forms = self._lift(k)
+        table = [tuple(forms.get(j, {}).get(t, 0) for t in free)
+                 for j in range(len(monos))]
         if self._closed_form is not None and len(free) != self._closed_form_dim(k):
             raise ArithmeticError(
                 f"degree {k} piece has dimension {len(free)}, but the ring is "
                 f"proven smooth and the closed form gives "
                 f"{self._closed_form_dim(k)}")
-        self._pieces[k] = GradedPiece(self, k, monos, free, forms)
+        self._pieces[k] = GradedPiece(self, k, monos, free, table)
         return self._pieces[k]
 
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):

@@ -3,7 +3,9 @@
 This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
 ``rank_mod`` is the one rank entry point, with two kernels behind it;
-``echelon_mod`` gives the reduced echelon form through the dense one.
+``echelon_mod`` keeps the dense kernel's pivot rows (its ``pivots``
+hook) and back-substitutes them into the reduced echelon form that
+``jacobian`` lifts its exact graded pieces from.
 
 Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
 (``_rank_mod_sparse``) that reduces one row at a time against the
@@ -32,13 +34,6 @@ inside int64; p is capped at MAX_PRIME so that (p-1)**2 < 2**63 and
 every budget is at least 1.  Pivots are inverted with Fermat's little
 theorem, which is only valid in a field, so every modulus passes the
 primality gate :func:`require_prime` before any elimination.
-
-``echelon_mod`` runs the dense kernel with its ``pivots`` hook, which
-keeps each pivot row in place instead of consuming it, and then
-back-substitutes the free columns into the reduced row echelon form.
-It is the modular half of the lifted graded pieces of
-``jacobian.HypersurfaceRing.piece``, which run it at primes just below
-MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -109,10 +104,9 @@ def _rank_mod_numpy(a, p, pivots=None):
     p : int
         Prime modulus.
     pivots : list, optional
-        Receives one (column, pivot value) pair per pivot.  The pivot
-        rows are then kept in ``a[:rank]`` in order, each reduced into
-        [0, p) right of its pivot column (left of it, and in it, they
-        hold stale entries).
+        Receives one (column, pivot value) pair per pivot; the pivot rows
+        are then kept in ``a[:rank]``, reduced into [0, p) right of their
+        pivots (stale left of them).
 
     Returns
     -------
@@ -271,69 +265,41 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
 
 
 def echelon_mod(matrix, p=DEFAULT_PRIME):
-    """Reduced row echelon form of an integer matrix over GF(p).
+    """Reduced row echelon form over GF(p): (rank, rref, pivots).
 
-    Parameters
-    ----------
-    matrix : int64 ndarray, or sequence of rows of integers
-        Never modified.
-    p : int
-        Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
+    ``matrix`` (an int64 array or rows of integers) is never modified,
+    and ``p`` must pass ``require_prime``.  ``rref`` is an int64 array of
+    shape (rank, cols) with entries in [0, p); row i has its leading 1 in
+    column ``pivots[i]``, the only nonzero entry of that column.
 
-    Returns
-    -------
-    (rank, rref, pivots)
-        ``rref`` is an int64 array of shape (rank, cols) with entries in
-        [0, p); row i has its leading 1 in column ``pivots[i]``, and
-        every other row is 0 there.  ``pivots`` is an ascending list.
-
-    The forward pass is the dense kernel, which keeps each pivot row in
-    place.  Back substitution then touches only the free columns, and
-    only for pivots with a nonzero multiplier above them: the pivot
-    columns of the result are known to be unit vectors, and an entry of
-    row i in the column of pivot j > i is the multiplier of row j
-    whatever rows below j did, since they are 0 in that column.
-    The free part is updated with the same delayed reduction: every row
-    takes at most one update per pivot, so all rows are reduced together
-    once ``update_budget(p)`` pivots have passed.
+    The forward pass is the dense kernel, keeping each pivot row in
+    place.  Back substitution then updates the free columns only, once
+    for each pivot column with a nonzero entry above its pivot: that
+    entry is the multiplier of the pivot row whatever rows below did,
+    since they are 0 there.  Every update is reduced as it is made.
     """
     import numpy as np
 
     require_prime(p)
     a = _reduced(matrix, p)
-    cols = a.shape[1]
     found = []
     if a.size:
         _rank_mod_numpy(a, p, found)
-    rank = len(found)
+    rank, cols = len(found), a.shape[1]
     pivots = [c for c, _ in found]
     rref = a[:rank]
-    # clear each pivot row left of and at its pivot, then scale it by
-    # the pivot's inverse; every entry is then in [0, p)
+    # clear each pivot row up to its pivot, then scale it to a leading 1
     rref[np.arange(cols) <= np.array(pivots).reshape(-1, 1)] = 0
     inverses = [pow(value, p - 2, p) for _, value in found]
     rref[:] = rref * np.array(inverses, dtype=np.int64).reshape(-1, 1) % p
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
+    free = sorted(set(range(cols)) - set(pivots))
     x = rref[:, free]
     # column i: the multipliers of pivot row i in the rows above it
     upper = rref[:, pivots]
-    budget = update_budget(p)
-    carried = 0
     for i in np.flatnonzero(upper.any(axis=0))[::-1].tolist():
-        x[i] %= p
         hit = np.flatnonzero(upper[:i, i])
-        update = np.multiply.outer(upper[hit, i], x[i])
-        if budget == 1:
-            x[hit] = (x[hit] - update) % p
-            continue
-        x[hit] -= update
-        carried += 1
-        if carried == budget:
-            x[:i] %= p
-            carried = 0
-    rref[:, free] = x % p
+        x[hit] = (x[hit] - np.multiply.outer(upper[hit, i], x[i])) % p
+    rref[:, free] = x
     rref[:, pivots] = 0
     rref[np.arange(rank), pivots] = 1
     return rank, rref, pivots
