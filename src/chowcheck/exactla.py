@@ -200,12 +200,9 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
     the elimination kernels, or if it divides the denominator of any entry.
     """
     modrank.require_prime(prime)
-    if getattr(matrix, "dtype", None) == "int64":
-        red, (nrows, ncols) = matrix, matrix.shape
-    elif modrank.is_sparse(matrix):
-        # 1 + the largest column index bounds the rank from above
-        red, nrows = matrix, len(matrix)
-        ncols = 1 + max((max(row) for row in matrix if row), default=-1)
+    sparse = modrank.is_sparse(matrix)
+    if sparse or getattr(matrix, "dtype", None) == "int64":
+        red = matrix
     else:
         red = []
         for row in _as_rows(matrix):
@@ -213,11 +210,12 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
             if den % prime == 0:
                 raise BadPrime(f"prime {prime} divides a denominator")
             red.append(row)
-        nrows = len(red)
-        ncols = len(red[0]) if red else 0
     r = modrank.rank_mod(red, prime)
     if upper_bound is None:
-        upper_bound = min(nrows, ncols)
+        # for dict rows, 1 + the largest column index bounds the rank
+        ncols = (1 + max((max(row) for row in red if row), default=-1)
+                 if sparse else len(red[0]) if len(red) else 0)
+        upper_bound = min(len(red), ncols)
     return RankCertificate(prime, r, upper_bound)
 
 

@@ -125,8 +125,8 @@ def _rank_mod_numpy(a, p, pivots=None):
     intermediate x - f*y, inside int64.  Reducing commutes with the
     update mod p, so the rank is that of the reduced elimination.
 
-    The pivot row is consumed: row r takes its place instead of a swap.
-    Only the hit rows, those with a nonzero multiplier, are updated.
+    Without ``pivots`` the pivot row is consumed: row r takes its place
+    instead of a swap.  Only the hit rows, those with a nonzero multiplier, are updated.
     With a budget of 1 (p above about 2**31) every updated row is due
     at once, so the update and its reduction are one expression.
     """
