@@ -126,9 +126,10 @@ def _rank_mod_numpy(a, p, pivots=None):
     update mod p, so the rank is that of the reduced elimination.
 
     Without ``pivots`` the pivot row is consumed: row r takes its place
-    instead of a swap.  Only the hit rows, those with a nonzero multiplier, are updated.
-    With a budget of 1 (p above about 2**31) every updated row is due
-    at once, so the update and its reduction are one expression.
+    instead of a swap.  Only the hit rows, those with a nonzero
+    multiplier, are updated.  With a budget of 1 (p above about 2**31)
+    every updated row is due at once, so the update and its reduction
+    are one expression.
     """
     import numpy as np
 
