@@ -20,6 +20,18 @@ come from the first of these routes that applies:
   and in any other ring takes the rank mod p of the slice when it is
   min(rows, cols), the dimension of the lifted piece otherwise.
 
+Both ask whether a slice has full rank mod p through ``_full_rank``.
+Above sigma that rank is #monomials, and Macaulay's resultant matrix
+(Macaulay 1902) gives a square set of slice rows to try first: for each
+degree-k monomial M, the row (M / x_i^(d-1)) * dF/dx_i of the first i
+with x_i^(d-1) dividing M.  They are rows of the slice, so a full rank
+of theirs mod p proves the full rank of the whole slice over Q, and the
+certificate is the one the whole slice would give.  They are tried only
+when every dF/dx_i has an x_i^(d-1) term nonzero mod p, so that each
+square row is nonzero in its own column: true of every dense generic
+form, false of the bundled quintic and of Klein-type forms, whose square
+rows are singular.  When they fall short the whole slice is eliminated.
+
 A graded piece is one exact ``GradedPiece``: a degree, representatives,
 and the normal form of every ambient monomial over them.  ``piece(k)``
 takes the standard monomials of a monomial ideal; any other ring lifts
@@ -181,6 +193,7 @@ class HypersurfaceRing:
         self._slices = {}
         self._dims = {}
         self._certificates = {}
+        self._macaulay_closed = {}
         self._closed_form = None
 
     @staticmethod
@@ -243,12 +256,15 @@ class HypersurfaceRing:
         sources = comb(k - e + n - 1, n - 1) if k >= e else 0
         return sources * n, comb(k + n - 1, n - 1)
 
-    def _slice_nonzeros(self, k, p):
-        """Nonzero entries of the degree-k slice mod p: a row holds each
-        term of its partial in its own column, so every source monomial
-        contributes the partial terms that are nonzero mod p."""
-        rows, _ = self._slice_shape(k)
-        return rows // self.nvars * sum(c % p != 0 for c in self._term_coeffs)
+    def _slice_nonzeros(self, k, p, rows=None):
+        """Nonzero entries mod p of the degree-k slice, or of its rows with
+        the indices ``rows``: a row holds each term of its partial that is
+        nonzero mod p, in its own column, so every source monomial
+        contributes those terms of all n partials."""
+        terms = [sum(c % p != 0 for _, c in part) for part in self._int_partials]
+        if rows is None:
+            return self._slice_shape(k)[0] // self.nvars * sum(terms)
+        return sum(terms[r % self.nvars] for r in rows)
 
     def _slice_kernel(self, k, p):
         """The GF(p) kernel the degree-k slice mod p goes to: "sparse"
@@ -311,10 +327,61 @@ class HypersurfaceRing:
         return [{col[monomial_mul(m, x)]: c for x, c in part}
                 for m in src for part in parts]
 
+    def _has_pure_powers(self, p):
+        """True when every partial dF/dx_i has an x_i^(d-1) term that is
+        nonzero mod ``p``: then each of Macaulay's square rows holds a
+        nonzero entry in its own column."""
+        e = self.degree - 1
+        return all(any(x[i] == e and c % p for x, c in part)
+                   for i, part in enumerate(self._int_partials))
+
+    def _macaulay_rows(self, k):
+        """Macaulay's square rows of the degree-k slice, k > sigma: for each
+        degree-k monomial M in column order, the index in the slice of the
+        row (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
+        dividing M.  Some x_i^(d-1) divides every M of degree above
+        n*(d-2), and distinct M give distinct rows."""
+        e = self.degree - 1
+        src = {m: s for s, m in enumerate(enumerate_monomials(self.nvars, k - e))}
+        rows = []
+        for m in enumerate_monomials(self.nvars, k):
+            i = 0
+            while m[i] < e:
+                i += 1
+            rows.append(src[m[:i] + (m[i] - e,) + m[i + 1:]] * self.nvars + i)
+        return rows
+
+    def _full_rank(self, k, p):
+        """RankCertificate of the degree-k slice mod ``p`` against
+        min(rows, cols), which above sigma is its number of columns.
+
+        Above sigma, when every partial has its pure power mod p
+        (``_has_pure_powers``), Macaulay's square rows are eliminated
+        first.  They are rows of the slice, so a full rank of theirs is a
+        full rank of the slice, which has the same certificate; short of
+        it, the whole slice is eliminated, so the certificate is always
+        that of the whole slice.  ``_macaulay_closed`` maps each (k, p)
+        that the square rows closed to their nonzero count mod p, for the
+        route line.
+        """
+        rows, cols = self._slice_shape(k)
+        full = self._gfp_slice(k, p)
+        if k > self.socle_degree and self._has_pure_powers(p):
+            index = self._macaulay_rows(k)
+            square = ([full[r] for r in index] if modrank.is_sparse(full)
+                      else full[index])
+            cert = exactla.modular_rank(square, p, upper_bound=cols)
+            if cert.certified:
+                self._macaulay_closed[k, p] = self._slice_nonzeros(k, p, index)
+                return cert
+        return exactla.modular_rank(full, p, upper_bound=min(rows, cols))
+
     def ideal_rank(self, k):
         """Exact dimension of the degree-k piece of the Jacobian ideal: a
-        count for a monomial ideal, else the slice's rank mod p when it is
-        min(rows, cols), else #monomials minus the lifted piece's dim."""
+        count for a monomial ideal, else min(rows, cols) when the slice's
+        rank mod p reaches it (``_full_rank``, which above sigma tries
+        Macaulay's square rows first), else #monomials minus the lifted
+        piece's dim."""
         if k < self.degree - 1:
             return 0
         if self.is_monomial_ideal:
@@ -323,8 +390,7 @@ class HypersurfaceRing:
             return sum(1 for m in monos
                        if any(monomial_divides(g, m) for g in gens))
         rows, cols = self._slice_shape(k)
-        p = modrank.DEFAULT_PRIME
-        if modrank.rank_mod(self._gfp_slice(k, p), p) == min(rows, cols):
+        if self._full_rank(k, modrank.DEFAULT_PRIME).certified:
             return min(rows, cols)
         return cols - self.piece(k).dim
 
@@ -416,12 +482,15 @@ class HypersurfaceRing:
 
         A monomial ideal counts the monomials it contains (one
         certificate, with prime None); any other ring takes the rank mod
-        ``prime`` of the degree-(sigma+1) slice, which never exceeds the
-        rational rank.  The certificate closes (``certified``) only when
-        that count meets the number of monomials.  Then the quotient is
-        Artinian, the n partials form a regular sequence, and the Koszul
-        complex resolves the quotient, which gives the closed forms of
-        its Hilbert function and character spectra.  Memoised per prime.
+        ``prime`` of the degree-(sigma+1) slice (``_full_rank``: on
+        Macaulay's square rows when every partial has its pure power mod
+        p and they have full rank, on the whole slice otherwise), which
+        never exceeds the rational rank.  The certificate closes
+        (``certified``) only when that count meets the number of
+        monomials.  Then the quotient is Artinian, the n partials form a
+        regular sequence, and the Koszul complex resolves the quotient,
+        which gives the closed forms of its Hilbert function and character
+        spectra.  Memoised per prime.
         """
         key = None if self.is_monomial_ideal else prime
         if key not in self._certificates:
@@ -430,8 +499,7 @@ class HypersurfaceRing:
             if key is None:
                 cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
             else:
-                cert = exactla.modular_rank(self._gfp_slice(k, prime), prime,
-                                            upper_bound=monos)
+                cert = self._full_rank(k, prime)
             self._certificates[key] = cert
             if cert.certified and self._closed_form is None:
                 self._closed_form = complete_intersection_hilbert(
@@ -452,10 +520,14 @@ class HypersurfaceRing:
         if cert.prime is None:
             how = "monomial count"
         else:
+            p = cert.prime
             rows, cols = self._slice_shape(k)
-            how = (f"modular p={cert.prime}, {rows}x{cols}, "
-                   f"{self._slice_nonzeros(k, cert.prime)} nonzeros, "
-                   f"{self._slice_kernel(k, cert.prime)}")
+            shape, nonzeros = f"{rows}x{cols}", self._slice_nonzeros(k, p)
+            if (k, p) in self._macaulay_closed:
+                shape = f"{cols}x{cols} Macaulay rows of {shape}"
+                nonzeros = self._macaulay_closed[k, p]
+            how = (f"modular p={p}, {shape}, {nonzeros} nonzeros, "
+                   f"{self._slice_kernel(k, p)}")
         return f"smooth at degree {k} ({how})"
 
     def dimension_route(self):

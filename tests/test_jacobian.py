@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
+from chowcheck.runner import run_scenario
+from chowcheck.scenario import parse_scenario
 from oracles import block_pieces, block_spectrum, fraction_rref
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
@@ -676,7 +680,8 @@ def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
     assert not hring.smoothness_proof().certified
     result = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
     assert result.route == ("closed form (Macaulay duality), smooth at degree 5 "
-                            f"(modular p={p}, 80x56, 380 nonzeros, dense)")
+                            f"(modular p={p}, 56x56 Macaulay rows of 80x56, "
+                            "296 nonzeros, dense)")
     assert hring.smoothness_proof().prime == p
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
@@ -709,7 +714,7 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
     cubic = _cubic_surface()
     assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime=GFP).route == (
         "closed form (Macaulay duality), smooth at degree 5 "
-        f"(modular p={GFP}, 80x56, 240 nonzeros, dense)")
+        f"(modular p={GFP}, 56x56 Macaulay rows of 80x56, 168 nonzeros, dense)")
     assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == "exact pieces"
     assert jacobian.is_smooth_artinian(cubic, exact=True)
     assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == (
@@ -888,3 +893,196 @@ def test_a_lift_that_fails_its_check_takes_another_prime(monkeypatch):
             representatives, forms)
         if k == 2:
             assert primes[0] == p and len(primes) > 1
+
+
+# ------------------------------------------------ Macaulay's square rows
+#
+# Above the socle degree every monomial M has some x_i^(d-1) dividing it,
+# and the rows (M / x_i^(d-1)) * dF/dx_i, i the first such index, form a
+# square submatrix of the slice (Macaulay 1902).  A full rank mod p on it
+# proves the full rank of the whole slice, so the certificate must be the
+# one the whole slice gives, whichever rows closed it.
+
+KLEIN_TYPE = "x0^3*x1 + x1^3*x2 + x2^3*x0 + x3^4 + x0*x1*x2*x3"
+SINGULAR_QUARTIC = "(x0 + x1 + x2)^4 + x3^4"
+
+
+def _square_rows(hring, k, p):
+    return hring.span_array(k, p)[hring._macaulay_rows(k)]
+
+
+def _whole_slice_certificate(hring, p):
+    k = hring.socle_degree + 1
+    _, cols = hring._slice_shape(k)
+    rank = modrank.rank_mod(hring.span_array(k, p), p)
+    return exactla.RankCertificate(p, rank, cols)
+
+
+@pytest.mark.parametrize("text, ring", [
+    (KLEIN_TYPE, P3),
+    (SINGULAR_QUARTIC, P3),
+    ("x0^5 + x1^5 + x2^5 + x3^5 + x0*x1*x2*x3^2", P3),
+    ("x0^3 + x1^3 + x2^3 + 2*x0*x1*x2", TERNARY),
+    ("x0^2*x1 + x1^2*x2", TERNARY),
+])
+def test_macaulay_rows_are_a_square_set_of_distinct_slice_rows(text, ring):
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
+    e = hring.degree - 1
+    for k in range(hring.socle_degree + 1, hring.socle_degree + 3):
+        monos, src, _, _ = hring._slice_index(k)
+        rows = hring._macaulay_rows(k)
+        assert len(rows) == len(set(rows)) == len(monos)
+        for m, r in zip(monos, rows):
+            s, i = divmod(r, hring.nvars)
+            # the row is M / x_i^(d-1) times the i-th partial, with i the
+            # first index whose x_i^(d-1) divides M
+            assert monomial_mul(src[s], tuple(e * (j == i) for j in
+                                              range(hring.nvars))) == m
+            assert all(x < e for x in m[:i])
+
+
+def test_a_route_line_names_the_square_rows_that_closed_it(monkeypatch):
+    p = GFP
+    for text, kernel in (("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", "dense"),
+                         ("x0^5 + x1^5 + x2^5 + x3^5 + x0*x1*x2*x3^2",
+                          "sparse")):
+        hring = jacobian.HypersurfaceRing(parse_poly(text, P3))
+        k = hring.socle_degree + 1
+        rows, cols = hring._slice_shape(k)
+        assert hring.smoothness_certificate(p).certified
+        square = np.count_nonzero(_square_rows(hring, k, p))
+        assert hring.dimension_route() == (
+            f"closed form, smooth at degree {k} (modular p={p}, {cols}x{cols} "
+            f"Macaulay rows of {rows}x{cols}, {square} nonzeros, {kernel})")
+    # shioda has no x0^4 in dF/dx0, so it eliminates the whole slice alone
+    shapes = []
+    modular_rank = exactla.modular_rank
+
+    def recording(matrix, prime, upper_bound=None):
+        shapes.append(len(matrix))
+        return modular_rank(matrix, prime, upper_bound=upper_bound)
+
+    monkeypatch.setattr(exactla, "modular_rank", recording)
+    assert _shioda_ring().dimension_route() == (
+        "closed form, smooth at degree 13 "
+        "(modular p=1000003, 880x560, 1540 nonzeros, sparse)")
+    assert shapes == [880]
+
+
+def test_square_rows_that_fall_short_leave_the_whole_slice_to_decide(
+        monkeypatch):
+    # the Klein-type quartic has no pure powers x0^4, x1^4, x2^4, and its
+    # square rows are singular; forced onto them past the gate, the ring is
+    # still proven smooth, by the whole slice
+    hring = jacobian.HypersurfaceRing(parse_poly(KLEIN_TYPE, P3))
+    k = hring.socle_degree + 1
+    assert not hring._has_pure_powers(GFP)
+    assert modrank.rank_mod(_square_rows(hring, k, GFP), GFP) == 203
+    route = ("closed form, smooth at degree 9 "
+             f"(modular p={GFP}, 336x220, {hring._slice_nonzeros(k, GFP)} "
+             "nonzeros, dense)")
+    assert hring.smoothness_certificate().certified
+    assert hring.dimension_route() == route
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_has_pure_powers",
+                        lambda self, p: True)
+    forced = jacobian.HypersurfaceRing(parse_poly(KLEIN_TYPE, P3))
+    cert = forced.smoothness_certificate()
+    assert (cert.rank, cert.upper_bound, cert.certified) == (220, 220, True)
+    assert forced.ideal_rank(k) == 220
+    assert forced.dimension_route() == route
+
+
+def test_a_singular_quartic_with_every_pure_power_is_not_certified():
+    hring = jacobian.HypersurfaceRing(parse_poly(SINGULAR_QUARTIC, P3))
+    k = hring.socle_degree + 1
+    assert hring._has_pure_powers(GFP)
+    assert modrank.rank_mod(_square_rows(hring, k, GFP), GFP) == 111
+    cert = hring.smoothness_certificate()
+    assert (cert.rank, cert.upper_bound, cert.certified) == (148, 220, False)
+    assert hring.ideal_rank(k) == 148
+    assert hring.dimension_route() == "elimination"
+    assert not jacobian.is_smooth_artinian(hring, exact=True)
+
+
+def _load_dense_generator():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("perfbench_dense", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_generic_forms_close_on_their_square_rows(seed):
+    # the benchmark's dense generic quartic and quintic: each hilbert step
+    # reads the closed form proven on Macaulay's square rows
+    for _, degree, text, _ in _load_dense_generator().generate(seed):
+        report = run_scenario(parse_scenario(text))
+        assert report.exit_code == 0
+        rows, cols = {4: (336, 220), 5: (880, 560)}[degree]
+        assert (f"(modular p={GFP}, {cols}x{cols} Macaulay rows of "
+                f"{rows}x{cols}, ") in report.steps[1].route
+
+
+_SQUARE_SHAPES = [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)]
+_SQUARE_PRIMES = [GFP, GFP, 1000033, 2, 3, 5, 7]
+
+
+@st.composite
+def _certificate_forms(draw):
+    """(form, prime): a sparse form in 3-4 variables of degree 3-5.
+
+    Coefficients are small integers, fractions or multiples of p.  A
+    generic form keeps most pure powers x_i^d and adds a few mixed terms;
+    a cone drops every term in the last variable; a double form is
+    (x0 + c*x1)^d plus the pure powers of the other variables, singular
+    with every pure power present."""
+    nvars, degree = draw(st.sampled_from(_SQUARE_SHAPES))
+    p = draw(st.sampled_from(_SQUARE_PRIMES))
+    ring = TERNARY if nvars == 3 else P3
+    nonzero = st.integers(-9, 9).filter(bool)
+
+    def coefficient():
+        kind = draw(st.sampled_from(["int"] * 4 + ["fraction", "p"]))
+        if kind == "fraction":
+            return Fraction(draw(nonzero), draw(st.integers(2, 6)))
+        return draw(nonzero) * (p if kind == "p" else 1)
+
+    monos = enumerate_monomials(nvars, degree)
+    pure = [m for m in monos if max(m) == degree]
+    mixed = [m for m in monos if max(m) < degree]
+    shape = draw(st.sampled_from(["generic", "generic", "cone", "double"]))
+    if shape == "double":
+        f = parse_poly(f"(x0 + {draw(nonzero)}*x1)^{degree}", ring)
+        chosen = pure[2:]
+    else:
+        f = ring.zero()
+        chosen = [m for m in pure if draw(st.integers(0, 5))]
+        chosen += draw(st.lists(st.sampled_from(mixed), min_size=1,
+                                max_size=5, unique=True))
+        if shape == "cone":
+            chosen = [m for m in chosen if not m[-1]]
+    for m in chosen:
+        f = f + ring.monomial(m, coefficient())
+    return f, p
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_certificate_forms())
+def test_the_certificate_is_that_of_the_whole_slice(form):
+    f, p = form
+    assume(not f.is_zero())
+    hring = jacobian.HypersurfaceRing(f)
+    assume(not hring.is_monomial_ideal)
+    k = hring.socle_degree + 1
+    cert = hring.smoothness_certificate(p)
+    whole = _whole_slice_certificate(hring, p)
+    assert (cert.prime, cert.rank, cert.upper_bound, cert.certified) == (
+        whole.prime, whole.rank, whole.upper_bound, whole.certified)
+    # a route line names the square rows only when they have full rank
+    _, cols = hring._slice_shape(k)
+    square = (hring._has_pure_powers(p) and
+              modrank.rank_mod(_square_rows(hring, k, p), p) == cols)
+    assert ((k, p) in hring._macaulay_closed) == square
+    if cert.certified:
+        assert ("Macaulay rows" in hring._proof_route(cert)) == square

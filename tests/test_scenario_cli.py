@@ -594,7 +594,8 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
         "modular(p=2)", "modular(p=2)")
     assert step.route == ("closed form (Macaulay duality), smooth at degree 4 "
-                          "(modular p=2, 18x15, 18 nonzeros, dense)")
+                          "(modular p=2, 15x15 Macaulay rows of 18x15, 15 nonzeros, "
+                          "dense)")
     # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the ring is not
     # proven smooth at 3, and the exact pieces carry a denominator divisible
     # by 3, so no rank mod 3 certifies anything and the exact ranks decide
@@ -717,7 +718,8 @@ def test_a_closed_certificate_serves_every_later_check(monkeypatch):
                        if line.startswith("check.02.")]
     assert report.steps[1].route == (
         "closed form, smooth at degree 9 "
-        "(modular p=1000033, 336x220, 672 nonzeros, dense)")
+        "(modular p=1000033, 220x220 Macaulay rows of 336x220, 440 nonzeros, "
+        "dense)")
 
 
 def test_ring_dim_reports_its_route(tmp_path, capsys):
@@ -735,17 +737,23 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
 
 
 # numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
-# importing the package, checking the monomial-ideal quartic family and
-# proving shioda smooth on its sparse degree-13 slice never need it, while
-# the certificate of a dense generic quartic does (so the guard is not
-# vacuous)
-@pytest.mark.parametrize("code, loaded", [
-    ("import chowcheck, chowcheck.cli", False),
-    ("cli.main(['verify', 'quartic-family', '--machine'])", False),
-    ("cli.main(['verify', 'shioda', '--machine'])", False),
-    ("cli.main(['verify', {dense!r}, '--machine'])", True),
-], ids=["import", "quartic-family", "shioda", "dense-generic-quartic"])
-def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, tmp_path):
+# importing the package, checking the monomial-ideal quartic family,
+# proving shioda smooth on its sparse degree-13 slice and proving a sparse
+# quintic with every pure power smooth on Macaulay's square rows of that
+# slice never need it, while the certificate of a dense generic quartic
+# does (so the guard is not vacuous)
+@pytest.mark.parametrize("code, loaded, route", [
+    ("import chowcheck, chowcheck.cli", False, None),
+    ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
+    ("cli.main(['verify', 'shioda', '--machine'])", False, None),
+    ("cli.main(['verify', {pure!r}])", False,
+     "route: closed form, smooth at degree 13 (modular p=1000003, 560x560 "
+     "Macaulay rows of 880x560, 1120 nonzeros, sparse)"),
+    ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
+], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
+        "dense-generic-quartic"])
+def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
+                                                   tmp_path):
     # every quartic monomial, with coefficients 1..9 and alternating signs
     terms = [f"{(-1) ** i * (i % 9 + 1)}*"
              + "*".join(f"x{v}^{e}" for v, e in enumerate(m) if e)
@@ -755,14 +763,26 @@ def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, tmp_path):
         "[scenario]\nname = dense\n[ring]\nvariables = x0 x1 x2 x3\n"
         f"poly = {' + '.join(terms)}\n[checks]\n"
         "check smooth mode=modular cite=c\n", encoding="utf-8")
+    pure = tmp_path / "pure.scn"
+    pure.write_text(
+        "[scenario]\nname = pure\n[ring]\nvariables = x0 x1 x2 x3\n"
+        "poly = x0^5 + x1^5 + x2^5 + x3^5 + x0*x1*x2*x3^2\n[checks]\n"
+        "check smooth mode=modular cite=c\n"
+        'check hilbert expect="1 4 10 20 31 40 44 40 31 20 10 4 1" cite=c\n',
+        encoding="utf-8")
     probe = ("import contextlib, io, sys\n"
              "from chowcheck import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    {code.format(dense=str(dense))}\n"
-             "print('numpy' in sys.modules)\n")
+             "out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             f"    {code.format(dense=str(dense), pure=str(pure))}\n"
+             "print('numpy' in sys.modules)\n"
+             "print(out.getvalue())\n")
     src = str(Path(chowcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loaded)
+    numpy_loaded, _, output = proc.stdout.partition("\n")
+    assert numpy_loaded == str(loaded)
+    if route is not None:
+        assert route in output
