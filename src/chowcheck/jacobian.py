@@ -20,8 +20,9 @@ come from the first of these routes that applies:
   and in any other ring takes the rank mod p of the slice when it is
   min(rows, cols), the dimension of the lifted piece otherwise.
 
-Both ask whether a slice has full rank mod p through ``_full_rank``.
-Above sigma that rank is #monomials, and Macaulay's resultant matrix
+Both ask whether a slice has full rank mod p through ``_full_rank``,
+memoised per (degree, prime).  Above sigma that rank is #monomials, and
+Macaulay's resultant matrix
 (Macaulay 1902) gives a square set of slice rows to try first: for each
 degree-k monomial M, the row (M / x_i^(d-1)) * dF/dx_i of the first i
 with x_i^(d-1) dividing M.  They are rows of the slice, so a full rank
@@ -30,7 +31,8 @@ certificate is the one the whole slice would give.  They are tried only
 when every dF/dx_i has an x_i^(d-1) term nonzero mod p, so that each
 square row is nonzero in its own column: true of every dense generic
 form, false of the bundled quintic and of Klein-type forms, whose square
-rows are singular.  When they fall short the whole slice is eliminated.
+rows are singular.  The square rows are built alone, and the whole slice
+is built and eliminated only when they fall short.
 
 A graded piece is one exact ``GradedPiece``: a degree, representatives,
 and the normal form of every ambient monomial over them.  ``piece(k)``
@@ -60,25 +62,31 @@ coefficients once, on construction.  One memoised layout per degree
 (``_slice_index``) places every coefficient of the slice, and two
 methods read it: ``span_rows`` gives exact Python ``int`` rows, and
 ``span_array`` gives the slice reduced mod p as an int64 array.  The
-layout and the arrays are built with numpy.  A modular certificate
-takes its slice from ``_gfp_slice``, which decides from monomial counts
-alone: a slice with fewer than ``SPARSE_DENSITY`` nonzeros per cell
-gets ``span_sparse``, dict rows built from a monomial-to-column dict
-for modrank's sparse kernel, and any other slice gets ``span_array``
-for the dense kernel.  numpy is imported only when a layout or an array
-is built, so a ring whose certificate slice is sparse, or whose ideal
-is monomial, never loads it.
+layout and the arrays are built with numpy.  ``span_sparse`` gives the
+slice mod p as dict rows, built from a monomial-to-column dict without
+numpy.  Every elimination mod p, a certificate's or a lift's, takes its
+slice from ``_gfp_slice``, which decides from monomial counts alone
+(``_slice_kernel``): a slice with fewer than ``SPARSE_DENSITY`` nonzeros
+per cell gets ``span_sparse`` for modrank's sparse kernel, and any other
+slice gets ``span_array`` for the dense kernel.  Macaulay's square rows
+(``_square_rows``) take the same form as their slice: dict rows, or an
+int64 array whose columns come from mixed-radix monomial codes
+(``_codes``).  A lift is proven over the slice's integer dict rows.
+numpy is imported only when a layout or an array is built, so a ring
+whose slices are sparse, or whose ideal is monomial, never loads it.
 
 A ring memoises per degree its slice layouts, graded pieces and
 eliminated quotient dimensions, so graded pieces, character spectra and
-the smoothness test share one lift of each degree; it memoises one
-smoothness certificate per prime, and any one that closes serves every
-later question.
+the smoothness test share one lift of each degree.  It memoises one
+``_full_rank`` certificate per (degree, prime), never a matrix, so the
+smoothness certificate, an exact smoothness step and the Hilbert table
+share one elimination of degree sigma+1; and it memoises one smoothness
+certificate per prime, and any one that closes serves every later
+question.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import comb, gcd, lcm
 
 from . import exactla, modrank
@@ -125,20 +133,26 @@ def complete_intersection_hilbert(nvars, degree):
     return table
 
 
-def _monomial_columns(monos, exps, degree):
-    """Index in ``monos`` of each exponent vector along the last axis of
-    ``exps``, an int64 array; every vector is one of ``monos``, all of
-    total degree ``degree``.
+def _codes(monos, nvars, degree):
+    """Mixed-radix codes in base degree + 1 of the exponent tuples
+    ``monos``, each of total degree at most ``degree``, as an int64 array.
 
-    Vectors are matched by their mixed-radix codes in base degree + 1,
-    so the columns follow whatever order ``monos`` is given in.
+    No exponent reaches the base, so the code of a product of degree at
+    most ``degree`` is the sum of its factors' codes.
     """
     import numpy as np
 
-    dims = (degree + 1,) * exps.shape[-1]
-    codes = np.ravel_multi_index(tuple(np.array(monos, dtype=np.int64).T), dims)
+    exps = np.array(monos, dtype=np.int64).reshape(-1, nvars)
+    return np.ravel_multi_index(tuple(exps.T), (degree + 1,) * nvars)
+
+
+def _monomial_columns(codes, wanted):
+    """Index in a monomial list with the codes ``codes`` (``_codes``) of
+    each code in the int64 array ``wanted``, all codes of its monomials;
+    the columns follow whatever order the list is given in."""
+    import numpy as np
+
     order = np.argsort(codes)
-    wanted = np.ravel_multi_index(tuple(np.moveaxis(exps, -1, 0)), dims)
     return order[np.searchsorted(codes, wanted, sorter=order)]
 
 
@@ -192,6 +206,7 @@ class HypersurfaceRing:
         self._pieces = {}
         self._slices = {}
         self._dims = {}
+        self._ranks = {}
         self._certificates = {}
         self._macaulay_closed = {}
         self._closed_form = None
@@ -236,18 +251,19 @@ class HypersurfaceRing:
         if k not in self._slices:
             import numpy as np
 
-            monos = enumerate_monomials(self.nvars, k)
-            e = self.degree - 1
-            src = enumerate_monomials(self.nvars, k - e) if k >= e else []
+            n, e = self.nvars, self.degree - 1
+            monos = enumerate_monomials(n, k)
+            src = enumerate_monomials(n, k - e) if k >= e else []
             parts = self._int_partials
             partial = np.array([i for i, part in enumerate(parts) for _ in part],
                                dtype=np.int64)
-            exps = np.array([x for part in parts for x, _ in part],
-                            dtype=np.int64).reshape(-1, self.nvars)
-            rows = np.arange(len(src)).reshape(-1, 1) * self.nvars + partial
-            prods = np.array(src, dtype=np.int64).reshape(-1, 1, self.nvars) + exps
+            # the partials' terms have degree d-1, which may exceed k
+            top = max(k, e)
+            terms = _codes([x for part in parts for x, _ in part], n, top)
+            rows = np.arange(len(src)).reshape(-1, 1) * n + partial
+            prods = _codes(src, n, top).reshape(-1, 1) + terms
             self._slices[k] = (monos, src, rows,
-                               _monomial_columns(monos, prods, k))
+                               _monomial_columns(_codes(monos, n, top), prods))
         return self._slices[k]
 
     def _slice_shape(self, k):
@@ -256,15 +272,12 @@ class HypersurfaceRing:
         sources = comb(k - e + n - 1, n - 1) if k >= e else 0
         return sources * n, comb(k + n - 1, n - 1)
 
-    def _slice_nonzeros(self, k, p, rows=None):
-        """Nonzero entries mod p of the degree-k slice, or of its rows with
-        the indices ``rows``: a row holds each term of its partial that is
-        nonzero mod p, in its own column, so every source monomial
-        contributes those terms of all n partials."""
-        terms = [sum(c % p != 0 for _, c in part) for part in self._int_partials]
-        if rows is None:
-            return self._slice_shape(k)[0] // self.nvars * sum(terms)
-        return sum(terms[r % self.nvars] for r in rows)
+    def _slice_nonzeros(self, k, p):
+        """Nonzero entries mod p of the degree-k slice: a row holds each
+        term of its partial that is nonzero mod p, in its own column, so
+        every source monomial contributes those terms of all n partials."""
+        terms = sum(c % p != 0 for part in self._int_partials for _, c in part)
+        return self._slice_shape(k)[0] // self.nvars * terms
 
     def _slice_kernel(self, k, p):
         """The GF(p) kernel the degree-k slice mod p goes to: "sparse"
@@ -319,13 +332,27 @@ class HypersurfaceRing:
         ``span_rows``.  Built from a monomial-to-column dict, without
         numpy.
         """
-        col = {m: j for j, m in enumerate(enumerate_monomials(self.nvars, k))}
+        return self._dict_rows(k, self._sources(k), self._terms_mod(p))
+
+    def _sources(self, k):
+        """(source monomial, partial index) of each row of the degree-k
+        slice, in ``span_rows`` order."""
         e = self.degree - 1
         src = enumerate_monomials(self.nvars, k - e) if k >= e else []
-        parts = [[(x, c % p) for x, c in part if c % p]
-                 for part in self._int_partials]
-        return [{col[monomial_mul(m, x)]: c for x, c in part}
-                for m in src for part in parts]
+        return [(m, i) for m in src for i in range(self.nvars)]
+
+    def _terms_mod(self, p):
+        """The partials' terms that are nonzero mod ``p``, reduced mod p."""
+        return [[(x, c % p) for x, c in part if c % p]
+                for part in self._int_partials]
+
+    def _dict_rows(self, k, sources, parts):
+        """Dict rows of degree k, one per (source monomial m, partial
+        index i) in ``sources``: the terms ``parts[i]`` times m, each at
+        the column of its product."""
+        col = {m: j for j, m in enumerate(enumerate_monomials(self.nvars, k))}
+        return [{col[monomial_mul(m, x)]: c for x, c in parts[i]}
+                for m, i in sources]
 
     def _has_pure_powers(self, p):
         """True when every partial dF/dx_i has an x_i^(d-1) term that is
@@ -335,46 +362,80 @@ class HypersurfaceRing:
         return all(any(x[i] == e and c % p for x, c in part)
                    for i, part in enumerate(self._int_partials))
 
-    def _macaulay_rows(self, k):
-        """Macaulay's square rows of the degree-k slice, k > sigma: for each
-        degree-k monomial M in column order, the index in the slice of the
-        row (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
-        dividing M.  Some x_i^(d-1) divides every M of degree above
-        n*(d-2), and distinct M give distinct rows."""
-        e = self.degree - 1
-        src = {m: s for s, m in enumerate(enumerate_monomials(self.nvars, k - e))}
-        rows = []
-        for m in enumerate_monomials(self.nvars, k):
+    def _square_rows(self, k, p):
+        """Macaulay's square rows of the degree-k slice mod ``p``, k > sigma,
+        and their nonzero count.
+
+        For each degree-k monomial M in column order, the row
+        (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
+        dividing M: some x_i^(d-1) divides every M of degree above
+        n*(d-2), and distinct M give distinct rows.  Built alone, in the
+        form the kernel of the whole slice takes (``_slice_kernel``):
+        dict rows as ``span_sparse`` gives them, or an int64 array in
+        [0, p) whose columns come from mixed-radix monomial codes.
+        """
+        n, e = self.nvars, self.degree - 1
+        monos = enumerate_monomials(n, k)
+        first = []
+        for m in monos:
             i = 0
             while m[i] < e:
                 i += 1
-            rows.append(src[m[:i] + (m[i] - e,) + m[i + 1:]] * self.nvars + i)
-        return rows
+            first.append(i)
+        parts = self._terms_mod(p)
+        nonzeros = sum(len(part) * first.count(i)
+                       for i, part in enumerate(parts))
+        if self._slice_kernel(k, p) == "sparse":
+            sources = [(m[:i] + (m[i] - e,) + m[i + 1:], i)
+                       for m, i in zip(monos, first)]
+            return self._dict_rows(k, sources, parts), nonzeros
+        import numpy as np
+
+        codes = _codes(monos, n, k)
+        first = np.array(first)
+        # the code of M / x_i^(d-1): M's code less that of x_i^(d-1)
+        pure = _codes([(0,) * i + (e,) + (0,) * (n - 1 - i) for i in range(n)],
+                      n, k)
+        src = codes - pure[first]
+        a = np.zeros((len(monos), len(monos)), dtype=np.int64)
+        for i, part in enumerate(parts):
+            rows = np.flatnonzero(first == i)
+            if part and rows.size:
+                prods = src[rows, None] + _codes([x for x, _ in part], n, k)
+                cols = _monomial_columns(codes, prods)
+                a[rows[:, None], cols] = [c for _, c in part]
+        return a, nonzeros
 
     def _full_rank(self, k, p):
         """RankCertificate of the degree-k slice mod ``p`` against
-        min(rows, cols), which above sigma is its number of columns.
+        min(rows, cols), which above sigma is its number of columns;
+        memoised per (k, p), so every question about one slice and prime
+        shares one elimination.
 
         Above sigma, when every partial has its pure power mod p
-        (``_has_pure_powers``), Macaulay's square rows are eliminated
-        first.  They are rows of the slice, so a full rank of theirs is a
-        full rank of the slice, which has the same certificate; short of
-        it, the whole slice is eliminated, so the certificate is always
+        (``_has_pure_powers``), Macaulay's square rows are built alone
+        (``_square_rows``) and eliminated first.  They are rows of the
+        slice, so a full rank of theirs is a full rank of the slice, which
+        has the same certificate; short of it, the whole slice is built
+        (``_gfp_slice``) and eliminated, so the certificate is always
         that of the whole slice.  ``_macaulay_closed`` maps each (k, p)
         that the square rows closed to their nonzero count mod p, for the
         route line.
         """
+        if (k, p) in self._ranks:
+            return self._ranks[k, p]
         rows, cols = self._slice_shape(k)
-        full = self._gfp_slice(k, p)
+        cert = None
         if k > self.socle_degree and self._has_pure_powers(p):
-            index = self._macaulay_rows(k)
-            square = ([full[r] for r in index] if modrank.is_sparse(full)
-                      else full[index])
+            square, nonzeros = self._square_rows(k, p)
             cert = exactla.modular_rank(square, p, upper_bound=cols)
             if cert.certified:
-                self._macaulay_closed[k, p] = self._slice_nonzeros(k, p, index)
-                return cert
-        return exactla.modular_rank(full, p, upper_bound=min(rows, cols))
+                self._macaulay_closed[k, p] = nonzeros
+        if cert is None or not cert.certified:
+            cert = exactla.modular_rank(self._gfp_slice(k, p), p,
+                                        upper_bound=min(rows, cols))
+        self._ranks[k, p] = cert
+        return cert
 
     def ideal_rank(self, k):
         """Exact dimension of the degree-k piece of the Jacobian ideal: a
@@ -399,24 +460,31 @@ class HypersurfaceRing:
         free columns of the reduced echelon form of the slice over Q, and
         the normal form of each column, {free column: coefficient}.
 
-        Lifted from ``echelon_mod`` at the primes of ``_lift_primes``.  A
-        prime of lower rank, or of equal rank with later pivots, is
-        unlucky and skipped; a better one restarts the lift.  After each
-        prime the free-column entries are reconstructed (``exactla.crt``,
-        ``exactla.rational_reconstruction``) and proven by
-        ``_annihilates``; a failure only asks for another prime.
+        Lifted from ``echelon_mod`` of ``_gfp_slice`` (dict rows or an
+        array, as the slice's kernel takes it) at the primes of
+        ``_lift_primes``.  A prime of lower rank, or of equal rank with
+        later pivots, is unlucky and skipped; a better one restarts the
+        lift.  After each prime the free-column entries are reconstructed
+        (``exactla.crt``, ``exactla.rational_reconstruction``) and proven
+        by ``_annihilates``; a failure only asks for another prime.  Below
+        degree d-1 the slice is empty and every column is free.
         """
         _, ncols = self._slice_shape(k)
+        if k < self.degree - 1:
+            return list(range(ncols)), {j: {j: 1} for j in range(ncols)}
         best = None
         for p in _lift_primes():
-            rank, rref, pivots = modrank.echelon_mod(self.span_array(k, p), p)
+            rank, rref, pivots = modrank.echelon_mod(self._gfp_slice(k, p), p)
             if rank == ncols:
                 return [], {}
             key = (-rank, pivots)
             if best is not None and key > best:
                 continue
             free = sorted(set(range(ncols)) - set(pivots))
-            images = rref[:, free].ravel().tolist()
+            if isinstance(rref, list):
+                images = [row.get(t, 0) for row in rref for t in free]
+            else:
+                images = rref[:, free].ravel().tolist()
             if key != best:
                 best, modulus, residues = key, p, images
             else:
@@ -434,23 +502,19 @@ class HypersurfaceRing:
 
     def _annihilates(self, k, forms):
         """A·N = 0 for the slice A and the normal forms N in ``forms``,
-        checked exactly row by row of the slice, off its layout
-        (``_slice_index``) and ``_term_coeffs``, with N scaled to
-        integers by the lcm of its denominators."""
+        checked exactly over the slice's integer dict rows, with N scaled
+        to integers by the lcm of its denominators."""
         den = lcm(*(x.denominator for form in forms.values()
                     for x in form.values()))
         scaled = {j: {t: x.numerator * (den // x.denominator)
                       for t, x in form.items()} for j, form in forms.items()}
-        _, _, _, cols = self._slice_index(k)
-        ends = list(accumulate(len(part) for part in self._int_partials))
-        for js in cols.tolist():
-            for lo, hi in zip([0] + ends, ends):
-                total = {}
-                for j, c in zip(js[lo:hi], self._term_coeffs[lo:hi]):
-                    for t, x in scaled.get(j, {}).items():
-                        total[t] = total.get(t, 0) + c * x
-                if any(total.values()):
-                    return False
+        for row in self._dict_rows(k, self._sources(k), self._int_partials):
+            total = {}
+            for j, c in row.items():
+                for t, x in scaled.get(j, {}).items():
+                    total[t] = total.get(t, 0) + c * x
+            if any(total.values()):
+                return False
         return True
 
     def piece(self, k):

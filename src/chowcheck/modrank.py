@@ -2,15 +2,15 @@
 
 This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
-``rank_mod`` is the one rank entry point, with two kernels behind it;
-``echelon_mod`` keeps the dense kernel's pivot rows (its ``pivots``
-hook) and back-substitutes them into the reduced echelon form that
-``jacobian`` lifts its exact graded pieces from.
+``rank_mod`` is the one rank entry point and ``echelon_mod`` the one
+reduced echelon form, which ``jacobian`` lifts its exact graded pieces
+from; each takes one of two kernels by the form of its input.
 
 Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
-(``_rank_mod_sparse``) that reduces one row at a time against the
-pivot rows found so far, pivoting on the row's leftmost column.  On a
-very sparse matrix, such as the Jacobian slice that proves the bundled
+(``_sparse_pivots``) that reduces one row at a time against the pivot
+rows found so far, pivoting on the row's leftmost column; the rank is
+the number of pivot rows, and ``echelon_mod`` back-substitutes them.  On
+a very sparse matrix, such as the Jacobian slice that proves the bundled
 quintic smooth, it does less work than the input has nonzeros and needs
 no numpy.  Fill-in makes it slow on denser rows, so callers keep those
 off it: a Jacobian slice is built as dict rows only below a measured
@@ -23,11 +23,12 @@ callers alone, so a process that never runs a dense GF(p) elimination
 (a ring with a monomial Jacobian ideal, or a sparse slice) never loads
 it.
 
-The dense kernel reduces an int64 array into [0, p) with one numpy
-``%`` and rows of Python integers entry by entry.  It then delays
-reduction (as in FFLAS-FFPACK; Dumas, Giorgi & Pernet 2008): each step
-reduces only the pivot column and the pivot row, and a row update
-x - f*y stays unreduced until its row has taken ``update_budget(p)`` =
+The dense kernel copies an int64 array already in [0, p), reduces any
+other with one numpy ``%``, and rows of Python integers entry by
+entry.  It then delays reduction (as in FFLAS-FFPACK; Dumas, Giorgi &
+Pernet 2008): each step reduces only the nonzero entries of the pivot
+column and the pivot row, and a row update x - f*y stays unreduced
+until its row has taken ``update_budget(p)`` =
 floor((2**63 - 1 - p) / (p - 1)**2) of them.  A row with j unreduced
 updates has every entry in [-j*(p-1)**2, p), so all arithmetic stays
 inside int64; p is capped at MAX_PRIME so that (p-1)**2 < 2**63 and
@@ -143,12 +144,16 @@ def _rank_mod_numpy(a, p, pivots=None):
     r = 0
     for c in range(cols):
         below = a[r:, c]
-        nz = np.flatnonzero(below)
-        vals = below[nz] % p
-        keep = vals != 0
-        nz, vals = nz[keep], vals[keep]
+        nz = below.nonzero()[0]
         if nz.size == 0:
             continue
+        vals = below[nz] % p
+        if not vals.all():
+            # an unreduced entry can be a nonzero multiple of p
+            keep = vals != 0
+            nz, vals = nz[keep], vals[keep]
+            if nz.size == 0:
+                continue
         piv = r + int(nz[0])
         y = a[piv, c + 1:] % p
         if piv != r:
@@ -179,8 +184,8 @@ def _rank_mod_numpy(a, p, pivots=None):
     return r
 
 
-def _rank_mod_sparse(rows, p):
-    """Row-by-row elimination of sparse rows.
+def _sparse_pivots(rows, p):
+    """Row-by-row forward elimination of sparse rows.
 
     Parameters
     ----------
@@ -192,14 +197,16 @@ def _rank_mod_sparse(rows, p):
 
     Returns
     -------
-    int
-        Rank of the matrix over GF(p).
+    dict
+        One pivot row per pivot column, {column: row}; their number is
+        the rank of the matrix over GF(p).
 
     Each row is reduced mod p and then, while its leftmost column holds
     the leading 1 of a pivot row, reduced by that pivot row.  A row that
     reaches a new leftmost column becomes the pivot row of that column,
-    scaled to a leading 1; a row that reaches zero was dependent.  Pivot
-    rows keep distinct leading columns, so their count is the rank.
+    scaled to a leading 1, with entries in [1, p); a row that reaches
+    zero was dependent.  Pivot rows keep distinct leading columns, so
+    sorted by them they are an echelon form of the matrix.
     """
     pivots = {}
     for row in rows:
@@ -218,25 +225,54 @@ def _rank_mod_sparse(rows, p):
                     row[j] = x
                 else:
                     del row[j]
-    return len(pivots)
+    return pivots
+
+
+def _sparse_echelon(rows, p):
+    """(rank, rref, pivots) of sparse rows, as ``echelon_mod`` gives them.
+
+    Back substitution takes the pivot rows of ``_sparse_pivots`` from the
+    last pivot column to the first.  Rows of later pivot columns are
+    already reduced, holding their leading 1 and free columns only, so
+    subtracting them clears every later pivot column of a row and brings
+    in no other.
+    """
+    pivots = _sparse_pivots(rows, p)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            f = row.pop(j)
+            for t, y in pivots[j].items():
+                if t != j:
+                    x = (row.get(t, 0) - f * y) % p
+                    if x:
+                        row[t] = x
+                    else:
+                        del row[t]
+    return len(order), [pivots[c] for c in order], order
 
 
 def is_sparse(matrix):
-    """True when ``matrix`` is a list or tuple of dict rows ``{column: entry}``."""
-    return isinstance(matrix, (list, tuple)) and all(isinstance(row, dict)
-                                                     for row in matrix)
+    """True when ``matrix`` is a nonempty list or tuple of dict rows
+    ``{column: entry}``; a matrix without rows goes to the dense kernel."""
+    return (isinstance(matrix, (list, tuple)) and bool(matrix)
+            and all(isinstance(row, dict) for row in matrix))
 
 
 def _reduced(matrix, p):
     """A fresh int64 copy of ``matrix`` reduced into [0, p).
 
-    An int64 array is reduced with one numpy ``%``; rows of Python
+    An int64 array already in [0, p), as ``jacobian`` builds its slices,
+    is copied; any other is reduced with one numpy ``%``.  Rows of Python
     integers are reduced entry by entry.
     """
     import numpy as np
 
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
-        return matrix % p
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= p):
+            return matrix % p
+        return matrix.copy()
     a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
     return a.reshape(len(matrix), -1 if a.size else 0)
 
@@ -258,7 +294,7 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     """
     require_prime(p)
     if is_sparse(matrix):
-        return _rank_mod_sparse(matrix, p)
+        return len(_sparse_pivots(matrix, p))
     a = _reduced(matrix, p)
     if a.size == 0:
         return 0
@@ -268,20 +304,25 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
 def echelon_mod(matrix, p=DEFAULT_PRIME):
     """Reduced row echelon form over GF(p): (rank, rref, pivots).
 
-    ``matrix`` (an int64 array or rows of integers) is never modified,
-    and ``p`` must pass ``require_prime``.  ``rref`` is an int64 array of
-    shape (rank, cols) with entries in [0, p); row i has its leading 1 in
-    column ``pivots[i]``, the only nonzero entry of that column.
+    ``matrix`` is never modified, and ``p`` must pass ``require_prime``.
+    Row i of ``rref`` has its leading 1 in column ``pivots[i]``, the only
+    nonzero entry of that column, and every entry in [0, p).  Dict rows
+    ``{column: entry}`` take the sparse kernel (``_sparse_echelon``) and
+    give ``rref`` as dict rows without zero entries, without numpy; an
+    int64 array or rows of integers give an int64 array of shape
+    (rank, cols).
 
-    The forward pass is the dense kernel, keeping each pivot row in
+    The dense forward pass is the dense kernel, keeping each pivot row in
     place.  Back substitution then updates the free columns only, once
     for each pivot column with a nonzero entry above its pivot: that
     entry is the multiplier of the pivot row whatever rows below did,
     since they are 0 there.  Every update is reduced as it is made.
     """
+    require_prime(p)
+    if is_sparse(matrix):
+        return _sparse_echelon(matrix, p)
     import numpy as np
 
-    require_prime(p)
     a = _reduced(matrix, p)
     found = []
     if a.size:

@@ -129,17 +129,6 @@ class PolyRing:
         return cls(names)
 
     @classmethod
-    def with_cube_root_of_unity(cls, names, w="w"):
-        """Adjoin w with w**2 + w + 1 == 0."""
-        names = tuple(names) + (w,)
-        ring = cls(names, domain="rationals+w")
-        wi = ring.index[w]
-        zero = (0,) * len(names)
-        w1 = tuple(1 if i == wi else 0 for i in range(len(names)))
-        ring.reductions[wi] = (2, {zero: -1, w1: -1})
-        return ring
-
-    @classmethod
     def tower(cls, names, cube_param, w="w", a="a"):
         """Adjoin w (cube root of unity) and a with a**3 == -cube_param."""
         base = tuple(names)
@@ -214,9 +203,6 @@ class PolyRing:
 
     def monomial(self, exps, coeff=1):
         return SparsePoly(self, self.reduce_terms({tuple(exps): _exact(coeff)}))
-
-    def from_text(self, text):
-        return parse_poly(text, self)
 
 
 class SparsePoly:

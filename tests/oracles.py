@@ -5,6 +5,10 @@ character block of the Jacobian slice at a time, with a Fraction
 Gauss-Jordan elimination.  The package now lifts them from GF(p); the
 block route is kept here, with its own elimination, as the oracle of
 differential tests.
+
+Macaulay's square rows were once picked out of the whole slice by their
+row indices (``macaulay_rows``); the package now builds them alone, and
+the indices are kept here as the oracle of that builder.
 """
 
 from fractions import Fraction
@@ -90,3 +94,19 @@ def block_spectrum(hring, sigma, k):
     blocks = character_blocks(hring, k, (sigma.exponents, sigma.modulus))
     return {c: len(js) - len(piv) for c, (js, _, piv) in blocks.items()
             if len(js) > len(piv)}
+
+
+def macaulay_rows(hring, k):
+    """Macaulay's square rows of the degree-k slice, k > sigma: for each
+    degree-k monomial M in column order, the index in ``span_rows`` of the
+    row (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
+    dividing M."""
+    e = hring.degree - 1
+    src = {m: s for s, m in enumerate(enumerate_monomials(hring.nvars, k - e))}
+    rows = []
+    for m in enumerate_monomials(hring.nvars, k):
+        i = 0
+        while m[i] < e:
+            i += 1
+        rows.append(src[m[:i] + (m[i] - e,) + m[i + 1:]] * hring.nvars + i)
+    return rows

@@ -13,7 +13,8 @@ from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
-from oracles import block_pieces, block_spectrum, fraction_rref
+from oracles import (block_pieces, block_spectrum, fraction_rref,
+                     macaulay_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -339,12 +340,12 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     # the ring is proven smooth by one modular certificate on the degree-13
     # slice, built once for whichever kernel takes it, so the Hilbert
     # table, the spectrum and the Picard scan read closed forms; only the
-    # graded piece lifts its degree, from slices mod p read off the slice
-    # layout
+    # graded piece lifts its degree, from its slice at the first lift prime
     assert lifts == Counter({k: 1})
     assert not span_builds
-    assert slice_builds == Counter({(hring.socle_degree + 1,
-                                     modrank.DEFAULT_PRIME): 1})
+    assert slice_builds == Counter({
+        (hring.socle_degree + 1, modrank.DEFAULT_PRIME): 1,
+        (k, next(jacobian._lift_primes())): 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -908,7 +909,7 @@ SINGULAR_QUARTIC = "(x0 + x1 + x2)^4 + x3^4"
 
 
 def _square_rows(hring, k, p):
-    return hring.span_array(k, p)[hring._macaulay_rows(k)]
+    return hring.span_array(k, p)[macaulay_rows(hring, k)]
 
 
 def _whole_slice_certificate(hring, p):
@@ -918,19 +919,22 @@ def _whole_slice_certificate(hring, p):
     return exactla.RankCertificate(p, rank, cols)
 
 
-@pytest.mark.parametrize("text, ring", [
+_MACAULAY_RINGS = [
     (KLEIN_TYPE, P3),
     (SINGULAR_QUARTIC, P3),
     ("x0^5 + x1^5 + x2^5 + x3^5 + x0*x1*x2*x3^2", P3),
     ("x0^3 + x1^3 + x2^3 + 2*x0*x1*x2", TERNARY),
     ("x0^2*x1 + x1^2*x2", TERNARY),
-])
+]
+
+
+@pytest.mark.parametrize("text, ring", _MACAULAY_RINGS)
 def test_macaulay_rows_are_a_square_set_of_distinct_slice_rows(text, ring):
     hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     e = hring.degree - 1
     for k in range(hring.socle_degree + 1, hring.socle_degree + 3):
         monos, src, _, _ = hring._slice_index(k)
-        rows = hring._macaulay_rows(k)
+        rows = macaulay_rows(hring, k)
         assert len(rows) == len(set(rows)) == len(monos)
         for m, r in zip(monos, rows):
             s, i = divmod(r, hring.nvars)
@@ -939,6 +943,27 @@ def test_macaulay_rows_are_a_square_set_of_distinct_slice_rows(text, ring):
             assert monomial_mul(src[s], tuple(e * (j == i) for j in
                                               range(hring.nvars))) == m
             assert all(x < e for x in m[:i])
+
+
+@pytest.mark.parametrize("text, ring", _MACAULAY_RINGS)
+def test_square_rows_built_alone_are_those_of_the_whole_slice(text, ring):
+    # at 2 some partial's coefficient vanishes mod p, so the builder must
+    # drop the same terms as the whole slice does
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
+    assert any(c % 2 == 0 for part in hring._int_partials for _, c in part)
+    for k in range(hring.socle_degree + 1, hring.socle_degree + 3):
+        index = macaulay_rows(hring, k)
+        for p in (GFP, 2):
+            rows, nonzeros = hring._square_rows(k, p)
+            if hring._slice_kernel(k, p) == "sparse":
+                whole = hring.span_sparse(k, p)
+                assert rows == [whole[r] for r in index]
+                assert nonzeros == sum(len(row) for row in rows)
+            else:
+                square = hring.span_array(k, p)[index]
+                assert rows.dtype == np.int64
+                assert rows.tolist() == square.tolist()
+                assert nonzeros == np.count_nonzero(square)
 
 
 def test_a_route_line_names_the_square_rows_that_closed_it(monkeypatch):
@@ -1022,6 +1047,51 @@ def test_dense_generic_forms_close_on_their_square_rows(seed):
         rows, cols = {4: (336, 220), 5: (880, 560)}[degree]
         assert (f"(modular p={GFP}, {cols}x{cols} Macaulay rows of "
                 f"{rows}x{cols}, ") in report.steps[1].route
+
+
+@pytest.mark.parametrize("index, order", [
+    (1, ("smooth", "hilbert", "ring_dim", "duality")),
+    (0, ("duality", "smooth", "hilbert", "ring_dim")),
+], ids=["quintic-smooth-first", "quartic-duality-first"])
+def test_each_slice_is_eliminated_once_per_prime(monkeypatch, index, order):
+    # on the seed-1 dense generic forms an exact smoothness step, the
+    # Hilbert table, a dimension and a duality step without a prime share
+    # every elimination of one ring: the degree-(sigma+1) rank at the
+    # default prime is made once, whichever step asks first, and the lift
+    # of an exact piece eliminates each of its degrees once per prime.
+    # (An exact duality step on the quintic lifts pieces for a minute, so
+    # the quartic takes that order.)
+    eliminations = Counter()
+    rank_mod, echelon_mod = modrank.rank_mod, modrank.echelon_mod
+
+    def counting_rank(matrix, p=modrank.DEFAULT_PRIME):
+        eliminations[matrix.shape[1], p] += 1
+        return rank_mod(matrix, p)
+
+    def counting_echelon(matrix, p=modrank.DEFAULT_PRIME):
+        eliminations[matrix.shape[1], p] += 1
+        return echelon_mod(matrix, p)
+
+    monkeypatch.setattr(modrank, "rank_mod", counting_rank)
+    monkeypatch.setattr(modrank, "echelon_mod", counting_echelon)
+    _, degree, text, _ = _load_dense_generator().generate(1)[index]
+    table = jacobian.complete_intersection_hilbert(4, degree)
+    half = len(table) // 4
+    checks = {
+        "smooth": "check smooth mode=exact cite=c",
+        "hilbert": f'check hilbert expect="{" ".join(map(str, table))}" cite=c',
+        "ring_dim": "check ring_dim degree=3 cite=c",
+        "duality": f"check duality a={half} b={half} cite=c",
+    }
+    head, _, _ = text.partition("[checks]\n")
+    report = run_scenario(parse_scenario(
+        head + "[checks]\n" + "".join(checks[c] + "\n" for c in order)))
+    assert report.exit_code == 0
+    cols = len(enumerate_monomials(4, len(table)))
+    assert eliminations[cols, GFP] == 1
+    assert max(eliminations.values()) == 1
+    if order[0] == "smooth":
+        assert eliminations == Counter({(cols, GFP): 1})
 
 
 _SQUARE_SHAPES = [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)]

@@ -140,6 +140,51 @@ def test_delayed_reduction_matches_the_reduced_kernel(p):
     assert (a == before).all()
 
 
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_in_range_arrays_are_copied_and_multiples_of_p_never_pivot(p):
+    rng = np.random.default_rng(p % 1000 + 9)
+    # an int64 array already in [0, p) is copied as it is, not reduced
+    a = _low_rank(rng, (30, 20), 12, p)
+    before = a.copy()
+    copy = modrank._reduced(a, p)
+    assert not np.shares_memory(copy, a) and (copy == a).all()
+    assert modrank.rank_mod(a, p) == _rank_mod_reduced(a.copy(), p)
+    assert modrank.echelon_mod(a, p)[0] == _rank_mod_reduced(a.copy(), p)
+    assert (a == before).all()
+    # the kernel meets unreduced entries: a column whose nonzero entries
+    # are all multiples of p has no pivot, and in a column with some the
+    # pivot is the first entry nonzero mod p
+    b = rng.integers(0, p, size=(6, 5), dtype=np.int64)
+    b[:, 0] = [0, p, 2 * p, -p, 0, p]
+    b[:, 1] = [p, 0, -p, 1, 2 * p, 1]
+    for pivots in (None, []):
+        rank = modrank._rank_mod_numpy(b.copy(), p, pivots)
+        assert rank == _rank_mod_reduced(b % p, p)
+        if pivots is not None:
+            assert pivots[0] == (1, 1)
+            assert all(c != 0 for c, _ in pivots)
+
+
+@pytest.mark.parametrize("p", DIFFERENTIAL_PRIMES)
+def test_sparse_echelon_mod_matches_the_dense_one(p):
+    rng = np.random.default_rng(p % 1000 + 11)
+    compared = 0
+    for a in _sparse_cases(p):
+        rows = _sparse_rows(a, rng, p)
+        if not rows:
+            continue
+        before = [dict(row) for row in rows]
+        rank, rref, pivots = modrank.echelon_mod(rows, p)
+        want_rank, want_rref, want_pivots = modrank.echelon_mod(a % p, p)
+        assert rows == before
+        assert (rank, pivots) == (want_rank, want_pivots)
+        assert rref == [{j: x for j, x in enumerate(row) if x}
+                        for row in want_rref.tolist()]
+        assert rank == modrank.rank_mod(rows, p)
+        compared += 1
+    assert compared >= 10
+
+
 def _sparse_rows(a, rng, p):
     """Dict rows of ``a`` with each entry shifted by a random multiple of
     p (some past 2**63), and explicit entries that are 0 mod p."""

@@ -689,16 +689,16 @@ def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
 def test_a_closed_certificate_serves_every_later_check(monkeypatch):
     calls, builds = [], []
     modular_rank = exactla.modular_rank
-    gfp_slice = jacobian.HypersurfaceRing._gfp_slice
+    square_rows = jacobian.HypersurfaceRing._square_rows
 
     def counting(matrix, prime, upper_bound=None):
         calls.append(prime)
         return modular_rank(matrix, prime, upper_bound=upper_bound)
 
-    # the slice is counted whichever kernel takes it
-    def counting_gfp_slice(self, k, p):
+    # the square rows are counted whichever kernel takes them
+    def counting_square_rows(self, k, p):
         builds.append((k, p))
-        return gfp_slice(self, k, p)
+        return square_rows(self, k, p)
 
     text = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
             "poly = x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3\n[checks]\n"
@@ -706,8 +706,8 @@ def test_a_closed_certificate_serves_every_later_check(monkeypatch):
             'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c\n')
     plain = run_scenario(parse_scenario(text.format(prime="1000003 ")))
     monkeypatch.setattr(exactla, "modular_rank", counting)
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice",
-                        counting_gfp_slice)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_square_rows",
+                        counting_square_rows)
     report = run_scenario(parse_scenario(text.format(prime="1000033 ")))
     assert calls == [1000033]
     assert builds == [(9, 1000033)]
@@ -738,10 +738,13 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
 
 # numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
 # importing the package, checking the monomial-ideal quartic family,
-# proving shioda smooth on its sparse degree-13 slice and proving a sparse
+# proving shioda smooth on its sparse degree-13 slice, proving a sparse
 # quintic with every pure power smooth on Macaulay's square rows of that
-# slice never need it, while the certificate of a dense generic quartic
-# does (so the guard is not vacuous)
+# slice, and lifting exact pieces of shioda without its symmetry from its
+# sparse degree-12 slice never need it, while the certificate of a dense
+# generic quartic does (so the guard is not vacuous).  The exact duality
+# step takes degrees 0 and 12 alone: at other degrees shioda's slices are
+# above SPARSE_DENSITY and take the dense kernel.
 @pytest.mark.parametrize("code, loaded, route", [
     ("import chowcheck, chowcheck.cli", False, None),
     ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
@@ -749,9 +752,11 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
     ("cli.main(['verify', {pure!r}])", False,
      "route: closed form, smooth at degree 13 (modular p=1000003, 560x560 "
      "Macaulay rows of 880x560, 1120 nonzeros, sparse)"),
+    ("cli.main(['ring', 'duality', '--exact', '--a', '0', '--b', '0', "
+     "'--file', {plain!r}])", False, "route: exact pieces"),
     ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
 ], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
-        "dense-generic-quartic"])
+        "shioda-without-symmetry-exact-duality", "dense-generic-quartic"])
 def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
                                                    tmp_path):
     # every quartic monomial, with coefficients 1..9 and alternating signs
@@ -770,11 +775,18 @@ def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
         "check smooth mode=modular cite=c\n"
         'check hilbert expect="1 4 10 20 31 40 44 40 31 20 10 4 1" cite=c\n',
         encoding="utf-8")
+    plain = tmp_path / "plain.scn"
+    shioda = Path(chowcheck.__file__).parent / "scenarios" / "shioda.scn"
+    plain.write_text(shioda.read_text(encoding="utf-8").replace(
+        "[automorphism]\nmodulus = 65\nexponents = 16 61 1 0\n", ""),
+        encoding="utf-8")
+    assert "[automorphism]" not in plain.read_text(encoding="utf-8")
+    paths = {"dense": str(dense), "pure": str(pure), "plain": str(plain)}
     probe = ("import contextlib, io, sys\n"
              "from chowcheck import cli\n"
              "out = io.StringIO()\n"
              "with contextlib.redirect_stdout(out):\n"
-             f"    {code.format(dense=str(dense), pure=str(pure))}\n"
+             f"    {code.format(**paths)}\n"
              "print('numpy' in sys.modules)\n"
              "print(out.getvalue())\n")
     src = str(Path(chowcheck.__file__).resolve().parent.parent)
