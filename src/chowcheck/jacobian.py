@@ -392,14 +392,14 @@ class HypersurfaceRing:
         import numpy as np
 
         codes = _codes(monos, n, k)
-        first = np.array(first)
+        partial = np.array(first)
         # the code of M / x_i^(d-1): M's code less that of x_i^(d-1)
         pure = _codes([(0,) * i + (e,) + (0,) * (n - 1 - i) for i in range(n)],
                       n, k)
-        src = codes - pure[first]
+        src = codes - pure[partial]
         a = np.zeros((len(monos), len(monos)), dtype=np.int64)
         for i, part in enumerate(parts):
-            rows = np.flatnonzero(first == i)
+            rows = np.flatnonzero(partial == i)
             if part and rows.size:
                 prods = src[rows, None] + _codes([x for x, _ in part], n, k)
                 cols = _monomial_columns(codes, prods)
