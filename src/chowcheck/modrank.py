@@ -242,14 +242,13 @@ def _sparse_echelon(rows, p):
     for c in reversed(order):
         row = pivots[c]
         for j in [j for j in row if j != c and j in pivots]:
-            f = row.pop(j)
+            f = row[j]
             for t, y in pivots[j].items():
-                if t != j:
-                    x = (row.get(t, 0) - f * y) % p
-                    if x:
-                        row[t] = x
-                    else:
-                        del row[t]
+                x = (row.get(t, 0) - f * y) % p
+                if x:
+                    row[t] = x
+                else:
+                    del row[t]
     return len(order), [pivots[c] for c in order], order
 
 
