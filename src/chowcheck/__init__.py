@@ -4,8 +4,8 @@ divisor lattices, and symmetry characters on algebraic surfaces.
 The package is organised in layers:
 
 - :mod:`chowcheck.exactla` and :mod:`chowcheck.modrank`: integer and
-  rational linear algebra (fraction-free elimination, Hermite form,
-  lattice membership) plus modular rank certificates from one entry
+  rational linear algebra (exact ranks, kernels and pieces from one
+  verified GF(p) lift, Hermite form, lattice membership) plus modular rank certificates from one entry
   point over GF(p), behind a primality gate: a pure-Python kernel for
   sparse rows and a numpy kernel for dense ones.  numpy is loaded only
   when a dense GF(p) elimination runs, so importing the package, or

@@ -207,9 +207,6 @@ class DivisorCycle:
             total += (len(coeffs) - 1) * mult
         return total
 
-    def as_dict(self):
-        return dict(zip(self.labels, self.multiplicities))
-
     def __repr__(self):
         parts = [f"{m}*{label}" for label, m in zip(self.labels, self.multiplicities)]
         for coeffs, mult, _ in self.residual_factors:

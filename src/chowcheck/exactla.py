@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals and the integers.
 
-Rank and kernel computations use fraction-free Bareiss elimination, so
-every intermediate value is an exact integer minor of the input.  Modular
-ranks over a prime field are available as cheap one-sided certificates:
-the rank mod p never exceeds the rational rank, so a modular rank that
-meets the a-priori maximum pins the exact value.
+Modular ranks over a prime field are cheap one-sided certificates: the
+rank mod p never exceeds the rational rank, so a modular rank that meets
+the a-priori maximum pins the exact value.
 
-Residues lift to rationals by ``crt`` and ``rational_reconstruction``;
-a lifted value proves nothing until the caller verifies it exactly.
+Every exact rank, kernel and graded piece comes from one verified lift,
+``lift_kernel``: the reduced echelon form mod p (``modrank.echelon_mod``)
+lifts to Q by ``crt`` and ``rational_reconstruction``, and is accepted
+only after one exact product M*N = 0 over integer dict rows.  ``rank``
+answers from one ``rank_mod`` when it reaches min(rows, cols), and from
+the lift otherwise; ``kernel_basis`` reads the lifted forms.
 
 Integer row lattices are normalised with a row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), which
@@ -17,11 +19,12 @@ makes equality of lattices a literal equality of matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 
 from . import modrank
 from .modrank import BadPrime
-from .poly import _coefficient
 
 
 def _as_rows(matrix):
@@ -90,100 +93,136 @@ def _integer_row(row):
 
 
 def _integer_rows(matrix):
-    """Scale each row by its common denominator; rank and kernel are unchanged."""
-    return [_integer_row(row)[1] for row in _as_rows(matrix)]
+    """Each row scaled by its common denominator, as an integer dict row
+    ``{column: entry}`` without zeros, and the number of columns; the
+    scaling changes neither the rank nor the kernel."""
+    rows = _as_rows(matrix)
+    dict_rows = []
+    for row in rows:
+        row = {j: row[j] for j in compress(range(len(row)), row)}
+        dict_rows.append(dict(zip(row, _integer_row(list(row.values()))[1])))
+    return dict_rows, len(rows[0]) if rows else 0
 
 
-def _bareiss_echelon(rows):
-    """Fraction-free echelon form.
+@cache
+def _lift_prime(i):
+    """The i-th prime of every lift, counting down from MAX_PRIME."""
+    n = modrank.MAX_PRIME if i == 0 else _lift_prime(i - 1) - 1
+    while not modrank.is_prime(n):
+        n -= 1
+    return n
 
-    Returns (echelon_rows, pivot_cols).  The input rows are destroyed.
-    Entries of the returned rows are exact integer minors of the input
-    (two-step Bareiss: every division by the previous pivot is exact).
+
+def _lift_primes():
+    """The primes of every lift: each prime from MAX_PRIME down, each
+    found once per process."""
+    return map(_lift_prime, count())
+
+
+def lift_kernel(rows, ncols, gfp):
+    """(free, forms) of the integer dict rows ``rows`` over Q: the free
+    columns of their reduced echelon form, and the normal form of each of
+    the ``ncols`` columns over them, {free column: coefficient}.  The
+    forms are the right kernel: for each free column t, the vector of
+    every column's coefficient at t has entry 1 at t, 0 at the other free
+    columns, and is killed by the rows.
+
+    Lifted from ``modrank.echelon_mod`` of ``gfp(p)``, the rows mod p in
+    the form their kernel takes, at the primes of ``_lift_primes``.  A
+    prime of lower rank, or of equal rank with later pivots, is unlucky
+    and skipped; a better one restarts the lift.  After each prime the
+    free-column entries are reconstructed (``crt``,
+    ``rational_reconstruction``; Wang 1981, Monagan 2004) and accepted
+    only when ``_annihilates`` proves them; a failure only asks for
+    another prime.  Without rows every column is free.
+
+    An accepted lift is the one over Q at any prime.  The rank mod p
+    never exceeds the rank over Q, and the kernel vectors, one per free
+    column, bound it from above, so the rank is #pivots.  Each free
+    column is then a combination of pivot columns left of it, so the
+    pivots are those over Q and the forms are Q's reduced echelon form.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_cols = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    if not rows:
+        return list(range(ncols)), {j: {j: 1} for j in range(ncols)}
+    best = None
+    for p in _lift_primes():
+        rank, rref, pivots = modrank.echelon_mod(gfp(p), p)
+        if rank == ncols:
+            return [], {}
+        key = (-rank, pivots)
+        if best is not None and key > best:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[c]
-            if f:
-                new = []
-                for x, y in zip(row, prow):
-                    num = pivot * x - f * y
-                    q = num // prev
-                    if q * prev != num:
-                        raise ArithmeticError(
-                            "fraction-free elimination lost exactness")
-                    new.append(q)
-                rows[i] = new
-            elif pivot != prev:
-                # the minor normalisation must stay uniform across rows
-                new = []
-                for x in row:
-                    num = pivot * x
-                    q = num // prev
-                    if q * prev != num:
-                        raise ArithmeticError(
-                            "fraction-free elimination lost exactness")
-                    new.append(q)
-                rows[i] = new
-        piv_cols.append(c)
-        prev = pivot
-        r += 1
-        if r == m:
-            break
-    return rows[:r], piv_cols
+        free = sorted(set(range(ncols)) - set(pivots))
+        if isinstance(rref, list):
+            images = [row.get(t, 0) for row in rref for t in free]
+        else:
+            images = rref[:, free].ravel().tolist()
+        if key != best:
+            best, modulus, residues = key, p, images
+        else:
+            residues = crt(residues, modulus, images, p)
+            modulus *= p
+        entries = rational_reconstruction(residues, modulus)
+        if entries is None:
+            continue
+        forms = {j: {j: 1} for j in free}
+        for i, pc in enumerate(pivots):
+            row = entries[i * len(free):(i + 1) * len(free)]
+            forms[pc] = {t: -x for t, x in zip(free, row) if x}
+        if _annihilates(rows, forms):
+            return free, forms
+
+
+def _annihilates(rows, forms):
+    """A*N = 0 for the integer dict rows A and the normal forms N in
+    ``forms``, checked exactly, with N scaled to integers by the lcm of
+    its denominators."""
+    den = lcm(*(x.denominator for form in forms.values()
+                for x in form.values()))
+    scaled = {j: {t: x.numerator * (den // x.denominator)
+                  for t, x in form.items()} for j, form in forms.items()}
+    for row in rows:
+        total = {}
+        for j, c in row.items():
+            for t, x in scaled.get(j, {}).items():
+                total[t] = total.get(t, 0) + c * x
+        if any(total.values()):
+            return False
+    return True
 
 
 def rank(matrix):
-    """Exact rank over the rationals."""
-    rows = _integer_rows(matrix)
-    if not rows or not rows[0]:
+    """Exact rank over the rationals.
+
+    The rows are scaled to integer dict rows, so both eliminations take
+    modrank's sparse kernel and never load numpy.  A rank mod the first
+    lift prime that reaches min(rows, cols) is the rank (``rank_mod``, no
+    echelon form); short of it the rank is that of the lifted kernel
+    (``lift_kernel``), which is proven exactly.
+    """
+    rows, ncols = _integer_rows(matrix)
+    if not rows or not ncols:
         return 0
-    _, piv = _bareiss_echelon(rows)
-    return len(piv)
+    full = min(len(rows), ncols)
+    if modrank.rank_mod(rows, next(_lift_primes())) == full:
+        return full
+    free, _ = lift_kernel(rows, ncols, lambda p: rows)
+    return ncols - len(free)
 
 
 def kernel_basis(matrix):
     """Basis of the right kernel, one vector per free column.
 
     Each basis vector carries entry 1 at its free column and 0 at every
-    other free column, so the result is canonical.  Integral entries are
-    ``int``, the others ``Fraction``.  Satisfies
-    ``len(kernel_basis(M)) == ncols - rank(M)`` by construction.
+    other free column, so the result is canonical: Q's reduced echelon
+    form read off by ``lift_kernel`` on the rows scaled to integer dict
+    rows, and proven by M*N = 0.  Integral entries are ``int``, the
+    others ``Fraction``.  Satisfies
+    ``len(kernel_basis(M)) == ncols - rank(M)``.
     """
-    rows = _integer_rows(matrix)
-    if not rows:
-        return []
-    n = len(rows[0])
-    ech, piv_cols = _bareiss_echelon(rows)
-    free_cols = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        # back-substitute through the echelon rows
-        for i in range(len(ech) - 1, -1, -1):
-            pc = piv_cols[i]
-            s = sum(ech[i][j] * vec[j] for j in range(pc + 1, n) if vec[j])
-            vec[pc] = _coefficient(Fraction(-s, ech[i][pc]))
-        basis.append(vec)
-    return basis
+    rows, ncols = _integer_rows(matrix)
+    free, forms = lift_kernel(rows, ncols, lambda p: rows)
+    return [[forms[j].get(t, 0) for j in range(ncols)] for t in free]
 
 
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):

@@ -37,16 +37,19 @@ is built and eliminated only when they fall short.
 A graded piece is one exact ``GradedPiece``: a degree, representatives,
 and the normal form of every ambient monomial over them.  ``piece(k)``
 takes the standard monomials of a monomial ideal; any other ring lifts
-the reduced echelon form of its slice from GF(p) (``_lift``) by Chinese
-remaindering and rational reconstruction (Wang 1981; Monagan 2004).  A
-lift is accepted after one exact product A*N = 0 of the slice A and the
-normal-form table N, which proves it at any prime: N is the identity on
-the free columns, and they number #monomials minus the rank mod p.  For
-every diagonal symmetry of F the slice is block diagonal, so its free
-columns are those of its character blocks.  On a ring proven smooth, a
-piece whose dimension differs from the closed form raises
-``ArithmeticError``.  Every multiplication and pairing matrix is built
-by looking up normal forms (``_products``).
+the reduced echelon form of its slice from GF(p) (``_lift``) through
+``exactla.lift_kernel``, the one lift behind every exact rank and kernel,
+by Chinese remaindering and rational reconstruction (Wang 1981; Monagan
+2004).  The piece passes its per-prime slice builder (``_gfp_slice``),
+so each prime eliminates the slice in the form its kernel takes.  A lift
+is accepted after one exact product A*N = 0 of the slice's integer dict
+rows A and the normal-form table N, which proves it at any prime: N is
+the identity on the free columns, and they number #monomials minus the
+rank mod p.  For every diagonal symmetry of F the slice is block
+diagonal, so its free columns are those of its character blocks.  On a
+ring proven smooth, a piece whose dimension differs from the closed form
+raises ``ArithmeticError``.  Every multiplication and pairing matrix is
+built by looking up normal forms (``_products``).
 
 ``map_surjectivity`` and ``left_kernel_via_duality`` let two theorems
 decide on a ring proven smooth in the step's own mode (``_smooth_for``).
@@ -55,7 +58,7 @@ smooth R is a complete intersection, hence Gorenstein, so the socle
 pairing R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay; Carlson &
 Griffiths 1980).  Both ranks are then quotient dimensions.  Any other
 ring builds both matrices from exact pieces, so a failing verdict is
-exact.
+exact.  Their exact ranks (``exactla.rank``) come from the same lift.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  One memoised layout per degree
@@ -87,7 +90,7 @@ question.
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
@@ -102,11 +105,6 @@ from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
 # 336x220 slices won up to 1.25%).  The bundled quintic's slice is at
 # 0.31%; the dense generic quartic and quintic slices are at 9.1% and 6.3%.
 SPARSE_DENSITY = 0.004
-
-
-def _lift_primes():
-    """The primes of the lifted pieces: every prime from MAX_PRIME down."""
-    return filter(modrank.is_prime, range(modrank.MAX_PRIME, 1, -1))
 
 
 class SocleNotOneDimensional(ArithmeticError):
@@ -460,62 +458,14 @@ class HypersurfaceRing:
         free columns of the reduced echelon form of the slice over Q, and
         the normal form of each column, {free column: coefficient}.
 
-        Lifted from ``echelon_mod`` of ``_gfp_slice`` (dict rows or an
-        array, as the slice's kernel takes it) at the primes of
-        ``_lift_primes``.  A prime of lower rank, or of equal rank with
-        later pivots, is unlucky and skipped; a better one restarts the
-        lift.  After each prime the free-column entries are reconstructed
-        (``exactla.crt``, ``exactla.rational_reconstruction``) and proven
-        by ``_annihilates``; a failure only asks for another prime.  Below
-        degree d-1 the slice is empty and every column is free.
+        ``exactla.lift_kernel`` lifts them from ``_gfp_slice`` (dict rows
+        or an array, as the slice's kernel takes it) and proves them over
+        the slice's integer dict rows.  Below degree d-1 the slice has no
+        rows and every column is free.
         """
-        _, ncols = self._slice_shape(k)
-        if k < self.degree - 1:
-            return list(range(ncols)), {j: {j: 1} for j in range(ncols)}
-        best = None
-        for p in _lift_primes():
-            rank, rref, pivots = modrank.echelon_mod(self._gfp_slice(k, p), p)
-            if rank == ncols:
-                return [], {}
-            key = (-rank, pivots)
-            if best is not None and key > best:
-                continue
-            free = sorted(set(range(ncols)) - set(pivots))
-            if isinstance(rref, list):
-                images = [row.get(t, 0) for row in rref for t in free]
-            else:
-                images = rref[:, free].ravel().tolist()
-            if key != best:
-                best, modulus, residues = key, p, images
-            else:
-                residues = exactla.crt(residues, modulus, images, p)
-                modulus *= p
-            entries = exactla.rational_reconstruction(residues, modulus)
-            if entries is None:
-                continue
-            forms = {j: {j: 1} for j in free}
-            for i, pc in enumerate(pivots):
-                row = entries[i * len(free):(i + 1) * len(free)]
-                forms[pc] = {t: -x for t, x in zip(free, row) if x}
-            if self._annihilates(k, forms):
-                return free, forms
-
-    def _annihilates(self, k, forms):
-        """A·N = 0 for the slice A and the normal forms N in ``forms``,
-        checked exactly over the slice's integer dict rows, with N scaled
-        to integers by the lcm of its denominators."""
-        den = lcm(*(x.denominator for form in forms.values()
-                    for x in form.values()))
-        scaled = {j: {t: x.numerator * (den // x.denominator)
-                      for t, x in form.items()} for j, form in forms.items()}
-        for row in self._dict_rows(k, self._sources(k), self._int_partials):
-            total = {}
-            for j, c in row.items():
-                for t, x in scaled.get(j, {}).items():
-                    total[t] = total.get(t, 0) + c * x
-            if any(total.values()):
-                return False
-        return True
+        rows = self._dict_rows(k, self._sources(k), self._int_partials)
+        return exactla.lift_kernel(rows, self._slice_shape(k)[1],
+                                   lambda p: self._gfp_slice(k, p))
 
     def piece(self, k):
         """The degree-k graded piece over Q, memoised per degree: the
@@ -700,7 +650,8 @@ def _rank(matrix, full, prime):
 
     A rank mod ``prime`` that reaches ``full`` proves that rank over Q; a
     prime that divides a denominator proves nothing.  Short of a proof
-    the matrix is ranked exactly.  A non-prime ``prime`` raises BadPrime.
+    the matrix is ranked exactly (``exactla.rank``).  A non-prime
+    ``prime`` raises BadPrime.
     """
     if prime is not None:
         modrank.require_prime(prime)

@@ -3,8 +3,9 @@
 This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
 ``rank_mod`` is the one rank entry point and ``echelon_mod`` the one
-reduced echelon form, which ``jacobian`` lifts its exact graded pieces
-from; each takes one of two kernels by the form of its input.
+reduced echelon form, which ``exactla.lift_kernel`` lifts every exact
+rank, kernel and graded piece from; each takes one of two kernels by the
+form of its input.
 
 Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
 (``_sparse_pivots``) that reduces one row at a time against the pivot
@@ -38,6 +39,8 @@ primality gate :func:`require_prime` before any elimination.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 
 DEFAULT_PRIME = 1000003
@@ -78,8 +81,10 @@ def is_prime(n):
     return True
 
 
+@cache
 def require_prime(p):
-    """Raise BadPrime unless ``p`` is a prime in [2, MAX_PRIME]."""
+    """Raise BadPrime unless ``p`` is a prime in [2, MAX_PRIME].  A
+    modulus that passes is remembered, so each prime is tested once."""
     if not 2 <= p <= MAX_PRIME:
         raise BadPrime(f"modulus {p} out of supported range [2, {MAX_PRIME}]")
     if not is_prime(p):

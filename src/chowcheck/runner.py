@@ -237,18 +237,20 @@ def _attr_fraction(spec, name, default=None, required=False):
         return default
     try:
         return Fraction(raw)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _bad(spec, f"{name}={raw!r} is not a rational number") from None
 
 
-def _attr_ints(spec, name, required=False):
+def _attr_list(spec, name, parse, what, required=False):
+    """A space-separated list of values read by ``parse`` (``int`` or
+    ``Fraction``), or None when absent and not required."""
     raw = _attr(spec, name, required=required)
     if raw is None:
         return None
     try:
-        return [int(tok) for tok in raw.split()]
-    except ValueError:
-        raise _bad(spec, f"{name}={raw!r} is not a list of integers") from None
+        return [parse(tok) for tok in raw.split()]
+    except (ValueError, ZeroDivisionError):
+        raise _bad(spec, f"{name}={raw!r} is not a list of {what}") from None
 
 
 CHECKS = {}
@@ -315,28 +317,28 @@ def _check_pencil_hyperelliptic(ctx, spec):
 
 @_register("pencil_degenerations")
 def _check_pencil_degenerations(ctx, spec):
+    want = _attr_list(spec, "expect_zero", Fraction, "rational numbers")
     conditions = pencil.report_degenerate_parameters(ctx.pencil())
     details = [f"{cond}: {reason}" for cond, reason in conditions]
     values = {"conditions": len(conditions)}
-    expect_zero = _attr(spec, "expect_zero")
     ok = True
-    if expect_zero is not None:
-        want = sorted(Fraction(tok) for tok in expect_zero.split())
+    if want is not None:
+        want.sort()
         got = sorted(Fraction(cond.partition("=")[2])
                      for cond, reason in conditions
                      if reason == "lam(t) = 0" and cond.startswith("t ="))
         values["zero_parameters"] = " ".join(str(v) for v in got)
         ok = got == want
         if not ok:
-            details.append(
-                f"expected lam(t) = 0 exactly at t in {{{expect_zero}}}")
+            details.append("expected lam(t) = 0 exactly at t in "
+                           f"{{{spec.attrs['expect_zero']}}}")
     return _step(spec, "pencil degenerations", ok, details,
                  "degeneration list mismatch", values)
 
 
 @_register("hilbert")
 def _check_hilbert(ctx, spec):
-    expect = _attr_ints(spec, "expect", required=True)
+    expect = _attr_list(spec, "expect", int, "integers", required=True)
     hring = ctx.hypersurface()
     table = jacobian.hilbert_function(hring)
     values = {
@@ -515,10 +517,12 @@ def _check_invariance(ctx, spec):
 
 @_register("smooth")
 def _check_smooth(ctx, spec):
-    exact = _attr(spec, "mode", default="modular") == "exact"
+    mode = _attr(spec, "mode", default="modular")
+    if mode not in ("exact", "modular"):
+        raise _bad(spec, f"mode={mode!r} is not 'exact' or 'modular'")
     prime = _attr_prime(spec, default=modrank.DEFAULT_PRIME)
     result = jacobian.is_smooth_artinian(ctx.hypersurface(), prime=prime,
-                                         exact=exact)
+                                         exact=mode == "exact")
     values = {
         "smooth": result.smooth,
         "mode": result.mode,

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chowcheck import exactla, modrank
+from oracles import fraction_rref
 
 
 def reference_rank(rows):
@@ -49,8 +52,8 @@ def test_rank_matches_reference_on_random_matrices():
 
 
 def test_rank_survives_many_elimination_steps():
-    # regression shape: an f == 0 row must keep the uniform minor scaling,
-    # otherwise a later exact division silently floors
+    # fourteen sparse rows of twelve columns: many pivots, many rows with
+    # a zero multiplier
     rng = random.Random(7)
     rows = []
     for i in range(14):
@@ -314,3 +317,141 @@ def test_crt_and_rational_reconstruction_recover_small_fractions():
         Fraction(1, 7), -3]
     assert exactla.rational_reconstruction([1, pow(1000, -1, p)], p) is None
     assert exactla.rational_reconstruction([], p) == []
+
+
+# ------------------------------------------------ the verified lift
+
+LIFT_PRIME = next(exactla._lift_primes())
+
+
+def _canonical_kernel(rref, pivots, ncols):
+    """The kernel basis with identity on the free columns, read off a
+    reduced echelon form over Q."""
+    free = [t for t in range(ncols) if t not in pivots]
+    basis = []
+    for t in free:
+        vec = [int(j == t) for j in range(ncols)]
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[t]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def _lift_matrices(draw):
+    """(rows, ncols): up to 6x6, with integer or rational entries, zero
+    rows, zero columns and low ranks (each row a combination of a few
+    base rows), and entries that are multiples of the first lift prime,
+    whose rank mod that prime can fall short."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["int", "fraction", "prime"]))
+
+    def entry():
+        x = draw(st.integers(-9, 9))
+        if kind == "fraction":
+            x = Fraction(x, draw(st.integers(1, 12)))
+        elif kind == "prime" and draw(st.booleans()):
+            x *= LIFT_PRIME
+        return x
+
+    base = [[entry() for _ in range(n)] for _ in range(draw(st.integers(0, 3)))]
+    rows = []
+    for _ in range(m):
+        if base and draw(st.booleans()):
+            coeffs = [draw(st.integers(-3, 3)) for _ in base]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, base))
+                         for j in range(n)])
+        else:
+            rows.append([entry() for _ in range(n)])
+    for j in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < n:
+                row[j] = 0
+    return rows, n
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_lift_matrices())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[LIFT_PRIME, 0], [0, 0]], 2))
+@example(([[LIFT_PRIME, 1], [2 * LIFT_PRIME, 3]], 2))
+@example(([[LIFT_PRIME, 1], [0, 0]], 2))
+@example(([[Fraction(1, LIFT_PRIME), 1, 0], [0, Fraction(2, 3), 5]], 3))
+def test_rank_and_kernel_match_sympy_and_the_fraction_rref(case):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, ncols = case
+    ref, pivots = fraction_rref(rows, ncols)
+    sym = DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator)
+                         for x in row] for row in rows], (len(rows), ncols), QQ)
+    sym_rref, sym_pivots = sym.rref()
+    assert exactla.rank(rows) == len(pivots) == sym.rank()
+    assert list(sym_pivots) == pivots
+    basis = exactla.kernel_basis(rows)
+    if rows:
+        expected = _canonical_kernel(ref, pivots, ncols)
+        assert basis == expected
+        assert basis == _canonical_kernel(
+            [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+             for row in sym_rref.to_Matrix().tolist()], pivots, ncols)
+    else:
+        assert basis == []
+    # integral entries are ints, the others Fractions
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for vec in basis for x in vec)
+
+
+def test_an_unlucky_prime_restarts_the_lift(monkeypatch):
+    # mod the first lift prime p the matrix has rank 1, pivot column 1;
+    # over Q it has rank 2, pivot columns 0 and 1, so the next prime
+    # restarts the lift.  With a row p*x0 + x1 of rank 1 at every prime,
+    # the pivot moves from column 1 to column 0, and the entry -1/p needs
+    # two primes after p to be reconstructed.
+    primes = []
+    echelon_mod = modrank.echelon_mod
+
+    def counting(matrix, p):
+        primes.append(p)
+        return echelon_mod(matrix, p)
+
+    monkeypatch.setattr(modrank, "echelon_mod", counting)
+    p = LIFT_PRIME
+    assert exactla.kernel_basis([[p, 1, 0], [2 * p, 3, 0]]) == [[0, 0, 1]]
+    assert primes[0] == p and len(primes) == 2
+    primes.clear()
+    assert exactla.kernel_basis([[p, 1], [0, 0]]) == [[Fraction(-1, p), 1]]
+    assert primes[0] == p and len(primes) == 4
+    primes.clear()
+    assert exactla.rank([[p, 1], [0, 0]]) == 1
+    assert primes[0] == p and len(primes) == 4
+    # the second lift prime q is unlucky for p*x0 + x1 after the first:
+    # it is skipped, neither restarting the lift nor joining it, and the
+    # first and third primes with the fourth reconstruct -1/q
+    first_four = list(islice(exactla._lift_primes(), 4))
+    q = first_four[1]
+    primes.clear()
+    assert exactla.kernel_basis([[q, 1], [0, 0]]) == [[Fraction(-1, q), 1]]
+    assert primes == first_four
+
+
+def test_a_full_rank_costs_one_rank_mod(monkeypatch):
+    calls = []
+    rank_mod = modrank.rank_mod
+
+    def counting(matrix, p):
+        calls.append(p)
+        return rank_mod(matrix, p)
+
+    def refused(*args):
+        raise AssertionError("a full rank needs no echelon form or lift")
+
+    monkeypatch.setattr(modrank, "rank_mod", counting)
+    monkeypatch.setattr(modrank, "echelon_mod", refused)
+    monkeypatch.setattr(exactla, "rational_reconstruction", refused)
+    wide = [[Fraction(1, 2), 3, 0, 7], [0, 1, Fraction(5, 3), 0]]
+    assert exactla.rank(wide) == 2
+    assert exactla.rank([list(col) for col in zip(*wide)]) == 2
+    assert calls == [LIFT_PRIME, LIFT_PRIME]

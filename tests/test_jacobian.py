@@ -345,7 +345,7 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     assert not span_builds
     assert slice_builds == Counter({
         (hring.socle_degree + 1, modrank.DEFAULT_PRIME): 1,
-        (k, next(jacobian._lift_primes())): 1})
+        (k, next(exactla._lift_primes())): 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -875,7 +875,7 @@ def test_a_lift_that_fails_its_check_takes_another_prime(monkeypatch):
     # slices have other pivots and normal forms: the first lift passes
     # reconstruction but fails A * N = 0, so the lift goes on to the next
     # prime, which restarts it
-    p = next(jacobian._lift_primes())
+    p = next(exactla._lift_primes())
     hring = jacobian.HypersurfaceRing(
         parse_poly(f"x0^3 + x1^3 + x2^3 + {p}*x0*x1*x2", TERNARY))
     primes = []
@@ -1060,20 +1060,41 @@ def test_each_slice_is_eliminated_once_per_prime(monkeypatch, index, order):
     # default prime is made once, whichever step asks first, and the lift
     # of an exact piece eliminates each of its degrees once per prime.
     # (An exact duality step on the quintic lifts pieces for a minute, so
-    # the quartic takes that order.)
+    # the quartic takes that order.)  Only slices are counted, by their
+    # columns: the exact ranks of the pairing matrices are eliminated too.
     eliminations = Counter()
+    slices = {}  # id -> (slice, columns); holding a slice keeps its id
     rank_mod, echelon_mod = modrank.rank_mod, modrank.echelon_mod
+    gfp_slice = jacobian.HypersurfaceRing._gfp_slice
+    square_rows = jacobian.HypersurfaceRing._square_rows
+
+    def tagged_slice(self, k, p):
+        matrix = gfp_slice(self, k, p)
+        slices[id(matrix)] = (matrix, self._slice_shape(k)[1])
+        return matrix
+
+    def tagged_square_rows(self, k, p):
+        matrix, nonzeros = square_rows(self, k, p)
+        slices[id(matrix)] = (matrix, self._slice_shape(k)[1])
+        return matrix, nonzeros
+
+    def count(matrix, p):
+        if id(matrix) in slices:
+            eliminations[slices[id(matrix)][1], p] += 1
 
     def counting_rank(matrix, p=modrank.DEFAULT_PRIME):
-        eliminations[matrix.shape[1], p] += 1
+        count(matrix, p)
         return rank_mod(matrix, p)
 
     def counting_echelon(matrix, p=modrank.DEFAULT_PRIME):
-        eliminations[matrix.shape[1], p] += 1
+        count(matrix, p)
         return echelon_mod(matrix, p)
 
     monkeypatch.setattr(modrank, "rank_mod", counting_rank)
     monkeypatch.setattr(modrank, "echelon_mod", counting_echelon)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice", tagged_slice)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_square_rows",
+                        tagged_square_rows)
     _, degree, text, _ = _load_dense_generator().generate(1)[index]
     table = jacobian.complete_intersection_hilbert(4, degree)
     a = (len(table) - 1) // 4  # a quarter of the socle degree

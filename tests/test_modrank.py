@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chowcheck import jacobian, modrank
+from chowcheck import exactla, modrank
 
 
 def test_rank_mod_small_cases():
@@ -329,8 +329,8 @@ def test_is_prime_matches_trial_division():
 
 
 def test_lift_primes_pass_the_gate():
-    # the lifted pieces take every prime from MAX_PRIME down, in order
-    lift = jacobian._lift_primes()
+    # every lift takes the primes from MAX_PRIME down, in order
+    lift = exactla._lift_primes()
     primes = [next(lift) for _ in range(5)]
     assert primes == [n for n in range(modrank.MAX_PRIME, primes[-1] - 1, -1)
                       if _is_prime_by_trial_division(n)]

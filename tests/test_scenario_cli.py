@@ -649,6 +649,35 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     assert out.stderr == f"error: {message}\n"
 
 
+# one attribute of a bundled scenario made malformed: a list entry that is
+# no rational number, a zero denominator, a smoothness mode that is
+# neither 'exact' nor 'modular'
+@pytest.mark.parametrize("name, old, new, message", [
+    ("quartic_family", 'expect_zero="-3/2 3"', 'expect_zero="-3/2 x"',
+     "check 'pencil_degenerations' (line 26): expect_zero='-3/2 x' is not "
+     "a list of rational numbers"),
+    ("quartic_family", 'expect_zero="-3/2 3"', 'expect_zero="1/0 3"',
+     "check 'pencil_degenerations' (line 26): expect_zero='1/0 3' is not "
+     "a list of rational numbers"),
+    ("shioda", "check smooth mode=modular", "check smooth mode=exactt",
+     "check 'smooth' (line 35): mode='exactt' is not 'exact' or 'modular'"),
+    ("shioda", "sample_t=1 ", "sample_t=1/0 ",
+     "check 'intersection' (line 37): sample_t='1/0' is not a rational "
+     "number"),
+], ids=["expect-zero-not-rational", "expect-zero-zero-denominator",
+        "smooth-mode-misspelt", "sample-t-zero-denominator"])
+def test_cli_malformed_bundled_attribute_exits_two(tmp_path, name, old, new,
+                                                   message):
+    scenario = Path(chowcheck.__file__).parent / "scenarios" / f"{name}.scn"
+    text = scenario.read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    out = _run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+
+
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
