@@ -24,59 +24,67 @@ The package is organised in layers:
 - :mod:`chowcheck.scenario` / :mod:`chowcheck.runner` /
   :mod:`chowcheck.report` / :mod:`chowcheck.cli`: scenario files, the
   check registry, deterministic reports, and the command line driver.
+
+Importing the package loads none of these modules.  Each public name
+below (``__all__``) imports its module the first time it is read, and
+the runner imports :mod:`~chowcheck.characters`, :mod:`~chowcheck.curves`
+and :mod:`~chowcheck.pencil` when a check or scenario object first needs
+them.  A cold ``chowcheck verify`` therefore compiles and loads only the
+modules its checks run: a dense ring's smoothness and Hilbert table load
+none of those three, shioda never loads ``pencil``, and the quartic
+family never loads ``characters``.
 """
 
-from .characters import (CharacterSpectrum, DiagonalAutomorphism, NotInvariant,
-                         NotSmooth, PicardBoundResult, character_spectrum,
-                         check_invariance, galois_orbit, picard_upper_bound)
-from .curves import (DivisorCycle, EquivalenceOrder, LineIsComponent,
-                     NonRationalIntersection, ParameterNotEliminated,
-                     RelationLattice, UnknownLabel, binary_form_cycle,
-                     hyperplane_relations, minimal_equivalence_order,
-                     rational_roots, restrict_to_line,
-                     squarefree_decomposition)
-from .jacobian import (GradedPiece, HypersurfaceRing, IdealNotMonomial,
-                       MultiplicationMap, SocleNotOneDimensional,
-                       functional_kernel_map, hilbert_function,
-                       is_smooth_artinian, is_surjective,
-                       left_kernel_via_duality, macaulay_pairing_check,
-                       multiplication_map, uniform_mult_rank_bound)
-from .pencil import (PencilScenario, default_scenario, membership_identity,
-                     report_degenerate_parameters, scenario_steps,
-                     tangent_identity, verify_blowup_factorization,
-                     verify_concurrency, verify_hyperelliptic_condition,
-                     verify_tangent_lines)
-from .poly import (NotDivisible, PolyParseError, PolyRing, ProjectivePoint,
-                   SparsePoly, check_parametrization, exact_divide,
-                   multiplicity_at_point, parse_poly, partial_derivative,
-                   substitute)
-from .report import Report, StepResult
-from .runner import CheckConfigError, ScenarioContext, UnknownCheck, run_scenario
-from .scenario import CheckSpec, ParseError, ScenarioFile, load_scenario, parse_scenario
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacterSpectrum", "CheckConfigError", "CheckSpec", "DiagonalAutomorphism",
-    "DivisorCycle", "EquivalenceOrder", "GradedPiece", "HypersurfaceRing",
-    "IdealNotMonomial", "LineIsComponent", "MultiplicationMap",
-    "NonRationalIntersection", "NotDivisible", "NotInvariant", "NotSmooth",
-    "ParameterNotEliminated", "ParseError", "PencilScenario",
-    "PicardBoundResult", "PolyParseError", "PolyRing", "ProjectivePoint",
-    "RelationLattice", "Report", "ScenarioContext", "ScenarioFile",
-    "SocleNotOneDimensional", "SparsePoly", "StepResult", "UnknownCheck",
-    "UnknownLabel", "binary_form_cycle",
-    "character_spectrum", "check_invariance", "check_parametrization",
-    "default_scenario", "exact_divide", "functional_kernel_map",
-    "galois_orbit", "hilbert_function", "hyperplane_relations",
-    "is_smooth_artinian", "is_surjective", "left_kernel_via_duality",
-    "load_scenario", "macaulay_pairing_check",
-    "membership_identity", "minimal_equivalence_order", "multiplication_map",
-    "multiplicity_at_point", "parse_poly", "parse_scenario",
-    "partial_derivative", "picard_upper_bound", "rational_roots",
-    "report_degenerate_parameters", "restrict_to_line", "run_scenario",
-    "scenario_steps", "squarefree_decomposition", "substitute",
-    "tangent_identity", "uniform_mult_rank_bound",
-    "verify_blowup_factorization", "verify_concurrency",
-    "verify_hyperelliptic_condition", "verify_tangent_lines",
-]
+# public name -> the module that defines it; each module is imported the
+# first time one of its names is read, so a cold process compiles only
+# the modules its checks run
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "characters": "CharacterSpectrum DiagonalAutomorphism NotInvariant "
+                      "NotSmooth PicardBoundResult character_spectrum "
+                      "check_invariance galois_orbit picard_upper_bound",
+        "curves": "DivisorCycle EquivalenceOrder LineIsComponent "
+                  "NonRationalIntersection ParameterNotEliminated "
+                  "RelationLattice UnknownLabel binary_form_cycle "
+                  "hyperplane_relations minimal_equivalence_order "
+                  "rational_roots restrict_to_line squarefree_decomposition",
+        "jacobian": "GradedPiece HypersurfaceRing IdealNotMonomial "
+                    "MultiplicationMap SocleNotOneDimensional "
+                    "functional_kernel_map hilbert_function "
+                    "is_smooth_artinian is_surjective "
+                    "left_kernel_via_duality macaulay_pairing_check "
+                    "multiplication_map uniform_mult_rank_bound",
+        "pencil": "PencilScenario default_scenario membership_identity "
+                  "report_degenerate_parameters scenario_steps "
+                  "tangent_identity verify_blowup_factorization "
+                  "verify_concurrency verify_hyperelliptic_condition "
+                  "verify_tangent_lines",
+        "poly": "NotDivisible PolyParseError PolyRing ProjectivePoint "
+                "SparsePoly check_parametrization exact_divide "
+                "multiplicity_at_point parse_poly partial_derivative "
+                "substitute",
+        "report": "Report StepResult",
+        "runner": "CheckConfigError ScenarioContext UnknownCheck run_scenario",
+        "scenario": "CheckSpec ParseError ScenarioFile load_scenario "
+                    "parse_scenario",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

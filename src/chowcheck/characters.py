@@ -18,13 +18,14 @@ from functools import lru_cache
 from math import gcd
 
 from . import jacobian
+from .report import CheckFailure
 
 
-class NotInvariant(ValueError):
+class NotInvariant(ValueError, CheckFailure):
     """The form is not an eigenvector of the given automorphism."""
 
 
-class NotSmooth(ValueError):
+class NotSmooth(ValueError, CheckFailure):
     """An operation requiring a smooth hypersurface got a singular one."""
 
 

@@ -17,11 +17,19 @@ Two subcommands:
 Exit status: 0 all checks pass, 1 at least one check fails, 2 the
 input could not be parsed, a check was misconfigured or a modulus is
 not a usable prime.
+
+A command loads only the modules its checks run.  numpy is loaded only
+by a dense GF(p) elimination, and no chowcheck kernel calls BLAS, so
+:func:`main` sets ``OPENBLAS_NUM_THREADS=1`` before anything can import
+numpy: the process then starts no idle OpenBLAS thread pool.  A value
+already in the environment is kept, so ``OPENBLAS_NUM_THREADS=4
+chowcheck ...`` overrides it.  Importing the module changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -133,6 +141,9 @@ def build_parser():
 
 
 def main(argv=None):
+    # no chowcheck kernel calls BLAS, so OpenBLAS's thread pool would only
+    # spin; OpenBLAS reads this when numpy is first imported, which is later
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 from . import exactla
 from .poly import ProjectivePoint, SparsePoly
+from .report import CheckFailure
 
 
 class LineIsComponent(ArithmeticError):
@@ -26,11 +27,11 @@ class NonRationalIntersection(ArithmeticError):
     """An intersection cycle has points outside the rationals."""
 
 
-class ParameterNotEliminated(ValueError):
+class ParameterNotEliminated(ValueError, CheckFailure):
     """A restricted form still depends on a non-coordinate variable."""
 
 
-class UnknownLabel(KeyError):
+class UnknownLabel(KeyError, CheckFailure):
     """A point label is missing from a relation lattice basis."""
 
 

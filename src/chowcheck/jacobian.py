@@ -95,6 +95,7 @@ from math import comb, gcd
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
                    partial_derivative)
+from .report import CheckFailure
 
 
 # below this share of nonzero cells a GF(p) slice takes modrank's sparse
@@ -111,7 +112,7 @@ class SocleNotOneDimensional(ArithmeticError):
     """The socle degree piece does not have dimension one."""
 
 
-class IdealNotMonomial(ValueError):
+class IdealNotMonomial(ValueError, CheckFailure):
     """An operation requiring a monomial Jacobian ideal got a general one."""
 
 

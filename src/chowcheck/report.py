@@ -9,6 +9,13 @@ mode, so it deliberately omits timings.
 from __future__ import annotations
 
 
+class CheckFailure(Exception):
+    """A mathematical failure of a check's data, such as a form that is
+    not an eigenvector of the declared automorphism.  The runner reports
+    it as a failing step whose witness is the message; subclasses keep
+    their own built-in base as well."""
+
+
 class StepResult:
     """One executed check.
 

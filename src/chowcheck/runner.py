@@ -19,16 +19,17 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from . import characters, curves, jacobian, modrank, pencil
+from . import jacobian, modrank
 from .poly import (PolyParseError, PolyRing, ProjectivePoint,
                    check_parametrization, multiplicity_at_point, parse_poly,
                    substitute)
-from .report import Report, StepResult
+from .report import CheckFailure, Report, StepResult
 from .scenario import ScenarioFile
 
-_FAILURE_ERRORS = (ArithmeticError, characters.NotInvariant,
-                   characters.NotSmooth, curves.ParameterNotEliminated,
-                   curves.UnknownLabel, jacobian.IdealNotMonomial)
+# characters, curves and pencil are imported by the checks that use them,
+# so a scenario compiles only the modules its checks run; their failure
+# exceptions are CheckFailures
+_FAILURE_ERRORS = (ArithmeticError, CheckFailure)
 
 
 class UnknownCheck(ValueError):
@@ -75,6 +76,7 @@ class ScenarioContext:
                 raise CheckConfigError(
                     f"[automorphism] has {len(exponents)} exponents, "
                     f"[ring] has {self.ring().nvars} variables")
+            from . import characters
             try:
                 return characters.DiagonalAutomorphism(
                     exponents, self.scn.automorphism["modulus"])
@@ -88,10 +90,11 @@ class ScenarioContext:
         def build():
             f = self.ring_poly()
             symmetry = None
-            if (self.scn.automorphism is not None
-                    and characters.check_invariance(f, self.automorphism())):
+            if self.scn.automorphism is not None:
+                from . import characters
                 sigma = self.automorphism()
-                symmetry = (sigma.exponents, sigma.modulus)
+                if characters.check_invariance(f, sigma):
+                    symmetry = (sigma.exponents, sigma.modulus)
             try:
                 return jacobian.HypersurfaceRing(f, symmetry=symmetry)
             except ValueError as exc:
@@ -150,6 +153,7 @@ class ScenarioContext:
 
 
 def _build_pencil(overrides):
+    from . import pencil
     base = pencil.default_scenario()
     if not overrides:
         return base
@@ -285,12 +289,14 @@ def _point_index(ctx, spec):
 
 @_register("pencil_factorization")
 def _check_pencil_factorization(ctx, spec):
+    from . import pencil
     step = pencil.verify_blowup_factorization(ctx.pencil())
     return _renamed(step, spec, "pencil factorization")
 
 
 @_register("pencil_membership")
 def _check_pencil_membership(ctx, spec):
+    from . import pencil
     index = _point_index(ctx, spec)
     step = pencil.membership_identity(ctx.pencil(), index)
     return _renamed(step, spec, f"pencil membership, point {index}")
@@ -298,6 +304,7 @@ def _check_pencil_membership(ctx, spec):
 
 @_register("pencil_tangent")
 def _check_pencil_tangent(ctx, spec):
+    from . import pencil
     index = _point_index(ctx, spec)
     step = pencil.tangent_identity(ctx.pencil(), index)
     return _renamed(step, spec, f"pencil tangent, point {index}")
@@ -305,18 +312,21 @@ def _check_pencil_tangent(ctx, spec):
 
 @_register("pencil_concurrency")
 def _check_pencil_concurrency(ctx, spec):
+    from . import pencil
     step = pencil.verify_concurrency(ctx.pencil())
     return _renamed(step, spec, "pencil concurrency")
 
 
 @_register("pencil_hyperelliptic")
 def _check_pencil_hyperelliptic(ctx, spec):
+    from . import pencil
     step = pencil.verify_hyperelliptic_condition(ctx.pencil())
     return _renamed(step, spec, "pencil parameter condition")
 
 
 @_register("pencil_degenerations")
 def _check_pencil_degenerations(ctx, spec):
+    from . import pencil
     want = _attr_list(spec, "expect_zero", Fraction, "rational numbers")
     conditions = pencil.report_degenerate_parameters(ctx.pencil())
     details = [f"{cond}: {reason}" for cond, reason in conditions]
@@ -496,6 +506,7 @@ def _check_tau_nonzero(ctx, spec):
 
 @_register("invariance")
 def _check_invariance(ctx, spec):
+    from . import characters
     sigma = ctx.automorphism()
     f = ctx.ring_poly()
     invariant = characters.check_invariance(f, sigma)
@@ -552,6 +563,7 @@ def _parse_expected_cycle(spec, raw):
 
 def _section_cycle(ctx, curve_label, line_var, at=None):
     """Intersection cycle of a coordinate line, as name -> multiplicity."""
+    from . import curves
     decl = ctx.curve_decl(curve_label)
     f = ctx.curve_poly(curve_label)
     if line_var not in decl.plane:
@@ -589,6 +601,8 @@ def _check_intersection(ctx, spec):
     line_var = _attr(spec, "line", required=True)
     expected = _parse_expected_cycle(spec, _attr(spec, "expect", required=True))
     sample = _attr_fraction(spec, "sample_t")
+    if sample is not None:
+        _curve_variable(spec, "t", ctx.curve_poly(curve_label), "sample_t")
     named = _section_cycle(ctx, curve_label, line_var)
     mode = "symbolic"
     details = [f"section by {line_var} = 0: {_cycle_text(named)}"]
@@ -609,6 +623,7 @@ def _check_intersection(ctx, spec):
 
 
 def _order_for(ctx, spec, curve_label, lines_raw, pair_raw):
+    from . import curves
     decl = ctx.curve_decl(curve_label)
     line_vars = lines_raw.split()
     pair = pair_raw.split()
@@ -683,8 +698,17 @@ def _check_combined_order(ctx, spec):
                  values)
 
 
-def _at_assignment(spec):
-    """Parse at="name=value" (comma separated) into a substitution map."""
+def _curve_variable(spec, name, f, what):
+    """Refuse the attribute ``what`` when the variable ``name`` it names
+    is not one of the curve ``f``'s."""
+    if name not in f.ring.index:
+        raise _bad(spec, f"{what} names {name!r}, which is not a variable of "
+                         f"curve {spec.attrs['curve']!r}")
+
+
+def _at_assignment(spec, f):
+    """Parse at="name=value" (comma separated) into a substitution map of
+    variables of the curve ``f``."""
     raw = _attr(spec, "at")
     if raw is None:
         return {}
@@ -694,9 +718,10 @@ def _at_assignment(spec):
         name = name.strip()
         if not sep or not name:
             raise _bad(spec, f"at= entries look like name=value, got {chunk!r}")
+        _curve_variable(spec, name, f, "at=")
         try:
             out[name] = Fraction(value.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise _bad(spec, f"bad value in {chunk!r}") from None
     return out
 
@@ -706,9 +731,9 @@ def _check_multiplicity(ctx, spec):
     curve_label = _attr(spec, "curve", required=True)
     point_label = _attr(spec, "point", required=True)
     expect = _attr_int(spec, "expect", required=True)
-    at = _at_assignment(spec)
     decl = ctx.curve_decl(curve_label)
     f = ctx.curve_poly(curve_label)
+    at = _at_assignment(spec, f)
     if at:
         f = substitute(f, at, f.ring)
     coords = ctx.curve_point(curve_label, point_label)
@@ -727,8 +752,8 @@ def _check_parametrization(ctx, spec):
     curve_label = _attr(spec, "curve", required=True)
     params = _attr(spec, "params", required=True).split()
     assign_raw = _attr(spec, "assign", required=True)
-    at = _at_assignment(spec)
     f = ctx.curve_poly(curve_label)
+    at = _at_assignment(spec, f)
     target = PolyRing.rationals(tuple(params))
     assignment = {}
     for piece in assign_raw.split(";"):
@@ -739,6 +764,7 @@ def _check_parametrization(ctx, spec):
         name = name.strip()
         if not sep or not name:
             raise _bad(spec, f"assign pieces look like var=expr, got {piece!r}")
+        _curve_variable(spec, name, f, "assign")
         try:
             assignment[name] = parse_poly(expr.strip(), target)
         except PolyParseError as exc:
@@ -760,6 +786,7 @@ def _check_parametrization(ctx, spec):
 
 @_register("picard_bound")
 def _check_picard_bound(ctx, spec):
+    from . import characters
     expect = _attr_int(spec, "expect")
     hring = ctx.hypersurface()
     result = characters.picard_upper_bound(hring, ctx.automorphism())

@@ -180,7 +180,11 @@ def _store(scn, section, curve, key, value, lineno):
             label = parts[0]
             if label in curve.points:
                 raise ParseError(f"point {label!r} declared twice", lineno)
-            curve.points[label] = tuple(_fraction(tok, lineno) for tok in parts[1:])
+            coords = tuple(_fraction(tok, lineno) for tok in parts[1:])
+            if not any(coords):
+                raise ParseError(f"point {label!r} of curve {curve.label!r} "
+                                 "has all coordinates zero", lineno)
+            curve.points[label] = coords
         elif key in ("plane", "variables"):
             setattr(curve, key, value.split())
         else:

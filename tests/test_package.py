@@ -1,0 +1,48 @@
+"""The package's public names resolve lazily, and every module imports on
+its own.
+
+``chowcheck/__init__`` imports no module until one of its names is read,
+and the runner imports the curve, pencil and character modules inside the
+checks that use them.  Eager imports used to fix one import order for
+every process; these tests make sure no order is needed.
+"""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chowcheck
+
+SRC = str(Path(chowcheck.__file__).resolve().parent.parent)
+
+
+def test_every_public_name_is_its_module_attribute():
+    star = {}
+    exec("from chowcheck import *", star)
+    assert set(star) - {"__builtins__"} == set(chowcheck.__all__)
+    for name in chowcheck.__all__:
+        obj = getattr(chowcheck, name)
+        assert obj.__module__.startswith("chowcheck.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert star[name] is obj
+    assert set(chowcheck.__all__) <= set(dir(chowcheck))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chowcheck.no_such_name
+    assert not hasattr(chowcheck, "CHECKS")
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for _, name, _ in pkgutil.iter_modules(chowcheck.__path__)
+    if name != "__main__"))
+def test_each_module_imports_alone(module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", f"import chowcheck.{module}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -651,7 +652,8 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
 
 # one attribute of a bundled scenario made malformed: a list entry that is
 # no rational number, a zero denominator, a smoothness mode that is
-# neither 'exact' nor 'modular'
+# neither 'exact' nor 'modular', a variable the curve does not have, a
+# curve point whose coordinates are all zero
 @pytest.mark.parametrize("name, old, new, message", [
     ("quartic_family", 'expect_zero="-3/2 3"', 'expect_zero="-3/2 x"',
      "check 'pencil_degenerations' (line 26): expect_zero='-3/2 x' is not "
@@ -664,8 +666,24 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     ("shioda", "sample_t=1 ", "sample_t=1/0 ",
      "check 'intersection' (line 37): sample_t='1/0' is not a rational "
      "number"),
+    ("shioda", 'point=P at="t=0"', 'point=P at="t=1/0"',
+     "check 'multiplicity' (line 44): bad value in 't=1/0'"),
+    ("shioda", 'point=P at="t=0"', 'point=P at="s=0"',
+     "check 'multiplicity' (line 44): at= names 's', which is not a "
+     "variable of curve 'Z2'"),
+    ("shioda", 'assign="x1 = ', 'assign="s = t0; x1 = ',
+     "check 'parametrization' (line 45): assign names 's', which is not a "
+     "variable of curve 'Z2'"),
+    ("shioda", 'expect="P:1 R:4" cite', 'expect="P:1 R:4" sample_t=2 cite',
+     "check 'intersection' (line 39): sample_t names 't', which is not a "
+     "variable of curve 'Z1'"),
+    ("shioda", "point = P 1 0 0", "point = P 0 0 0",
+     "line 30, column 1: point 'P' of curve 'Z2' has all coordinates zero"),
 ], ids=["expect-zero-not-rational", "expect-zero-zero-denominator",
-        "smooth-mode-misspelt", "sample-t-zero-denominator"])
+        "smooth-mode-misspelt", "sample-t-zero-denominator",
+        "at-zero-denominator", "at-variable-not-on-curve",
+        "assign-variable-not-on-curve", "sample-t-without-t",
+        "curve-point-all-zero"])
 def test_cli_malformed_bundled_attribute_exits_two(tmp_path, name, old, new,
                                                    message):
     scenario = Path(chowcheck.__file__).parent / "scenarios" / f"{name}.scn"
@@ -765,29 +783,11 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert "dim = 27 (exact)" in out and "route: elimination" in out
 
 
-# numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
-# importing the package, checking the monomial-ideal quartic family,
-# proving shioda smooth on its sparse degree-13 slice, proving a sparse
-# quintic with every pure power smooth on Macaulay's square rows of that
-# slice, and lifting exact pieces of shioda without its symmetry from its
-# sparse degree-12 slice never need it, while the certificate of a dense
-# generic quartic does (so the guard is not vacuous).  The exact duality
-# step takes degrees 0 and 12 alone: at other degrees shioda's slices are
-# above SPARSE_DENSITY and take the dense kernel.
-@pytest.mark.parametrize("code, loaded, route", [
-    ("import chowcheck, chowcheck.cli", False, None),
-    ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
-    ("cli.main(['verify', 'shioda', '--machine'])", False, None),
-    ("cli.main(['verify', {pure!r}])", False,
-     "route: closed form, smooth at degree 13 (modular p=1000003, 560x560 "
-     "Macaulay rows of 880x560, 1120 nonzeros, sparse)"),
-    ("cli.main(['ring', 'duality', '--exact', '--a', '0', '--b', '0', "
-     "'--file', {plain!r}])", False, "route: exact pieces"),
-    ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
-], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
-        "shioda-without-symmetry-exact-duality", "dense-generic-quartic"])
-def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
-                                                   tmp_path):
+@pytest.fixture
+def probe_paths(tmp_path):
+    """Scenario files for the cold-process probes: a dense generic quartic,
+    a sparse quintic with every pure power, and shioda without its
+    symmetry."""
     # every quartic monomial, with coefficients 1..9 and alternating signs
     terms = [f"{(-1) ** i * (i % 9 + 1)}*"
              + "*".join(f"x{v}^{e}" for v, e in enumerate(m) if e)
@@ -810,20 +810,92 @@ def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
         "[automorphism]\nmodulus = 65\nexponents = 16 61 1 0\n", ""),
         encoding="utf-8")
     assert "[automorphism]" not in plain.read_text(encoding="utf-8")
-    paths = {"dense": str(dense), "pure": str(pure), "plain": str(plain)}
-    probe = ("import contextlib, io, sys\n"
+    return {"dense": str(dense), "pure": str(pure), "plain": str(plain)}
+
+
+def _cold_probe(code, blas_threads=None):
+    """Run ``code`` after ``from chowcheck import cli`` in a fresh
+    interpreter whose environment sets OPENBLAS_NUM_THREADS to
+    ``blas_threads``, or leaves it unset.  Return the chowcheck modules
+    and numpy it loaded, OPENBLAS_NUM_THREADS as the code left it, its
+    thread count (None where /proc/self/task is missing) and the code's
+    stdout."""
+    probe = ("import contextlib, io, json, os, sys\n"
              "from chowcheck import cli\n"
              "out = io.StringIO()\n"
              "with contextlib.redirect_stdout(out):\n"
-             f"    {code.format(**paths)}\n"
-             "print('numpy' in sys.modules)\n"
-             "print(out.getvalue())\n")
+             f"    {code}\n"
+             "tasks = '/proc/self/task'\n"
+             "print(json.dumps({\n"
+             "    'modules': [m for m in sys.modules\n"
+             "                if m == 'numpy' or m.startswith('chowcheck')],\n"
+             "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+             "    'threads': (len(os.listdir(tasks)) if os.path.isdir(tasks)\n"
+             "                else None),\n"
+             "    'out': out.getvalue()}))\n")
     src = str(Path(chowcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    numpy_loaded, _, output = proc.stdout.partition("\n")
-    assert numpy_loaded == str(loaded)
+    return json.loads(proc.stdout)
+
+
+# numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
+# importing the package, checking the monomial-ideal quartic family,
+# proving shioda smooth on its sparse degree-13 slice, proving a sparse
+# quintic with every pure power smooth on Macaulay's square rows of that
+# slice, and lifting exact pieces of shioda without its symmetry from its
+# sparse degree-12 slice never need it, while the certificate of a dense
+# generic quartic does (so the guard is not vacuous).  The exact duality
+# step takes degrees 0 and 12 alone: at other degrees shioda's slices are
+# above SPARSE_DENSITY and take the dense kernel.
+@pytest.mark.parametrize("code, loaded, route", [
+    ("import chowcheck, chowcheck.cli", False, None),
+    ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
+    ("cli.main(['verify', 'shioda', '--machine'])", False, None),
+    ("cli.main(['verify', {pure!r}])", False,
+     "route: closed form, smooth at degree 13 (modular p=1000003, 560x560 "
+     "Macaulay rows of 880x560, 1120 nonzeros, sparse)"),
+    ("cli.main(['ring', 'duality', '--exact', '--a', '0', '--b', '0', "
+     "'--file', {plain!r}])", False, "route: exact pieces"),
+    ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
+], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
+        "shioda-without-symmetry-exact-duality", "dense-generic-quartic"])
+def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
+                                                   probe_paths):
+    probe = _cold_probe(code.format(**probe_paths))
+    assert ("numpy" in probe["modules"]) == loaded
     if route is not None:
-        assert route in output
+        assert route in probe["out"]
+
+
+# a cold process compiles only the check modules its scenario runs, and
+# the command line starts numpy with one OpenBLAS thread unless its caller
+# asked for more: importing the command line (which sets nothing), a dense
+# generic quartic (numpy and no curve, pencil or character check), shioda
+# (no pencil), the quartic family (no characters), and a caller's own
+# thread count kept
+@pytest.mark.parametrize("code, blas_in, blas_out, absent", [
+    ("pass", None, None, ("pencil", "curves", "characters")),
+    ("cli.main(['verify', {dense!r}, '--machine'])", None, "1",
+     ("pencil", "curves", "characters")),
+    ("cli.main(['verify', 'shioda', '--machine'])", None, "1", ("pencil",)),
+    ("cli.main(['verify', 'quartic-family', '--machine'])", None, "1",
+     ("characters",)),
+    ("cli.main(['verify', {dense!r}, '--machine'])", "2", "2", ()),
+], ids=["import-cli", "dense-generic-quartic", "shioda", "quartic-family",
+        "caller-threads-kept"])
+def test_cold_process_loads_only_what_its_checks_run(code, blas_in, blas_out,
+                                                     absent, probe_paths):
+    probe = _cold_probe(code.format(**probe_paths), blas_threads=blas_in)
+    loaded = set(probe["modules"])
+    assert not loaded & {f"chowcheck.{name}" for name in absent}
+    assert ("numpy" in loaded) == ("dense" in code)
+    assert probe["blas"] == blas_out
+    if blas_out == "1" and probe["threads"] is not None:
+        # OpenBLAS started no worker threads beside the main one
+        assert probe["threads"] == 1
