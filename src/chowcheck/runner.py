@@ -5,12 +5,15 @@ with labeled points, optionally overrides for the built-in quartic
 pencil) and an ordered list of checks.  The context builds each object
 lazily and caches it, so a scenario pays only for what its checks use.
 
-Input problems (unknown check kinds, missing or malformed attributes,
-references to undeclared objects, a ``prime`` that is not a usable
-prime) raise :class:`UnknownCheck` or :class:`CheckConfigError` and
-abort the run; mathematical failures inside a check become failing step
-results and the run continues.  :func:`run_check` runs one check; the
-command line's ring queries use it on a synthesized check without a line.
+Each check kind declares its attributes once, in :func:`_register`: a
+reader per attribute, and a default for an optional one.  Input problems
+(unknown check kinds, attributes outside the kind's table, missing or
+malformed attributes, references to undeclared objects, a ``prime`` that
+is not a usable prime) raise :class:`UnknownCheck` or
+:class:`CheckConfigError` and abort the run; mathematical failures
+inside a check become failing step results and the run continues.
+:func:`run_check` runs one check; the command line's ring queries use it
+on a synthesized check without a line.
 """
 
 from __future__ import annotations
@@ -201,69 +204,113 @@ def _bad(spec, problem):
     return CheckConfigError(f"check {spec.kind!r}{_line(spec)}: {problem}")
 
 
-def _attr(spec, name, default=None, required=False):
-    if name in spec.attrs:
-        return spec.attrs[name]
-    if required:
-        raise _bad(spec, f"needs attribute {name!r}")
-    return default
+def _value(parse, what):
+    """A reader of the whole value by ``parse``, which raises on bad text."""
+    def read(spec, name, raw):
+        try:
+            return parse(raw)
+        except (ValueError, ZeroDivisionError):
+            raise _bad(spec, f"{name}={raw!r} is not {what}") from None
+    return read
 
 
-def _attr_int(spec, name, default=None, required=False):
-    raw = _attr(spec, name, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _bad(spec, f"{name}={raw!r} is not an integer") from None
+_integer = _value(int, "an integer")
+_rational = _value(Fraction, "a rational number")
+_integers = _value(lambda raw: [int(tok) for tok in raw.split()],
+                   "a list of integers")
+_rationals = _value(lambda raw: [Fraction(tok) for tok in raw.split()],
+                    "a list of rational numbers")
 
 
-def _attr_degree(spec, name):
-    """A required degree of a graded piece: a nonnegative integer."""
-    degree = _attr_int(spec, name, required=True)
+def _degree(spec, name, raw):
+    """The degree of a graded piece: a nonnegative integer."""
+    degree = _integer(spec, name, raw)
     if degree < 0:
         raise _bad(spec, f"{name}={degree} is negative")
     return degree
 
 
-def _attr_prime(spec, default=None):
-    """The ``prime`` attribute, gated even on routes that never use it."""
-    prime = _attr_int(spec, "prime", default=default)
-    if prime is not None:
-        modrank.require_prime(prime)
+def _prime(spec, name, raw):
+    """A modulus, gated even on routes that never use it."""
+    prime = _integer(spec, name, raw)
+    modrank.require_prime(prime)
     return prime
 
 
-def _attr_fraction(spec, name, default=None, required=False):
-    raw = _attr(spec, name, required=required)
-    if raw is None:
-        return default
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise _bad(spec, f"{name}={raw!r} is not a rational number") from None
+def _text(spec, name, raw):
+    return raw
 
 
-def _attr_list(spec, name, parse, what, required=False):
-    """A space-separated list of values read by ``parse`` (``int`` or
-    ``Fraction``), or None when absent and not required."""
-    raw = _attr(spec, name, required=required)
-    if raw is None:
-        return None
-    try:
-        return [parse(tok) for tok in raw.split()]
-    except (ValueError, ZeroDivisionError):
-        raise _bad(spec, f"{name}={raw!r} is not a list of {what}") from None
+def _mode(spec, name, raw):
+    if raw not in ("exact", "modular"):
+        raise _bad(spec, f"{name}={raw!r} is not 'exact' or 'modular'")
+    return raw
+
+
+def _cycle(spec, name, raw):
+    """Space-separated ``NAME:MULT`` entries, as name -> multiplicity."""
+    cycle = {}
+    for chunk in raw.split():
+        label, sep, mult = chunk.partition(":")
+        if not sep or not label:
+            raise _bad(spec, "expected cycle entries look like NAME:MULT, "
+                             f"got {chunk!r}")
+        try:
+            cycle[label] = int(mult)
+        except ValueError:
+            raise _bad(spec, f"bad multiplicity in {chunk!r}") from None
+    return cycle
+
+
+def _assignment(spec, name, raw):
+    """Comma-separated ``name=value`` entries, as name -> rational."""
+    out = {}
+    for chunk in raw.split(","):
+        var, sep, value = chunk.partition("=")
+        var = var.strip()
+        if not sep or not var:
+            raise _bad(spec, f"{name}= entries look like name=value, "
+                             f"got {chunk!r}")
+        try:
+            out[var] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise _bad(spec, f"bad value in {chunk!r}") from None
+    return out
 
 
 CHECKS = {}
+ATTRIBUTES = {}
+_REQUIRED = object()
 
 
-def _register(kind):
-    def wrap(func):
-        CHECKS[kind] = func
-        return func
+def _register(kind, **table):
+    """Register a check body under ``kind`` with its attribute table.
+
+    ``table`` maps each attribute to its reader, or to ``(reader,
+    default)`` when the attribute is optional.  Before the body runs, an
+    unknown or missing attribute is a configuration error, and the body
+    gets every attribute, read, as a keyword argument.
+    """
+    entries = {name: entry if isinstance(entry, tuple) else (entry, _REQUIRED)
+               for name, entry in table.items()}
+
+    def wrap(body):
+        def check(ctx, spec):
+            for name in spec.attrs:
+                if name not in entries:
+                    raise _bad(spec, f"unknown attribute {name!r}")
+            values = {}
+            for name, (read, default) in entries.items():
+                if name in spec.attrs:
+                    values[name] = read(spec, name, spec.attrs[name])
+                elif default is _REQUIRED:
+                    raise _bad(spec, f"needs attribute {name!r}")
+                else:
+                    values[name] = default
+            return body(ctx, spec, **values)
+        CHECKS[kind] = check
+        ATTRIBUTES[kind] = entries
+        return body
     return wrap
 
 
@@ -280,8 +327,8 @@ def _renamed(step, spec, name):
     return step
 
 
-def _point_index(ctx, spec):
-    index = _attr_int(spec, "point", required=True)
+def _point_index(ctx, spec, index):
+    """``index``, refused unless it numbers a point of the pencil."""
     if not 1 <= index <= len(ctx.pencil().points):
         raise _bad(spec, f"point index {index} out of range")
     return index
@@ -294,18 +341,18 @@ def _check_pencil_factorization(ctx, spec):
     return _renamed(step, spec, "pencil factorization")
 
 
-@_register("pencil_membership")
-def _check_pencil_membership(ctx, spec):
+@_register("pencil_membership", point=_integer)
+def _check_pencil_membership(ctx, spec, point):
     from . import pencil
-    index = _point_index(ctx, spec)
+    index = _point_index(ctx, spec, point)
     step = pencil.membership_identity(ctx.pencil(), index)
     return _renamed(step, spec, f"pencil membership, point {index}")
 
 
-@_register("pencil_tangent")
-def _check_pencil_tangent(ctx, spec):
+@_register("pencil_tangent", point=_integer)
+def _check_pencil_tangent(ctx, spec, point):
     from . import pencil
-    index = _point_index(ctx, spec)
+    index = _point_index(ctx, spec, point)
     step = pencil.tangent_identity(ctx.pencil(), index)
     return _renamed(step, spec, f"pencil tangent, point {index}")
 
@@ -324,21 +371,19 @@ def _check_pencil_hyperelliptic(ctx, spec):
     return _renamed(step, spec, "pencil parameter condition")
 
 
-@_register("pencil_degenerations")
-def _check_pencil_degenerations(ctx, spec):
+@_register("pencil_degenerations", expect_zero=(_rationals, None))
+def _check_pencil_degenerations(ctx, spec, expect_zero):
     from . import pencil
-    want = _attr_list(spec, "expect_zero", Fraction, "rational numbers")
     conditions = pencil.report_degenerate_parameters(ctx.pencil())
     details = [f"{cond}: {reason}" for cond, reason in conditions]
     values = {"conditions": len(conditions)}
     ok = True
-    if want is not None:
-        want.sort()
+    if expect_zero is not None:
         got = sorted(Fraction(cond.partition("=")[2])
                      for cond, reason in conditions
                      if reason == "lam(t) = 0" and cond.startswith("t ="))
         values["zero_parameters"] = " ".join(str(v) for v in got)
-        ok = got == want
+        ok = got == sorted(expect_zero)
         if not ok:
             details.append("expected lam(t) = 0 exactly at t in "
                            f"{{{spec.attrs['expect_zero']}}}")
@@ -346,9 +391,8 @@ def _check_pencil_degenerations(ctx, spec):
                  "degeneration list mismatch", values)
 
 
-@_register("hilbert")
-def _check_hilbert(ctx, spec):
-    expect = _attr_list(spec, "expect", int, "integers", required=True)
+@_register("hilbert", expect=_integers)
+def _check_hilbert(ctx, spec, expect):
     hring = ctx.hypersurface()
     table = jacobian.hilbert_function(hring)
     values = {
@@ -363,9 +407,8 @@ def _check_hilbert(ctx, spec):
                  "dimension table mismatch", values, hring.dimension_route())
 
 
-@_register("ring_dim")
-def _check_ring_dim(ctx, spec):
-    degree = _attr_int(spec, "degree", required=True)
+@_register("ring_dim", degree=_integer)
+def _check_ring_dim(ctx, spec, degree):
     hring = ctx.hypersurface()
     dim = hring.quotient_dim(degree)
     return _step(spec, f"dimension in degree {degree}", True,
@@ -373,10 +416,8 @@ def _check_ring_dim(ctx, spec):
                  hring.dimension_route())
 
 
-@_register("ring_map")
-def _check_ring_map(ctx, spec):
-    a, b = _attr_degree(spec, "a"), _attr_degree(spec, "b")
-    prime = _attr_prime(spec)
+@_register("ring_map", a=_degree, b=_degree, prime=(_prime, None))
+def _check_ring_map(ctx, spec, a, b, prime):
     result = jacobian.map_surjectivity(ctx.hypersurface(), a, b, prime=prime)
     values = {"rank": result.rank, "target_dim": result.target_dim,
               "mode": result.mode, "surjective": result.surjective}
@@ -386,11 +427,9 @@ def _check_ring_map(ctx, spec):
                   f"({result.mode})"], "not surjective", values, result.route)
 
 
-@_register("uniform_bound")
-def _check_uniform_bound(ctx, spec):
-    b = _attr_degree(spec, "b")
-    expect = _attr_int(spec, "expect", required=True)
-    threshold = _attr_int(spec, "threshold")
+@_register("uniform_bound", b=_degree, expect=_integer,
+           threshold=(_integer, None))
+def _check_uniform_bound(ctx, spec, b, expect, threshold):
     result = jacobian.uniform_mult_rank_bound(ctx.hypersurface(), b)
     values = {
         "bound": result.bound,
@@ -409,13 +448,10 @@ def _check_uniform_bound(ctx, spec):
                  "bound mismatch", values)
 
 
-@_register("green_gotzmann")
-def _check_green_gotzmann(ctx, spec):
-    g_text = _attr(spec, "g", required=True)
-    b = _attr_degree(spec, "b")
-    expect_rank = _attr_int(spec, "expect_rank", required=True)
+@_register("green_gotzmann", g=_text, b=_degree, expect_rank=_integer)
+def _check_green_gotzmann(ctx, spec, g, b, expect_rank):
     try:
-        g = parse_poly(g_text, ctx.ring())
+        g = parse_poly(g, ctx.ring())
     except PolyParseError as exc:
         raise _bad(spec, f"bad g: {exc}") from None
     if g.is_zero() or not g.is_homogeneous():
@@ -442,15 +478,15 @@ def _check_green_gotzmann(ctx, spec):
                  "rank mismatch", values)
 
 
-def _left_kernel_step(ctx, spec, name, expect_rank=None):
+@_register("duality", a=_degree, b=_degree, prime=(_prime, None))
+@_register("no_left_kernel", a=_degree, b=_degree, prime=(_prime, None),
+           expect_rank=(_integer, None))
+def _check_left_kernel(ctx, spec, a, b, prime, expect_rank=None):
     """Left kernel emptiness at degrees (a, b) by the socle duality argument.
 
-    Shared by ``duality`` and ``no_left_kernel``; ``name`` may refer to
-    ``{a}`` and ``{b}``.  A declared ``expect_rank`` must also match the
-    rank of the surjectivity half.
+    ``no_left_kernel`` may declare ``expect_rank``, which must then match
+    the rank of the surjectivity half.
     """
-    a, b = _attr_degree(spec, "a"), _attr_degree(spec, "b")
-    prime = _attr_prime(spec)
     hring = ctx.hypersurface()
     if a + b > hring.socle_degree:
         raise _bad(spec, f"a + b = {a + b} is above the socle degree "
@@ -476,19 +512,9 @@ def _left_kernel_step(ctx, spec, name, expect_rank=None):
     if expect_rank is not None and surj.rank != expect_rank:
         details.append(f"expected surjectivity rank {expect_rank}")
         ok, witness = False, "rank mismatch"
-    return _step(spec, name.format(a=a, b=b), ok, details, witness, values,
-                 result.route)
-
-
-@_register("duality")
-def _check_duality(ctx, spec):
-    return _left_kernel_step(ctx, spec, "left kernel via duality")
-
-
-@_register("no_left_kernel")
-def _check_no_left_kernel(ctx, spec):
-    return _left_kernel_step(ctx, spec, "no left kernel at ({a}, {b})",
-                             expect_rank=_attr_int(spec, "expect_rank"))
+    name = ("left kernel via duality" if spec.kind == "duality"
+            else f"no left kernel at ({a}, {b})")
+    return _step(spec, name, ok, details, witness, values, result.route)
 
 
 @_register("tau_nonzero")
@@ -526,12 +552,9 @@ def _check_invariance(ctx, spec):
                  "not an eigenvector", values)
 
 
-@_register("smooth")
-def _check_smooth(ctx, spec):
-    mode = _attr(spec, "mode", default="modular")
-    if mode not in ("exact", "modular"):
-        raise _bad(spec, f"mode={mode!r} is not 'exact' or 'modular'")
-    prime = _attr_prime(spec, default=modrank.DEFAULT_PRIME)
+@_register("smooth", mode=(_mode, "modular"),
+           prime=(_prime, modrank.DEFAULT_PRIME))
+def _check_smooth(ctx, spec, mode, prime):
     result = jacobian.is_smooth_artinian(ctx.hypersurface(), prime=prime,
                                          exact=mode == "exact")
     values = {
@@ -545,20 +568,6 @@ def _check_smooth(ctx, spec):
               else f"quotient has dimension {result.dimension} in {where}")
     return _step(spec, "smoothness", result.smooth, [detail],
                  "nonzero piece above the socle", values)
-
-
-def _parse_expected_cycle(spec, raw):
-    expected = {}
-    for chunk in raw.split():
-        name, sep, mult = chunk.partition(":")
-        if not sep or not name:
-            raise _bad(spec, "expected cycle entries look like NAME:MULT, "
-                             f"got {chunk!r}")
-        try:
-            expected[name] = int(mult)
-        except ValueError:
-            raise _bad(spec, f"bad multiplicity in {chunk!r}") from None
-    return expected
 
 
 def _section_cycle(ctx, curve_label, line_var, at=None):
@@ -595,65 +604,62 @@ def _cycle_text(named):
     return " + ".join(f"{m}*{name}" for name, m in sorted(named.items()))
 
 
-@_register("intersection")
-def _check_intersection(ctx, spec):
-    curve_label = _attr(spec, "curve", required=True)
-    line_var = _attr(spec, "line", required=True)
-    expected = _parse_expected_cycle(spec, _attr(spec, "expect", required=True))
-    sample = _attr_fraction(spec, "sample_t")
-    if sample is not None:
-        _curve_variable(spec, "t", ctx.curve_poly(curve_label), "sample_t")
-    named = _section_cycle(ctx, curve_label, line_var)
+@_register("intersection", curve=_text, line=_text, expect=_cycle,
+           sample_t=(_rational, None))
+def _check_intersection(ctx, spec, curve, line, expect, sample_t):
+    if sample_t is not None:
+        _curve_variable(ctx, spec, curve, "t", "sample_t")
+    named = _section_cycle(ctx, curve, line)
     mode = "symbolic"
-    details = [f"section by {line_var} = 0: {_cycle_text(named)}"]
-    agree = named == expected
-    if agree and sample is not None:
-        sampled = _section_cycle(ctx, curve_label, line_var, at={"t": sample})
-        mode = f"symbolic+sampled(t={sample})"
-        if sampled == expected:
-            details.append(f"sample at t = {sample} gives the same cycle")
+    details = [f"section by {line} = 0: {_cycle_text(named)}"]
+    agree = named == expect
+    if agree and sample_t is not None:
+        sampled = _section_cycle(ctx, curve, line, at={"t": sample_t})
+        mode = f"symbolic+sampled(t={sample_t})"
+        if sampled == expect:
+            details.append(f"sample at t = {sample_t} gives the same cycle")
         else:
             agree = False
-            details.append(f"sample at t = {sample} gives {_cycle_text(sampled)}")
+            details.append(f"sample at t = {sample_t} gives "
+                           f"{_cycle_text(sampled)}")
     values = {"cycle": _cycle_text(named), "mode": mode}
     if not agree:
-        details.append(f"expected {_cycle_text(expected)}")
-    return _step(spec, f"intersection {curve_label} . ({line_var} = 0)", agree,
+        details.append(f"expected {_cycle_text(expect)}")
+    return _step(spec, f"intersection {curve} . ({line} = 0)", agree,
                  details, "cycle mismatch", values)
 
 
-def _order_for(ctx, spec, curve_label, lines_raw, pair_raw):
+def _order_for(ctx, spec, curve, lines, pair):
     from . import curves
-    decl = ctx.curve_decl(curve_label)
-    line_vars = lines_raw.split()
-    pair = pair_raw.split()
+    decl = ctx.curve_decl(curve)
+    line_vars = lines.split()
+    pair = pair.split()
     if len(pair) != 2:
         raise _bad(spec, "pair needs two labels")
+    for label in pair:
+        ctx.curve_point(curve, label)  # refuses an undeclared label
     for v in line_vars:
         if v not in decl.plane:
             raise _bad(spec, f"{v!r} is not a plane coordinate of curve "
-                             f"{curve_label!r}")
+                             f"{curve!r}")
     lattice = curves.hyperplane_relations(
-        ctx.curve_poly(curve_label), line_vars, decl.plane,
-        labels=ctx.curve_labels(curve_label))
+        ctx.curve_poly(curve), line_vars, decl.plane,
+        labels=ctx.curve_labels(curve))
     found = curves.minimal_equivalence_order(lattice, pair[0], pair[1])
     return lattice, pair, found
 
 
-@_register("equivalence_order")
-def _check_equivalence_order(ctx, spec):
-    curve_label = _attr(spec, "curve", required=True)
-    expect = _attr_int(spec, "expect", required=True)
-    lattice, pair, found = _order_for(
-        ctx, spec, curve_label, _attr(spec, "lines", required=True),
-        _attr(spec, "pair", required=True))
+@_register("equivalence_order", curve=_text, expect=_integer, lines=_text,
+           pair=_text)
+def _check_equivalence_order(ctx, spec, curve, expect, lines, pair):
+    lattice, pair, found = _order_for(ctx, spec, curve, lines, pair)
     values = {
         "basis": " ".join(lattice.point_basis),
         "relations": len(lattice.relations.rows()),
     }
     details = [f"relation lattice over points {values['basis']} "
                f"({values['relations']} relations)"]
-    name = f"equivalence order on {curve_label}"
+    name = f"equivalence order on {curve}"
     if found is None:
         details.append(f"no multiple of {pair[0]} - {pair[1]} lies in the lattice")
         return _step(spec, name, False, details, "no lattice multiple", values)
@@ -669,25 +675,24 @@ def _check_equivalence_order(ctx, spec):
                  values)
 
 
-@_register("combined_order")
-def _check_combined_order(ctx, spec):
-    expect = _attr_int(spec, "expect", required=True)
+@_register("combined_order", expect=_integer, curve1=_text, lines1=_text,
+           pair1=_text, curve2=_text, lines2=_text, pair2=_text)
+def _check_combined_order(ctx, spec, expect, curve1, lines1, pair1, curve2,
+                          lines2, pair2):
     name = "combined equivalence order"
     orders = []
     details = []
     values = {}
-    for idx in ("1", "2"):
-        curve_label = _attr(spec, "curve" + idx, required=True)
-        _, pair, found = _order_for(
-            ctx, spec, curve_label, _attr(spec, "lines" + idx, required=True),
-            _attr(spec, "pair" + idx, required=True))
+    for idx, (curve, lines, pair) in enumerate(
+            ((curve1, lines1, pair1), (curve2, lines2, pair2)), start=1):
+        _, pair, found = _order_for(ctx, spec, curve, lines, pair)
         if found is None:
-            details.append(f"no lattice multiple on curve {curve_label}")
+            details.append(f"no lattice multiple on curve {curve}")
             return _step(spec, name, False, details, "no lattice multiple",
                          values)
         orders.append(found.order)
         values[f"order{idx}"] = found.order
-        details.append(f"curve {curve_label}: order {found.order} "
+        details.append(f"curve {curve}: order {found.order} "
                        f"for {pair[0]} - {pair[1]}")
     combined = lcm(*orders)
     values["combined"] = combined
@@ -698,65 +703,45 @@ def _check_combined_order(ctx, spec):
                  values)
 
 
-def _curve_variable(spec, name, f, what):
+def _curve_variable(ctx, spec, curve, name, what):
     """Refuse the attribute ``what`` when the variable ``name`` it names
-    is not one of the curve ``f``'s."""
-    if name not in f.ring.index:
+    is not one of the curve's."""
+    if name not in ctx.curve_poly(curve).ring.index:
         raise _bad(spec, f"{what} names {name!r}, which is not a variable of "
-                         f"curve {spec.attrs['curve']!r}")
+                         f"curve {curve!r}")
 
 
-def _at_assignment(spec, f):
-    """Parse at="name=value" (comma separated) into a substitution map of
-    variables of the curve ``f``."""
-    raw = _attr(spec, "at")
-    if raw is None:
-        return {}
-    out = {}
-    for chunk in raw.split(","):
-        name, sep, value = chunk.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise _bad(spec, f"at= entries look like name=value, got {chunk!r}")
-        _curve_variable(spec, name, f, "at=")
-        try:
-            out[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise _bad(spec, f"bad value in {chunk!r}") from None
-    return out
-
-
-@_register("multiplicity")
-def _check_multiplicity(ctx, spec):
-    curve_label = _attr(spec, "curve", required=True)
-    point_label = _attr(spec, "point", required=True)
-    expect = _attr_int(spec, "expect", required=True)
-    decl = ctx.curve_decl(curve_label)
-    f = ctx.curve_poly(curve_label)
-    at = _at_assignment(spec, f)
+@_register("multiplicity", curve=_text, point=_text, expect=_integer,
+           at=(_assignment, None))
+def _check_multiplicity(ctx, spec, curve, point, expect, at):
+    decl = ctx.curve_decl(curve)
+    f = ctx.curve_poly(curve)
     if at:
+        for name in at:
+            _curve_variable(ctx, spec, curve, name, "at=")
         f = substitute(f, at, f.ring)
-    coords = ctx.curve_point(curve_label, point_label)
+    coords = ctx.curve_point(curve, point)
     mult = multiplicity_at_point(f, coords, decl.plane)
     where = f" at {', '.join(f'{k} = {v}' for k, v in sorted(at.items()))}" if at else ""
-    details = [f"vanishing order {mult} at {point_label}{where}"]
+    details = [f"vanishing order {mult} at {point}{where}"]
     if mult != expect:
         details.append(f"expected {expect}")
-    return _step(spec, f"multiplicity of {curve_label} at {point_label}",
+    return _step(spec, f"multiplicity of {curve} at {point}",
                  mult == expect, details, "multiplicity mismatch",
                  {"multiplicity": mult})
 
 
-@_register("parametrization")
-def _check_parametrization(ctx, spec):
-    curve_label = _attr(spec, "curve", required=True)
-    params = _attr(spec, "params", required=True).split()
-    assign_raw = _attr(spec, "assign", required=True)
-    f = ctx.curve_poly(curve_label)
-    at = _at_assignment(spec, f)
+@_register("parametrization", curve=_text, params=_text, assign=_text,
+           at=(_assignment, None))
+def _check_parametrization(ctx, spec, curve, params, assign, at):
+    f = ctx.curve_poly(curve)
+    params = params.split()
+    for name in params:
+        if params.count(name) > 1:
+            raise _bad(spec, f"params names {name!r} twice")
     target = PolyRing.rationals(tuple(params))
     assignment = {}
-    for piece in assign_raw.split(";"):
+    for piece in assign.split(";"):
         piece = piece.strip()
         if not piece:
             continue
@@ -764,12 +749,13 @@ def _check_parametrization(ctx, spec):
         name = name.strip()
         if not sep or not name:
             raise _bad(spec, f"assign pieces look like var=expr, got {piece!r}")
-        _curve_variable(spec, name, f, "assign")
+        _curve_variable(ctx, spec, curve, name, "assign")
         try:
             assignment[name] = parse_poly(expr.strip(), target)
         except PolyParseError as exc:
             raise _bad(spec, f"bad assign expr for {name!r}: {exc}") from None
-    for name, value in at.items():
+    for name, value in (at or {}).items():
+        _curve_variable(ctx, spec, curve, name, "at=")
         assignment.setdefault(name, target.constant(value))
     for name in f.ring.names:
         if name not in assignment:
@@ -780,14 +766,13 @@ def _check_parametrization(ctx, spec):
                for name in f.ring.names]
     if ok:
         details.append("composition vanishes identically")
-    return _step(spec, f"parametrization of {curve_label}", ok, details,
+    return _step(spec, f"parametrization of {curve}", ok, details,
                  witness, {"parameters": " ".join(params)})
 
 
-@_register("picard_bound")
-def _check_picard_bound(ctx, spec):
+@_register("picard_bound", expect=(_integer, None))
+def _check_picard_bound(ctx, spec, expect):
     from . import characters
-    expect = _attr_int(spec, "expect")
     hring = ctx.hypersurface()
     result = characters.picard_upper_bound(hring, ctx.automorphism())
     values = {

@@ -13,9 +13,11 @@ Sections: ``scenario`` (name), ``ring`` (variables, poly),
 ``curve <label>`` (plane, variables, poly, point lines), ``pencil``
 (overrides for the built-in quartic pencil), ``checks``.
 
-Parsing is strict: unknown sections, unknown keys, malformed values and
-missing citations all raise :class:`ParseError` carrying line and
-column, so a bad input file is distinguishable from a failed check.
+Parsing is strict: unknown sections, unknown keys, malformed values, a
+variable named twice and missing citations all raise :class:`ParseError`
+carrying line and column, so a bad input file is distinguishable from a
+failed check.  A check line's attributes are kept as text; the runner
+checks them against the kind's attribute table.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _store(scn, section, curve, key, value, lineno):
     elif section == "ring":
         if scn.ring is None:
             scn.ring = {}
-        scn.ring[key] = value.split() if key == "variables" else value
+        scn.ring[key] = _names(value, lineno) if key == "variables" else value
     elif section == "automorphism":
         if scn.automorphism is None:
             scn.automorphism = {}
@@ -186,7 +188,7 @@ def _store(scn, section, curve, key, value, lineno):
                                  "has all coordinates zero", lineno)
             curve.points[label] = coords
         elif key in ("plane", "variables"):
-            setattr(curve, key, value.split())
+            setattr(curve, key, _names(value, lineno))
         else:
             curve.poly = value
     elif section == "pencil":
@@ -237,6 +239,14 @@ def _tokenize(line, lineno):
                 i += 1
         tokens.append(("".join(chunk), start + 1))
     return tokens
+
+
+def _names(value, lineno):
+    names = value.split()
+    for name in names:
+        if names.count(name) > 1:
+            raise ParseError(f"variable {name!r} declared twice", lineno)
+    return names
 
 
 def _int(token, lineno):

@@ -10,8 +10,11 @@ import chowcheck
 from chowcheck import cli, exactla, jacobian
 from chowcheck.poly import enumerate_monomials
 from chowcheck.report import Report, StepResult
-from chowcheck.runner import CheckConfigError, UnknownCheck, run_scenario
-from chowcheck.scenario import ParseError, parse_scenario
+from chowcheck.runner import (_REQUIRED, ATTRIBUTES, CHECKS, CheckConfigError,
+                              ScenarioContext, UnknownCheck, run_check,
+                              run_scenario)
+from chowcheck.scenario import (CheckSpec, ParseError, ScenarioFile,
+                                parse_scenario)
 
 FERMAT_RING = """\
 [ring]
@@ -190,6 +193,49 @@ def test_missing_attribute_raises_config_error():
     with pytest.raises(CheckConfigError) as info:
         run_scenario(scn)
     assert "needs attribute 'expect'" in str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKS))
+def test_every_kind_refuses_an_unknown_attribute(kind):
+    # refused before the check touches a scenario object, so the empty
+    # scenario's missing sections never come into it
+    spec = CheckSpec(kind, {"cite": "c", "bogus": "1"}, line=None)
+    with pytest.raises(CheckConfigError) as info:
+        run_check(ScenarioContext(ScenarioFile()), spec)
+    assert str(info.value) == f"check {kind!r}: unknown attribute 'bogus'"
+
+
+def test_readme_lists_every_kinds_attribute_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Scenario files")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    expected = []
+    for kind in sorted(CHECKS):
+        required, optional = [], []
+        for name, (_, default) in ATTRIBUTES[kind].items():
+            if default is _REQUIRED:
+                required.append(f"`{name}`")
+            else:
+                optional.append(f"`{name}`" if default is None
+                                else f"`{name}={default}`")
+        expected.append(f"| `{kind}` | {' '.join(required) or '—'} | "
+                        f"{' '.join(optional) or '—'} |")
+    assert rows == expected
+
+
+def test_a_declared_label_off_the_lattice_is_a_failing_step():
+    text = (Path(chowcheck.__file__).parent / "scenarios" / "shioda.scn"
+            ).read_text(encoding="utf-8")
+    text = text.replace("point = R 1 0 0\n",
+                        "point = R 1 0 0\npoint = S 1 1 1\n")
+    text = text.replace('pair="P Q" expect=13', 'pair="P S" expect=13')
+    report = run_scenario(parse_scenario(text))
+    [step] = [s for s in report.steps
+              if s.name == "equivalence_order (line 42)"]
+    assert step.status == "fail"
+    assert step.witness == "'S'"
+    assert report.verdict == "fail"
 
 
 # ----------------------------------------------------------------- report
@@ -650,10 +696,10 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     assert out.stderr == f"error: {message}\n"
 
 
-# one attribute of a bundled scenario made malformed: a list entry that is
-# no rational number, a zero denominator, a smoothness mode that is
-# neither 'exact' nor 'modular', a variable the curve does not have, a
-# curve point whose coordinates are all zero
+# one attribute or declaration of a bundled scenario made malformed: a
+# value its reader refuses, a variable the curve does not have, a curve
+# point whose coordinates are all zero, a misspelt attribute, a variable
+# named twice, a point label the curve does not declare
 @pytest.mark.parametrize("name, old, new, message", [
     ("quartic_family", 'expect_zero="-3/2 3"', 'expect_zero="-3/2 x"',
      "check 'pencil_degenerations' (line 26): expect_zero='-3/2 x' is not "
@@ -679,11 +725,42 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
      "variable of curve 'Z1'"),
     ("shioda", "point = P 1 0 0", "point = P 0 0 0",
      "line 30, column 1: point 'P' of curve 'Z2' has all coordinates zero"),
+    ("quartic_family", "b=3 expect=13", "b=3 expect=thirteen",
+     "check 'uniform_bound' (line 28): expect='thirteen' is not an integer"),
+    ("shioda", 'expect="P:4 Q:1"', 'expect="P:4 Q1"',
+     "check 'intersection' (line 37): expected cycle entries look like "
+     "NAME:MULT, got 'Q1'"),
+    ("shioda", 'expect="Q:5"', 'expect="Q:five"',
+     "check 'intersection' (line 38): bad multiplicity in 'Q:five'"),
+    ("shioda", 'point=P at="t=0"', 'point=P at="t"',
+     "check 'multiplicity' (line 44): at= entries look like name=value, "
+     "got 't'"),
+    ("shioda", 'pair="P Q" expect=13', 'pair="P" expect=13',
+     "check 'equivalence_order' (line 41): pair needs two labels"),
+    ("quartic_family", "threshold=2", "treshold=99",
+     "check 'uniform_bound' (line 28): unknown attribute 'treshold'"),
+    ("shioda", "check picard_bound expect=1", "check picard_bound expct=7",
+     "check 'picard_bound' (line 47): unknown attribute 'expct'"),
+    ("shioda", "variables = x0 x1 x2 x3", "variables = x0 x1 x2 x2",
+     "line 9, column 1: variable 'x2' declared twice"),
+    ("shioda", "variables = x1 x2 x3 t", "variables = x1 x2 x3 t t",
+     "line 28, column 1: variable 't' declared twice"),
+    ("shioda", 'params="t0 t1"', 'params="t0 t0"',
+     "check 'parametrization' (line 45): params names 't0' twice"),
+    ("shioda", 'pair="P Q" expect=13', 'pair="P Z" expect=13',
+     "point 'Z' is not declared on curve 'Z1'"),
+    ("shioda", 'pair1="P Q"', 'pair1="P Z"',
+     "point 'Z' is not declared on curve 'Z1'"),
 ], ids=["expect-zero-not-rational", "expect-zero-zero-denominator",
         "smooth-mode-misspelt", "sample-t-zero-denominator",
         "at-zero-denominator", "at-variable-not-on-curve",
         "assign-variable-not-on-curve", "sample-t-without-t",
-        "curve-point-all-zero"])
+        "curve-point-all-zero", "expect-not-an-integer",
+        "cycle-entry-without-colon", "cycle-multiplicity-not-an-integer",
+        "at-entry-without-value", "pair-of-one-label", "threshold-misspelt",
+        "expect-misspelt", "ring-variable-twice", "curve-variable-twice",
+        "param-twice", "pair-label-undeclared",
+        "combined-pair-label-undeclared"])
 def test_cli_malformed_bundled_attribute_exits_two(tmp_path, name, old, new,
                                                    message):
     scenario = Path(chowcheck.__file__).parent / "scenarios" / f"{name}.scn"
