@@ -316,40 +316,46 @@ class RelationLattice:
                 f"relations={self.relations.rows()})")
 
 
+def section_cycle(f, line_var, plane_vars, labels):
+    """Intersection cycle of the curve ``f`` with the coordinate line
+    ``line_var`` = 0 of the plane ``plane_vars``, as name -> multiplicity.
+
+    The line must meet the curve entirely in rational points, otherwise
+    NonRationalIntersection is raised.  Each point is named by ``labels``,
+    which maps normalized plane coordinates to names, or by its repr.
+    """
+    g, remaining = restrict_to_line(f, line_var, plane_vars)
+    cycle = binary_form_cycle(g, uv=remaining)
+    if cycle.residual_factors:
+        degs = [len(c) - 1 for c, _, _ in cycle.residual_factors]
+        raise NonRationalIntersection(
+            f"line {line_var} = 0 meets the curve in non-rational points "
+            f"(irreducible factor degrees {degs})")
+    named = {}
+    for p, m in zip(cycle.points, cycle.multiplicities):
+        it = iter(p.coords)
+        point = ProjectivePoint([Fraction(0) if v == line_var else next(it)
+                                 for v in plane_vars])
+        label = labels.get(point.coords, repr(point))
+        named[label] = named.get(label, 0) + m
+    return named
+
+
 def hyperplane_relations(curve, line_vars, plane_vars=None, labels=None):
     """Relation lattice from consecutive coordinate-line sections.
 
     Each line must meet the curve entirely in rational points, otherwise
-    NonRationalIntersection is raised.  Relations are the differences of
-    the intersection cycles of consecutive lines, written over the
-    alphabetically ordered union of their supports.
+    NonRationalIntersection is raised (``section_cycle``).  Relations are
+    the differences of the intersection cycles of consecutive lines,
+    written over the alphabetically ordered union of their supports.
     """
     ring = curve.ring
     if plane_vars is None:
         plane_vars = ring.names
     if labels is None:
         labels = {}
-    section = []
-    for line_var in line_vars:
-        g, remaining = restrict_to_line(curve, line_var, plane_vars)
-        cycle = binary_form_cycle(g, uv=remaining)
-        if cycle.residual_factors:
-            degs = [len(c) - 1 for c, _, _ in cycle.residual_factors]
-            raise NonRationalIntersection(
-                f"line {line_var} = 0 meets the curve in non-rational points "
-                f"(irreducible factor degrees {degs})")
-        plane_points = []
-        for p in cycle.points:
-            coords = []
-            it = iter(p.coords)
-            for v in plane_vars:
-                coords.append(Fraction(0) if v == line_var else next(it))
-            plane_points.append(ProjectivePoint(coords))
-        named = {}
-        for p, m in zip(plane_points, cycle.multiplicities):
-            label = labels.get(p.coords, repr(p))
-            named[label] = named.get(label, 0) + m
-        section.append(named)
+    section = [section_cycle(curve, line_var, plane_vars, labels)
+               for line_var in line_vars]
     basis = sorted(set().union(*section) if section else ())
     rows = []
     for first, second in zip(section, section[1:]):

@@ -61,29 +61,29 @@ ring builds both matrices from exact pieces, so a failing verdict is
 exact.  Their exact ranks (``exactla.rank``) come from the same lift.
 
 Slices are built from integer partials: the form is scaled to integer
-coefficients once, on construction.  One memoised layout per degree
-(``_slice_index``) places every coefficient of the slice, and two
-methods read it: ``span_rows`` gives exact Python ``int`` rows, and
-``span_array`` gives the slice reduced mod p as an int64 array.  The
-layout and the arrays are built with numpy.  ``span_sparse`` gives the
-slice mod p as dict rows, built from a monomial-to-column dict without
-numpy.  Every elimination mod p, a certificate's or a lift's, takes its
-slice from ``_gfp_slice``, which decides from monomial counts alone
-(``_slice_kernel``): a slice with fewer than ``SPARSE_DENSITY`` nonzeros
-per cell gets ``span_sparse`` for modrank's sparse kernel, and any other
-slice gets ``span_array`` for the dense kernel.  Macaulay's square rows
-(``_square_rows``) take the same form as their slice: dict rows, or an
-int64 array whose columns come from mixed-radix monomial codes
-(``_codes``).  A lift is proven over the slice's integer dict rows.
-numpy is imported only when a layout or an array is built, so a ring
-whose slices are sparse, or whose ideal is monomial, never loads it.
+coefficients once, on construction.  Every row of a slice is one source
+monomial m times one partial dF/dx_i, and every form of a slice is built
+from that description (``_sources``): ``_dict_rows`` gives dict rows
+{column: coefficient}, which ``span_sparse`` reduces mod p and
+``span_rows`` fills into exact Python ``int`` rows, and ``_array_rows``
+gives an int64 array mod p whose columns come from mixed-radix monomial
+codes (``_codes``), for ``span_array``.  Every elimination mod p, a
+certificate's or a lift's, takes its slice from ``_gfp_slice``, which
+decides from monomial counts alone (``_slice_kernel``): a slice with
+fewer than ``SPARSE_DENSITY`` nonzeros per cell gets ``span_sparse`` for
+modrank's sparse kernel, and any other slice gets ``span_array`` for the
+dense kernel.  Macaulay's square rows (``_square_rows``) take the same
+form as their slice, from the same two builders.  A lift is proven over
+the slice's integer dict rows.  numpy is imported only when an array is
+built, so a ring whose slices are sparse, or whose ideal is monomial,
+never loads it, and neither do exact rows.
 
-A ring memoises per degree its slice layouts, graded pieces and
-eliminated quotient dimensions, so graded pieces, character spectra and
-the smoothness test share one lift of each degree.  It memoises one
-``_full_rank`` certificate per (degree, prime), never a matrix, so the
-smoothness certificate, an exact smoothness step and the Hilbert table
-share one elimination of degree sigma+1; and it memoises one smoothness
+A ring memoises per degree its graded pieces and eliminated quotient
+dimensions, so graded pieces, character spectra and the smoothness test
+share one lift of each degree.  It memoises one ``_full_rank``
+certificate per (degree, prime), never a matrix, so the smoothness
+certificate, an exact smoothness step and the Hilbert table share one
+elimination of degree sigma+1; and it memoises one smoothness
 certificate per prime, and any one that closes serves every later
 question.
 """
@@ -145,16 +145,6 @@ def _codes(monos, nvars, degree):
     return np.ravel_multi_index(tuple(exps.T), (degree + 1,) * nvars)
 
 
-def _monomial_columns(codes, wanted):
-    """Index in a monomial list with the codes ``codes`` (``_codes``) of
-    each code in the int64 array ``wanted``, all codes of its monomials;
-    the columns follow whatever order the list is given in."""
-    import numpy as np
-
-    order = np.argsort(codes)
-    return order[np.searchsorted(codes, wanted, sorter=order)]
-
-
 class HypersurfaceRing:
     """Jacobian quotient ring of a homogeneous form.
 
@@ -190,8 +180,6 @@ class HypersurfaceRing:
                          for name in self.ring.names]
         self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
                               for p in self.partials]
-        # the partials' coefficients in one list, in slice layout order
-        self._term_coeffs = [c for part in self._int_partials for _, c in part]
         self.symmetry = None
         if symmetry is not None:
             exponents, modulus = symmetry
@@ -203,7 +191,6 @@ class HypersurfaceRing:
                 raise ValueError("defining form is not a symmetry eigenvector")
             self.symmetry = (exponents, int(modulus))
         self._pieces = {}
-        self._slices = {}
         self._dims = {}
         self._ranks = {}
         self._certificates = {}
@@ -235,36 +222,6 @@ class HypersurfaceRing:
                 gens.append(e)
         return gens
 
-    def _slice_index(self, k):
-        """Layout of the degree-k slice, memoised:
-        (monomials, sources, rows, cols).
-
-        The slice has one row per (source monomial, partial) pair and one
-        column per degree-k monomial, both in canonical order.  The t-th
-        partial term (in ``_term_coeffs`` order) times sources[s] sits at
-        ``rows[s, t]``, which is s * nvars + (its partial), and
-        ``cols[s, t]``, the column of their product.  The terms of one
-        partial are distinct monomials, so no two entries of a row share
-        a column.
-        """
-        if k not in self._slices:
-            import numpy as np
-
-            n, e = self.nvars, self.degree - 1
-            monos = enumerate_monomials(n, k)
-            src = enumerate_monomials(n, k - e) if k >= e else []
-            parts = self._int_partials
-            partial = np.array([i for i, part in enumerate(parts) for _ in part],
-                               dtype=np.int64)
-            # the partials' terms have degree d-1, which may exceed k
-            top = max(k, e)
-            terms = _codes([x for part in parts for x, _ in part], n, top)
-            rows = np.arange(len(src)).reshape(-1, 1) * n + partial
-            prods = _codes(src, n, top).reshape(-1, 1) + terms
-            self._slices[k] = (monos, src, rows,
-                               _monomial_columns(_codes(monos, n, top), prods))
-        return self._slices[k]
-
     def _slice_shape(self, k):
         """(rows, columns) of the degree-k slice, from monomial counts."""
         n, e = self.nvars, self.degree - 1
@@ -294,26 +251,23 @@ class HypersurfaceRing:
             return self.span_sparse(k, p)
         return self.span_array(k, p)
 
-    def _slice_entries(self, k, dtype, coeffs):
-        """The degree-k slice as a dense array holding ``coeffs`` per term."""
-        import numpy as np
-
-        _, _, rows, cols = self._slice_index(k)
-        a = np.zeros(self._slice_shape(k), dtype=dtype)
-        a[rows, cols] = np.array(coeffs, dtype=dtype)
-        return a
-
     def span_rows(self, k):
         """Integer generator rows of the degree-k Jacobian slice.
 
         Rows are indexed by (source monomial, partial) pairs in canonical
         order; columns by the canonical degree-k monomial list.  Entries
-        are exact Python integers.
+        are exact Python integers, filled from the slice's dict rows
+        (``_dict_rows``) without numpy.
         """
-        monos, src, _, _ = self._slice_index(k)
-        rows = self._slice_entries(k, object, self._term_coeffs).tolist()
-        tags = [(m, i) for m in src for i in range(self.nvars)]
-        return rows, list(monos), tags
+        monos = enumerate_monomials(self.nvars, k)
+        sources = self._sources(k)
+        rows = []
+        for entries in self._dict_rows(k, sources, self._int_partials):
+            row = [0] * len(monos)
+            for j, c in entries.items():
+                row[j] = c
+            rows.append(row)
+        return rows, monos, sources
 
     def span_array(self, k, p):
         """``span_rows(k)`` reduced mod ``p``, as an int64 array.
@@ -321,7 +275,14 @@ class HypersurfaceRing:
         Each coefficient is reduced as a Python integer before it enters
         int64, so coefficients of any size are exact.
         """
-        return self._slice_entries(k, "int64", [c % p for c in self._term_coeffs])
+        import numpy as np
+
+        n, e = self.nvars, self.degree - 1
+        src = enumerate_monomials(n, k - e) if k >= e else []
+        return self._array_rows(_codes(enumerate_monomials(n, k), n, k),
+                                np.repeat(_codes(src, n, k), n),
+                                np.tile(np.arange(n), len(src)),
+                                self._terms_mod(p), k)
 
     def span_sparse(self, k, p):
         """``span_rows(k)`` reduced mod ``p``, as dict rows.
@@ -370,8 +331,9 @@ class HypersurfaceRing:
         dividing M: some x_i^(d-1) divides every M of degree above
         n*(d-2), and distinct M give distinct rows.  Built alone, in the
         form the kernel of the whole slice takes (``_slice_kernel``):
-        dict rows as ``span_sparse`` gives them, or an int64 array in
-        [0, p) whose columns come from mixed-radix monomial codes.
+        dict rows as ``span_sparse`` gives them (``_dict_rows``), or an
+        int64 array in [0, p) (``_array_rows``) whose sources are M's code
+        less that of x_i^(d-1).
         """
         n, e = self.nvars, self.degree - 1
         monos = enumerate_monomials(n, k)
@@ -392,18 +354,32 @@ class HypersurfaceRing:
 
         codes = _codes(monos, n, k)
         partial = np.array(first)
-        # the code of M / x_i^(d-1): M's code less that of x_i^(d-1)
         pure = _codes([(0,) * i + (e,) + (0,) * (n - 1 - i) for i in range(n)],
                       n, k)
-        src = codes - pure[partial]
-        a = np.zeros((len(monos), len(monos)), dtype=np.int64)
+        return self._array_rows(codes, codes - pure[partial], partial, parts,
+                                k), nonzeros
+
+    def _array_rows(self, codes, src, partial, parts, k):
+        """Rows of the degree-k slice as an int64 array, one per entry of
+        the int64 arrays ``src`` and ``partial``: the terms
+        ``parts[partial[r]]`` times the source monomial whose code is
+        ``src[r]``, each at the column of its product.  Columns are the
+        monomials whose codes are ``codes``, all codes in base k + 1
+        (``_codes``), so the code of a product is the sum of its factors'.
+        """
+        import numpy as np
+
+        a = np.zeros((len(src), len(codes)), dtype=np.int64)
+        # a product's column: the index in ``codes`` of its code
+        order = np.argsort(codes)
         for i, part in enumerate(parts):
             rows = np.flatnonzero(partial == i)
             if part and rows.size:
-                prods = src[rows, None] + _codes([x for x, _ in part], n, k)
-                cols = _monomial_columns(codes, prods)
+                prods = src[rows, None] + _codes([x for x, _ in part],
+                                                 self.nvars, k)
+                cols = order[np.searchsorted(codes, prods, sorter=order)]
                 a[rows[:, None], cols] = [c for _, c in part]
-        return a, nonzeros
+        return a
 
     def _full_rank(self, k, p):
         """RankCertificate of the degree-k slice mod ``p`` against

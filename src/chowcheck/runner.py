@@ -43,6 +43,11 @@ class CheckConfigError(ValueError):
     """A check's attributes are missing, malformed, or dangling."""
 
 
+class _Undeclared(CheckConfigError):
+    """A check names a curve or point the scenario does not declare;
+    ``run_check`` reports it under the check's kind and line."""
+
+
 class ScenarioContext:
     """Lazily built shared objects for one scenario run."""
 
@@ -88,8 +93,9 @@ class ScenarioContext:
         return self._get("automorphism", build)
 
     def hypersurface(self):
-        """Graded quotient ring; symmetric blocks when an automorphism
-        is declared and the form is an eigenvector (faster exact path)."""
+        """Graded quotient ring of the [ring] poly, given the declared
+        automorphism as its ``symmetry`` when the form is an eigenvector
+        of it; no route of the ring reads the symmetry."""
         def build():
             f = self.ring_poly()
             symmetry = None
@@ -108,7 +114,7 @@ class ScenarioContext:
     def curve_decl(self, label):
         decl = self.scn.curves.get(label)
         if decl is None:
-            raise CheckConfigError(f"curve {label!r} is not declared")
+            raise _Undeclared(f"curve {label!r} is not declared")
         if len(decl.plane) != 3:
             raise CheckConfigError(
                 f"curve {label!r}: a plane needs exactly three coordinates, "
@@ -147,7 +153,7 @@ class ScenarioContext:
     def curve_point(self, curve_label, point_label):
         decl = self.curve_decl(curve_label)
         if point_label not in decl.points:
-            raise CheckConfigError(
+            raise _Undeclared(
                 f"point {point_label!r} is not declared on curve {curve_label!r}")
         return ProjectivePoint(decl.points[point_label]).coords
 
@@ -570,34 +576,18 @@ def _check_smooth(ctx, spec, mode, prime):
                  "nonzero piece above the socle", values)
 
 
-def _section_cycle(ctx, curve_label, line_var, at=None):
+def _section_cycle(ctx, spec, curve_label, line_var, at=None):
     """Intersection cycle of a coordinate line, as name -> multiplicity."""
     from . import curves
     decl = ctx.curve_decl(curve_label)
     f = ctx.curve_poly(curve_label)
     if line_var not in decl.plane:
-        raise CheckConfigError(
-            f"{line_var!r} is not a plane coordinate of curve {curve_label!r}")
+        raise _bad(spec, f"{line_var!r} is not a plane coordinate of curve "
+                         f"{curve_label!r}")
     if at:
         f = substitute(f, at, f.ring)
-    g, remaining = curves.restrict_to_line(f, line_var, decl.plane)
-    cycle = curves.binary_form_cycle(g, uv=remaining)
-    if cycle.residual_factors:
-        degs = [len(c) - 1 for c, _, _ in cycle.residual_factors]
-        raise curves.NonRationalIntersection(
-            f"line {line_var} = 0 meets the curve in non-rational points "
-            f"(irreducible factor degrees {degs})")
-    labels = ctx.curve_labels(curve_label)
-    named = {}
-    for p, m in zip(cycle.points, cycle.multiplicities):
-        coords = []
-        it = iter(p.coords)
-        for v in decl.plane:
-            coords.append(Fraction(0) if v == line_var else next(it))
-        key = ProjectivePoint(coords).coords
-        name = labels.get(key, repr(ProjectivePoint(coords)))
-        named[name] = named.get(name, 0) + m
-    return named
+    return curves.section_cycle(f, line_var, decl.plane,
+                                ctx.curve_labels(curve_label))
 
 
 def _cycle_text(named):
@@ -609,12 +599,12 @@ def _cycle_text(named):
 def _check_intersection(ctx, spec, curve, line, expect, sample_t):
     if sample_t is not None:
         _curve_variable(ctx, spec, curve, "t", "sample_t")
-    named = _section_cycle(ctx, curve, line)
+    named = _section_cycle(ctx, spec, curve, line)
     mode = "symbolic"
     details = [f"section by {line} = 0: {_cycle_text(named)}"]
     agree = named == expect
     if agree and sample_t is not None:
-        sampled = _section_cycle(ctx, curve, line, at={"t": sample_t})
+        sampled = _section_cycle(ctx, spec, curve, line, at={"t": sample_t})
         mode = f"symbolic+sampled(t={sample_t})"
         if sampled == expect:
             details.append(f"sample at t = {sample_t} gives the same cycle")
@@ -804,7 +794,9 @@ def run_check(ctx, spec):
     """Run one check, timed.
 
     A mathematical failure becomes a failing step that carries the error
-    as its witness; a ``prime`` that is not usable is a configuration error.
+    as its witness; a ``prime`` that is not usable, or a curve or point
+    that is not declared, is a configuration error under the check's kind
+    and line.
     """
     start = time.perf_counter()
     try:
@@ -813,7 +805,7 @@ def run_check(ctx, spec):
         step = _step(spec, f"{spec.kind}{_line(spec)}", False,
                      [f"{type(exc).__name__}: {exc}"],
                      str(exc) or type(exc).__name__)
-    except modrank.BadPrime as exc:
+    except (modrank.BadPrime, _Undeclared) as exc:
         raise _bad(spec, str(exc)) from None
     step.duration = time.perf_counter() - start
     return step

@@ -368,11 +368,11 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
 TERNARY = PolyRing.rationals(("x0", "x1", "x2"))
 
 
-# ------------------------------------------------ the slice layout
+# ------------------------------------------------ the slice forms
 
 def _span_rows_oracle(hring, k):
-    """Slice rows built entry by entry from the partials, as span_rows
-    built them before the memoised layout."""
+    """Slice rows built entry by entry from the partials, without the
+    row builders of span_rows, span_array and span_sparse."""
     monos = enumerate_monomials(hring.nvars, k)
     col = {m: j for j, m in enumerate(monos)}
     rows, tags = [], []
@@ -933,7 +933,8 @@ def test_macaulay_rows_are_a_square_set_of_distinct_slice_rows(text, ring):
     hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     e = hring.degree - 1
     for k in range(hring.socle_degree + 1, hring.socle_degree + 3):
-        monos, src, _, _ = hring._slice_index(k)
+        monos = enumerate_monomials(hring.nvars, k)
+        src = enumerate_monomials(hring.nvars, k - e)
         rows = macaulay_rows(hring, k)
         assert len(rows) == len(set(rows)) == len(monos)
         for m, r in zip(monos, rows):

@@ -699,7 +699,8 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
 # one attribute or declaration of a bundled scenario made malformed: a
 # value its reader refuses, a variable the curve does not have, a curve
 # point whose coordinates are all zero, a misspelt attribute, a variable
-# named twice, a point label the curve does not declare
+# named twice, a curve, point label or line the scenario does not declare
+# (each named under its check's kind and line)
 @pytest.mark.parametrize("name, old, new, message", [
     ("quartic_family", 'expect_zero="-3/2 3"', 'expect_zero="-3/2 x"',
      "check 'pencil_degenerations' (line 26): expect_zero='-3/2 x' is not "
@@ -748,9 +749,19 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     ("shioda", 'params="t0 t1"', 'params="t0 t0"',
      "check 'parametrization' (line 45): params names 't0' twice"),
     ("shioda", 'pair="P Q" expect=13', 'pair="P Z" expect=13',
-     "point 'Z' is not declared on curve 'Z1'"),
+     "check 'equivalence_order' (line 41): point 'Z' is not declared on "
+     "curve 'Z1'"),
     ("shioda", 'pair1="P Q"', 'pair1="P Z"',
-     "point 'Z' is not declared on curve 'Z1'"),
+     "check 'combined_order' (line 43): point 'Z' is not declared on "
+     "curve 'Z1'"),
+    ("shioda", "curve=Z2 line=x3", "curve=x line=x3",
+     "check 'intersection' (line 37): curve 'x' is not declared"),
+    ("shioda", "curve=Z2 line=x3", "curve=Z2 line=x9",
+     "check 'intersection' (line 37): 'x9' is not a plane coordinate of "
+     "curve 'Z2'"),
+    ("shioda", 'point=P at="t=0"', 'point=Z at="t=0"',
+     "check 'multiplicity' (line 44): point 'Z' is not declared on "
+     "curve 'Z2'"),
 ], ids=["expect-zero-not-rational", "expect-zero-zero-denominator",
         "smooth-mode-misspelt", "sample-t-zero-denominator",
         "at-zero-denominator", "at-variable-not-on-curve",
@@ -760,7 +771,8 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
         "at-entry-without-value", "pair-of-one-label", "threshold-misspelt",
         "expect-misspelt", "ring-variable-twice", "curve-variable-twice",
         "param-twice", "pair-label-undeclared",
-        "combined-pair-label-undeclared"])
+        "combined-pair-label-undeclared", "curve-undeclared",
+        "line-not-a-plane-coordinate", "point-undeclared"])
 def test_cli_malformed_bundled_attribute_exits_two(tmp_path, name, old, new,
                                                    message):
     scenario = Path(chowcheck.__file__).parent / "scenarios" / f"{name}.scn"
@@ -929,7 +941,8 @@ def _cold_probe(code, blas_threads=None):
 # sparse degree-12 slice never need it, while the certificate of a dense
 # generic quartic does (so the guard is not vacuous).  The exact duality
 # step takes degrees 0 and 12 alone: at other degrees shioda's slices are
-# above SPARSE_DENSITY and take the dense kernel.
+# above SPARSE_DENSITY and take the dense kernel.  The exact rows of the
+# dense quartic's degree-9 slice (span_rows) need no numpy either.
 @pytest.mark.parametrize("code, loaded, route", [
     ("import chowcheck, chowcheck.cli", False, None),
     ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
@@ -940,8 +953,13 @@ def _cold_probe(code, blas_threads=None):
     ("cli.main(['ring', 'duality', '--exact', '--a', '0', '--b', '0', "
      "'--file', {plain!r}])", False, "route: exact pieces"),
     ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
+    ("from chowcheck import runner, scenario; "
+     "h = runner.ScenarioContext(scenario.load_scenario({dense!r}))"
+     ".hypersurface(); rows, monos, _ = h.span_rows(9); "
+     "print(len(rows), len(monos))", False, "336 220"),
 ], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
-        "shioda-without-symmetry-exact-duality", "dense-generic-quartic"])
+        "shioda-without-symmetry-exact-duality", "dense-generic-quartic",
+        "dense-generic-quartic-exact-rows"])
 def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
                                                    probe_paths):
     probe = _cold_probe(code.format(**probe_paths))
