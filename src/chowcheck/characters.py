@@ -182,7 +182,9 @@ def _units(modulus):
 
 
 def galois_orbit(character, modulus):
-    """Orbit of a character under multiplication by units mod N."""
+    """Orbit of a character under multiplication by units mod N, built
+    from every unit: the characters x with gcd(x, N) = gcd(character, N).
+    ``picard_upper_bound`` reads the orbit through that gcd instead."""
     character %= modulus
     return frozenset(u * character % modulus for u in _units(modulus))
 
@@ -244,14 +246,20 @@ def picard_upper_bound(hring, sigma):
     middle = character_spectrum(hring, sigma, 2 * d - 4, twisted=True)
     outer_hi = character_spectrum(hring, sigma, 3 * d - 4, twisted=True)
     outer_chars = set(outer_lo.histogram) | set(outer_hi.histogram)
+    n = sigma.modulus
+    # the orbit of c is {g * u : u a unit mod n / g}, g = gcd(c, n), so an
+    # orbit meets the outer spectra when some outer character shares g,
+    # and the strict rule walks the orbit only to its first missing member
+    outer_gcds = {gcd(x, n) for x in outer_chars}
     kept = []
     kept_strict = []
     for c in middle.characters():
         dim = middle.histogram[c]
-        orbit = galois_orbit(c, sigma.modulus)
-        if not orbit & outer_chars:
+        g = gcd(c, n)
+        if g not in outer_gcds:
             kept.append((c, dim))
-        if all(middle.histogram.get(u, 0) > 0 for u in orbit):
+        if all(g * u in middle.histogram for u in range(n // g)
+               if gcd(u, n // g) == 1):
             kept_strict.append((c, dim))
     bound = 1 + sum(dim for _, dim in kept)
     strict_bound = 1 + sum(dim for _, dim in kept_strict)

@@ -45,17 +45,17 @@ so each prime eliminates the slice in the form its kernel takes.  A lift
 is accepted after one exact product A*N = 0 of the slice's integer dict
 rows A and the normal-form table N, which proves it at any prime: N is
 the identity on the free columns, and they number #monomials minus the
-rank mod p.  For every diagonal symmetry of F the slice is block
-diagonal, so its free columns are those of its character blocks.  On a
-ring proven smooth, a piece whose dimension differs from the closed form
-raises ``ArithmeticError``.  Every multiplication and pairing matrix is
-built by looking up normal forms (``_products``).
+rank mod p.  On a ring proven smooth, a piece whose dimension differs
+from the closed form raises ``ArithmeticError``.  Every multiplication
+and pairing matrix is built by looking up normal forms (``_products``).
 
 ``map_surjectivity`` and ``left_kernel_via_duality`` let two theorems
-decide on a ring proven smooth in the step's own mode (``_smooth_for``).
-R is generated in degree 1, so every R_a (x) R_b -> R_(a+b) is onto; a
-smooth R is a complete intersection, hence Gorenstein, so the socle
-pairing R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay; Carlson &
+decide on a ring whose smoothness certificate closes at the step's
+prime, or at ``DEFAULT_PRIME`` for an exact step (``_smooth_for``): the
+same certificate whichever steps ran before.  R is generated in degree
+1, so every R_a (x) R_b -> R_(a+b) is onto; a smooth R is a complete
+intersection, hence Gorenstein, so the socle pairing
+R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay; Carlson &
 Griffiths 1980).  Both ranks are then quotient dimensions.  Any other
 ring builds both matrices from exact pieces, so a failing verdict is
 exact.  Their exact ranks (``exactla.rank``) come from the same lift.
@@ -153,14 +153,9 @@ class HypersurfaceRing:
     f : SparsePoly
         Homogeneous form in a plain rational ring (no algebraic
         generators); every ring variable is a coordinate.
-    symmetry : (exponents, modulus) pair, optional
-        Declares that f is an eigenvector of the diagonal automorphism
-        x_i -> zeta**e_i x_i of the given order, which gives the
-        characters of ``character_of`` and
-        ``GradedPiece.character_dimensions``; validated on construction.
     """
 
-    def __init__(self, f, symmetry=None):
+    def __init__(self, f):
         if f.ring.reductions:
             raise ValueError("hypersurface ring needs a plain rational ring")
         if f.is_zero() or not f.is_homogeneous():
@@ -180,33 +175,12 @@ class HypersurfaceRing:
                          for name in self.ring.names]
         self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
                               for p in self.partials]
-        self.symmetry = None
-        if symmetry is not None:
-            exponents, modulus = symmetry
-            exponents = tuple(int(e) % int(modulus) for e in exponents)
-            if len(exponents) != self.nvars:
-                raise ValueError("one symmetry exponent per variable required")
-            chars = {self._character(e, exponents, modulus) for e in f.terms}
-            if len(chars) != 1:
-                raise ValueError("defining form is not a symmetry eigenvector")
-            self.symmetry = (exponents, int(modulus))
         self._pieces = {}
         self._dims = {}
         self._ranks = {}
         self._certificates = {}
         self._macaulay_closed = {}
         self._closed_form = None
-
-    @staticmethod
-    def _character(exps, exponents, modulus):
-        return sum(a * b for a, b in zip(exps, exponents)) % modulus
-
-    def character_of(self, exps):
-        """Character of a monomial under the declared symmetry."""
-        if self.symmetry is None:
-            raise ValueError("ring has no declared symmetry")
-        exponents, modulus = self.symmetry
-        return self._character(exps, exponents, modulus)
 
     @property
     def is_monomial_ideal(self):
@@ -465,7 +439,7 @@ class HypersurfaceRing:
                 f"degree {k} piece has dimension {len(free)}, but the ring is "
                 f"proven smooth and the closed form gives "
                 f"{self._closed_form_dim(k)}")
-        self._pieces[k] = GradedPiece(self, k, monos, free, table)
+        self._pieces[k] = GradedPiece(k, monos, free, table)
         return self._pieces[k]
 
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
@@ -563,11 +537,10 @@ class GradedPiece:
     its coordinates over the representatives.
     """
 
-    __slots__ = ("hring", "degree", "monomials", "representatives", "dim",
+    __slots__ = ("degree", "monomials", "representatives", "dim",
                  "normal_forms", "_index")
 
-    def __init__(self, hring, k, monomials, free, normal_forms):
-        self.hring = hring
+    def __init__(self, k, monomials, free, normal_forms):
         self.degree = k
         self.monomials = list(monomials)
         self.representatives = [monomials[j] for j in free]
@@ -585,16 +558,6 @@ class GradedPiece:
         ``terms`` maps degree-k exponent tuples to rational coefficients.
         """
         return _combination(terms.values(), self.normal_forms_of(terms), self.dim)
-
-    def character_dimensions(self):
-        """Mapping character -> eigenspace dimension (symmetric rings only)."""
-        if self.hring.symmetry is None:
-            raise ValueError("ring has no declared symmetry")
-        dims = {}
-        for m in self.representatives:
-            c = self.hring.character_of(m)
-            dims[c] = dims.get(c, 0) + 1
-        return dims
 
 
 def _combination(coeffs, rows, dim):
@@ -649,24 +612,19 @@ def _check_step(prime, *degrees):
 
 
 def _smooth_for(hring, prime):
-    """How the ring is proven smooth in the mode of a step with ``prime``
-    (None: an exact step), as a fragment of a route line; None if it is
-    not.
+    """How the ring is proven smooth for a step with ``prime`` (None: an
+    exact step), as a fragment of a route line; None if it is not.
 
-    A step with a prime needs the certificate at that prime (for a
-    monomial ideal, the monomial count), so that its mode
-    ``modular(p=...)`` names a prime of good reduction; a proof at
-    another prime is not enough.  An exact step needs an exact proof: the
-    monomial count, or an exact elimination of degree sigma+1 that an
-    earlier question memoised.
+    The proof is the ring's smoothness certificate (for a monomial ideal,
+    the monomial count) at the step's prime, so that its mode
+    ``modular(p=...)`` names a prime of good reduction; an exact step
+    reads the certificate at ``DEFAULT_PRIME``, whose full rank mod p
+    proves the full rank over Q.  A proof at any other prime is not
+    asked for, so a step's route does not depend on the steps before it.
     """
-    if prime is not None or hring.is_monomial_ideal:
-        cert = hring.smoothness_certificate(prime)
-        return hring._proof_route(cert) if cert.certified else None
-    k = hring.socle_degree + 1
-    if hring._dims.get(k) == 0:
-        return f"smooth at degree {k} (exact elimination)"
-    return None
+    cert = hring.smoothness_certificate(
+        modrank.DEFAULT_PRIME if prime is None else prime)
+    return hring._proof_route(cert) if cert.certified else None
 
 
 def _pieces_route(hring, prime):
@@ -814,11 +772,10 @@ def map_surjectivity(hring, a, b, prime=None):
     """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
 
     R is generated in degree 1, so R_a * R_b = R_(a+b) and the map is
-    onto, with rank dim R_(a+b).  That answers on a ring proven smooth in
-    the step's mode (``_smooth_for``), so that ``modular(p=...)`` names a
-    prime of good reduction.  Any other ring builds the map from exact
-    pieces and ``is_surjective`` decides.  ``route`` on the result names
-    the route for the human report.
+    onto, with rank dim R_(a+b).  That answers on a ring proven smooth
+    for the step (``_smooth_for``).  Any other ring builds the map from
+    exact pieces and ``is_surjective`` decides.  ``route`` on the result
+    names the route for the human report.
     """
     _check_step(prime, a, b)
     smooth = _smooth_for(hring, prime)
@@ -909,7 +866,7 @@ class DualityKernelResult:
 def left_kernel_via_duality(hring, a, b, prime=None):
     """Both halves of the duality argument at degrees (a, b).
 
-    On a ring proven smooth in the step's mode (``_smooth_for``) both
+    On a ring proven smooth for the step (``_smooth_for``) both
     halves are theorems: the map onto R_(sigma-a) has rank
     dim R_(sigma-a), and the socle pairing at degree a is perfect, with
     rank dim R_a.  Any other ring builds both matrices from exact pieces,

@@ -76,36 +76,23 @@ class ScenarioContext:
         return self._get("ring_poly", build)
 
     def automorphism(self):
+        """The declared automorphism; ``scenario`` has checked its modulus
+        and exponent count."""
         def build():
             if self.scn.automorphism is None:
                 raise CheckConfigError("this check needs an [automorphism] section")
-            exponents = self.scn.automorphism["exponents"]
-            if len(exponents) != self.ring().nvars:
-                raise CheckConfigError(
-                    f"[automorphism] has {len(exponents)} exponents, "
-                    f"[ring] has {self.ring().nvars} variables")
             from . import characters
-            try:
-                return characters.DiagonalAutomorphism(
-                    exponents, self.scn.automorphism["modulus"])
-            except ValueError as exc:
-                raise CheckConfigError(f"bad [automorphism]: {exc}") from None
+            return characters.DiagonalAutomorphism(
+                self.scn.automorphism["exponents"],
+                self.scn.automorphism["modulus"])
         return self._get("automorphism", build)
 
     def hypersurface(self):
-        """Graded quotient ring of the [ring] poly, given the declared
-        automorphism as its ``symmetry`` when the form is an eigenvector
-        of it; no route of the ring reads the symmetry."""
+        """Graded quotient ring of the [ring] poly."""
         def build():
             f = self.ring_poly()
-            symmetry = None
-            if self.scn.automorphism is not None:
-                from . import characters
-                sigma = self.automorphism()
-                if characters.check_invariance(f, sigma):
-                    symmetry = (sigma.exponents, sigma.modulus)
             try:
-                return jacobian.HypersurfaceRing(f, symmetry=symmetry)
+                return jacobian.HypersurfaceRing(f)
             except ValueError as exc:
                 # the constructor raises only for a form it cannot take
                 raise CheckConfigError(f"bad [ring] poly: {exc}") from None

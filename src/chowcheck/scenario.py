@@ -14,10 +14,12 @@ Sections: ``scenario`` (name), ``ring`` (variables, poly),
 (overrides for the built-in quartic pencil), ``checks``.
 
 Parsing is strict: unknown sections, unknown keys, malformed values, a
-variable named twice and missing citations all raise :class:`ParseError`
-carrying line and column, so a bad input file is distinguishable from a
-failed check.  A check line's attributes are kept as text; the runner
-checks them against the kind's attribute table.
+variable named twice, an ``[automorphism]`` whose modulus is not
+positive or whose exponents do not match the ``[ring]`` variables, and
+missing citations all raise :class:`ParseError` carrying line and
+column, so a bad input file is distinguishable from a failed check.  A
+check line's attributes are kept as text; the runner checks them against
+the kind's attribute table.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def parse_scenario(text):
     scn = ScenarioFile()
     section = None
     curve = None
+    lines = {}  # (section, key) -> line of its last assignment
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,7 +113,8 @@ def parse_scenario(text):
         if key not in _SECTION_KEYS[section]:
             raise ParseError(f"key {key!r} is not valid in [{section}]", lineno)
         _store(scn, section, curve, key, value, lineno)
-    _validate(scn)
+        lines[section, key] = lineno
+    _validate(scn, lines)
     return scn
 
 
@@ -263,7 +267,7 @@ def _fraction(token, lineno):
         raise ParseError(f"expected a rational number, got {token!r}", lineno) from None
 
 
-def _validate(scn):
+def _validate(scn, lines):
     if scn.name is None:
         raise ParseError("missing [scenario] name", 1)
     if not scn.checks:
@@ -273,6 +277,15 @@ def _validate(scn):
     if scn.automorphism is not None:
         if "modulus" not in scn.automorphism or "exponents" not in scn.automorphism:
             raise ParseError("[automorphism] needs modulus and exponents", 1)
+        if scn.automorphism["modulus"] < 1:
+            raise ParseError("bad [automorphism]: modulus must be a positive "
+                             "integer", lines["automorphism", "modulus"])
+        count = len(scn.automorphism["exponents"])
+        if scn.ring is not None and count != len(scn.ring["variables"]):
+            raise ParseError(
+                f"[automorphism] has {count} exponents, [ring] has "
+                f"{len(scn.ring['variables'])} variables",
+                lines["automorphism", "exponents"])
     for curve in scn.curves.values():
         if curve.plane is None or curve.poly is None:
             raise ParseError(f"[curve {curve.label}] needs plane and poly", 1)

@@ -23,14 +23,10 @@ def mixed_quartic(p3_ring):
         parse_poly("x0^4 + x1^4 - x2^4 - x3^4", p3_ring))
 
 
+# the bundled quintic, an eigenvector of the diagonal automorphism with
+# exponents 16 61 1 0 mod 65, which its character tests pass alongside
 @pytest.fixture(scope="session")
 def quintic_sym(p3_ring):
-    f = parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5", p3_ring)
-    return jacobian.HypersurfaceRing(f, symmetry=((16, 61, 1, 0), 65))
-
-
-@pytest.fixture(scope="session")
-def quintic_plain(p3_ring):
     return jacobian.HypersurfaceRing(
         parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5", p3_ring))
 

@@ -149,7 +149,7 @@ def test_criterion_06_quintic_scenario_suite():
 
 def test_criterion_07_picard_bound_reported_verbatim():
     f = parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5", P3)
-    hring = jacobian.HypersurfaceRing(f, symmetry=((16, 61, 1, 0), 65))
+    hring = jacobian.HypersurfaceRing(f)
     sigma = characters.DiagonalAutomorphism((16, 61, 1, 0), 65)
     result = characters.picard_upper_bound(hring, sigma)
     print("criterion 07: picard bound report (verbatim)")

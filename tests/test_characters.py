@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowcheck import characters, jacobian
 from chowcheck.poly import PolyRing, enumerate_monomials, parse_poly
@@ -107,8 +109,7 @@ def test_spectrum_agrees_with_brute_force_on_monomial_quotient(p3_ring):
     # so the eigenspace dimensions can be counted by hand
     sigma = characters.DiagonalAutomorphism((0, 1, 2, 3), 4)
     hring = jacobian.HypersurfaceRing(
-        parse_poly("x0^4 + x1^4 + x2^4 + x3^4", p3_ring),
-        symmetry=(sigma.exponents, sigma.modulus))
+        parse_poly("x0^4 + x1^4 + x2^4 + x3^4", p3_ring))
     for k in range(9):
         manual = {}
         for exps in product(range(3), repeat=4):
@@ -117,7 +118,8 @@ def test_spectrum_agrees_with_brute_force_on_monomial_quotient(p3_ring):
                 manual[c] = manual.get(c, 0) + 1
         spec = characters.character_spectrum(hring, sigma, k)
         assert spec.histogram == manual
-        assert hring.piece(k).character_dimensions() == manual
+        assert Counter(map(sigma.character,
+                           hring.piece(k).representatives)) == manual
 
 
 def test_picard_bound_on_the_quintic(quintic_sym):
@@ -141,6 +143,34 @@ def test_picard_bound_identity_action_keeps_everything(fermat_quartic):
     assert result.kept_strict == [(0, 19)]
     assert not result.spectra_disjoint
     assert not result.multiplicity_free
+
+
+_FERMAT = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 6), st.integers(1, 40), st.data())
+def test_orbit_scan_matches_the_galois_orbit_oracle(degree, m, data):
+    # the Fermat surface of degree d under x_i -> zeta^(r + m*k_i) x_i,
+    # zeta of order d*m: every x_i^d has character d*r.  The oracle scans
+    # with the orbits ``galois_orbit`` builds from every unit.
+    n = degree * m
+    r = data.draw(st.integers(0, n - 1))
+    ks = data.draw(st.lists(st.integers(0, degree - 1), min_size=4,
+                            max_size=4))
+    sigma = characters.DiagonalAutomorphism([r + m * k for k in ks], n)
+    if degree not in _FERMAT:
+        _FERMAT[degree] = jacobian.HypersurfaceRing(parse_poly(
+            " + ".join(f"x{i}^{degree}" for i in range(4)),
+            PolyRing.rationals(("x0", "x1", "x2", "x3"))))
+    result = characters.picard_upper_bound(_FERMAT[degree], sigma)
+    middle = result.middle.histogram
+    outer = set(result.outer[0].histogram) | set(result.outer[1].histogram)
+    orbits = {c: characters.galois_orbit(c, n) for c in middle}
+    assert result.kept == [(c, d) for c, d in sorted(middle.items())
+                           if not orbits[c] & outer]
+    assert result.kept_strict == [(c, d) for c, d in sorted(middle.items())
+                                  if orbits[c] <= middle.keys()]
 
 
 def test_picard_bound_input_validation(p3_ring):

@@ -45,10 +45,11 @@ def test_fermat_quintic_hilbert():
     assert sum(table) == 4 ** 4
 
 
-def test_quintic_symmetric_route_agrees(quintic_sym, quintic_plain):
+def test_quintic_symmetric_route_agrees(quintic_sym):
+    # the closed form that the certificate opens agrees with elimination
     assert jacobian.hilbert_function(quintic_sym) == FERMAT_QUINTIC_DIMS
     for k in (4, 5, 6):
-        assert quintic_sym.quotient_dim(k) == quintic_plain.quotient_dim(k)
+        assert quintic_sym.quotient_dim(k) == quintic_sym._eliminated_dim(k)
 
 
 def test_monomial_ideal_detection(fermat_quartic, quintic_sym):
@@ -116,10 +117,6 @@ def test_ring_constructor_validation():
         jacobian.HypersurfaceRing(parse_poly("x0", P3))
     with pytest.raises(ValueError):
         jacobian.HypersurfaceRing(parse_poly("0", P3))
-    with pytest.raises(ValueError):
-        # not an eigenvector of the declared action
-        jacobian.HypersurfaceRing(parse_poly("x0^4 + x0*x1^3", P3),
-                                  symmetry=((1, 0, 0, 0), 4))
 
 
 def test_uniform_bound(fermat_quartic, mixed_quartic, quintic_sym):
@@ -255,14 +252,6 @@ def test_graded_piece_reduction_generic_route():
     assert all(c == 0 for c in piece.reduce_vector(shifted))
 
 
-def test_character_dimensions_match_blocks(quintic_sym):
-    piece = quintic_sym.piece(6)
-    dims = piece.character_dimensions()
-    assert sum(dims.values()) == 44
-    assert len(dims) == 44
-    assert all(v == 1 for v in dims.values())
-
-
 def test_random_smooth_forms_have_palindromic_tables():
     rng = random.Random(314159)
     for degree, total in ((4, 81), (5, 256)):
@@ -291,8 +280,7 @@ SHIODA_SYMMETRY = ((16, 61, 1, 0), 65)
 
 
 def _shioda_ring():
-    return jacobian.HypersurfaceRing(parse_poly(SHIODA, P3),
-                                     symmetry=SHIODA_SYMMETRY)
+    return jacobian.HypersurfaceRing(parse_poly(SHIODA, P3))
 
 
 def _bound_fields(result):
@@ -394,16 +382,14 @@ def _dense_quartic(seed):
                       for m in enumerate_monomials(4, 4))
 
 
-@pytest.mark.parametrize("text, ring, symmetry", [
-    (SHIODA, P3, SHIODA_SYMMETRY),
-    (SHIODA, P3, None),
-    (_dense_quartic(11), P3, None),
-    ("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY, None),
-    (f"{10**30}*x0^3 + x1^3 + x2^3", TERNARY, None),
-], ids=["shioda", "shioda-without-symmetry", "dense-quartic", "rational",
-        "coefficient-above-2^63"])
-def test_span_array_is_span_rows_reduced_mod_p(text, ring, symmetry):
-    hring = jacobian.HypersurfaceRing(parse_poly(text, ring), symmetry=symmetry)
+@pytest.mark.parametrize("text, ring", [
+    (SHIODA, P3),
+    (_dense_quartic(11), P3),
+    ("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY),
+    (f"{10**30}*x0^3 + x1^3 + x2^3", TERNARY),
+], ids=["shioda", "dense-quartic", "rational", "coefficient-above-2^63"])
+def test_span_array_is_span_rows_reduced_mod_p(text, ring):
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     top = hring.socle_degree + 1
     for k in sorted({0, hring.degree - 2, hring.degree - 1, hring.degree,
                      top - 1, top}):
@@ -430,14 +416,15 @@ def test_span_array_is_span_rows_reduced_mod_p(text, ring, symmetry):
     assert cert.rank == exactla.modular_rank(hring.span_rows(top)[0]).rank
 
 
+# ``symmetry``: a diagonal automorphism of the form, whose character
+# spectra are checked against the eliminated character blocks
 @pytest.mark.parametrize("text, ring, symmetry", [
     ("x0^4", P3, None),
     ("x0^3 + x1^3", TERNARY, None),
-    ("x0^3 + x1^3 + x0*x1*x2", TERNARY, None),
     ("x0^3 + x1^3 + x0*x1*x2", TERNARY, ((1, 1, 1), 3)),
-], ids=["cone", "binary-cubic", "nodal-cubic", "nodal-cubic-symmetric"])
+], ids=["cone", "binary-cubic", "nodal-cubic"])
 def test_singular_forms_never_take_the_closed_form(text, ring, symmetry):
-    hring = jacobian.HypersurfaceRing(parse_poly(text, ring), symmetry=symmetry)
+    hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     top = hring.socle_degree + 1
     table = jacobian.hilbert_function(hring, through=top)
     assert not hring.smoothness_certificate().certified
@@ -540,19 +527,19 @@ def _cubic_surface():
 # the quintic's middle pairings reduce thousands of products against its
 # 455-column socle slice on both routes, so only its outer degrees are paired
 @pytest.mark.parametrize("form, pairing_degrees", [
-    ("quintic_plain", (0, 1, 2, 10, 11, 12)),
+    ("quintic_sym", (0, 1, 2, 10, 11, 12)),
     ("dense_ternary_quartic", range(7)),
     ("cubic_surface", range(5)),
 ])
 def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
                                                          request):
-    if form == "quintic_plain":
-        hring = request.getfixturevalue("quintic_plain")
+    if form == "quintic_sym":
+        hring = request.getfixturevalue(form)
     elif form == "dense_ternary_quartic":
         hring = _dense_ternary_quartic()
     else:
         hring = _cubic_surface()
-    assert hring.symmetry is None and not hring.is_monomial_ideal
+    assert not hring.is_monomial_ideal
     sigma = hring.socle_degree
     rng = random.Random(sigma)
     oracle = {}
@@ -612,20 +599,21 @@ def _exact_map(hring, a, b, prime):
 @pytest.mark.parametrize("form, pairs", [
     ("quintic_sym", [(0, 0), (0, 1), (1, 1), (3, 3), (2, 5), (6, 6), (10, 1),
                      (12, 0), (4, 8)]),
-    ("quintic_plain", [(0, 1), (1, 1), (3, 3), (10, 1), (12, 0)]),
+    ("rational_cubic", [(a, b) for a in range(4) for b in range(4 - a)]),
     ("dense_ternary_quartic", [(a, b) for a in range(7) for b in range(7 - a)]),
     ("cubic_surface", [(a, b) for a in range(5) for b in range(5 - a)]),
 ])
 def test_closed_form_matches_the_exact_route(form, pairs, request):
-    if form in ("quintic_sym", "quintic_plain"):
+    if form == "quintic_sym":
         hring = request.getfixturevalue(form)
+    elif form == "rational_cubic":
+        hring = jacobian.HypersurfaceRing(parse_poly(
+            "1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY))
     elif form == "dense_ternary_quartic":
         hring = _dense_ternary_quartic()
     else:
         hring = _cubic_surface()
     sigma = hring.socle_degree
-    # a step without a prime needs an exact proof of smoothness
-    assert jacobian.is_smooth_artinian(hring, exact=True)
     for prime in (GFP, None):
         for a, b in pairs:
             result = jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
@@ -711,20 +699,54 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
             assert result.route == route
             assert not result.pairing.nondegenerate and not result.empty
         assert jacobian.map_surjectivity(nodal, 1, 1, prime=prime).route == route
-    # an exact step needs an exact proof; a monomial count is one
+    # an exact step reads the certificate at the default prime; a
+    # monomial ideal's is its monomial count
     cubic = _cubic_surface()
-    assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime=GFP).route == (
-        "closed form (Macaulay duality), smooth at degree 5 "
-        f"(modular p={GFP}, 56x56 Macaulay rows of 80x56, 168 nonzeros, dense)")
-    assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == "exact pieces"
-    assert jacobian.is_smooth_artinian(cubic, exact=True)
-    assert jacobian.left_kernel_via_duality(cubic, 1, 2).route == (
-        "closed form (Macaulay duality), smooth at degree 5 (exact elimination)")
+    for prime in (GFP, None):
+        assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime).route == (
+            "closed form (Macaulay duality), smooth at degree 5 (modular "
+            f"p={GFP}, 56x56 Macaulay rows of 80x56, 168 nonzeros, dense)")
     for prime in (GFP, None):
         result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3,
                                                   prime=prime)
         assert result.empty and result.route == (
             "closed form (Macaulay duality), smooth at degree 9 (monomial count)")
+
+
+def _seed1_dense_quartic():
+    _, _, text, _ = _load_dense_generator().generate(1)[0]
+    return jacobian.HypersurfaceRing(
+        parse_poly(parse_scenario(text).ring["poly"], P3))
+
+
+def _proof(degree, rows, cols, nonzeros):
+    return (f"closed form (Macaulay duality), smooth at degree {degree} "
+            f"(modular p={GFP}, {cols}x{cols} Macaulay rows of {rows}x{cols}, "
+            f"{nonzeros} nonzeros, dense)")
+
+
+# an exact duality step reads the certificate at the default prime, so it
+# answers alike alone, before an exact smoothness step and after one
+@pytest.mark.parametrize("make, a, b, route", [
+    (_cubic_surface, 1, 2, _proof(5, 80, 56, 168)),
+    (_seed1_dense_quartic, 3, 3, _proof(9, 336, 220, 4400)),
+    (lambda: jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY)), 1, 1,
+     "exact pieces"),
+], ids=["cubic-surface", "dense-quartic-seed-1", "nodal-cubic"])
+def test_the_exact_gate_does_not_depend_on_check_order(make, a, b, route):
+    def duality(hring):
+        result = jacobian.left_kernel_via_duality(hring, a, b)
+        return (result.route, result.empty, _fields(result.surjectivity),
+                _fields(result.pairing))
+
+    alone = duality(make())
+    first = make()
+    before = duality(first)
+    smooth = jacobian.is_smooth_artinian(first, exact=True)
+    after = make()
+    assert jacobian.is_smooth_artinian(after, exact=True).smooth == smooth.smooth
+    assert alone == before == duality(after)
+    assert alone[0] == route and alone[1] == smooth.smooth
 
 
 @pytest.mark.parametrize("form", ["fermat_quartic", "cubic_surface", "nodal"])
@@ -818,18 +840,6 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
                 assert _fields(mapped) == _exact_map(hring, a, b, prime)
 
 
-def test_a_form_that_is_no_symmetry_eigenvector_is_refused():
-    # a declared symmetry is checked once, on construction; nothing after
-    # it depends on the declaration
-    f = _cubic_surface().poly
-    with pytest.raises(ValueError, match="not a symmetry eigenvector"):
-        jacobian.HypersurfaceRing(f, symmetry=((1, 0, 0, 0), 2))
-    with pytest.raises(ValueError, match="one symmetry exponent per variable"):
-        jacobian.HypersurfaceRing(f, symmetry=((1, 0, 0), 3))
-    assert jacobian.HypersurfaceRing(f, symmetry=((1, 1, 1, 1), 3)).symmetry == (
-        (1, 1, 1, 1), 3)
-
-
 # ------------------------------------------------ the verified lift
 #
 # Pieces of non-monomial rings are lifted from echelon forms mod p and
@@ -839,26 +849,22 @@ def test_a_form_that_is_no_symmetry_eigenvector_is_refused():
 # the binary cubic have monomial ideals, and check that route against
 # the same oracle.
 
-def _ring(text, ring, symmetry=None):
-    return lambda: jacobian.HypersurfaceRing(parse_poly(text, ring),
-                                             symmetry=symmetry)
+def _ring(text, ring):
+    return lambda: jacobian.HypersurfaceRing(parse_poly(text, ring))
 
 
+# ``blocks``: a diagonal automorphism of the form, whose character blocks
+# split the oracle's elimination (default: one block), which keeps it fast
 @pytest.mark.parametrize("make, blocks", [
-    (_ring(SHIODA, P3, SHIODA_SYMMETRY), SHIODA_SYMMETRY),
-    # the plain ring is one block of the trivial character; its slice is
-    # still block diagonal under the symmetry, which keeps the oracle fast
     (_ring(SHIODA, P3), SHIODA_SYMMETRY),
     (_dense_ternary_quartic, None),
     (_cubic_surface, None),
     (_ring("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", TERNARY), None),
     (_ring("x0^4", P3), None),
     (_ring("x0^3 + x1^3", TERNARY), None),
-    (_ring(NODAL_CUBIC, TERNARY), None),
-    (_ring(NODAL_CUBIC, TERNARY, ((1, 1, 1), 3)), ((1, 1, 1), 3)),
-], ids=["shioda", "shioda-without-symmetry", "dense-ternary-quartic",
-        "cubic-surface", "rational", "cone", "binary-cubic", "nodal-cubic",
-        "nodal-cubic-symmetric"])
+    (_ring(NODAL_CUBIC, TERNARY), ((1, 1, 1), 3)),
+], ids=["shioda", "dense-ternary-quartic", "cubic-surface", "rational",
+        "cone", "binary-cubic", "nodal-cubic"])
 def test_lifted_pieces_match_the_character_blocks(make, blocks):
     hring = make()
     for k in range(hring.socle_degree + 2):
@@ -1060,8 +1066,7 @@ def test_each_slice_is_eliminated_once_per_prime(monkeypatch, index, order):
     # every elimination of one ring: the degree-(sigma+1) rank at the
     # default prime is made once, whichever step asks first, and the lift
     # of an exact piece eliminates each of its degrees once per prime.
-    # (An exact duality step on the quintic lifts pieces for a minute, so
-    # the quartic takes that order.)  Only slices are counted, by their
+    # Only slices are counted, by their
     # columns: the exact ranks of the pairing matrices are eliminated too.
     eliminations = Counter()
     slices = {}  # id -> (slice, columns); holding a slice keeps its id

@@ -149,7 +149,7 @@ def test_hilbert_table_matches_sympy_groebner(nvars, degree, seed):
 # function and character spectra from closed forms.  Both are compared
 # here against elimination (``ideal_rank`` and the character blocks,
 # which never read the certificate) and against the sympy Groebner
-# oracle, on random forms with and without a declared diagonal symmetry.
+# oracle, on random forms with and without a diagonal symmetry.
 
 def _eliminated_table(hring, top):
     return [len(enumerate_monomials(hring.nvars, k)) - hring.ideal_rank(k)
@@ -215,8 +215,7 @@ def test_closed_forms_match_elimination_with_a_symmetry():
     @given(_symmetric_forms())
     def check(form):
         f, sigma = form
-        hring = jacobian.HypersurfaceRing(
-            f, symmetry=(sigma.exponents, sigma.modulus))
+        hring = jacobian.HypersurfaceRing(f)
         closed.append(_assert_routes_agree(hring, sigma))
 
     check()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -507,9 +508,10 @@ SHIODA_PROOF = ("smooth at degree 13 "
          f"closed form (Macaulay duality), {SHIODA_PROOF}"),
     ]),
     ("shioda", ("--a", "3", "--b", "3", "--exact"), [
-        ("map", _map_machine("shioda", 3, 3, 44, "exact"), "exact pieces"),
+        ("map", _map_machine("shioda", 3, 3, 44, "exact"),
+         f"closed form (generated in degree 1), {SHIODA_PROOF}"),
         ("duality", _duality_machine("shioda", 3, 3, 20, "exact"),
-         "exact pieces"),
+         f"closed form (Macaulay duality), {SHIODA_PROOF}"),
     ]),
     (CONE_MOD_P, ("--a", "1", "--b", "1", "--prime", "1000033"), [
         ("map", _map_machine("cone-mod-p", 1, 1, 6, "modular(p=1000033)"),
@@ -665,7 +667,12 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
      "bad [pencil] declared_quadratic: it must be linear in lam"),
     (FERMAT_RING + "[automorphism]\nmodulus = 0\nexponents = 1 0 0 0\n",
      'check picard_bound cite=c',
-     "bad [automorphism]: modulus must be a positive integer"),
+     "line 7, column 1: bad [automorphism]: modulus must be a positive "
+     "integer"),
+    (FERMAT_RING + "[automorphism]\nmodulus = 0\nexponents = 1 0 0 0\n",
+     'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c',
+     "line 7, column 1: bad [automorphism]: modulus must be a positive "
+     "integer"),
     ("[curve Z]\nplane = x0 x1 x2\npoly = x0^2 + x1\n",
      'check intersection curve=Z line=x2 expect="P:1" cite=c',
      "bad poly for curve 'Z': not homogeneous in the plane coordinates x0 x1 x2"),
@@ -674,7 +681,12 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
      "curve 'Z': plane coordinates ['x2'] are not among its variables"),
     (FERMAT_RING + "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
      'check picard_bound cite=c',
-     "[automorphism] has 3 exponents, [ring] has 4 variables"),
+     "line 8, column 1: [automorphism] has 3 exponents, [ring] has 4 "
+     "variables"),
+    (FERMAT_RING + "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n"
+     "[cycle]\ntau = 52 -52\n", 'check tau_nonzero cite=c',
+     "line 8, column 1: [automorphism] has 3 exponents, [ring] has 4 "
+     "variables"),
     ("[curve Z]\nplane = x0 x1\npoly = x0^2 + x1^2\n",
      'check intersection curve=Z line=x1 expect="P:1" cite=c',
      "curve 'Z': a plane needs exactly three coordinates, got x0 x1"),
@@ -682,8 +694,9 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
                   'cite=c',
      "check 'green_gotzmann' (line 7): bad g: not a nonzero homogeneous form"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
-        "automorphism-zero-modulus", "curve-not-homogeneous",
-        "curve-plane-not-in-variables", "automorphism-exponent-count",
+        "automorphism-zero-modulus", "automorphism-zero-modulus-hilbert",
+        "curve-not-homogeneous", "curve-plane-not-in-variables",
+        "automorphism-exponent-count", "automorphism-exponent-count-tau",
         "curve-plane-of-two-coordinates", "green-gotzmann-g-not-homogeneous"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
@@ -694,6 +707,30 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr == f"error: {message}\n"
+
+
+# the orbit scan reads a Galois orbit through gcd(c, N), never through
+# the units mod N, so a twelve-digit modulus costs what a small one does:
+# the trivial action, and exponents 1 + k*N/4 that give every x_i^4 the
+# character 4
+@pytest.mark.parametrize("exponents", [
+    "0 0 0 0", "1 250000000001 500000000001 750000000001"],
+    ids=["trivial", "four-characters"])
+def test_picard_bound_takes_a_twelve_digit_modulus(tmp_path, exponents):
+    path = tmp_path / "big.scn"
+    path.write_text(
+        "[scenario]\nname = x\n" + FERMAT_RING + "[automorphism]\n"
+        f"modulus = {10 ** 12}\nexponents = {exponents}\n[checks]\n"
+        "check picard_bound cite=c\n", encoding="utf-8")
+    src = str(Path(chowcheck.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "chowcheck", "verify", str(path), "--machine"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert time.perf_counter() - start < 5
+    assert "check.01.status = pass" in out.stdout.splitlines()
 
 
 # one attribute or declaration of a bundled scenario made malformed: a
@@ -875,8 +912,8 @@ def test_ring_dim_reports_its_route(tmp_path, capsys):
 @pytest.fixture
 def probe_paths(tmp_path):
     """Scenario files for the cold-process probes: a dense generic quartic,
-    a sparse quintic with every pure power, and shioda without its
-    symmetry."""
+    a sparse quintic with every pure power, and a singular sparse quintic
+    cone."""
     # every quartic monomial, with coefficients 1..9 and alternating signs
     terms = [f"{(-1) ** i * (i % 9 + 1)}*"
              + "*".join(f"x{v}^{e}" for v, e in enumerate(m) if e)
@@ -893,13 +930,12 @@ def probe_paths(tmp_path):
         "check smooth mode=modular cite=c\n"
         'check hilbert expect="1 4 10 20 31 40 44 40 31 20 10 4 1" cite=c\n',
         encoding="utf-8")
-    plain = tmp_path / "plain.scn"
-    shioda = Path(chowcheck.__file__).parent / "scenarios" / "shioda.scn"
-    plain.write_text(shioda.read_text(encoding="utf-8").replace(
-        "[automorphism]\nmodulus = 65\nexponents = 16 61 1 0\n", ""),
-        encoding="utf-8")
-    assert "[automorphism]" not in plain.read_text(encoding="utf-8")
-    return {"dense": str(dense), "pure": str(pure), "plain": str(plain)}
+    cone = tmp_path / "cone.scn"
+    cone.write_text(
+        "[scenario]\nname = cone\n[ring]\nvariables = x0 x1 x2 x3\n"
+        "poly = x0*x1^4 + x1*x2^4 + x2*x0^4\n[checks]\n"
+        "check smooth cite=c\n", encoding="utf-8")
+    return {"dense": str(dense), "pure": str(pure), "cone": str(cone)}
 
 
 def _cold_probe(code, blas_threads=None):
@@ -937,12 +973,11 @@ def _cold_probe(code, blas_threads=None):
 # importing the package, checking the monomial-ideal quartic family,
 # proving shioda smooth on its sparse degree-13 slice, proving a sparse
 # quintic with every pure power smooth on Macaulay's square rows of that
-# slice, and lifting exact pieces of shioda without its symmetry from its
-# sparse degree-12 slice never need it, while the certificate of a dense
-# generic quartic does (so the guard is not vacuous).  The exact duality
-# step takes degrees 0 and 12 alone: at other degrees shioda's slices are
-# above SPARSE_DENSITY and take the dense kernel.  The exact rows of the
-# dense quartic's degree-9 slice (span_rows) need no numpy either.
+# slice, and lifting the degree-12 piece of the singular cone over shioda's
+# plane quintic from its sparse 660x455 slice, which falls short of full
+# rank, never need it, while the certificate of a dense generic quartic
+# does (so the guard is not vacuous).  The exact rows of the dense
+# quartic's degree-9 slice (span_rows) need no numpy either.
 @pytest.mark.parametrize("code, loaded, route", [
     ("import chowcheck, chowcheck.cli", False, None),
     ("cli.main(['verify', 'quartic-family', '--machine'])", False, None),
@@ -950,15 +985,15 @@ def _cold_probe(code, blas_threads=None):
     ("cli.main(['verify', {pure!r}])", False,
      "route: closed form, smooth at degree 13 (modular p=1000003, 560x560 "
      "Macaulay rows of 880x560, 1120 nonzeros, sparse)"),
-    ("cli.main(['ring', 'duality', '--exact', '--a', '0', '--b', '0', "
-     "'--file', {plain!r}])", False, "route: exact pieces"),
+    ("cli.main(['ring', 'dim', '--degree', '12', '--file', {cone!r}])",
+     False, "route: elimination"),
     ("cli.main(['verify', {dense!r}, '--machine'])", True, None),
     ("from chowcheck import runner, scenario; "
      "h = runner.ScenarioContext(scenario.load_scenario({dense!r}))"
      ".hypersurface(); rows, monos, _ = h.span_rows(9); "
      "print(len(rows), len(monos))", False, "336 220"),
 ], ids=["import", "quartic-family", "shioda", "sparse-pure-powers",
-        "shioda-without-symmetry-exact-duality", "dense-generic-quartic",
+        "sparse-cone-lifted-piece", "dense-generic-quartic",
         "dense-generic-quartic-exact-rows"])
 def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
                                                    probe_paths):
@@ -972,18 +1007,21 @@ def test_numpy_is_loaded_only_by_a_gfp_elimination(code, loaded, route,
 # the command line starts numpy with one OpenBLAS thread unless its caller
 # asked for more: importing the command line (which sets nothing), a dense
 # generic quartic (numpy and no curve, pencil or character check), shioda
-# (no pencil), the quartic family (no characters), and a caller's own
+# (no pencil), a duality query on shioda's ring (which reads no
+# [automorphism]), the quartic family (no characters), and a caller's own
 # thread count kept
 @pytest.mark.parametrize("code, blas_in, blas_out, absent", [
     ("pass", None, None, ("pencil", "curves", "characters")),
     ("cli.main(['verify', {dense!r}, '--machine'])", None, "1",
      ("pencil", "curves", "characters")),
     ("cli.main(['verify', 'shioda', '--machine'])", None, "1", ("pencil",)),
+    ("cli.main(['ring', 'duality', '--a', '3', '--b', '3', '--file', "
+     "'shioda'])", None, "1", ("pencil", "curves", "characters")),
     ("cli.main(['verify', 'quartic-family', '--machine'])", None, "1",
      ("characters",)),
     ("cli.main(['verify', {dense!r}, '--machine'])", "2", "2", ()),
-], ids=["import-cli", "dense-generic-quartic", "shioda", "quartic-family",
-        "caller-threads-kept"])
+], ids=["import-cli", "dense-generic-quartic", "shioda",
+        "shioda-ring-duality", "quartic-family", "caller-threads-kept"])
 def test_cold_process_loads_only_what_its_checks_run(code, blas_in, blas_out,
                                                      absent, probe_paths):
     probe = _cold_probe(code.format(**probe_paths), blas_threads=blas_in)
