@@ -5,16 +5,19 @@ whose rational zeros, with multiplicity, form a zero-cycle on the line.
 Differences of such cycles for different lines are relations in the
 divisor class group of the curve; the integer lattice they span yields
 upper-bound certificates for the order of rational equivalence between
-two points.  All factoring is exact over the rationals, and irreducible
-non-linear factors are reported instead of being silently discarded.
+two points.  Roots come from one integer path: Yun's square-free
+decomposition over Z, p-adic lifting of each part's roots mod a prime,
+and a proof of every root by exact division.  Irreducible non-linear
+factors are reported instead of being silently discarded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import count, zip_longest
+from math import gcd, lcm
 
-from . import exactla
+from . import exactla, modrank
 from .poly import ProjectivePoint, SparsePoly
 from .report import CheckFailure
 
@@ -45,84 +48,112 @@ def _poly_deriv(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = _trim([Fraction(c) for c in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        if c:
-            quot[k] = c
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return quot, _trim(num)
+def _primitive(coeffs):
+    """The integer coefficients, lowest degree first, of the primitive
+    polynomial with positive lead that is a rational multiple of
+    ``coeffs``; [] for the zero polynomial."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = _trim([c.numerator * (den // c.denominator) for c in coeffs])
+    content = -gcd(*ints) if ints and ints[-1] < 0 else gcd(*ints)
+    return [c // content for c in ints]
 
-def _poly_gcd(a, b):
-    a = _trim([Fraction(c) for c in a])
-    b = _trim([Fraction(c) for c in b])
+
+def _divide(num, den):
+    """The integer quotient num / den, or None when den does not divide
+    num in Z[x].  For a primitive den that is exactly when it does not
+    divide over Q (Gauss's lemma)."""
+    num = list(num)
+    lead, n = den[-1], len(den)
+    quot = [0] * max(0, len(num) - n + 1)
+    for k in reversed(range(len(quot))):
+        q, r = divmod(num[k + n - 1], lead)
+        if r:
+            return None
+        quot[k] = q
+        for j, d in enumerate(den):
+            num[k + j] -= q * d
+    return None if any(num) else quot
+
+
+def _gcd(a, b):
+    """Primitive gcd with positive lead, by the primitive
+    pseudo-remainder sequence over Z."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        lead, n = b[-1], len(b)
+        while len(a) >= n:
+            c, k = a[-1], len(a) - n
+            a = [lead * x for x in a]
+            for j, d in enumerate(b):
+                a[k + j] -= c * d
+            _trim(a)
+        a, b = b, _primitive(a)
     return a
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
+def _yun(f):
+    """Yun's square-free decomposition of a primitive integer polynomial
+    f: [(g, i), ...] with f the product of the g**i, each g primitive and
+    square-free, constant g omitted.  Every division is by a primitive
+    gcd, so each quotient is integral."""
+    if len(f) <= 1:
+        return []
+    df = _poly_deriv(f)
+    g = _gcd(f, df)
+    b, c = _divide(f, g), _divide(df, g)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _poly_deriv(b), fillvalue=0)])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _divide(b, a), _divide(d, a)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(coeffs):
     """Yun decomposition [(g1, 1), (g2, 2), ...] with each gi square-free.
 
     The product of gi**i recovers the input up to a constant; trivial
-    factors are omitted and each gi is monic.
+    factors are omitted and each gi is monic, with ``Fraction`` entries.
+    The decomposition itself runs over Z (``_yun``).
     """
-    a = _trim([Fraction(c) for c in coeffs])
-    if len(a) <= 1:
-        return []
-    g = _poly_gcd(a, _poly_deriv(a))
-    if len(g) == 1:
-        lead = a[-1]
-        return [([c / lead for c in a], 1)]
-    b, rem = _poly_divmod(a, g)
-    assert not rem
-    ap_over_g, rem = _poly_divmod(_poly_deriv(a), g)
-    assert not rem
-    d = _poly_sub(ap_over_g, _poly_deriv(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        p = _poly_gcd(b, d)
-        if len(p) > 1:
-            out.append((p, i))
-        b, rem = _poly_divmod(b, p)
-        assert not rem
-        d_over_p, rem = _poly_divmod(d, p)
-        assert not rem
-        d = _poly_sub(d_over_p, _poly_deriv(b))
-        i += 1
-    return out
+    return [([Fraction(c, g[-1]) for c in g], i)
+            for g, i in _yun(_primitive(coeffs))]
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def _eval_mod(coeffs, x, m):
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % m
+    return value
+
+
+def _lifted_roots(g):
+    """The roots in Z_p of the square-free integer polynomial g, as
+    residues mod m, and m, a power of p above 2*max(|g(0)|, lead)**2.
+
+    p is the first prime not dividing the lead at which every root of g
+    mod p (found by evaluation) is simple; only primes dividing
+    lead*disc(g) can fail.  Newton's iteration with a squaring modulus
+    lifts each.  A rational root a/b in lowest terms has |a| <= |g(0)|
+    and 0 < b <= lead, so it is a root mod p and lifts to a/b mod m.
+    """
+    dg = _poly_deriv(g)
+    for p in filter(modrank.is_prime, count(2)):
+        if g[-1] % p:
+            roots = [r for r in range(p) if not _eval_mod(g, r, p)]
+            if all(_eval_mod(dg, r, p) for r in roots):
+                break
+    bound = 2 * max(abs(g[0]), g[-1]) ** 2
+    m = p
+    while m <= bound:
+        m *= m
+        roots = [(r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+                 for r in roots]
+    return roots, m
 
 
 def rational_roots(coeffs):
@@ -131,52 +162,32 @@ def rational_roots(coeffs):
     Returns (roots, residuals): ``roots`` is a list of (root,
     multiplicity) pairs; ``residuals`` lists (coefficients, multiplicity,
     certified_irreducible) for the non-linear square-free parts left
-    after removing rational roots.  A residual of degree two or three
-    without rational roots is irreducible over the rationals; higher
-    degrees are not certified.
+    after removing rational roots, each primitive with positive lead.  A
+    residual of degree two or three without rational roots is
+    irreducible over the rationals; higher degrees are not certified.
+
+    Each square-free part over Z (``_yun``) has the root 0 when x divides
+    it; its other candidates are the rational reconstructions of its
+    p-adic roots (``_lifted_roots``; Loos 1983).  A candidate a/b is kept
+    only when b*x - a divides the part exactly, so no root is missed and
+    none is invented.
     """
     roots = []
     residuals = []
-    for part, mult in squarefree_decomposition(coeffs):
-        part = list(part)
-        zero_mult = 0
-        while part and not part[0]:
-            part = part[1:]
-            zero_mult += 1
-        if zero_mult:
+    for g, mult in _yun(_primitive(coeffs)):
+        if not g[0]:
             roots.append((Fraction(0), mult))
-        den = 1
-        for c in part:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in part]
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
-        if content > 1:
-            ints = [c // content for c in ints]
-        if len(ints) > 1:
-            for p in _divisors(ints[0]):
-                for q in _divisors(ints[-1]):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if not sum(c * cand ** k for k, c in enumerate(ints)):
-                            roots.append((cand, mult))
-                            quot, rem = _poly_divmod(
-                                [Fraction(c) for c in ints],
-                                [-cand, Fraction(1)])
-                            assert not rem
-                            den2 = 1
-                            for c in quot:
-                                den2 = den2 * c.denominator // gcd(den2, c.denominator)
-                            ints = [int(c * den2) for c in quot]
-            if len(ints) > 1:
-                content = 0
-                for c in ints:
-                    content = gcd(content, c)
-                if ints[-1] < 0:
-                    content = -content
-                deg = len(ints) - 1
-                residuals.append((tuple(Fraction(c // content) for c in ints),
-                                  mult, deg <= 3))
+            g = g[1:]
+        if len(g) > 1:
+            lifted, m = _lifted_roots(g)
+            for r in lifted:
+                for x in exactla.rational_reconstruction([r], m) or ():
+                    quot = _divide(g, [-x.numerator, x.denominator])
+                    if quot is not None:
+                        roots.append((Fraction(x), mult))
+                        g = quot
+        if len(g) > 1:
+            residuals.append((tuple(map(Fraction, g)), mult, len(g) <= 4))
     return roots, residuals
 
 
@@ -188,18 +199,15 @@ class DivisorCycle:
     triples so that degrees always add up to the form degree.
     """
 
-    __slots__ = ("points", "multiplicities", "labels", "residual_factors")
+    __slots__ = ("points", "multiplicities", "residual_factors")
 
-    def __init__(self, points, multiplicities, labels=None, residual_factors=()):
+    def __init__(self, points, multiplicities, residual_factors=()):
         if len(points) != len(multiplicities):
             raise ValueError("one multiplicity per point required")
         if any(m == 0 for m in multiplicities):
             raise ValueError("multiplicities must be nonzero")
         self.points = list(points)
         self.multiplicities = [int(m) for m in multiplicities]
-        if labels is None:
-            labels = [repr(p) for p in self.points]
-        self.labels = list(labels)
         self.residual_factors = list(residual_factors)
 
     def total_degree(self):
@@ -209,7 +217,7 @@ class DivisorCycle:
         return total
 
     def __repr__(self):
-        parts = [f"{m}*{label}" for label, m in zip(self.labels, self.multiplicities)]
+        parts = [f"{m}*{p!r}" for p, m in zip(self.points, self.multiplicities)]
         for coeffs, mult, _ in self.residual_factors:
             parts.append(f"[deg {len(coeffs) - 1} factor]^{mult}")
         return " + ".join(parts) if parts else "0"
@@ -247,13 +255,12 @@ def restrict_to_line(f, line_var, plane_vars=None):
     return g, remaining
 
 
-def binary_form_cycle(g, uv=None, labels=None):
+def binary_form_cycle(g, uv=None):
     """Factor a binary form into a zero-cycle of rational points.
 
     Rational linear factors become points (u0 : v0) on the line with
     their multiplicities; the point at (1 : 0) is the factor of the
-    second variable.  ``labels`` optionally maps normalized coordinate
-    pairs to names.  Degrees are conserved: rational multiplicities plus
+    second variable.  Degrees are conserved: rational multiplicities plus
     residual factor degrees add up to deg g.
     """
     if g.is_zero():
@@ -267,26 +274,23 @@ def binary_form_cycle(g, uv=None, labels=None):
     if not g.is_homogeneous(uv):
         raise ValueError("binary form must be homogeneous")
     e = g.total_degree(uv)
-    coeffs = [Fraction(0)] * (e + 1)
+    coeffs = [0] * (e + 1)
     for exps, c in g.terms.items():
         for j, a in enumerate(exps):
             if a and j not in (iu, iv):
                 raise ValueError(f"form involves extra variable {ring.names[j]!r}")
-        coeffs[exps[iu]] += c
+        coeffs[exps[iu]] = c
     dehom_deg = max(k for k, c in enumerate(coeffs) if c)
     points = []
     mults = []
     if dehom_deg < e:
         points.append(ProjectivePoint((1, 0)))
         mults.append(e - dehom_deg)
-    roots, residuals = rational_roots(coeffs[:dehom_deg + 1])
+    roots, residuals = rational_roots(coeffs)
     for root, mult in sorted(roots):
         points.append(ProjectivePoint((root, 1)))
         mults.append(mult)
-    names = None
-    if labels is not None:
-        names = [labels.get(p.coords, repr(p)) for p in points]
-    cycle = DivisorCycle(points, mults, labels=names, residual_factors=residuals)
+    cycle = DivisorCycle(points, mults, residual_factors=residuals)
     assert cycle.total_degree() == e
     return cycle
 

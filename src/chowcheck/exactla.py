@@ -401,39 +401,26 @@ class LatticeMultiple:
 def minimal_multiple_in_lattice(matrix, vec):
     """Smallest n >= 1 with n*vec in the integer row lattice, or None.
 
-    The set of valid n is an ideal of Z, so a single generator exists.  It
-    is found by comparing pivot products of the Hermite forms of the
-    lattice with and without ``vec`` adjoined; the witness combination is
-    then read off through the tracked transformation and re-verified by
-    exact multiplication before returning.
+    The rows of the Hermite normal form are a Z-basis of the lattice, so
+    n*vec lies in it exactly when n times each rational coordinate of
+    ``vec`` over them (``_reduce_against_hnf``) is an integer: the least
+    n is the lcm of their denominators.  The witness, n times the
+    coordinates read through the tracked transformation, is re-verified
+    by exact multiplication before returning.
     """
     rows = [[int(x) for x in row] for row in _as_rows(matrix)]
     vec = [int(x) for x in vec]
-    if not rows:
-        return LatticeMultiple(1, []) if not any(vec) else None
     hnf, U = hermite_normal_form(rows, transform=True)
-    _, residual = _reduce_against_hnf(hnf, vec)
+    coeffs, residual = _reduce_against_hnf(hnf, vec)
     if any(residual):
         return None  # vec is outside the rational row span
-    hnf2 = hermite_normal_form(rows + [vec])
-    det1 = 1
-    for row in hnf:
-        det1 *= row[next(j for j, x in enumerate(row) if x)]
-    det2 = 1
-    for row in hnf2:
-        det2 *= row[next(j for j, x in enumerate(row) if x)]
-    if det2 == 0 or det1 % det2:
-        raise ArithmeticError("pivot products must divide exactly")
-    n = det1 // det2
-    target = [n * x for x in vec]
-    coeffs, residual = _reduce_against_hnf(hnf, target)
-    if any(residual) or any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("reduction of the minimal multiple must be integral")
+    n = lcm(*(c.denominator for c in coeffs))
     witness = [0] * len(rows)
     for c, urow in zip(coeffs, U):
-        c = int(c)
+        c = int(n * c)
         if c:
             witness = [w + c * u for w, u in zip(witness, urow)]
+    target = [n * x for x in vec]
     check = [sum(w * row[j] for w, row in zip(witness, rows)) for j in range(len(vec))]
     if check != target:
         raise ArithmeticError("witness failed re-multiplication")

@@ -885,9 +885,9 @@ def left_kernel_via_duality(hring, a, b, prime=None):
                                 _mode(prime) if dim else "trivial")
         route = f"closed form (Macaulay duality), {smooth}"
         return DualityKernelResult(a, b, surj, pairing, route)
-    mmap = multiplication_map(hring, sigma - a - b, b)
-    surj = is_surjective(mmap, prime=prime)
+    # first, so that a socle of the wrong dimension raises before any map
     pairing = macaulay_pairing_check(hring, a, prime=prime)
+    surj = is_surjective(multiplication_map(hring, sigma - a - b, b), prime=prime)
     return DualityKernelResult(a, b, surj, pairing, _pieces_route(hring, prime))
 
 

@@ -96,13 +96,15 @@ def parse_scenario(text):
     scn = ScenarioFile()
     section = None
     curve = None
-    lines = {}  # (section, key) -> line of its last assignment
+    lines = {}  # (section, key), "[header]" or (header, point) -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
             section, curve = _parse_header(scn, line, lineno)
+            header = f"[curve {curve.label}]" if curve else f"[{section}]"
+            lines[header] = lineno
             continue
         if section is None:
             raise ParseError("content before the first section header", lineno)
@@ -114,6 +116,8 @@ def parse_scenario(text):
             raise ParseError(f"key {key!r} is not valid in [{section}]", lineno)
         _store(scn, section, curve, key, value, lineno)
         lines[section, key] = lineno
+        if key == "point":
+            lines[header, value.split()[0]] = lineno
     _validate(scn, lines)
     return scn
 
@@ -273,10 +277,12 @@ def _validate(scn, lines):
     if not scn.checks:
         raise ParseError("scenario declares no checks", 1)
     if scn.ring is not None and ("variables" not in scn.ring or "poly" not in scn.ring):
-        raise ParseError("[ring] needs both variables and poly", 1)
+        raise ParseError("[ring] needs both variables and poly",
+                         lines["[ring]"])
     if scn.automorphism is not None:
         if "modulus" not in scn.automorphism or "exponents" not in scn.automorphism:
-            raise ParseError("[automorphism] needs modulus and exponents", 1)
+            raise ParseError("[automorphism] needs modulus and exponents",
+                             lines["[automorphism]"])
         if scn.automorphism["modulus"] < 1:
             raise ParseError("bad [automorphism]: modulus must be a positive "
                              "integer", lines["automorphism", "modulus"])
@@ -287,12 +293,14 @@ def _validate(scn, lines):
                 f"{len(scn.ring['variables'])} variables",
                 lines["automorphism", "exponents"])
     for curve in scn.curves.values():
+        header = f"[curve {curve.label}]"
         if curve.plane is None or curve.poly is None:
-            raise ParseError(f"[curve {curve.label}] needs plane and poly", 1)
+            raise ParseError(f"{header} needs plane and poly", lines[header])
         if curve.variables is None:
             curve.variables = list(curve.plane)
         for label, coords in curve.points.items():
             if len(coords) != len(curve.plane):
                 raise ParseError(
                     f"point {label!r} of curve {curve.label!r} has "
-                    f"{len(coords)} coordinates, plane has {len(curve.plane)}", 1)
+                    f"{len(coords)} coordinates, plane has {len(curve.plane)}",
+                    lines[header, label])

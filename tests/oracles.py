@@ -9,10 +9,16 @@ differential tests.
 Macaulay's square rows were once picked out of the whole slice by their
 row indices (``macaulay_rows``); the package now builds them alone, and
 the indices are kept here as the oracle of that builder.
+
+The least multiple of a vector in an integer row lattice was once found
+from two Hermite normal forms, with and without the vector adjoined, as
+the quotient of their pivot products; the package now reads it from one,
+and the two-form route is kept here as its oracle.
 """
 
 from fractions import Fraction
 
+from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
 from chowcheck.poly import enumerate_monomials
 
 
@@ -110,3 +116,27 @@ def macaulay_rows(hring, k):
             i += 1
         rows.append(src[m[:i] + (m[i] - e,) + m[i + 1:]] * hring.nvars + i)
     return rows
+
+
+def two_form_multiple(rows, vec):
+    """(n, witness) for the least n >= 1 with n*vec in the row lattice of
+    ``rows``, or None: n is the pivot product of the Hermite form of the
+    rows over that of the rows with ``vec`` adjoined, and the witness is
+    the reduction of n*vec read through the tracked transformation."""
+    hnf, transform = hermite_normal_form(rows, transform=True)
+    if any(_reduce_against_hnf(hnf, vec)[1]):
+        return None
+
+    def pivot_product(form):
+        out = 1
+        for row in form:
+            out *= next(x for x in row if x)
+        return out
+
+    n = pivot_product(hnf) // pivot_product(hermite_normal_form(rows + [vec]))
+    coeffs, _ = _reduce_against_hnf(hnf, [n * x for x in vec])
+    witness = [0] * len(rows)
+    for c, urow in zip(coeffs, transform):
+        assert c.denominator == 1
+        witness = [w + int(c) * u for w, u in zip(witness, urow)]
+    return n, witness

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowcheck import curves
 from chowcheck.poly import PolyRing, ProjectivePoint, parse_poly
@@ -101,6 +102,65 @@ def test_rational_roots_uncertified_quartic_residual():
     assert not residuals[0][2]
 
 
+# roots that are zero, integral, small fractions, or 25-digit fractions
+_roots = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def _eisenstein(draw):
+    """Coefficients of a degree 2-4 integer polynomial, Eisenstein at 2
+    (odd lead, even middle, constant 2 mod 4), so with no rational root."""
+    degree = draw(st.integers(2, 4))
+    middle = draw(st.lists(st.integers(-4, 4), min_size=degree - 1,
+                           max_size=degree - 1))
+    return ([2 * (2 * draw(st.integers(-3, 3)) + 1)] + [2 * c for c in middle]
+            + [2 * draw(st.integers(0, 3)) + 1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(_roots, st.integers(1, 3)), max_size=4),
+       st.lists(st.tuples(_eisenstein(), st.integers(1, 2)), max_size=2),
+       st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 9)))
+def test_roots_and_squarefree_parts_match_sympy(roots, factors, scale):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    expr = rational(scale)
+    for root, mult in roots:
+        expr *= (x - rational(Fraction(root))) ** mult
+    for coeffs, mult in factors:
+        expr *= sum(c * x ** k for k, c in enumerate(coeffs)) ** mult
+    poly = sympy.Poly(expr, x, domain="QQ")
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+    got, residuals = curves.rational_roots(coeffs)
+    want = sympy.roots(poly, filter="Q")
+    assert sorted(got) == sorted((Fraction(int(r.p), int(r.q)), m)
+                                 for r, m in want.items())
+    rebuilt = sympy.Integer(1)
+    for root, mult in got:
+        rebuilt *= (x - rational(root)) ** mult
+    for res, mult, certified in residuals:
+        assert res[-1] > 0 and all(type(c) is Fraction for c in res)
+        assert certified == (len(res) <= 4)
+        rebuilt *= sum(rational(c) * x ** k for k, c in enumerate(res)) ** mult
+    assert sympy.degree(rebuilt, x) == poly.degree()
+    assert sympy.div(poly, sympy.Poly(rebuilt, x, domain="QQ"))[1].is_zero
+
+    _, parts = sympy.sqf_list(poly)
+    want_parts = sorted(
+        (tuple(Fraction(int(c.p), int(c.q)) for c in reversed(part.monic().all_coeffs())), m)
+        for part, m in parts)
+    assert sorted((tuple(g), m) for g, m in
+                  curves.squarefree_decomposition(coeffs)) == want_parts
+
+
 def test_restrict_to_line():
     g, remaining = curves.restrict_to_line(Z1, "x2")
     assert remaining == ("x0", "x1")
@@ -126,15 +186,6 @@ def test_binary_form_cycle_degree_conservation():
     got = dict(zip((p.coords for p in cycle.points), cycle.multiplicities))
     assert got[(0, 1)] == 2
     assert got[(1, 0)] == 1
-
-
-def test_binary_form_cycle_labels():
-    ring = PolyRing.rationals(("u", "v"))
-    g = parse_poly("u*v^3", ring)
-    labels = {ProjectivePoint((0, 1)).coords: "A",
-              ProjectivePoint((1, 0)).coords: "B"}
-    cycle = curves.binary_form_cycle(g, labels=labels)
-    assert dict(zip(cycle.labels, cycle.multiplicities)) == {"A": 1, "B": 3}
 
 
 def test_divisor_cycle_validation():

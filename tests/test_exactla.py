@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chowcheck import exactla, modrank
-from oracles import fraction_rref
+from oracles import fraction_rref, two_form_multiple
 
 
 def reference_rank(rows):
@@ -282,6 +283,39 @@ def test_minimal_multiple_scaling_property():
         vec = [sum(r[j] for r in rows[:2]) for j in range(4)]
         found = exactla.minimal_multiple_in_lattice(rows, vec)
         assert found is not None and found.n == 1
+
+
+_entries = st.integers(-6, 6)
+
+
+@st.composite
+def _lattice_and_vector(draw):
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        # a lattice vector divided by its scale: a true multiple exists
+        combo = draw(st.lists(_entries, min_size=nrows, max_size=nrows))
+        vec = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(ncols)]
+        scale = gcd(*vec) if any(vec) else 1
+        vec = [x // scale * draw(st.integers(1, 3)) for x in vec]
+    else:
+        vec = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+    return rows, vec
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_lattice_and_vector())
+def test_minimal_multiple_matches_the_two_form_oracle(case):
+    rows, vec = case
+    found = exactla.minimal_multiple_in_lattice(rows, vec)
+    want = two_form_multiple(rows, vec)
+    if want is None:
+        assert found is None
+        return
+    assert (found.n, found.witness) == want
+    assert [sum(w * row[j] for w, row in zip(found.witness, rows))
+            for j in range(len(vec))] == [found.n * x for x in vec]
 
 
 def test_matrix_wrappers_reject_ragged_rows():

@@ -186,6 +186,23 @@ def test_quintic_duality_at_three_three(quintic_sym):
     assert result.pairing.rank == 20
 
 
+def test_duality_asks_for_the_socle_before_building_a_map(monkeypatch):
+    built = []
+    multiplication_map = jacobian.multiplication_map
+
+    def counting(hring, a, b, quotient_by=None):
+        built.append((a, b))
+        return multiplication_map(hring, a, b, quotient_by=quotient_by)
+
+    monkeypatch.setattr(jacobian, "multiplication_map", counting)
+    # a cone: singular, so the step takes the exact pieces
+    cone = jacobian.HypersurfaceRing(
+        parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4", P3))
+    with pytest.raises(jacobian.SocleNotOneDimensional):
+        jacobian.left_kernel_via_duality(cone, 3, 3)
+    assert built == []
+
+
 def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
     subspaces = []
     multiplication_map = jacobian.multiplication_map

@@ -150,6 +150,17 @@ def test_validation_rules():
     assert "needs plane and poly" in str(_parse_error(
         "[scenario]\nname = x\n[curve Z]\nplane = x0 x1\n"
         "[checks]\ncheck x cite=c\n"))
+    # an incomplete section names its header's line, a bad point its own
+    head = "[scenario]\nname = x\n[checks]\ncheck x cite=c\n"
+    for tail, line in (("[ring]\nvariables = x0\n", 5),
+                       ("[automorphism]\n\nexponents = 1\n", 5),
+                       ("[curve A]\nplane = x0 x1 x2\npoly = x0\n"
+                        "[curve Z]\nplane = x0 x1 x2\n", 8),
+                       ("[curve Z]\nplane = x0 x1 x2\npoly = x0\n"
+                        "point = Q 1 0 0\npoint = P 1 0\n", 9)):
+        error = _parse_error(head + tail)
+        assert (error.line, error.column) == (line, 1)
+        assert str(error).startswith(f"line {line}, column 1: ")
 
 
 def test_curve_variables_default_to_plane():
@@ -731,6 +742,28 @@ def test_picard_bound_takes_a_twelve_digit_modulus(tmp_path, exponents):
     assert out.returncode == 0, out.stderr
     assert time.perf_counter() - start < 5
     assert "check.01.status = pass" in out.stdout.splitlines()
+
+
+# x2 = 0 cuts x0^3 - N*x1^3, irreducible for these N, so the step fails
+# with a non-rational intersection; rational roots come from p-adic
+# lifting, whose cost grows with the digits of N, not with sqrt(N)
+@pytest.mark.parametrize("n", [10 ** 20 + 39, 10 ** 39 + 121],
+                         ids=["21-digit", "40-digit"])
+def test_large_coefficient_curve_section_ends(tmp_path, n):
+    path = tmp_path / "big.scn"
+    path.write_text(
+        "[scenario]\nname = x\n[curve C]\nplane = x0 x1 x2\n"
+        f"poly = x0^3 - {n}*x1^3 + x2^3 + x0*x1*x2\npoint = P 1 0 0\n"
+        '[checks]\ncheck intersection curve=C line=x2 expect="P:1" cite=c\n',
+        encoding="utf-8")
+    src = str(Path(chowcheck.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "chowcheck", "verify", str(path), "--machine"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30)
+    assert out.returncode == 1, out.stderr
+    assert "check.01.status = fail" in out.stdout.splitlines()
+    assert "non-rational points (irreducible factor degrees [3])" in out.stdout
 
 
 # one attribute or declaration of a bundled scenario made malformed: a
