@@ -111,8 +111,9 @@ class CharacterSpectrum:
 def character_spectrum(hring, sigma, degree, twisted=False):
     """Eigenspace dimensions of the degree-k quotient piece.
 
-    On a ring proven smooth (``smoothness_proof``) the spectrum is
-    read from the equivariant Koszul resolution, see
+    On a ring proven smooth at ``DEFAULT_PRIME``
+    (``smoothness_certificate()``, as ``quotient_dim`` asks) the spectrum
+    is read from the equivariant Koszul resolution, see
     ``_complete_intersection_spectrum``.  Otherwise it counts the
     representatives of the exact graded piece by character.  That is
     valid because each generator monomial times a partial is itself an
@@ -123,7 +124,7 @@ def character_spectrum(hring, sigma, degree, twisted=False):
         raise NotInvariant("form is not an eigenvector of the automorphism")
     if len(sigma.exponents) != hring.nvars:
         raise NotInvariant("automorphism has the wrong number of exponents")
-    if hring.smoothness_proof().certified:
+    if hring.smoothness_certificate().certified:
         histogram = _complete_intersection_spectrum(hring, sigma, degree)
     else:
         reps = hring.piece(degree).representatives

@@ -306,18 +306,17 @@ class RelationLattice:
 
     def __init__(self, point_basis, relations, cycles=None):
         self.point_basis = list(point_basis)
-        rows = [list(map(int, row)) for row in relations]
-        for row in rows:
+        self.relations = [list(map(int, row)) for row in relations]
+        for row in self.relations:
             if len(row) != len(self.point_basis):
                 raise ValueError("relation width must match basis size")
             if sum(row) != 0:
                 raise ValueError(f"relation {row} does not sum to zero")
-        self.relations = exactla.IntMatrix(rows)
         self.cycles = list(cycles) if cycles is not None else []
 
     def __repr__(self):
         return (f"RelationLattice(basis={self.point_basis}, "
-                f"relations={self.relations.rows()})")
+                f"relations={self.relations})")
 
 
 def section_cycle(f, line_var, plane_vars, labels):

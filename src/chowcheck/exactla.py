@@ -27,40 +27,6 @@ from . import modrank
 from .modrank import BadPrime
 
 
-def _as_rows(matrix):
-    if isinstance(matrix, IntMatrix):
-        return matrix.rows()
-    return [list(row) for row in matrix]
-
-
-class IntMatrix:
-    """Dense matrix with integer entries stored row-major."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, rows):
-        rows = [[int(x) for x in row] for row in rows]
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.entries = [x for row in rows for x in row]
-
-    def rows(self):
-        n = self.ncols
-        return [self.entries[i * n:(i + 1) * n] for i in range(self.nrows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == (
-            other.nrows, other.ncols, other.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows()!r})"
-
-
 class RankCertificate:
     """Outcome of a modular rank computation.
 
@@ -96,7 +62,7 @@ def _integer_rows(matrix):
     """Each row scaled by its common denominator, as an integer dict row
     ``{column: entry}`` without zeros, and the number of columns; the
     scaling changes neither the rank nor the kernel."""
-    rows = _as_rows(matrix)
+    rows = [list(row) for row in matrix]
     dict_rows = []
     for row in rows:
         row = {j: row[j] for j in compress(range(len(row)), row)}
@@ -244,7 +210,7 @@ def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
         red = matrix
     else:
         red = []
-        for row in _as_rows(matrix):
+        for row in matrix:
             den, row = _integer_row(row)
             if den % prime == 0:
                 raise BadPrime(f"prime {prime} divides a denominator")
@@ -312,7 +278,7 @@ def hermite_normal_form(matrix, transform=False):
     reduced into [0, pivot).  With ``transform=True`` also returns the
     transformation rows U (one per HNF row) with U * input == HNF.
     """
-    rows = [[int(x) for x in row] for row in _as_rows(matrix)]
+    rows = [[int(x) for x in row] for row in matrix]
     m = len(rows)
     n = len(rows[0]) if m else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -408,7 +374,7 @@ def minimal_multiple_in_lattice(matrix, vec):
     coordinates read through the tracked transformation, is re-verified
     by exact multiplication before returning.
     """
-    rows = [[int(x) for x in row] for row in _as_rows(matrix)]
+    rows = [[int(x) for x in row] for row in matrix]
     vec = [int(x) for x in vec]
     hnf, U = hermite_normal_form(rows, transform=True)
     coeffs, residual = _reduce_against_hnf(hnf, vec)

@@ -11,9 +11,9 @@ only ever proves a full rank.
 Quotient dimensions (``quotient_dim``, and with it ``hilbert_function``)
 come from the first of these routes that applies:
 
-* a ring proven smooth by its memoised certificate
-  (``smoothness_certificate``: a monomial count for a monomial ideal, a
-  modular rank of the degree-(sigma+1) slice otherwise) is a complete
+* a ring proven smooth by its certificate at ``DEFAULT_PRIME``
+  (``smoothness_certificate()``: a monomial count for a monomial ideal,
+  a modular rank of the degree-(sigma+1) slice otherwise) is a complete
   intersection and reads the closed form ((1 - t^(d-1)) / (1 - t))^n;
   a certificate that does not close proves nothing;
 * otherwise ``ideal_rank`` counts the monomials of a monomial ideal,
@@ -45,20 +45,24 @@ so each prime eliminates the slice in the form its kernel takes.  A lift
 is accepted after one exact product A*N = 0 of the slice's integer dict
 rows A and the normal-form table N, which proves it at any prime: N is
 the identity on the free columns, and they number #monomials minus the
-rank mod p.  On a ring proven smooth, a piece whose dimension differs
-from the closed form raises ``ArithmeticError``.  Every multiplication
-and pairing matrix is built by looking up normal forms (``_products``).
+rank mod p.  On a ring proven smooth at ``DEFAULT_PRIME``, a piece
+whose dimension differs from the closed form raises ``ArithmeticError``.
+Every multiplication and pairing matrix is built by looking up normal
+forms (``_products``).
 
-``map_surjectivity`` and ``left_kernel_via_duality`` let two theorems
-decide on a ring whose smoothness certificate closes at the step's
-prime, or at ``DEFAULT_PRIME`` for an exact step (``_smooth_for``): the
-same certificate whichever steps ran before.  R is generated in degree
-1, so every R_a (x) R_b -> R_(a+b) is onto; a smooth R is a complete
-intersection, hence Gorenstein, so the socle pairing
-R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay; Carlson &
-Griffiths 1980).  Both ranks are then quotient dimensions.  Any other
-ring builds both matrices from exact pieces, so a failing verdict is
-exact.  Their exact ranks (``exactla.rank``) come from the same lift.
+Every closed form follows one rule: it answers on a ring whose
+smoothness certificate closes at the step's prime, or at
+``DEFAULT_PRIME`` when the step has none, so a step's route does not
+depend on the steps before it.  ``quotient_dim``, ``dimension_route``
+and the character spectra have no prime; ``map_surjectivity`` and
+``left_kernel_via_duality`` ask at theirs (``_smooth_for``) and let two
+theorems decide.  R is generated in degree 1, so every
+R_a (x) R_b -> R_(a+b) is onto; a smooth R is a complete intersection,
+hence Gorenstein, so the socle pairing R_a x R_(sigma-a) -> R_sigma is
+perfect (Macaulay; Carlson & Griffiths 1980).  Both ranks are then
+coefficients of the closed form.  Any other ring builds both matrices
+from exact pieces, so a failing verdict is exact.  Their exact ranks
+(``exactla.rank``) come from the same lift.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
@@ -78,14 +82,13 @@ the slice's integer dict rows.  numpy is imported only when an array is
 built, so a ring whose slices are sparse, or whose ideal is monomial,
 never loads it, and neither do exact rows.
 
-A ring memoises per degree its graded pieces and eliminated quotient
-dimensions, so graded pieces, character spectra and the smoothness test
-share one lift of each degree.  It memoises one ``_full_rank``
-certificate per (degree, prime), never a matrix, so the smoothness
-certificate, an exact smoothness step and the Hilbert table share one
-elimination of degree sigma+1; and it memoises one smoothness
-certificate per prime, and any one that closes serves every later
-question.
+A ring memoises its graded pieces per degree, so graded pieces,
+character spectra and the smoothness test share one lift of each
+degree.  It memoises one ``_full_rank`` certificate per (degree,
+prime), never a matrix, so the smoothness certificate at a prime, an
+exact smoothness step and the Hilbert table share one elimination of
+degree sigma+1; a monomial ideal's count is memoised once.  A
+certificate at one prime never answers for another.
 """
 
 from __future__ import annotations
@@ -176,11 +179,10 @@ class HypersurfaceRing:
         self._int_partials = [[(e, int(c)) for e, c in p.terms.items()]
                               for p in self.partials]
         self._pieces = {}
-        self._dims = {}
         self._ranks = {}
-        self._certificates = {}
         self._macaulay_closed = {}
-        self._closed_form = None
+        self._closed_form = complete_intersection_hilbert(self.nvars,
+                                                          self.degree)
 
     @property
     def is_monomial_ideal(self):
@@ -434,7 +436,8 @@ class HypersurfaceRing:
             free, forms = self._lift(k)
         table = [tuple(forms.get(j, {}).get(t, 0) for t in free)
                  for j in range(len(monos))]
-        if self._closed_form is not None and len(free) != self._closed_form_dim(k):
+        if (len(free) != self._closed_form_dim(k)
+                and self.smoothness_certificate().certified):
             raise ArithmeticError(
                 f"degree {k} piece has dimension {len(free)}, but the ring is "
                 f"proven smooth and the closed form gives "
@@ -446,8 +449,9 @@ class HypersurfaceRing:
         """One-sided proof that the quotient vanishes in degree sigma+1.
 
         A monomial ideal counts the monomials it contains (one
-        certificate, with prime None); any other ring takes the rank mod
-        ``prime`` of the degree-(sigma+1) slice (``_full_rank``: on
+        certificate, with prime None, memoised as ``_ranks[sigma+1,
+        None]``); any other ring takes the rank mod ``prime`` of the
+        degree-(sigma+1) slice (``_full_rank``, memoised per prime: on
         Macaulay's square rows when every partial has its pure power mod
         p and they have full rank, on the whole slice otherwise), which
         never exceeds the rational rank.  The certificate closes
@@ -455,29 +459,15 @@ class HypersurfaceRing:
         monomials.  Then the quotient is Artinian, the n partials form a
         regular sequence, and the Koszul complex resolves the quotient,
         which gives the closed forms of its Hilbert function and character
-        spectra.  Memoised per prime.
+        spectra.  A certificate at one prime never answers for another.
         """
-        key = None if self.is_monomial_ideal else prime
-        if key not in self._certificates:
-            k = self.socle_degree + 1
-            monos = comb(k + self.nvars - 1, self.nvars - 1)
-            if key is None:
-                cert = exactla.RankCertificate(None, self.ideal_rank(k), monos)
-            else:
-                cert = self._full_rank(k, prime)
-            self._certificates[key] = cert
-            if cert.certified and self._closed_form is None:
-                self._closed_form = complete_intersection_hilbert(
-                    self.nvars, self.degree)
-        return self._certificates[key]
-
-    def smoothness_proof(self):
-        """A memoised certificate that closed, at whichever prime; when
-        none has, the certificate at the default prime."""
-        for cert in self._certificates.values():
-            if cert.certified:
-                return cert
-        return self.smoothness_certificate()
+        k = self.socle_degree + 1
+        if not self.is_monomial_ideal:
+            return self._full_rank(k, prime)
+        if (k, None) not in self._ranks:
+            self._ranks[k, None] = exactla.RankCertificate(
+                None, self.ideal_rank(k), self._slice_shape(k)[1])
+        return self._ranks[k, None]
 
     def _proof_route(self, cert):
         """A closed smoothness certificate, as a fragment of a route line."""
@@ -497,7 +487,7 @@ class HypersurfaceRing:
 
     def dimension_route(self):
         """How ``quotient_dim`` answers, as one line for the human report."""
-        cert = self.smoothness_proof()
+        cert = self.smoothness_certificate()
         if not cert.certified:
             return "elimination"
         return f"closed form, {self._proof_route(cert)}"
@@ -505,10 +495,12 @@ class HypersurfaceRing:
     def quotient_dim(self, k):
         """Exact dimension of the degree-k quotient piece.
 
-        A coefficient of the closed form once a smoothness certificate
-        closes (``smoothness_proof``), the eliminated dimension otherwise.
+        A coefficient of the closed form when the smoothness certificate
+        at ``DEFAULT_PRIME`` closes (``smoothness_certificate()``), the
+        eliminated dimension otherwise; the same route whichever steps
+        ran before.
         """
-        if self.smoothness_proof().certified:
+        if self.smoothness_certificate().certified:
             return self._closed_form_dim(k)
         return self._eliminated_dim(k)
 
@@ -517,13 +509,10 @@ class HypersurfaceRing:
         return table[k] if 0 <= k < len(table) else 0
 
     def _eliminated_dim(self, k):
-        """Dimension of the degree-k quotient piece by elimination, memoised."""
+        """Dimension of the degree-k quotient piece by elimination."""
         if k < 0:
             return 0
-        if k not in self._dims:
-            monos = comb(k + self.nvars - 1, self.nvars - 1)
-            self._dims[k] = monos - self.ideal_rank(k)
-        return self._dims[k]
+        return comb(k + self.nvars - 1, self.nvars - 1) - self.ideal_rank(k)
 
 
 class GradedPiece:
@@ -773,14 +762,15 @@ def map_surjectivity(hring, a, b, prime=None):
 
     R is generated in degree 1, so R_a * R_b = R_(a+b) and the map is
     onto, with rank dim R_(a+b).  That answers on a ring proven smooth
-    for the step (``_smooth_for``).  Any other ring builds the map from
-    exact pieces and ``is_surjective`` decides.  ``route`` on the result
-    names the route for the human report.
+    for the step (``_smooth_for``), whose dimensions are the closed
+    form's, whatever the default prime proves.  Any other ring builds
+    the map from exact pieces and ``is_surjective`` decides.  ``route``
+    on the result names the route for the human report.
     """
     _check_step(prime, a, b)
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
-        result = _onto(hring.quotient_dim(a + b), prime)
+        result = _onto(hring._closed_form_dim(a + b), prime)
         result.route = f"closed form (generated in degree 1), {smooth}"
         return result
     result = is_surjective(multiplication_map(hring, a, b), prime=prime)
@@ -879,8 +869,8 @@ def left_kernel_via_duality(hring, a, b, prime=None):
         raise ValueError("need a + b <= socle degree for the duality route")
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
-        surj = _onto(hring.quotient_dim(sigma - a), prime)
-        dim = hring.quotient_dim(a)
+        surj = _onto(hring._closed_form_dim(sigma - a), prime)
+        dim = hring._closed_form_dim(a)
         pairing = PairingResult(True, a, dim, dim, dim,
                                 _mode(prime) if dim else "trivial")
         route = f"closed form (Macaulay duality), {smooth}"

@@ -69,8 +69,9 @@ class ScenarioContext:
 
     def ring_poly(self):
         def build():
+            ring = self.ring()  # refuses a scenario without [ring] keys
             try:
-                return parse_poly(self.scn.ring["poly"], self.ring())
+                return parse_poly(self.scn.ring["poly"], ring)
             except PolyParseError as exc:
                 raise CheckConfigError(f"bad [ring] poly: {exc}") from None
         return self._get("ring_poly", build)
@@ -632,7 +633,7 @@ def _check_equivalence_order(ctx, spec, curve, expect, lines, pair):
     lattice, pair, found = _order_for(ctx, spec, curve, lines, pair)
     values = {
         "basis": " ".join(lattice.point_basis),
-        "relations": len(lattice.relations.rows()),
+        "relations": len(lattice.relations),
     }
     details = [f"relation lattice over points {values['basis']} "
                f"({values['relations']} relations)"]
@@ -751,6 +752,10 @@ def _check_parametrization(ctx, spec, curve, params, assign, at):
 def _check_picard_bound(ctx, spec, expect):
     from . import characters
     hring = ctx.hypersurface()
+    if hring.nvars != 4 or hring.degree < 4:
+        raise _bad(spec, "the bound needs a surface of degree at least 4 in "
+                         f"P^3, got degree {hring.degree} in {hring.nvars} "
+                         "variables")
     result = characters.picard_upper_bound(hring, ctx.automorphism())
     values = {
         "bound": result.bound,

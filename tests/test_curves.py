@@ -200,7 +200,7 @@ def test_hyperplane_relations_on_plane_quintic():
     lattice = curves.hyperplane_relations(Z1, ("x0", "x2", "x1"),
                                           labels=Z1_LABELS)
     assert lattice.point_basis == ["P", "Q", "R"]
-    rows = lattice.relations.rows()
+    rows = lattice.relations
     assert rows == [[3, 1, -4], [1, -4, 3]]
     for row in rows:
         assert sum(row) == 0

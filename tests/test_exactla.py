@@ -318,14 +318,6 @@ def test_minimal_multiple_matches_the_two_form_oracle(case):
             for j in range(len(vec))] == [found.n * x for x in vec]
 
 
-def test_matrix_wrappers_reject_ragged_rows():
-    with pytest.raises(ValueError):
-        exactla.IntMatrix([[1, 2], [3]])
-    m = exactla.IntMatrix([[1, 2], [3, 4]])
-    assert m.rows() == [[1, 2], [3, 4]]
-    assert exactla.rank(m) == 2
-
-
 def test_crt_and_rational_reconstruction_recover_small_fractions():
     p0 = next(p for p in range(modrank.MAX_PRIME, 0, -1) if modrank.is_prime(p))
     rng = random.Random(5)

@@ -23,6 +23,9 @@ variables = x0 x1 x2 x3
 poly = x0^4 + x1^4 + x2^4 + x3^4
 """
 
+# a smooth quartic whose Jacobian ideal is not monomial
+MIXED_QUARTIC = "x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3"
+
 TINY = f"""\
 [scenario]
 name = tiny
@@ -704,11 +707,26 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
     (FERMAT_RING, 'check green_gotzmann g="x0^2*x1^2 + x0" b=3 expect_rank=4 '
                   'cite=c',
      "check 'green_gotzmann' (line 7): bad g: not a nonzero homogeneous form"),
+    ("", 'check hilbert expect="1" cite=c', "this check needs a [ring] section"),
+    ("[ring]\n", 'check hilbert expect="1" cite=c',
+     "this check needs a [ring] section"),
+    ("[ring]\nvariables = x0 x1 x2\npoly = x0^4 + x1^4 + x2^4\n"
+     "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
+     "check picard_bound cite=c",
+     "check 'picard_bound' (line 10): the bound needs a surface of degree at "
+     "least 4 in P^3, got degree 4 in 3 variables"),
+    ("[ring]\nvariables = x0 x1 x2 x3\npoly = x0^3 + x1^3 + x2^3 + x3^3\n"
+     "[automorphism]\nmodulus = 3\nexponents = 1 0 0 0\n",
+     "check picard_bound cite=c",
+     "check 'picard_bound' (line 10): the bound needs a surface of degree at "
+     "least 4 in P^3, got degree 3 in 4 variables"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "automorphism-zero-modulus-hilbert",
         "curve-not-homogeneous", "curve-plane-not-in-variables",
         "automorphism-exponent-count", "automorphism-exponent-count-tau",
-        "curve-plane-of-two-coordinates", "green-gotzmann-g-not-homogeneous"])
+        "curve-plane-of-two-coordinates", "green-gotzmann-g-not-homogeneous",
+        "no-ring-section", "empty-ring-header", "picard-three-variables",
+        "picard-cubic"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -718,6 +736,23 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr == f"error: {message}\n"
+
+
+# a form the automorphism does not fix, and a singular quartic, are
+# failing steps, not configuration errors
+@pytest.mark.parametrize("poly, exponents, error", [
+    ("x0^4 + x1^4 + x2^4 + x3^4", "1 0 0 0", "NotInvariant"),
+    ("x0^4 + x1^4 + x2^4", "0 0 0 1", "NotSmooth"),
+], ids=["not-invariant", "singular"])
+def test_picard_bound_on_a_ring_it_refuses_fails_its_step(poly, exponents,
+                                                          error):
+    scn = parse_scenario(
+        "[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
+        f"poly = {poly}\n[automorphism]\nmodulus = 3\n"
+        f"exponents = {exponents}\n[checks]\ncheck picard_bound cite=c\n")
+    step = run_scenario(scn).steps[0]
+    assert step.status == "fail"
+    assert step.details[0].startswith(f"{error}: ")
 
 
 # the orbit scan reads a Galois orbit through gcd(c, N), never through
@@ -892,7 +927,7 @@ def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
             in capsys.readouterr().out)
 
 
-def test_a_closed_certificate_serves_every_later_check(monkeypatch):
+def test_a_certificate_serves_later_checks_only_at_its_prime(monkeypatch):
     calls, builds = [], []
     modular_rank = exactla.modular_rank
     square_rows = jacobian.HypersurfaceRing._square_rows
@@ -907,25 +942,58 @@ def test_a_closed_certificate_serves_every_later_check(monkeypatch):
         return square_rows(self, k, p)
 
     text = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
-            "poly = x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3\n[checks]\n"
+            f"poly = {MIXED_QUARTIC}\n[checks]\n"
             "check smooth prime={prime}cite=c\n"
             'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c\n')
-    plain = run_scenario(parse_scenario(text.format(prime="1000003 ")))
     monkeypatch.setattr(exactla, "modular_rank", counting)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_square_rows",
                         counting_square_rows)
+    # at the default prime, the smooth check's certificate serves hilbert
+    plain = run_scenario(parse_scenario(text.format(prime="1000003 ")))
+    assert calls == [1000003]
+    assert builds == [(9, 1000003)]
+    calls.clear()
+    builds.clear()
+    # at another prime it does not: hilbert asks at the default prime
     report = run_scenario(parse_scenario(text.format(prime="1000033 ")))
-    assert calls == [1000033]
-    assert builds == [(9, 1000033)]
+    assert calls == [1000033, 1000003]
+    assert builds == [(9, 1000033), (9, 1000003)]
     assert report.exit_code == 0
     hilbert = [line for line in report.render_machine().splitlines()
                if line.startswith("check.02.")]
     assert hilbert == [line for line in plain.render_machine().splitlines()
                        if line.startswith("check.02.")]
-    assert report.steps[1].route == (
+    assert report.steps[1].route == plain.steps[1].route == (
         "closed form, smooth at degree 9 "
-        "(modular p=1000033, 220x220 Macaulay rows of 336x220, 440 nonzeros, "
+        "(modular p=1000003, 220x220 Macaulay rows of 336x220, 440 nonzeros, "
         "dense)")
+
+
+def _routes(scn):
+    return sorted((step.name, step.route) for step in run_scenario(scn).steps)
+
+
+def test_routes_do_not_depend_on_check_order():
+    checks = ["check smooth prime=7 cite=c",
+              'check hilbert expect="1 4 10 16 19 16 10 4 1" cite=c',
+              "check ring_dim degree=4 cite=c"]
+    head = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
+            f"poly = {MIXED_QUARTIC}\n[checks]\n")
+    first = _routes(parse_scenario(head + "\n".join(checks) + "\n"))
+    last = _routes(parse_scenario(head + "\n".join(checks[1:] + checks[:1])
+                                  + "\n"))
+    assert first == last
+    assert dict(first)["hilbert function"] == (
+        "closed form, smooth at degree 9 (modular p=1000003, 220x220 "
+        "Macaulay rows of 336x220, 440 nonzeros, dense)")
+
+
+@pytest.mark.parametrize("name", ["shioda", "quartic-family"])
+def test_bundled_routes_do_not_depend_on_check_order(name):
+    forward = cli._load(name)
+    backward = cli._load(name)
+    backward.checks.reverse()
+    assert _routes(forward) == _routes(backward)
 
 
 def test_ring_dim_reports_its_route(tmp_path, capsys):
