@@ -68,7 +68,7 @@ _EXPORTS = {
                 "SparsePoly check_parametrization exact_divide "
                 "multiplicity_at_point parse_poly partial_derivative "
                 "substitute",
-        "report": "Report StepResult",
+        "report": "InputError Report StepResult",
         "runner": "CheckConfigError ScenarioContext UnknownCheck run_scenario",
         "scenario": "CheckSpec ParseError ScenarioFile load_scenario "
                     "parse_scenario",

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import jacobian
-from .report import CheckFailure
+from .report import CheckFailure, InputError
 
 
 class NotInvariant(ValueError, CheckFailure):
@@ -233,11 +233,10 @@ def picard_upper_bound(hring, sigma):
     shifted by the volume-form twist so that all three pieces are
     compared on the same scale.
     """
-    if hring.nvars != 4:
-        raise ValueError("the bound applies to surfaces in P^3 (four variables)")
     d = hring.degree
-    if d < 4:
-        raise ValueError("need degree at least 4")
+    if hring.nvars != 4 or d < 4:
+        raise InputError("the bound needs a surface of degree at least 4 in "
+                         f"P^3, got degree {d} in {hring.nvars} variables")
     if not check_invariance(hring.poly, sigma):
         raise NotInvariant("form is not an eigenvector of the automorphism")
     smooth = jacobian.is_smooth_artinian(hring)

@@ -15,8 +15,10 @@ Two subcommands:
     own check list is ignored), so it reports and fails like that check.
 
 Exit status: 0 all checks pass, 1 at least one check fails, 2 the
-input could not be parsed, a check was misconfigured or a modulus is
-not a usable prime.
+input is malformed: the scenario could not be parsed, a check was
+misconfigured, or a value it uses was refused (an InputError, such as a
+modulus that is not a usable prime).  Exit 2 prints one ``error:`` line;
+a traceback is a bug.
 
 A command loads only the modules its checks run.  numpy is loaded only
 by a dense GF(p) elimination, and no chowcheck kernel calls BLAS, so
@@ -35,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import modrank
-from .report import Report
+from .report import InputError, Report
 from .runner import (CheckConfigError, ScenarioContext, UnknownCheck,
                      run_check, run_scenario)
 from .scenario import CheckSpec, ParseError, load_scenario, parse_scenario
@@ -148,8 +150,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownCheck, CheckConfigError, CliError,
-            modrank.BadPrime, OSError) as exc:
+    except (ParseError, UnknownCheck, CheckConfigError, CliError, InputError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from . import exactla, modrank
 from .poly import ProjectivePoint, SparsePoly
-from .report import CheckFailure
+from .report import CheckFailure, InputError
 
 
 class LineIsComponent(ArithmeticError):
@@ -235,11 +235,11 @@ def restrict_to_line(f, line_var, plane_vars=None):
     if plane_vars is None:
         plane_vars = ring.names
     if len(plane_vars) != 3:
-        raise ValueError("a plane needs exactly three coordinates")
+        raise InputError("a plane needs exactly three coordinates")
     if line_var not in plane_vars:
-        raise ValueError(f"{line_var!r} is not a plane coordinate")
+        raise InputError(f"{line_var!r} is not a plane coordinate")
     if not f.is_homogeneous(plane_vars):
-        raise ValueError("curve form must be homogeneous in the plane coordinates")
+        raise InputError("curve form must be homogeneous in the plane coordinates")
     i = ring.index[line_var]
     kept = {e: c for e, c in f.terms.items() if e[i] == 0}
     g = SparsePoly(ring, kept)

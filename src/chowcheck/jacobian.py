@@ -98,7 +98,7 @@ from math import comb, gcd
 from . import exactla, modrank
 from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
                    partial_derivative)
-from .report import CheckFailure
+from .report import CheckFailure, InputError
 
 
 # below this share of nonzero cells a GF(p) slice takes modrank's sparse
@@ -160,15 +160,15 @@ class HypersurfaceRing:
 
     def __init__(self, f):
         if f.ring.reductions:
-            raise ValueError("hypersurface ring needs a plain rational ring")
+            raise InputError("hypersurface ring needs a plain rational ring")
         if f.is_zero() or not f.is_homogeneous():
-            raise ValueError("defining form must be homogeneous and nonzero")
+            raise InputError("defining form must be homogeneous and nonzero")
         self.poly = f
         self.ring = f.ring
         self.nvars = f.ring.nvars
         self.degree = f.total_degree()
         if self.degree < 2:
-            raise ValueError("defining form must have degree at least 2")
+            raise InputError("defining form must have degree at least 2")
         self.socle_degree = self.nvars * (self.degree - 2)
         den = 1
         for c in f.terms.values():
@@ -597,7 +597,7 @@ def _check_step(prime, *degrees):
     if prime is not None:
         modrank.require_prime(prime)
     if min(degrees) < 0:
-        raise ValueError(f"graded degrees must be nonnegative, got {degrees}")
+        raise InputError(f"graded degrees must be nonnegative, got {degrees}")
 
 
 def _smooth_for(hring, prime):
@@ -866,7 +866,7 @@ def left_kernel_via_duality(hring, a, b, prime=None):
     _check_step(prime, a, b)
     sigma = hring.socle_degree
     if a + b > sigma:
-        raise ValueError("need a + b <= socle degree for the duality route")
+        raise InputError(f"a + b = {a + b} is above the socle degree {sigma}")
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
         surj = _onto(hring._closed_form_dim(sigma - a), prime)
@@ -903,10 +903,14 @@ def uniform_mult_rank_bound(hring, b):
     monomial of L * m is x_i * m, and distinct m give distinct leading
     monomials that survive reduction by the monomial ideal.  Hence
     rank(mult by L) >= #{m standard : x_i * m standard}, and the minimum
-    over i bounds every L at once.
+    over i bounds every L at once.  On a ring proven smooth no monomial
+    above sigma is standard, so from b = sigma on every count is zero and
+    no monomial of degree b is listed.
     """
     if not hring.is_monomial_ideal:
         raise IdealNotMonomial("uniform bound requires a monomial Jacobian ideal")
+    if b >= hring.socle_degree and hring.smoothness_certificate().certified:
+        return UniformBoundResult(0, b, [0] * hring.nvars)
     gens = hring.monomial_generators()
     std = [m for m in enumerate_monomials(hring.nvars, b)
            if not any(monomial_divides(g, m) for g in gens)]
@@ -943,7 +947,8 @@ def functional_kernel_map(hring, g, b=None):
     Here a = deg g, W = {h in R_a : the socle coordinate of h * g is 0},
     the kernel of the linear functional that pairs against g; it contains
     the ideal slice by construction, so W presents a subspace of R_a of
-    codimension one whenever the class of g is nonzero.
+    codimension one whenever the class of g is nonzero.  On a ring proven
+    smooth the target is zero above sigma, and no map is built.
     """
     a = g.total_degree()
     if b is None:
@@ -960,6 +965,8 @@ def functional_kernel_map(hring, g, b=None):
     g_nonzero = any(functional)
     kernel = exactla.kernel_basis([functional]) if g_nonzero else [
         [int(i == j) for j in range(pa.dim)] for i in range(pa.dim)]
+    if a + b > sigma and hring.smoothness_certificate().certified:
+        return FunctionalMapResult(0, 0, len(kernel), g_nonzero)
     mmap = multiplication_map(hring, a, b, quotient_by=kernel)
     r = exactla.rank(mmap.matrix)
     return FunctionalMapResult(r, mmap.target_dim, len(kernel), g_nonzero)

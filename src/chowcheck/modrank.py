@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from functools import cache
 
+from .report import InputError
+
 
 DEFAULT_PRIME = 1000003
 
@@ -53,7 +55,7 @@ MAX_PRIME = 3037000499
 _WITNESSES = (2, 3, 5, 7)
 
 
-class BadPrime(ValueError):
+class BadPrime(InputError):
     """Raised when a modulus is unusable for the given matrix."""
 
 

@@ -23,11 +23,16 @@ from fractions import Fraction
 from . import curves
 from .poly import (NotDivisible, PolyRing, exact_divide, parse_poly,
                    partial_derivative, substitute)
-from .report import StepResult
+from .report import InputError, StepResult
 
 
 class PencilScenario:
-    """Declared data of the family, its blow-up, and the tangent geometry."""
+    """Declared data of the family, its blow-up, and the tangent geometry.
+
+    The constructor raises InputError for lines that are not linear
+    forms, a family that is not quartic in x0..x3, a declared quadratic
+    that is not linear in lam, and a closed form with a zero denominator.
+    """
 
     __slots__ = ("ambient_ring", "family", "lines", "blowup_ring",
                  "substitution", "blowup_factor", "strict_transform",
@@ -39,13 +44,17 @@ class PencilScenario:
                  blowup_factor, strict_transform, tower_ring, points,
                  tangent_table, concurrency_point, declared_quadratic,
                  closed_form, cycle_signature, citations=None):
-        for tpow, xdeg in _family_degrees(family, ambient_ring):
-            if xdeg != 4:
-                raise ValueError(
-                    f"family is not quartic in the coordinates at t^{tpow}")
         for line in lines:
             if line.total_degree() != 1 or not line.is_homogeneous():
-                raise ValueError("lines must be linear forms")
+                raise InputError("lines must be linear forms")
+        for tpow, xdeg in _family_degrees(family, ambient_ring):
+            if xdeg != 4:
+                raise InputError(
+                    f"family is not quartic in the coordinates at t^{tpow}")
+        if declared_quadratic.total_degree(("lam",)) > 1:
+            raise InputError("declared quadratic must be linear in lam")
+        if closed_form[1].is_zero():
+            raise InputError("closed form has a zero denominator")
         self.ambient_ring = ambient_ring
         self.family = family
         self.lines = list(lines)
@@ -296,7 +305,7 @@ def _univariate_in(p, name):
     for exps, c in p.terms.items():
         for j, e in enumerate(exps):
             if e and j != i:
-                raise ValueError(f"polynomial involves {ring.names[j]!r}")
+                raise InputError(f"polynomial involves {ring.names[j]!r}")
         k = exps[i]
         if len(coeffs) <= k:
             coeffs.extend([Fraction(0)] * (k + 1 - len(coeffs)))
@@ -342,8 +351,6 @@ def verify_hyperelliptic_condition(scenario):
     lam = parse_poly("lam", ring)
     coeff_a = partial_derivative(declared, "lam")
     coeff_b = declared - lam * coeff_a
-    if not partial_derivative(coeff_a, "lam").is_zero():
-        raise ValueError("declared quadratic must be linear in lam")
     num, den = scenario.closed_form
     identity = coeff_a * num + coeff_b * den
     if not identity.is_zero():

@@ -28,6 +28,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
+from .report import InputError
+
 
 class NotDivisible(ArithmeticError):
     """Exact division failed; ``remainder`` witnesses the failure."""
@@ -86,7 +88,7 @@ def enumerate_monomials(nvars, degree):
     slowest: comb(degree + nvars - 1, nvars - 1) of them, nothing sorted.
     """
     if nvars < 1 or degree < 0:
-        raise ValueError("need nvars >= 1 and degree >= 0")
+        raise InputError("need nvars >= 1 and degree >= 0")
     # table[j]: the degree-j monomials in the variables added so far;
     # only the last variable needs degree ``degree`` alone
     table = [[(j,)] for j in range(degree + 1)]
@@ -407,17 +409,17 @@ def substitute(f, assignment, target=None):
     resolved = {}
     for name, value in assignment.items():
         if name not in ring.index:
-            raise ValueError(f"{name!r} is not a variable of the source ring")
+            raise InputError(f"{name!r} is not a variable of the source ring")
         if isinstance(value, SparsePoly):
             if value.ring != target:
-                raise ValueError(f"assignment for {name!r} is not in the target ring")
+                raise InputError(f"assignment for {name!r} is not in the target ring")
             resolved[name] = value
         else:
             resolved[name] = target.constant(value)
     for name in ring.names:
         if name not in resolved:
             if name not in target.index:
-                raise ValueError(f"unassigned variable {name!r} missing from target ring")
+                raise InputError(f"unassigned variable {name!r} missing from target ring")
             resolved[name] = target.variable(name)
     powers = {}
 
@@ -490,13 +492,13 @@ def multiplicity_at_point(f, point, chart_names):
         coords = tuple(Fraction(c) for c in point)
     chart_names = tuple(chart_names)
     if len(coords) != len(chart_names):
-        raise ValueError("coordinate count does not match chart variables")
+        raise InputError("coordinate count does not match chart variables")
     if not f.is_homogeneous(chart_names):
-        raise ValueError("polynomial is not homogeneous in the chart variables")
+        raise InputError("polynomial is not homogeneous in the chart variables")
     try:
         pivot = next(i for i, c in enumerate(coords) if c == 1)
     except StopIteration:
-        raise ValueError("point needs a coordinate equal to 1") from None
+        raise InputError("point needs a coordinate equal to 1") from None
     ring = f.ring
     assignment = {}
     for i, (name, c) in enumerate(zip(chart_names, coords)):

@@ -4,9 +4,21 @@ The human rendering carries timings and witnesses for reading; the
 machine rendering is a flat, lexicographically sorted ``key = value``
 document that is byte-identical across runs with the same inputs and
 mode, so it deliberately omits timings.
+
+Two exception bases live here so that every module can raise them
+without importing the runner.  An :class:`InputError` says that a value
+from a scenario or the command line is malformed: the runner reports it
+under the check's kind and line and exits 2.  A :class:`CheckFailure`
+says that well-formed data fails the mathematics: the check becomes a
+failing step and the run goes on.  Any other exception is a bug.
 """
 
 from __future__ import annotations
+
+
+class InputError(ValueError):
+    """A malformed value from a scenario or the command line, such as a
+    form that is not homogeneous or a degree below zero."""
 
 
 class CheckFailure(Exception):

@@ -7,13 +7,16 @@ lazily and caches it, so a scenario pays only for what its checks use.
 
 Each check kind declares its attributes once, in :func:`_register`: a
 reader per attribute, and a default for an optional one.  Input problems
-(unknown check kinds, attributes outside the kind's table, missing or
-malformed attributes, references to undeclared objects, a ``prime`` that
-is not a usable prime) raise :class:`UnknownCheck` or
-:class:`CheckConfigError` and abort the run; mathematical failures
-inside a check become failing step results and the run continues.
-:func:`run_check` runs one check; the command line's ring queries use it
-on a synthesized check without a line.
+abort the run: an unknown kind raises :class:`UnknownCheck`, and an
+attribute outside the kind's table, missing or unreadable raises
+:class:`CheckConfigError`.  Every other input rule is checked once, where
+the value is used: the library and the context's builders raise
+:class:`~chowcheck.report.InputError` (a form that is not homogeneous, a
+prime or coordinate they cannot take, an undeclared curve), and
+:func:`run_check` alone turns it into a CheckConfigError under the
+check's kind and line.  Mathematical failures become failing steps and
+the run continues; any other exception is a bug.  The command line's
+ring queries run a synthesized check without a line.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import jacobian, modrank
 from .poly import (PolyParseError, PolyRing, ProjectivePoint,
                    check_parametrization, multiplicity_at_point, parse_poly,
                    substitute)
-from .report import CheckFailure, Report, StepResult
+from .report import CheckFailure, InputError, Report, StepResult
 from .scenario import ScenarioFile
 
 # characters, curves and pencil are imported by the checks that use them,
@@ -41,11 +44,6 @@ class UnknownCheck(ValueError):
 
 class CheckConfigError(ValueError):
     """A check's attributes are missing, malformed, or dangling."""
-
-
-class _Undeclared(CheckConfigError):
-    """A check names a curve or point the scenario does not declare;
-    ``run_check`` reports it under the check's kind and line."""
 
 
 class ScenarioContext:
@@ -63,7 +61,7 @@ class ScenarioContext:
     def ring(self):
         def build():
             if self.scn.ring is None:
-                raise CheckConfigError("this check needs a [ring] section")
+                raise InputError("this check needs a [ring] section")
             return PolyRing.rationals(tuple(self.scn.ring["variables"]))
         return self._get("ring", build)
 
@@ -73,7 +71,7 @@ class ScenarioContext:
             try:
                 return parse_poly(self.scn.ring["poly"], ring)
             except PolyParseError as exc:
-                raise CheckConfigError(f"bad [ring] poly: {exc}") from None
+                raise InputError(f"bad [ring] poly: {exc}") from None
         return self._get("ring_poly", build)
 
     def automorphism(self):
@@ -81,7 +79,7 @@ class ScenarioContext:
         and exponent count."""
         def build():
             if self.scn.automorphism is None:
-                raise CheckConfigError("this check needs an [automorphism] section")
+                raise InputError("this check needs an [automorphism] section")
             from . import characters
             return characters.DiagonalAutomorphism(
                 self.scn.automorphism["exponents"],
@@ -90,21 +88,15 @@ class ScenarioContext:
 
     def hypersurface(self):
         """Graded quotient ring of the [ring] poly."""
-        def build():
-            f = self.ring_poly()
-            try:
-                return jacobian.HypersurfaceRing(f)
-            except ValueError as exc:
-                # the constructor raises only for a form it cannot take
-                raise CheckConfigError(f"bad [ring] poly: {exc}") from None
-        return self._get("hring", build)
+        return self._get("hring",
+                         lambda: jacobian.HypersurfaceRing(self.ring_poly()))
 
     def curve_decl(self, label):
         decl = self.scn.curves.get(label)
         if decl is None:
-            raise _Undeclared(f"curve {label!r} is not declared")
+            raise InputError(f"curve {label!r} is not declared")
         if len(decl.plane) != 3:
-            raise CheckConfigError(
+            raise InputError(
                 f"curve {label!r}: a plane needs exactly three coordinates, "
                 f"got {' '.join(decl.plane)}")
         return decl
@@ -116,15 +108,15 @@ class ScenarioContext:
             try:
                 f = parse_poly(decl.poly, ring)
             except PolyParseError as exc:
-                raise CheckConfigError(
+                raise InputError(
                     f"bad poly for curve {label!r}: {exc}") from None
             missing = [v for v in decl.plane if v not in ring.index]
             if missing:
-                raise CheckConfigError(
+                raise InputError(
                     f"curve {label!r}: plane coordinates {missing} are not "
                     "among its variables")
             if not f.is_homogeneous(decl.plane):
-                raise CheckConfigError(
+                raise InputError(
                     f"bad poly for curve {label!r}: not homogeneous in the "
                     f"plane coordinates {' '.join(decl.plane)}")
             return f
@@ -141,7 +133,7 @@ class ScenarioContext:
     def curve_point(self, curve_label, point_label):
         decl = self.curve_decl(curve_label)
         if point_label not in decl.points:
-            raise _Undeclared(
+            raise InputError(
                 f"point {point_label!r} is not declared on curve {curve_label!r}")
         return ProjectivePoint(decl.points[point_label]).coords
 
@@ -160,7 +152,7 @@ def _build_pencil(overrides):
         try:
             return parse_poly(overrides[key], ring)
         except PolyParseError as exc:
-            raise CheckConfigError(f"bad [pencil] {key}: {exc}") from None
+            raise InputError(f"bad [pencil] {key}: {exc}") from None
 
     lines = list(base.lines)
     rebuilt = False
@@ -174,9 +166,6 @@ def _build_pencil(overrides):
               if "strict_transform" in overrides else base.strict_transform)
     declared = (parse_in("declared_quadratic", blow)
                 if "declared_quadratic" in overrides else base.declared_quadratic)
-    if declared.total_degree(("lam",)) > 1:
-        raise CheckConfigError("bad [pencil] declared_quadratic: it must be "
-                               "linear in lam")
     closed = list(base.closed_form)
     if "closed_form_num" in overrides:
         closed[0] = parse_in("closed_form_num", blow)
@@ -481,11 +470,8 @@ def _check_left_kernel(ctx, spec, a, b, prime, expect_rank=None):
     ``no_left_kernel`` may declare ``expect_rank``, which must then match
     the rank of the surjectivity half.
     """
-    hring = ctx.hypersurface()
-    if a + b > hring.socle_degree:
-        raise _bad(spec, f"a + b = {a + b} is above the socle degree "
-                         f"{hring.socle_degree}")
-    result = jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+    result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
+                                              prime=prime)
     surj = result.surjectivity
     values = {
         "empty": result.empty,
@@ -564,14 +550,11 @@ def _check_smooth(ctx, spec, mode, prime):
                  "nonzero piece above the socle", values)
 
 
-def _section_cycle(ctx, spec, curve_label, line_var, at=None):
+def _section_cycle(ctx, curve_label, line_var, at=None):
     """Intersection cycle of a coordinate line, as name -> multiplicity."""
     from . import curves
     decl = ctx.curve_decl(curve_label)
     f = ctx.curve_poly(curve_label)
-    if line_var not in decl.plane:
-        raise _bad(spec, f"{line_var!r} is not a plane coordinate of curve "
-                         f"{curve_label!r}")
     if at:
         f = substitute(f, at, f.ring)
     return curves.section_cycle(f, line_var, decl.plane,
@@ -585,14 +568,17 @@ def _cycle_text(named):
 @_register("intersection", curve=_text, line=_text, expect=_cycle,
            sample_t=(_rational, None))
 def _check_intersection(ctx, spec, curve, line, expect, sample_t):
-    if sample_t is not None:
-        _curve_variable(ctx, spec, curve, "t", "sample_t")
-    named = _section_cycle(ctx, spec, curve, line)
+    # the sample runs only when the symbolic cycle agrees, so refuse a
+    # curve without t up front
+    if sample_t is not None and "t" not in ctx.curve_poly(curve).ring.index:
+        raise _bad(spec, "sample_t names 't', which is not a variable of "
+                         f"curve {curve!r}")
+    named = _section_cycle(ctx, curve, line)
     mode = "symbolic"
     details = [f"section by {line} = 0: {_cycle_text(named)}"]
     agree = named == expect
     if agree and sample_t is not None:
-        sampled = _section_cycle(ctx, spec, curve, line, at={"t": sample_t})
+        sampled = _section_cycle(ctx, curve, line, at={"t": sample_t})
         mode = f"symbolic+sampled(t={sample_t})"
         if sampled == expect:
             details.append(f"sample at t = {sample_t} gives the same cycle")
@@ -616,10 +602,6 @@ def _order_for(ctx, spec, curve, lines, pair):
         raise _bad(spec, "pair needs two labels")
     for label in pair:
         ctx.curve_point(curve, label)  # refuses an undeclared label
-    for v in line_vars:
-        if v not in decl.plane:
-            raise _bad(spec, f"{v!r} is not a plane coordinate of curve "
-                             f"{curve!r}")
     lattice = curves.hyperplane_relations(
         ctx.curve_poly(curve), line_vars, decl.plane,
         labels=ctx.curve_labels(curve))
@@ -681,22 +663,12 @@ def _check_combined_order(ctx, spec, expect, curve1, lines1, pair1, curve2,
                  values)
 
 
-def _curve_variable(ctx, spec, curve, name, what):
-    """Refuse the attribute ``what`` when the variable ``name`` it names
-    is not one of the curve's."""
-    if name not in ctx.curve_poly(curve).ring.index:
-        raise _bad(spec, f"{what} names {name!r}, which is not a variable of "
-                         f"curve {curve!r}")
-
-
 @_register("multiplicity", curve=_text, point=_text, expect=_integer,
            at=(_assignment, None))
 def _check_multiplicity(ctx, spec, curve, point, expect, at):
     decl = ctx.curve_decl(curve)
     f = ctx.curve_poly(curve)
     if at:
-        for name in at:
-            _curve_variable(ctx, spec, curve, name, "at=")
         f = substitute(f, at, f.ring)
     coords = ctx.curve_point(curve, point)
     mult = multiplicity_at_point(f, coords, decl.plane)
@@ -727,13 +699,11 @@ def _check_parametrization(ctx, spec, curve, params, assign, at):
         name = name.strip()
         if not sep or not name:
             raise _bad(spec, f"assign pieces look like var=expr, got {piece!r}")
-        _curve_variable(ctx, spec, curve, name, "assign")
         try:
             assignment[name] = parse_poly(expr.strip(), target)
         except PolyParseError as exc:
             raise _bad(spec, f"bad assign expr for {name!r}: {exc}") from None
     for name, value in (at or {}).items():
-        _curve_variable(ctx, spec, curve, name, "at=")
         assignment.setdefault(name, target.constant(value))
     for name in f.ring.names:
         if name not in assignment:
@@ -752,10 +722,6 @@ def _check_parametrization(ctx, spec, curve, params, assign, at):
 def _check_picard_bound(ctx, spec, expect):
     from . import characters
     hring = ctx.hypersurface()
-    if hring.nvars != 4 or hring.degree < 4:
-        raise _bad(spec, "the bound needs a surface of degree at least 4 in "
-                         f"P^3, got degree {hring.degree} in {hring.nvars} "
-                         "variables")
     result = characters.picard_upper_bound(hring, ctx.automorphism())
     values = {
         "bound": result.bound,
@@ -786,9 +752,8 @@ def run_check(ctx, spec):
     """Run one check, timed.
 
     A mathematical failure becomes a failing step that carries the error
-    as its witness; a ``prime`` that is not usable, or a curve or point
-    that is not declared, is a configuration error under the check's kind
-    and line.
+    as its witness; an InputError is a configuration error under the
+    check's kind and line.
     """
     start = time.perf_counter()
     try:
@@ -797,7 +762,7 @@ def run_check(ctx, spec):
         step = _step(spec, f"{spec.kind}{_line(spec)}", False,
                      [f"{type(exc).__name__}: {exc}"],
                      str(exc) or type(exc).__name__)
-    except (modrank.BadPrime, _Undeclared) as exc:
+    except InputError as exc:
         raise _bad(spec, str(exc)) from None
     step.duration = time.perf_counter() - start
     return step

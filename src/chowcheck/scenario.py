@@ -14,9 +14,10 @@ Sections: ``scenario`` (name), ``ring`` (variables, poly),
 (overrides for the built-in quartic pencil), ``checks``.
 
 Parsing is strict: unknown sections, unknown keys, malformed values, a
-variable named twice, an ``[automorphism]`` whose modulus is not
-positive or whose exponents do not match the ``[ring]`` variables, and
-missing citations all raise :class:`ParseError` carrying line and
+variable named twice, a ``[ring]`` or ``[automorphism]`` without all its
+keys (an empty header included), an ``[automorphism]`` whose modulus is
+not positive or whose exponents do not match the ``[ring]`` variables,
+and missing citations all raise :class:`ParseError` carrying line and
 column, so a bad input file is distinguishable from a failed check.  A
 check line's attributes are kept as text; the runner checks them against
 the kind's attribute table.
@@ -90,6 +91,8 @@ _SECTION_KEYS = {
                "declared_quadratic", "closed_form_num", "closed_form_den"},
     "checks": set(),
 }
+# sections stored as a dict of their keys, None when the file has none
+_KEYED = ("ring", "automorphism", "cycle")
 
 
 def parse_scenario(text):
@@ -103,6 +106,8 @@ def parse_scenario(text):
             continue
         if line.startswith("["):
             section, curve = _parse_header(scn, line, lineno)
+            if section in _KEYED and getattr(scn, section) is None:
+                setattr(scn, section, {})  # present, if empty, from here on
             header = f"[curve {curve.label}]" if curve else f"[{section}]"
             lines[header] = lineno
             continue
@@ -168,19 +173,13 @@ def _store(scn, section, curve, key, value, lineno):
     if section == "scenario":
         scn.name = value
     elif section == "ring":
-        if scn.ring is None:
-            scn.ring = {}
         scn.ring[key] = _names(value, lineno) if key == "variables" else value
     elif section == "automorphism":
-        if scn.automorphism is None:
-            scn.automorphism = {}
         if key == "modulus":
             scn.automorphism[key] = _int(value, lineno)
         else:
             scn.automorphism[key] = [_int(tok, lineno) for tok in value.split()]
     elif section == "cycle":
-        if scn.cycle is None:
-            scn.cycle = {}
         scn.cycle[key] = [_int(tok, lineno) for tok in value.split()]
     elif section == "curve":
         if key == "point":

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
+from chowcheck.report import InputError
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
@@ -111,11 +112,11 @@ def test_smoothness(fermat_quartic):
 
 
 def test_ring_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         jacobian.HypersurfaceRing(parse_poly("x0^2 + x1", P3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         jacobian.HypersurfaceRing(parse_poly("x0", P3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         jacobian.HypersurfaceRing(parse_poly("0", P3))
 
 
@@ -126,6 +127,26 @@ def test_uniform_bound(fermat_quartic, mixed_quartic, quintic_sym):
         assert result.per_variable == [13, 13, 13, 13]
     with pytest.raises(jacobian.IdealNotMonomial):
         jacobian.uniform_mult_rank_bound(quintic_sym, 3)
+
+
+def test_degrees_above_the_socle_list_no_monomials(mixed_quartic, monkeypatch):
+    # the ring is proven smooth, so R vanishes above sigma = 8 and a degree
+    # far above it is answered without listing its monomials
+    listed = []
+    enumerate_all = jacobian.enumerate_monomials
+
+    def recording(nvars, degree):
+        listed.append(degree)
+        return enumerate_all(nvars, degree)
+
+    monkeypatch.setattr(jacobian, "enumerate_monomials", recording)
+    g = parse_poly("x0^2*x1^2", mixed_quartic.ring)
+    for b in (8, 9, 60):
+        bound = jacobian.uniform_mult_rank_bound(mixed_quartic, b)
+        assert (bound.bound, bound.per_variable) == (0, [0, 0, 0, 0])
+        result = jacobian.functional_kernel_map(mixed_quartic, g, b)
+        assert (result.rank, result.target_dim, result.subspace_dim) == (0, 0, 18)
+    assert max(listed, default=0) <= mixed_quartic.socle_degree + 1
 
 
 def test_socle_pairing(fermat_quartic):

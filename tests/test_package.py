@@ -7,6 +7,7 @@ checks that use them.  Eager imports used to fix one import order for
 every process; these tests make sure no order is needed.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -46,3 +47,17 @@ def test_each_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", f"import chowcheck.{module}"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_report_imports_no_other_chowcheck_module():
+    # every module imports report for InputError and CheckFailure, so an
+    # import of any chowcheck module from report would close a cycle
+    tree = ast.parse(Path(chowcheck.__file__).with_name("report.py")
+                     .read_text(encoding="utf-8"))
+    imported = [node.module or "." for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("chowcheck"))]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name.startswith("chowcheck")]
+    assert imported == []

@@ -153,9 +153,12 @@ def test_validation_rules():
     assert "needs plane and poly" in str(_parse_error(
         "[scenario]\nname = x\n[curve Z]\nplane = x0 x1\n"
         "[checks]\ncheck x cite=c\n"))
-    # an incomplete section names its header's line, a bad point its own
+    # an incomplete section names its header's line, a bad point its own;
+    # an empty header is a section without keys
     head = "[scenario]\nname = x\n[checks]\ncheck x cite=c\n"
     for tail, line in (("[ring]\nvariables = x0\n", 5),
+                       ("[ring]\n[cycle]\ntau = 1\n", 5),
+                       ("[automorphism]\n[cycle]\ntau = 1\n", 5),
                        ("[automorphism]\n\nexponents = 1\n", 5),
                        ("[curve A]\nplane = x0 x1 x2\npoly = x0\n"
                         "[curve Z]\nplane = x0 x1 x2\n", 8),
@@ -672,13 +675,15 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
 @pytest.mark.parametrize("sections, check, message", [
     ("[ring]\nvariables = x0 x1\npoly = x0^3 + x1^2\n",
      'check hilbert expect="1" cite=c',
-     "bad [ring] poly: defining form must be homogeneous and nonzero"),
+     "check 'hilbert' (line 7): defining form must be homogeneous and "
+     "nonzero"),
     ("[ring]\nvariables = x0 x1\npoly = x0 + x1\n",
      'check hilbert expect="1" cite=c',
-     "bad [ring] poly: defining form must have degree at least 2"),
+     "check 'hilbert' (line 7): defining form must have degree at least 2"),
     ("[pencil]\ndeclared_quadratic = lam^2*t\n",
      "check pencil_hyperelliptic cite=c",
-     "bad [pencil] declared_quadratic: it must be linear in lam"),
+     "check 'pencil_hyperelliptic' (line 6): declared quadratic must be "
+     "linear in lam"),
     (FERMAT_RING + "[automorphism]\nmodulus = 0\nexponents = 1 0 0 0\n",
      'check picard_bound cite=c',
      "line 7, column 1: bad [automorphism]: modulus must be a positive "
@@ -689,10 +694,12 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
      "integer"),
     ("[curve Z]\nplane = x0 x1 x2\npoly = x0^2 + x1\n",
      'check intersection curve=Z line=x2 expect="P:1" cite=c',
-     "bad poly for curve 'Z': not homogeneous in the plane coordinates x0 x1 x2"),
+     "check 'intersection' (line 7): bad poly for curve 'Z': not "
+     "homogeneous in the plane coordinates x0 x1 x2"),
     ("[curve Z]\nplane = x0 x1 x2\nvariables = x0 x1 t\npoly = x0 + x1\n",
      'check intersection curve=Z line=x2 expect="P:1" cite=c',
-     "curve 'Z': plane coordinates ['x2'] are not among its variables"),
+     "check 'intersection' (line 8): curve 'Z': plane coordinates ['x2'] "
+     "are not among its variables"),
     (FERMAT_RING + "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
      'check picard_bound cite=c',
      "line 8, column 1: [automorphism] has 3 exponents, [ring] has 4 "
@@ -703,13 +710,15 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
      "variables"),
     ("[curve Z]\nplane = x0 x1\npoly = x0^2 + x1^2\n",
      'check intersection curve=Z line=x1 expect="P:1" cite=c',
-     "curve 'Z': a plane needs exactly three coordinates, got x0 x1"),
+     "check 'intersection' (line 7): curve 'Z': a plane needs exactly three "
+     "coordinates, got x0 x1"),
     (FERMAT_RING, 'check green_gotzmann g="x0^2*x1^2 + x0" b=3 expect_rank=4 '
                   'cite=c',
      "check 'green_gotzmann' (line 7): bad g: not a nonzero homogeneous form"),
-    ("", 'check hilbert expect="1" cite=c', "this check needs a [ring] section"),
+    ("", 'check hilbert expect="1" cite=c',
+     "check 'hilbert' (line 4): this check needs a [ring] section"),
     ("[ring]\n", 'check hilbert expect="1" cite=c',
-     "this check needs a [ring] section"),
+     "line 3, column 1: [ring] needs both variables and poly"),
     ("[ring]\nvariables = x0 x1 x2\npoly = x0^4 + x1^4 + x2^4\n"
      "[automorphism]\nmodulus = 4\nexponents = 1 0 0\n",
      "check picard_bound cite=c",
@@ -720,13 +729,28 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
      "check picard_bound cite=c",
      "check 'picard_bound' (line 10): the bound needs a surface of degree at "
      "least 4 in P^3, got degree 3 in 4 variables"),
+    ("[pencil]\nclosed_form_den = 0\n", "check pencil_degenerations cite=c",
+     "check 'pencil_degenerations' (line 6): closed form has a zero "
+     "denominator"),
+    ("[curve Z]\nplane = x y z\npoly = x^2 + y^2 - z^2\npoint = P 1 0 1\n",
+     'check multiplicity curve=Z point=P at="x=1" expect=1 cite=c',
+     "check 'multiplicity' (line 8): polynomial is not homogeneous in the "
+     "chart variables"),
+    ("[pencil]\nline0 = x1^2\n", "check pencil_factorization cite=c",
+     "check 'pencil_factorization' (line 6): lines must be linear forms"),
+    ("[pencil]\nline0 = 0\n", "check pencil_factorization cite=c",
+     "check 'pencil_factorization' (line 6): lines must be linear forms"),
+    ("[pencil]\nclosed_form_num = lam*t\n", "check pencil_degenerations cite=c",
+     "check 'pencil_degenerations' (line 6): polynomial involves 'lam'"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "automorphism-zero-modulus-hilbert",
         "curve-not-homogeneous", "curve-plane-not-in-variables",
         "automorphism-exponent-count", "automorphism-exponent-count-tau",
         "curve-plane-of-two-coordinates", "green-gotzmann-g-not-homogeneous",
         "no-ring-section", "empty-ring-header", "picard-three-variables",
-        "picard-cubic"])
+        "picard-cubic", "pencil-zero-denominator",
+        "multiplicity-at-plane-coordinate", "pencil-line-quadratic",
+        "pencil-line-zero", "pencil-closed-form-in-lam"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -821,11 +845,11 @@ def test_large_coefficient_curve_section_ends(tmp_path, n):
     ("shioda", 'point=P at="t=0"', 'point=P at="t=1/0"',
      "check 'multiplicity' (line 44): bad value in 't=1/0'"),
     ("shioda", 'point=P at="t=0"', 'point=P at="s=0"',
-     "check 'multiplicity' (line 44): at= names 's', which is not a "
-     "variable of curve 'Z2'"),
+     "check 'multiplicity' (line 44): 's' is not a variable of the source "
+     "ring"),
     ("shioda", 'assign="x1 = ', 'assign="s = t0; x1 = ',
-     "check 'parametrization' (line 45): assign names 's', which is not a "
-     "variable of curve 'Z2'"),
+     "check 'parametrization' (line 45): 's' is not a variable of the "
+     "source ring"),
     ("shioda", 'expect="P:1 R:4" cite', 'expect="P:1 R:4" sample_t=2 cite',
      "check 'intersection' (line 39): sample_t names 't', which is not a "
      "variable of curve 'Z1'"),
@@ -862,8 +886,7 @@ def test_large_coefficient_curve_section_ends(tmp_path, n):
     ("shioda", "curve=Z2 line=x3", "curve=x line=x3",
      "check 'intersection' (line 37): curve 'x' is not declared"),
     ("shioda", "curve=Z2 line=x3", "curve=Z2 line=x9",
-     "check 'intersection' (line 37): 'x9' is not a plane coordinate of "
-     "curve 'Z2'"),
+     "check 'intersection' (line 37): 'x9' is not a plane coordinate"),
     ("shioda", 'point=P at="t=0"', 'point=Z at="t=0"',
      "check 'multiplicity' (line 44): point 'Z' is not declared on "
      "curve 'Z2'"),
