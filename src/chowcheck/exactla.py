@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals and the integers.
 
-Modular ranks over a prime field are cheap one-sided certificates: the
-rank mod p never exceeds the rational rank, so a modular rank that meets
-the a-priori maximum pins the exact value.
+A rational matrix enters GF(p) once: ``integer_rows`` scales each row
+by the lcm of its denominators to an integer dict row, and those rows go
+to every elimination.  Modular ranks of integer matrices are cheap
+one-sided certificates (``modular_rank``): the rank mod any prime never
+exceeds the rational rank, so a modular rank that meets the a-priori
+maximum pins the exact value.
 
 Every exact rank, kernel and graded piece comes from one verified lift,
 ``lift_kernel``: the reduced echelon form mod p (``modrank.echelon_mod``)
@@ -24,7 +27,6 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 
 from . import modrank
-from .modrank import BadPrime
 
 
 class RankCertificate:
@@ -49,24 +51,35 @@ class RankCertificate:
                 f"upper_bound={self.upper_bound}, certified={self.certified})")
 
 
-def _integer_row(row):
-    """(d, d * row) for d the lcm of the denominators; d is 1 for int rows."""
-    if all(type(x) is int for x in row):
-        return 1, row
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
+def _width(rows):
+    """Columns of the dict rows ``rows``: 1 + the largest column index."""
+    return 1 + max((max(row) for row in rows if row), default=-1)
 
 
-def _integer_rows(matrix):
-    """Each row scaled by its common denominator, as an integer dict row
-    ``{column: entry}`` without zeros, and the number of columns; the
-    scaling changes neither the rank nor the kernel."""
+def integer_rows(matrix):
+    """(rows, ncols): each row of the rational ``matrix`` scaled by the
+    lcm of its denominators, as an integer dict row ``{column: entry}``
+    without zeros, and the number of columns.
+
+    Rows of plain ``int`` entries are not scaled, and a list of integer
+    dict rows is passed through unchanged, its columns read as
+    ``_width``.  Scaling a row by a nonzero integer changes neither the
+    rank nor the kernel over Q.
+    """
+    if isinstance(matrix, list) and matrix and all(
+            isinstance(row, dict) for row in matrix):
+        return matrix, _width(matrix)
     rows = [list(row) for row in matrix]
     dict_rows = []
     for row in rows:
         row = {j: row[j] for j in compress(range(len(row)), row)}
-        dict_rows.append(dict(zip(row, _integer_row(list(row.values()))[1])))
+        if not all(type(x) is int for x in row.values()):
+            row = {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                   for j, x in row.items()}
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (den // x.denominator)
+                   for j, x in row.items()}
+        dict_rows.append(row)
     return dict_rows, len(rows[0]) if rows else 0
 
 
@@ -112,17 +125,15 @@ def lift_kernel(rows, ncols, gfp):
         return list(range(ncols)), {j: {j: 1} for j in range(ncols)}
     best = None
     for p in _lift_primes():
-        rank, rref, pivots = modrank.echelon_mod(gfp(p), p)
+        pivots, reduced = modrank.echelon_mod(gfp(p), p)
+        rank = len(pivots)
         if rank == ncols:
             return [], {}
         key = (-rank, pivots)
         if best is not None and key > best:
             continue
         free = sorted(set(range(ncols)) - set(pivots))
-        if isinstance(rref, list):
-            images = [row.get(t, 0) for row in rref for t in free]
-        else:
-            images = rref[:, free].ravel().tolist()
+        images = [row.get(t, 0) for row in reduced for t in free]
         if key != best:
             best, modulus, residues = key, p, images
         else:
@@ -166,7 +177,7 @@ def rank(matrix):
     echelon form); short of it the rank is that of the lifted kernel
     (``lift_kernel``), which is proven exactly.
     """
-    rows, ncols = _integer_rows(matrix)
+    rows, ncols = integer_rows(matrix)
     if not rows or not ncols:
         return 0
     full = min(len(rows), ncols)
@@ -186,41 +197,28 @@ def kernel_basis(matrix):
     others ``Fraction``.  Satisfies
     ``len(kernel_basis(M)) == ncols - rank(M)``.
     """
-    rows, ncols = _integer_rows(matrix)
+    rows, ncols = integer_rows(matrix)
     free, forms = lift_kernel(rows, ncols, lambda p: rows)
     return [[forms[j].get(t, 0) for j in range(ncols)] for t in free]
 
 
 def modular_rank(matrix, prime=modrank.DEFAULT_PRIME, upper_bound=None):
-    """Rank of the matrix reduced mod ``prime``, with certificate.
+    """Rank of an integer matrix mod ``prime``, with certificate.
 
-    An int64 array and sparse dict rows ``{column: entry}`` have no
-    denominators and go to the elimination kernels as they are, as do
-    rows of plain integers; the kernels reduce them mod ``prime`` once.
-    A row with rational entries is scaled by the lcm of its denominators,
-    a unit mod ``prime``, so the modular rank is the same as for the
-    rational row.
+    ``matrix`` is a list of integer dict rows ``{column: entry}`` or an
+    int64 array, as ``modrank.rank_mod`` takes it; a rational matrix is
+    scaled first (``integer_rows``).  The rank mod ``prime`` of an
+    integer matrix never exceeds its rank over Q, whatever the prime, so
+    a rank that meets ``upper_bound`` (by default min(rows, cols), the
+    columns of dict rows read as ``_width``) certifies that rank.
 
     Raises BadPrime if ``prime`` is not a prime in the range supported by
-    the elimination kernels, or if it divides the denominator of any entry.
+    the elimination kernels.
     """
-    modrank.require_prime(prime)
-    sparse = modrank.is_sparse(matrix)
-    if sparse or getattr(matrix, "dtype", None) == "int64":
-        red = matrix
-    else:
-        red = []
-        for row in matrix:
-            den, row = _integer_row(row)
-            if den % prime == 0:
-                raise BadPrime(f"prime {prime} divides a denominator")
-            red.append(row)
-    r = modrank.rank_mod(red, prime)
+    r = modrank.rank_mod(matrix, prime)
     if upper_bound is None:
-        # for dict rows, 1 + the largest column index bounds the rank
-        ncols = (1 + max((max(row) for row in red if row), default=-1)
-                 if sparse else len(red[0]) if len(red) else 0)
-        upper_bound = min(len(red), ncols)
+        upper_bound = (min(len(matrix), _width(matrix))
+                       if isinstance(matrix, list) else min(matrix.shape))
     return RankCertificate(prime, r, upper_bound)
 
 

@@ -61,8 +61,10 @@ R_a (x) R_b -> R_(a+b) is onto; a smooth R is a complete intersection,
 hence Gorenstein, so the socle pairing R_a x R_(sigma-a) -> R_sigma is
 perfect (Macaulay; Carlson & Griffiths 1980).  Both ranks are then
 coefficients of the closed form.  Any other ring builds both matrices
-from exact pieces, so a failing verdict is exact.  Their exact ranks
-(``exactla.rank``) come from the same lift.
+from exact pieces and scales each to integer dict rows once
+(``_rank``): a rank of theirs mod the step's prime that reaches its
+bound is the rank over Q, and any other rank is exact (``exactla.rank``,
+from the same lift), so a failing verdict is exact.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
@@ -577,19 +579,18 @@ def _mode(prime):
 def _rank(matrix, full, prime):
     """(rank, mode) of a rational matrix whose rank is at most ``full``.
 
-    A rank mod ``prime`` that reaches ``full`` proves that rank over Q; a
-    prime that divides a denominator proves nothing.  Short of a proof
-    the matrix is ranked exactly (``exactla.rank``).  A non-prime
-    ``prime`` raises BadPrime.
+    The matrix is scaled to integer dict rows once
+    (``exactla.integer_rows``).  Their rank mod ``prime`` never exceeds
+    their rank over Q, which is the matrix's, so a rank mod ``prime``
+    that reaches ``full`` proves it, whichever denominators ``prime``
+    divides.  Short of a proof the same rows are ranked exactly
+    (``exactla.rank``).  A non-prime ``prime`` raises BadPrime.
     """
-    if prime is not None:
-        modrank.require_prime(prime)
-        try:
-            if exactla.modular_rank(matrix, prime, upper_bound=full).certified:
-                return full, _mode(prime)
-        except modrank.BadPrime:
-            pass
-    return exactla.rank(matrix), "exact"
+    rows, _ = exactla.integer_rows(matrix)
+    if (prime is not None and
+            exactla.modular_rank(rows, prime, upper_bound=full).certified):
+        return full, _mode(prime)
+    return exactla.rank(rows), "exact"
 
 
 def _check_step(prime, *degrees):
@@ -903,27 +904,33 @@ def uniform_mult_rank_bound(hring, b):
     monomial of L * m is x_i * m, and distinct m give distinct leading
     monomials that survive reduction by the monomial ideal.  Hence
     rank(mult by L) >= #{m standard : x_i * m standard}, and the minimum
-    over i bounds every L at once.  On a ring proven smooth no monomial
-    above sigma is standard, so from b = sigma on every count is zero and
-    no monomial of degree b is listed.
+    over i bounds every L at once.  x_i * m is standard, and then so is
+    m, exactly when no g / gcd(g, x_i) divides m, g a generator, so each
+    count is taken over the at most n generators (``_count_avoiding``),
+    without listing the monomials of degree b.
     """
     if not hring.is_monomial_ideal:
         raise IdealNotMonomial("uniform bound requires a monomial Jacobian ideal")
-    if b >= hring.socle_degree and hring.smoothness_certificate().certified:
-        return UniformBoundResult(0, b, [0] * hring.nvars)
     gens = hring.monomial_generators()
-    std = [m for m in enumerate_monomials(hring.nvars, b)
-           if not any(monomial_divides(g, m) for g in gens)]
-    per_variable = []
-    for i in range(hring.nvars):
-        count = 0
-        for m in std:
-            shifted = list(m)
-            shifted[i] += 1
-            if not any(monomial_divides(g, tuple(shifted)) for g in gens):
-                count += 1
-        per_variable.append(count)
+    per_variable = [
+        _count_avoiding([g[:i] + (max(g[i] - 1, 0),) + g[i + 1:]
+                         for g in gens], hring.nvars, b)
+        for i in range(hring.nvars)]
     return UniformBoundResult(min(per_variable), b, per_variable)
+
+
+def _count_avoiding(gens, nvars, b):
+    """Number of degree-b monomials in ``nvars`` variables that no
+    exponent tuple of ``gens`` divides, by inclusion and exclusion: the
+    degree-b multiples of the lcm of a subset S of ``gens`` number
+    comb(b - deg lcm + nvars - 1, nvars - 1), counted with sign (-1)^|S|."""
+    total = 0
+    for subset in range(1 << len(gens)):
+        chosen = [g for j, g in enumerate(gens) if subset >> j & 1]
+        rest = b - sum(max(e) for e in zip((0,) * nvars, *chosen))
+        if rest >= 0:
+            total += (-1) ** len(chosen) * comb(rest + nvars - 1, nvars - 1)
+    return total
 
 
 class FunctionalMapResult:
@@ -948,7 +955,8 @@ def functional_kernel_map(hring, g, b=None):
     the kernel of the linear functional that pairs against g; it contains
     the ideal slice by construction, so W presents a subspace of R_a of
     codimension one whenever the class of g is nonzero.  On a ring proven
-    smooth the target is zero above sigma, and no map is built.
+    smooth the target is zero above sigma, and no map is built; R_a is
+    zero too when a > sigma, and no piece of degree a is built.
     """
     a = g.total_degree()
     if b is None:
@@ -957,6 +965,8 @@ def functional_kernel_map(hring, g, b=None):
     top = hring.piece(sigma)
     if top.dim != 1:
         raise SocleNotOneDimensional(f"dim R_{sigma} = {top.dim}, expected 1")
+    if a > sigma and hring.smoothness_certificate().certified:
+        return FunctionalMapResult(0, 0, 0, False)
     pa = hring.piece(a)
     # h * g has a socle coordinate only when it lies in the socle degree
     functional = [top.reduce_vector({monomial_mul(u, e): c

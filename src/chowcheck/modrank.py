@@ -4,10 +4,11 @@ This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
 ``rank_mod`` is the one rank entry point and ``echelon_mod`` the one
 reduced echelon form, which ``exactla.lift_kernel`` lifts every exact
-rank, kernel and graded piece from; each takes one of two kernels by the
-form of its input.
+rank, kernel and graded piece from.  Both take an integer matrix in one
+of two forms, and the form alone picks the kernel; a rational matrix is
+scaled to integers before it gets here (``exactla.integer_rows``).
 
-Sparse rows, dicts ``{column: entry}``, go to a pure-Python kernel
+A list of dict rows ``{column: entry}`` goes to a pure-Python kernel
 (``_sparse_pivots``) that reduces one row at a time against the pivot
 rows found so far, pivoting on the row's leftmost column; the rank is
 the number of pivot rows, and ``echelon_mod`` back-substitutes them.  On
@@ -15,21 +16,21 @@ a very sparse matrix, such as the Jacobian slice that proves the bundled
 quintic smooth, it does less work than the input has nonzeros and needs
 no numpy.  Fill-in makes it slow on denser rows, so callers keep those
 off it: a Jacobian slice is built as dict rows only below a measured
-density (``jacobian.SPARSE_DENSITY``).
+density (``jacobian.SPARSE_DENSITY``), and as an int64 array otherwise.
 
-An int64 array, or rows of Python integers, goes to the dense kernel
-(``_rank_mod_numpy``): a column-by-column elimination whose row updates
-are vectorised with numpy.  numpy is imported by that kernel and its
-callers alone, so a process that never runs a dense GF(p) elimination
-(a ring with a monomial Jacobian ideal, or a sparse slice) never loads
-it.
+An int64 array goes to the dense kernel (``_rank_mod_numpy``): a
+column-by-column elimination whose row updates are vectorised with
+numpy.  numpy is imported by that kernel and its callers alone, so a
+process that never runs a dense GF(p) elimination (a ring with a
+monomial Jacobian ideal, or a sparse slice) never loads it.  Both
+kernels give ``echelon_mod`` in one form: the pivot columns, and each
+pivot row as a dict over the free columns.
 
-The dense kernel copies an int64 array already in [0, p), reduces any
-other with one numpy ``%``, and rows of Python integers entry by
-entry.  It then delays reduction (as in FFLAS-FFPACK; Dumas, Giorgi &
-Pernet 2008): each step reduces only the nonzero entries of the pivot
-column and the pivot row, and a row update x - f*y stays unreduced
-until its row has taken ``update_budget(p)`` =
+The dense kernel copies an int64 array already in [0, p) and reduces
+any other with one numpy ``%``.  It then delays reduction (as in
+FFLAS-FFPACK; Dumas, Giorgi & Pernet 2008): each step reduces only the
+nonzero entries of the pivot column and the pivot row, and a row update
+x - f*y stays unreduced until its row has taken ``update_budget(p)`` =
 floor((2**63 - 1 - p) / (p - 1)**2) of them.  A row with j unreduced
 updates has every entry in [-j*(p-1)**2, p), so all arithmetic stays
 inside int64; p is capped at MAX_PRIME so that (p-1)**2 < 2**63 and
@@ -236,51 +237,35 @@ def _sparse_pivots(rows, p):
 
 
 def _sparse_echelon(rows, p):
-    """(rank, rref, pivots) of sparse rows, as ``echelon_mod`` gives them.
-
-    Back substitution takes the pivot rows of ``_sparse_pivots`` from the
-    last pivot column to the first.  Rows of later pivot columns are
-    already reduced, holding their leading 1 and free columns only, so
-    subtracting them clears every later pivot column of a row and brings
-    in no other.
+    """``echelon_mod`` of sparse rows: back substitution takes the pivot
+    rows of ``_sparse_pivots`` from the last pivot column to the first,
+    dropping each row's leading 1.  Rows of later pivot columns then hold
+    free columns only, so subtracting them clears a row's later pivot
+    columns and brings in no other.
     """
     pivots = _sparse_pivots(rows, p)
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c]
-        for j in [j for j in row if j != c and j in pivots]:
-            f = row[j]
+        del row[c]
+        for j in [j for j in row if j in pivots]:
+            f = row.pop(j)
             for t, y in pivots[j].items():
                 x = (row.get(t, 0) - f * y) % p
                 if x:
                     row[t] = x
                 else:
                     del row[t]
-    return len(order), [pivots[c] for c in order], order
+    return order, [pivots[c] for c in order]
 
 
-def is_sparse(matrix):
-    """True when ``matrix`` is a nonempty list or tuple of dict rows
-    ``{column: entry}``; a matrix without rows goes to the dense kernel."""
-    return (isinstance(matrix, (list, tuple)) and bool(matrix)
-            and all(isinstance(row, dict) for row in matrix))
-
-
-def _reduced(matrix, p):
-    """A fresh int64 copy of ``matrix`` reduced into [0, p).
-
-    An int64 array already in [0, p), as ``jacobian`` builds its slices,
-    is copied; any other is reduced with one numpy ``%``.  Rows of Python
-    integers are reduced entry by entry.
-    """
-    import numpy as np
-
-    if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
-        if matrix.size and (matrix.min() < 0 or matrix.max() >= p):
-            return matrix % p
-        return matrix.copy()
-    a = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
-    return a.reshape(len(matrix), -1 if a.size else 0)
+def _reduced(a, p):
+    """A fresh copy of the int64 array ``a`` reduced into [0, p): copied
+    when already in range, as ``jacobian`` builds its slices, else
+    reduced with one numpy ``%``."""
+    if a.size and (a.min() < 0 or a.max() >= p):
+        return a % p
+    return a.copy()
 
 
 def rank_mod(matrix, p=DEFAULT_PRIME):
@@ -288,9 +273,10 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
 
     Parameters
     ----------
-    matrix : sequence of dict rows, int64 ndarray, or sequence of rows
-        Dict rows ``{column: entry}`` take the sparse kernel, anything
-        else the dense kernel.  Never modified.
+    matrix : list of dict rows, or int64 ndarray
+        A list of integer dict rows ``{column: entry}`` takes the sparse
+        kernel, and has rank 0 when empty; an int64 array takes the dense
+        kernel.  Never modified.
     p : int
         Prime modulus, at most MAX_PRIME; anything else raises BadPrime.
 
@@ -299,24 +285,23 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
     int
     """
     require_prime(p)
-    if is_sparse(matrix):
+    if isinstance(matrix, list):
         return len(_sparse_pivots(matrix, p))
     a = _reduced(matrix, p)
-    if a.size == 0:
-        return 0
-    return int(_rank_mod_numpy(a, p))
+    return int(_rank_mod_numpy(a, p)) if a.size else 0
 
 
 def echelon_mod(matrix, p=DEFAULT_PRIME):
-    """Reduced row echelon form over GF(p): (rank, rref, pivots).
+    """Reduced row echelon form over GF(p): (pivots, rows).
 
-    ``matrix`` is never modified, and ``p`` must pass ``require_prime``.
-    Row i of ``rref`` has its leading 1 in column ``pivots[i]``, the only
-    nonzero entry of that column, and every entry in [0, p).  Dict rows
-    ``{column: entry}`` take the sparse kernel (``_sparse_echelon``) and
-    give ``rref`` as dict rows without zero entries, without numpy; an
-    int64 array or rows of integers give an int64 array of shape
-    (rank, cols).
+    ``matrix`` is a list of integer dict rows (sparse kernel,
+    ``_sparse_echelon``, without numpy) or an int64 array (dense kernel),
+    as for ``rank_mod``; it is never modified, and ``p`` must pass
+    ``require_prime``.  Both kernels answer in one form: ``pivots`` lists
+    the pivot columns in increasing order, and ``rows[i]`` the row with
+    its leading 1 in column ``pivots[i]`` as a dict over the free
+    columns, without zero entries and with every entry in [0, p).  The
+    rank is ``len(pivots)``.
 
     The dense forward pass is the dense kernel, keeping each pivot row in
     place.  Back substitution then updates the free columns only, once
@@ -325,7 +310,7 @@ def echelon_mod(matrix, p=DEFAULT_PRIME):
     since they are 0 there.  Every update is reduced as it is made.
     """
     require_prime(p)
-    if is_sparse(matrix):
+    if isinstance(matrix, list):
         return _sparse_echelon(matrix, p)
     import numpy as np
 
@@ -333,9 +318,9 @@ def echelon_mod(matrix, p=DEFAULT_PRIME):
     found = []
     if a.size:
         _rank_mod_numpy(a, p, found)
-    rank, cols = len(found), a.shape[1]
+    cols = a.shape[1]
     pivots = [c for c, _ in found]
-    rref = a[:rank]
+    rref = a[:len(pivots)]
     # clear each pivot row up to its pivot, then scale it to a leading 1
     rref[np.arange(cols) <= np.array(pivots).reshape(-1, 1)] = 0
     inverses = [pow(value, p - 2, p) for _, value in found]
@@ -347,7 +332,5 @@ def echelon_mod(matrix, p=DEFAULT_PRIME):
     for i in np.flatnonzero(upper.any(axis=0))[::-1].tolist():
         hit = np.flatnonzero(upper[:i, i])
         x[hit] = (x[hit] - np.multiply.outer(upper[hit, i], x[i])) % p
-    rref[:, free] = x
-    rref[:, pivots] = 0
-    rref[np.arange(rank), pivots] = 1
-    return rank, rref, pivots
+    return pivots, [{t: v for t, v in zip(free, row) if v}
+                    for row in x.tolist()]

@@ -14,12 +14,18 @@ The least multiple of a vector in an integer row lattice was once found
 from two Hermite normal forms, with and without the vector adjoined, as
 the quotient of their pivot products; the package now reads it from one,
 and the two-form route is kept here as its oracle.
+
+The uniform multiplication bound of a monomial Jacobian ideal was once
+counted by listing the standard monomials of degree b
+(``listed_uniform_bound``); the package now counts them by inclusion and
+exclusion over the generators, and the listing is kept here as its
+oracle.
 """
 
 from fractions import Fraction
 
 from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
-from chowcheck.poly import enumerate_monomials
+from chowcheck.poly import enumerate_monomials, monomial_divides
 
 
 def fraction_rref(rows, ncols):
@@ -140,3 +146,17 @@ def two_form_multiple(rows, vec):
         assert c.denominator == 1
         witness = [w + int(c) * u for w, u in zip(witness, urow)]
     return n, witness
+
+
+def listed_uniform_bound(hring, b):
+    """Per-variable counts of the uniform bound by listing: for each i,
+    the standard monomials m of degree b with x_i * m standard."""
+    gens = hring.monomial_generators()
+    std = [m for m in enumerate_monomials(hring.nvars, b)
+           if not any(monomial_divides(g, m) for g in gens)]
+    counts = []
+    for i in range(hring.nvars):
+        shifted = [m[:i] + (m[i] + 1,) + m[i + 1:] for m in std]
+        counts.append(sum(1 for m in shifted
+                          if not any(monomial_divides(g, m) for g in gens)))
+    return counts

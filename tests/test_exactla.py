@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -93,17 +94,23 @@ def test_rank_nullity_random():
         assert exactla.rank(rows) + len(exactla.kernel_basis(rows)) == n
 
 
+def _scaled(rows):
+    return exactla.integer_rows(rows)[0]
+
+
 def test_modular_rank_certificate():
-    cert = exactla.modular_rank([[1, 2], [3, 4]], prime=1000003)
+    cert = exactla.modular_rank(_scaled([[1, 2], [3, 4]]), prime=1000003)
     assert cert.rank == 2 and cert.certified
-    cert = exactla.modular_rank([[1, 2], [2, 4]], prime=1000003)
+    cert = exactla.modular_rank(_scaled([[1, 2], [2, 4]]), prime=1000003)
     assert cert.rank == 1 and not cert.certified
     # caller-supplied upper bound
-    cert = exactla.modular_rank([[1, 2], [2, 4]], prime=1000003, upper_bound=1)
+    cert = exactla.modular_rank(_scaled([[1, 2], [2, 4]]), prime=1000003,
+                                upper_bound=1)
     assert cert.certified
     # dict rows: 1 + the largest column index bounds the rank, as the
-    # width of the same matrix as dense rows does
-    dense = exactla.modular_rank([[1, 0], [0, 1], [1, 1]], prime=1000003)
+    # width of the same matrix as an array does
+    dense = exactla.modular_rank(np.array([[1, 0], [0, 1], [1, 1]]),
+                                 prime=1000003)
     sparse = exactla.modular_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}], prime=1000003)
     assert (sparse.rank, sparse.upper_bound, sparse.certified) == (
         dense.rank, dense.upper_bound, dense.certified) == (2, 2, True)
@@ -111,33 +118,33 @@ def test_modular_rank_certificate():
     assert (cert.rank, cert.upper_bound, cert.certified) == (1, 2, False)
     cert = exactla.modular_rank([{}, {}], prime=1000003)
     assert (cert.rank, cert.upper_bound, cert.certified) == (0, 0, True)
+    cert = exactla.modular_rank([], prime=1000003)
+    assert (cert.rank, cert.upper_bound, cert.certified) == (0, 0, True)
 
 
 def test_modular_rank_rejects_bad_primes():
-    with pytest.raises(exactla.BadPrime):
-        exactla.modular_rank([[Fraction(1, 7)]], prime=7)
-    with pytest.raises(exactla.BadPrime):
-        exactla.modular_rank([[1]], prime=1)
-    with pytest.raises(exactla.BadPrime):
-        exactla.modular_rank([[1]], prime=2**62)
+    for prime in (1, 2**62):
+        with pytest.raises(modrank.BadPrime):
+            exactla.modular_rank([{0: 1}], prime=prime)
     # a composite modulus must not certify: [[2, 1], [2, 1]] has rank 1
     for composite in (4, 561, 1105):
-        with pytest.raises(exactla.BadPrime):
-            exactla.modular_rank([[2, 1], [2, 1]], prime=composite)
+        with pytest.raises(modrank.BadPrime):
+            exactla.modular_rank([{0: 2, 1: 1}, {0: 2, 1: 1}], prime=composite)
 
 
 def fraction_reduction_rank(rows, prime):
     """Rank mod p by reducing each entry as a Fraction, inverting its
-    denominator with pow; the reduction modular_rank used to perform."""
+    denominator with pow; None if p divides a denominator.  The reduction
+    modular_rank once performed."""
     red = []
     for row in rows:
-        out = []
-        for x in row:
+        out = {}
+        for j, x in enumerate(row):
             x = Fraction(x)
             if x.denominator % prime == 0:
-                raise exactla.BadPrime(f"prime {prime} divides a denominator")
+                return None
             inv = pow(x.denominator % prime, prime - 2, prime)
-            out.append((x.numerator % prime) * inv % prime)
+            out[j] = (x.numerator % prime) * inv % prime
         red.append(out)
     return modrank.rank_mod(red, prime)
 
@@ -153,6 +160,9 @@ def _random_entry(rng, kind, prime):
 
 
 def test_modular_rank_matches_fraction_reduction():
+    # scaling each row by its common denominator keeps the rank mod p
+    # whenever p divides no denominator; when it divides one, the rank of
+    # the scaled rows still never exceeds the rank over Q
     rng = random.Random(11)
     for prime in (2, 3, 7, 101, 1000003, 2147483647):
         for kind in ("int", "fraction", "mixed"):
@@ -164,22 +174,25 @@ def test_modular_rank_matches_fraction_reduction():
                     rows[rng.randrange(m)] = [0] * n
                 if m > 2 and rng.random() < 0.3:
                     rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
-                try:
-                    expected = fraction_reduction_rank(rows, prime)
-                except exactla.BadPrime:
-                    with pytest.raises(exactla.BadPrime):
-                        exactla.modular_rank(rows, prime=prime)
+                cert = exactla.modular_rank(_scaled(rows), prime=prime,
+                                            upper_bound=min(m, n))
+                expected = fraction_reduction_rank(rows, prime)
+                if expected is None:
+                    assert cert.rank <= reference_rank(rows)
                     continue
-                cert = exactla.modular_rank(rows, prime=prime)
                 assert cert.rank == expected
                 assert cert.certified == (expected == min(m, n))
 
 
 def test_modular_rank_prime_dividing_a_denominator():
+    # scaled, the rows are [3, 1] and [2, 45]: rank 2 mod 3, which
+    # certifies the rank over Q although 3 divides both denominators
     rows = [[1, Fraction(1, 3)], [Fraction(2, 9), 5]]
-    with pytest.raises(exactla.BadPrime):
-        exactla.modular_rank(rows, prime=3)
-    assert exactla.modular_rank(rows, prime=11).rank == 2
+    assert _scaled(rows) == [{0: 3, 1: 1}, {0: 2, 1: 45}]
+    cert = exactla.modular_rank(_scaled(rows), prime=3)
+    assert (cert.rank, cert.certified) == (2, True)
+    assert exactla.modular_rank(_scaled(rows), prime=11).rank == 2
+    assert reference_rank(rows) == 2
 
 
 def test_modular_rank_bounded_by_rational_rank_sympy():
@@ -197,11 +210,7 @@ def test_modular_rank_bounded_by_rational_rank_sympy():
                 [[QQ(Fraction(x).numerator, Fraction(x).denominator)
                   for x in row] for row in rows], (m, n), QQ).rank()
             assert exactla.rank(rows) == exact
-            try:
-                cert = exactla.modular_rank(rows, prime=prime)
-            except exactla.BadPrime:
-                continue
-            assert cert.rank <= exact
+            assert exactla.modular_rank(_scaled(rows), prime=prime).rank <= exact
 
 
 def test_modular_rank_never_exceeds_exact_rank():
@@ -209,7 +218,20 @@ def test_modular_rank_never_exceeds_exact_rank():
     for _ in range(20):
         rows = [[rng.randrange(-20, 21) for _ in range(5)] for _ in range(4)]
         exact = exactla.rank(rows)
-        assert exactla.modular_rank(rows, prime=1000003).rank <= exact
+        assert exactla.modular_rank(_scaled(rows), prime=1000003).rank <= exact
+
+
+def test_integer_rows_scale_each_row_once():
+    rows = [[Fraction(1, 2), 0, Fraction(-2, 3)], [0, 0, 0], [4, -5, 0]]
+    assert exactla.integer_rows(rows) == (
+        [{0: 3, 2: -4}, {}, {0: 4, 1: -5}], 3)
+    # integer rows keep their entries, and integer dict rows pass through
+    dict_rows = [{0: 4, 1: -5}, {}, {6: 1}]
+    assert exactla.integer_rows(dict_rows) == (dict_rows, 7)
+    assert exactla.integer_rows(dict_rows)[0] is dict_rows
+    assert exactla.integer_rows([]) == ([], 0)
+    assert exactla.rank(dict_rows) == exactla.rank(
+        [[4, -5, 0, 0, 0, 0, 0], [0] * 7, [0, 0, 0, 0, 0, 0, 1]]) == 2
 
 
 def test_hermite_normal_form_known_case():

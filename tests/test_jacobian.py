@@ -15,7 +15,7 @@ from chowcheck.report import InputError
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
-                     macaulay_rows)
+                     listed_uniform_bound, macaulay_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -127,6 +127,22 @@ def test_uniform_bound(fermat_quartic, mixed_quartic, quintic_sym):
         assert result.per_variable == [13, 13, 13, 13]
     with pytest.raises(jacobian.IdealNotMonomial):
         jacobian.uniform_mult_rank_bound(quintic_sym, 3)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("x0^4 + x1^4 - x2^4 - x3^4", "x0 x1 x2 x3"),
+    ("x0^4 + x1^4", "x0 x1 x2 x3"),
+    ("x0^5 + x1^3*x2^2", "x0 x1 x2"),
+    ("x0^3 + x1^3 + x2^3", "x0 x1 x2"),
+], ids=["quartic-family", "singular-quartic", "mixed-quintic", "fermat-cubic"])
+def test_uniform_bound_counts_what_the_listing_counts(text, names):
+    # smooth and singular monomial ideals, below and above sigma
+    hring = jacobian.HypersurfaceRing(
+        parse_poly(text, PolyRing.rationals(tuple(names.split()))))
+    for b in range(14):
+        result = jacobian.uniform_mult_rank_bound(hring, b)
+        assert result.per_variable == listed_uniform_bound(hring, b)
+        assert result.bound == min(result.per_variable)
 
 
 def test_degrees_above_the_socle_list_no_monomials(mixed_quartic, monkeypatch):
@@ -451,7 +467,8 @@ def test_span_array_is_span_rows_reduced_mod_p(text, ring):
                     else gfp.tolist() == a.tolist())
     cert = hring.smoothness_certificate()
     assert cert.certified
-    assert cert.rank == exactla.modular_rank(hring.span_rows(top)[0]).rank
+    rows, _ = exactla.integer_rows(hring.span_rows(top)[0])
+    assert cert.rank == exactla.modular_rank(rows).rank
 
 
 # ``symmetry``: a diagonal automorphism of the form, whose character

@@ -7,12 +7,25 @@ import pytest
 from chowcheck import exactla, modrank
 
 
+def _dict_rows(a):
+    """The rows of the integer array ``a`` as dict rows."""
+    return [{j: x for j, x in enumerate(line) if x} for line in a.tolist()]
+
+
+def _free_forms(rows, pivots):
+    """Reduced rows, given as full lists, in the form ``echelon_mod``
+    gives them: each a dict over the free columns, without zeros."""
+    return [{j: x for j, x in enumerate(row) if x and j not in pivots}
+            for row in rows]
+
+
 def test_rank_mod_small_cases():
     p = 1000003
-    assert modrank.rank_mod([[1, 2], [3, 4]], p) == 2
-    assert modrank.rank_mod([[1, 2], [2, 4]], p) == 1
-    assert modrank.rank_mod([[0, 0], [0, 0]], p) == 0
-    assert modrank.rank_mod([[p, 2 * p]], p) == 0
+    for matrix, rank in (([[1, 2], [3, 4]], 2), ([[1, 2], [2, 4]], 1),
+                         ([[0, 0], [0, 0]], 0), ([[p, 2 * p]], 0)):
+        a = np.array(matrix, dtype=np.int64)
+        assert modrank.rank_mod(a, p) == rank
+        assert modrank.rank_mod(_dict_rows(a), p) == rank
 
 
 def test_rank_mod_vs_numpy_linalg_over_small_entries():
@@ -25,7 +38,8 @@ def test_rank_mod_vs_numpy_linalg_over_small_entries():
         if m >= 2 and rng.random() < 0.5:
             a[-1] = a[0] + (a[1] if m > 2 else 0)
         expected = np.linalg.matrix_rank(a.astype(float))
-        assert modrank.rank_mod(a.tolist(), p) == expected
+        assert modrank.rank_mod(a, p) == expected
+        assert modrank.rank_mod(_dict_rows(a), p) == expected
 
 
 def test_backends_agree():
@@ -38,7 +52,7 @@ def test_backends_agree():
         if k:
             a[-k:] = (a[:k] + a[k:2 * k]) % p
         r_np = modrank._rank_mod_numpy(a.copy(), p)
-        assert modrank.rank_mod(a.tolist(), p) == r_np
+        assert modrank.rank_mod(_dict_rows(a), p) == r_np
 
 
 # The column kernel that reduced every hit row at every update, kept as
@@ -130,7 +144,7 @@ def test_delayed_reduction_matches_the_reduced_kernel(p):
     for a in _differential_cases(p):
         want = _rank_mod_reduced(a % p, p)
         assert modrank.rank_mod(a, p) == want
-        assert modrank.rank_mod(a.tolist(), p) == want
+        assert modrank.rank_mod(_dict_rows(a), p) == want
     # an unreduced int64 input is reduced on entry and left untouched
     rng = np.random.default_rng(7)
     a = rng.integers(-2**60, 2**60, size=(20, 15), dtype=np.int64)
@@ -149,7 +163,7 @@ def test_in_range_arrays_are_copied_and_multiples_of_p_never_pivot(p):
     copy = modrank._reduced(a, p)
     assert not np.shares_memory(copy, a) and (copy == a).all()
     assert modrank.rank_mod(a, p) == _rank_mod_reduced(a.copy(), p)
-    assert modrank.echelon_mod(a, p)[0] == _rank_mod_reduced(a.copy(), p)
+    assert len(modrank.echelon_mod(a, p)[0]) == _rank_mod_reduced(a.copy(), p)
     assert (a == before).all()
     # the kernel meets unreduced entries: a column whose nonzero entries
     # are all multiples of p has no pivot, and in a column with some the
@@ -174,13 +188,10 @@ def test_sparse_echelon_mod_matches_the_dense_one(p):
         if not rows:
             continue
         before = [dict(row) for row in rows]
-        rank, rref, pivots = modrank.echelon_mod(rows, p)
-        want_rank, want_rref, want_pivots = modrank.echelon_mod(a % p, p)
+        pivots, forms = modrank.echelon_mod(rows, p)
         assert rows == before
-        assert (rank, pivots) == (want_rank, want_pivots)
-        assert rref == [{j: x for j, x in enumerate(row) if x}
-                        for row in want_rref.tolist()]
-        assert rank == modrank.rank_mod(rows, p)
+        assert (pivots, forms) == modrank.echelon_mod(a % p, p)
+        assert len(pivots) == modrank.rank_mod(rows, p)
         compared += 1
     assert compared >= 10
 
@@ -280,13 +291,12 @@ def _fraction_rref_mod(rows, p):
 def test_echelon_mod_matches_gauss_jordan(p):
     for a in _differential_cases(p):
         before = a.copy()
-        rank, rref, pivots = modrank.echelon_mod(a, p)
+        pivots, forms = modrank.echelon_mod(a, p)
         assert (a == before).all()
-        assert rank == modrank.rank_mod(a, p) == len(pivots)
-        assert rref.dtype == np.int64 and rref.shape == (rank, a.shape[1])
-        want = _rref_mod_oracle(a.tolist(), p)
-        assert (rank, rref.tolist(), pivots) == want
-        assert modrank.echelon_mod(a.tolist(), p)[1].tolist() == want[1]
+        assert modrank.rank_mod(a, p) == len(pivots)
+        rank, rows, want_pivots = _rref_mod_oracle(a.tolist(), p)
+        assert (pivots, forms) == (want_pivots, _free_forms(rows, pivots))
+        assert modrank.echelon_mod(_dict_rows(a), p) == (pivots, forms)
     # small integer matrices whose rank mod p is their rank over Q, and
     # whose rational echelon form reduces mod p: A = A[:, pivots] * R, so
     # that reduction spans the row space mod p and is its echelon form
@@ -294,24 +304,27 @@ def test_echelon_mod_matches_gauss_jordan(p):
     compared = 0
     for _ in range(40):
         m, n = (int(x) for x in rng.integers(1, 9, size=2))
-        a = rng.integers(-3, 4, size=(m, n)).tolist()
+        a = rng.integers(-3, 4, size=(m, n))
         if m > 2:
-            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
-        rational = _fraction_rref_mod(a, p)
+            a[-1] = a[0] - 2 * a[1]
+        rational = _fraction_rref_mod(a.tolist(), p)
         if rational is None or len(rational[1]) != modrank.rank_mod(a, p):
             continue
-        rank, rref, pivots = modrank.echelon_mod(a, p)
-        assert (rref.tolist(), pivots) == rational
+        rows, pivots = rational
+        want = (pivots, _free_forms(rows, pivots))
+        assert modrank.echelon_mod(a, p) == want
+        assert modrank.echelon_mod(_dict_rows(a), p) == want
         compared += 1
     assert compared >= 10
 
 
 def test_rank_mod_rejects_bad_modulus():
     for p in (1, 4, 561, 1105, modrank.MAX_PRIME + 1):
-        with pytest.raises(modrank.BadPrime):
-            modrank.rank_mod([[1]], p)
-        with pytest.raises(modrank.BadPrime):
-            modrank.echelon_mod([[1]], p)
+        for matrix in ([{0: 1}], np.ones((1, 1), dtype=np.int64)):
+            with pytest.raises(modrank.BadPrime):
+                modrank.rank_mod(matrix, p)
+            with pytest.raises(modrank.BadPrime):
+                modrank.echelon_mod(matrix, p)
 
 
 def _is_prime_by_trial_division(n):
@@ -336,4 +349,4 @@ def test_lift_primes_pass_the_gate():
                       if _is_prime_by_trial_division(n)]
     for p in (modrank.DEFAULT_PRIME, *primes):
         modrank.require_prime(p)
-        assert modrank.rank_mod([[1, 2], [3, 4]], p) == 2
+        assert modrank.rank_mod([{0: 1, 1: 2}, {0: 3, 1: 4}], p) == 2

@@ -61,3 +61,36 @@ def test_report_imports_no_other_chowcheck_module():
                  if isinstance(node, ast.Import) for alias in node.names
                  if alias.name.startswith("chowcheck")]
     assert imported == []
+
+
+def _numpy_imports(tree):
+    """(line, inside a function) of each import of numpy in ``tree``."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append((child.lineno, inside))
+            visit(child, inside or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
+def test_only_the_gfp_kernels_import_numpy_inside_functions():
+    # a module-level import would load numpy in every process that imports
+    # the module, also one that runs no dense GF(p) elimination
+    importers = set()
+    for path in sorted(Path(chowcheck.__file__).parent.glob("*.py")):
+        found = _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        assert all(inside for _, inside in found), (path.name, found)
+        if found:
+            importers.add(path.stem)
+    assert importers <= {"modrank", "jacobian"}

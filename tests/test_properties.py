@@ -6,6 +6,7 @@ deterministic and fast.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -35,7 +36,45 @@ def _matrices(max_side=6, bound=20):
 @DETERMINISTIC
 @given(_matrices(), st.sampled_from([2, 3, 5, 7, modrank.DEFAULT_PRIME]))
 def test_modular_rank_never_exceeds_rational_rank(matrix, p):
-    assert modrank.rank_mod(matrix, p) <= exactla.rank(matrix)
+    rows, _ = exactla.integer_rows(matrix)
+    assert modrank.rank_mod(rows, p) <= exactla.rank(matrix)
+
+
+def _rational_matrices(max_side=5):
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 10))
+    return st.integers(1, max_side).flatmap(lambda ncols: st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols),
+        min_size=1, max_size=max_side))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_rational_matrices(), st.sampled_from([None, 2, 3, 5, 7, 1000003]),
+       st.booleans())
+def test_the_rank_rule_matches_sympy(matrix, prime, loose):
+    # entries with denominators 1..10, so each small prime divides some;
+    # ``full`` is min(rows, cols) or the looser max(rows, cols)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, cols = len(matrix), len(matrix[0])
+    if rows > 2:
+        matrix[-1] = [x - 2 * y for x, y in zip(matrix[0], matrix[1])]
+    full = max(rows, cols) if loose else min(rows, cols)
+    exact = sympy.Matrix(matrix).rank()
+    rank, mode = jacobian._rank(matrix, full, prime)
+    assert rank == exact
+    # the certificate is taken exactly when the rank mod p of the rows,
+    # each scaled by its common denominator, reaches ``full``
+    certified = False
+    if prime is not None:
+        scaled = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+                  for row in matrix]
+        modular = DomainMatrix.from_list(
+            scaled, sympy.ZZ).convert_to(GF(prime)).rank()
+        assert modular <= exact
+        certified = modular == full
+    assert mode == (f"modular(p={prime})" if certified else "exact")
 
 
 @DETERMINISTIC

@@ -636,6 +636,42 @@ def test_cli_bad_degree_exits_two(tmp_path, check, argv, message):
     assert out.stderr == f"error: {message}\n"
 
 
+QUARTIC_FAMILY_RING = """\
+[ring]
+variables = x0 x1 x2 x3
+poly = x0^4 + x1^4 - x2^4 - x3^4
+"""
+
+_GREEN_GOTZMANN_ABOVE_SIGMA = {"class_nonzero": "False", "rank": "0",
+                               "subspace_dim": "0", "target_dim": "0"}
+
+
+@pytest.mark.parametrize("ring, check, code, values", [
+    (QUARTIC_FAMILY_RING, 'check green_gotzmann g="x0^60" b=3 expect_rank=0',
+     1, _GREEN_GOTZMANN_ABOVE_SIGMA),
+    (QUARTIC_FAMILY_RING, 'check green_gotzmann g="x0^5000" b=3 '
+     'expect_rank=0', 1, _GREEN_GOTZMANN_ABOVE_SIGMA),
+    ("[ring]\nvariables = x0 x1 x2 x3\npoly = x0^4 + x1^4\n",
+     "check uniform_bound b=1000003 expect=6000015", 0,
+     {"bound": "6000015", "per_variable": "6000015 6000015 9000018 9000018"}),
+], ids=["green_gotzmann-g-of-degree-60", "green_gotzmann-g-of-degree-5000",
+        "uniform_bound-singular-b-1000003"])
+def test_degrees_far_above_the_socle_answer_at_once(tmp_path, capsys, ring,
+                                                    check, code, values):
+    # a smooth ring vanishes above sigma, so a g of degree above it is
+    # answered before any piece of its degree is built; a monomial ideal's
+    # uniform bound is counted, not listed, on a singular ring too
+    path = tmp_path / "far.scn"
+    path.write_text("[scenario]\nname = x\n" + ring + "[checks]\n" + check
+                    + " cite=c\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["verify", "--machine", str(path)]) == code
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("check.01.value.")] == [
+        f"check.01.value.{key} = {value}" for key, value in values.items()]
+
+
 @pytest.mark.parametrize("prime", ["1", "4", "1105"])
 def test_cli_ring_bad_prime_exits_two(prime):
     out = _run_cli("ring", "smooth", "--file", "shioda", "--prime", prime)
@@ -652,7 +688,7 @@ def _cubic_duality(prime):
         f"check duality a=1 b=1 prime={prime} cite=c\n")
 
 
-def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
+def test_prime_dividing_a_pairing_denominator_still_certifies():
     # mod 2 the partials are x0^2, x1^2, x2^2: the ring is smooth mod 2,
     # so the certificate at 2 closes and the closed form answers
     step = run_scenario(_cubic_duality(2)).steps[0]
@@ -664,11 +700,13 @@ def test_prime_dividing_a_pairing_denominator_leaves_the_exact_rank_to_decide():
                           "dense)")
     # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the ring is not
     # proven smooth at 3, and the exact pieces carry a denominator divisible
-    # by 3, so no rank mod 3 certifies anything and the exact ranks decide
+    # by 3.  Each matrix is scaled to integer rows, whose rank mod 3 never
+    # exceeds the rank over Q: the map's reaches its target and certifies
+    # it, and the pairing's falls short, so the exact rank decides that one
     step = run_scenario(_cubic_duality(3)).steps[0]
     assert step.passed
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
-        "exact", "exact")
+        "modular(p=3)", "exact")
     assert step.route == "exact pieces, ring not proven smooth at p=3"
 
 

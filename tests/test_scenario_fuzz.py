@@ -13,6 +13,13 @@ Three generators draw small scenario files and run each through
 Every run must exit 0, 1 or 2 without an exception, and an exit 2 must
 print exactly one ``error:`` line, which names the check and its line,
 or the line and column of a parse error.
+
+A fourth generator drives the ``ring dim/map/duality/smooth`` queries on
+small smooth and singular rings, with a prime that may be unusable and
+with or without ``--exact``, at degrees near the socle degree: time on a
+singular ring grows steeply with the degree.  Every query must exit 0,
+1 or 2 without an exception, and an exit 2 must print one ``error:``
+line.
 """
 
 import contextlib
@@ -152,5 +159,59 @@ def test_no_scenario_ends_in_a_traceback(tmp_path_factory, scenarios):
     @given(scenarios)
     def run(text):
         _verify(path, text)
+
+    run()
+
+
+# (variables, form, socle degree): smooth and singular, monomial or not
+_RINGS = [
+    ("x0 x1 x2", "x0^3 + x1^3 + x2^3", 3),
+    ("x0 x1 x2", "x0^3 + x1^3 + x2^3 + 2*x0*x1*x2", 3),
+    ("x0 x1 x2", "1/2*x0^4 - x1^4 + x2^4 + 3*x0*x1*x2^2", 6),
+    ("x0 x1", "x0^3 - 7*x1^3 + x0^2*x1", 2),
+    ("x0 x1 x2", "x0^3 + x1^3", 3),
+    ("x0 x1 x2", "x0*x1^2 + x2^3", 3),
+    ("x0 x1 x2", "(x0 + x1 + x2)^3", 3),
+    ("x0 x1 x2 x3", "x0^3 + x1^3 + x2^3", 4),
+]
+
+
+@st.composite
+def _ring_queries(draw):
+    names, form, sigma = draw(st.sampled_from(_RINGS))
+    query = draw(st.sampled_from(("dim", "map", "duality", "smooth")))
+    argv = ["ring", query]
+    if query == "dim":
+        argv += ["--degree", str(draw(st.integers(sigma - 1, sigma + 1)))]
+    elif query in ("map", "duality"):
+        total = draw(st.integers(sigma - 1, sigma + 1))
+        a = draw(st.integers(0, max(total, 0)))
+        argv += ["--a", str(a), "--b", str(total - a)]
+    argv += ["--prime", str(draw(st.sampled_from((2, 3, 5, 7, 1000003, 4))))]
+    if draw(st.booleans()):
+        argv.append("--exact")
+    text = (_HEAD + f"[ring]\nvariables = {names}\npoly = {form}\n"
+            "[checks]\ncheck smooth cite=c\n")
+    return text, argv
+
+
+def test_no_ring_query_ends_in_a_traceback(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ring.scn"
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(_ring_queries())
+    def run(query):
+        text, argv = query
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--file", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), (
+                err.getvalue())
+        else:
+            assert err.getvalue() == ""
 
     run()
