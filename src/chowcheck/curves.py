@@ -344,26 +344,27 @@ def section_cycle(f, line_var, plane_vars, labels):
     return named
 
 
-def hyperplane_relations(curve, line_vars, plane_vars=None, labels=None):
+def hyperplane_relations(curve, line_vars, plane_vars=None, labels=None,
+                         section=None):
     """Relation lattice from consecutive coordinate-line sections.
 
     Each line must meet the curve entirely in rational points, otherwise
     NonRationalIntersection is raised (``section_cycle``).  Relations are
     the differences of the intersection cycles of consecutive lines,
     written over the alphabetically ordered union of their supports.
+    ``section`` maps a line variable to its cycle, for a caller that
+    keeps the cycles it has computed; by default ``section_cycle``.
     """
-    ring = curve.ring
-    if plane_vars is None:
-        plane_vars = ring.names
-    if labels is None:
-        labels = {}
-    section = [section_cycle(curve, line_var, plane_vars, labels)
-               for line_var in line_vars]
-    basis = sorted(set().union(*section) if section else ())
+    if section is None:
+        def section(line_var):
+            return section_cycle(curve, line_var,
+                                 plane_vars or curve.ring.names, labels or {})
+    cycles = [section(line_var) for line_var in line_vars]
+    basis = sorted(set().union(*cycles) if cycles else ())
     rows = []
-    for first, second in zip(section, section[1:]):
+    for first, second in zip(cycles, cycles[1:]):
         rows.append([first.get(lbl, 0) - second.get(lbl, 0) for lbl in basis])
-    return RelationLattice(basis, rows, cycles=section)
+    return RelationLattice(basis, rows, cycles=cycles)
 
 
 class EquivalenceOrder:

@@ -22,17 +22,17 @@ come from the first of these routes that applies:
 
 Both ask whether a slice has full rank mod p through ``_full_rank``,
 memoised per (degree, prime).  Above sigma that rank is #monomials, and
-Macaulay's resultant matrix
-(Macaulay 1902) gives a square set of slice rows to try first: for each
-degree-k monomial M, the row (M / x_i^(d-1)) * dF/dx_i of the first i
-with x_i^(d-1) dividing M.  They are rows of the slice, so a full rank
-of theirs mod p proves the full rank of the whole slice over Q, and the
-certificate is the one the whole slice would give.  They are tried only
-when every dF/dx_i has an x_i^(d-1) term nonzero mod p, so that each
-square row is nonzero in its own column: true of every dense generic
-form, false of the bundled quintic and of Klein-type forms, whose square
-rows are singular.  The square rows are built alone, and the whole slice
-is built and eliminated only when they fall short.
+Macaulay's resultant matrix (Macaulay 1902) gives a square set of slice
+rows to try first, given a bijection j -> i from variables to partials
+with an x_j^(d-1) term of dF/dx_i nonzero mod p (``_matching``; the
+identity for every dense generic form, a permutation for the bundled
+quintic): for each degree-k monomial M, the row (M / x_j^(d-1)) * dF/dx_i
+of the first j with x_j^(d-1) dividing M, nonzero in its own column.
+They are rows of the slice, so a full rank of theirs mod p proves the
+full rank of the whole slice over Q, and the certificate is the one the
+whole slice would give.  The square rows are built alone, and the whole
+slice is built and eliminated only when there is no matching or they
+fall short.
 
 A graded piece is one exact ``GradedPiece``: a degree, representatives,
 and the normal form of every ambient monomial over them.  ``piece(k)``
@@ -292,50 +292,67 @@ class HypersurfaceRing:
         return [{col[monomial_mul(m, x)]: c for x, c in parts[i]}
                 for m, i in sources]
 
-    def _has_pure_powers(self, p):
-        """True when every partial dF/dx_i has an x_i^(d-1) term that is
-        nonzero mod ``p``: then each of Macaulay's square rows holds a
-        nonzero entry in its own column."""
-        e = self.degree - 1
-        return all(any(x[i] == e and c % p for x, c in part)
-                   for i, part in enumerate(self._int_partials))
+    def _matching(self, p):
+        """A bijection from variables to partials, as the tuple whose j-th
+        entry i has an x_j^(d-1) term of dF/dx_i nonzero mod ``p``; None
+        when there is none.  The identity where it works, so a form with
+        every pure power keeps its rows; else augmenting paths (Kuhn
+        1955) complete it."""
+        n, e = self.nvars, self.degree - 1
+        powers = [{j for x, c in part if c % p for j in range(n) if x[j] == e}
+                  for part in self._int_partials]
+        owner = [i if i in powers[i] else None for i in range(n)]
 
-    def _square_rows(self, k, p):
+        def augment(j, seen):
+            for i in range(n):
+                if j in powers[i] and i not in seen:
+                    seen.add(i)
+                    if owner[i] is None or augment(owner[i], seen):
+                        owner[i] = j
+                        return True
+            return False
+
+        if not all(j in owner or augment(j, set()) for j in range(n)):
+            return None
+        return tuple(sorted(range(n), key=owner.__getitem__))
+
+    def _square_rows(self, k, p, matching):
         """Macaulay's square rows of the degree-k slice mod ``p``, k > sigma,
         and their nonzero count.
 
         For each degree-k monomial M in column order, the row
-        (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
-        dividing M: some x_i^(d-1) divides every M of degree above
-        n*(d-2), and distinct M give distinct rows.  Built alone, in the
-        form the kernel of the whole slice takes (``_slice_kernel``):
-        dict rows as ``span_sparse`` gives them (``_dict_rows``), or an
-        int64 array in [0, p) (``_array_rows``) whose sources are M's code
-        less that of x_i^(d-1).
+        (M / x_j^(d-1)) * dF/dx_i, j the first index with x_j^(d-1)
+        dividing M and i = ``matching[j]``: some x_j^(d-1) divides every
+        M of degree above n*(d-2), and the matching is a bijection, so
+        distinct M give distinct rows.  Built alone, in the form the
+        kernel of the whole slice takes (``_slice_kernel``): dict rows as
+        ``span_sparse`` gives them (``_dict_rows``), or an int64 array in
+        [0, p) (``_array_rows``) whose sources are M's code less that of
+        x_j^(d-1).
         """
         n, e = self.nvars, self.degree - 1
         monos = enumerate_monomials(n, k)
         first = []
         for m in monos:
-            i = 0
-            while m[i] < e:
-                i += 1
-            first.append(i)
+            j = 0
+            while m[j] < e:
+                j += 1
+            first.append(j)
         parts = self._terms_mod(p)
-        nonzeros = sum(len(part) * first.count(i)
-                       for i, part in enumerate(parts))
+        nonzeros = sum(len(parts[matching[j]]) * first.count(j)
+                       for j in range(n))
         if self._slice_kernel(k, p) == "sparse":
-            sources = [(m[:i] + (m[i] - e,) + m[i + 1:], i)
-                       for m, i in zip(monos, first)]
+            sources = [(m[:j] + (m[j] - e,) + m[j + 1:], matching[j])
+                       for m, j in zip(monos, first)]
             return self._dict_rows(k, sources, parts), nonzeros
         import numpy as np
 
         codes = _codes(monos, n, k)
-        partial = np.array(first)
-        pure = _codes([(0,) * i + (e,) + (0,) * (n - 1 - i) for i in range(n)],
+        first = np.array(first)
+        pure = _codes([(0,) * j + (e,) + (0,) * (n - 1 - j) for j in range(n)],
                       n, k)
-        return self._array_rows(codes, codes - pure[partial], partial, parts,
-                                k), nonzeros
+        return self._array_rows(codes, codes - pure[first],
+                                np.array(matching)[first], parts, k), nonzeros
 
     def _array_rows(self, codes, src, partial, parts, k):
         """Rows of the degree-k slice as an int64 array, one per entry of
@@ -365,9 +382,9 @@ class HypersurfaceRing:
         memoised per (k, p), so every question about one slice and prime
         shares one elimination.
 
-        Above sigma, when every partial has its pure power mod p
-        (``_has_pure_powers``), Macaulay's square rows are built alone
-        (``_square_rows``) and eliminated first.  They are rows of the
+        Above sigma, when the pure powers x_j^(d-1) nonzero mod p match
+        the partials (``_matching``), Macaulay's square rows are built
+        alone (``_square_rows``) and eliminated first.  They are rows of the
         slice, so a full rank of theirs is a full rank of the slice, which
         has the same certificate; short of it, the whole slice is built
         (``_gfp_slice``) and eliminated, so the certificate is always
@@ -379,8 +396,9 @@ class HypersurfaceRing:
             return self._ranks[k, p]
         rows, cols = self._slice_shape(k)
         cert = None
-        if k > self.socle_degree and self._has_pure_powers(p):
-            square, nonzeros = self._square_rows(k, p)
+        matching = self._matching(p) if k > self.socle_degree else None
+        if matching is not None:
+            square, nonzeros = self._square_rows(k, p, matching)
             cert = exactla.modular_rank(square, p, upper_bound=cols)
             if cert.certified:
                 self._macaulay_closed[k, p] = nonzeros
@@ -454,8 +472,8 @@ class HypersurfaceRing:
         certificate, with prime None, memoised as ``_ranks[sigma+1,
         None]``); any other ring takes the rank mod ``prime`` of the
         degree-(sigma+1) slice (``_full_rank``, memoised per prime: on
-        Macaulay's square rows when every partial has its pure power mod
-        p and they have full rank, on the whole slice otherwise), which
+        Macaulay's square rows when the pure powers match the partials mod
+        p and those rows have full rank, on the whole slice otherwise), which
         never exceeds the rational rank.  The certificate closes
         (``certified``) only when that count meets the number of
         monomials.  Then the quotient is Artinian, the n partials form a

@@ -47,7 +47,11 @@ class CheckConfigError(ValueError):
 
 
 class ScenarioContext:
-    """Lazily built shared objects for one scenario run."""
+    """Lazily built shared objects for one scenario run, and the curve
+    work that checks share: each section cycle by (curve, line, sample),
+    each relation lattice by (curve, lines) and each equivalence order by
+    (curve, lines, pair).  A build that raises is not cached, so every
+    check that asks gets its own error."""
 
     def __init__(self, scn: ScenarioFile):
         self.scn = scn
@@ -136,6 +140,36 @@ class ScenarioContext:
             raise InputError(
                 f"point {point_label!r} is not declared on curve {curve_label!r}")
         return ProjectivePoint(decl.points[point_label]).coords
+
+    def section(self, curve, line, sample_t=None):
+        """Intersection cycle of ``line`` = 0 with the curve, or with its
+        member at t = ``sample_t``, as name -> multiplicity."""
+        def build():
+            from . import curves
+            f = self.curve_poly(curve)
+            if sample_t is not None:
+                f = substitute(f, {"t": sample_t}, f.ring)
+            return curves.section_cycle(f, line, self.curve_decl(curve).plane,
+                                        self.curve_labels(curve))
+        return self._get(("section", curve, line, sample_t), build)
+
+    def lattice(self, curve, lines):
+        """Relation lattice of the curve's sections by ``lines``, in order."""
+        def build():
+            from . import curves
+            return curves.hyperplane_relations(
+                self.curve_poly(curve), lines,
+                section=lambda line: self.section(curve, line))
+        return self._get(("lattice", curve, lines), build)
+
+    def equivalence_order(self, curve, lines, pair):
+        """Least multiple of the difference of the points ``pair`` in the
+        lattice of ``lines``, or None."""
+        def build():
+            from . import curves
+            return curves.minimal_equivalence_order(self.lattice(curve, lines),
+                                                    *pair)
+        return self._get(("order", curve, lines, pair), build)
 
     def pencil(self):
         return self._get("pencil", lambda: _build_pencil(self.scn.pencil_overrides))
@@ -550,17 +584,6 @@ def _check_smooth(ctx, spec, mode, prime):
                  "nonzero piece above the socle", values)
 
 
-def _section_cycle(ctx, curve_label, line_var, at=None):
-    """Intersection cycle of a coordinate line, as name -> multiplicity."""
-    from . import curves
-    decl = ctx.curve_decl(curve_label)
-    f = ctx.curve_poly(curve_label)
-    if at:
-        f = substitute(f, at, f.ring)
-    return curves.section_cycle(f, line_var, decl.plane,
-                                ctx.curve_labels(curve_label))
-
-
 def _cycle_text(named):
     return " + ".join(f"{m}*{name}" for name, m in sorted(named.items()))
 
@@ -573,12 +596,12 @@ def _check_intersection(ctx, spec, curve, line, expect, sample_t):
     if sample_t is not None and "t" not in ctx.curve_poly(curve).ring.index:
         raise _bad(spec, "sample_t names 't', which is not a variable of "
                          f"curve {curve!r}")
-    named = _section_cycle(ctx, curve, line)
+    named = ctx.section(curve, line)
     mode = "symbolic"
     details = [f"section by {line} = 0: {_cycle_text(named)}"]
     agree = named == expect
     if agree and sample_t is not None:
-        sampled = _section_cycle(ctx, curve, line, at={"t": sample_t})
+        sampled = ctx.section(curve, line, sample_t)
         mode = f"symbolic+sampled(t={sample_t})"
         if sampled == expect:
             details.append(f"sample at t = {sample_t} gives the same cycle")
@@ -594,19 +617,14 @@ def _check_intersection(ctx, spec, curve, line, expect, sample_t):
 
 
 def _order_for(ctx, spec, curve, lines, pair):
-    from . import curves
-    decl = ctx.curve_decl(curve)
-    line_vars = lines.split()
-    pair = pair.split()
+    ctx.curve_decl(curve)  # refuses an undeclared curve before the pair
+    lines, pair = tuple(lines.split()), tuple(pair.split())
     if len(pair) != 2:
         raise _bad(spec, "pair needs two labels")
     for label in pair:
         ctx.curve_point(curve, label)  # refuses an undeclared label
-    lattice = curves.hyperplane_relations(
-        ctx.curve_poly(curve), line_vars, decl.plane,
-        labels=ctx.curve_labels(curve))
-    found = curves.minimal_equivalence_order(lattice, pair[0], pair[1])
-    return lattice, pair, found
+    return (ctx.lattice(curve, lines), pair,
+            ctx.equivalence_order(curve, lines, pair))
 
 
 @_register("equivalence_order", curve=_text, expect=_integer, lines=_text,

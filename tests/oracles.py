@@ -108,19 +108,22 @@ def block_spectrum(hring, sigma, k):
             if len(js) > len(piv)}
 
 
-def macaulay_rows(hring, k):
+def macaulay_rows(hring, k, matching=None):
     """Macaulay's square rows of the degree-k slice, k > sigma: for each
     degree-k monomial M in column order, the index in ``span_rows`` of the
-    row (M / x_i^(d-1)) * dF/dx_i, i the first index with x_i^(d-1)
-    dividing M."""
+    row (M / x_j^(d-1)) * dF/dx_i, j the first index with x_j^(d-1)
+    dividing M and i = ``matching[j]`` (by default i = j)."""
     e = hring.degree - 1
+    if matching is None:
+        matching = range(hring.nvars)
     src = {m: s for s, m in enumerate(enumerate_monomials(hring.nvars, k - e))}
     rows = []
     for m in enumerate_monomials(hring.nvars, k):
-        i = 0
-        while m[i] < e:
-            i += 1
-        rows.append(src[m[:i] + (m[i] - e,) + m[i + 1:]] * hring.nvars + i)
+        j = 0
+        while m[j] < e:
+            j += 1
+        rows.append(src[m[:j] + (m[j] - e,) + m[j + 1:]] * hring.nvars
+                    + matching[j])
     return rows
 
 

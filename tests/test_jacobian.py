@@ -2,6 +2,7 @@ import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -352,9 +353,11 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     fresh_bound = characters.picard_upper_bound(_shioda_ring(), sigma)
 
     lifts, span_builds, slice_builds = Counter(), Counter(), Counter()
+    square_builds = Counter()
     lift = jacobian.HypersurfaceRing._lift
     span_rows = jacobian.HypersurfaceRing.span_rows
     gfp_slice = jacobian.HypersurfaceRing._gfp_slice
+    square_rows = jacobian.HypersurfaceRing._square_rows
 
     def counting_lift(self, degree):
         lifts[degree] += 1
@@ -368,7 +371,13 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
         slice_builds[degree, p] += 1
         return gfp_slice(self, degree, p)
 
+    def counting_square_rows(self, degree, p, matching):
+        square_builds[degree, p] += 1
+        return square_rows(self, degree, p, matching)
+
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_lift", counting_lift)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_square_rows",
+                        counting_square_rows)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "span_rows",
                         counting_span_rows)
     monkeypatch.setattr(jacobian.HypersurfaceRing, "_gfp_slice",
@@ -379,15 +388,16 @@ def test_each_degree_is_eliminated_once_per_ring(monkeypatch):
     spectrum = characters.character_spectrum(hring, sigma, k)
     bound = characters.picard_upper_bound(hring, sigma)
 
-    # the ring is proven smooth by one modular certificate on the degree-13
-    # slice, built once for whichever kernel takes it, so the Hilbert
-    # table, the spectrum and the Picard scan read closed forms; only the
-    # graded piece lifts its degree, from its slice at the first lift prime
+    # the ring is proven smooth by one modular certificate on the matched
+    # square rows of the degree-13 slice, built once, so the Hilbert
+    # table, the spectrum and the Picard scan read closed forms and the
+    # whole degree-13 slice is never built; only the graded piece lifts
+    # its degree, from its slice at the first lift prime
     assert lifts == Counter({k: 1})
     assert not span_builds
-    assert slice_builds == Counter({
-        (hring.socle_degree + 1, modrank.DEFAULT_PRIME): 1,
-        (k, next(exactla._lift_primes())): 1})
+    assert square_builds == Counter({
+        (hring.socle_degree + 1, modrank.DEFAULT_PRIME): 1})
+    assert slice_builds == Counter({(k, next(exactla._lift_primes())): 1})
     assert table == fresh_table
     assert piece.representatives == fresh_piece.representatives
     assert piece.reduce_vector(probe) == fresh_piece.reduce_vector(probe)
@@ -975,8 +985,8 @@ KLEIN_TYPE = "x0^3*x1 + x1^3*x2 + x2^3*x0 + x3^4 + x0*x1*x2*x3"
 SINGULAR_QUARTIC = "(x0 + x1 + x2)^4 + x3^4"
 
 
-def _square_rows(hring, k, p):
-    return hring.span_array(k, p)[macaulay_rows(hring, k)]
+def _square_rows(hring, k, p, matching=None):
+    return hring.span_array(k, p)[macaulay_rows(hring, k, matching)]
 
 
 def _whole_slice_certificate(hring, p):
@@ -1016,13 +1026,15 @@ def test_macaulay_rows_are_a_square_set_of_distinct_slice_rows(text, ring):
 @pytest.mark.parametrize("text, ring", _MACAULAY_RINGS)
 def test_square_rows_built_alone_are_those_of_the_whole_slice(text, ring):
     # at 2 some partial's coefficient vanishes mod p, so the builder must
-    # drop the same terms as the whole slice does
+    # drop the same terms as the whole slice does; rows are built for the
+    # identity, which any ring can be handed, and for the ring's matching
     hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     assert any(c % 2 == 0 for part in hring._int_partials for _, c in part)
-    for k in range(hring.socle_degree + 1, hring.socle_degree + 3):
-        index = macaulay_rows(hring, k)
-        for p in (GFP, 2):
-            rows, nonzeros = hring._square_rows(k, p)
+    for k, p in product(range(hring.socle_degree + 1, hring.socle_degree + 3),
+                        (GFP, 2)):
+        for matching in {tuple(range(hring.nvars)), hring._matching(p)} - {None}:
+            index = macaulay_rows(hring, k, matching)
+            rows, nonzeros = hring._square_rows(k, p, matching)
             if hring._slice_kernel(k, p) == "sparse":
                 whole = hring.span_sparse(k, p)
                 assert rows == [whole[r] for r in index]
@@ -1047,7 +1059,8 @@ def test_a_route_line_names_the_square_rows_that_closed_it(monkeypatch):
         assert hring.dimension_route() == (
             f"closed form, smooth at degree {k} (modular p={p}, {cols}x{cols} "
             f"Macaulay rows of {rows}x{cols}, {square} nonzeros, {kernel})")
-    # shioda has no x0^4 in dF/dx0, so it eliminates the whole slice alone
+    # shioda has no x0^4 in dF/dx0, but x0^4 in dF/dx2, x1^4 in dF/dx0 and
+    # x2^4 in dF/dx1: it closes on its matched square rows alone
     shapes = []
     modular_rank = exactla.modular_rank
 
@@ -1056,28 +1069,37 @@ def test_a_route_line_names_the_square_rows_that_closed_it(monkeypatch):
         return modular_rank(matrix, prime, upper_bound=upper_bound)
 
     monkeypatch.setattr(exactla, "modular_rank", recording)
-    assert _shioda_ring().dimension_route() == (
-        "closed form, smooth at degree 13 "
-        "(modular p=1000003, 880x560, 1540 nonzeros, sparse)")
-    assert shapes == [880]
+    hring = _shioda_ring()
+    assert hring._matching(GFP) == (2, 0, 1, 3)
+    assert hring.dimension_route() == (
+        "closed form, smooth at degree 13 (modular p=1000003, 560x560 "
+        "Macaulay rows of 880x560, 1056 nonzeros, sparse)")
+    assert shapes == [560]
+    square = _square_rows(hring, 13, GFP, (2, 0, 1, 3))
+    assert np.count_nonzero(square) == 1056
 
 
 def test_square_rows_that_fall_short_leave_the_whole_slice_to_decide(
         monkeypatch):
-    # the Klein-type quartic has no pure powers x0^4, x1^4, x2^4, and its
-    # square rows are singular; forced onto them past the gate, the ring is
+    # the Klein-type quartic has no pure powers x0^3, x1^3, x2^3 in their
+    # own partials, so its identity square rows are singular; it closes
+    # on its matched rows.  Forced onto the identity rows, the ring is
     # still proven smooth, by the whole slice
     hring = jacobian.HypersurfaceRing(parse_poly(KLEIN_TYPE, P3))
     k = hring.socle_degree + 1
-    assert not hring._has_pure_powers(GFP)
+    assert hring._matching(GFP) == (1, 2, 0, 3)
     assert modrank.rank_mod(_square_rows(hring, k, GFP), GFP) == 203
+    matched = _square_rows(hring, k, GFP, (1, 2, 0, 3))
+    assert modrank.rank_mod(matched, GFP) == 220
+    assert hring.smoothness_certificate().certified
+    assert hring.dimension_route() == (
+        f"closed form, smooth at degree 9 (modular p={GFP}, 220x220 Macaulay "
+        f"rows of 336x220, {np.count_nonzero(matched)} nonzeros, dense)")
     route = ("closed form, smooth at degree 9 "
              f"(modular p={GFP}, 336x220, {hring._slice_nonzeros(k, GFP)} "
              "nonzeros, dense)")
-    assert hring.smoothness_certificate().certified
-    assert hring.dimension_route() == route
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "_has_pure_powers",
-                        lambda self, p: True)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "_matching",
+                        lambda self, p: tuple(range(self.nvars)))
     forced = jacobian.HypersurfaceRing(parse_poly(KLEIN_TYPE, P3))
     cert = forced.smoothness_certificate()
     assert (cert.rank, cert.upper_bound, cert.certified) == (220, 220, True)
@@ -1088,7 +1110,7 @@ def test_square_rows_that_fall_short_leave_the_whole_slice_to_decide(
 def test_a_singular_quartic_with_every_pure_power_is_not_certified():
     hring = jacobian.HypersurfaceRing(parse_poly(SINGULAR_QUARTIC, P3))
     k = hring.socle_degree + 1
-    assert hring._has_pure_powers(GFP)
+    assert hring._matching(GFP) == (0, 1, 2, 3)
     assert modrank.rank_mod(_square_rows(hring, k, GFP), GFP) == 111
     cert = hring.smoothness_certificate()
     assert (cert.rank, cert.upper_bound, cert.certified) == (148, 220, False)
@@ -1140,8 +1162,8 @@ def test_each_slice_is_eliminated_once_per_prime(monkeypatch, index, order):
         slices[id(matrix)] = (matrix, self._slice_shape(k)[1])
         return matrix
 
-    def tagged_square_rows(self, k, p):
-        matrix, nonzeros = square_rows(self, k, p)
+    def tagged_square_rows(self, k, p, matching):
+        matrix, nonzeros = square_rows(self, k, p, matching)
         slices[id(matrix)] = (matrix, self._slice_shape(k)[1])
         return matrix, nonzeros
 
@@ -1239,8 +1261,89 @@ def test_the_certificate_is_that_of_the_whole_slice(form):
         whole.prime, whole.rank, whole.upper_bound, whole.certified)
     # a route line names the square rows only when they have full rank
     _, cols = hring._slice_shape(k)
-    square = (hring._has_pure_powers(p) and
-              modrank.rank_mod(_square_rows(hring, k, p), p) == cols)
+    matching = hring._matching(p)
+    square = (matching is not None and
+              modrank.rank_mod(_square_rows(hring, k, p, matching), p) == cols)
     assert ((k, p) in hring._macaulay_closed) == square
     if cert.certified:
         assert ("Macaulay rows" in hring._proof_route(cert)) == square
+
+
+_MATCHING_PRIMES = [2, 3, GFP, 3037000493]
+
+
+@st.composite
+def _permuted_forms(draw):
+    """(form, prime, tau): sum a_j * x_tau(j) * x_j^(d-1) over x0..x3 for a
+    permutation tau and d in 3..5, so that the pure power x_j^(d-1) lies
+    in dF/dx_tau(j), plus a few other terms.  Coefficients are small
+    integers, fractions or multiples of p.  A singular form has the
+    coefficients of the permuted terms corrected so that every dF/dx_i
+    vanishes at (1 : 1 : 1 : 1); their exponent matrix is (d-1)*I plus a
+    permutation matrix, which is invertible."""
+    degree = draw(st.integers(3, 5))
+    tau = tuple(draw(st.permutations(range(4))))
+    p = draw(st.sampled_from(_MATCHING_PRIMES))
+    nonzero = st.integers(-9, 9).filter(bool)
+
+    def coefficient():
+        kind = draw(st.sampled_from(["int"] * 8 + ["fraction", "p"]))
+        if kind == "fraction":
+            return Fraction(draw(nonzero), draw(st.integers(2, 6)))
+        return draw(nonzero) * (p if kind == "p" else 1)
+
+    permuted = [tuple((degree - 1) * (i == j) + (i == tau[j]) for i in range(4))
+                for j in range(4)]
+    terms = {m: coefficient() for m in permuted}
+    for m in draw(st.lists(st.sampled_from(enumerate_monomials(4, degree)),
+                           max_size=4, unique=True)):
+        terms[m] = terms.get(m, 0) + coefficient()
+    if draw(st.booleans()):
+        # dF/dx_i at (1 : 1 : 1 : 1) is the sum of c * m[i] over the terms
+        slopes = [sum(c * m[i] for m, c in terms.items()) for i in range(4)]
+        rows, _ = fraction_rref([[m[i] for m in permuted] + [-slopes[i]]
+                                 for i in range(4)], 4)
+        for m, row in zip(permuted, rows):
+            terms[m] += row[4]
+    f = P3.zero()
+    for m, c in terms.items():
+        f = f + P3.monomial(m, c)
+    return f, p, tau
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_permuted_forms())
+@example((parse_poly("x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^5", P3), GFP,
+          (2, 0, 1, 3)))
+@example((parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1^3 + x1*x0^3 "
+                    "+ x2*x3^3 + x3*x2^3", P3), GFP, (0, 1, 2, 3)))
+def test_matched_rows_certify_exactly_when_the_whole_slice_does(form):
+    f, p, tau = form
+    assume(not f.is_zero())
+    hring = jacobian.HypersurfaceRing(f)
+    assume(not hring.is_monomial_ideal)
+    k, e = hring.socle_degree + 1, hring.degree - 1
+    _, cols = hring._slice_shape(k)
+    # the old route, kept as the oracle: the whole slice's rank mod p
+    whole = modrank.rank_mod(hring._gfp_slice(k, p), p) == cols
+    assert hring.smoothness_certificate(p).certified == whole
+    # powers[i]: the j whose x_j^(d-1) is a term of dF/dx_i nonzero mod p
+    powers = [{j for j in range(4) for x, c in part if x[j] == e and c % p}
+              for part in hring._int_partials]
+    matching = hring._matching(p)
+    if all(j in powers[tau[j]] for j in range(4)):
+        assert matching is not None
+    if all(j in powers[j] for j in range(4)):
+        assert matching == (0, 1, 2, 3)
+    if matching is None:
+        return
+    assert sorted(matching) == [0, 1, 2, 3]
+    assert all(j in powers[matching[j]] for j in range(4))
+    # every matched row is a row of the whole slice, and no row twice
+    index = macaulay_rows(hring, k, matching)
+    assert len(set(index)) == cols
+    rows, _ = hring._square_rows(k, p, matching)
+    if not isinstance(rows, list):
+        rows = [{c: int(x) for c, x in enumerate(row) if x} for row in rows]
+    slice_rows = hring.span_sparse(k, p)
+    assert rows == [slice_rows[r] for r in index]

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import chowcheck
-from chowcheck import cli, exactla, jacobian
+from chowcheck import cli, curves, exactla, jacobian
 from chowcheck.poly import enumerate_monomials
 from chowcheck.report import Report, StepResult
 from chowcheck.runner import (_REQUIRED, ATTRIBUTES, CHECKS, CheckConfigError,
@@ -510,8 +511,8 @@ summary.verdict = pass
 """
 
 
-SHIODA_PROOF = ("smooth at degree 13 "
-                "(modular p=1000003, 880x560, 1540 nonzeros, sparse)")
+SHIODA_PROOF = ("smooth at degree 13 (modular p=1000003, 560x560 Macaulay "
+                "rows of 880x560, 1056 nonzeros, sparse)")
 
 
 # one ring query per route: (query, machine report, route line).  The
@@ -957,8 +958,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 # hilbert and picard_bound on shioda, hilbert on quartic-family; then the
 # routes of the other steps, in report order
 @pytest.mark.parametrize("name, route, count, others", [
-    ("shioda", "closed form, smooth at degree 13 "
-               "(modular p=1000003, 880x560, 1540 nonzeros, sparse)", 2,
+    ("shioda", f"closed form, {SHIODA_PROOF}", 2,
      [f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
      ["closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
@@ -988,6 +988,47 @@ def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
             in capsys.readouterr().out)
 
 
+def test_shioda_runs_each_proof_section_and_order_once(monkeypatch, capsys):
+    # one verify run: the smoothness proof ranks the 560 matched square
+    # rows of the degree-13 slice and never builds that slice, and the
+    # 4 intersection checks (two sampled), 2 equivalence orders and the
+    # combined order share 7 distinct section cycles, 2 relation lattices
+    # and 2 equivalence orders (without the memo: 16, 4 and 4)
+    ranks, slices, calls = [], [], Counter()
+    modular_rank = exactla.modular_rank
+    span_sparse = jacobian.HypersurfaceRing.span_sparse
+
+    def recording_rank(matrix, prime, upper_bound=None):
+        ranks.append((len(matrix), upper_bound))
+        return modular_rank(matrix, prime, upper_bound=upper_bound)
+
+    def recording_slice(self, k, p):
+        slices.append(k)
+        return span_sparse(self, k, p)
+
+    def counting(name):
+        function = getattr(curves, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(exactla, "modular_rank", recording_rank)
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "span_sparse",
+                        recording_slice)
+    for name in ("section_cycle", "hyperplane_relations",
+                 "minimal_equivalence_order"):
+        monkeypatch.setattr(curves, name, counting(name))
+    assert cli.main(["verify", "shioda", "--machine"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "shioda.machine").read_text(encoding="utf-8")
+    assert ranks == [(560, 560)]
+    assert 13 not in slices
+    assert calls == Counter({"section_cycle": 7, "hyperplane_relations": 2,
+                             "minimal_equivalence_order": 2})
+
+
 def test_a_certificate_serves_later_checks_only_at_its_prime(monkeypatch):
     calls, builds = [], []
     modular_rank = exactla.modular_rank
@@ -998,9 +1039,9 @@ def test_a_certificate_serves_later_checks_only_at_its_prime(monkeypatch):
         return modular_rank(matrix, prime, upper_bound=upper_bound)
 
     # the square rows are counted whichever kernel takes them
-    def counting_square_rows(self, k, p):
+    def counting_square_rows(self, k, p, matching):
         builds.append((k, p))
-        return square_rows(self, k, p)
+        return square_rows(self, k, p, matching)
 
     text = ("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
             f"poly = {MIXED_QUARTIC}\n[checks]\n"
@@ -1059,8 +1100,7 @@ def test_bundled_routes_do_not_depend_on_check_order(name):
 
 def test_ring_dim_reports_its_route(tmp_path, capsys):
     assert cli.main(["ring", "dim", "--file", "shioda", "--degree", "6"]) == 0
-    assert ("route: closed form, smooth at degree 13 "
-            "(modular p=1000003, 880x560, 1540 nonzeros, sparse)"
+    assert (f"route: closed form, {SHIODA_PROOF}"
             in capsys.readouterr().out)
     path = tmp_path / "cone.scn"
     path.write_text(
@@ -1133,9 +1173,10 @@ def _cold_probe(code, blas_threads=None):
 
 # numpy is loaded by the dense GF(p) kernel and the slice arrays alone:
 # importing the package, checking the monomial-ideal quartic family,
-# proving shioda smooth on its sparse degree-13 slice, proving a sparse
-# quintic with every pure power smooth on Macaulay's square rows of that
-# slice, and lifting the degree-12 piece of the singular cone over shioda's
+# proving shioda smooth on the matched square rows of its sparse degree-13
+# slice, proving a sparse quintic with every pure power smooth on
+# Macaulay's square rows of that slice, and lifting the degree-12 piece
+# of the singular cone over shioda's
 # plane quintic from its sparse 660x455 slice, which falls short of full
 # rank, never need it, while the certificate of a dense generic quartic
 # does (so the guard is not vacuous).  The exact rows of the dense
