@@ -68,21 +68,25 @@ from the same lift), so a failing verdict is exact.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
-monomial m times one partial dF/dx_i, and every form of a slice is built
-from that description (``_sources``): ``_dict_rows`` gives dict rows
-{column: coefficient}, which ``span_sparse`` reduces mod p and
-``span_rows`` fills into exact Python ``int`` rows, and ``_array_rows``
-gives an int64 array mod p whose columns come from mixed-radix monomial
-codes (``_codes``), for ``span_array``.  Every elimination mod p, a
+monomial m times one partial dF/dx_i, the sources listed in row order
+by ``_sources``.  Both slice builders index columns by mixed-radix
+monomial codes in base k + 1 (``_codes``), in which the code of m * x
+is code(m) + code(x), so no monomial tuple is built per entry.
+``_dict_rows`` builds every dict-row slice on these codes as Python
+ints, one integer sum and one dict lookup per entry: ``span_sparse``
+takes its rows mod p, ``span_rows`` fills them into exact Python
+``int`` rows, and a lift proves itself over them.  ``_array_rows``
+builds an int64 array mod p on the same codes in numpy, for
+``span_array``.  Every elimination mod p, a
 certificate's or a lift's, takes its slice from ``_gfp_slice``, which
 decides from monomial counts alone (``_slice_kernel``): a slice with
 fewer than ``SPARSE_DENSITY`` nonzeros per cell gets ``span_sparse`` for
 modrank's sparse kernel, and any other slice gets ``span_array`` for the
 dense kernel.  Macaulay's square rows (``_square_rows``) take the same
-form as their slice, from the same two builders.  A lift is proven over
-the slice's integer dict rows.  numpy is imported only when an array is
-built, so a ring whose slices are sparse, or whose ideal is monomial,
-never loads it, and neither do exact rows.
+form as their slice, from the same two builders, with each row's source
+given as a code.  numpy is imported only when an array is built, so a
+ring whose slices are sparse, or whose ideal is monomial, never loads
+it, and neither do exact rows.
 
 A ring memoises its graded pieces per degree, so graded pieces,
 character spectra and the smoothness test share one lift of each
@@ -137,17 +141,21 @@ def complete_intersection_hilbert(nvars, degree):
     return table
 
 
-def _codes(monos, nvars, degree):
+def _codes(monos, degree):
     """Mixed-radix codes in base degree + 1 of the exponent tuples
-    ``monos``, each of total degree at most ``degree``, as an int64 array.
+    ``monos``, each of total degree at most ``degree``, as Python ints.
 
     No exponent reaches the base, so the code of a product of degree at
     most ``degree`` is the sum of its factors' codes.
     """
-    import numpy as np
-
-    exps = np.array(monos, dtype=np.int64).reshape(-1, nvars)
-    return np.ravel_multi_index(tuple(exps.T), (degree + 1,) * nvars)
+    base = degree + 1
+    out = []
+    for m in monos:
+        code = 0
+        for x in m:
+            code = code * base + x
+        out.append(code)
+    return out
 
 
 class HypersurfaceRing:
@@ -235,17 +243,17 @@ class HypersurfaceRing:
         Rows are indexed by (source monomial, partial) pairs in canonical
         order; columns by the canonical degree-k monomial list.  Entries
         are exact Python integers, filled from the slice's dict rows
-        (``_dict_rows``) without numpy.
+        (``_slice_dict_rows``) without numpy.
         """
-        monos = enumerate_monomials(self.nvars, k)
-        sources = self._sources(k)
+        monos, src = enumerate_monomials(self.nvars, k), self._sources(k)
         rows = []
-        for entries in self._dict_rows(k, sources, self._int_partials):
+        for entries in self._slice_dict_rows(k, monos, src,
+                                             self._int_partials):
             row = [0] * len(monos)
             for j, c in entries.items():
                 row[j] = c
             rows.append(row)
-        return rows, monos, sources
+        return rows, monos, [(m, i) for m in src for i in range(self.nvars)]
 
     def span_array(self, k, p):
         """``span_rows(k)`` reduced mod ``p``, as an int64 array.
@@ -255,42 +263,53 @@ class HypersurfaceRing:
         """
         import numpy as np
 
-        n, e = self.nvars, self.degree - 1
-        src = enumerate_monomials(n, k - e) if k >= e else []
-        return self._array_rows(_codes(enumerate_monomials(n, k), n, k),
-                                np.repeat(_codes(src, n, k), n),
-                                np.tile(np.arange(n), len(src)),
-                                self._terms_mod(p), k)
+        n, src = self.nvars, self._sources(k)
+        return self._array_rows(
+            np.array(_codes(enumerate_monomials(n, k), k), dtype=np.int64),
+            np.repeat(np.array(_codes(src, k), dtype=np.int64), n),
+            np.tile(np.arange(n), len(src)), self._terms_mod(p), k)
 
     def span_sparse(self, k, p):
         """``span_rows(k)`` reduced mod ``p``, as dict rows.
 
         Row i maps the column of each term of its partial that is nonzero
         mod p to that coefficient mod p; rows and columns are those of
-        ``span_rows``.  Built from a monomial-to-column dict, without
-        numpy.
+        ``span_rows``.  Built on integer monomial codes
+        (``_slice_dict_rows``), without numpy.
         """
-        return self._dict_rows(k, self._sources(k), self._terms_mod(p))
+        return self._slice_dict_rows(k, enumerate_monomials(self.nvars, k),
+                                     self._sources(k), self._terms_mod(p))
 
     def _sources(self, k):
-        """(source monomial, partial index) of each row of the degree-k
-        slice, in ``span_rows`` order."""
+        """The source monomials of the degree-k slice's rows: row r is
+        source r // n times partial r % n, in ``span_rows`` order."""
         e = self.degree - 1
-        src = enumerate_monomials(self.nvars, k - e) if k >= e else []
-        return [(m, i) for m in src for i in range(self.nvars)]
+        return enumerate_monomials(self.nvars, k - e) if k >= e else []
+
+    def _slice_dict_rows(self, k, monos, src, parts):
+        """Dict rows of the degree-k slice on the partials' terms
+        ``parts``, its columns the monomials ``monos`` and its sources
+        ``src`` (``_sources``)."""
+        return self._dict_rows(_codes(monos, k),
+                               [(s, i) for s in _codes(src, k)
+                                for i in range(self.nvars)], parts, k)
 
     def _terms_mod(self, p):
         """The partials' terms that are nonzero mod ``p``, reduced mod p."""
         return [[(x, c % p) for x, c in part if c % p]
                 for part in self._int_partials]
 
-    def _dict_rows(self, k, sources, parts):
-        """Dict rows of degree k, one per (source monomial m, partial
-        index i) in ``sources``: the terms ``parts[i]`` times m, each at
-        the column of its product."""
-        col = {m: j for j, m in enumerate(enumerate_monomials(self.nvars, k))}
-        return [{col[monomial_mul(m, x)]: c for x, c in parts[i]}
-                for m, i in sources]
+    def _dict_rows(self, codes, sources, parts, k):
+        """Dict rows of degree k, one per (source code s, partial index i)
+        in ``sources``: the terms ``parts[i]`` times the monomial whose
+        code is s, each at the column of its product.  Columns are the
+        monomials whose codes are ``codes``, all codes in base k + 1
+        (``_codes``), so the column of a product is one integer sum and
+        one dict lookup away.  Every dict-row slice is built here."""
+        col = {c: j for j, c in enumerate(codes)}
+        terms = [list(zip(_codes([x for x, _ in part], k),
+                          [c for _, c in part])) for part in parts]
+        return [{col[s + x]: c for x, c in terms[i]} for s, i in sources]
 
     def _matching(self, p):
         """A bijection from variables to partials, as the tuple whose j-th
@@ -327,8 +346,8 @@ class HypersurfaceRing:
         distinct M give distinct rows.  Built alone, in the form the
         kernel of the whole slice takes (``_slice_kernel``): dict rows as
         ``span_sparse`` gives them (``_dict_rows``), or an int64 array in
-        [0, p) (``_array_rows``) whose sources are M's code less that of
-        x_j^(d-1).
+        [0, p) (``_array_rows``); either way the source of M's row is
+        M's code less that of x_j^(d-1), and no source monomial is built.
         """
         n, e = self.nvars, self.degree - 1
         monos = enumerate_monomials(n, k)
@@ -341,17 +360,18 @@ class HypersurfaceRing:
         parts = self._terms_mod(p)
         nonzeros = sum(len(parts[matching[j]]) * first.count(j)
                        for j in range(n))
+        codes = _codes(monos, k)
+        pure = _codes([(0,) * j + (e,) + (0,) * (n - 1 - j)
+                       for j in range(n)], k)
         if self._slice_kernel(k, p) == "sparse":
-            sources = [(m[:j] + (m[j] - e,) + m[j + 1:], matching[j])
-                       for m, j in zip(monos, first)]
-            return self._dict_rows(k, sources, parts), nonzeros
+            sources = [(c - pure[j], matching[j])
+                       for c, j in zip(codes, first)]
+            return self._dict_rows(codes, sources, parts, k), nonzeros
         import numpy as np
 
-        codes = _codes(monos, n, k)
+        codes = np.array(codes, dtype=np.int64)
         first = np.array(first)
-        pure = _codes([(0,) * j + (e,) + (0,) * (n - 1 - j) for j in range(n)],
-                      n, k)
-        return self._array_rows(codes, codes - pure[first],
+        return self._array_rows(codes, codes - np.array(pure)[first],
                                 np.array(matching)[first], parts, k), nonzeros
 
     def _array_rows(self, codes, src, partial, parts, k):
@@ -370,8 +390,8 @@ class HypersurfaceRing:
         for i, part in enumerate(parts):
             rows = np.flatnonzero(partial == i)
             if part and rows.size:
-                prods = src[rows, None] + _codes([x for x, _ in part],
-                                                 self.nvars, k)
+                prods = src[rows, None] + np.array(
+                    _codes([x for x, _ in part], k), dtype=np.int64)
                 cols = order[np.searchsorted(codes, prods, sorter=order)]
                 a[rows[:, None], cols] = [c for _, c in part]
         return a
@@ -409,19 +429,20 @@ class HypersurfaceRing:
         return cert
 
     def ideal_rank(self, k):
-        """Exact dimension of the degree-k piece of the Jacobian ideal: a
-        count for a monomial ideal, else min(rows, cols) when the slice's
-        rank mod p reaches it (``_full_rank``, which above sigma tries
-        Macaulay's square rows first), else #monomials minus the lifted
-        piece's dim."""
+        """Exact dimension of the degree-k piece of the Jacobian ideal.
+
+        For a monomial ideal, #monomials less the number that no generator
+        divides (``_count_avoiding``, without listing them); else
+        min(rows, cols) when the slice's rank mod p reaches it
+        (``_full_rank``, which above sigma tries Macaulay's square rows
+        first), else #monomials minus the lifted piece's dim.
+        """
         if k < self.degree - 1:
             return 0
-        if self.is_monomial_ideal:
-            gens = self.monomial_generators()
-            monos = enumerate_monomials(self.nvars, k)
-            return sum(1 for m in monos
-                       if any(monomial_divides(g, m) for g in gens))
         rows, cols = self._slice_shape(k)
+        if self.is_monomial_ideal:
+            return cols - _count_avoiding(self.monomial_generators(),
+                                          self.nvars, k)
         if self._full_rank(k, modrank.DEFAULT_PRIME).certified:
             return min(rows, cols)
         return cols - self.piece(k).dim
@@ -436,7 +457,8 @@ class HypersurfaceRing:
         the slice's integer dict rows.  Below degree d-1 the slice has no
         rows and every column is free.
         """
-        rows = self._dict_rows(k, self._sources(k), self._int_partials)
+        rows = self._slice_dict_rows(k, enumerate_monomials(self.nvars, k),
+                                     self._sources(k), self._int_partials)
         return exactla.lift_kernel(rows, self._slice_shape(k)[1],
                                    lambda p: self._gfp_slice(k, p))
 

@@ -11,7 +11,11 @@ scaled to integers before it gets here (``exactla.integer_rows``).
 A list of dict rows ``{column: entry}`` goes to a pure-Python kernel
 (``_sparse_pivots``) that reduces one row at a time against the pivot
 rows found so far, pivoting on the row's leftmost column; the rank is
-the number of pivot rows, and ``echelon_mod`` back-substitutes them.  On
+the number of pivot rows, and ``echelon_mod`` back-substitutes them.
+Pivot rows are kept as they were found, not scaled to a leading 1, and
+a pivot is inverted only once it reduces a row, so a rank costs one
+modular inversion per pivot that reduces, not one per pivot; the
+back substitution scales each pivot row to a leading 1 first.  On
 a very sparse matrix, such as the Jacobian slice that proves the bundled
 quintic smooth, it does less work than the input has nonzeros and needs
 no numpy.  Fill-in makes it slow on denser rows, so callers keep those
@@ -209,24 +213,30 @@ def _sparse_pivots(rows, p):
         One pivot row per pivot column, {column: row}; their number is
         the rank of the matrix over GF(p).
 
-    Each row is reduced mod p and then, while its leftmost column holds
-    the leading 1 of a pivot row, reduced by that pivot row.  A row that
-    reaches a new leftmost column becomes the pivot row of that column,
-    scaled to a leading 1, with entries in [1, p); a row that reaches
-    zero was dependent.  Pivot rows keep distinct leading columns, so
-    sorted by them they are an echelon form of the matrix.
+    Each row is reduced mod p and then, while its leftmost column c is
+    the leading column of a pivot row y, reduced by f*y with
+    f = row[c] / y[c].  A row that reaches a new leftmost column becomes
+    the pivot row of that column as it stands, unscaled, with entries
+    in [1, p); a row that reaches zero was dependent.  A pivot's inverse
+    is computed the first time the pivot reduces a row and kept, so a
+    pivot that reduces none is never inverted.  Pivot rows keep distinct
+    leading columns, so sorted by them they are an echelon form of the
+    matrix.
     """
     pivots = {}
+    inverses = {}
     for row in rows:
         row = {j: x % p for j, x in row.items() if x % p}
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {j: x * inv % p for j, x in row.items()}
+                pivots[c] = row
                 break
-            f = row[c]
+            inv = inverses.get(c)
+            if inv is None:
+                inv = inverses[c] = pow(pivot[c], p - 2, p)
+            f = row[c] * inv % p
             for j, y in pivot.items():
                 x = (row.get(j, 0) - f * y) % p
                 if x:
@@ -239,15 +249,17 @@ def _sparse_pivots(rows, p):
 def _sparse_echelon(rows, p):
     """``echelon_mod`` of sparse rows: back substitution takes the pivot
     rows of ``_sparse_pivots`` from the last pivot column to the first,
-    dropping each row's leading 1.  Rows of later pivot columns then hold
-    free columns only, so subtracting them clears a row's later pivot
-    columns and brings in no other.
+    scaling each to a leading 1 and then dropping it.  Rows of later
+    pivot columns then hold free columns only, so subtracting them clears
+    a row's later pivot columns and brings in no other.
     """
     pivots = _sparse_pivots(rows, p)
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c]
-        del row[c]
+        inv = pow(row.pop(c), p - 2, p)
+        for j in row:
+            row[j] = row[j] * inv % p
         for j in [j for j in row if j in pivots]:
             f = row.pop(j)
             for t, y in pivots[j].items():

@@ -17,15 +17,21 @@ and the two-form route is kept here as its oracle.
 
 The uniform multiplication bound of a monomial Jacobian ideal was once
 counted by listing the standard monomials of degree b
-(``listed_uniform_bound``); the package now counts them by inclusion and
-exclusion over the generators, and the listing is kept here as its
-oracle.
+(``listed_uniform_bound``), and so was the ideal's dimension in each
+degree (``listed_ideal_rank``); the package now counts both by inclusion
+and exclusion over the generators, and the listings are kept here as
+their oracles.
+
+Dict-row slices were once built on exponent tuples, each entry's column
+looked up by its product monomial (``tuple_dict_rows``); the package now
+builds them on integer monomial codes, and the tuple builder is kept here
+as its oracle.
 """
 
 from fractions import Fraction
 
 from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
-from chowcheck.poly import enumerate_monomials, monomial_divides
+from chowcheck.poly import enumerate_monomials, monomial_divides, monomial_mul
 
 
 def fraction_rref(rows, ncols):
@@ -163,3 +169,20 @@ def listed_uniform_bound(hring, b):
         counts.append(sum(1 for m in shifted
                           if not any(monomial_divides(g, m) for g in gens)))
     return counts
+
+
+def listed_ideal_rank(hring, k):
+    """Dimension of the degree-k piece of a monomial Jacobian ideal, by
+    listing the degree-k monomials that some generator divides."""
+    gens = hring.monomial_generators()
+    return sum(1 for m in enumerate_monomials(hring.nvars, k)
+               if any(monomial_divides(g, m) for g in gens))
+
+
+def tuple_dict_rows(hring, k, sources, parts):
+    """Dict rows of degree k, one per (source monomial m, partial index i)
+    in ``sources``: the terms ``parts[i]`` times m, each at the column of
+    its product monomial."""
+    col = {m: j for j, m in enumerate(enumerate_monomials(hring.nvars, k))}
+    return [{col[monomial_mul(m, x)]: c for x, c in parts[i]}
+            for m, i in sources]

@@ -16,7 +16,8 @@ from chowcheck.report import InputError
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
-                     listed_uniform_bound, macaulay_rows)
+                     listed_ideal_rank, listed_uniform_bound, macaulay_rows,
+                     tuple_dict_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -144,6 +145,48 @@ def test_uniform_bound_counts_what_the_listing_counts(text, names):
         result = jacobian.uniform_mult_rank_bound(hring, b)
         assert result.per_variable == listed_uniform_bound(hring, b)
         assert result.bound == min(result.per_variable)
+
+
+@st.composite
+def _monomial_forms(draw):
+    """Forms in x0..x(n-1), n in 1..4, of degree 2..5, whose terms have
+    disjoint supports, so that every partial is one term or zero: a
+    monomial Jacobian ideal.  A variable in no term, or a term in several
+    variables, makes the form singular."""
+    n, degree = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    ring = PolyRing.rationals(tuple(f"x{i}" for i in range(n)))
+    order = draw(st.permutations(range(n)))
+    blocks = [[order[0]]]
+    for i in order[1:]:
+        if draw(st.booleans()):
+            blocks.append([])
+        blocks[-1].append(i)
+    kept = [block for block in blocks if draw(st.booleans())] or blocks[:1]
+    f = ring.zero()
+    for block in kept:
+        block = block[:degree]
+        cuts = sorted(draw(st.lists(st.integers(1, degree - 1), unique=True,
+                                    min_size=len(block) - 1,
+                                    max_size=len(block) - 1)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+        exps = [0] * n
+        for i, x in zip(block, parts):
+            exps[i] = x
+        c = Fraction(draw(st.integers(-9, 9).filter(bool)),
+                     draw(st.integers(1, 4)))
+        f = f + ring.monomial(tuple(exps), c)
+    return f
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_monomial_forms())
+@example(parse_poly("x0^4 + x1^4", P3))
+@example(parse_poly("x0^2*x1^2 + x2^4 + x3^4", P3))
+def test_monomial_ideal_rank_counts_what_the_listing_counts(f):
+    hring = jacobian.HypersurfaceRing(f)
+    assert hring.is_monomial_ideal
+    for k in range(41):
+        assert hring.ideal_rank(k) == listed_ideal_rank(hring, k)
 
 
 def test_degrees_above_the_socle_list_no_monomials(mixed_quartic, monkeypatch):
@@ -1044,6 +1087,69 @@ def test_square_rows_built_alone_are_those_of_the_whole_slice(text, ring):
                 assert rows.dtype == np.int64
                 assert rows.tolist() == square.tolist()
                 assert nonzeros == np.count_nonzero(square)
+
+
+# every dict-row slice is built on integer monomial codes; the tuple
+# builder it replaced is the oracle, on the whole slice over Z and mod p
+# and on Macaulay's square rows, which are built as dict rows here even
+# where the slice's kernel is the dense one
+CONE = "x0*x1^4 + x1*x2^4 + x2*x0^4 + x3^4*x0"
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda text=text, ring=ring: jacobian.HypersurfaceRing(
+        parse_poly(text, ring)) for text, ring in _MACAULAY_RINGS],
+    lambda: jacobian.HypersurfaceRing(parse_poly(SHIODA, P3)),
+    lambda: jacobian.HypersurfaceRing(
+        parse_poly("x0^4 + x1^4 - x2^4 - x3^4", P3)),
+    _seed1_dense_quartic,
+    lambda: jacobian.HypersurfaceRing(parse_poly(CONE, P3)),
+], ids=[*[f"macaulay-{i}" for i in range(len(_MACAULAY_RINGS))], "shioda",
+        "quartic-family", "dense-quartic-seed-1", "cone"])
+def test_code_indexed_dict_rows_are_those_of_the_tuple_builder(make,
+                                                               monkeypatch):
+    hring = make()
+    n, e = hring.nvars, hring.degree - 1
+    monkeypatch.setattr(hring, "_slice_kernel", lambda k, p: "sparse")
+    for k in range(hring.socle_degree + 3):
+        monos, src = enumerate_monomials(n, k), hring._sources(k)
+        sources = [(m, i) for m in src for i in range(n)]
+        assert hring._slice_dict_rows(
+            k, monos, src, hring._int_partials) == tuple_dict_rows(
+                hring, k, sources, hring._int_partials)
+        for p in (2, 3, GFP, 3037000493):
+            parts = hring._terms_mod(p)
+            assert hring.span_sparse(k, p) == tuple_dict_rows(
+                hring, k, sources, parts)
+            if k <= hring.socle_degree:
+                continue
+            for matching in {tuple(range(n)), hring._matching(p)} - {None}:
+                square = []
+                for m in monos:
+                    j = next(j for j in range(n) if m[j] >= e)
+                    square.append((m[:j] + (m[j] - e,) + m[j + 1:],
+                                   matching[j]))
+                rows, _ = hring._square_rows(k, p, matching)
+                assert rows == tuple_dict_rows(hring, k, square, parts)
+
+
+def test_the_sparse_kernel_inverts_only_the_pivots_that_reduce(monkeypatch):
+    # a pivot row is kept unscaled and inverted the first time it reduces
+    # a row: on shioda's 560 square rows 197 pivots do, where scaling
+    # every pivot row as it was found took 560 inversions
+    hring = jacobian.HypersurfaceRing(parse_poly(SHIODA, P3))
+    rows, _ = hring._square_rows(13, GFP, hring._matching(GFP))
+    assert len(rows) == 560
+    modrank.require_prime(GFP)  # gated first: the gate's pow is not counted
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args[1:])
+        return pow(*args)
+
+    monkeypatch.setattr(modrank, "pow", counting_pow, raising=False)
+    assert modrank.rank_mod(rows, GFP) == 560
+    assert calls == [(GFP - 2, GFP)] * 197
 
 
 def test_a_route_line_names_the_square_rows_that_closed_it(monkeypatch):

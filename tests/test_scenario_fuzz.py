@@ -16,10 +16,13 @@ or the line and column of a parse error.
 
 A fourth generator drives the ``ring dim/map/duality/smooth`` queries on
 small smooth and singular rings, with a prime that may be unusable and
-with or without ``--exact``, at degrees near the socle degree: time on a
-singular ring grows steeply with the degree.  Every query must exit 0,
-1 or 2 without an exception, and an exit 2 must print one ``error:``
-line.
+with or without ``--exact``.  Degrees stay within one of the socle
+degree, where time on a singular ring grows steeply with the degree,
+except for ``ring dim`` on a monomial Jacobian ideal: its dimension is a
+count in any degree, so it also draws degrees from 0 to 10^6, and while
+it answers no monomials of degree above ``_LISTED_DEGREE`` may be
+listed.  Every query must exit 0, 1 or 2 without an exception, and an
+exit 2 must print one ``error:`` line.
 """
 
 import contextlib
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chowcheck
-from chowcheck import cli
+from chowcheck import cli, jacobian
 from chowcheck.scenario import parse_scenario
 
 _ONE_ERROR = re.compile(
@@ -163,26 +166,34 @@ def test_no_scenario_ends_in_a_traceback(tmp_path_factory, scenarios):
     run()
 
 
-# (variables, form, socle degree): smooth and singular, monomial or not
+# (variables, form, socle degree, monomial Jacobian ideal): smooth and
+# singular, monomial or not
 _RINGS = [
-    ("x0 x1 x2", "x0^3 + x1^3 + x2^3", 3),
-    ("x0 x1 x2", "x0^3 + x1^3 + x2^3 + 2*x0*x1*x2", 3),
-    ("x0 x1 x2", "1/2*x0^4 - x1^4 + x2^4 + 3*x0*x1*x2^2", 6),
-    ("x0 x1", "x0^3 - 7*x1^3 + x0^2*x1", 2),
-    ("x0 x1 x2", "x0^3 + x1^3", 3),
-    ("x0 x1 x2", "x0*x1^2 + x2^3", 3),
-    ("x0 x1 x2", "(x0 + x1 + x2)^3", 3),
-    ("x0 x1 x2 x3", "x0^3 + x1^3 + x2^3", 4),
+    ("x0 x1 x2", "x0^3 + x1^3 + x2^3", 3, True),
+    ("x0 x1 x2", "x0^3 + x1^3 + x2^3 + 2*x0*x1*x2", 3, False),
+    ("x0 x1 x2", "1/2*x0^4 - x1^4 + x2^4 + 3*x0*x1*x2^2", 6, False),
+    ("x0 x1", "x0^3 - 7*x1^3 + x0^2*x1", 2, False),
+    ("x0 x1 x2", "x0^3 + x1^3", 3, True),
+    ("x0 x1 x2", "x0*x1^2 + x2^3", 3, True),
+    ("x0 x1 x2", "(x0 + x1 + x2)^3", 3, False),
+    ("x0 x1 x2 x3", "x0^3 + x1^3 + x2^3", 4, True),
 ]
+
+# the highest degree in which a ``ring dim`` query on a monomial ideal may
+# list monomials, whatever its degree: above every socle degree in _RINGS
+_LISTED_DEGREE = 16
 
 
 @st.composite
 def _ring_queries(draw):
-    names, form, sigma = draw(st.sampled_from(_RINGS))
+    names, form, sigma, monomial = draw(st.sampled_from(_RINGS))
     query = draw(st.sampled_from(("dim", "map", "duality", "smooth")))
     argv = ["ring", query]
     if query == "dim":
-        argv += ["--degree", str(draw(st.integers(sigma - 1, sigma + 1)))]
+        degrees = st.integers(sigma - 1, sigma + 1)
+        if monomial:
+            degrees = st.one_of(degrees, st.integers(0, 10**6))
+        argv += ["--degree", str(draw(degrees))]
     elif query in ("map", "duality"):
         total = draw(st.integers(sigma - 1, sigma + 1))
         a = draw(st.integers(0, max(total, 0)))
@@ -192,19 +203,29 @@ def _ring_queries(draw):
         argv.append("--exact")
     text = (_HEAD + f"[ring]\nvariables = {names}\npoly = {form}\n"
             "[checks]\ncheck smooth cite=c\n")
-    return text, argv
+    return text, argv, monomial and query == "dim"
 
 
-def test_no_ring_query_ends_in_a_traceback(tmp_path_factory):
+def test_no_ring_query_ends_in_a_traceback(tmp_path_factory, monkeypatch):
     path = tmp_path_factory.mktemp("fuzz") / "ring.scn"
+    listing = jacobian.enumerate_monomials
+    bound = {"degree": None}  # set while a monomial ideal's dim is asked
+
+    def bounded_listing(nvars, degree):
+        assert bound["degree"] is None or degree <= bound["degree"], (
+            f"listed degree-{degree} monomials to count a monomial ideal")
+        return listing(nvars, degree)
+
+    monkeypatch.setattr(jacobian, "enumerate_monomials", bounded_listing)
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               database=None)
     @given(_ring_queries())
     def run(query):
-        text, argv = query
+        text, argv, counted = query
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
+        bound["degree"] = _LISTED_DEGREE if counted else None
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([*argv, "--file", str(path)])
         assert code in (0, 1, 2)
