@@ -36,7 +36,8 @@ fall short.
 
 A graded piece is one exact ``GradedPiece``: a degree, representatives,
 and the normal form of every ambient monomial over them.  ``piece(k)``
-takes the standard monomials of a monomial ideal; any other ring lifts
+takes the standard monomials of a monomial ideal, those whose code is no
+generator's code plus a code of the remaining degree; any other ring lifts
 the reduced echelon form of its slice from GF(p) (``_lift``) through
 ``exactla.lift_kernel``, the one lift behind every exact rank and kernel,
 by Chinese remaindering and rational reconstruction (Wang 1981; Monagan
@@ -102,8 +103,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 from . import exactla, modrank
-from .poly import (enumerate_monomials, monomial_divides, monomial_mul,
-                   partial_derivative)
+from .poly import enumerate_monomials, monomial_mul, partial_derivative
 from .report import CheckFailure, InputError
 
 
@@ -464,20 +464,23 @@ class HypersurfaceRing:
 
     def piece(self, k):
         """The degree-k graded piece over Q, memoised per degree: the
-        standard monomials of a monomial ideal, else the lifted piece
-        (``_lift``)."""
+        standard monomials of a monomial ideal (by ``_codes``), else the
+        lifted piece (``_lift``); every zero normal form is one shared row."""
         if k in self._pieces:
             return self._pieces[k]
         monos = enumerate_monomials(self.nvars, k)
         if self.is_monomial_ideal:
-            gens = self.monomial_generators()
-            free = [j for j, m in enumerate(monos)
-                    if not any(monomial_divides(g, m) for g in gens)]
+            taken = {c + x for g in self.monomial_generators() if sum(g) <= k
+                     for c in _codes([g], k) for x in _codes(
+                         enumerate_monomials(self.nvars, k - sum(g)), k)}
+            free = [j for j, c in enumerate(_codes(monos, k))
+                    if c not in taken]
             forms = {j: {j: 1} for j in free}
         else:
             free, forms = self._lift(k)
-        table = [tuple(forms.get(j, {}).get(t, 0) for t in free)
-                 for j in range(len(monos))]
+        table = [(0,) * len(free)] * len(monos)
+        for j, form in forms.items():
+            table[j] = tuple(form.get(t, 0) for t in free)
         if (len(free) != self._closed_form_dim(k)
                 and self.smoothness_certificate().certified):
             raise ArithmeticError(

@@ -20,6 +20,11 @@ rewrite caps (w-degree <= 1, a-degree <= 2); both rewrites strictly drop
 total degree, so normalisation terminates and canonical forms are unique.
 With those caps the tower is an integral domain, hence a polynomial is
 zero exactly when its term dict is empty.
+
+The parser folds each term's numbers into one coefficient and its
+variable powers into one exponent vector, multiplies only parenthesised
+groups as polynomials and sums terms into one dict.  ``substitute`` drops
+a term that a variable assigned zero divides before expanding it.
 """
 
 from __future__ import annotations
@@ -159,33 +164,40 @@ class PolyRing:
         return f"PolyRing({self.names!r}, domain={self.domain!r})"
 
     def reduce_terms(self, raw):
-        """Canonicalise a term dict: apply rewrites, drop zero coefficients."""
-        if not self.reductions:
+        """Canonicalise a term dict: apply rewrites, drop zero coefficients.
+
+        Every rewrite drops total degree, so terms over a cap are merged per
+        degree and rewritten highest degree first, each exponent tuple once.
+        """
+        rules = self.reductions
+        if not rules:
             return {e: _coefficient(c) for e, c in raw.items() if c}
-        out = {}
-        work = list(raw.items())
-        while work:
-            exps, coeff = work.pop()
-            if not coeff:
-                continue
-            hit = None
-            for vi, (cap, _) in self.reductions.items():
-                if exps[vi] >= cap:
-                    hit = vi
-                    break
-            if hit is None:
-                c = out.get(exps, 0) + coeff
-                if c:
-                    out[exps] = _coefficient(c)
-                elif exps in out:
-                    del out[exps]
-                continue
-            cap, repl = self.reductions[hit]
-            base = list(exps)
-            base[hit] -= cap
-            for re, rc in repl.items():
-                work.append((monomial_mul(tuple(base), re), coeff * rc))
-        return out
+        out, levels = {}, {}
+        items = raw.items()
+        while True:
+            for e, c in items:
+                for vi, (cap, _) in rules.items():
+                    if e[vi] >= cap:
+                        level = levels.setdefault(sum(e), {})
+                        level[e] = level.get(e, 0) + c
+                        break
+                else:
+                    c += out.get(e, 0)
+                    if c:
+                        out[e] = _coefficient(c)
+                    elif e in out:
+                        del out[e]
+            if not levels:
+                return out
+            items = []
+            for e, c in levels.pop(max(levels)).items():
+                for vi, (cap, repl) in rules.items():
+                    if e[vi] >= cap:
+                        break
+                base = list(e)
+                base[vi] -= cap
+                for re, rc in repl.items():
+                    items.append((monomial_mul(base, re), c * rc))
 
     def zero(self):
         return SparsePoly(self, {})
@@ -421,6 +433,7 @@ def substitute(f, assignment, target=None):
             if name not in target.index:
                 raise InputError(f"unassigned variable {name!r} missing from target ring")
             resolved[name] = target.variable(name)
+    zeros = [i for i, name in enumerate(ring.names) if not resolved[name]]
     powers = {}
 
     def power(name, e):
@@ -430,6 +443,8 @@ def substitute(f, assignment, target=None):
 
     raw = {}
     for exps, coeff in f.terms.items():
+        if any(exps[i] for i in zeros):  # a zero-assigned variable divides it
+            continue
         factors = [power(name, e) for name, e in zip(ring.names, exps) if e]
         term = reduce(mul, factors) if factors else target.one()
         for e, c in term.terms.items():
@@ -455,7 +470,8 @@ def exact_divide(f, g):
     Standard leading-term division: if f == q * g then the leading term
     of every partial remainder is divisible by the leading term of g, so
     the greedy loop either terminates at zero or exposes a nonzero
-    remainder whose leading term g cannot cancel.
+    remainder whose leading term g cannot cancel.  The remainder is one
+    dict, reduced in place by each (rewritten) quotient term times g.
     """
     if f.ring != g.ring:
         raise ValueError("polynomials from different rings")
@@ -463,17 +479,21 @@ def exact_divide(f, g):
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ge, gc = g.leading_term()
-    quotient = ring.zero()
-    rem = f
+    quotient, rem = {}, dict(f.terms)
     while rem:
-        re, rc = rem.leading_term()
+        re = max(rem, key=grevlex_key)
         if not monomial_divides(ge, re):
-            raise NotDivisible("leading term not divisible", rem)
+            raise NotDivisible("leading term not divisible", SparsePoly(ring, rem))
         mono = tuple(a - b for a, b in zip(re, ge))
-        qterm = ring.monomial(mono, Fraction(rc) / gc)
-        quotient = quotient + qterm
-        rem = rem - qterm * g
-    return quotient
+        q = quotient[mono] = _coefficient(Fraction(rem[re]) / gc)
+        for e, c in ring.reduce_terms({monomial_mul(mono, e): q * c
+                                       for e, c in g.terms.items()}).items():
+            s = rem.get(e, 0) - c
+            if s:
+                rem[e] = _coefficient(s)
+            else:
+                del rem[e]
+    return SparsePoly(ring, quotient)
 
 
 def multiplicity_at_point(f, point, chart_names):
@@ -559,73 +579,72 @@ class _Tokenizer:
         return self.text[start:end], start
 
 
-def _parse_factor(tok, ring):
-    ch, pos = tok.peek()
-    if ch is None:
-        raise PolyParseError("expected a factor", pos)
-    if ch.isdigit():
-        num, _ = tok.take_int()
-        ch2, _ = tok.peek()
-        if ch2 == "/":
-            tok.pos += 1
-            den, dpos = tok.take_int()
-            if den == 0:
-                raise PolyParseError("zero denominator", dpos)
-            return ring.constant(Fraction(num, den))
-        return ring.constant(num)
-    if ch.isalpha() or ch == "_":
-        name, npos = tok.take_name()
-        if name not in ring.index:
-            raise PolyParseError(f"unknown variable {name!r}", npos)
-        result = ring.variable(name)
-    elif ch == "(":
-        tok.pos += 1
-        result = _parse_expr(tok, ring)
-        ch2, cpos = tok.peek()
-        if ch2 != ")":
-            raise PolyParseError("expected ')'", cpos)
-        tok.pos += 1
-    else:
-        raise PolyParseError(f"unexpected character {ch!r}", pos)
-    ch2, _ = tok.peek()
-    if ch2 == "^":
-        tok.pos += 1
-        e, _ = tok.take_int()
-        result = result ** e
-    return result
-
-
 def _parse_term(tok, ring):
-    result = _parse_factor(tok, ring)
+    """A '*'-separated product as a term dict: numbers fold into one
+    coefficient, variable powers into one exponent vector, and only
+    parenthesised groups are multiplied as polynomials."""
+    coeff, exps, group = 1, [0] * ring.nvars, None
     while True:
-        ch, _ = tok.peek()
-        if ch != "*":
-            return result
+        ch, pos = tok.peek()
+        if ch is None:
+            raise PolyParseError("expected a factor", pos)
+        if ch.isdigit():
+            coeff *= tok.take_int()[0]
+            if tok.peek()[0] == "/":
+                tok.pos += 1
+                den, pos = tok.take_int()
+                if den == 0:
+                    raise PolyParseError("zero denominator", pos)
+                coeff = Fraction(coeff, den)
+        else:
+            if ch == "(":
+                tok.pos += 1
+                factor = _parse_expr(tok, ring)
+                ch, pos = tok.peek()
+                if ch != ")":
+                    raise PolyParseError("expected ')'", pos)
+                tok.pos += 1
+            elif ch.isalpha() or ch == "_":
+                name, pos = tok.take_name()
+                if name not in ring.index:
+                    raise PolyParseError(f"unknown variable {name!r}", pos)
+                factor = ring.index[name]
+            else:
+                raise PolyParseError(f"unexpected character {ch!r}", pos)
+            e = 1
+            if tok.peek()[0] == "^":
+                tok.pos += 1
+                e, _ = tok.take_int()
+            if type(factor) is int:
+                exps[factor] += e
+            else:
+                group = factor ** e if group is None else group * factor ** e
+        if tok.peek()[0] != "*":
+            break
         tok.pos += 1
-        result = result * _parse_factor(tok, ring)
-
-
-def _parse_signed_term(tok, ring, signs):
-    """A term, optionally preceded by one sign character from ``signs``."""
-    ch, _ = tok.peek()
-    if ch is not None and ch in signs:
-        tok.pos += 1
-        term = _parse_term(tok, ring)
-        return -term if ch == "-" else term
-    return _parse_term(tok, ring)
+    terms = group.terms if group is not None else {(0,) * ring.nvars: 1}
+    return ring.reduce_terms({monomial_mul(exps, e): coeff * c
+                              for e, c in terms.items()})
 
 
 def _parse_expr(tok, ring):
-    # a leading term may carry '+' or '-'; after a binary operator only a
-    # unary '-' is accepted, so "x + -2*y" parses and "x + + y" does not
-    result = _parse_signed_term(tok, ring, "+-")
+    """A sum of terms, accumulated into one term dict.  A leading term may
+    carry '+' or '-'; after a binary operator only a unary '-' is
+    accepted, so "x + -2*y" parses and "x + + y" does not."""
+    out, signs, sign = {}, "+-", 1
     while True:
         ch, _ = tok.peek()
+        if ch is not None and ch in signs:
+            tok.pos += 1
+            sign = -sign if ch == "-" else sign
+        for e, c in _parse_term(tok, ring).items():
+            out[e] = out.get(e, 0) + sign * c
+        ch, _ = tok.peek()
         if ch not in ("+", "-"):
-            return result
+            return SparsePoly(ring, {e: _coefficient(c)
+                                     for e, c in out.items() if c})
         tok.pos += 1
-        term = _parse_signed_term(tok, ring, "-")
-        result = result + term if ch == "+" else result - term
+        signs, sign = "-", 1 if ch == "+" else -1
 
 
 def parse_poly(text, ring):

@@ -26,12 +26,32 @@ Dict-row slices were once built on exponent tuples, each entry's column
 looked up by its product monomial (``tuple_dict_rows``); the package now
 builds them on integer monomial codes, and the tuple builder is kept here
 as its oracle.
+
+Polynomial text was once parsed factor by factor, every number and
+variable a polynomial and every '*' and '+' a polynomial product or sum
+(``factor_parse_poly``); substitution once expanded every term, also
+those with a positive exponent on a variable assigned zero
+(``loop_substitute``); and exact division once rebuilt its quotient and
+remainder polynomials for every quotient term (``loop_exact_divide``).
+The package now folds each term's numbers and powers as it reads them,
+drops terms a zero assignment kills, and reduces one remainder dict in
+place; the old routes are kept here as their oracles.
+
+The standard monomials of a monomial Jacobian ideal were once found by
+testing each degree-k monomial against every generator
+(``listed_piece``); the package now compares integer monomial codes, and
+the listing is kept here as its oracle.
 """
 
 from fractions import Fraction
 
+from functools import reduce
+from operator import mul
+
 from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
-from chowcheck.poly import enumerate_monomials, monomial_divides, monomial_mul
+from chowcheck.poly import (NotDivisible, PolyParseError, SparsePoly,
+                            _Tokenizer, enumerate_monomials, monomial_divides,
+                            monomial_mul)
 
 
 def fraction_rref(rows, ncols):
@@ -186,3 +206,130 @@ def tuple_dict_rows(hring, k, sources, parts):
     col = {m: j for j, m in enumerate(enumerate_monomials(hring.nvars, k))}
     return [{col[monomial_mul(m, x)]: c for x, c in parts[i]}
             for m, i in sources]
+
+
+def listed_piece(hring, k):
+    """(representatives, normal forms) of the degree-k piece of a
+    monomial Jacobian ideal, by listing: the degree-k monomials that no
+    generator divides, each with its unit normal form, and a zero form for
+    every other monomial."""
+    gens = hring.monomial_generators()
+    monos = enumerate_monomials(hring.nvars, k)
+    free = [j for j, m in enumerate(monos)
+            if not any(monomial_divides(g, m) for g in gens)]
+    return ([monos[j] for j in free],
+            [tuple(int(j == t) for t in free) for j in range(len(monos))])
+
+
+def _parse_factor(tok, ring):
+    ch, pos = tok.peek()
+    if ch is None:
+        raise PolyParseError("expected a factor", pos)
+    if ch.isdigit():
+        num, _ = tok.take_int()
+        ch2, _ = tok.peek()
+        if ch2 == "/":
+            tok.pos += 1
+            den, dpos = tok.take_int()
+            if den == 0:
+                raise PolyParseError("zero denominator", dpos)
+            return ring.constant(Fraction(num, den))
+        return ring.constant(num)
+    if ch.isalpha() or ch == "_":
+        name, npos = tok.take_name()
+        if name not in ring.index:
+            raise PolyParseError(f"unknown variable {name!r}", npos)
+        result = ring.variable(name)
+    elif ch == "(":
+        tok.pos += 1
+        result = _parse_expr(tok, ring)
+        ch2, cpos = tok.peek()
+        if ch2 != ")":
+            raise PolyParseError("expected ')'", cpos)
+        tok.pos += 1
+    else:
+        raise PolyParseError(f"unexpected character {ch!r}", pos)
+    ch2, _ = tok.peek()
+    if ch2 == "^":
+        tok.pos += 1
+        e, _ = tok.take_int()
+        result = result ** e
+    return result
+
+
+def _parse_term(tok, ring):
+    result = _parse_factor(tok, ring)
+    while True:
+        ch, _ = tok.peek()
+        if ch != "*":
+            return result
+        tok.pos += 1
+        result = result * _parse_factor(tok, ring)
+
+
+def _parse_signed_term(tok, ring, signs):
+    ch, _ = tok.peek()
+    if ch is not None and ch in signs:
+        tok.pos += 1
+        term = _parse_term(tok, ring)
+        return -term if ch == "-" else term
+    return _parse_term(tok, ring)
+
+
+def _parse_expr(tok, ring):
+    result = _parse_signed_term(tok, ring, "+-")
+    while True:
+        ch, _ = tok.peek()
+        if ch not in ("+", "-"):
+            return result
+        tok.pos += 1
+        term = _parse_signed_term(tok, ring, "-")
+        result = result + term if ch == "+" else result - term
+
+
+def factor_parse_poly(text, ring):
+    """``parse_poly`` factor by factor: each number and variable power a
+    polynomial, each '*' a polynomial product and each '+' or '-' a sum
+    that copies the terms so far."""
+    tok = _Tokenizer(text)
+    result = _parse_expr(tok, ring)
+    ch, pos = tok.peek()
+    if ch is not None:
+        raise PolyParseError(f"unexpected character {ch!r}", pos)
+    return result
+
+
+def loop_substitute(f, assignment, target):
+    """``substitute`` expanding every term, with each assigned value a
+    polynomial of ``target`` or a rational constant and every unassigned
+    variable a variable of ``target``."""
+    resolved = {name: value if isinstance(value, SparsePoly)
+                else target.constant(value)
+                for name, value in assignment.items()}
+    raw = {}
+    for exps, coeff in f.terms.items():
+        factors = [resolved[name] ** e if name in resolved
+                   else target.variable(name) ** e
+                   for name, e in zip(f.ring.names, exps) if e]
+        term = reduce(mul, factors) if factors else target.one()
+        for e, c in term.terms.items():
+            raw[e] = raw.get(e, 0) + coeff * c
+    return SparsePoly(target, target.reduce_terms(raw))
+
+
+def loop_exact_divide(f, g):
+    """``exact_divide`` rebuilding the quotient and the remainder as
+    polynomials for every quotient term."""
+    ring = f.ring
+    ge, gc = g.leading_term()
+    quotient = ring.zero()
+    rem = f
+    while rem:
+        re, rc = rem.leading_term()
+        if not monomial_divides(ge, re):
+            raise NotDivisible("leading term not divisible", rem)
+        mono = tuple(a - b for a, b in zip(re, ge))
+        qterm = ring.monomial(mono, Fraction(rc) / gc)
+        quotient = quotient + qterm
+        rem = rem - qterm * g
+    return quotient

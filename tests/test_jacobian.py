@@ -16,8 +16,8 @@ from chowcheck.report import InputError
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
-                     listed_ideal_rank, listed_uniform_bound, macaulay_rows,
-                     tuple_dict_rows)
+                     listed_ideal_rank, listed_piece, listed_uniform_bound,
+                     macaulay_rows, tuple_dict_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -187,6 +187,26 @@ def test_monomial_ideal_rank_counts_what_the_listing_counts(f):
     assert hring.is_monomial_ideal
     for k in range(41):
         assert hring.ideal_rank(k) == listed_ideal_rank(hring, k)
+
+
+# quartic-family's ring, a singular quartic and a singular plane cubic:
+# their standard monomials, found by code, are those the listing finds
+@pytest.mark.parametrize("text, names", [
+    ("x0^4 + x1^4 - x2^4 - x3^4", ("x0", "x1", "x2", "x3")),
+    ("x0^4 + x1^4", ("x0", "x1", "x2", "x3")),
+    ("x0^3 + x1^3", ("x0", "x1", "x2")),
+], ids=["quartic-family", "singular-quartic", "binary-cubic"])
+def test_monomial_pieces_are_the_listed_standard_monomials(text, names):
+    hring = jacobian.HypersurfaceRing(
+        parse_poly(text, PolyRing.rationals(names)))
+    assert hring.is_monomial_ideal
+    for k in range(hring.socle_degree + 3):
+        piece = hring.piece(k)
+        assert (piece.representatives, piece.normal_forms) == \
+            listed_piece(hring, k)
+        assert all(type(x) is int for form in piece.normal_forms for x in form)
+        with pytest.raises(TypeError):
+            piece.normal_forms[0][0] = 0
 
 
 def test_degrees_above_the_socle_list_no_monomials(mixed_quartic, monkeypatch):

@@ -1,18 +1,22 @@
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from chowcheck import jacobian
+from chowcheck import jacobian, pencil, poly
 from chowcheck.poly import (NotDivisible, PolyParseError, PolyRing,
                             ProjectivePoint, SparsePoly,
                             check_parametrization, enumerate_monomials,
-                            exact_divide, grevlex_key, multiplicity_at_point,
-                            parse_poly, partial_derivative, substitute)
+                            exact_divide, grevlex_key, monomial_mul,
+                            multiplicity_at_point, parse_poly,
+                            partial_derivative, substitute)
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
+from oracles import factor_parse_poly, loop_exact_divide, loop_substitute
 
 XY = PolyRing.rationals(("x", "y"))
 XYZ = PolyRing.rationals(("x", "y", "z"))
@@ -307,3 +311,209 @@ def test_floating_point_never_enters_a_coefficient(monkeypatch):
     # both kinds of coefficient were seen, so the guard is not vacuous
     assert any(type(c) is int for c in seen)
     assert any(type(c) is Fraction for c in seen)
+
+
+# ------------------------------------------- oracles of the symbolic layers
+#
+# ``tests/oracles.py`` keeps the factor-by-factor parser, the substitution
+# that expands every term and the division that rebuilds its polynomials
+# for every quotient term; the folded, zero-skipping and in-place routes
+# of the package must agree with them term for term, coefficient types
+# included.
+
+TOWER = pencil.default_scenario().tower_ring
+
+
+def _same(f, g):
+    return (f.ring == g.ring and f.terms == g.terms
+            and {e: type(c) for e, c in f.terms.items()}
+            == {e: type(c) for e, c in g.terms.items()})
+
+
+def _outcome(call, *args):
+    """("ok", result) of a call, or ("error", exception type name,
+    message, position, remainder) of the parse or division error it
+    raised."""
+    try:
+        return "ok", call(*args)
+    except (PolyParseError, NotDivisible) as exc:
+        return ("error", type(exc).__name__, str(exc),
+                getattr(exc, "position", None),
+                getattr(exc, "remainder", None))
+
+
+def _agree(new, old):
+    if new[0] == "ok" and old[0] == "ok":
+        return _same(new[1], old[1])
+    return new == old
+
+
+def _texts(names):
+    number = st.one_of(st.integers(0, 30).map(str),
+                       st.tuples(st.integers(0, 12), st.integers(1, 9))
+                       .map(lambda nd: f"{nd[0]}/{nd[1]}"))
+    power = st.tuples(st.sampled_from(names), st.integers(0, 7)).map(
+        lambda ve: ve[0] if ve[1] == 1 else f"{ve[0]}^{ve[1]}")
+
+    def expressions(factor):
+        term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+        signed = st.tuples(st.sampled_from(["", "-"]), term).map("".join)
+        rest = st.lists(st.tuples(st.sampled_from([" + ", " - "]), signed),
+                        max_size=3)
+        return st.tuples(st.sampled_from(["", "-", "+"]), term, rest).map(
+            lambda t: t[0] + t[1] + "".join(op + s for op, s in t[2]))
+
+    group = st.deferred(lambda: st.tuples(
+        expressions(st.one_of(number, power, group)), st.integers(0, 2)).map(
+        lambda ge: f"({ge[0]})" + ("" if ge[1] == 1 else f"^{ge[1]}")))
+    return expressions(st.one_of(number, number, power, power, group))
+
+
+_PARSE_RINGS = [(XYZ, ("x", "y", "z")),
+                (TOWER, ("x", "y", "lam", "w", "a", "w", "a"))]
+
+
+@pytest.mark.parametrize("ring, names", _PARSE_RINGS, ids=["rational", "tower"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_folded_parser_matches_the_factor_parser(ring, names, data):
+    text = data.draw(_texts(names))
+    assert _same(parse_poly(text, ring), factor_parse_poly(text, ring))
+    # the same text spoiled: cut short, or with a stray character put in
+    cut = data.draw(st.integers(0, len(text)))
+    stray = data.draw(st.sampled_from("()^*/+- x"))
+    for bad in (text[:cut], text[:cut] + stray + text[cut:]):
+        assert _agree(_outcome(parse_poly, bad, ring),
+                      _outcome(factor_parse_poly, bad, ring)), bad
+
+
+@pytest.mark.parametrize("ring", [XYZ, TOWER], ids=["rational", "tower"])
+@pytest.mark.parametrize("text", [
+    "7", "-3/6*x*x^2", "+x - -2/4*y + z", "0*x + 0", "2*x*0*y",
+    "((x + 1)^2 - (x - 1)^2)^2 * 1/8", "x^0*(y)^0", "-(-(x))"])
+def test_folded_parser_on_chosen_texts(ring, text):
+    assert _same(parse_poly(text, ring), factor_parse_poly(text, ring))
+
+
+@pytest.mark.parametrize("ring", [XYZ, TOWER], ids=["rational", "tower"])
+@pytest.mark.parametrize("bad", ["x^", "2/0", "2^3", "x*", ")", "x^y",
+                                 "(2^3)", "2/x", "x + + y", "1/2/3", "(x"])
+def test_malformed_text_fails_as_in_the_factor_parser(ring, bad):
+    new = _outcome(parse_poly, bad, ring)
+    assert new[0] == "error"
+    assert new == _outcome(factor_parse_poly, bad, ring)
+
+
+@pytest.mark.parametrize("name", ["w", "a"])
+def test_a_tower_power_is_rewritten_once_per_degree(name, monkeypatch):
+    # the rewrite merges equal monomials, so w^n costs about n rewrites;
+    # without the merge it grew by about 1.5 a power, so a budget on the
+    # rewrites fails fast instead of hanging
+    exps = [0] * TOWER.nvars
+    calls = [0]
+
+    def budgeted(e1, e2):
+        calls[0] += 1
+        assert calls[0] < 20000, "rewrites grow faster than the degree"
+        return monomial_mul(e1, e2)
+
+    for n in (200, 1000):
+        exps[TOWER.index[name]] = n
+        expected = parse_poly(name, TOWER) ** n
+        monkeypatch.setattr(poly, "monomial_mul", budgeted)
+        for build in (lambda: TOWER.monomial(exps),
+                      lambda: parse_poly(f"{name}^{n}", TOWER)):
+            calls[0] = 0
+            start = time.perf_counter()
+            assert build() == expected
+            assert time.perf_counter() - start < 0.1
+        monkeypatch.undo()
+
+
+def _polys(ring, names, max_degree=3, max_terms=5):
+    term = st.tuples(
+        st.lists(st.integers(0, max_degree), min_size=len(names),
+                 max_size=len(names)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+    def build(terms):
+        f = ring.zero()
+        for degrees, c in terms:
+            exps = [0] * ring.nvars
+            for name, e in zip(names, degrees):
+                exps[ring.index[name]] += e
+            f = f + ring.monomial(exps, c)
+        return f
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+BLOW = pencil.default_scenario().blowup_ring
+_TOWER_NAMES = ("x", "y", "z", "lam", "t", "w", "a")
+
+
+def _assignments(target, names):
+    value = st.one_of(
+        st.just(0), st.just(target.zero()),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        _polys(target, names, max_degree=2, max_terms=3))
+    return st.fixed_dictionaries({}, optional={
+        name: value for name in ("x", "y", "z")})
+
+
+@pytest.mark.parametrize("target, names", [
+    (BLOW, ("x", "y", "z", "lam", "t")), (TOWER, _TOWER_NAMES)],
+    ids=["rational", "tower"])
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_substitution_matches_the_expanding_loop(target, names, data):
+    f = data.draw(_polys(BLOW, ("x", "y", "z", "lam", "t")))
+    assignment = data.draw(_assignments(target, names))
+    assert _same(substitute(f, assignment, target),
+                 loop_substitute(f, assignment, target))
+
+
+def test_substitution_at_the_pencil_points_matches_the_expanding_loop():
+    scn = pencil.default_scenario()
+    cubic = scn.strict_transform
+    forms = [cubic] + [partial_derivative(cubic, v) for v in ("x", "y", "z")]
+    for point in scn.points:
+        assignment = dict(zip(("x", "y", "z"), point))
+        for f in forms:
+            assert _same(substitute(f, assignment, TOWER),
+                         loop_substitute(f, assignment, TOWER))
+    assert _same(substitute(scn.family, scn.substitution, BLOW),
+                 loop_substitute(scn.family, scn.substitution, BLOW))
+
+
+@pytest.mark.parametrize("ring, names", [
+    (XYZ, ("x", "y", "z")), (TOWER, _TOWER_NAMES)], ids=["rational", "tower"])
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_division_matches_the_rebuilding_loop(ring, names, data):
+    g = data.draw(_polys(ring, names, max_degree=2, max_terms=3))
+    assume(g)
+    q = data.draw(_polys(ring, names, max_degree=2, max_terms=4))
+    r = data.draw(st.one_of(st.just(ring.zero()),
+                            _polys(ring, names, max_degree=2, max_terms=2)))
+    f = q * g + r
+    new = _outcome(exact_divide, f, g)
+    assert _agree(new, _outcome(loop_exact_divide, f, g))
+    if not r and not ring.reductions:
+        # leading terms decide divisibility only without rewrites: in the
+        # tower, w divides w^2 = -1 - w, yet both loops stop at -1
+        assert new[0] == "ok" and new[1] == q
+
+
+@pytest.mark.parametrize("ring", [XYZ, TOWER], ids=["rational", "tower"])
+def test_a_failed_division_carries_the_loops_remainder(ring):
+    cases = [("x^2 + y^2", "x - y"), ("x^3*y + 1/2*z", "x*y + z"),
+             ("x^2*w + a^2 + y", "x + a")]
+    for f, g in cases:
+        if not set("wa") <= set(ring.names) and "w" in f:
+            continue
+        f, g = parse_poly(f, ring), parse_poly(g, ring)
+        new = _outcome(exact_divide, f, g)
+        assert new[0] == "error" and new[1] == "NotDivisible"
+        assert new == _outcome(loop_exact_divide, f, g)
+        assert new[4] and _same(new[4], _outcome(loop_exact_divide, f, g)[4])
