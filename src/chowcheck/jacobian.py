@@ -56,16 +56,24 @@ smoothness certificate closes at the step's prime, or at
 ``DEFAULT_PRIME`` when the step has none, so a step's route does not
 depend on the steps before it.  ``quotient_dim``, ``dimension_route``
 and the character spectra have no prime; ``map_surjectivity`` and
-``left_kernel_via_duality`` ask at theirs (``_smooth_for``) and let two
-theorems decide.  R is generated in degree 1, so every
-R_a (x) R_b -> R_(a+b) is onto; a smooth R is a complete intersection,
-hence Gorenstein, so the socle pairing R_a x R_(sigma-a) -> R_sigma is
-perfect (Macaulay; Carlson & Griffiths 1980).  Both ranks are then
-coefficients of the closed form.  Any other ring builds both matrices
-from exact pieces and scales each to integer dict rows once
-(``_rank``): a rank of theirs mod the step's prime that reaches its
-bound is the rank over Q, and any other rank is exact (``exactla.rank``,
-from the same lift), so a failing verdict is exact.
+``left_kernel_via_duality`` ask at theirs (``_smooth_for``).
+
+R is a graded quotient of the polynomial ring, so R_a * R_b = R_(a+b)
+on every ring: every multiplication map is onto, with rank
+dim R_(a+b), and no step builds one to learn that.  On a ring proven
+smooth for the step that dimension is a coefficient of the closed form,
+in the step's mode; on any other it is ``quotient_dim``, in mode
+``GENERATED``.  A smooth R is a complete intersection, hence Gorenstein,
+so its socle pairing R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay;
+Carlson & Griffiths 1980), with a closed-form rank too.  Any other ring
+builds the pairing matrix from exact pieces and scales it to integer
+dict rows once (``_rank``): a rank of theirs mod the step's prime that
+reaches its bound is the rank over Q, and any other rank is exact
+(``exactla.rank``, from the same lift), so a failing verdict is exact.
+The one map a step still ranks is ``functional_kernel_map``'s
+W (x) R_b -> R_(a+b) for a nonzero socle functional: it is built one
+kernel vector's columns at a time, and only until their rank mod p
+reaches dim R_(a+b).
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
@@ -605,18 +613,24 @@ def _combination(coeffs, rows, dim):
     return out
 
 
-def _products(pa, pb, pc):
-    """Normal forms in ``pc`` of the products u * v of the representatives
-    u of ``pa`` and v of ``pb``, one row per pair, left factor major.
+def _products(lefts, pb, pc):
+    """Normal forms in ``pc`` of the products u * v of the monomials u of
+    ``lefts`` and the representatives v of ``pb``, one row per pair, left
+    factor major.
 
     Every multiplication and pairing matrix is built here.
     """
-    return pc.normal_forms_of([monomial_mul(u, v) for u in pa.representatives
+    return pc.normal_forms_of([monomial_mul(u, v) for u in lefts
                                for v in pb.representatives])
 
 
 def _mode(prime):
     return "exact" if prime is None else f"modular(p={prime})"
+
+
+# the mode of a rank that R_a * R_b = R_(a+b) proves on a ring not proven
+# smooth at the step's prime: the exact dimension of the target
+GENERATED = "exact(generated in degree 1)"
 
 
 def _rank(matrix, full, prime):
@@ -679,13 +693,14 @@ def hilbert_function(hring, through=None):
 
 
 class SmoothnessResult:
-    __slots__ = ("smooth", "mode", "checked_degree", "dimension")
+    __slots__ = ("smooth", "mode", "checked_degree", "dimension", "route")
 
-    def __init__(self, smooth, mode, checked_degree, dimension):
+    def __init__(self, smooth, mode, checked_degree, dimension, route=None):
         self.smooth = smooth
         self.mode = mode
         self.checked_degree = checked_degree
         self.dimension = dimension
+        self.route = route
 
     def __bool__(self):
         return self.smooth
@@ -703,29 +718,43 @@ def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME, exact=False):
     socle+1 vanishes.  That is a full-rank claim about the ideal slice,
     so the ring's modular certificate settles it when it closes; when it
     falls short, or with ``exact``, elimination decides.  A monomial
-    ideal is always counted exactly.
+    ideal is always counted exactly.  ``route`` on the result names the
+    proof for the human report: the monomial count, a closed certificate
+    (``_proof_route``), or the exact pieces.
     """
     k = hring.socle_degree + 1
     mode = "exact"
     if not exact and not hring.is_monomial_ideal:
-        if hring.smoothness_certificate(prime).certified:
-            return SmoothnessResult(True, f"modular(p={prime})", k, 0)
+        cert = hring.smoothness_certificate(prime)
+        if cert.certified:
+            return SmoothnessResult(True, f"modular(p={prime})", k, 0,
+                                    hring._proof_route(cert))
         mode = f"exact(after modular p={prime})"
     dim = hring._eliminated_dim(k)
-    return SmoothnessResult(dim == 0, mode, k, dim)
+    if hring.is_monomial_ideal:
+        route = f"monomial count at degree {k}"
+    else:
+        # the full rank mod DEFAULT_PRIME that ``ideal_rank`` read, if any
+        cert = hring._full_rank(k, modrank.DEFAULT_PRIME)
+        route = (hring._proof_route(cert) if cert.certified
+                 else f"exact pieces at degree {k}")
+    return SmoothnessResult(dim == 0, mode, k, dim, route)
 
 
 class MultiplicationMap:
-    """Matrix of R_a (x) R_b -> R_c in quotient coordinates.
+    """R_a (x) R_b -> R_c in quotient coordinates.
 
-    Rows are indexed by the representatives of the target piece, columns
-    by source pairs, left factor major.  With ``quotient_by`` the left
-    factor runs over the given subspace vectors (coordinates over the
-    representatives of R_a) instead of the full basis.
+    Columns are indexed by source pairs, left factor major, and hold
+    coordinates over the target's representatives.  With ``quotient_by``
+    the left factor runs over the given subspace vectors (coordinates
+    over the representatives of R_a) instead of the full basis.  The
+    pieces are built on construction, the columns only when asked for:
+    ``column_blocks`` yields them one left vector at a time, and
+    ``matrix``, built on first use, is the whole map.
     """
 
-    __slots__ = ("hring", "a", "b", "c", "matrix", "left_dim", "right_dim",
-                 "quotient_by")
+    __slots__ = ("hring", "a", "b", "c", "left_dim", "right_dim",
+                 "target_dim", "quotient_by", "_pieces", "_matrix")
 
     def __init__(self, hring, a, b, quotient_by=None):
         self.hring = hring
@@ -733,23 +762,47 @@ class MultiplicationMap:
         self.b = b
         self.c = a + b
         pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(self.c)
+        self._pieces = pa, pb, pc
+        self._matrix = None
         self.quotient_by = quotient_by
         self.right_dim = pb.dim
-        cols = _products(pa, pb, pc)
+        self.target_dim = pc.dim
         if quotient_by is None:
             self.left_dim = pa.dim
         else:
             if any(len(vec) != pa.dim for vec in quotient_by):
                 raise ValueError("subspace vector length must match dim R_a")
             self.left_dim = len(quotient_by)
-            # the column of (vec, v) combines the products u * v
-            cols = [_combination(vec, cols[j::pb.dim], pc.dim)
-                    for vec in quotient_by for j in range(pb.dim)]
-        self.matrix = [[col[i] for col in cols] for i in range(pc.dim)]
+
+    def column_blocks(self):
+        """The columns of each left vector in turn, one list per vector.
+
+        A subspace vector's columns combine the products u_i * v of the
+        representatives u_i its nonzero coefficients name, and only those
+        products are looked up, each once.
+        """
+        pa, pb, pc = self._pieces
+        if self.quotient_by is None:
+            for u in pa.representatives:
+                yield _products([u], pb, pc)
+            return
+        products = {}
+        for vec in self.quotient_by:
+            used = [i for i, x in enumerate(vec) if x]
+            for i in used:
+                if i not in products:
+                    products[i] = _products([pa.representatives[i]], pb, pc)
+            yield [_combination([vec[i] for i in used],
+                                [products[i][j] for i in used], pc.dim)
+                   for j in range(pb.dim)]
 
     @property
-    def target_dim(self):
-        return len(self.matrix)
+    def matrix(self):
+        if self._matrix is None:
+            cols = [col for block in self.column_blocks() for col in block]
+            self._matrix = [[col[i] for col in cols]
+                            for i in range(self.target_dim)]
+        return self._matrix
 
     @property
     def ncols(self):
@@ -779,47 +832,52 @@ class SurjectivityResult:
 
 
 def is_surjective(mmap, prime=None):
-    """Surjectivity of a multiplication map.
+    """Surjectivity of a multiplication map, by ranking its matrix.
 
     Full row rank is a claim a modular certificate can establish; when a
     prime is given and the certificate falls short, exact elimination
     settles the answer.  ``prime`` is gated before any route is taken,
-    the trivial target included.
+    the trivial target included.  No step calls it: every step answers
+    by ``map_surjectivity``'s theorem.
     """
     if prime is not None:
         modrank.require_prime(prime)
     target = mmap.target_dim
     if target == 0:
-        return _onto(0, prime)
+        return _onto(0, "trivial")
     rank, mode = _rank(mmap.matrix, target, prime)
     return SurjectivityResult(rank == target, rank, target, mode)
 
 
-def _onto(target, prime):
-    """A map onto a piece of dimension ``target``, known to be onto."""
+def _onto(target, mode, route=None):
+    """A map onto a piece of dimension ``target``, known to be onto, in
+    ``mode`` unless the target is zero."""
     return SurjectivityResult(True, target, target,
-                              _mode(prime) if target else "trivial")
+                              mode if target else "trivial", route)
 
 
 def map_surjectivity(hring, a, b, prime=None):
     """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
 
-    R is generated in degree 1, so R_a * R_b = R_(a+b) and the map is
-    onto, with rank dim R_(a+b).  That answers on a ring proven smooth
-    for the step (``_smooth_for``), whose dimensions are the closed
-    form's, whatever the default prime proves.  Any other ring builds
-    the map from exact pieces and ``is_surjective`` decides.  ``route``
-    on the result names the route for the human report.
+    R is a graded quotient of the polynomial ring, whose degree-(a+b)
+    monomials are products of degree-a and degree-b ones, so
+    R_a * R_b = R_(a+b): the map is onto on every ring, with rank
+    dim R_(a+b), and no map is built.  On a ring proven smooth for the
+    step (``_smooth_for``) that is the closed form's coefficient, in the
+    step's mode, whatever the default prime proves; on any other ring it
+    is ``quotient_dim(a + b)``, in mode ``GENERATED``, since no rank mod
+    p was taken.  ``route`` on the result names the route for the human
+    report.
     """
     _check_step(prime, a, b)
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
-        result = _onto(hring._closed_form_dim(a + b), prime)
-        result.route = f"closed form (generated in degree 1), {smooth}"
-        return result
-    result = is_surjective(multiplication_map(hring, a, b), prime=prime)
-    result.route = _pieces_route(hring, prime)
-    return result
+        return _onto(hring._closed_form_dim(a + b), _mode(prime),
+                     f"closed form (generated in degree 1), {smooth}")
+    where = "" if prime is None else f", ring not proven smooth at p={prime}"
+    return _onto(hring.quotient_dim(a + b), GENERATED,
+                 f"generated in degree 1, dimension by "
+                 f"{hring.dimension_route()}{where}")
 
 
 class PairingResult:
@@ -862,7 +920,7 @@ def macaulay_pairing_check(hring, k, prime=None):
                              "dimension mismatch")
     if pa.dim == 0:
         return PairingResult(True, k, 0, 0, 0, "trivial")
-    products = _products(pa, pb, top)
+    products = _products(pa.representatives, pb, top)
     matrix = [[row[0] for row in products[i:i + pb.dim]]
               for i in range(0, len(products), pb.dim)]
     rank, mode = _rank(matrix, pa.dim, prime)
@@ -903,9 +961,10 @@ def left_kernel_via_duality(hring, a, b, prime=None):
     On a ring proven smooth for the step (``_smooth_for``) both
     halves are theorems: the map onto R_(sigma-a) has rank
     dim R_(sigma-a), and the socle pairing at degree a is perfect, with
-    rank dim R_a.  Any other ring builds both matrices from exact pieces,
-    as ``map_surjectivity`` does.  ``route`` on the result names the
-    route for the human report.
+    rank dim R_a.  Any other ring builds the pairing from exact pieces
+    (``macaulay_pairing_check``), and the map is onto by
+    ``map_surjectivity``'s theorem, in mode ``GENERATED``.  ``route`` on
+    the result names the route for the human report.
     """
     _check_step(prime, a, b)
     sigma = hring.socle_degree
@@ -913,25 +972,27 @@ def left_kernel_via_duality(hring, a, b, prime=None):
         raise InputError(f"a + b = {a + b} is above the socle degree {sigma}")
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
-        surj = _onto(hring._closed_form_dim(sigma - a), prime)
+        surj = _onto(hring._closed_form_dim(sigma - a), _mode(prime))
         dim = hring._closed_form_dim(a)
         pairing = PairingResult(True, a, dim, dim, dim,
                                 _mode(prime) if dim else "trivial")
         route = f"closed form (Macaulay duality), {smooth}"
         return DualityKernelResult(a, b, surj, pairing, route)
-    # first, so that a socle of the wrong dimension raises before any map
+    # first, so that a socle of the wrong dimension raises before any
+    # dimension is read
     pairing = macaulay_pairing_check(hring, a, prime=prime)
-    surj = is_surjective(multiplication_map(hring, sigma - a - b, b), prime=prime)
+    surj = _onto(hring.quotient_dim(sigma - a), GENERATED)
     return DualityKernelResult(a, b, surj, pairing, _pieces_route(hring, prime))
 
 
 class UniformBoundResult:
-    __slots__ = ("bound", "degree", "per_variable")
+    __slots__ = ("bound", "degree", "per_variable", "route")
 
-    def __init__(self, bound, degree, per_variable):
+    def __init__(self, bound, degree, per_variable, route=None):
         self.bound = bound
         self.degree = degree
         self.per_variable = per_variable
+        self.route = route
 
     def __repr__(self):
         return (f"UniformBoundResult(bound={self.bound}, degree={self.degree}, "
@@ -959,7 +1020,9 @@ def uniform_mult_rank_bound(hring, b):
         _count_avoiding([g[:i] + (max(g[i] - 1, 0),) + g[i + 1:]
                          for g in gens], hring.nvars, b)
         for i in range(hring.nvars)]
-    return UniformBoundResult(min(per_variable), b, per_variable)
+    return UniformBoundResult(
+        min(per_variable), b, per_variable,
+        f"monomial count, inclusion and exclusion over {len(gens)} generators")
 
 
 def _count_avoiding(gens, nvars, b):
@@ -977,14 +1040,17 @@ def _count_avoiding(gens, nvars, b):
 
 
 class FunctionalMapResult:
-    __slots__ = ("rank", "target_dim", "subspace_dim", "surjective", "g_class_nonzero")
+    __slots__ = ("rank", "target_dim", "subspace_dim", "surjective",
+                 "g_class_nonzero", "route")
 
-    def __init__(self, rank, target_dim, subspace_dim, g_class_nonzero):
+    def __init__(self, rank, target_dim, subspace_dim, g_class_nonzero,
+                 route=None):
         self.rank = rank
         self.target_dim = target_dim
         self.subspace_dim = subspace_dim
         self.surjective = rank == target_dim
         self.g_class_nonzero = g_class_nonzero
+        self.route = route
 
     def __repr__(self):
         return (f"FunctionalMapResult(rank={self.rank}, target_dim={self.target_dim}, "
@@ -997,29 +1063,60 @@ def functional_kernel_map(hring, g, b=None):
     Here a = deg g, W = {h in R_a : the socle coordinate of h * g is 0},
     the kernel of the linear functional that pairs against g; it contains
     the ideal slice by construction, so W presents a subspace of R_a of
-    codimension one whenever the class of g is nonzero.  On a ring proven
-    smooth the target is zero above sigma, and no map is built; R_a is
-    zero too when a > sigma, and no piece of degree a is built.
+    codimension one whenever the class of g is nonzero.  ``route`` on the
+    result names the route for the human report.
+
+    A ring proven smooth at ``DEFAULT_PRIME`` reads dim R_sigma = 1 from
+    the closed form; any other builds R_sigma and raises
+    SocleNotOneDimensional unless it is one-dimensional.  Only 2a = sigma
+    gives h * g a socle coordinate, so only then are R_sigma and R_a
+    built.  A zero functional leaves W = R_a, onto R_(a+b) by
+    ``map_surjectivity``'s theorem, and no map is built; nor is one when
+    R_(a+b) = 0.  Otherwise the map's columns, one kernel vector at a
+    time (``MultiplicationMap.column_blocks``) and scaled to integer rows,
+    go to the sparse kernel mod ``DEFAULT_PRIME``, whose rank never
+    exceeds that over Q: once it reaches dim R_(a+b) no more columns are
+    built, and short of it the whole map is ranked exactly.
     """
     a = g.total_degree()
     if b is None:
         b = hring.degree - 1
     sigma = hring.socle_degree
-    top = hring.piece(sigma)
-    if top.dim != 1:
-        raise SocleNotOneDimensional(f"dim R_{sigma} = {top.dim}, expected 1")
-    if a > sigma and hring.smoothness_certificate().certified:
-        return FunctionalMapResult(0, 0, 0, False)
-    pa = hring.piece(a)
-    # h * g has a socle coordinate only when it lies in the socle degree
-    functional = [top.reduce_vector({monomial_mul(u, e): c
-                                     for e, c in g.terms.items()})[0]
-                  if 2 * a == sigma else 0 for u in pa.representatives]
-    g_nonzero = any(functional)
-    kernel = exactla.kernel_basis([functional]) if g_nonzero else [
-        [int(i == j) for j in range(pa.dim)] for i in range(pa.dim)]
-    if a + b > sigma and hring.smoothness_certificate().certified:
-        return FunctionalMapResult(0, 0, len(kernel), g_nonzero)
+    if not hring.smoothness_certificate().certified:
+        top = hring.piece(sigma)
+        if top.dim != 1:
+            raise SocleNotOneDimensional(
+                f"dim R_{sigma} = {top.dim}, expected 1")
+    functional = []
+    if 2 * a == sigma:
+        top, pa = hring.piece(sigma), hring.piece(a)
+        functional = [top.reduce_vector({monomial_mul(u, e): c
+                                         for e, c in g.terms.items()})[0]
+                      for u in pa.representatives]
+    dims = f"dimension by {hring.dimension_route()}"
+    target = hring.quotient_dim(a + b)
+    if not any(functional):
+        return FunctionalMapResult(
+            target, target, hring.quotient_dim(a), False,
+            f"generated in degree 1 (W = R_{a}), {dims}")
+    kernel = exactla.kernel_basis([functional])
+    if target == 0:
+        return FunctionalMapResult(0, 0, len(kernel), True,
+                                   f"R_{a + b} = 0, {dims}")
     mmap = multiplication_map(hring, a, b, quotient_by=kernel)
-    r = exactla.rank(mmap.matrix)
-    return FunctionalMapResult(r, mmap.target_dim, len(kernel), g_nonzero)
+    built = []
+
+    def columns():
+        for block in mmap.column_blocks():
+            built.extend(block)
+            yield from exactla.integer_rows(block)[0]
+
+    p = modrank.DEFAULT_PRIME
+    if modrank.rank_mod_reaches(columns(), target, p):
+        rank, how = target, f"rank mod p={p} reached {target}"
+    else:
+        rank, how = exactla.rank(built), "exact rank"
+    return FunctionalMapResult(
+        rank, target, len(kernel), True,
+        f"pieces {a}, {b}, {a + b}: {len(built)} of {mmap.ncols} columns, "
+        f"{how}")

@@ -4,7 +4,9 @@ This is the one genuinely hot numeric loop in the package: modular rank
 certificates reduce big exact eliminations to machine-size arithmetic.
 ``rank_mod`` is the one rank entry point and ``echelon_mod`` the one
 reduced echelon form, which ``exactla.lift_kernel`` lifts every exact
-rank, kernel and graded piece from.  Both take an integer matrix in one
+rank, kernel and graded piece from; ``rank_mod_reaches`` asks whether a
+stream of sparse rows reaches a rank, and reads no row past the one that
+does.  Both take an integer matrix in one
 of two forms, and the form alone picks the kernel; a rational matrix is
 scaled to integers before it gets here (``exactla.integer_rows``).
 
@@ -196,16 +198,18 @@ def _rank_mod_numpy(a, p, pivots=None):
     return r
 
 
-def _sparse_pivots(rows, p):
+def _sparse_pivots(rows, p, bound=None):
     """Row-by-row forward elimination of sparse rows.
 
     Parameters
     ----------
-    rows : sequence of dict
+    rows : iterable of dict
         Row i maps column indices (nonnegative ints) to integer entries.
-        Never modified.
+        Never modified, and read one row at a time.
     p : int
         Prime modulus.
+    bound : int, optional
+        Stop once this many pivot rows are found, reading no further row.
 
     Returns
     -------
@@ -225,6 +229,8 @@ def _sparse_pivots(rows, p):
     """
     pivots = {}
     inverses = {}
+    if bound == 0:
+        return pivots
     for row in rows:
         row = {j: x % p for j, x in row.items() if x % p}
         while row:
@@ -243,6 +249,8 @@ def _sparse_pivots(rows, p):
                     row[j] = x
                 else:
                     del row[j]
+        if len(pivots) == bound:
+            break
     return pivots
 
 
@@ -301,6 +309,19 @@ def rank_mod(matrix, p=DEFAULT_PRIME):
         return len(_sparse_pivots(matrix, p))
     a = _reduced(matrix, p)
     return int(_rank_mod_numpy(a, p)) if a.size else 0
+
+
+def rank_mod_reaches(rows, bound, p=DEFAULT_PRIME):
+    """Whether the rank over GF(p) of the integer dict rows ``rows``
+    reaches ``bound``.
+
+    ``rows`` may be any iterable, a generator included: the sparse kernel
+    reads it one row at a time and stops at the row whose pivot reaches
+    ``bound``, so no later row is read, or built.  ``p`` must pass
+    ``require_prime``.
+    """
+    require_prime(p)
+    return len(_sparse_pivots(rows, p, bound)) == bound
 
 
 def echelon_mod(matrix, p=DEFAULT_PRIME):

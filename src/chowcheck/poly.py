@@ -471,11 +471,19 @@ def exact_divide(f, g):
     of every partial remainder is divisible by the leading term of g, so
     the greedy loop either terminates at zero or exposes a nonzero
     remainder whose leading term g cannot cancel.  The remainder is one
-    dict, reduced in place by each (rewritten) quotient term times g.
+    dict, reduced in place by each quotient term times g.  That argument
+    fails in a ring with rewrite rules (a tower ring, where w * w is
+    stored as -w - 1 and w divides it), so such a ring is refused with an
+    InputError.
     """
     if f.ring != g.ring:
         raise ValueError("polynomials from different rings")
     ring = f.ring
+    if ring.reductions:
+        rewritten = ", ".join(ring.names[i] for i in sorted(ring.reductions))
+        raise InputError(f"exact division is refused in {ring!r}: leading-"
+                         f"term division ignores its rewrite rules for "
+                         f"{rewritten}")
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ge, gc = g.leading_term()
@@ -486,9 +494,9 @@ def exact_divide(f, g):
             raise NotDivisible("leading term not divisible", SparsePoly(ring, rem))
         mono = tuple(a - b for a, b in zip(re, ge))
         q = quotient[mono] = _coefficient(Fraction(rem[re]) / gc)
-        for e, c in ring.reduce_terms({monomial_mul(mono, e): q * c
-                                       for e, c in g.terms.items()}).items():
-            s = rem.get(e, 0) - c
+        for e, c in g.terms.items():
+            e = monomial_mul(mono, e)
+            s = rem.get(e, 0) - q * c
             if s:
                 rem[e] = _coefficient(s)
             else:
@@ -546,25 +554,37 @@ def check_parametrization(f, assignment, target):
 
 
 class _Tokenizer:
+    """A cursor on the next token of ``text``: blanks are skipped once,
+    as each token is taken (``advance``, ``take_int``, ``take_name``),
+    so a look-ahead (``peek``) only reads the character at ``pos``."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.end = len(text)
+        self._skip_to(0)
+
+    def _skip_to(self, pos):
+        text, end = self.text, self.end
+        while pos < end and text[pos] in " \t":
+            pos += 1
+        self.pos = pos
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None, self.pos
-        return self.text[self.pos], self.pos
+        pos = self.pos
+        return (self.text[pos] if pos < self.end else None), pos
+
+    def advance(self):
+        """Take the one-character token at ``pos``."""
+        self._skip_to(self.pos + 1)
 
     def take_int(self):
         ch, start = self.peek()
         if ch is None or not ch.isdigit():
             raise PolyParseError("expected an integer", start)
         end = start
-        while end < len(self.text) and self.text[end].isdigit():
+        while end < self.end and self.text[end].isdigit():
             end += 1
-        self.pos = end
+        self._skip_to(end)
         return int(self.text[start:end]), start
 
     def take_name(self):
@@ -572,10 +592,10 @@ class _Tokenizer:
         if ch is None or not (ch.isalpha() or ch == "_"):
             raise PolyParseError("expected a variable name", start)
         end = start
-        while end < len(self.text) and (self.text[end].isalnum()
-                                        or self.text[end] == "_"):
+        while end < self.end and (self.text[end].isalnum()
+                                  or self.text[end] == "_"):
             end += 1
-        self.pos = end
+        self._skip_to(end)
         return self.text[start:end], start
 
 
@@ -591,19 +611,19 @@ def _parse_term(tok, ring):
         if ch.isdigit():
             coeff *= tok.take_int()[0]
             if tok.peek()[0] == "/":
-                tok.pos += 1
+                tok.advance()
                 den, pos = tok.take_int()
                 if den == 0:
                     raise PolyParseError("zero denominator", pos)
                 coeff = Fraction(coeff, den)
         else:
             if ch == "(":
-                tok.pos += 1
+                tok.advance()
                 factor = _parse_expr(tok, ring)
                 ch, pos = tok.peek()
                 if ch != ")":
                     raise PolyParseError("expected ')'", pos)
-                tok.pos += 1
+                tok.advance()
             elif ch.isalpha() or ch == "_":
                 name, pos = tok.take_name()
                 if name not in ring.index:
@@ -613,7 +633,7 @@ def _parse_term(tok, ring):
                 raise PolyParseError(f"unexpected character {ch!r}", pos)
             e = 1
             if tok.peek()[0] == "^":
-                tok.pos += 1
+                tok.advance()
                 e, _ = tok.take_int()
             if type(factor) is int:
                 exps[factor] += e
@@ -621,7 +641,7 @@ def _parse_term(tok, ring):
                 group = factor ** e if group is None else group * factor ** e
         if tok.peek()[0] != "*":
             break
-        tok.pos += 1
+        tok.advance()
     terms = group.terms if group is not None else {(0,) * ring.nvars: 1}
     return ring.reduce_terms({monomial_mul(exps, e): coeff * c
                               for e, c in terms.items()})
@@ -635,7 +655,7 @@ def _parse_expr(tok, ring):
     while True:
         ch, _ = tok.peek()
         if ch is not None and ch in signs:
-            tok.pos += 1
+            tok.advance()
             sign = -sign if ch == "-" else sign
         for e, c in _parse_term(tok, ring).items():
             out[e] = out.get(e, 0) + sign * c
@@ -643,7 +663,7 @@ def _parse_expr(tok, ring):
         if ch not in ("+", "-"):
             return SparsePoly(ring, {e: _coefficient(c)
                                      for e, c in out.items() if c})
-        tok.pos += 1
+        tok.advance()
         signs, sign = "-", 1 if ch == "+" else -1
 
 

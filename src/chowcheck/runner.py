@@ -462,7 +462,7 @@ def _check_uniform_bound(ctx, spec, b, expect, threshold):
     if not ok:
         details.append(f"expected bound {expect}")
     return _step(spec, "uniform multiplication bound", ok, details,
-                 "bound mismatch", values)
+                 "bound mismatch", values, result.route)
 
 
 @_register("green_gotzmann", g=_text, b=_degree, expect_rank=_integer)
@@ -492,7 +492,7 @@ def _check_green_gotzmann(ctx, spec, g, b, expect_rank):
     if result.rank != expect_rank:
         details.append(f"expected rank {expect_rank}")
     return _step(spec, "kernel multiplication rank", ok, details,
-                 "rank mismatch", values)
+                 "rank mismatch", values, result.route)
 
 
 @_register("duality", a=_degree, b=_degree, prime=(_prime, None))
@@ -581,7 +581,7 @@ def _check_smooth(ctx, spec, mode, prime):
     detail = (f"quotient vanishes in {where}" if result.smooth
               else f"quotient has dimension {result.dimension} in {where}")
     return _step(spec, "smoothness", result.smooth, [detail],
-                 "nonzero piece above the socle", values)
+                 "nonzero piece above the socle", values, result.route)
 
 
 def _cycle_text(named):

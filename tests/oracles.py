@@ -35,12 +35,25 @@ those with a positive exponent on a variable assigned zero
 remainder polynomials for every quotient term (``loop_exact_divide``).
 The package now folds each term's numbers and powers as it reads them,
 drops terms a zero assignment kills, and reduces one remainder dict in
-place; the old routes are kept here as their oracles.
+place; the old routes are kept here as their oracles.  The factor parser
+keeps the tokenizer it was written for (``PeekingTokenizer``), which
+skipped blanks at every look-ahead; the package's skips them once per
+token.
 
 The standard monomials of a monomial Jacobian ideal were once found by
 testing each degree-k monomial against every generator
 (``listed_piece``); the package now compares integer monomial codes, and
 the listing is kept here as its oracle.
+
+On a ring not proven smooth for the step, the surjectivity of a
+multiplication map was once decided by building the whole map from exact
+pieces (``WholeMap``) and ranking it (``jacobian.is_surjective``), and
+the restricted map of ``functional_kernel_map`` was built whole and
+ranked exactly after every piece it could read, the socle piece first
+(``pieces_functional_kernel_map``).  The package now answers both from
+generation in degree 1 where it applies, and ranks a restricted map only
+until its rank reaches the target; the old routes are kept here as their
+oracles.
 """
 
 from fractions import Fraction
@@ -48,10 +61,12 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+from chowcheck import exactla, jacobian
 from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
 from chowcheck.poly import (NotDivisible, PolyParseError, SparsePoly,
-                            _Tokenizer, enumerate_monomials, monomial_divides,
+                            enumerate_monomials, monomial_divides,
                             monomial_mul)
+from chowcheck.report import InputError
 
 
 def fraction_rref(rows, ncols):
@@ -221,6 +236,42 @@ def listed_piece(hring, k):
             [tuple(int(j == t) for t in free) for j in range(len(monos))])
 
 
+class PeekingTokenizer:
+    """A position in ``text`` that skips blanks whenever it is peeked at."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+        if self.pos >= len(self.text):
+            return None, self.pos
+        return self.text[self.pos], self.pos
+
+    def take_int(self):
+        ch, start = self.peek()
+        if ch is None or not ch.isdigit():
+            raise PolyParseError("expected an integer", start)
+        end = start
+        while end < len(self.text) and self.text[end].isdigit():
+            end += 1
+        self.pos = end
+        return int(self.text[start:end]), start
+
+    def take_name(self):
+        ch, start = self.peek()
+        if ch is None or not (ch.isalpha() or ch == "_"):
+            raise PolyParseError("expected a variable name", start)
+        end = start
+        while end < len(self.text) and (self.text[end].isalnum()
+                                        or self.text[end] == "_"):
+            end += 1
+        self.pos = end
+        return self.text[start:end], start
+
+
 def _parse_factor(tok, ring):
     ch, pos = tok.peek()
     if ch is None:
@@ -291,7 +342,7 @@ def factor_parse_poly(text, ring):
     """``parse_poly`` factor by factor: each number and variable power a
     polynomial, each '*' a polynomial product and each '+' or '-' a sum
     that copies the terms so far."""
-    tok = _Tokenizer(text)
+    tok = PeekingTokenizer(text)
     result = _parse_expr(tok, ring)
     ch, pos = tok.peek()
     if ch is not None:
@@ -333,3 +384,72 @@ def loop_exact_divide(f, g):
         quotient = quotient + qterm
         rem = rem - qterm * g
     return quotient
+
+
+class WholeMap:
+    """R_a (x) R_b -> R_(a+b) built whole: the normal forms of every product
+    u * v of the representatives, and with ``quotient_by`` the column of
+    each (subspace vector, v) combining the products u * v, left factor
+    major.  ``matrix`` rows are indexed by the target's representatives."""
+
+    def __init__(self, hring, a, b, quotient_by=None):
+        pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(a + b)
+        cols = pc.normal_forms_of([monomial_mul(u, v)
+                                   for u in pa.representatives
+                                   for v in pb.representatives])
+        if quotient_by is not None:
+            cols = [jacobian._combination(vec, cols[j::pb.dim], pc.dim)
+                    for vec in quotient_by for j in range(pb.dim)]
+        self.target_dim = pc.dim
+        self.matrix = [[col[i] for col in cols] for i in range(pc.dim)]
+
+
+def pieces_map_surjectivity(hring, a, b, prime=None):
+    """``map_surjectivity`` on exact pieces: the whole map, ranked by
+    ``jacobian.is_surjective``."""
+    jacobian._check_step(prime, a, b)
+    return jacobian.is_surjective(WholeMap(hring, a, b), prime=prime)
+
+
+def pieces_left_kernel_via_duality(hring, a, b, prime=None):
+    """``left_kernel_via_duality`` on exact pieces: the socle pairing
+    first, then the whole map onto R_(sigma-a), ranked."""
+    jacobian._check_step(prime, a, b)
+    sigma = hring.socle_degree
+    if a + b > sigma:
+        raise InputError(f"a + b = {a + b} is above the socle degree {sigma}")
+    pairing = jacobian.macaulay_pairing_check(hring, a, prime=prime)
+    surj = jacobian.is_surjective(WholeMap(hring, sigma - a - b, b),
+                                  prime=prime)
+    return jacobian.DualityKernelResult(a, b, surj, pairing)
+
+
+def pieces_functional_kernel_map(hring, g, b=None):
+    """``functional_kernel_map`` building every piece it reads: the socle
+    piece, checked to be one-dimensional, then R_a and the functional,
+    and the whole restricted map ranked exactly, unless the ring is
+    proven smooth and R_a or R_(a+b) lies above the socle degree."""
+    a = g.total_degree()
+    if b is None:
+        b = hring.degree - 1
+    sigma = hring.socle_degree
+    top = hring.piece(sigma)
+    if top.dim != 1:
+        raise jacobian.SocleNotOneDimensional(
+            f"dim R_{sigma} = {top.dim}, expected 1")
+    smooth = hring.smoothness_certificate().certified
+    if a > sigma and smooth:
+        return jacobian.FunctionalMapResult(0, 0, 0, False)
+    pa = hring.piece(a)
+    functional = [top.reduce_vector({monomial_mul(u, e): c
+                                     for e, c in g.terms.items()})[0]
+                  if 2 * a == sigma else 0 for u in pa.representatives]
+    g_nonzero = any(functional)
+    kernel = exactla.kernel_basis([functional]) if g_nonzero else [
+        [int(i == j) for j in range(pa.dim)] for i in range(pa.dim)]
+    if a + b > sigma and smooth:
+        return jacobian.FunctionalMapResult(0, 0, len(kernel), g_nonzero)
+    mmap = WholeMap(hring, a, b, quotient_by=kernel)
+    return jacobian.FunctionalMapResult(exactla.rank(mmap.matrix),
+                                        mmap.target_dim, len(kernel),
+                                        g_nonzero)

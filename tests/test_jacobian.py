@@ -17,7 +17,8 @@ from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
                      listed_ideal_rank, listed_piece, listed_uniform_bound,
-                     macaulay_rows, tuple_dict_rows)
+                     macaulay_rows, pieces_left_kernel_via_duality,
+                     pieces_map_surjectivity, tuple_dict_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -321,12 +322,13 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
         assert result.subspace_dim == 18
         assert result.surjective
         assert result.g_class_nonzero
-        # off half the socle degree W is all of R_3, the identity basis
+        # off half the socle degree W is all of R_3, and the map is onto
+        # without being built
         cubic = parse_poly("x0^2*x1", hring.ring)
         assert not jacobian.functional_kernel_map(hring, cubic, 3).g_class_nonzero
-    # both subspace bases hold ints: the kernel of the functional and the
-    # identity basis
-    assert [len(s) for s in subspaces] == [18, 16, 18, 16]
+    # one map per ring, on the kernel of the functional, whose basis holds
+    # ints
+    assert [len(s) for s in subspaces] == [18, 18]
     assert all(type(x) is int for s in subspaces for vec in s for x in vec)
 
 
@@ -700,9 +702,12 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
 # ------------------------------------------------ closed-form verdicts
 #
 # On a ring proven smooth in the step's own mode, the duality and
-# multiplication checks answer in closed form.  The computed route,
-# ``is_surjective`` and ``macaulay_pairing_check`` on exact pieces, is the
-# oracle: ranks, verdicts and modes must agree.
+# multiplication checks answer in closed form; on any other ring the map
+# is onto by generation in degree 1.  The computed route, the whole map
+# ranked by ``is_surjective`` and ``macaulay_pairing_check`` on exact
+# pieces, is the oracle: ranks, verdicts and modes must agree, apart from
+# the mode ``GENERATED`` that a theorem on a ring not proven smooth
+# declares (``_declared``).
 
 GFP = 1000003
 
@@ -714,15 +719,21 @@ def _fields(result):
 
 def _exact_duality(hring, a, b, prime):
     """The two halves of the duality argument at (a, b), on exact pieces."""
-    sigma = hring.socle_degree
-    mmap = jacobian.multiplication_map(hring, sigma - a - b, b)
-    return (_fields(jacobian.is_surjective(mmap, prime=prime)),
-            _fields(jacobian.macaulay_pairing_check(hring, a, prime=prime)))
+    result = pieces_left_kernel_via_duality(hring, a, b, prime)
+    return _fields(result.surjectivity), _fields(result.pairing)
 
 
 def _exact_map(hring, a, b, prime):
-    return _fields(jacobian.is_surjective(
-        jacobian.multiplication_map(hring, a, b), prime=prime))
+    return _fields(pieces_map_surjectivity(hring, a, b, prime))
+
+
+def _declared(surjectivity, closed):
+    """The oracle's surjectivity fields with the mode the step declares:
+    unchanged on the closed form or a trivial target, ``GENERATED`` on
+    any other ring, where no rank was taken."""
+    if closed or not surjectivity[2]:
+        return surjectivity
+    return surjectivity[:3] + (jacobian.GENERATED,)
 
 
 @pytest.mark.parametrize("form, pairs", [
@@ -779,12 +790,19 @@ def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
         for b in range(sigma + 1 - a):
             result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
             assert result.route == f"exact pieces, ring not proven smooth at p={p}"
+            surj, pairing = _exact_duality(hring, a, b, p)
             assert (_fields(result.surjectivity), _fields(result.pairing)) == (
-                _exact_duality(hring, a, b, p))
+                _declared(surj, False), pairing)
             assert result.empty
             mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
-            assert mapped.route == result.route
-            assert _fields(mapped) == _exact_map(hring, a, b, p)
+            # the dimensions read the closed form that the default prime
+            # proves, and the theorem needs no prime
+            assert mapped.route == (
+                f"generated in degree 1, dimension by {hring.dimension_route()}"
+                f", ring not proven smooth at p={p}")
+            assert hring.dimension_route().startswith("closed form, ")
+            assert _fields(mapped) == _declared(_exact_map(hring, a, b, p),
+                                                False)
             at_default = jacobian.left_kernel_via_duality(hring, a, b, prime=GFP)
             assert at_default.route.startswith("closed form (Macaulay duality), ")
 
@@ -826,13 +844,14 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
     nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
     assert nodal.quotient_dim(3) == 1
     assert not jacobian.is_smooth_artinian(nodal, exact=True)
-    for prime, route in ((GFP, f"exact pieces, ring not proven smooth at p={GFP}"),
-                         (None, "exact pieces")):
+    for prime, where in ((GFP, f", ring not proven smooth at p={GFP}"),
+                         (None, "")):
         for a, b in ((1, 1), (2, 0)):
             result = jacobian.left_kernel_via_duality(nodal, a, b, prime=prime)
-            assert result.route == route
+            assert result.route == "exact pieces" + where
             assert not result.pairing.nondegenerate and not result.empty
-        assert jacobian.map_surjectivity(nodal, 1, 1, prime=prime).route == route
+        assert jacobian.map_surjectivity(nodal, 1, 1, prime=prime).route == (
+            "generated in degree 1, dimension by elimination" + where)
     # an exact step reads the certificate at the default prime; a
     # monomial ideal's is its monomial count
     cubic = _cubic_surface()
@@ -968,10 +987,13 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
                 closed = result.route.startswith("closed form")
                 assert closed <= smooth and (prime is not None or closed == smooth)
                 assert (_fields(result.surjectivity),
-                        _fields(result.pairing)) == want
+                        _fields(result.pairing)) == (_declared(want[0], closed),
+                                                     want[1])
             for b in range(sigma + 2 - a):
                 mapped = jacobian.map_surjectivity(hring, a, b, prime=prime)
-                assert _fields(mapped) == _exact_map(hring, a, b, prime)
+                closed = mapped.route.startswith("closed form")
+                assert _fields(mapped) == _declared(
+                    _exact_map(hring, a, b, prime), closed)
 
 
 # ------------------------------------------------ the verified lift

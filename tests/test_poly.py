@@ -14,6 +14,7 @@ from chowcheck.poly import (NotDivisible, PolyParseError, PolyRing,
                             exact_divide, grevlex_key, monomial_mul,
                             multiplicity_at_point, parse_poly,
                             partial_derivative, substitute)
+from chowcheck.report import InputError
 from chowcheck.runner import run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import factor_parse_poly, loop_exact_divide, loop_substitute
@@ -121,6 +122,18 @@ def test_exact_divide():
     with pytest.raises(NotDivisible) as info:
         exact_divide(parse_poly("x^2 + y^2", XY), g)
     assert not info.value.remainder.is_zero()
+
+
+def test_exact_divide_refuses_a_ring_with_rewrite_rules():
+    # in the tower w * w is stored as -w - 1, whose leading term w does not
+    # divide though w divides w * w: leading-term division would stop with
+    # the false remainder -1, so the ring is refused by name
+    w = parse_poly("w", TOWER)
+    assert w * w == parse_poly("-w - 1", TOWER)
+    with pytest.raises(InputError, match=r"refused in PolyRing\(\('x', 'y', "
+                       r"'z', 'lam', 't', 'w', 'a'\), domain='tower'\): .* "
+                       r"rewrite rules for w, a$"):
+        exact_divide(w * w, w)
 
 
 def test_substitute_across_rings():
@@ -497,11 +510,16 @@ def test_division_matches_the_rebuilding_loop(ring, names, data):
     r = data.draw(st.one_of(st.just(ring.zero()),
                             _polys(ring, names, max_degree=2, max_terms=2)))
     f = q * g + r
+    if ring.reductions:
+        # leading terms decide divisibility only without rewrites: in the
+        # tower, w divides w^2 = -1 - w, yet the loop stops at -1, so
+        # division there is refused
+        with pytest.raises(InputError, match="rewrite rules"):
+            exact_divide(f, g)
+        return
     new = _outcome(exact_divide, f, g)
     assert _agree(new, _outcome(loop_exact_divide, f, g))
-    if not r and not ring.reductions:
-        # leading terms decide divisibility only without rewrites: in the
-        # tower, w divides w^2 = -1 - w, yet both loops stop at -1
+    if not r:
         assert new[0] == "ok" and new[1] == q
 
 
@@ -513,6 +531,11 @@ def test_a_failed_division_carries_the_loops_remainder(ring):
         if not set("wa") <= set(ring.names) and "w" in f:
             continue
         f, g = parse_poly(f, ring), parse_poly(g, ring)
+        if ring.reductions:
+            # refused before any remainder is formed
+            with pytest.raises(InputError, match="rewrite rules"):
+                exact_divide(f, g)
+            continue
         new = _outcome(exact_divide, f, g)
         assert new[0] == "error" and new[1] == "NotDivisible"
         assert new == _outcome(loop_exact_divide, f, g)

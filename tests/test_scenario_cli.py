@@ -489,11 +489,12 @@ summary.verdict = pass
 """
 
 
-def _duality_machine(name, a, b, rank, mode):
+def _duality_machine(name, a, b, rank, mode, surjectivity_mode=None):
+    onto = surjectivity_mode or mode
     return f"""\
 check.01.citation = command line query
 check.01.detail.01 = multiplication onto the complementary piece has rank \
-{rank} of {rank} ({mode})
+{rank} of {rank} ({onto})
 check.01.detail.02 = socle pairing at degree {a} has rank {rank} ({mode})
 check.01.detail.03 = no class of degree {a} kills all of degree {b}
 check.01.kind = duality
@@ -502,7 +503,7 @@ check.01.status = pass
 check.01.value.empty = True
 check.01.value.pairing_mode = {mode}
 check.01.value.pairing_rank = {rank}
-check.01.value.surjectivity_mode = {mode}
+check.01.value.surjectivity_mode = {onto}
 check.01.value.surjectivity_rank = {rank}
 scenario.name = {name}: ring duality
 summary.failed = 0
@@ -531,11 +532,17 @@ SHIODA_PROOF = ("smooth at degree 13 (modular p=1000003, 560x560 Macaulay "
         ("duality", _duality_machine("shioda", 3, 3, 20, "exact"),
          f"closed form (Macaulay duality), {SHIODA_PROOF}"),
     ]),
+    # the map is onto by generation in degree 1, and its mode says so:
+    # no rank mod 1000033 was taken
     (CONE_MOD_P, ("--a", "1", "--b", "1", "--prime", "1000033"), [
-        ("map", _map_machine("cone-mod-p", 1, 1, 6, "modular(p=1000033)"),
-         "exact pieces, ring not proven smooth at p=1000033"),
+        ("map", _map_machine("cone-mod-p", 1, 1, 6,
+                             "exact(generated in degree 1)"),
+         "generated in degree 1, dimension by closed form, smooth at degree 5 "
+         "(modular p=1000003, 56x56 Macaulay rows of 80x56, 296 nonzeros, "
+         "dense), ring not proven smooth at p=1000033"),
         ("duality", _duality_machine("cone-mod-p", 1, 1, 4,
-                                     "modular(p=1000033)"),
+                                     "modular(p=1000033)",
+                                     "exact(generated in degree 1)"),
          "exact pieces, ring not proven smooth at p=1000033"),
     ]),
     (TINY, ("--a", "1", "--b", "3"), [
@@ -701,13 +708,14 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
                           "dense)")
     # mod 3 the partials are 2*x1*x2, 2*x0*x2, 2*x0*x1: the ring is not
     # proven smooth at 3, and the exact pieces carry a denominator divisible
-    # by 3.  Each matrix is scaled to integer rows, whose rank mod 3 never
-    # exceeds the rank over Q: the map's reaches its target and certifies
-    # it, and the pairing's falls short, so the exact rank decides that one
+    # by 3.  The map is onto by generation in degree 1, with no rank taken
+    # mod 3.  The pairing matrix is scaled to integer rows, whose rank mod 3
+    # never exceeds the rank over Q; it falls short, so the exact rank
+    # decides
     step = run_scenario(_cubic_duality(3)).steps[0]
     assert step.passed
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
-        "modular(p=3)", "exact")
+        "exact(generated in degree 1)", "exact")
     assert step.route == "exact pieces, ring not proven smooth at p=3"
 
 
@@ -959,9 +967,11 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 # routes of the other steps, in report order
 @pytest.mark.parametrize("name, route, count, others", [
     ("shioda", f"closed form, {SHIODA_PROOF}", 2,
-     [f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
+     [SHIODA_PROOF, f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
-     ["closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
+     ["monomial count, inclusion and exclusion over 4 generators",
+      "pieces 4, 3, 7: 48 of 288 columns, rank mod p=1000003 reached 4",
+      "closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
 ])
 def test_route_lines_are_human_only(name, route, count, others, capsys):
     cli.main(["verify", name, "--machine"])
@@ -978,11 +988,23 @@ def test_route_lines_are_human_only(name, route, count, others, capsys):
 
 def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
     # with the closed-form gate refusing every ring, the duality step
-    # computes both halves on exact pieces
+    # computes the pairing on exact pieces, and the map is onto by
+    # generation in degree 1: only its mode, which names that theorem and
+    # no prime, differs from the golden report
     monkeypatch.setattr(jacobian, "_smooth_for", lambda hring, prime: None)
     cli.main(["verify", "shioda", "--machine"])
     machine = capsys.readouterr().out
-    assert machine == (GOLDEN / "shioda.machine").read_text(encoding="utf-8")
+    golden = (GOLDEN / "shioda.machine").read_text(encoding="utf-8")
+    lines = [
+        "check.13.detail.01 = multiplication onto the complementary piece "
+        "has rank 20 of 20 ({})",
+        "check.13.value.surjectivity_mode = {}"]
+    for line in lines:
+        old = line.format("modular(p=1000003)") + "\n"
+        assert golden.count(old) == 1
+        golden = golden.replace(
+            old, line.format("exact(generated in degree 1)") + "\n")
+    assert machine == golden
     cli.main(["verify", "shioda"])
     assert ("route: exact pieces, ring not proven smooth at p=1000003"
             in capsys.readouterr().out)
