@@ -14,7 +14,8 @@ The package is organised in layers:
 - :mod:`chowcheck.poly`: sparse multivariate polynomials over the
   rationals and small algebraic towers, with an exact parser.
 - :mod:`chowcheck.jacobian`: graded quotients by Jacobian ideals,
-  Hilbert functions, smoothness, multiplication maps, socle pairings.
+  Hilbert functions, smoothness, multiplication maps, socle pairings,
+  each answered as one ``Rank`` that carries its proof.
 - :mod:`chowcheck.curves`: coordinate-line sections of plane curves,
   divisor relation lattices, torsion orders of point differences.
 - :mod:`chowcheck.pencil`: the deformed quartic family, its blown-up
@@ -54,11 +55,11 @@ _EXPORTS = {
                   "hyperplane_relations minimal_equivalence_order "
                   "rational_roots restrict_to_line squarefree_decomposition",
         "jacobian": "GradedPiece HypersurfaceRing IdealNotMonomial "
-                    "MultiplicationMap SocleNotOneDimensional "
+                    "MultiplicationMap Rank SocleNotOneDimensional "
                     "functional_kernel_map hilbert_function "
-                    "is_smooth_artinian is_surjective "
-                    "left_kernel_via_duality macaulay_pairing_check "
-                    "multiplication_map uniform_mult_rank_bound",
+                    "is_smooth_artinian left_kernel_via_duality "
+                    "macaulay_pairing_check multiplication_map "
+                    "uniform_mult_rank_bound",
         "pencil": "PencilScenario default_scenario membership_identity "
                   "report_degenerate_parameters scenario_steps "
                   "tangent_identity verify_blowup_factorization "

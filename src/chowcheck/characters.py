@@ -241,7 +241,9 @@ def picard_upper_bound(hring, sigma):
         raise NotInvariant("form is not an eigenvector of the automorphism")
     smooth = jacobian.is_smooth_artinian(hring)
     if not smooth:
-        raise NotSmooth(f"quotient does not vanish above the socle: {smooth!r}")
+        raise NotSmooth("quotient does not vanish above the socle: "
+                        f"dim R_{hring.socle_degree + 1} = "
+                        f"{smooth.full - smooth.rank} ({smooth.mode})")
     outer_lo = character_spectrum(hring, sigma, d - 4, twisted=True)
     middle = character_spectrum(hring, sigma, 2 * d - 4, twisted=True)
     outer_hi = character_spectrum(hring, sigma, 3 * d - 4, twisted=True)

@@ -58,22 +58,23 @@ depend on the steps before it.  ``quotient_dim``, ``dimension_route``
 and the character spectra have no prime; ``map_surjectivity`` and
 ``left_kernel_via_duality`` ask at theirs (``_smooth_for``).
 
-R is a graded quotient of the polynomial ring, so R_a * R_b = R_(a+b)
-on every ring: every multiplication map is onto, with rank
-dim R_(a+b), and no step builds one to learn that.  On a ring proven
-smooth for the step that dimension is a coefficient of the closed form,
-in the step's mode; on any other it is ``quotient_dim``, in mode
-``GENERATED``.  A smooth R is a complete intersection, hence Gorenstein,
-so its socle pairing R_a x R_(sigma-a) -> R_sigma is perfect (Macaulay;
-Carlson & Griffiths 1980), with a closed-form rank too.  Any other ring
-builds the pairing matrix from exact pieces and scales it to integer
-dict rows once (``_rank``): a rank of theirs mod the step's prime that
-reaches its bound is the rank over Q, and any other rank is exact
-(``exactla.rank``, from the same lift), so a failing verdict is exact.
-The one map a step still ranks is ``functional_kernel_map``'s
-W (x) R_b -> R_(a+b) for a nonzero socle functional: it is built one
-kernel vector's columns at a time, and only until their rank mod p
-reaches dim R_(a+b).
+Every step answers with one ``Rank``: a rank, the full rank it is
+compared to, a mode, a route, and the proof in hand (a certificate, a
+piece or a theorem).  Smoothness is the rank of the degree-(sigma+1)
+slice.  R is a graded quotient of the polynomial ring, so
+R_a * R_b = R_(a+b) on every ring: every multiplication map is onto,
+with rank dim R_(a+b), and no step builds one to learn that.  On a ring
+proven smooth for the step that dimension is a coefficient of the
+closed form, in the step's mode; on any other it is ``quotient_dim``, in
+mode ``GENERATED``.  A smooth R is a complete intersection, hence
+Gorenstein, so its socle pairing R_a x R_(sigma-a) -> R_sigma is perfect
+(Macaulay; Carlson & Griffiths 1980), with a closed-form rank too.  Any
+other ring ranks the pairing matrix from exact pieces (``_rank``): mod
+the step's prime first, exactly short of its bound, so a failing
+verdict is exact.  The one map a step still ranks is
+``functional_kernel_map``'s W (x) R_b -> R_(a+b) for a nonzero socle
+functional, one kernel vector's columns at a time, and only until their
+rank mod p reaches dim R_(a+b).
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
@@ -109,6 +110,7 @@ certificate at one prime never answers for another.
 from __future__ import annotations
 
 from math import comb, gcd
+from typing import NamedTuple
 
 from . import exactla, modrank
 from .poly import enumerate_monomials, monomial_mul, partial_derivative
@@ -455,6 +457,12 @@ class HypersurfaceRing:
             return min(rows, cols)
         return cols - self.piece(k).dim
 
+    def _rank_proof(self, k):
+        """What decided ``ideal_rank(k)`` off a monomial ideal: the full
+        rank mod ``DEFAULT_PRIME`` it read, else the lifted piece."""
+        cert = self._full_rank(k, modrank.DEFAULT_PRIME)
+        return cert if cert.certified else self.piece(k)
+
     def _lift(self, k):
         """(free, forms) of the degree-k piece of a non-monomial ring: the
         free columns of the reduced echelon form of the slice over Q, and
@@ -632,22 +640,49 @@ def _mode(prime):
 # smooth at the step's prime: the exact dimension of the target
 GENERATED = "exact(generated in degree 1)"
 
+# the theorems a ``Rank`` may name as its proof
+DEGREE_ONE = "generated in degree 1"
+GORENSTEIN = "Gorenstein duality"
+CLOSED_FORM = "closed form"
+
+
+class Rank(NamedTuple):
+    """A step's answer: ``rank`` against ``full``, the ``mode`` and
+    ``route`` it took, and its ``proof``: the ``RankCertificate`` that
+    closed it, the ``GradedPiece`` that decided it, or a theorem named
+    above.  True when ``ok``, rank == full."""
+
+    rank: int | None
+    full: int
+    mode: str
+    route: str | None = None
+    proof: object = None
+
+    @property
+    def ok(self):
+        return self.rank == self.full
+
+    def __bool__(self):
+        return self.ok
+
 
 def _rank(matrix, full, prime):
-    """(rank, mode) of a rational matrix whose rank is at most ``full``.
+    """The ``Rank`` of a rational matrix whose rank is at most ``full``.
 
     The matrix is scaled to integer dict rows once
     (``exactla.integer_rows``).  Their rank mod ``prime`` never exceeds
     their rank over Q, which is the matrix's, so a rank mod ``prime``
     that reaches ``full`` proves it, whichever denominators ``prime``
-    divides.  Short of a proof the same rows are ranked exactly
-    (``exactla.rank``).  A non-prime ``prime`` raises BadPrime.
+    divides, and its certificate is the proof.  Short of one the same
+    rows are ranked exactly (``exactla.rank``), proven by a certificate
+    with prime None.  A non-prime ``prime`` raises BadPrime.
     """
     rows, _ = exactla.integer_rows(matrix)
-    if (prime is not None and
-            exactla.modular_rank(rows, prime, upper_bound=full).certified):
-        return full, _mode(prime)
-    return exactla.rank(rows), "exact"
+    cert = None if prime is None else exactla.modular_rank(
+        rows, prime, upper_bound=full)
+    if cert is None or not cert.certified:
+        cert = exactla.RankCertificate(None, exactla.rank(rows), full)
+    return Rank(cert.rank, full, _mode(cert.prime), proof=cert)
 
 
 def _check_step(prime, *degrees):
@@ -692,53 +727,35 @@ def hilbert_function(hring, through=None):
     return [hring.quotient_dim(k) for k in range(top + 1)]
 
 
-class SmoothnessResult:
-    __slots__ = ("smooth", "mode", "checked_degree", "dimension", "route")
-
-    def __init__(self, smooth, mode, checked_degree, dimension, route=None):
-        self.smooth = smooth
-        self.mode = mode
-        self.checked_degree = checked_degree
-        self.dimension = dimension
-        self.route = route
-
-    def __bool__(self):
-        return self.smooth
-
-    def __repr__(self):
-        return (f"SmoothnessResult(smooth={self.smooth}, mode={self.mode!r}, "
-                f"degree={self.checked_degree}, dim={self.dimension})")
-
-
 def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME, exact=False):
-    """Smoothness of the hypersurface via vanishing above the socle.
+    """Smoothness of the hypersurface via vanishing above the socle, as
+    the ``Rank`` of the degree-(sigma+1) slice against its monomials.
 
     The quotient is Artinian with socle degree n*(d-2) exactly when the
     hypersurface is smooth, so it suffices that the piece in degree
     socle+1 vanishes.  That is a full-rank claim about the ideal slice,
     so the ring's modular certificate settles it when it closes; when it
     falls short, or with ``exact``, elimination decides.  A monomial
-    ideal is always counted exactly.  ``route`` on the result names the
-    proof for the human report: the monomial count, a closed certificate
-    (``_proof_route``), or the exact pieces.
+    ideal is always counted exactly.  The proof is the certificate that
+    closed, the monomial count, or the lifted piece.
     """
     k = hring.socle_degree + 1
+    full = hring._slice_shape(k)[1]
+    if hring.is_monomial_ideal:
+        cert = hring.smoothness_certificate()
+        return Rank(cert.rank, full, "exact", f"monomial count at degree {k}",
+                    cert)
     mode = "exact"
-    if not exact and not hring.is_monomial_ideal:
+    if not exact:
         cert = hring.smoothness_certificate(prime)
         if cert.certified:
-            return SmoothnessResult(True, f"modular(p={prime})", k, 0,
-                                    hring._proof_route(cert))
+            return Rank(full, full, _mode(prime), hring._proof_route(cert),
+                        cert)
         mode = f"exact(after modular p={prime})"
-    dim = hring._eliminated_dim(k)
-    if hring.is_monomial_ideal:
-        route = f"monomial count at degree {k}"
-    else:
-        # the full rank mod DEFAULT_PRIME that ``ideal_rank`` read, if any
-        cert = hring._full_rank(k, modrank.DEFAULT_PRIME)
-        route = (hring._proof_route(cert) if cert.certified
-                 else f"exact pieces at degree {k}")
-    return SmoothnessResult(dim == 0, mode, k, dim, route)
+    rank, proof = hring.ideal_rank(k), hring._rank_proof(k)
+    if isinstance(proof, GradedPiece):
+        return Rank(rank, full, mode, f"exact pieces at degree {k}", proof)
+    return Rank(rank, full, mode, hring._proof_route(proof), proof)
 
 
 class MultiplicationMap:
@@ -748,13 +765,12 @@ class MultiplicationMap:
     coordinates over the target's representatives.  With ``quotient_by``
     the left factor runs over the given subspace vectors (coordinates
     over the representatives of R_a) instead of the full basis.  The
-    pieces are built on construction, the columns only when asked for:
-    ``column_blocks`` yields them one left vector at a time, and
-    ``matrix``, built on first use, is the whole map.
+    pieces are built on construction, the columns only when asked for,
+    one left vector at a time (``column_blocks``).
     """
 
     __slots__ = ("hring", "a", "b", "c", "left_dim", "right_dim",
-                 "target_dim", "quotient_by", "_pieces", "_matrix")
+                 "target_dim", "quotient_by", "_pieces")
 
     def __init__(self, hring, a, b, quotient_by=None):
         self.hring = hring
@@ -763,7 +779,6 @@ class MultiplicationMap:
         self.c = a + b
         pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(self.c)
         self._pieces = pa, pb, pc
-        self._matrix = None
         self.quotient_by = quotient_by
         self.right_dim = pb.dim
         self.target_dim = pc.dim
@@ -797,14 +812,6 @@ class MultiplicationMap:
                    for j in range(pb.dim)]
 
     @property
-    def matrix(self):
-        if self._matrix is None:
-            cols = [col for block in self.column_blocks() for col in block]
-            self._matrix = [[col[i] for col in cols]
-                            for i in range(self.target_dim)]
-        return self._matrix
-
-    @property
     def ncols(self):
         return self.left_dim * self.right_dim
 
@@ -813,51 +820,15 @@ def multiplication_map(hring, a, b, quotient_by=None):
     return MultiplicationMap(hring, a, b, quotient_by=quotient_by)
 
 
-class SurjectivityResult:
-    __slots__ = ("surjective", "rank", "target_dim", "mode", "route")
-
-    def __init__(self, surjective, rank, target_dim, mode, route=None):
-        self.surjective = surjective
-        self.rank = rank
-        self.target_dim = target_dim
-        self.mode = mode
-        self.route = route
-
-    def __bool__(self):
-        return self.surjective
-
-    def __repr__(self):
-        return (f"SurjectivityResult(surjective={self.surjective}, "
-                f"rank={self.rank}, target_dim={self.target_dim}, mode={self.mode!r})")
-
-
-def is_surjective(mmap, prime=None):
-    """Surjectivity of a multiplication map, by ranking its matrix.
-
-    Full row rank is a claim a modular certificate can establish; when a
-    prime is given and the certificate falls short, exact elimination
-    settles the answer.  ``prime`` is gated before any route is taken,
-    the trivial target included.  No step calls it: every step answers
-    by ``map_surjectivity``'s theorem.
-    """
-    if prime is not None:
-        modrank.require_prime(prime)
-    target = mmap.target_dim
-    if target == 0:
-        return _onto(0, "trivial")
-    rank, mode = _rank(mmap.matrix, target, prime)
-    return SurjectivityResult(rank == target, rank, target, mode)
-
-
 def _onto(target, mode, route=None):
-    """A map onto a piece of dimension ``target``, known to be onto, in
-    ``mode`` unless the target is zero."""
-    return SurjectivityResult(True, target, target,
-                              mode if target else "trivial", route)
+    """A map onto a piece of dimension ``target``, onto by generation in
+    degree 1, in ``mode`` unless the target is zero."""
+    return Rank(target, target, mode if target else "trivial", route,
+                DEGREE_ONE)
 
 
 def map_surjectivity(hring, a, b, prime=None):
-    """Surjectivity of R_a (x) R_b -> R_(a+b), with the route it took.
+    """Surjectivity of R_a (x) R_b -> R_(a+b), as its ``Rank``.
 
     R is a graded quotient of the polynomial ring, whose degree-(a+b)
     monomials are products of degree-a and degree-b ones, so
@@ -866,8 +837,7 @@ def map_surjectivity(hring, a, b, prime=None):
     step (``_smooth_for``) that is the closed form's coefficient, in the
     step's mode, whatever the default prime proves; on any other ring it
     is ``quotient_dim(a + b)``, in mode ``GENERATED``, since no rank mod
-    p was taken.  ``route`` on the result names the route for the human
-    report.
+    p was taken.
     """
     _check_step(prime, a, b)
     smooth = _smooth_for(hring, prime)
@@ -880,91 +850,44 @@ def map_surjectivity(hring, a, b, prime=None):
                  f"{hring.dimension_route()}{where}")
 
 
-class PairingResult:
-    __slots__ = ("nondegenerate", "k", "dim_left", "dim_right", "rank", "mode")
-
-    def __init__(self, nondegenerate, k, dim_left, dim_right, rank, mode):
-        self.nondegenerate = nondegenerate
-        self.k = k
-        self.dim_left = dim_left
-        self.dim_right = dim_right
-        self.rank = rank
-        self.mode = mode
-
-    def __bool__(self):
-        return self.nondegenerate
-
-    def __repr__(self):
-        return (f"PairingResult(nondegenerate={self.nondegenerate}, k={self.k}, "
-                f"dims=({self.dim_left}, {self.dim_right}), rank={self.rank}, "
-                f"mode={self.mode!r})")
-
-
 def macaulay_pairing_check(hring, k, prime=None):
-    """Nondegeneracy of the socle pairing R_k x R_(sigma-k) -> R_sigma.
+    """Nondegeneracy of the socle pairing R_k x R_(sigma-k) -> R_sigma, as
+    its ``Rank`` against dim R_k (rank None if dim R_(sigma-k) differs).
 
     Requires the socle piece to be one-dimensional; raises
-    SocleNotOneDimensional otherwise.  ``prime`` is gated first, before
-    any piece is built or any shortcut taken.
+    SocleNotOneDimensional otherwise.  ``prime`` and both degrees are
+    gated first, before any piece is built or any shortcut taken.
     """
-    if prime is not None:
-        modrank.require_prime(prime)
     sigma = hring.socle_degree
+    _check_step(prime, k, sigma - k)
     top = hring.piece(sigma)
     if top.dim != 1:
         raise SocleNotOneDimensional(
             f"dim R_{sigma} = {top.dim}, expected 1")
     pa, pb = hring.piece(k), hring.piece(sigma - k)
     if pa.dim != pb.dim:
-        return PairingResult(False, k, pa.dim, pb.dim, None,
-                             "dimension mismatch")
+        return Rank(None, pa.dim, "dimension mismatch", proof=pb)
     if pa.dim == 0:
-        return PairingResult(True, k, 0, 0, 0, "trivial")
+        return Rank(0, 0, "trivial", proof=pa)
     products = _products(pa.representatives, pb, top)
     matrix = [[row[0] for row in products[i:i + pb.dim]]
               for i in range(0, len(products), pb.dim)]
-    rank, mode = _rank(matrix, pa.dim, prime)
-    return PairingResult(rank == pa.dim, k, pa.dim, pb.dim, rank, mode)
-
-
-class DualityKernelResult:
-    """Left kernel emptiness established through the socle pairing.
-
-    If R_(sigma-a-b) (x) R_b -> R_(sigma-a) is surjective and the socle
-    pairing at degree a is nondegenerate, then u * R_b = 0 forces u to
-    pair to zero with all of R_(sigma-a), hence u = 0.  Both sub-verdicts
-    are kept.
-    """
-
-    __slots__ = ("empty", "surjectivity", "pairing", "a", "b", "route")
-
-    def __init__(self, a, b, surjectivity, pairing, route=None):
-        self.a = a
-        self.b = b
-        self.surjectivity = surjectivity
-        self.pairing = pairing
-        self.empty = bool(surjectivity) and bool(pairing)
-        self.route = route
-
-    def __bool__(self):
-        return self.empty
-
-    def __repr__(self):
-        return (f"DualityKernelResult(empty={self.empty}, a={self.a}, "
-                f"b={self.b}, surjectivity={self.surjectivity!r}, "
-                f"pairing={self.pairing!r})")
+    return _rank(matrix, pa.dim, prime)
 
 
 def left_kernel_via_duality(hring, a, b, prime=None):
-    """Both halves of the duality argument at degrees (a, b).
+    """Both halves of the duality argument at degrees (a, b), as the pair
+    of ``Rank``: the map R_(sigma-a-b) (x) R_b -> R_(sigma-a) and the
+    socle pairing at degree a.
 
-    On a ring proven smooth for the step (``_smooth_for``) both
-    halves are theorems: the map onto R_(sigma-a) has rank
-    dim R_(sigma-a), and the socle pairing at degree a is perfect, with
-    rank dim R_a.  Any other ring builds the pairing from exact pieces
-    (``macaulay_pairing_check``), and the map is onto by
-    ``map_surjectivity``'s theorem, in mode ``GENERATED``.  ``route`` on
-    the result names the route for the human report.
+    If the map is onto and the pairing nondegenerate, then u * R_b = 0
+    forces u to pair to zero with all of R_(sigma-a), hence u = 0.  On a
+    ring proven smooth for the step (``_smooth_for``) both halves are
+    theorems: the map has rank dim R_(sigma-a), and the pairing is
+    perfect (Gorenstein duality), with rank dim R_a.  Any other ring
+    builds the pairing from exact pieces (``macaulay_pairing_check``),
+    and the map is onto by ``map_surjectivity``'s theorem, in mode
+    ``GENERATED``.  Both halves carry the step's route.
     """
     _check_step(prime, a, b)
     sigma = hring.socle_degree
@@ -972,35 +895,22 @@ def left_kernel_via_duality(hring, a, b, prime=None):
         raise InputError(f"a + b = {a + b} is above the socle degree {sigma}")
     smooth = _smooth_for(hring, prime)
     if smooth is not None:
-        surj = _onto(hring._closed_form_dim(sigma - a), _mode(prime))
-        dim = hring._closed_form_dim(a)
-        pairing = PairingResult(True, a, dim, dim, dim,
-                                _mode(prime) if dim else "trivial")
         route = f"closed form (Macaulay duality), {smooth}"
-        return DualityKernelResult(a, b, surj, pairing, route)
+        dim = hring._closed_form_dim(a)
+        return (_onto(hring._closed_form_dim(sigma - a), _mode(prime), route),
+                Rank(dim, dim, _mode(prime) if dim else "trivial", route,
+                     GORENSTEIN))
     # first, so that a socle of the wrong dimension raises before any
     # dimension is read
     pairing = macaulay_pairing_check(hring, a, prime=prime)
-    surj = _onto(hring.quotient_dim(sigma - a), GENERATED)
-    return DualityKernelResult(a, b, surj, pairing, _pieces_route(hring, prime))
-
-
-class UniformBoundResult:
-    __slots__ = ("bound", "degree", "per_variable", "route")
-
-    def __init__(self, bound, degree, per_variable, route=None):
-        self.bound = bound
-        self.degree = degree
-        self.per_variable = per_variable
-        self.route = route
-
-    def __repr__(self):
-        return (f"UniformBoundResult(bound={self.bound}, degree={self.degree}, "
-                f"per_variable={self.per_variable})")
+    route = _pieces_route(hring, prime)
+    return (_onto(hring.quotient_dim(sigma - a), GENERATED, route),
+            pairing._replace(route=route))
 
 
 def uniform_mult_rank_bound(hring, b):
-    """Uniform lower bound on rank of multiplication by any nonzero linear form.
+    """Uniform lower bound on rank of multiplication by any nonzero linear
+    form, as (bound, per-variable counts, route).
 
     Only valid for monomial Jacobian ideals.  For a linear form L pick
     its earliest variable x_i in the canonical order; for each standard
@@ -1020,9 +930,8 @@ def uniform_mult_rank_bound(hring, b):
         _count_avoiding([g[:i] + (max(g[i] - 1, 0),) + g[i + 1:]
                          for g in gens], hring.nvars, b)
         for i in range(hring.nvars)]
-    return UniformBoundResult(
-        min(per_variable), b, per_variable,
-        f"monomial count, inclusion and exclusion over {len(gens)} generators")
+    return (min(per_variable), per_variable, "monomial count, inclusion and "
+            f"exclusion over {len(gens)} generators")
 
 
 def _count_avoiding(gens, nvars, b):
@@ -1039,32 +948,14 @@ def _count_avoiding(gens, nvars, b):
     return total
 
 
-class FunctionalMapResult:
-    __slots__ = ("rank", "target_dim", "subspace_dim", "surjective",
-                 "g_class_nonzero", "route")
-
-    def __init__(self, rank, target_dim, subspace_dim, g_class_nonzero,
-                 route=None):
-        self.rank = rank
-        self.target_dim = target_dim
-        self.subspace_dim = subspace_dim
-        self.surjective = rank == target_dim
-        self.g_class_nonzero = g_class_nonzero
-        self.route = route
-
-    def __repr__(self):
-        return (f"FunctionalMapResult(rank={self.rank}, target_dim={self.target_dim}, "
-                f"subspace_dim={self.subspace_dim}, surjective={self.surjective})")
-
-
 def functional_kernel_map(hring, g, b=None):
-    """Rank of W (x) R_b -> R_(a+b) for W the socle-orthogonal of g.
+    """The ``Rank`` of W (x) R_b -> R_(a+b) for W the socle-orthogonal of
+    g, against dim R_(a+b), with dim W and whether g's class is nonzero.
 
     Here a = deg g, W = {h in R_a : the socle coordinate of h * g is 0},
     the kernel of the linear functional that pairs against g; it contains
     the ideal slice by construction, so W presents a subspace of R_a of
-    codimension one whenever the class of g is nonzero.  ``route`` on the
-    result names the route for the human report.
+    codimension one whenever the class of g is nonzero.
 
     A ring proven smooth at ``DEFAULT_PRIME`` reads dim R_sigma = 1 from
     the closed form; any other builds R_sigma and raises
@@ -1082,7 +973,8 @@ def functional_kernel_map(hring, g, b=None):
     if b is None:
         b = hring.degree - 1
     sigma = hring.socle_degree
-    if not hring.smoothness_certificate().certified:
+    smooth = hring.smoothness_certificate().certified
+    if not smooth:
         top = hring.piece(sigma)
         if top.dim != 1:
             raise SocleNotOneDimensional(
@@ -1096,13 +988,14 @@ def functional_kernel_map(hring, g, b=None):
     dims = f"dimension by {hring.dimension_route()}"
     target = hring.quotient_dim(a + b)
     if not any(functional):
-        return FunctionalMapResult(
-            target, target, hring.quotient_dim(a), False,
-            f"generated in degree 1 (W = R_{a}), {dims}")
+        return (_onto(target, GENERATED,
+                      f"generated in degree 1 (W = R_{a}), {dims}"),
+                hring.quotient_dim(a), False)
     kernel = exactla.kernel_basis([functional])
     if target == 0:
-        return FunctionalMapResult(0, 0, len(kernel), True,
-                                   f"R_{a + b} = 0, {dims}")
+        return (Rank(0, 0, "trivial", f"R_{a + b} = 0, {dims}",
+                     CLOSED_FORM if smooth else hring._rank_proof(a + b)),
+                len(kernel), True)
     mmap = multiplication_map(hring, a, b, quotient_by=kernel)
     built = []
 
@@ -1113,10 +1006,12 @@ def functional_kernel_map(hring, g, b=None):
 
     p = modrank.DEFAULT_PRIME
     if modrank.rank_mod_reaches(columns(), target, p):
-        rank, how = target, f"rank mod p={p} reached {target}"
+        cert = exactla.RankCertificate(p, target, target)
+        how = f"rank mod p={p} reached {target}"
     else:
-        rank, how = exactla.rank(built), "exact rank"
-    return FunctionalMapResult(
-        rank, target, len(kernel), True,
-        f"pieces {a}, {b}, {a + b}: {len(built)} of {mmap.ncols} columns, "
-        f"{how}")
+        cert = exactla.RankCertificate(None, exactla.rank(built), target)
+        how = "exact rank"
+    route = (f"pieces {a}, {b}, {a + b}: {len(built)} of {mmap.ncols} "
+             f"columns, {how}")
+    return (Rank(cert.rank, target, _mode(cert.prime), route, cert),
+            len(kernel), True)

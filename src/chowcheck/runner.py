@@ -436,33 +436,34 @@ def _check_ring_dim(ctx, spec, degree):
 @_register("ring_map", a=_degree, b=_degree, prime=(_prime, None))
 def _check_ring_map(ctx, spec, a, b, prime):
     result = jacobian.map_surjectivity(ctx.hypersurface(), a, b, prime=prime)
-    values = {"rank": result.rank, "target_dim": result.target_dim,
-              "mode": result.mode, "surjective": result.surjective}
-    word = "surjective" if result.surjective else "not surjective"
-    return _step(spec, f"multiplication {a} x {b} -> {a + b}", result.surjective,
-                 [f"{word}, rank {result.rank} of {result.target_dim} "
+    values = {"rank": result.rank, "target_dim": result.full,
+              "mode": result.mode, "surjective": result.ok}
+    word = "surjective" if result.ok else "not surjective"
+    return _step(spec, f"multiplication {a} x {b} -> {a + b}", result.ok,
+                 [f"{word}, rank {result.rank} of {result.full} "
                   f"({result.mode})"], "not surjective", values, result.route)
 
 
 @_register("uniform_bound", b=_degree, expect=_integer,
            threshold=(_integer, None))
 def _check_uniform_bound(ctx, spec, b, expect, threshold):
-    result = jacobian.uniform_mult_rank_bound(ctx.hypersurface(), b)
+    bound, per_variable, route = jacobian.uniform_mult_rank_bound(
+        ctx.hypersurface(), b)
     values = {
-        "bound": result.bound,
-        "per_variable": " ".join(str(c) for c in result.per_variable),
+        "bound": bound,
+        "per_variable": " ".join(str(c) for c in per_variable),
     }
     details = [f"every nonzero linear form multiplies degree {b} "
-               f"with rank at least {result.bound}"]
-    ok = result.bound == expect
+               f"with rank at least {bound}"]
+    ok = bound == expect
     if threshold is not None:
         details.append(f"threshold {threshold}: "
-                       + ("met" if result.bound >= threshold else "NOT met"))
-        ok = ok and result.bound >= threshold
+                       + ("met" if bound >= threshold else "NOT met"))
+        ok = ok and bound >= threshold
     if not ok:
         details.append(f"expected bound {expect}")
     return _step(spec, "uniform multiplication bound", ok, details,
-                 "bound mismatch", values, result.route)
+                 "bound mismatch", values, route)
 
 
 @_register("green_gotzmann", g=_text, b=_degree, expect_rank=_integer)
@@ -473,21 +474,22 @@ def _check_green_gotzmann(ctx, spec, g, b, expect_rank):
         raise _bad(spec, f"bad g: {exc}") from None
     if g.is_zero() or not g.is_homogeneous():
         raise _bad(spec, "bad g: not a nonzero homogeneous form")
-    result = jacobian.functional_kernel_map(ctx.hypersurface(), g, b)
+    result, subspace_dim, class_nonzero = jacobian.functional_kernel_map(
+        ctx.hypersurface(), g, b)
     values = {
         "rank": result.rank,
-        "target_dim": result.target_dim,
-        "subspace_dim": result.subspace_dim,
-        "class_nonzero": result.g_class_nonzero,
+        "target_dim": result.full,
+        "subspace_dim": subspace_dim,
+        "class_nonzero": class_nonzero,
     }
     details = [
-        f"kernel subspace of dimension {result.subspace_dim} multiplies "
-        f"onto a target of dimension {result.target_dim} with rank {result.rank}",
+        f"kernel subspace of dimension {subspace_dim} multiplies "
+        f"onto a target of dimension {result.full} with rank {result.rank}",
     ]
-    ok = result.surjective and result.rank == expect_rank and result.g_class_nonzero
+    ok = result.ok and result.rank == expect_rank and class_nonzero
     if ok:
         details.append("restricted multiplication map is surjective")
-    if not result.g_class_nonzero:
+    if not class_nonzero:
         details.append("the chosen class vanishes in the quotient")
     if result.rank != expect_rank:
         details.append(f"expected rank {expect_rank}")
@@ -504,31 +506,31 @@ def _check_left_kernel(ctx, spec, a, b, prime, expect_rank=None):
     ``no_left_kernel`` may declare ``expect_rank``, which must then match
     the rank of the surjectivity half.
     """
-    result = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
-                                              prime=prime)
-    surj = result.surjectivity
+    surj, pairing = jacobian.left_kernel_via_duality(ctx.hypersurface(), a, b,
+                                                     prime=prime)
+    empty = surj.ok and pairing.ok
     values = {
-        "empty": result.empty,
+        "empty": empty,
         "surjectivity_rank": surj.rank,
         "surjectivity_mode": surj.mode,
-        "pairing_rank": result.pairing.rank,
-        "pairing_mode": result.pairing.mode,
+        "pairing_rank": pairing.rank,
+        "pairing_mode": pairing.mode,
     }
     details = [
         f"multiplication onto the complementary piece has rank "
-        f"{surj.rank} of {surj.target_dim} ({surj.mode})",
-        f"socle pairing at degree {a} has rank {result.pairing.rank} "
-        f"({result.pairing.mode})",
-        f"no class of degree {a} kills all of degree {b}" if result.empty
+        f"{surj.rank} of {surj.full} ({surj.mode})",
+        f"socle pairing at degree {a} has rank {pairing.rank} "
+        f"({pairing.mode})",
+        f"no class of degree {a} kills all of degree {b}" if empty
         else "duality argument does not close",
     ]
-    ok, witness = result.empty, "duality argument incomplete"
+    ok, witness = empty, "duality argument incomplete"
     if expect_rank is not None and surj.rank != expect_rank:
         details.append(f"expected surjectivity rank {expect_rank}")
         ok, witness = False, "rank mismatch"
     name = ("left kernel via duality" if spec.kind == "duality"
             else f"no left kernel at ({a}, {b})")
-    return _step(spec, name, ok, details, witness, values, result.route)
+    return _step(spec, name, ok, details, witness, values, pairing.route)
 
 
 @_register("tau_nonzero")
@@ -569,18 +571,20 @@ def _check_invariance(ctx, spec):
 @_register("smooth", mode=(_mode, "modular"),
            prime=(_prime, modrank.DEFAULT_PRIME))
 def _check_smooth(ctx, spec, mode, prime):
-    result = jacobian.is_smooth_artinian(ctx.hypersurface(), prime=prime,
+    hring = ctx.hypersurface()
+    result = jacobian.is_smooth_artinian(hring, prime=prime,
                                          exact=mode == "exact")
+    degree, dimension = hring.socle_degree + 1, result.full - result.rank
     values = {
-        "smooth": result.smooth,
+        "smooth": result.ok,
         "mode": result.mode,
-        "checked_degree": result.checked_degree,
-        "dimension": result.dimension,
+        "checked_degree": degree,
+        "dimension": dimension,
     }
-    where = f"degree {result.checked_degree} ({result.mode})"
-    detail = (f"quotient vanishes in {where}" if result.smooth
-              else f"quotient has dimension {result.dimension} in {where}")
-    return _step(spec, "smoothness", result.smooth, [detail],
+    where = f"degree {degree} ({result.mode})"
+    detail = (f"quotient vanishes in {where}" if result.ok
+              else f"quotient has dimension {dimension} in {where}")
+    return _step(spec, "smoothness", result.ok, [detail],
                  "nonzero piece above the socle", values, result.route)
 
 

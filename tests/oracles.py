@@ -47,13 +47,15 @@ the listing is kept here as its oracle.
 
 On a ring not proven smooth for the step, the surjectivity of a
 multiplication map was once decided by building the whole map from exact
-pieces (``WholeMap``) and ranking it (``jacobian.is_surjective``), and
-the restricted map of ``functional_kernel_map`` was built whole and
-ranked exactly after every piece it could read, the socle piece first
+pieces (``WholeMap``) and ranking it (``is_surjective``), and the
+restricted map of ``functional_kernel_map`` was built whole and ranked
+exactly after every piece it could read, the socle piece first
 (``pieces_functional_kernel_map``).  The package now answers both from
 generation in degree 1 where it applies, and ranks a restricted map only
 until its rank reaches the target; the old routes are kept here as their
-oracles.
+oracles.  ``is_surjective`` and the whole matrix of a
+``jacobian.MultiplicationMap`` (``map_matrix``) lost their last callers
+in the package, and live here with the tests that read them.
 """
 
 from fractions import Fraction
@@ -61,7 +63,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from chowcheck import exactla, jacobian
+from chowcheck import exactla, jacobian, modrank
 from chowcheck.exactla import _reduce_against_hnf, hermite_normal_form
 from chowcheck.poly import (NotDivisible, PolyParseError, SparsePoly,
                             enumerate_monomials, monomial_divides,
@@ -404,11 +406,31 @@ class WholeMap:
         self.matrix = [[col[i] for col in cols] for i in range(pc.dim)]
 
 
+def map_matrix(mmap):
+    """The whole matrix of a ``jacobian.MultiplicationMap``, from its
+    column blocks: rows indexed by the target's representatives."""
+    cols = [col for block in mmap.column_blocks() for col in block]
+    return [[col[i] for col in cols] for i in range(mmap.target_dim)]
+
+
+def is_surjective(matrix, target, prime=None):
+    """Surjectivity of a map onto a piece of dimension ``target``, as the
+    ``jacobian.Rank`` of its ``matrix``: mod ``prime`` first, exactly
+    short of a full rank.  ``prime`` is gated before any route is taken,
+    the trivial target included."""
+    if prime is not None:
+        modrank.require_prime(prime)
+    if target == 0:
+        return jacobian.Rank(0, 0, "trivial")
+    return jacobian._rank(matrix, target, prime)
+
+
 def pieces_map_surjectivity(hring, a, b, prime=None):
     """``map_surjectivity`` on exact pieces: the whole map, ranked by
-    ``jacobian.is_surjective``."""
+    ``is_surjective``."""
     jacobian._check_step(prime, a, b)
-    return jacobian.is_surjective(WholeMap(hring, a, b), prime=prime)
+    whole = WholeMap(hring, a, b)
+    return is_surjective(whole.matrix, whole.target_dim, prime=prime)
 
 
 def pieces_left_kernel_via_duality(hring, a, b, prime=None):
@@ -419,9 +441,8 @@ def pieces_left_kernel_via_duality(hring, a, b, prime=None):
     if a + b > sigma:
         raise InputError(f"a + b = {a + b} is above the socle degree {sigma}")
     pairing = jacobian.macaulay_pairing_check(hring, a, prime=prime)
-    surj = jacobian.is_surjective(WholeMap(hring, sigma - a - b, b),
-                                  prime=prime)
-    return jacobian.DualityKernelResult(a, b, surj, pairing)
+    whole = WholeMap(hring, sigma - a - b, b)
+    return is_surjective(whole.matrix, whole.target_dim, prime=prime), pairing
 
 
 def pieces_functional_kernel_map(hring, g, b=None):
@@ -439,7 +460,7 @@ def pieces_functional_kernel_map(hring, g, b=None):
             f"dim R_{sigma} = {top.dim}, expected 1")
     smooth = hring.smoothness_certificate().certified
     if a > sigma and smooth:
-        return jacobian.FunctionalMapResult(0, 0, 0, False)
+        return jacobian.Rank(0, 0, "trivial"), 0, False
     pa = hring.piece(a)
     functional = [top.reduce_vector({monomial_mul(u, e): c
                                      for e, c in g.terms.items()})[0]
@@ -448,8 +469,7 @@ def pieces_functional_kernel_map(hring, g, b=None):
     kernel = exactla.kernel_basis([functional]) if g_nonzero else [
         [int(i == j) for j in range(pa.dim)] for i in range(pa.dim)]
     if a + b > sigma and smooth:
-        return jacobian.FunctionalMapResult(0, 0, len(kernel), g_nonzero)
+        return jacobian.Rank(0, 0, "trivial"), len(kernel), g_nonzero
     mmap = WholeMap(hring, a, b, quotient_by=kernel)
-    return jacobian.FunctionalMapResult(exactla.rank(mmap.matrix),
-                                        mmap.target_dim, len(kernel),
-                                        g_nonzero)
+    return (jacobian.Rank(exactla.rank(mmap.matrix), mmap.target_dim, "exact"),
+            len(kernel), g_nonzero)

@@ -13,12 +13,13 @@ from chowcheck import characters, exactla, jacobian, modrank
 from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
                             monomial_mul)
 from chowcheck.report import InputError
-from chowcheck.runner import run_scenario
+from chowcheck.runner import ScenarioContext, run_check, run_scenario
 from chowcheck.scenario import parse_scenario
 from oracles import (block_pieces, block_spectrum, fraction_rref,
                      listed_ideal_rank, listed_piece, listed_uniform_bound,
-                     macaulay_rows, pieces_left_kernel_via_duality,
-                     pieces_map_surjectivity, tuple_dict_rows)
+                     is_surjective, macaulay_rows, map_matrix,
+                     pieces_left_kernel_via_duality, pieces_map_surjectivity,
+                     tuple_dict_rows)
 
 P3 = PolyRing.rationals(("x0", "x1", "x2", "x3"))
 
@@ -105,13 +106,13 @@ def test_smoothness(fermat_quartic):
     assert jacobian.is_smooth_artinian(fermat_quartic)
     cone = jacobian.HypersurfaceRing(parse_poly("x0^4", P3))
     result = jacobian.is_smooth_artinian(cone)
-    assert not result.smooth and result.dimension > 0
+    assert not result and result.rank < result.full
     bumpy = jacobian.HypersurfaceRing(
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
     modular = jacobian.is_smooth_artinian(bumpy)
-    assert modular.smooth and modular.mode.startswith("modular")
+    assert modular.ok and modular.mode.startswith("modular")
     exact = jacobian.is_smooth_artinian(bumpy, exact=True)
-    assert exact.smooth and exact.mode == "exact"
+    assert exact.ok and exact.mode == "exact"
 
 
 def test_ring_constructor_validation():
@@ -125,9 +126,9 @@ def test_ring_constructor_validation():
 
 def test_uniform_bound(fermat_quartic, mixed_quartic, quintic_sym):
     for hring in (fermat_quartic, mixed_quartic):
-        result = jacobian.uniform_mult_rank_bound(hring, 3)
-        assert result.bound == 13
-        assert result.per_variable == [13, 13, 13, 13]
+        bound, per_variable, _ = jacobian.uniform_mult_rank_bound(hring, 3)
+        assert bound == 13
+        assert per_variable == [13, 13, 13, 13]
     with pytest.raises(jacobian.IdealNotMonomial):
         jacobian.uniform_mult_rank_bound(quintic_sym, 3)
 
@@ -143,9 +144,9 @@ def test_uniform_bound_counts_what_the_listing_counts(text, names):
     hring = jacobian.HypersurfaceRing(
         parse_poly(text, PolyRing.rationals(tuple(names.split()))))
     for b in range(14):
-        result = jacobian.uniform_mult_rank_bound(hring, b)
-        assert result.per_variable == listed_uniform_bound(hring, b)
-        assert result.bound == min(result.per_variable)
+        bound, per_variable, _ = jacobian.uniform_mult_rank_bound(hring, b)
+        assert per_variable == listed_uniform_bound(hring, b)
+        assert bound == min(per_variable)
 
 
 @st.composite
@@ -224,17 +225,18 @@ def test_degrees_above_the_socle_list_no_monomials(mixed_quartic, monkeypatch):
     g = parse_poly("x0^2*x1^2", mixed_quartic.ring)
     for b in (8, 9, 60):
         bound = jacobian.uniform_mult_rank_bound(mixed_quartic, b)
-        assert (bound.bound, bound.per_variable) == (0, [0, 0, 0, 0])
-        result = jacobian.functional_kernel_map(mixed_quartic, g, b)
-        assert (result.rank, result.target_dim, result.subspace_dim) == (0, 0, 18)
+        assert bound[:2] == (0, [0, 0, 0, 0])
+        result, subspace_dim, _ = jacobian.functional_kernel_map(
+            mixed_quartic, g, b)
+        assert (result.rank, result.full, subspace_dim) == (0, 0, 18)
     assert max(listed, default=0) <= mixed_quartic.socle_degree + 1
 
 
 def test_socle_pairing(fermat_quartic):
     for k in range(9):
         result = jacobian.macaulay_pairing_check(fermat_quartic, k)
-        assert result.nondegenerate
-        assert result.dim_left == FERMAT_QUARTIC_DIMS[k]
+        assert result.ok
+        assert result.full == FERMAT_QUARTIC_DIMS[k]
     cone = jacobian.HypersurfaceRing(parse_poly("x0^4", P3))
     with pytest.raises(jacobian.SocleNotOneDimensional):
         jacobian.macaulay_pairing_check(cone, 4)
@@ -244,8 +246,8 @@ def test_multiplication_map_shapes(fermat_quartic):
     mmap = jacobian.multiplication_map(fermat_quartic, 1, 3)
     assert mmap.left_dim == 4 and mmap.right_dim == 16
     assert mmap.target_dim == 19
-    result = jacobian.is_surjective(mmap)
-    assert result.surjective and result.rank == 19
+    result = is_surjective(map_matrix(mmap), mmap.target_dim)
+    assert result.ok and result.rank == 19
 
 
 def left_kernel(mmap):
@@ -255,10 +257,10 @@ def left_kernel(mmap):
     Stacks the conditions for all right basis vectors and coordinates of
     the target, then takes the exact kernel.
     """
-    rows = []
+    matrix, rows = map_matrix(mmap), []
     for v in range(mmap.right_dim):
         for i in range(mmap.target_dim):
-            rows.append([mmap.matrix[i][u * mmap.right_dim + v]
+            rows.append([matrix[i][u * mmap.right_dim + v]
                          for u in range(mmap.left_dim)])
     if not rows:
         return []
@@ -270,9 +272,9 @@ def test_left_kernel_brute_force_and_duality_agree(fermat_quartic,
     for hring in (fermat_quartic, mixed_quartic):
         mmap = jacobian.multiplication_map(hring, 1, 3)
         assert left_kernel(mmap) == []
-        duality = jacobian.left_kernel_via_duality(hring, 1, 3)
-        assert duality.empty
-        assert duality.surjectivity.rank == duality.surjectivity.target_dim
+        surj, pairing = jacobian.left_kernel_via_duality(hring, 1, 3)
+        assert surj and pairing
+        assert surj.rank == surj.full
 
 
 def test_duality_route_rejects_overflow(fermat_quartic):
@@ -281,11 +283,11 @@ def test_duality_route_rejects_overflow(fermat_quartic):
 
 
 def test_quintic_duality_at_three_three(quintic_sym):
-    result = jacobian.left_kernel_via_duality(quintic_sym, 3, 3,
-                                              prime=1000003)
-    assert result.empty
-    assert result.surjectivity.rank == 20
-    assert result.pairing.rank == 20
+    surj, pairing = jacobian.left_kernel_via_duality(quintic_sym, 3, 3,
+                                                     prime=1000003)
+    assert surj and pairing
+    assert surj.rank == 20
+    assert pairing.rank == 20
 
 
 def test_duality_asks_for_the_socle_before_building_a_map(monkeypatch):
@@ -316,16 +318,17 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
     monkeypatch.setattr(jacobian, "multiplication_map", recording)
     for hring in (fermat_quartic, mixed_quartic):
         g = parse_poly("x0^2*x1^2", hring.ring)
-        result = jacobian.functional_kernel_map(hring, g, 3)
+        result, subspace_dim, class_nonzero = jacobian.functional_kernel_map(
+            hring, g, 3)
         assert result.rank == 4
-        assert result.target_dim == 4
-        assert result.subspace_dim == 18
-        assert result.surjective
-        assert result.g_class_nonzero
+        assert result.full == 4
+        assert subspace_dim == 18
+        assert result.ok
+        assert class_nonzero
         # off half the socle degree W is all of R_3, and the map is onto
         # without being built
         cubic = parse_poly("x0^2*x1", hring.ring)
-        assert not jacobian.functional_kernel_map(hring, cubic, 3).g_class_nonzero
+        assert not jacobian.functional_kernel_map(hring, cubic, 3)[2]
     # one map per ring, on the kernel of the functional, whose basis holds
     # ints
     assert [len(s) for s in subspaces] == [18, 18]
@@ -338,11 +341,12 @@ def test_a_form_off_half_the_socle_degree_pairs_to_zero(fermat_quartic):
     for hring, g, b in ((fermat_quartic, "x0^2*x1", 3),
                         (_cubic_surface(), "x0", 1)):
         g = parse_poly(g, P3)
-        result = jacobian.functional_kernel_map(hring, g, b)
+        result, subspace_dim, class_nonzero = jacobian.functional_kernel_map(
+            hring, g, b)
         a = g.total_degree()
-        assert not result.g_class_nonzero
-        assert result.subspace_dim == hring.quotient_dim(a)
-        assert result.target_dim == hring.quotient_dim(a + b) == result.rank
+        assert not class_nonzero
+        assert subspace_dim == hring.quotient_dim(a)
+        assert result.full == hring.quotient_dim(a + b) == result.rank
 
 
 def test_graded_piece_reduction(fermat_quartic):
@@ -585,14 +589,14 @@ def test_a_piece_that_contradicts_the_closed_form_raises():
 
 def test_exact_smoothness_never_reads_the_certificate(monkeypatch, quintic_sym):
     result = jacobian.is_smooth_artinian(quintic_sym)
-    assert result.smooth and result.mode == "modular(p=1000003)"
+    assert result.ok and result.mode == "modular(p=1000003)"
 
     def refuse(self, prime=None):
         raise AssertionError("the exact route read the certificate")
 
     monkeypatch.setattr(jacobian.HypersurfaceRing, "smoothness_certificate", refuse)
     result = jacobian.is_smooth_artinian(_shioda_ring(), exact=True)
-    assert result.smooth and result.mode == "exact" and result.dimension == 0
+    assert result.ok and result.mode == "exact" and result.rank == result.full
 
 
 def test_certificates_are_memoised_per_prime():
@@ -687,7 +691,7 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
     assert len(oracle[sigma].representatives) == 1
     for c in range(1, sigma + 2):
         mmap = jacobian.multiplication_map(hring, 1, c - 1)
-        assert mmap.matrix == _oracle_product_matrix(oracle, 1, c - 1, c)
+        assert map_matrix(mmap) == _oracle_product_matrix(oracle, 1, c - 1, c)
     for k in pairing_degrees:
         # the socle piece is one-dimensional: one product per (u, v) pair
         products = _oracle_product_matrix(oracle, k, sigma - k, sigma)[0]
@@ -695,7 +699,7 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
         rows = [products[i:i + width] for i in range(0, len(products), width)]
         rank = len(fraction_rref(rows, width)[1])
         result = jacobian.macaulay_pairing_check(hring, k)
-        assert (result.rank, result.nondegenerate) == (
+        assert (result.rank, result.ok) == (
             rank, rank == len(oracle[k].representatives))
 
 
@@ -704,8 +708,8 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
 # On a ring proven smooth in the step's own mode, the duality and
 # multiplication checks answer in closed form; on any other ring the map
 # is onto by generation in degree 1.  The computed route, the whole map
-# ranked by ``is_surjective`` and ``macaulay_pairing_check`` on exact
-# pieces, is the oracle: ranks, verdicts and modes must agree, apart from
+# ranked by ``oracles.is_surjective`` and ``macaulay_pairing_check`` on
+# exact pieces, is the oracle: ranks, verdicts and modes must agree, apart from
 # the mode ``GENERATED`` that a theorem on a ring not proven smooth
 # declares (``_declared``).
 
@@ -713,14 +717,13 @@ GFP = 1000003
 
 
 def _fields(result):
-    return tuple(getattr(result, name) for name in type(result).__slots__
-                 if name != "route")
+    return result.rank, result.full, result.mode
 
 
 def _exact_duality(hring, a, b, prime):
     """The two halves of the duality argument at (a, b), on exact pieces."""
-    result = pieces_left_kernel_via_duality(hring, a, b, prime)
-    return _fields(result.surjectivity), _fields(result.pairing)
+    return tuple(map(_fields, pieces_left_kernel_via_duality(hring, a, b,
+                                                             prime)))
 
 
 def _exact_map(hring, a, b, prime):
@@ -731,9 +734,9 @@ def _declared(surjectivity, closed):
     """The oracle's surjectivity fields with the mode the step declares:
     unchanged on the closed form or a trivial target, ``GENERATED`` on
     any other ring, where no rank was taken."""
-    if closed or not surjectivity[2]:
+    if closed or not surjectivity[1]:
         return surjectivity
-    return surjectivity[:3] + (jacobian.GENERATED,)
+    return surjectivity[:2] + (jacobian.GENERATED,)
 
 
 @pytest.mark.parametrize("form, pairs", [
@@ -756,11 +759,12 @@ def test_closed_form_matches_the_exact_route(form, pairs, request):
     sigma = hring.socle_degree
     for prime in (GFP, None):
         for a, b in pairs:
-            result = jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
-            assert result.route.startswith("closed form (Macaulay duality), ")
-            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
+            surj, pairing = jacobian.left_kernel_via_duality(hring, a, b,
+                                                             prime=prime)
+            assert pairing.route.startswith("closed form (Macaulay duality), ")
+            assert (_fields(surj), _fields(pairing)) == (
                 _exact_duality(hring, a, b, prime))
-            assert result.empty
+            assert surj and pairing
             mapped = jacobian.map_surjectivity(hring, sigma - a - b, b,
                                                prime=prime)
             assert mapped.route.startswith("closed form (generated in degree 1), ")
@@ -788,12 +792,13 @@ def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
     assert not hring.smoothness_certificate(p).certified
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
-            result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
-            assert result.route == f"exact pieces, ring not proven smooth at p={p}"
-            surj, pairing = _exact_duality(hring, a, b, p)
-            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
-                _declared(surj, False), pairing)
-            assert result.empty
+            surj, pairing = jacobian.left_kernel_via_duality(hring, a, b,
+                                                             prime=p)
+            assert pairing.route == f"exact pieces, ring not proven smooth at p={p}"
+            want = _exact_duality(hring, a, b, p)
+            assert (_fields(surj), _fields(pairing)) == (
+                _declared(want[0], False), want[1])
+            assert surj and pairing
             mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
             # the dimensions read the closed form that the default prime
             # proves, and the theorem needs no prime
@@ -803,7 +808,8 @@ def test_a_coefficient_divisible_by_p_is_refused_by_the_gate():
             assert hring.dimension_route().startswith("closed form, ")
             assert _fields(mapped) == _declared(_exact_map(hring, a, b, p),
                                                 False)
-            at_default = jacobian.left_kernel_via_duality(hring, a, b, prime=GFP)
+            _, at_default = jacobian.left_kernel_via_duality(hring, a, b,
+                                                             prime=GFP)
             assert at_default.route.startswith("closed form (Macaulay duality), ")
 
 
@@ -814,10 +820,10 @@ def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
     hring = _cone_mod_p_surface(5, GFP)
     sigma = hring.socle_degree
     assert not hring.smoothness_certificate().certified
-    result = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
-    assert result.route == ("closed form (Macaulay duality), smooth at degree 5 "
-                            f"(modular p={p}, 56x56 Macaulay rows of 80x56, "
-                            "296 nonzeros, dense)")
+    surj, pairing = jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)
+    assert pairing.route == ("closed form (Macaulay duality), smooth at degree 5 "
+                             f"(modular p={p}, 56x56 Macaulay rows of 80x56, "
+                             "296 nonzeros, dense)")
     # the proof at p serves steps at p only: dimensions still eliminate,
     # and agree with the closed form the step at p read
     assert hring.smoothness_certificate(p).certified
@@ -826,9 +832,10 @@ def test_the_check_prime_proves_smoothness_the_default_prime_cannot():
         jacobian.complete_intersection_hilbert(hring.nvars, hring.degree))
     for a in range(sigma + 1):
         for b in range(sigma + 1 - a):
-            result = jacobian.left_kernel_via_duality(hring, a, b, prime=p)
-            assert result.route.startswith("closed form (Macaulay duality), ")
-            assert (_fields(result.surjectivity), _fields(result.pairing)) == (
+            surj, pairing = jacobian.left_kernel_via_duality(hring, a, b,
+                                                             prime=p)
+            assert pairing.route.startswith("closed form (Macaulay duality), ")
+            assert (_fields(surj), _fields(pairing)) == (
                 _exact_duality(hring, a, b, p))
             mapped = jacobian.map_surjectivity(hring, a, b, prime=p)
             assert mapped.route.startswith("closed form (generated in degree 1), ")
@@ -847,22 +854,24 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
     for prime, where in ((GFP, f", ring not proven smooth at p={GFP}"),
                          (None, "")):
         for a, b in ((1, 1), (2, 0)):
-            result = jacobian.left_kernel_via_duality(nodal, a, b, prime=prime)
-            assert result.route == "exact pieces" + where
-            assert not result.pairing.nondegenerate and not result.empty
+            surj, pairing = jacobian.left_kernel_via_duality(nodal, a, b,
+                                                             prime=prime)
+            assert pairing.route == "exact pieces" + where
+            assert not pairing
         assert jacobian.map_surjectivity(nodal, 1, 1, prime=prime).route == (
             "generated in degree 1, dimension by elimination" + where)
     # an exact step reads the certificate at the default prime; a
     # monomial ideal's is its monomial count
     cubic = _cubic_surface()
     for prime in (GFP, None):
-        assert jacobian.left_kernel_via_duality(cubic, 1, 2, prime).route == (
+        _, pairing = jacobian.left_kernel_via_duality(cubic, 1, 2, prime)
+        assert pairing.route == (
             "closed form (Macaulay duality), smooth at degree 5 (modular "
             f"p={GFP}, 56x56 Macaulay rows of 80x56, 168 nonzeros, dense)")
     for prime in (GFP, None):
-        result = jacobian.left_kernel_via_duality(fermat_quartic, 1, 3,
-                                                  prime=prime)
-        assert result.empty and result.route == (
+        surj, pairing = jacobian.left_kernel_via_duality(fermat_quartic, 1,
+                                                         3, prime=prime)
+        assert surj and pairing and pairing.route == (
             "closed form (Macaulay duality), smooth at degree 9 (monomial count)")
 
 
@@ -888,18 +897,18 @@ def _proof(degree, rows, cols, nonzeros):
 ], ids=["cubic-surface", "dense-quartic-seed-1", "nodal-cubic"])
 def test_the_exact_gate_does_not_depend_on_check_order(make, a, b, route):
     def duality(hring):
-        result = jacobian.left_kernel_via_duality(hring, a, b)
-        return (result.route, result.empty, _fields(result.surjectivity),
-                _fields(result.pairing))
+        surj, pairing = jacobian.left_kernel_via_duality(hring, a, b)
+        return (pairing.route, surj.ok and pairing.ok, _fields(surj),
+                _fields(pairing))
 
     alone = duality(make())
     first = make()
     before = duality(first)
     smooth = jacobian.is_smooth_artinian(first, exact=True)
     after = make()
-    assert jacobian.is_smooth_artinian(after, exact=True).smooth == smooth.smooth
+    assert jacobian.is_smooth_artinian(after, exact=True).ok == smooth.ok
     assert alone == before == duality(after)
-    assert alone[0] == route and alone[1] == smooth.smooth
+    assert alone[0] == route and alone[1] == smooth.ok
 
 
 @pytest.mark.parametrize("form", ["fermat_quartic", "cubic_surface", "nodal"])
@@ -927,10 +936,11 @@ def test_a_bad_prime_is_refused_before_a_trivial_shortcut(fermat_quartic):
     sigma = fermat_quartic.socle_degree
     mmap = jacobian.multiplication_map(fermat_quartic, 5, 5)
     assert mmap.target_dim == 0
-    assert jacobian.is_surjective(mmap, prime=GFP).mode == "trivial"
+    matrix = map_matrix(mmap)
+    assert is_surjective(matrix, 0, prime=GFP).mode == "trivial"
     for prime in (1, 4, 561, modrank.MAX_PRIME + 1):
         with pytest.raises(modrank.BadPrime):
-            jacobian.is_surjective(mmap, prime=prime)
+            is_surjective(matrix, 0, prime=prime)
         for k in (0, 1, sigma + 1):
             with pytest.raises(modrank.BadPrime):
                 jacobian.macaulay_pairing_check(fermat_quartic, k, prime=prime)
@@ -948,6 +958,12 @@ def test_negative_degrees_are_refused(fermat_quartic, prime):
                 jacobian.map_surjectivity(hring, a, b, prime=prime)
             with pytest.raises(ValueError, match="nonnegative"):
                 jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
+        # a pairing degree outside 0..sigma names both degrees
+        sigma = hring.socle_degree
+        for k in (-1, sigma + 1):
+            with pytest.raises(ValueError, match=(
+                    rf"nonnegative, got \({k}, {sigma - k}\)$")):
+                jacobian.macaulay_pairing_check(hring, k, prime=prime)
 
 
 def _plane_curve(degree, singular, coeffs):
@@ -971,7 +987,7 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
     text = _plane_curve(degree, singular, coeffs)
     hring = jacobian.HypersurfaceRing(parse_poly(text, TERNARY))
     sigma = hring.socle_degree
-    smooth = jacobian.is_smooth_artinian(hring, exact=True).smooth
+    smooth = jacobian.is_smooth_artinian(hring, exact=True).ok
     for prime in (GFP, None):
         for a in range(sigma + 1):
             for b in range(sigma + 1 - a):
@@ -982,13 +998,12 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
                     with pytest.raises(jacobian.SocleNotOneDimensional):
                         jacobian.left_kernel_via_duality(hring, a, b, prime=prime)
                     continue
-                result = jacobian.left_kernel_via_duality(hring, a, b,
-                                                          prime=prime)
-                closed = result.route.startswith("closed form")
+                surj, pairing = jacobian.left_kernel_via_duality(
+                    hring, a, b, prime=prime)
+                closed = pairing.route.startswith("closed form")
                 assert closed <= smooth and (prime is not None or closed == smooth)
-                assert (_fields(result.surjectivity),
-                        _fields(result.pairing)) == (_declared(want[0], closed),
-                                                     want[1])
+                assert (_fields(surj), _fields(pairing)) == (
+                    _declared(want[0], closed), want[1])
             for b in range(sigma + 2 - a):
                 mapped = jacobian.map_surjectivity(hring, a, b, prime=prime)
                 closed = mapped.route.startswith("closed form")
@@ -1495,3 +1510,68 @@ def test_matched_rows_certify_exactly_when_the_whole_slice_does(form):
         rows = [{c: int(x) for c, x in enumerate(row) if x} for row in rows]
     slice_rows = hring.span_sparse(k, p)
     assert rows == [slice_rows[r] for r in index]
+
+
+# ------------------------------------------------ one answer type
+#
+# Every Jacobian step answers with ``jacobian.Rank``, which carries the
+# proof the step held: a certificate, a piece or a theorem.  Each passing
+# step of both bundled scenarios, and one of each kind on the seed-1
+# dense quartic, must hold one.
+
+JACOBIAN_ANSWERS = ("is_smooth_artinian", "map_surjectivity",
+                    "left_kernel_via_duality", "functional_kernel_map")
+JACOBIAN_STEPS = {"smooth", "ring_map", "duality", "no_left_kernel",
+                  "green_gotzmann"}
+
+
+def _scenario_text(name):
+    path = Path(jacobian.__file__).resolve().parent / "scenarios" / name
+    return path.read_text(encoding="utf-8")
+
+
+def _dense_quartic_steps():
+    _, _, text, _ = _load_dense_generator().generate(1)[0]
+    return text + (
+        "check smooth mode=exact cite=c\n"
+        "check ring_map a=2 b=1 cite=c\n"
+        "check ring_map a=2 b=1 prime=1000003 cite=c\n"
+        "check duality a=1 b=3 cite=c\n"
+        "check no_left_kernel a=3 b=3 prime=1000003 cite=c\n"
+        "check green_gotzmann g=\"x0^2*x1^2\" b=3 expect_rank=4 cite=c\n")
+
+
+@pytest.mark.parametrize("text", [
+    lambda: _scenario_text("shioda.scn"),
+    lambda: _scenario_text("quartic_family.scn"),
+    _dense_quartic_steps,
+], ids=["shioda", "quartic-family", "dense-quartic-seed-1"])
+def test_every_passing_jacobian_step_carries_its_proof(text, monkeypatch):
+    answers = []
+    for name in JACOBIAN_ANSWERS:
+        def recording(*args, _answer=getattr(jacobian, name), **kwargs):
+            answers.append(_answer(*args, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(jacobian, name, recording)
+    scn = parse_scenario(text())
+    ctx = ScenarioContext(scn)
+    kinds = set()
+    for spec in scn.checks:
+        answers.clear()
+        step = run_check(ctx, spec)
+        if spec.kind not in JACOBIAN_STEPS:
+            continue
+        assert step.passed, (spec.kind, spec.attrs)
+        kinds.add(spec.kind)
+        (answer,) = answers
+        ranks = [answer] if isinstance(answer, jacobian.Rank) else [
+            x for x in answer if isinstance(x, jacobian.Rank)]
+        assert ranks and all(ranks)
+        for rank in ranks:
+            assert isinstance(rank.proof, (exactla.RankCertificate,
+                                           jacobian.GradedPiece)) or (
+                rank.proof in (jacobian.DEGREE_ONE, jacobian.GORENSTEIN,
+                               jacobian.CLOSED_FORM)), (spec.kind, rank)
+    assert kinds == (JACOBIAN_STEPS if "dense" in scn.name else
+                     {spec.kind for spec in scn.checks} & JACOBIAN_STEPS)

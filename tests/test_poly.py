@@ -319,8 +319,7 @@ def test_floating_point_never_enters_a_coefficient(monkeypatch):
     rational = jacobian.HypersurfaceRing(
         parse_poly("1/2*x0^3 + 2/3*x1^3 + x2^3 - 5/7*x0*x1*x2", plane))
     assert jacobian.macaulay_pairing_check(rational, 1)
-    assert jacobian.functional_kernel_map(
-        rational, parse_poly("x0", plane)).surjective
+    assert jacobian.functional_kernel_map(rational, parse_poly("x0", plane))[0]
     # both kinds of coefficient were seen, so the guard is not vacuous
     assert any(type(c) is int for c in seen)
     assert any(type(c) is Fraction for c in seen)

@@ -62,8 +62,8 @@ def test_the_rank_rule_matches_sympy(matrix, prime, loose):
         matrix[-1] = [x - 2 * y for x, y in zip(matrix[0], matrix[1])]
     full = max(rows, cols) if loose else min(rows, cols)
     exact = sympy.Matrix(matrix).rank()
-    rank, mode = jacobian._rank(matrix, full, prime)
-    assert rank == exact
+    result = jacobian._rank(matrix, full, prime)
+    assert (result.rank, result.full) == (exact, full)
     # the certificate is taken exactly when the rank mod p of the rows,
     # each scaled by its common denominator, reaches ``full``
     certified = False
@@ -74,7 +74,10 @@ def test_the_rank_rule_matches_sympy(matrix, prime, loose):
             scaled, sympy.ZZ).convert_to(GF(prime)).rank()
         assert modular <= exact
         certified = modular == full
-    assert mode == (f"modular(p={prime})" if certified else "exact")
+    assert result.mode == (f"modular(p={prime})" if certified else "exact")
+    # the proof is the certificate that closed the rank
+    assert result.proof.prime == (prime if certified else None)
+    assert result.proof.rank == exact
 
 
 @DETERMINISTIC

@@ -810,20 +810,23 @@ def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
 
 
 # a form the automorphism does not fix, and a singular quartic, are
-# failing steps, not configuration errors
-@pytest.mark.parametrize("poly, exponents, error", [
-    ("x0^4 + x1^4 + x2^4 + x3^4", "1 0 0 0", "NotInvariant"),
-    ("x0^4 + x1^4 + x2^4", "0 0 0 1", "NotSmooth"),
+# failing steps, not configuration errors, whose witness states the fact
+@pytest.mark.parametrize("poly, exponents, error, witness", [
+    ("x0^4 + x1^4 + x2^4 + x3^4", "1 0 0 0", "NotInvariant",
+     "form is not an eigenvector of the automorphism"),
+    ("x0^4 + x1^4 + x2^4", "0 0 0 1", "NotSmooth",
+     "quotient does not vanish above the socle: dim R_9 = 27 (exact)"),
 ], ids=["not-invariant", "singular"])
 def test_picard_bound_on_a_ring_it_refuses_fails_its_step(poly, exponents,
-                                                          error):
+                                                          error, witness):
     scn = parse_scenario(
         "[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2 x3\n"
         f"poly = {poly}\n[automorphism]\nmodulus = 3\n"
         f"exponents = {exponents}\n[checks]\ncheck picard_bound cite=c\n")
     step = run_scenario(scn).steps[0]
     assert step.status == "fail"
-    assert step.details[0].startswith(f"{error}: ")
+    assert step.details == [f"{error}: {witness}"]
+    assert step.witness == witness
 
 
 # the orbit scan reads a Galois orbit through gcd(c, N), never through
@@ -1165,10 +1168,10 @@ def probe_paths(tmp_path):
 def _cold_probe(code, blas_threads=None):
     """Run ``code`` after ``from chowcheck import cli`` in a fresh
     interpreter whose environment sets OPENBLAS_NUM_THREADS to
-    ``blas_threads``, or leaves it unset.  Return the chowcheck modules
-    and numpy it loaded, OPENBLAS_NUM_THREADS as the code left it, its
-    thread count (None where /proc/self/task is missing) and the code's
-    stdout."""
+    ``blas_threads``, or leaves it unset.  Return the chowcheck modules,
+    numpy, dataclasses and inspect it loaded, OPENBLAS_NUM_THREADS as the
+    code left it, its thread count (None where /proc/self/task is
+    missing) and the code's stdout."""
     probe = ("import contextlib, io, json, os, sys\n"
              "from chowcheck import cli\n"
              "out = io.StringIO()\n"
@@ -1177,7 +1180,8 @@ def _cold_probe(code, blas_threads=None):
              "tasks = '/proc/self/task'\n"
              "print(json.dumps({\n"
              "    'modules': [m for m in sys.modules\n"
-             "                if m == 'numpy' or m.startswith('chowcheck')],\n"
+             "                if m in ('numpy', 'dataclasses', 'inspect')\n"
+             "                or m.startswith('chowcheck')],\n"
              "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
              "    'threads': (len(os.listdir(tasks)) if os.path.isdir(tasks)\n"
              "                else None),\n"
@@ -1253,6 +1257,10 @@ def test_cold_process_loads_only_what_its_checks_run(code, blas_in, blas_out,
     loaded = set(probe["modules"])
     assert not loaded & {f"chowcheck.{name}" for name in absent}
     assert ("numpy" in loaded) == ("dense" in code)
+    # numpy imports inspect; nothing else a cold process runs may import
+    # either (dataclasses, and inspect with it, cost 8-12 ms cold)
+    if "dense" not in code:
+        assert not loaded & {"dataclasses", "inspect"}
     assert probe["blas"] == blas_out
     if blas_out == "1" and probe["threads"] is not None:
         # OpenBLAS started no worker threads beside the main one
