@@ -51,12 +51,15 @@ whose dimension differs from the closed form raises ``ArithmeticError``.
 Every multiplication and pairing matrix is built by looking up normal
 forms (``_products``).
 
-Every closed form follows one rule: it answers on a ring whose
+One rule governs primes.  In every entry point that takes one
+(``is_smooth_artinian``, ``smoothness_certificate``, ``map_surjectivity``,
+``macaulay_pairing_check``, ``left_kernel_via_duality``), ``prime`` None
+is the exact route, and any other value passes ``_check_step``'s gate
+before any route is taken.  A closed form answers on a ring whose
 smoothness certificate closes at the step's prime, or at
-``DEFAULT_PRIME`` when the step has none, so a step's route does not
-depend on the steps before it.  ``quotient_dim``, ``dimension_route``
-and the character spectra have no prime; ``map_surjectivity`` and
-``left_kernel_via_duality`` ask at theirs (``_smooth_for``).
+``DEFAULT_PRIME`` for an exact step (``_smooth_for``), so a step's route
+does not depend on the steps before it; ``quotient_dim``,
+``dimension_route`` and the character spectra have no prime.
 
 Every step answers with one ``Rank``: a rank, the full rank it is
 compared to, a mode, a route, and the proof in hand (a certificate, a
@@ -101,9 +104,9 @@ it, and neither do exact rows.
 A ring memoises its graded pieces per degree, so graded pieces,
 character spectra and the smoothness test share one lift of each
 degree.  It memoises one ``_full_rank`` certificate per (degree,
-prime), never a matrix, so the smoothness certificate at a prime, an
-exact smoothness step and the Hilbert table share one elimination of
-degree sigma+1; a monomial ideal's count is memoised once.  A
+prime), never a matrix, so the smoothness certificate at a prime, the
+exact certificate and the Hilbert table share one elimination of
+degree sigma+1; the exact certificate is memoised once.  A
 certificate at one prime never answers for another.
 """
 
@@ -408,20 +411,12 @@ class HypersurfaceRing:
 
     def _full_rank(self, k, p):
         """RankCertificate of the degree-k slice mod ``p`` against
-        min(rows, cols), which above sigma is its number of columns;
-        memoised per (k, p), so every question about one slice and prime
-        shares one elimination.
-
-        Above sigma, when the pure powers x_j^(d-1) nonzero mod p match
-        the partials (``_matching``), Macaulay's square rows are built
-        alone (``_square_rows``) and eliminated first.  They are rows of the
-        slice, so a full rank of theirs is a full rank of the slice, which
-        has the same certificate; short of it, the whole slice is built
-        (``_gfp_slice``) and eliminated, so the certificate is always
-        that of the whole slice.  ``_macaulay_closed`` maps each (k, p)
-        that the square rows closed to their nonzero count mod p, for the
-        route line.
-        """
+        min(rows, cols), memoised per (k, p): above sigma Macaulay's
+        square rows first when ``_matching`` finds one, the whole slice
+        (``_gfp_slice``) short of a full rank, so the certificate is
+        always that of the whole slice.  ``_macaulay_closed`` maps each
+        (k, p) the square rows closed to their nonzero count mod p, for
+        the route line."""
         if (k, p) in self._ranks:
             return self._ranks[k, p]
         rows, cols = self._slice_shape(k)
@@ -509,21 +504,19 @@ class HypersurfaceRing:
     def smoothness_certificate(self, prime=modrank.DEFAULT_PRIME):
         """One-sided proof that the quotient vanishes in degree sigma+1.
 
-        A monomial ideal counts the monomials it contains (one
-        certificate, with prime None, memoised as ``_ranks[sigma+1,
-        None]``); any other ring takes the rank mod ``prime`` of the
-        degree-(sigma+1) slice (``_full_rank``, memoised per prime: on
-        Macaulay's square rows when the pure powers match the partials mod
-        p and those rows have full rank, on the whole slice otherwise), which
+        ``prime`` passes ``_check_step``'s gate first.  None asks for the
+        exact certificate, which a monomial ideal gives at every prime:
+        ``ideal_rank(sigma+1)`` against the number of monomials, with
+        prime None, memoised once.  Any other ring takes the rank mod
+        ``prime`` of the degree-(sigma+1) slice (``_full_rank``), which
         never exceeds the rational rank.  The certificate closes
-        (``certified``) only when that count meets the number of
-        monomials.  Then the quotient is Artinian, the n partials form a
-        regular sequence, and the Koszul complex resolves the quotient,
-        which gives the closed forms of its Hilbert function and character
-        spectra.  A certificate at one prime never answers for another.
+        (``certified``) only when it meets the number of monomials; then
+        the n partials form a regular sequence, which gives the closed
+        forms.  A certificate at one prime never answers for another.
         """
         k = self.socle_degree + 1
-        if not self.is_monomial_ideal:
+        _check_step(prime, k)
+        if prime is not None and not self.is_monomial_ideal:
             return self._full_rank(k, prime)
         if (k, None) not in self._ranks:
             self._ranks[k, None] = exactla.RankCertificate(
@@ -531,9 +524,16 @@ class HypersurfaceRing:
         return self._ranks[k, None]
 
     def _proof_route(self, cert):
-        """A closed smoothness certificate, as a fragment of a route line."""
+        """A smoothness certificate, as a fragment of a route line.  An
+        exact one off a monomial ideal names what decided its rank
+        (``_rank_proof``)."""
         k = self.socle_degree + 1
-        if cert.prime is None:
+        verdict = "smooth" if cert.certified else "not smooth"
+        if cert.prime is None and not self.is_monomial_ideal:
+            cert = self._rank_proof(k)
+        if isinstance(cert, GradedPiece):
+            how = "exact pieces"
+        elif cert.prime is None:
             how = "monomial count"
         else:
             p = cert.prime
@@ -544,7 +544,7 @@ class HypersurfaceRing:
                 nonzeros = self._macaulay_closed[k, p]
             how = (f"modular p={p}, {shape}, {nonzeros} nonzeros, "
                    f"{self._slice_kernel(k, p)}")
-        return f"smooth at degree {k} ({how})"
+        return f"{verdict} at degree {k} ({how})"
 
     def dimension_route(self):
         """How ``quotient_dim`` answers, as one line for the human report."""
@@ -727,35 +727,25 @@ def hilbert_function(hring, through=None):
     return [hring.quotient_dim(k) for k in range(top + 1)]
 
 
-def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME, exact=False):
+def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME):
     """Smoothness of the hypersurface via vanishing above the socle, as
     the ``Rank`` of the degree-(sigma+1) slice against its monomials.
 
     The quotient is Artinian with socle degree n*(d-2) exactly when the
     hypersurface is smooth, so it suffices that the piece in degree
     socle+1 vanishes.  That is a full-rank claim about the ideal slice,
-    so the ring's modular certificate settles it when it closes; when it
-    falls short, or with ``exact``, elimination decides.  A monomial
-    ideal is always counted exactly.  The proof is the certificate that
-    closed, the monomial count, or the lifted piece.
+    answered by the ring's smoothness certificate at ``prime``, which
+    gates it first.  ``prime`` None is the exact certificate, and so is a
+    modular one that falls short, in mode ``exact(after modular p=...)``.
+    The proof is the certificate that answered.
     """
-    k = hring.socle_degree + 1
-    full = hring._slice_shape(k)[1]
-    if hring.is_monomial_ideal:
-        cert = hring.smoothness_certificate()
-        return Rank(cert.rank, full, "exact", f"monomial count at degree {k}",
-                    cert)
-    mode = "exact"
-    if not exact:
-        cert = hring.smoothness_certificate(prime)
-        if cert.certified:
-            return Rank(full, full, _mode(prime), hring._proof_route(cert),
-                        cert)
+    cert = hring.smoothness_certificate(prime)
+    mode = _mode(cert.prime)
+    if not cert.certified and cert.prime is not None:
+        cert = hring.smoothness_certificate(None)
         mode = f"exact(after modular p={prime})"
-    rank, proof = hring.ideal_rank(k), hring._rank_proof(k)
-    if isinstance(proof, GradedPiece):
-        return Rank(rank, full, mode, f"exact pieces at degree {k}", proof)
-    return Rank(rank, full, mode, hring._proof_route(proof), proof)
+    return Rank(cert.rank, cert.upper_bound, mode, hring._proof_route(cert),
+                cert)
 
 
 class MultiplicationMap:

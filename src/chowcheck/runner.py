@@ -572,8 +572,8 @@ def _check_invariance(ctx, spec):
            prime=(_prime, modrank.DEFAULT_PRIME))
 def _check_smooth(ctx, spec, mode, prime):
     hring = ctx.hypersurface()
-    result = jacobian.is_smooth_artinian(hring, prime=prime,
-                                         exact=mode == "exact")
+    result = jacobian.is_smooth_artinian(
+        hring, prime=None if mode == "exact" else prime)
     degree, dimension = hring.socle_degree + 1, result.full - result.rank
     values = {
         "smooth": result.ok,

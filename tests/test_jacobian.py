@@ -15,7 +15,7 @@ from chowcheck.poly import (PolyRing, enumerate_monomials, parse_poly,
 from chowcheck.report import InputError
 from chowcheck.runner import ScenarioContext, run_check, run_scenario
 from chowcheck.scenario import parse_scenario
-from oracles import (block_pieces, block_spectrum, fraction_rref,
+from oracles import (WholeMap, block_pieces, block_spectrum, fraction_rref,
                      listed_ideal_rank, listed_piece, listed_uniform_bound,
                      is_surjective, macaulay_rows, map_matrix,
                      pieces_left_kernel_via_duality, pieces_map_surjectivity,
@@ -111,7 +111,7 @@ def test_smoothness(fermat_quartic):
         parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3", P3))
     modular = jacobian.is_smooth_artinian(bumpy)
     assert modular.ok and modular.mode.startswith("modular")
-    exact = jacobian.is_smooth_artinian(bumpy, exact=True)
+    exact = jacobian.is_smooth_artinian(bumpy, prime=None)
     assert exact.ok and exact.mode == "exact"
 
 
@@ -591,12 +591,22 @@ def test_exact_smoothness_never_reads_the_certificate(monkeypatch, quintic_sym):
     result = jacobian.is_smooth_artinian(quintic_sym)
     assert result.ok and result.mode == "modular(p=1000003)"
 
-    def refuse(self, prime=None):
-        raise AssertionError("the exact route read the certificate")
+    # the exact route asks for the exact certificate only, never for one
+    # at a prime, and its proof names no prime
+    asked = []
+    certificate = jacobian.HypersurfaceRing.smoothness_certificate
 
-    monkeypatch.setattr(jacobian.HypersurfaceRing, "smoothness_certificate", refuse)
-    result = jacobian.is_smooth_artinian(_shioda_ring(), exact=True)
+    def recording(self, prime=modrank.DEFAULT_PRIME):
+        asked.append(prime)
+        return certificate(self, prime)
+
+    monkeypatch.setattr(jacobian.HypersurfaceRing, "smoothness_certificate",
+                        recording)
+    result = jacobian.is_smooth_artinian(_shioda_ring(), prime=None)
     assert result.ok and result.mode == "exact" and result.rank == result.full
+    assert isinstance(result.proof, jacobian.GradedPiece) or (
+        result.proof.prime is None and result.proof.certified)
+    assert set(asked) == {None}
 
 
 def test_certificates_are_memoised_per_prime():
@@ -850,7 +860,7 @@ def test_closed_form_gate_refuses_unproven_rings(fermat_quartic):
     # pairings, so the closed form would be wrong on it
     nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
     assert nodal.quotient_dim(3) == 1
-    assert not jacobian.is_smooth_artinian(nodal, exact=True)
+    assert not jacobian.is_smooth_artinian(nodal, prime=None)
     for prime, where in ((GFP, f", ring not proven smooth at p={GFP}"),
                          (None, "")):
         for a, b in ((1, 1), (2, 0)):
@@ -904,9 +914,9 @@ def test_the_exact_gate_does_not_depend_on_check_order(make, a, b, route):
     alone = duality(make())
     first = make()
     before = duality(first)
-    smooth = jacobian.is_smooth_artinian(first, exact=True)
+    smooth = jacobian.is_smooth_artinian(first, prime=None)
     after = make()
-    assert jacobian.is_smooth_artinian(after, exact=True).ok == smooth.ok
+    assert jacobian.is_smooth_artinian(after, prime=None).ok == smooth.ok
     assert alone == before == duality(after)
     assert alone[0] == route and alone[1] == smooth.ok
 
@@ -987,7 +997,7 @@ def test_closed_form_verdicts_match_exact_pieces_on_plane_curves(
     text = _plane_curve(degree, singular, coeffs)
     hring = jacobian.HypersurfaceRing(parse_poly(text, TERNARY))
     sigma = hring.socle_degree
-    smooth = jacobian.is_smooth_artinian(hring, exact=True).ok
+    smooth = jacobian.is_smooth_artinian(hring, prime=None).ok
     for prime in (GFP, None):
         for a in range(sigma + 1):
             for b in range(sigma + 1 - a):
@@ -1279,7 +1289,7 @@ def test_a_singular_quartic_with_every_pure_power_is_not_certified():
     assert (cert.rank, cert.upper_bound, cert.certified) == (148, 220, False)
     assert hring.ideal_rank(k) == 148
     assert hring.dimension_route() == "elimination"
-    assert not jacobian.is_smooth_artinian(hring, exact=True)
+    assert not jacobian.is_smooth_artinian(hring, prime=None)
 
 
 def _load_dense_generator():
@@ -1575,3 +1585,104 @@ def test_every_passing_jacobian_step_carries_its_proof(text, monkeypatch):
                                jacobian.CLOSED_FORM)), (spec.kind, rank)
     assert kinds == (JACOBIAN_STEPS if "dense" in scn.name else
                      {spec.kind for spec in scn.checks} & JACOBIAN_STEPS)
+
+
+# ------------------------------------------------ one prime contract
+#
+# ``prime=None`` is the exact route in every entry point that takes a
+# prime, and any other value passes ``_check_step``'s gate before any
+# route is taken.
+
+SMOOTH_CUBIC = "x0^3 + x1^3 + x2^3 + x0*x1*x2"
+PRIME_ENTRY_POINTS = {
+    "is_smooth_artinian": lambda hring, p: jacobian.is_smooth_artinian(
+        hring, prime=p),
+    "smoothness_certificate": lambda hring, p: hring.smoothness_certificate(p),
+    "map_surjectivity": lambda hring, p: jacobian.map_surjectivity(
+        hring, 1, 1, prime=p),
+    "macaulay_pairing_check": lambda hring, p: jacobian.macaulay_pairing_check(
+        hring, 1, prime=p),
+    "left_kernel_via_duality": lambda hring, p: (
+        jacobian.left_kernel_via_duality(hring, 1, 1, prime=p)),
+}
+
+
+def test_exact_smoothness_answers_as_the_exact_smooth_step():
+    hring = jacobian.HypersurfaceRing(parse_poly(SMOOTH_CUBIC, TERNARY))
+    result = jacobian.is_smooth_artinian(hring, prime=None)
+    assert (result.rank, result.full, result.mode) == (15, 15, "exact")
+    assert result.proof is hring.smoothness_certificate(None)
+    report = run_scenario(parse_scenario(
+        "[scenario]\nname = cubic\n[ring]\nvariables = x0 x1 x2\n"
+        f"poly = {SMOOTH_CUBIC}\n[checks]\ncheck smooth mode=exact cite=c\n"))
+    (step,) = report.steps
+    assert step.values == {"smooth": True, "mode": "exact",
+                           "checked_degree": 4, "dimension": 0}
+
+
+def test_the_exact_certificate_closes_only_on_a_smooth_ring():
+    smooth = jacobian.HypersurfaceRing(parse_poly(SMOOTH_CUBIC, TERNARY))
+    nodal = jacobian.HypersurfaceRing(parse_poly(NODAL_CUBIC, TERNARY))
+    for hring, rank in ((smooth, 15), (nodal, 14)):
+        cert = hring.smoothness_certificate(None)
+        assert (cert.prime, cert.rank, cert.upper_bound, cert.certified) == (
+            None, rank, 15, rank == 15)
+        assert hring.smoothness_certificate(None) is cert
+
+
+@pytest.mark.parametrize("entry", sorted(PRIME_ENTRY_POINTS))
+@pytest.mark.parametrize("form", [SMOOTH_CUBIC, NODAL_CUBIC,
+                                  "x0^3 + x1^3 + x2^3"],
+                         ids=["smooth", "nodal", "monomial"])
+def test_a_bad_modulus_is_refused_before_any_route(entry, form, monkeypatch):
+    built = []
+    ring = jacobian.HypersurfaceRing
+    full_rank, piece = ring._full_rank, ring.piece
+    monkeypatch.setattr(ring, "_full_rank", lambda self, k, p: (
+        built.append(("rank", k, p)) or full_rank(self, k, p)))
+    monkeypatch.setattr(ring, "piece", lambda self, k: (
+        built.append(("piece", k)) or piece(self, k)))
+    for prime in (4, 0, 1, modrank.MAX_PRIME + 1):
+        hring = ring(parse_poly(form, TERNARY))
+        with pytest.raises(modrank.BadPrime):
+            PRIME_ENTRY_POINTS[entry](hring, prime)
+        assert built == [] and not hring._ranks and not hring._pieces
+
+
+def _rank_over_q(matrix):
+    return len(fraction_rref(matrix, len(matrix[0]) if matrix else 0)[1])
+
+
+def _pairing_over_q(hring, k):
+    top = hring.piece(hring.socle_degree)
+    pa, pb = hring.piece(k), hring.piece(hring.socle_degree - k)
+    return _rank_over_q([[top.reduce_vector({monomial_mul(u, v): 1})[0]
+                          for v in pb.representatives]
+                         for u in pa.representatives])
+
+
+@pytest.mark.parametrize("form", [SMOOTH_CUBIC, NODAL_CUBIC,
+                                  "x0^3 + x1^3 + x2^3"],
+                         ids=["smooth", "nodal", "monomial"])
+def test_no_prime_is_the_exact_route_in_every_entry_point(form):
+    hring = jacobian.HypersurfaceRing(parse_poly(form, TERNARY))
+    answers = {name: entry(hring, None)
+               for name, entry in PRIME_ENTRY_POINTS.items()}
+    rows, monos, _ = hring.span_rows(4)
+    slice_rank = _rank_over_q(rows)
+    cert = answers["smoothness_certificate"]
+    assert (cert.prime, cert.rank, cert.upper_bound) == (None, slice_rank, 15)
+    smooth = answers["is_smooth_artinian"]
+    assert (smooth.rank, smooth.full) == (slice_rank, len(monos))
+    surj = answers["map_surjectivity"]
+    assert (surj.rank, surj.full) == (_rank_over_q(WholeMap(hring, 1, 1).matrix),
+                                      hring.quotient_dim(2))
+    pairing = answers["macaulay_pairing_check"]
+    assert (pairing.rank, pairing.full) == (_pairing_over_q(hring, 1),
+                                            hring.quotient_dim(1))
+    onto, half = answers["left_kernel_via_duality"]
+    assert (onto.rank, onto.full) == (
+        _rank_over_q(WholeMap(hring, 1, 1).matrix), hring.quotient_dim(2))
+    assert (half.rank, half.full) == (pairing.rank, pairing.full)
+    modes = [smooth.mode, surj.mode, pairing.mode, onto.mode, half.mode]
+    assert not any("p=" in mode for mode in modes), modes
