@@ -14,12 +14,14 @@ The package is organised in layers:
 - :mod:`chowcheck.poly`: sparse multivariate polynomials over the
   rationals and small algebraic towers, with an exact parser.
 - :mod:`chowcheck.jacobian`: graded quotients by Jacobian ideals,
-  Hilbert functions, smoothness, multiplication maps, socle pairings,
-  each answered as one ``Rank`` that carries its proof.
+  Hilbert functions, smoothness, multiplication maps (a restricted map
+  is a stream of column blocks), socle pairings, each answered as one
+  ``Rank`` that carries its proof.
 - :mod:`chowcheck.curves`: coordinate-line sections of plane curves,
   divisor relation lattices, torsion orders of point differences.
 - :mod:`chowcheck.pencil`: the deformed quartic family, its blown-up
-  cubic pencil, and the tangent and parameter identities.
+  cubic pencil, and the tangent and parameter identities, parsed from
+  one table of default texts that a scenario's ``[pencil]`` overrides.
 - :mod:`chowcheck.characters`: diagonal automorphisms, character
   spectra of graded pieces, and the orbit-scan Picard bound.
 - :mod:`chowcheck.scenario` / :mod:`chowcheck.runner` /
@@ -54,12 +56,11 @@ _EXPORTS = {
                   "RelationLattice UnknownLabel binary_form_cycle "
                   "hyperplane_relations minimal_equivalence_order "
                   "rational_roots restrict_to_line squarefree_decomposition",
-        "jacobian": "GradedPiece HypersurfaceRing IdealNotMonomial "
-                    "MultiplicationMap Rank SocleNotOneDimensional "
-                    "functional_kernel_map hilbert_function "
-                    "is_smooth_artinian left_kernel_via_duality "
-                    "macaulay_pairing_check multiplication_map "
-                    "uniform_mult_rank_bound",
+        "jacobian": "GradedPiece HypersurfaceRing IdealNotMonomial Rank "
+                    "SocleNotOneDimensional functional_kernel_map "
+                    "hilbert_function is_smooth_artinian "
+                    "left_kernel_via_duality macaulay_pairing_check "
+                    "multiplication_map uniform_mult_rank_bound",
         "pencil": "PencilScenario default_scenario membership_identity "
                   "report_degenerate_parameters scenario_steps "
                   "tangent_identity verify_blowup_factorization "

@@ -223,8 +223,9 @@ class DivisorCycle:
         return " + ".join(parts) if parts else "0"
 
 
-def restrict_to_line(f, line_var, plane_vars=None):
-    """Binary form cut out on the coordinate line ``line_var`` = 0.
+def restrict_to_line(f, line_var, plane_vars):
+    """Binary form cut out on the coordinate line ``line_var`` = 0, and
+    the two coordinates left on the line.
 
     ``plane_vars`` names the three coordinates of the plane; variables of
     the ring outside it are treated as parameters and must drop out of
@@ -232,8 +233,6 @@ def restrict_to_line(f, line_var, plane_vars=None):
     restriction that vanishes identically raises LineIsComponent.
     """
     ring = f.ring
-    if plane_vars is None:
-        plane_vars = ring.names
     if len(plane_vars) != 3:
         raise InputError("a plane needs exactly three coordinates")
     if line_var not in plane_vars:
@@ -255,8 +254,9 @@ def restrict_to_line(f, line_var, plane_vars=None):
     return g, remaining
 
 
-def binary_form_cycle(g, uv=None):
-    """Factor a binary form into a zero-cycle of rational points.
+def binary_form_cycle(g, uv):
+    """Factor a binary form in the two variables ``uv`` into a zero-cycle
+    of rational points.
 
     Rational linear factors become points (u0 : v0) on the line with
     their multiplicities; the point at (1 : 0) is the factor of the
@@ -266,8 +266,6 @@ def binary_form_cycle(g, uv=None):
     if g.is_zero():
         raise ValueError("binary form must be nonzero")
     ring = g.ring
-    if uv is None:
-        uv = ring.names
     if len(uv) != 2:
         raise ValueError("a binary form needs exactly two variables")
     iu, iv = ring.index[uv[0]], ring.index[uv[1]]
@@ -328,7 +326,7 @@ def section_cycle(f, line_var, plane_vars, labels):
     which maps normalized plane coordinates to names, or by its repr.
     """
     g, remaining = restrict_to_line(f, line_var, plane_vars)
-    cycle = binary_form_cycle(g, uv=remaining)
+    cycle = binary_form_cycle(g, remaining)
     if cycle.residual_factors:
         degs = [len(c) - 1 for c, _, _ in cycle.residual_factors]
         raise NonRationalIntersection(
@@ -344,21 +342,16 @@ def section_cycle(f, line_var, plane_vars, labels):
     return named
 
 
-def hyperplane_relations(curve, line_vars, plane_vars=None, labels=None,
-                         section=None):
+def hyperplane_relations(line_vars, section):
     """Relation lattice from consecutive coordinate-line sections.
 
-    Each line must meet the curve entirely in rational points, otherwise
-    NonRationalIntersection is raised (``section_cycle``).  Relations are
-    the differences of the intersection cycles of consecutive lines,
-    written over the alphabetically ordered union of their supports.
-    ``section`` maps a line variable to its cycle, for a caller that
-    keeps the cycles it has computed; by default ``section_cycle``.
+    ``section`` maps a line variable to the intersection cycle of its
+    line with the curve, name -> multiplicity (``section_cycle``, which
+    raises NonRationalIntersection unless the line meets the curve
+    entirely in rational points).  Relations are the differences of the
+    cycles of consecutive lines, written over the alphabetically ordered
+    union of their supports.
     """
-    if section is None:
-        def section(line_var):
-            return section_cycle(curve, line_var,
-                                 plane_vars or curve.ring.names, labels or {})
     cycles = [section(line_var) for line_var in line_vars]
     basis = sorted(set().union(*cycles) if cycles else ())
     rows = []

@@ -718,13 +718,9 @@ def _pieces_route(hring, prime):
     return f"exact pieces, ring not proven smooth at p={prime}"
 
 
-def hilbert_function(hring, through=None):
-    """Exact dimensions of the graded quotient pieces 0..socle degree.
-
-    ``through`` extends the table past the socle degree when given.
-    """
-    top = hring.socle_degree if through is None else through
-    return [hring.quotient_dim(k) for k in range(top + 1)]
+def hilbert_function(hring):
+    """Exact dimensions of the graded quotient pieces 0..socle degree."""
+    return [hring.quotient_dim(k) for k in range(hring.socle_degree + 1)]
 
 
 def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME):
@@ -748,66 +744,29 @@ def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME):
                 cert)
 
 
-class MultiplicationMap:
-    """R_a (x) R_b -> R_c in quotient coordinates.
+def multiplication_map(hring, a, b, kernel):
+    """The columns of W (x) R_b -> R_(a+b) in quotient coordinates, W
+    spanned by the vectors ``kernel`` over the representatives of R_a:
+    one list of columns per vector, in turn, one column per
+    representative v of R_b.
 
-    Columns are indexed by source pairs, left factor major, and hold
-    coordinates over the target's representatives.  With ``quotient_by``
-    the left factor runs over the given subspace vectors (coordinates
-    over the representatives of R_a) instead of the full basis.  The
-    pieces are built on construction, the columns only when asked for,
-    one left vector at a time (``column_blocks``).
+    The pieces are built on the call, the columns only when asked for.
+    A vector's columns combine the products u_i * v of the
+    representatives u_i its nonzero coefficients name, and only those
+    products are looked up, each once.
     """
+    pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(a + b)
+    products = {}
 
-    __slots__ = ("hring", "a", "b", "c", "left_dim", "right_dim",
-                 "target_dim", "quotient_by", "_pieces")
-
-    def __init__(self, hring, a, b, quotient_by=None):
-        self.hring = hring
-        self.a = a
-        self.b = b
-        self.c = a + b
-        pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(self.c)
-        self._pieces = pa, pb, pc
-        self.quotient_by = quotient_by
-        self.right_dim = pb.dim
-        self.target_dim = pc.dim
-        if quotient_by is None:
-            self.left_dim = pa.dim
-        else:
-            if any(len(vec) != pa.dim for vec in quotient_by):
-                raise ValueError("subspace vector length must match dim R_a")
-            self.left_dim = len(quotient_by)
-
-    def column_blocks(self):
-        """The columns of each left vector in turn, one list per vector.
-
-        A subspace vector's columns combine the products u_i * v of the
-        representatives u_i its nonzero coefficients name, and only those
-        products are looked up, each once.
-        """
-        pa, pb, pc = self._pieces
-        if self.quotient_by is None:
-            for u in pa.representatives:
-                yield _products([u], pb, pc)
-            return
-        products = {}
-        for vec in self.quotient_by:
-            used = [i for i, x in enumerate(vec) if x]
-            for i in used:
-                if i not in products:
-                    products[i] = _products([pa.representatives[i]], pb, pc)
-            yield [_combination([vec[i] for i in used],
-                                [products[i][j] for i in used], pc.dim)
-                   for j in range(pb.dim)]
-
-    @property
-    def ncols(self):
-        return self.left_dim * self.right_dim
-
-
-def multiplication_map(hring, a, b, quotient_by=None):
-    return MultiplicationMap(hring, a, b, quotient_by=quotient_by)
+    def block(vec):
+        used = [i for i, x in enumerate(vec) if x]
+        for i in used:
+            if i not in products:
+                products[i] = _products([pa.representatives[i]], pb, pc)
+        return [_combination([vec[i] for i in used],
+                             [products[i][j] for i in used], pc.dim)
+                for j in range(pb.dim)]
+    return map(block, kernel)
 
 
 def _onto(target, mode, route=None):
@@ -938,7 +897,7 @@ def _count_avoiding(gens, nvars, b):
     return total
 
 
-def functional_kernel_map(hring, g, b=None):
+def functional_kernel_map(hring, g, b):
     """The ``Rank`` of W (x) R_b -> R_(a+b) for W the socle-orthogonal of
     g, against dim R_(a+b), with dim W and whether g's class is nonzero.
 
@@ -954,14 +913,12 @@ def functional_kernel_map(hring, g, b=None):
     built.  A zero functional leaves W = R_a, onto R_(a+b) by
     ``map_surjectivity``'s theorem, and no map is built; nor is one when
     R_(a+b) = 0.  Otherwise the map's columns, one kernel vector at a
-    time (``MultiplicationMap.column_blocks``) and scaled to integer rows,
-    go to the sparse kernel mod ``DEFAULT_PRIME``, whose rank never
-    exceeds that over Q: once it reaches dim R_(a+b) no more columns are
-    built, and short of it the whole map is ranked exactly.
+    time (``multiplication_map``) and scaled to integer rows, go to the
+    sparse kernel mod ``DEFAULT_PRIME``, whose rank never exceeds that
+    over Q: once it reaches dim R_(a+b) no more columns are built, and
+    short of it the whole map is ranked exactly.
     """
     a = g.total_degree()
-    if b is None:
-        b = hring.degree - 1
     sigma = hring.socle_degree
     smooth = hring.smoothness_certificate().certified
     if not smooth:
@@ -986,11 +943,10 @@ def functional_kernel_map(hring, g, b=None):
         return (Rank(0, 0, "trivial", f"R_{a + b} = 0, {dims}",
                      CLOSED_FORM if smooth else hring._rank_proof(a + b)),
                 len(kernel), True)
-    mmap = multiplication_map(hring, a, b, quotient_by=kernel)
     built = []
 
     def columns():
-        for block in mmap.column_blocks():
+        for block in multiplication_map(hring, a, b, kernel):
             built.extend(block)
             yield from exactla.integer_rows(block)[0]
 
@@ -1001,7 +957,7 @@ def functional_kernel_map(hring, g, b=None):
     else:
         cert = exactla.RankCertificate(None, exactla.rank(built), target)
         how = "exact rank"
-    route = (f"pieces {a}, {b}, {a + b}: {len(built)} of {mmap.ncols} "
-             f"columns, {how}")
+    ncols = len(kernel) * hring.piece(b).dim
+    route = f"pieces {a}, {b}, {a + b}: {len(built)} of {ncols} columns, {how}"
     return (Rank(cert.rank, target, _mode(cert.prime), route, cert),
             len(kernel), True)

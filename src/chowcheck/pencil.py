@@ -10,6 +10,12 @@ witness.  The concurrency check may also report "degenerate" when the
 identities hold but tangent lines coincide.  Nothing here is
 tolerance-based.
 
+``default_scenario`` parses the eight texts a ``[pencil]`` section may
+replace (the four lines, the strict transform, the declared quadratic,
+and the closed form's numerator and denominator) from one table of
+defaults merged with the section's texts.  Every step cites "scenario
+declared data"; a scenario check renames it and cites its own ``cite=``.
+
 The tangent computations run in a tower that adjoins a primitive cube
 root of unity ``w`` and a cube root ``a`` of ``-lam``; choosing the
 branch ``a**3 = -lam`` fixes one of the three marked points, and the
@@ -21,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import curves
-from .poly import (NotDivisible, PolyRing, exact_divide, parse_poly,
-                   partial_derivative, substitute)
+from .poly import (NotDivisible, PolyParseError, PolyRing, exact_divide,
+                   parse_poly, partial_derivative, substitute)
 from .report import InputError, StepResult
 
 
@@ -37,13 +43,12 @@ class PencilScenario:
     __slots__ = ("ambient_ring", "family", "lines", "blowup_ring",
                  "substitution", "blowup_factor", "strict_transform",
                  "tower_ring", "points", "tangent_table", "concurrency_point",
-                 "declared_quadratic", "closed_form", "cycle_signature",
-                 "citations")
+                 "declared_quadratic", "closed_form", "cycle_signature")
 
     def __init__(self, ambient_ring, family, lines, blowup_ring, substitution,
                  blowup_factor, strict_transform, tower_ring, points,
                  tangent_table, concurrency_point, declared_quadratic,
-                 closed_form, cycle_signature, citations=None):
+                 closed_form, cycle_signature):
         for line in lines:
             if line.total_degree() != 1 or not line.is_homogeneous():
                 raise InputError("lines must be linear forms")
@@ -69,10 +74,6 @@ class PencilScenario:
         self.declared_quadratic = declared_quadratic
         self.closed_form = tuple(closed_form)
         self.cycle_signature = tuple(cycle_signature)
-        self.citations = dict(citations or {})
-
-    def citation(self, step_name):
-        return self.citations.get(step_name, "scenario declared data")
 
 
 def _family_degrees(family, ring):
@@ -85,26 +86,48 @@ def _family_degrees(family, ring):
     return [(tp, xdeg) for tp, degs in sorted(seen.items()) for xdeg in degs]
 
 
-def family_from_lines(lines, ring):
-    """The deformed quartic x0^4 + x1^4 - x2^4 - x3^4 + 2*t*prod(lines).
+# the texts a [pencil] section may replace, by key: the four lines in the
+# ambient ring x0..x3, t, the rest in the blow-up ring x, y, z, lam, t
+_DEFAULTS = {
+    "line0": "x1 - x2",
+    "line1": "x0 - x3",
+    "line2": "x1 + x3",
+    "line3": "x0 - x2",
+    "strict_transform": ("x^3 + lam*y^3 + z^2*x + lam^3*z^2*y + lam*t*z"
+                         " * (x + y + (lam - 1)*z) * (x - y + (lam + 1)*z)"),
+    "declared_quadratic": "lam*(t^2 - 18*t + 9) + 4*t^2 - 6*t - 18",
+    "closed_form_num": "-(4*t^2 - 6*t - 18)",
+    "closed_form_den": "t^2 - 18*t + 9",
+}
 
-    ``ring`` holds x0..x3 and the parameter t; ``lines`` are linear forms
-    in it.
+
+def default_scenario(overrides=None):
+    """The built-in quartic family with all declared comparison data, the
+    texts of ``overrides`` (a ``[pencil]`` section, by key) in place of
+    the defaults.
+
+    The family is x0^4 + x1^4 - x2^4 - x3^4 + 2*t*prod(lines).  A text
+    that does not parse raises InputError naming its key.
     """
-    prod = parse_poly("2*t", ring)
-    for line in lines:
-        prod = prod * line
-    return parse_poly("x0^4 + x1^4 - x2^4 - x3^4", ring) + prod
-
-
-def default_scenario():
-    """The built-in quartic family with all declared comparison data."""
+    texts = {**_DEFAULTS, **(overrides or {})}
     amb = PolyRing.rationals(("x0", "x1", "x2", "x3", "t"))
-    lines = [parse_poly(s, amb) for s in
-             ("x1 - x2", "x0 - x3", "x1 + x3", "x0 - x2")]
-    family = family_from_lines(lines, amb)
-
     blow = PolyRing.rationals(("x", "y", "z", "lam", "t"))
+
+    def parse(key, ring):
+        try:
+            return parse_poly(texts[key], ring)
+        except PolyParseError as exc:
+            raise InputError(f"bad [pencil] {key}: {exc}") from None
+
+    lines = [parse(f"line{i}", amb) for i in range(4)]
+    family = parse_poly("2*t", amb)
+    for line in lines:
+        family = family * line
+    family = parse_poly("x0^4 + x1^4 - x2^4 - x3^4", amb) + family
+    strict = parse("strict_transform", blow)
+    declared_quadratic = parse("declared_quadratic", blow)
+    closed_form = (parse("closed_form_num", blow),
+                   parse("closed_form_den", blow))
     substitution = {
         "x0": parse_poly("x + z", blow),
         "x1": parse_poly("y + lam*z", blow),
@@ -112,9 +135,6 @@ def default_scenario():
         "x3": parse_poly("x - z", blow),
     }
     blowup_factor = parse_poly("8*z", blow)
-    strict = parse_poly(
-        "x^3 + lam*y^3 + z^2*x + lam^3*z^2*y"
-        " + lam*t*z * (x + y + (lam - 1)*z) * (x - y + (lam + 1)*z)", blow)
 
     tower = PolyRing.tower(("x", "y", "z", "lam", "t"), "lam")
     a = parse_poly("a", tower)
@@ -133,26 +153,17 @@ def default_scenario():
             lam * t * (a * a * rot - one),
         ))
     concurrency = (-lam * t, t, 3 * one)
-
-    declared_quadratic = parse_poly(
-        "lam*(t^2 - 18*t + 9) + 4*t^2 - 6*t - 18", blow)
-    closed_form = (parse_poly("-(4*t^2 - 6*t - 18)", blow),
-                   parse_poly("t^2 - 18*t + 9", blow))
-
-    citations = {
-        "blowup_factorization":
-            "declared factorization of the family under the line blow-up",
-        "tangent_lines":
-            "declared tangent coefficient table at the three marked points",
-        "concurrency":
-            "declared common point of the three tangent lines",
-        "hyperelliptic_condition":
-            "declared parameter quadratic and its closed-form solution",
-    }
     return PencilScenario(amb, family, lines, blow, substitution,
                           blowup_factor, strict, tower, points, tangent_table,
                           concurrency, declared_quadratic, closed_form,
-                          cycle_signature=(2, -2, 0), citations=citations)
+                          cycle_signature=(2, -2, 0))
+
+
+def _step(name, status, details, witness=None):
+    """A pencil identity's verdict.  A scenario check renames it and
+    replaces this citation with its own."""
+    return StepResult(name, "pencil", status, "scenario declared data",
+                      details=details, witness=witness)
 
 
 def blowup_quotient(scenario):
@@ -164,17 +175,14 @@ def blowup_quotient(scenario):
 
 def verify_blowup_factorization(scenario):
     """Check the family factors through the declared strict transform."""
-    cite = scenario.citation("blowup_factorization")
     quotient = blowup_quotient(scenario)
     diff = quotient - scenario.strict_transform
     if diff.is_zero():
-        return StepResult(
-            "blowup_factorization", "pencil", "pass", cite,
-            details=["substituted family divides exactly by the declared factor",
-                     "quotient equals the declared strict transform"])
-    return StepResult("blowup_factorization", "pencil", "fail", cite,
-                      details=["quotient differs from the declared strict transform"],
-                      witness=diff)
+        return _step("blowup_factorization", "pass",
+                     ["substituted family divides exactly by the declared factor",
+                      "quotient equals the declared strict transform"])
+    return _step("blowup_factorization", "fail",
+                 ["quotient differs from the declared strict transform"], diff)
 
 
 def _eval_at(scenario, f, point):
@@ -184,21 +192,17 @@ def _eval_at(scenario, f, point):
 
 def membership_identity(scenario, index):
     """The index-th marked point (1-based) lies on the cubic."""
-    cite = scenario.citation("tangent_lines")
     point = scenario.points[index - 1]
     residual = _eval_at(scenario, scenario.strict_transform, point)
     name = f"membership_{index}"
     if residual.is_zero():
-        return StepResult(name, "pencil", "pass", cite,
-                          details=[f"point {index} lies on the cubic"])
-    return StepResult(name, "pencil", "fail", cite,
-                      details=[f"point {index} does not lie on the cubic"],
-                      witness=residual)
+        return _step(name, "pass", [f"point {index} lies on the cubic"])
+    return _step(name, "fail", [f"point {index} does not lie on the cubic"],
+                 residual)
 
 
 def tangent_identity(scenario, index):
     """Gradient at the index-th marked point matches the declared table row."""
-    cite = scenario.citation("tangent_lines")
     point = scenario.points[index - 1]
     declared = scenario.tangent_table[index - 1]
     name = f"tangent_{index}"
@@ -206,28 +210,23 @@ def tangent_identity(scenario, index):
         grad = partial_derivative(scenario.strict_transform, var)
         diff = _eval_at(scenario, grad, point) - dec
         if not diff.is_zero():
-            return StepResult(
-                name, "pencil", "fail", cite,
-                details=[f"gradient {var}-coefficient at point {index} "
-                         "differs from the table"], witness=diff)
-    return StepResult(
-        name, "pencil", "pass", cite,
-        details=[f"gradient at point {index} matches the declared tangent"])
+            return _step(name, "fail", [f"gradient {var}-coefficient at point "
+                                        f"{index} differs from the table"], diff)
+    return _step(name, "pass",
+                 [f"gradient at point {index} matches the declared tangent"])
 
 
 def verify_tangent_lines(scenario):
     """Marked points lie on the cubic and gradients match the table."""
-    cite = scenario.citation("tangent_lines")
     details = []
     for i in range(1, len(scenario.points) + 1):
         for step in (membership_identity(scenario, i),
                      tangent_identity(scenario, i)):
             if not step.passed:
-                return StepResult("tangent_lines", "pencil", "fail", cite,
-                                  details=details + step.details,
-                                  witness=step.witness)
+                return _step("tangent_lines", "fail", details + step.details,
+                             step.witness)
             details.extend(step.details)
-    return StepResult("tangent_lines", "pencil", "pass", cite, details=details)
+    return _step("tangent_lines", "pass", details)
 
 
 def _pairwise_distinct(rows):
@@ -245,7 +244,6 @@ def _pairwise_distinct(rows):
 
 def verify_concurrency(scenario, tangent_table=None, point=None):
     """All tangent lines vanish at the declared point and stay distinct."""
-    cite = scenario.citation("concurrency")
     table = scenario.tangent_table if tangent_table is None else tangent_table
     point = scenario.concurrency_point if point is None else point
     details = []
@@ -253,19 +251,16 @@ def verify_concurrency(scenario, tangent_table=None, point=None):
         value = sum((c * p for c, p in zip(row, point)),
                     row[0].ring.zero())
         if not value.is_zero():
-            return StepResult(
-                "concurrency", "pencil", "fail", cite,
-                details=details + [f"tangent {i} does not pass through the point"],
-                witness=value)
+            return _step("concurrency", "fail", details + [
+                f"tangent {i} does not pass through the point"], value)
         details.append(f"tangent {i} passes through the declared point")
     coincident = _pairwise_distinct(table)
     if coincident:
         pairs = ", ".join(f"{i} = {j}" for i, j in coincident)
-        return StepResult(
-            "concurrency", "pencil", "degenerate", cite,
-            details=details + [f"tangent lines coincide: {pairs}"])
+        return _step("concurrency", "degenerate",
+                     details + [f"tangent lines coincide: {pairs}"])
     details.append("tangent lines are pairwise distinct")
-    return StepResult("concurrency", "pencil", "pass", cite, details=details)
+    return _step("concurrency", "pass", details)
 
 
 def tower_at_lambda(value):
@@ -282,7 +277,7 @@ def tower_at_lambda(value):
     return PolyRing(names, reductions={
         "w": (2, {zero: Fraction(-1), wexp: Fraction(-1)}),
         "a": (3, repl_a),
-    }, domain="tower")
+    })
 
 
 def concurrency_at_lambda(scenario, value):
@@ -339,13 +334,10 @@ def verify_hyperelliptic_condition(scenario):
     polynomial identity A*num + B*den == 0.
     """
     name = "hyperelliptic_condition"
-    cite = scenario.citation(name)
     try:
         _, quotient, declared, diff = hyperelliptic_data(scenario)
     except NotDivisible as exc:
-        return StepResult(name, "pencil", "fail", cite,
-                          details=["an exact division failed"],
-                          witness=exc.remainder)
+        return _step(name, "fail", ["an exact division failed"], exc.remainder)
     details = ["evaluation divides exactly by t, lam, and lam - 1"]
     ring = scenario.blowup_ring
     lam = parse_poly("lam", ring)
@@ -354,20 +346,16 @@ def verify_hyperelliptic_condition(scenario):
     num, den = scenario.closed_form
     identity = coeff_a * num + coeff_b * den
     if not identity.is_zero():
-        return StepResult(name, "pencil", "fail", cite,
-                          details=details + ["closed form fails its defining identity"],
-                          witness=identity)
+        return _step(name, "fail", details + [
+            "closed form fails its defining identity"], identity)
     details.append("closed form satisfies A*num + B*den == 0")
     if diff.is_zero():
-        return StepResult(name, "pencil", "pass", cite,
-                          details=details + ["quotient equals the declared quadratic"])
-    return StepResult(
-        name, "pencil", "fail", cite,
-        details=details + [
-            "quotient does not equal the declared quadratic",
-            f"computed quotient: {quotient.to_text()}",
-            f"declared quadratic: {declared.to_text()}"],
-        witness=diff)
+        return _step(name, "pass",
+                     details + ["quotient equals the declared quadratic"])
+    return _step(name, "fail", details + [
+        "quotient does not equal the declared quadratic",
+        f"computed quotient: {quotient.to_text()}",
+        f"declared quadratic: {declared.to_text()}"], diff)
 
 
 def report_degenerate_parameters(scenario):

@@ -117,16 +117,15 @@ class PolyRing:
     ``var**cap -> replacement``.
     """
 
-    __slots__ = ("names", "index", "reductions", "domain")
+    __slots__ = ("names", "index", "reductions")
 
-    def __init__(self, names, reductions=None, domain="rationals"):
+    def __init__(self, names, reductions=None):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self.reductions = {}
-        self.domain = domain
         for var, (cap, repl) in (reductions or {}).items():
             self.reductions[self.index[var]] = (
                 cap, {e: _coefficient(c) for e, c in repl.items()})
@@ -136,17 +135,17 @@ class PolyRing:
         return cls(names)
 
     @classmethod
-    def tower(cls, names, cube_param, w="w", a="a"):
+    def tower(cls, names, cube_param):
         """Adjoin w (cube root of unity) and a with a**3 == -cube_param."""
         base = tuple(names)
         if cube_param not in base:
             raise ValueError(f"cube parameter {cube_param!r} not among variables")
-        names = base + (w, a)
-        ring = cls(names, domain="tower")
+        names = base + ("w", "a")
+        ring = cls(names)
         n = len(names)
         zero = (0,) * n
         unit = lambda i: tuple(1 if j == i else 0 for j in range(n))
-        wi, ai = ring.index[w], ring.index[a]
+        wi, ai = ring.index["w"], ring.index["a"]
         ring.reductions[wi] = (2, {zero: -1, unit(wi): -1})
         ring.reductions[ai] = (3, {unit(ring.index[cube_param]): -1})
         return ring
@@ -161,7 +160,7 @@ class PolyRing:
         return self.names == other.names and self.reductions == other.reductions
 
     def __repr__(self):
-        return f"PolyRing({self.names!r}, domain={self.domain!r})"
+        return f"PolyRing({self.names!r})"
 
     def reduce_terms(self, raw):
         """Canonicalise a term dict: apply rewrites, drop zero coefficients.

@@ -157,9 +157,9 @@ class ScenarioContext:
         """Relation lattice of the curve's sections by ``lines``, in order."""
         def build():
             from . import curves
+            self.curve_poly(curve)  # refuses a bad curve, with no lines too
             return curves.hyperplane_relations(
-                self.curve_poly(curve), lines,
-                section=lambda line: self.section(curve, line))
+                lines, lambda line: self.section(curve, line))
         return self._get(("lattice", curve, lines), build)
 
     def equivalence_order(self, curve, lines, pair):
@@ -172,44 +172,11 @@ class ScenarioContext:
         return self._get(("order", curve, lines, pair), build)
 
     def pencil(self):
-        return self._get("pencil", lambda: _build_pencil(self.scn.pencil_overrides))
-
-
-def _build_pencil(overrides):
-    from . import pencil
-    base = pencil.default_scenario()
-    if not overrides:
-        return base
-    amb, blow = base.ambient_ring, base.blowup_ring
-
-    def parse_in(key, ring):
-        try:
-            return parse_poly(overrides[key], ring)
-        except PolyParseError as exc:
-            raise InputError(f"bad [pencil] {key}: {exc}") from None
-
-    lines = list(base.lines)
-    rebuilt = False
-    for i in range(4):
-        key = f"line{i}"
-        if key in overrides:
-            lines[i] = parse_in(key, amb)
-            rebuilt = True
-    family = pencil.family_from_lines(lines, amb) if rebuilt else base.family
-    strict = (parse_in("strict_transform", blow)
-              if "strict_transform" in overrides else base.strict_transform)
-    declared = (parse_in("declared_quadratic", blow)
-                if "declared_quadratic" in overrides else base.declared_quadratic)
-    closed = list(base.closed_form)
-    if "closed_form_num" in overrides:
-        closed[0] = parse_in("closed_form_num", blow)
-    if "closed_form_den" in overrides:
-        closed[1] = parse_in("closed_form_den", blow)
-    return pencil.PencilScenario(
-        amb, family, lines, blow, base.substitution, base.blowup_factor,
-        strict, base.tower_ring, base.points, base.tangent_table,
-        base.concurrency_point, declared, closed, base.cycle_signature,
-        citations=base.citations)
+        """The built-in pencil with the scenario's [pencil] texts."""
+        def build():
+            from . import pencil
+            return pencil.default_scenario(self.scn.pencil_overrides)
+        return self._get("pencil", build)
 
 
 def _line(spec):
@@ -490,7 +457,8 @@ def _check_green_gotzmann(ctx, spec, g, b, expect_rank):
     if ok:
         details.append("restricted multiplication map is surjective")
     if not class_nonzero:
-        details.append("the chosen class vanishes in the quotient")
+        details.append(f"g pairs to zero with every class of degree "
+                       f"{g.total_degree()}")
     if result.rank != expect_rank:
         details.append(f"expected rank {expect_rank}")
     return _step(spec, "kernel multiplication rank", ok, details,

@@ -87,6 +87,8 @@ _SECTION_KEYS = {
     "automorphism": {"modulus", "exponents"},
     "cycle": {"tau"},
     "curve": {"plane", "variables", "poly", "point"},
+    # the keys of pencil's table of default texts, kept here so that
+    # parsing a scenario does not import pencil
     "pencil": {"line0", "line1", "line2", "line3", "strict_transform",
                "declared_quadratic", "closed_form_num", "closed_form_den"},
     "checks": set(),

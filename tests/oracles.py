@@ -53,9 +53,11 @@ exactly after every piece it could read, the socle piece first
 (``pieces_functional_kernel_map``).  The package now answers both from
 generation in degree 1 where it applies, and ranks a restricted map only
 until its rank reaches the target; the old routes are kept here as their
-oracles.  ``is_surjective`` and the whole matrix of a
-``jacobian.MultiplicationMap`` (``map_matrix``) lost their last callers
-in the package, and live here with the tests that read them.
+oracles.  ``is_surjective`` and the whole matrix of a multiplication
+map from its column blocks (``map_matrix``) lost their last callers in
+the package, and live here with the tests that read them; the column
+blocks are now ``jacobian.multiplication_map``'s stream over a basis of
+W, and ``map_matrix`` passes it the unit vectors of R_a.
 """
 
 from fractions import Fraction
@@ -406,11 +408,15 @@ class WholeMap:
         self.matrix = [[col[i] for col in cols] for i in range(pc.dim)]
 
 
-def map_matrix(mmap):
-    """The whole matrix of a ``jacobian.MultiplicationMap``, from its
-    column blocks: rows indexed by the target's representatives."""
-    cols = [col for block in mmap.column_blocks() for col in block]
-    return [[col[i] for col in cols] for i in range(mmap.target_dim)]
+def map_matrix(hring, a, b):
+    """The whole matrix of R_a (x) R_b -> R_(a+b) from the column blocks
+    of ``jacobian.multiplication_map`` over the unit vectors of R_a: rows
+    indexed by the target's representatives."""
+    dim = hring.piece(a).dim
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    cols = [col for block in jacobian.multiplication_map(hring, a, b, units)
+            for col in block]
+    return [[col[i] for col in cols] for i in range(hring.piece(a + b).dim)]
 
 
 def is_surjective(matrix, target, prime=None):
@@ -445,14 +451,12 @@ def pieces_left_kernel_via_duality(hring, a, b, prime=None):
     return is_surjective(whole.matrix, whole.target_dim, prime=prime), pairing
 
 
-def pieces_functional_kernel_map(hring, g, b=None):
+def pieces_functional_kernel_map(hring, g, b):
     """``functional_kernel_map`` building every piece it reads: the socle
     piece, checked to be one-dimensional, then R_a and the functional,
     and the whole restricted map ranked exactly, unless the ring is
     proven smooth and R_a or R_(a+b) lies above the socle degree."""
     a = g.total_degree()
-    if b is None:
-        b = hring.degree - 1
     sigma = hring.socle_degree
     top = hring.piece(sigma)
     if top.dim != 1:

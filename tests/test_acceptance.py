@@ -208,7 +208,7 @@ def test_criterion_08_property_suites():
         g = uv.zero()
         for i, c in enumerate(coeffs):
             g = g + uv.monomial((i, degree - i), Fraction(c))
-        cycle = curves.binary_form_cycle(g)
+        cycle = curves.binary_form_cycle(g, uv.names)
         assert cycle.total_degree() == degree
 
     smooth_seen = {4: 0, 5: 0}

@@ -20,6 +20,12 @@ Z2_LABELS = {ProjectivePoint(c).coords: n
              for n, c in (("P", (1, 0, 0)), ("Q", (0, 1, 0)))}
 
 
+def _sections(curve, plane, labels):
+    """The section cycles of ``curve`` that ``hyperplane_relations``
+    reads, by line variable."""
+    return lambda line: curves.section_cycle(curve, line, plane, labels)
+
+
 def _coeffs(*values):
     return [Fraction(v) for v in values]
 
@@ -162,11 +168,12 @@ def test_roots_and_squarefree_parts_match_sympy(roots, factors, scale):
 
 
 def test_restrict_to_line():
-    g, remaining = curves.restrict_to_line(Z1, "x2")
+    g, remaining = curves.restrict_to_line(Z1, "x2", PLANE.names)
     assert remaining == ("x0", "x1")
     assert g == parse_poly("x0*x1^4", PLANE)
     with pytest.raises(curves.LineIsComponent):
-        curves.restrict_to_line(parse_poly("x2*x0^4", PLANE), "x2")
+        curves.restrict_to_line(parse_poly("x2*x0^4", PLANE), "x2",
+                                PLANE.names)
 
 
 def test_restrict_requires_parameter_elimination():
@@ -180,7 +187,7 @@ def test_binary_form_cycle_degree_conservation():
     ring = PolyRing.rationals(("u", "v"))
     # u^2 v (u^2 + v^2): one rational double point, the v factor, a conic
     g = parse_poly("u^4*v + u^2*v^3", ring)
-    cycle = curves.binary_form_cycle(g)
+    cycle = curves.binary_form_cycle(g, ring.names)
     assert cycle.total_degree() == 5
     assert len(cycle.residual_factors) == 1
     got = dict(zip((p.coords for p in cycle.points), cycle.multiplicities))
@@ -197,8 +204,8 @@ def test_divisor_cycle_validation():
 
 
 def test_hyperplane_relations_on_plane_quintic():
-    lattice = curves.hyperplane_relations(Z1, ("x0", "x2", "x1"),
-                                          labels=Z1_LABELS)
+    lattice = curves.hyperplane_relations(
+        ("x0", "x2", "x1"), _sections(Z1, PLANE.names, Z1_LABELS))
     assert lattice.point_basis == ["P", "Q", "R"]
     rows = lattice.relations
     assert rows == [[3, 1, -4], [1, -4, 3]]
@@ -210,14 +217,13 @@ def test_hyperplane_relations_on_plane_quintic():
 
 
 def test_equivalence_orders_and_their_lcm():
-    lattice1 = curves.hyperplane_relations(Z1, ("x0", "x2", "x1"),
-                                           labels=Z1_LABELS)
+    lattice1 = curves.hyperplane_relations(
+        ("x0", "x2", "x1"), _sections(Z1, PLANE.names, Z1_LABELS))
     found1 = curves.minimal_equivalence_order(lattice1, "P", "Q")
     assert found1.order == 13
 
-    lattice2 = curves.hyperplane_relations(Z2, ("x3", "x1"),
-                                           plane_vars=("x1", "x2", "x3"),
-                                           labels=Z2_LABELS)
+    lattice2 = curves.hyperplane_relations(
+        ("x3", "x1"), _sections(Z2, ("x1", "x2", "x3"), Z2_LABELS))
     found2 = curves.minimal_equivalence_order(lattice2, "P", "Q")
     assert found2.order == 4
 
@@ -225,7 +231,8 @@ def test_equivalence_orders_and_their_lcm():
 
 
 def test_equivalence_order_unknown_label():
-    lattice = curves.hyperplane_relations(Z1, ("x0", "x2"), labels=Z1_LABELS)
+    lattice = curves.hyperplane_relations(
+        ("x0", "x2"), _sections(Z1, PLANE.names, Z1_LABELS))
     with pytest.raises(curves.UnknownLabel):
         curves.minimal_equivalence_order(lattice, "P", "nope")
 
@@ -234,7 +241,7 @@ def test_nonrational_intersection_is_refused():
     curve = parse_poly("x0^3 + x1^3 + x1*x2^2 + x2^3", PLANE)
     # restriction to x1 = 0 is x0^3 + x2^3 = (x0 + x2)(x0^2 - x0 x2 + x2^2)
     with pytest.raises(curves.NonRationalIntersection):
-        curves.hyperplane_relations(curve, ("x1",))
+        curves.hyperplane_relations(("x1",), _sections(curve, PLANE.names, {}))
 
 
 def test_relation_lattice_rejects_unbalanced_rows():
@@ -262,8 +269,8 @@ def test_restriction_cycles_conserve_degree_randomly():
         if f.is_zero():
             continue
         try:
-            g, remaining = curves.restrict_to_line(f, "x2")
+            g, remaining = curves.restrict_to_line(f, "x2", PLANE.names)
         except curves.LineIsComponent:
             continue
-        cycle = curves.binary_form_cycle(g, uv=remaining)
+        cycle = curves.binary_form_cycle(g, remaining)
         assert cycle.total_degree() == g.total_degree(remaining)

@@ -243,25 +243,27 @@ def test_socle_pairing(fermat_quartic):
 
 
 def test_multiplication_map_shapes(fermat_quartic):
-    mmap = jacobian.multiplication_map(fermat_quartic, 1, 3)
-    assert mmap.left_dim == 4 and mmap.right_dim == 16
-    assert mmap.target_dim == 19
-    result = is_surjective(map_matrix(mmap), mmap.target_dim)
+    assert (fermat_quartic.piece(1).dim, fermat_quartic.piece(3).dim) == (4, 16)
+    whole = WholeMap(fermat_quartic, 1, 3)
+    assert whole.target_dim == 19
+    assert map_matrix(fermat_quartic, 1, 3) == whole.matrix
+    assert [len(row) for row in whole.matrix] == [4 * 16] * 19
+    result = is_surjective(whole.matrix, whole.target_dim)
     assert result.ok and result.rank == 19
 
 
-def left_kernel(mmap):
-    """Exact basis of {u : u * v == 0 for every v}, brute force: the
-    oracle for the duality route.
+def left_kernel(hring, a, b):
+    """Exact basis of {u in R_a : u * v == 0 for every v in R_b}, brute
+    force: the oracle for the duality route.
 
     Stacks the conditions for all right basis vectors and coordinates of
     the target, then takes the exact kernel.
     """
-    matrix, rows = map_matrix(mmap), []
-    for v in range(mmap.right_dim):
-        for i in range(mmap.target_dim):
-            rows.append([matrix[i][u * mmap.right_dim + v]
-                         for u in range(mmap.left_dim)])
+    whole, rows = WholeMap(hring, a, b), []
+    left, right = hring.piece(a).dim, hring.piece(b).dim
+    for v in range(right):
+        for i in range(whole.target_dim):
+            rows.append([whole.matrix[i][u * right + v] for u in range(left)])
     if not rows:
         return []
     return exactla.kernel_basis(rows)
@@ -270,8 +272,7 @@ def left_kernel(mmap):
 def test_left_kernel_brute_force_and_duality_agree(fermat_quartic,
                                                    mixed_quartic):
     for hring in (fermat_quartic, mixed_quartic):
-        mmap = jacobian.multiplication_map(hring, 1, 3)
-        assert left_kernel(mmap) == []
+        assert left_kernel(hring, 1, 3) == []
         surj, pairing = jacobian.left_kernel_via_duality(hring, 1, 3)
         assert surj and pairing
         assert surj.rank == surj.full
@@ -294,9 +295,9 @@ def test_duality_asks_for_the_socle_before_building_a_map(monkeypatch):
     built = []
     multiplication_map = jacobian.multiplication_map
 
-    def counting(hring, a, b, quotient_by=None):
+    def counting(hring, a, b, kernel):
         built.append((a, b))
-        return multiplication_map(hring, a, b, quotient_by=quotient_by)
+        return multiplication_map(hring, a, b, kernel)
 
     monkeypatch.setattr(jacobian, "multiplication_map", counting)
     # a cone: singular, so the step takes the exact pieces
@@ -311,9 +312,9 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
     subspaces = []
     multiplication_map = jacobian.multiplication_map
 
-    def recording(hring, a, b, quotient_by=None):
-        subspaces.append(quotient_by)
-        return multiplication_map(hring, a, b, quotient_by=quotient_by)
+    def recording(hring, a, b, kernel):
+        subspaces.append(kernel)
+        return multiplication_map(hring, a, b, kernel)
 
     monkeypatch.setattr(jacobian, "multiplication_map", recording)
     for hring in (fermat_quartic, mixed_quartic):
@@ -560,7 +561,7 @@ def test_span_array_is_span_rows_reduced_mod_p(text, ring):
 def test_singular_forms_never_take_the_closed_form(text, ring, symmetry):
     hring = jacobian.HypersurfaceRing(parse_poly(text, ring))
     top = hring.socle_degree + 1
-    table = jacobian.hilbert_function(hring, through=top)
+    table = jacobian.hilbert_function(hring) + [hring.quotient_dim(top)]
     assert not hring.smoothness_certificate().certified
     assert hring.dimension_route() == "elimination"
     # no certificate closes, so no piece is held to the closed form
@@ -700,8 +701,8 @@ def test_trivial_block_pieces_match_full_slice_reduction(form, pairing_degrees,
     assert oracle[sigma + 1].representatives == []
     assert len(oracle[sigma].representatives) == 1
     for c in range(1, sigma + 2):
-        mmap = jacobian.multiplication_map(hring, 1, c - 1)
-        assert map_matrix(mmap) == _oracle_product_matrix(oracle, 1, c - 1, c)
+        assert map_matrix(hring, 1, c - 1) == _oracle_product_matrix(
+            oracle, 1, c - 1, c)
     for k in pairing_degrees:
         # the socle piece is one-dimensional: one product per (u, v) pair
         products = _oracle_product_matrix(oracle, k, sigma - k, sigma)[0]
@@ -944,9 +945,9 @@ def test_a_bad_prime_is_refused_before_a_trivial_shortcut(fermat_quartic):
     # R_10 = 0, so the map has a trivial target; R_9 = 0, and the pairing
     # at degree 9 would stop at R_(-1) without a gate
     sigma = fermat_quartic.socle_degree
-    mmap = jacobian.multiplication_map(fermat_quartic, 5, 5)
-    assert mmap.target_dim == 0
-    matrix = map_matrix(mmap)
+    whole = WholeMap(fermat_quartic, 5, 5)
+    assert whole.target_dim == 0
+    matrix = whole.matrix
     assert is_surjective(matrix, 0, prime=GFP).mode == "trivial"
     for prime in (1, 4, 561, modrank.MAX_PRIME + 1):
         with pytest.raises(modrank.BadPrime):

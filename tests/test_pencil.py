@@ -14,7 +14,7 @@ def _clone(scn, **overrides):
     fields = ("ambient_ring", "family", "lines", "blowup_ring", "substitution",
               "blowup_factor", "strict_transform", "tower_ring", "points",
               "tangent_table", "concurrency_point", "declared_quadratic",
-              "closed_form", "cycle_signature", "citations")
+              "closed_form", "cycle_signature")
     kwargs = {f: getattr(scn, f) for f in fields}
     kwargs.update(overrides)
     return pencil.PencilScenario(**kwargs)

@@ -680,6 +680,24 @@ def test_degrees_far_above_the_socle_answer_at_once(tmp_path, capsys, ring,
         f"check.01.value.{key} = {value}" for key, value in values.items()]
 
 
+def test_a_functional_that_pairs_to_zero_says_so(tmp_path, capsys):
+    # x0 is nonzero in R_1 of the Fermat cubic curve, whose partials have
+    # degree 2, but 2 * 1 is not sigma = 3, so x0 pairs to zero with every
+    # class of degree 1: the step must not say that its class vanishes
+    path = tmp_path / "g.scn"
+    path.write_text("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2\n"
+                    "poly = x0^3 + x1^3 + x2^3\n[checks]\n"
+                    'check green_gotzmann g="x0" b=1 expect_rank=3 cite=c\n',
+                    encoding="utf-8")
+    assert cli.main(["verify", "--machine", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("check.01.detail.")] == [
+        "check.01.detail.01 = kernel subspace of dimension 3 multiplies onto "
+        "a target of dimension 3 with rank 3",
+        "check.01.detail.02 = g pairs to zero with every class of degree 1"]
+    assert "check.01.value.class_nonzero = False" in lines
+
+
 @pytest.mark.parametrize("prime", ["1", "4", "1105"])
 def test_cli_ring_bad_prime_exits_two(prime):
     out = _run_cli("ring", "smooth", "--file", "shioda", "--prime", prime)
@@ -789,6 +807,11 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
      "check 'pencil_factorization' (line 6): lines must be linear forms"),
     ("[pencil]\nclosed_form_num = lam*t\n", "check pencil_degenerations cite=c",
      "check 'pencil_degenerations' (line 6): polynomial involves 'lam'"),
+    ("[curve Z]\nplane = x0 x1 x2\npoly = x0^2 + x1\npoint = P 1 0 0\n"
+     "point = Q 0 1 0\n",
+     'check equivalence_order curve=Z lines="" pair="P Q" expect=1 cite=c',
+     "check 'equivalence_order' (line 9): bad poly for curve 'Z': not "
+     "homogeneous in the plane coordinates x0 x1 x2"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "automorphism-zero-modulus-hilbert",
         "curve-not-homogeneous", "curve-plane-not-in-variables",
@@ -797,7 +820,8 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
         "no-ring-section", "empty-ring-header", "picard-three-variables",
         "picard-cubic", "pencil-zero-denominator",
         "multiplicity-at-plane-coordinate", "pencil-line-quadratic",
-        "pencil-line-zero", "pencil-closed-form-in-lam"])
+        "pencil-line-zero", "pencil-closed-form-in-lam",
+        "equivalence-order-without-lines-on-a-bad-curve"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -987,6 +1011,43 @@ def test_route_lines_are_human_only(name, route, count, others, capsys):
     assert routes.count(f"route: {route}") == count
     assert [r for r in routes if r != f"route: {route}"] == [
         f"route: {other}" for other in others]
+
+
+DEFAULT_PENCIL = """\
+[pencil]
+line0 = x1 - x2
+line1 = x0 - x3
+line2 = x1 + x3
+line3 = x0 - x2
+strict_transform = x^3 + lam*y^3 + z^2*x + lam^3*z^2*y + lam*t*z * (x + y + (lam - 1)*z) * (x - y + (lam + 1)*z)
+declared_quadratic = lam*(t^2 - 18*t + 9) + 4*t^2 - 6*t - 18
+closed_form_num = -(4*t^2 - 6*t - 18)
+closed_form_den = t^2 - 18*t + 9
+"""
+
+
+def test_a_pencil_section_restating_the_defaults_changes_nothing(tmp_path,
+                                                                  capsys):
+    source = (Path(chowcheck.__file__).parent / "scenarios"
+              / "quartic_family.scn").read_text(encoding="utf-8")
+    assert source.count("[checks]\n") == 1
+    path = tmp_path / "restated.scn"
+    path.write_text(source.replace("[checks]\n", DEFAULT_PENCIL + "[checks]\n"),
+                    encoding="utf-8")
+    assert cli.main(["verify", str(path), "--machine"]) == 1
+    assert capsys.readouterr().out == (
+        GOLDEN / "quartic-family.machine").read_text(encoding="utf-8")
+
+
+def test_the_pencil_section_takes_exactly_the_keys_of_the_pencil_table():
+    # scenario cannot import pencil on the cold path, so it keeps its own
+    # list of the keys; this test holds the two lists together
+    from chowcheck import pencil, scenario
+    assert scenario._SECTION_KEYS["pencil"] == set(pencil._DEFAULTS)
+    assert set(parse_scenario(
+        "[scenario]\nname = x\n" + DEFAULT_PENCIL
+        + "[checks]\ncheck pencil_factorization cite=c\n"
+    ).pencil_overrides) == set(pencil._DEFAULTS)
 
 
 def test_shioda_machine_report_is_the_same_on_exact_pieces(monkeypatch, capsys):
