@@ -6,7 +6,7 @@ when the projective hypersurface F = 0 is smooth, with one-dimensional
 top piece in the socle degree n*(d-2).  This module computes graded
 pieces, multiplication maps between them, and the socle pairing.
 Dimensions are exact, and so is every failing verdict: a rank mod p
-only ever proves a full rank.
+only ever proves a rank that meets an a-priori upper bound.
 
 Quotient dimensions (``quotient_dim``, and with it ``hilbert_function``)
 come from the first of these routes that applies:
@@ -48,8 +48,8 @@ rows A and the normal-form table N, which proves it at any prime: N is
 the identity on the free columns, and they number #monomials minus the
 rank mod p.  On a ring proven smooth at ``DEFAULT_PRIME``, a piece
 whose dimension differs from the closed form raises ``ArithmeticError``.
-Every multiplication and pairing matrix is built by looking up normal
-forms (``_products``).
+Every multiplication and pairing matrix on exact pieces is built by
+looking up normal forms (``_products``).
 
 One rule governs primes.  In every entry point that takes one
 (``is_smooth_artinian``, ``smoothness_certificate``, ``map_surjectivity``,
@@ -76,8 +76,13 @@ other ring ranks the pairing matrix from exact pieces (``_rank``): mod
 the step's prime first, exactly short of its bound, so a failing
 verdict is exact.  The one map a step still ranks is
 ``functional_kernel_map``'s W (x) R_b -> R_(a+b) for a nonzero socle
-functional, one kernel vector's columns at a time, and only until their
-rank mod p reaches dim R_(a+b).
+functional, at 2a = sigma.  A ring proven smooth ranks it through the
+socle functional lambda, read mod p from one ``echelon_mod`` of the
+degree-sigma slice (the indicator of one monomial on a monomial ideal):
+the rows lambda(w * v * z) stream into the sparse kernel mod p, which
+stops at the most the rank can be, and no piece is built; lambda over Q
+answers when that falls short.  Any other ring ranks the whole map on
+exact pieces.
 
 Slices are built from integer partials: the form is scaled to integer
 coefficients once, on construction.  Every row of a slice is one source
@@ -112,7 +117,8 @@ certificate at one prime never answers for another.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import exactla, modrank
@@ -745,28 +751,15 @@ def is_smooth_artinian(hring, prime=modrank.DEFAULT_PRIME):
 
 
 def multiplication_map(hring, a, b, kernel):
-    """The columns of W (x) R_b -> R_(a+b) in quotient coordinates, W
+    """The matrix of W (x) R_b -> R_(a+b) in quotient coordinates, W
     spanned by the vectors ``kernel`` over the representatives of R_a:
-    one list of columns per vector, in turn, one column per
-    representative v of R_b.
-
-    The pieces are built on the call, the columns only when asked for.
-    A vector's columns combine the products u_i * v of the
-    representatives u_i its nonzero coefficients name, and only those
-    products are looked up, each once.
-    """
+    one row per (vector, representative v of R_b), vector major, holding
+    the image's coordinates over the representatives of R_(a+b).  Built
+    from exact pieces, for a ring not proven smooth."""
     pa, pb, pc = hring.piece(a), hring.piece(b), hring.piece(a + b)
-    products = {}
-
-    def block(vec):
-        used = [i for i, x in enumerate(vec) if x]
-        for i in used:
-            if i not in products:
-                products[i] = _products([pa.representatives[i]], pb, pc)
-        return [_combination([vec[i] for i in used],
-                             [products[i][j] for i in used], pc.dim)
-                for j in range(pb.dim)]
-    return map(block, kernel)
+    products = _products(pa.representatives, pb, pc)
+    return [_combination(vec, products[j::pb.dim], pc.dim)
+            for vec in kernel for j in range(pb.dim)]
 
 
 def _onto(target, mode, route=None):
@@ -897,6 +890,149 @@ def _count_avoiding(gens, nvars, b):
     return total
 
 
+class FunctionalCertificate(exactla.RankCertificate):
+    """The ``RankCertificate`` of ``functional_kernel_map``'s matrix M,
+    with the socle functional that M was built from beside it:
+    ``functional`` maps degree-sigma monomials to their nonzero values,
+    mod the certificate's prime, or integers for prime None."""
+
+    __slots__ = ("functional",)
+
+    def __init__(self, prime, rank, upper_bound, functional):
+        super().__init__(prime, rank, upper_bound)
+        self.functional = functional
+
+
+def _socle_functional(hring, prime):
+    """The socle functional of a ring proven smooth at ``DEFAULT_PRIME``:
+    the one vector the degree-sigma slice kills, mod ``prime``, or over
+    the integers for prime None, as {monomial: value} without zeros.
+
+    On a monomial ideal the partials are pure powers x_i^(d-1), and it is
+    the indicator of the one standard monomial, the product of the
+    x_i^(d-2), at every prime.  Otherwise the slice's one free column t,
+    in ``modrank.echelon_mod`` mod ``prime`` or in the lift (``_lift``),
+    gives entry 1 at t and minus each pivot row's entry at t.  The
+    certificate makes the rank of every slice the same mod p as over Q,
+    so the vector mod p is the reduction of the one over Q, up to a unit.
+    """
+    sigma = hring.socle_degree
+    if hring.is_monomial_ideal:
+        return {(hring.degree - 2,) * hring.nvars: 1}
+    monos = enumerate_monomials(hring.nvars, sigma)
+    if prime is None:
+        (t,), forms = hring._lift(sigma)
+        den = lcm(*(x.denominator for form in forms.values()
+                    for x in form.values()))
+        values = {j: int(form.get(t, 0) * den) for j, form in forms.items()}
+    else:
+        pivots, rows = modrank.echelon_mod(hring._gfp_slice(sigma, prime),
+                                           prime)
+        (t,) = set(range(len(monos))).difference(pivots)
+        values = {j: -row.get(t, 0) % prime for j, row in zip(pivots, rows)}
+        values[t] = 1
+    return {monos[j]: x for j, x in values.items() if x}
+
+
+def _socle_functional_map(hring, g, b, target, dims):
+    """``functional_kernel_map`` at 2a = sigma on a ring proven smooth at
+    ``DEFAULT_PRIME``, from the socle functional lambda alone: no piece,
+    no multiplication map.  None when g pairs to zero.
+
+    g is scaled to a primitive integer form, and f_u = lambda(g * u) over
+    the degree-a monomials u.  The h of S_a with lambda(g * h) = 0 are
+    spanned by f_u0 * u - f_u * u0 for one u0 with f_u0 a unit, and they
+    contain J_a, so W is their image, of dimension dim R_a - 1.  The
+    pairing into R_sigma is perfect, so the rank of W (x) R_b -> R_(a+b)
+    is that of M[(w, v), z] = lambda(w * v * z), v over the monomials of
+    S_b and z over those of S_(sigma-a-b); lambda kills J_sigma, so no
+    normal form is needed.  Mod ``DEFAULT_PRIME`` M is the reduction of
+    a p-integral M over Q, so a rank mod p that reaches the most the rank
+    can be, dim R_(a+b) (dim W for b = 0), proves it, and f_p != 0
+    proves f != 0.  M's rows, built on monomial codes (``_codes``),
+    stream into ``modrank.rank_mod_reaches``, and no row past the one
+    that reaches the bound is built.  If f_p = 0, or the rank falls
+    short, lambda over Q answers exactly.
+    """
+    a, sigma, n = g.total_degree(), hring.socle_degree, hring.nvars
+    coeffs = g.terms.values()
+    g = g.scale(Fraction(lcm(*[c.denominator for c in coeffs]),
+                         gcd(*[c.numerator for c in coeffs])))
+    terms = list(zip(_codes(g.terms, sigma), g.terms.values()))
+    left = _codes(enumerate_monomials(n, a), sigma)
+    p, why = modrank.DEFAULT_PRIME, "pairs to zero"
+    for prime in (p, None):
+        functional = _socle_functional(hring, prime)
+        lam = dict(zip(_codes(functional, sigma), functional.values()))
+        f = [sum(c * lam.get(u + e, 0) for e, c in terms) for u in left]
+        if prime is not None:
+            f = [x % prime for x in f]
+        if not any(f):
+            continue
+        dim = hring._closed_form_dim(a) - 1
+        if not target:
+            return (Rank(0, 0, "trivial", f"R_{a + b} = 0, {dims}",
+                         CLOSED_FORM), dim, True)
+        # the image is at most W (x) R_b: below dim R_(a+b) only for b = 0
+        bound = min(target, dim * hring._closed_form_dim(b))
+        f0 = next(filter(None, f))
+        u0 = left[f.index(f0)]
+        right = _codes(enumerate_monomials(n, b), sigma)
+        tops = _codes(enumerate_monomials(n, sigma - a - b), sigma)
+
+        def rows():
+            """M's rows, f0 * lambda(u * v * z) - f_u * lambda(u0 * v * z)
+            over z, for u other than u0 and every v."""
+            for u, fu in zip(left, f):
+                if u == u0:
+                    continue
+                for v in right:
+                    row = {}
+                    for j, z in enumerate(tops):
+                        x = f0 * lam.get(u + v + z, 0) - fu * lam.get(
+                            u0 + v + z, 0)
+                        if x:
+                            row[j] = x
+                    yield row
+
+        shape = f"M {(len(left) - 1) * len(right)}x{len(tops)}"
+        if prime is None:
+            cert = FunctionalCertificate(None, exactla.rank(list(rows())),
+                                         target, functional)
+            how = (f"socle functional over Q ({why} mod p={p}), {shape}, "
+                   "exact rank")
+        elif modrank.rank_mod_reaches(rows(), bound, p):
+            cert = FunctionalCertificate(p, bound, bound, functional)
+            how = f"socle functional mod p={p}, {shape}, rank reached {bound}"
+        else:
+            why = "fell short"
+            continue
+        return Rank(cert.rank, target, _mode(prime), how, cert), dim, True
+    return None
+
+
+def _pieces_functional_map(hring, g, b, target, dims):
+    """``functional_kernel_map`` at 2a = sigma on a ring not proven
+    smooth, from exact pieces: the functional over the representatives of
+    R_a, its kernel, and one exact rank of the whole restricted map
+    (``multiplication_map``).  None when g pairs to zero."""
+    a = g.total_degree()
+    top, pa = hring.piece(hring.socle_degree), hring.piece(a)
+    functional = [top.reduce_vector({monomial_mul(u, e): c
+                                     for e, c in g.terms.items()})[0]
+                  for u in pa.representatives]
+    if not any(functional):
+        return None
+    kernel = exactla.kernel_basis([functional])
+    if target == 0:
+        return (Rank(0, 0, "trivial", f"R_{a + b} = 0, {dims}",
+                     hring._rank_proof(a + b)), len(kernel), True)
+    matrix = multiplication_map(hring, a, b, kernel)
+    cert = exactla.RankCertificate(None, exactla.rank(matrix), target)
+    route = f"pieces {a}, {b}, {a + b}: {len(matrix)} columns, exact rank"
+    return Rank(cert.rank, target, "exact", route, cert), len(kernel), True
+
+
 def functional_kernel_map(hring, g, b):
     """The ``Rank`` of W (x) R_b -> R_(a+b) for W the socle-orthogonal of
     g, against dim R_(a+b), with dim W and whether g's class is nonzero.
@@ -909,14 +1045,11 @@ def functional_kernel_map(hring, g, b):
     A ring proven smooth at ``DEFAULT_PRIME`` reads dim R_sigma = 1 from
     the closed form; any other builds R_sigma and raises
     SocleNotOneDimensional unless it is one-dimensional.  Only 2a = sigma
-    gives h * g a socle coordinate, so only then are R_sigma and R_a
-    built.  A zero functional leaves W = R_a, onto R_(a+b) by
-    ``map_surjectivity``'s theorem, and no map is built; nor is one when
-    R_(a+b) = 0.  Otherwise the map's columns, one kernel vector at a
-    time (``multiplication_map``) and scaled to integer rows, go to the
-    sparse kernel mod ``DEFAULT_PRIME``, whose rank never exceeds that
-    over Q: once it reaches dim R_(a+b) no more columns are built, and
-    short of it the whole map is ranked exactly.
+    gives h * g a socle coordinate.  There a ring proven smooth answers
+    from the socle functional (``_socle_functional_map``), and any other
+    from exact pieces (``_pieces_functional_map``).  A functional that
+    pairs to zero leaves W = R_a, onto R_(a+b) by ``map_surjectivity``'s
+    theorem, and no map is built; nor is one when R_(a+b) = 0.
     """
     a = g.total_degree()
     sigma = hring.socle_degree
@@ -926,38 +1059,12 @@ def functional_kernel_map(hring, g, b):
         if top.dim != 1:
             raise SocleNotOneDimensional(
                 f"dim R_{sigma} = {top.dim}, expected 1")
-    functional = []
-    if 2 * a == sigma:
-        top, pa = hring.piece(sigma), hring.piece(a)
-        functional = [top.reduce_vector({monomial_mul(u, e): c
-                                         for e, c in g.terms.items()})[0]
-                      for u in pa.representatives]
     dims = f"dimension by {hring.dimension_route()}"
     target = hring.quotient_dim(a + b)
-    if not any(functional):
-        return (_onto(target, GENERATED,
-                      f"generated in degree 1 (W = R_{a}), {dims}"),
-                hring.quotient_dim(a), False)
-    kernel = exactla.kernel_basis([functional])
-    if target == 0:
-        return (Rank(0, 0, "trivial", f"R_{a + b} = 0, {dims}",
-                     CLOSED_FORM if smooth else hring._rank_proof(a + b)),
-                len(kernel), True)
-    built = []
-
-    def columns():
-        for block in multiplication_map(hring, a, b, kernel):
-            built.extend(block)
-            yield from exactla.integer_rows(block)[0]
-
-    p = modrank.DEFAULT_PRIME
-    if modrank.rank_mod_reaches(columns(), target, p):
-        cert = exactla.RankCertificate(p, target, target)
-        how = f"rank mod p={p} reached {target}"
-    else:
-        cert = exactla.RankCertificate(None, exactla.rank(built), target)
-        how = "exact rank"
-    ncols = len(kernel) * hring.piece(b).dim
-    route = f"pieces {a}, {b}, {a + b}: {len(built)} of {ncols} columns, {how}"
-    return (Rank(cert.rank, target, _mode(cert.prime), route, cert),
-            len(kernel), True)
+    answer = None
+    if 2 * a == sigma:
+        answer = (_socle_functional_map if smooth else
+                  _pieces_functional_map)(hring, g, b, target, dims)
+    return answer or (_onto(target, GENERATED,
+                            f"generated in degree 1 (W = R_{a}), {dims}"),
+                      hring.quotient_dim(a), False)

@@ -157,7 +157,6 @@ class ScenarioContext:
         """Relation lattice of the curve's sections by ``lines``, in order."""
         def build():
             from . import curves
-            self.curve_poly(curve)  # refuses a bad curve, with no lines too
             return curves.hyperplane_relations(
                 lines, lambda line: self.section(curve, line))
         return self._get(("lattice", curve, lines), build)
@@ -453,16 +452,19 @@ def _check_green_gotzmann(ctx, spec, g, b, expect_rank):
         f"kernel subspace of dimension {subspace_dim} multiplies "
         f"onto a target of dimension {result.full} with rank {result.rank}",
     ]
-    ok = result.ok and result.rank == expect_rank and class_nonzero
-    if ok:
+    failed = [why for why, bad in (
+        ("rank mismatch", result.rank != expect_rank),
+        ("map not onto", not result.ok),
+        ("g pairs to zero", not class_nonzero)) if bad]
+    if not failed:
         details.append("restricted multiplication map is surjective")
     if not class_nonzero:
         details.append(f"g pairs to zero with every class of degree "
                        f"{g.total_degree()}")
     if result.rank != expect_rank:
         details.append(f"expected rank {expect_rank}")
-    return _step(spec, "kernel multiplication rank", ok, details,
-                 "rank mismatch", values, result.route)
+    return _step(spec, "kernel multiplication rank", not failed, details,
+                 ", ".join(failed), values, result.route)
 
 
 @_register("duality", a=_degree, b=_degree, prime=(_prime, None))
@@ -588,13 +590,18 @@ def _check_intersection(ctx, spec, curve, line, expect, sample_t):
                  details, "cycle mismatch", values)
 
 
-def _order_for(ctx, spec, curve, lines, pair):
+def _order_for(ctx, spec, curve, key, lines, pair):
+    """The lattice of ``lines``, the attribute ``key``, on ``curve``, the
+    pair of point labels, and its equivalence order, or None."""
     ctx.curve_decl(curve)  # refuses an undeclared curve before the pair
     lines, pair = tuple(lines.split()), tuple(pair.split())
     if len(pair) != 2:
         raise _bad(spec, "pair needs two labels")
     for label in pair:
         ctx.curve_point(curve, label)  # refuses an undeclared label
+    ctx.curve_poly(curve)  # refuses a bad curve before its lines
+    if not lines:
+        raise InputError(f"{key}= names no line")
     return (ctx.lattice(curve, lines), pair,
             ctx.equivalence_order(curve, lines, pair))
 
@@ -602,7 +609,7 @@ def _order_for(ctx, spec, curve, lines, pair):
 @_register("equivalence_order", curve=_text, expect=_integer, lines=_text,
            pair=_text)
 def _check_equivalence_order(ctx, spec, curve, expect, lines, pair):
-    lattice, pair, found = _order_for(ctx, spec, curve, lines, pair)
+    lattice, pair, found = _order_for(ctx, spec, curve, "lines", lines, pair)
     values = {
         "basis": " ".join(lattice.point_basis),
         "relations": len(lattice.relations),
@@ -635,7 +642,8 @@ def _check_combined_order(ctx, spec, expect, curve1, lines1, pair1, curve2,
     values = {}
     for idx, (curve, lines, pair) in enumerate(
             ((curve1, lines1, pair1), (curve2, lines2, pair2)), start=1):
-        _, pair, found = _order_for(ctx, spec, curve, lines, pair)
+        _, pair, found = _order_for(ctx, spec, curve, f"lines{idx}", lines,
+                                    pair)
         if found is None:
             details.append(f"no lattice multiple on curve {curve}")
             return _step(spec, name, False, details, "no lattice multiple",

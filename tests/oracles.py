@@ -409,13 +409,12 @@ class WholeMap:
 
 
 def map_matrix(hring, a, b):
-    """The whole matrix of R_a (x) R_b -> R_(a+b) from the column blocks
-    of ``jacobian.multiplication_map`` over the unit vectors of R_a: rows
-    indexed by the target's representatives."""
+    """The whole matrix of R_a (x) R_b -> R_(a+b) from
+    ``jacobian.multiplication_map`` over the unit vectors of R_a, whose
+    rows are the images: rows indexed by the target's representatives."""
     dim = hring.piece(a).dim
     units = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    cols = [col for block in jacobian.multiplication_map(hring, a, b, units)
-            for col in block]
+    cols = jacobian.multiplication_map(hring, a, b, units)
     return [[col[i] for col in cols] for i in range(hring.piece(a + b).dim)]
 
 

@@ -172,10 +172,18 @@ SMOOTH = [("quartic-family", lambda: _bundled("quartic_family")),
            lambda: "x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2 - 2*x1*x2*x3 + x0^2*x3")]
 
 
+def _smooth_ring(form):
+    return jacobian.HypersurfaceRing(
+        parse_poly(form, PolyRing.rationals(P3.split())))
+
+
 @pytest.mark.parametrize("label, form", SMOOTH,
                          ids=[label for label, _ in SMOOTH])
 def test_no_socle_piece_is_built_on_a_smooth_ring_unless_2a_is_sigma(
         label, form, monkeypatch):
+    # a count: no green_gotzmann step builds a piece or a multiplication
+    # map on a ring proven smooth, 2a = sigma included, for every b up to
+    # sigma - a + 1
     built = []
     piece = jacobian.HypersurfaceRing.piece
 
@@ -184,35 +192,134 @@ def test_no_socle_piece_is_built_on_a_smooth_ring_unless_2a_is_sigma(
         return piece(self, k)
 
     monkeypatch.setattr(jacobian.HypersurfaceRing, "piece", recording)
-    ring = PolyRing.rationals(P3.split())
-    probe = jacobian.HypersurfaceRing(parse_poly(form(), ring))
-    sigma = probe.socle_degree
-    assert probe.smoothness_certificate().certified
+    monkeypatch.setattr(jacobian, "multiplication_map",
+                        lambda *args: built.append(args))
+    sigma = _smooth_ring(form()).socle_degree
+    assert _smooth_ring(form()).smoothness_certificate().certified
+    routes = []
     for a in range(1, sigma + 2):
-        built.clear()
-        hring = jacobian.HypersurfaceRing(parse_poly(form(), ring))
-        g = parse_poly(_form(P3, a, label), ring)
-        jacobian.functional_kernel_map(hring, g, hring.degree - 1)
-        assert (sigma in built) == (2 * a == sigma), (a, built)
+        hring = _smooth_ring(form())
+        g = parse_poly(_form(P3, a, label), hring.ring)
+        for b in range(max(sigma - a, 0) + 2):
+            routes.append(jacobian.functional_kernel_map(hring, g, b)[0].route)
+    assert built == []
+    # every b up to sigma / 2 ranks M at 2a = sigma
+    assert sum(route.startswith("socle functional mod p=")
+               for route in routes) == sigma // 2 + 1
 
 
 def test_the_quartic_family_map_stops_at_its_rank(monkeypatch):
-    # the restricted map is 4 x 288; its rank mod p reaches 4 on the
-    # columns of the first three kernel vectors, so no other is built
-    columns = []
-    combination = jacobian._combination
+    # M is 680 x 4: (34 vectors spanning W) x (20 monomials of S_3) rows
+    # against the 4 monomials of S_1; its rank mod p reaches 4 long before
+    # the last row, and no later row is built
+    read = []
+    reaches = modrank.rank_mod_reaches
 
-    def counting(coeffs, rows, dim):
-        if dim == 4:
-            columns.append(dim)
-        return combination(coeffs, rows, dim)
+    def counting(rows, bound, p):
+        def counted():
+            for row in rows:
+                read.append(row)
+                yield row
+        return reaches(counted(), bound, p)
 
-    monkeypatch.setattr(jacobian, "_combination", counting)
+    monkeypatch.setattr(modrank, "rank_mod_reaches", counting)
     text = (SCENARIOS / "quartic_family.scn").read_text(encoding="utf-8")
     steps = run_scenario(parse_scenario(text)).steps
     step = next(s for s in steps if s.kind == "green_gotzmann")
     assert step.passed and step.values["rank"] == 4
     assert step.values["target_dim"] == 4
-    assert 0 < len(columns) < 288
-    assert step.route == (f"pieces 4, 3, 7: {len(columns)} of 288 columns, "
-                          f"rank mod p={GFP} reached 4")
+    assert 4 <= len(read) < 680
+    assert step.route == f"socle functional mod p={GFP}, M 680x4, rank reached 4"
+
+
+# ------------------------------------------------ the socle functional
+#
+# At 2a = sigma a ring proven smooth answers from the socle functional
+# mod p, and from the functional over Q when the one mod p pairs g to
+# zero or the rank mod p falls short.  No form at hand reaches either
+# fallback, so both are forced by patching, and both must give the
+# pieces oracle's answer.
+
+FALLBACK_RINGS = [(label, form) for label, form in SMOOTH
+                  if label in ("quartic-family", "fermat-quartic",
+                               "cubic-surface")]
+
+
+def _answers(label, form, degrees):
+    """For three forms g of degree sigma / 2 and every b of
+    ``degrees(sigma - a)``: (ours, the oracle's, our route), each answer
+    as (rank, full, dim W, class flag)."""
+    hring, oracle_ring = _smooth_ring(form()), _smooth_ring(form())
+    a = hring.socle_degree // 2
+    out = []
+    for i in range(3):
+        g = parse_poly(_form(P3, a, f"{label}/{i}"), hring.ring)
+        for b in degrees(hring.socle_degree - a):
+            ours = jacobian.functional_kernel_map(hring, g, b)
+            oracle = pieces_functional_kernel_map(oracle_ring, g, b)
+            out.append(((ours[0].rank, ours[0].full, *ours[1:]),
+                        (oracle[0].rank, oracle[0].full, *oracle[1:]),
+                        ours[0].route))
+    return out
+
+
+@pytest.mark.parametrize("label, form", FALLBACK_RINGS,
+                         ids=[label for label, _ in FALLBACK_RINGS])
+def test_a_functional_that_vanishes_mod_p_falls_back_to_q(label, form,
+                                                        monkeypatch):
+    # lambda mod p times p: every f_p is 0, and f over Q is not
+    functional = jacobian._socle_functional
+    monkeypatch.setattr(jacobian, "_socle_functional", lambda hring, prime: (
+        functional(hring, None) if prime is None else
+        {m: GFP * x for m, x in functional(hring, prime).items()}))
+    answers = _answers(label, form, lambda top: range(1, top + 1))
+    for ours, oracle, route in answers:
+        assert ours == oracle
+        if ours[3]:
+            assert route.startswith(
+                f"socle functional over Q (pairs to zero mod p={GFP}), M ")
+    assert any(ours[3] for ours, _, _ in answers)
+
+
+@pytest.mark.parametrize("label, form", FALLBACK_RINGS,
+                         ids=[label for label, _ in FALLBACK_RINGS])
+def test_a_rank_mod_p_one_short_falls_back_to_q(label, form, monkeypatch):
+    # the rank mod p is asked for one more than the most it can be
+    reaches = modrank.rank_mod_reaches
+    monkeypatch.setattr(modrank, "rank_mod_reaches",
+                        lambda rows, bound, p: reaches(rows, bound + 1, p))
+    answers = _answers(label, form, lambda top: range(top + 1))
+    for ours, oracle, route in answers:
+        assert ours == oracle
+        if ours[3]:
+            assert route.startswith(
+                f"socle functional over Q (fell short mod p={GFP}), M ")
+            assert route.endswith(", exact rank")
+    assert any(ours[3] for ours, _, _ in answers)
+
+
+@pytest.mark.parametrize("label, g", [
+    ("quartic-family", "1000003*x0^2*x1^2"),
+    ("dense-quartic-seed-1", "1000003/7*x0^2*x1^2 + 2000006*x2^4"),
+    ("dense-quintic-seed-1", "1000003*x0^3*x1^3")])
+def test_a_form_scaled_by_the_prime_needs_no_fallback(label, g, monkeypatch):
+    # g is scaled to a primitive integer form before it pairs, so a
+    # coefficient that p divides does not make f_p vanish
+    asked = []
+    functional = jacobian._socle_functional
+
+    def recording(hring, prime):
+        asked.append(prime)
+        return functional(hring, prime)
+
+    monkeypatch.setattr(jacobian, "_socle_functional", recording)
+    hring = _smooth_ring(next(form for name, _, form in RINGS
+                              if name == label)())
+    a = hring.socle_degree // 2
+    result, dim, nonzero = jacobian.functional_kernel_map(
+        hring, parse_poly(g, hring.ring), 3)
+    assert asked == [GFP]
+    assert nonzero and result.ok and dim == hring.quotient_dim(a) - 1
+    assert result.route.startswith(f"socle functional mod p={GFP}, M ")
+    assert result.proof.certified and result.proof.prime == GFP
+    assert result.proof.functional

@@ -309,6 +309,8 @@ def test_duality_asks_for_the_socle_before_building_a_map(monkeypatch):
 
 
 def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
+    # both rings are proven smooth, so the socle functional answers and no
+    # multiplication map is built
     subspaces = []
     multiplication_map = jacobian.multiplication_map
 
@@ -330,9 +332,17 @@ def test_functional_kernel_map(fermat_quartic, mixed_quartic, monkeypatch):
         # without being built
         cubic = parse_poly("x0^2*x1", hring.ring)
         assert not jacobian.functional_kernel_map(hring, cubic, 3)[2]
-    # one map per ring, on the kernel of the functional, whose basis holds
-    # ints
-    assert [len(s) for s in subspaces] == [18, 18]
+        assert result.route == (f"socle functional mod p={GFP}, M 680x4, "
+                                "rank reached 4")
+    assert subspaces == []
+    # a singular ring builds one map, on the kernel of the functional,
+    # whose basis holds ints
+    nodal = jacobian.HypersurfaceRing(parse_poly("x0^4 + x1^4 + x0*x1*x2^2",
+                                                 TERNARY))
+    result, subspace_dim, class_nonzero = jacobian.functional_kernel_map(
+        nodal, parse_poly("x2^3", TERNARY), 1)
+    assert class_nonzero and result.mode == "exact"
+    assert [len(s) for s in subspaces] == [subspace_dim]
     assert all(type(x) is int for s in subspaces for vec in s for x in vec)
 
 

@@ -680,6 +680,29 @@ def test_degrees_far_above_the_socle_answer_at_once(tmp_path, capsys, ring,
         f"check.01.value.{key} = {value}" for key, value in values.items()]
 
 
+# x0 pairs to zero on the Fermat cubic curve (2 * 1 is not sigma = 3);
+# on the Fermat quartic curve (sigma = 6, R_3 of dimension 7) x0^2*x1
+# pairs to x1*x2^2, W has dimension 6, and for b = 0 it is all of the
+# image, one short of R_3
+@pytest.mark.parametrize("poly, check, witness", [
+    ("x0^3 + x1^3 + x2^3", 'g="x0" b=1 expect_rank=3', "g pairs to zero"),
+    ("x0^3 + x1^3 + x2^3", 'g="x0" b=1 expect_rank=2',
+     "rank mismatch, g pairs to zero"),
+    ("x0^4 + x1^4 + x2^4", 'g="x0^2*x1" b=1 expect_rank=5', "rank mismatch"),
+    ("x0^4 + x1^4 + x2^4", 'g="x0^2*x1" b=0 expect_rank=6', "map not onto"),
+    ("x0^4 + x1^4 + x2^4", 'g="x0^2*x1" b=0 expect_rank=7',
+     "rank mismatch, map not onto"),
+    ("x0^4 + x1^4 + x2^4", 'g="x0^2*x1" b=1 expect_rank=6', None),
+])
+def test_the_green_gotzmann_witness_names_what_failed(poly, check, witness):
+    scn = parse_scenario("[scenario]\nname = x\n[ring]\nvariables = x0 x1 x2\n"
+                         f"poly = {poly}\n[checks]\n"
+                         f"check green_gotzmann {check} cite=c\n")
+    (step,) = run_scenario(scn).steps
+    assert step.witness == witness
+    assert step.passed == (witness is None)
+
+
 def test_a_functional_that_pairs_to_zero_says_so(tmp_path, capsys):
     # x0 is nonzero in R_1 of the Fermat cubic curve, whose partials have
     # degree 2, but 2 * 1 is not sigma = 3, so x0 pairs to zero with every
@@ -735,6 +758,12 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
     assert (step.values["surjectivity_mode"], step.values["pairing_mode"]) == (
         "exact(generated in degree 1)", "exact")
     assert step.route == "exact pieces, ring not proven smooth at p=3"
+
+
+# the plane quintic of shioda.scn, with two of its points
+PLANE_QUINTIC_CURVE = ("[curve Z1]\nplane = x0 x1 x2\n"
+                       "poly = x0*x1^4 + x1*x2^4 + x2*x0^4\n"
+                       "point = P 1 0 0\npoint = Q 0 1 0\n")
 
 
 @pytest.mark.parametrize("sections, check, message", [
@@ -812,6 +841,13 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
      'check equivalence_order curve=Z lines="" pair="P Q" expect=1 cite=c',
      "check 'equivalence_order' (line 9): bad poly for curve 'Z': not "
      "homogeneous in the plane coordinates x0 x1 x2"),
+    (PLANE_QUINTIC_CURVE,
+     'check equivalence_order curve=Z1 lines="" pair="P Q" expect=13 cite=c',
+     "check 'equivalence_order' (line 9): lines= names no line"),
+    (PLANE_QUINTIC_CURVE,
+     'check combined_order curve1=Z1 lines1="x0 x1 x2" pair1="P Q" '
+     'curve2=Z1 lines2=" " pair2="P Q" expect=13 cite=c',
+     "check 'combined_order' (line 9): lines2= names no line"),
 ], ids=["ring-not-homogeneous", "ring-linear", "pencil-quadratic-in-lam",
         "automorphism-zero-modulus", "automorphism-zero-modulus-hilbert",
         "curve-not-homogeneous", "curve-plane-not-in-variables",
@@ -821,7 +857,8 @@ def test_prime_dividing_a_pairing_denominator_still_certifies():
         "picard-cubic", "pencil-zero-denominator",
         "multiplicity-at-plane-coordinate", "pencil-line-quadratic",
         "pencil-line-zero", "pencil-closed-form-in-lam",
-        "equivalence-order-without-lines-on-a-bad-curve"])
+        "equivalence-order-without-lines-on-a-bad-curve",
+        "equivalence-order-without-lines", "combined-order-without-lines"])
 def test_cli_malformed_scenario_values_exit_two(tmp_path, sections, check,
                                                 message):
     path = tmp_path / "bad.scn"
@@ -997,7 +1034,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
      [SHIODA_PROOF, f"closed form (Macaulay duality), {SHIODA_PROOF}"]),
     ("quartic-family", "closed form, smooth at degree 9 (monomial count)", 1,
      ["monomial count, inclusion and exclusion over 4 generators",
-      "pieces 4, 3, 7: 48 of 288 columns, rank mod p=1000003 reached 4",
+      "socle functional mod p=1000003, M 680x4, rank reached 4",
       "closed form (Macaulay duality), smooth at degree 9 (monomial count)"]),
 ])
 def test_route_lines_are_human_only(name, route, count, others, capsys):
